@@ -17,6 +17,8 @@ __version__ = "0.1.0"
 from . import errors
 from .bounds import (
     BoundReport,
+    ChainAnalysis,
+    bound_suite,
     check_cheeger,
     check_chung,
     check_morris_peres,

@@ -2,6 +2,14 @@
 
 Each checker evaluates one concrete inequality instance on a chain and
 returns a :class:`BoundReport` with both sides, the slack, and a verdict.
+The checkers take a chain or a :class:`ChainAnalysis`, the per-chain store
+that derives each quantity once: at most one reversible and one Chung
+certificate, every exact minimum from a single enumeration pass over the
+exponents the run reads, and one sweep cut per (p, certificate kind). The
+store also holds the one rule for the phi_p value a bound uses (exact within
+the enumeration cap, otherwise the sweep cut). :func:`bound_suite` builds
+the reports of both sides from one store; the CLI's ``analyze`` and
+``verify`` select sides and exponents over it.
 The gadgets expose the numeric suprema used in the sweep-cut analysis:
 the power-increment sum sup_a sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1})
 (bounded by 1/(2p-1) for p > 1/2) and the telescoping ratio-chain maximum
@@ -12,11 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from .chains import MarkovChain, exact_enumeration_cap, is_reversible
-from .cuts import CutResult, phi_p_exact, sweep_cut
-from .errors import ExponentOutOfRange, LogDomain
+from .cuts import CutResult, exact_minima, sweep_cut
+from .errors import ExponentOutOfRange, LogDomain, TooLarge
 from .spectral import SpectralCertificate, lambda2_directed, lambda2_reversible
 
 DEFAULT_TOL = 1e-9
@@ -45,19 +55,68 @@ def make_report(name: str, lhs: float, rhs: float, tol: float = DEFAULT_TOL, wit
     return BoundReport(name=name, lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -tol, tol=tol, witnesses=witnesses)
 
 
-def _phi_value(c: MarkovChain, p: float, method: str, cert: SpectralCertificate) -> CutResult:
-    if method == "auto":
-        method = "exact" if c.n <= exact_enumeration_cap() else "sweep"
-    if method == "exact":
-        return phi_p_exact(c, p)
-    if method == "sweep":
-        return sweep_cut(c, p, cert)
-    raise ValueError(f"unknown phi method {method!r}")
+class ChainAnalysis:
+    """Every certificate and cut a run reads, each derived at most once.
+
+    Holds at most one reversible and one Chung certificate, one sweep cut per
+    (p, certificate kind), and the exact minima. The first exact read
+    enumerates subsets once for every expected exponent (``ps`` here, plus
+    whatever :func:`bound_suite` adds); a read of an exponent not expected costs
+    one more pass. :meth:`phi` applies the one rule for the value a bound
+    uses: exact within :func:`exact_enumeration_cap`, otherwise the sweep cut
+    of the bound's own certificate. Expecting exact reads on a chain above
+    the cap raises TooLarge at once.
+    """
+
+    def __init__(self, c: MarkovChain, ps: Iterable[float] = ()) -> None:
+        self.c = c
+        self.reversible = is_reversible(c)
+        self.exact_ok = c.n <= exact_enumeration_cap()
+        self._ps: list[float] = []
+        self._exact: dict[float, CutResult] = {}
+        self._certs: dict[bool, SpectralCertificate] = {}
+        self._sweeps: dict[tuple[float, bool], CutResult] = {}
+        self._expect(ps)
+
+    def _expect(self, ps: Iterable[float]) -> None:
+        """Include these exponents in the next exact pass."""
+        for p in map(float, ps):
+            if not self.exact_ok:
+                raise TooLarge(f"n = {self.c.n} exceeds the exact enumeration cap {exact_enumeration_cap()}")
+            if p not in self._ps:
+                self._ps.append(p)
+
+    def cert(self, directed: bool) -> SpectralCertificate:
+        """The Chung certificate if directed, else the reversible one."""
+        if directed not in self._certs:
+            self._certs[directed] = lambda2_directed(self.c) if directed else lambda2_reversible(self.c)
+        return self._certs[directed]
+
+    def exact(self, p: float) -> CutResult:
+        """Exact phi_p minimizer; raises TooLarge above the cap."""
+        p = float(p)
+        if p not in self._exact:
+            ps = [q for q in self._ps if q not in self._exact]
+            self._exact.update(exact_minima(self.c, ps if p in ps else ps + [p]))
+        return self._exact[p]
+
+    def sweep(self, p: float, directed: bool) -> CutResult:
+        """Sweep cut of the given certificate's eigenvector."""
+        key = (float(p), directed)
+        if key not in self._sweeps:
+            self._sweeps[key] = sweep_cut(self.c, p, self.cert(directed))
+        return self._sweeps[key]
+
+    def phi(self, p: float, directed: bool) -> CutResult:
+        """The phi_p value a bound uses: exact within the cap, else the sweep."""
+        return self.exact(p) if self.exact_ok else self.sweep(p, directed)
 
 
-def check_phi_p_upper_bound(
-    c: MarkovChain, p: float, use_directed: bool = False, method: str = "auto"
-) -> BoundReport:
+def _analysis(c: MarkovChain | ChainAnalysis) -> ChainAnalysis:
+    return c if isinstance(c, ChainAnalysis) else ChainAnalysis(c)
+
+
+def check_phi_p_upper_bound(c: MarkovChain | ChainAnalysis, p: float, use_directed: bool = False) -> BoundReport:
     """phi_p(P)^2 <= 4 lambda_2 / (2p - 1), for p in (1/2, 1].
 
     lambda_2 is the reversible normalized-Laplacian eigenvalue by default, or
@@ -67,8 +126,9 @@ def check_phi_p_upper_bound(
     """
     if not (0.5 < p <= 1.0):
         raise ExponentOutOfRange(f"inequality requires p in (1/2, 1], got {p}")
-    cert = lambda2_directed(c) if use_directed else lambda2_reversible(c)
-    cut = _phi_value(c, p, method, cert)
+    a = _analysis(c)
+    cert = a.cert(use_directed)
+    cut = a.phi(p, use_directed)
     name = f"phi_p_squared[p={p:g}]" + (":directed" if use_directed else "")
     return make_report(
         name,
@@ -78,7 +138,7 @@ def check_phi_p_upper_bound(
     )
 
 
-def check_morris_peres(c: MarkovChain, use_directed: bool = False) -> BoundReport:
+def check_morris_peres(c: MarkovChain | ChainAnalysis, use_directed: bool = False) -> BoundReport:
     """lambda_2 >= phi_{1/2}^2 / (8 log(2 / phi_{1/2})).
 
     The constant 8 comes from rearranging the sweep-cut estimate
@@ -86,13 +146,14 @@ def check_morris_peres(c: MarkovChain, use_directed: bool = False) -> BoundRepor
     hypothesis is needed. phi_{1/2} is computed exactly, so n must be within
     the enumeration cap. The report records whether the chain is lazy.
     """
-    cert = lambda2_directed(c) if use_directed else lambda2_reversible(c)
-    cut = phi_p_exact(c, 0.5)
+    a = _analysis(c)
+    cert = a.cert(use_directed)
+    cut = a.exact(0.5)
     phi = cut.phi
     if phi >= 2.0:
         raise LogDomain(f"phi_{{1/2}} = {phi} leaves log(2/phi) nonpositive")
     lhs = phi**2 / (8.0 * math.log(2.0 / phi))
-    lazy = bool(np.all(np.diag(c.P) >= 0.5))
+    lazy = bool(np.all(np.diag(a.c.P) >= 0.5))
     name = "morris_peres" + (":directed" if use_directed else "")
     return make_report(
         name,
@@ -102,18 +163,19 @@ def check_morris_peres(c: MarkovChain, use_directed: bool = False) -> BoundRepor
     )
 
 
-def check_cheeger(c: MarkovChain, method: str = "auto") -> tuple[BoundReport, BoundReport]:
+def check_cheeger(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundReport]:
     """Classical Cheeger pair for a reversible chain:
     lambda_2 / 2 <= phi_1 and phi_1 <= sqrt(2 lambda_2)."""
-    cert = lambda2_reversible(c)
-    cut = _phi_value(c, 1.0, method, cert)
+    a = _analysis(c)
+    cert = a.cert(False)
+    cut = a.phi(1.0, False)
     wit = {"cut": cut, "lambda2": cert.lambda2, "phi_method": cut.method}
     easy = make_report("cheeger:lower", cert.lambda2 / 2.0, cut.phi, witnesses=wit)
     hard = make_report("cheeger:upper", cut.phi, math.sqrt(2.0 * cert.lambda2), witnesses=wit)
     return easy, hard
 
 
-def check_chung(c: MarkovChain, method: str = "auto") -> tuple[BoundReport, BoundReport]:
+def check_chung(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundReport]:
     """Chung's directed Cheeger pair:
     phi_1^2 / 2 <= lambda_2(L_directed) <= 2 phi_1.
 
@@ -121,26 +183,51 @@ def check_chung(c: MarkovChain, method: str = "auto") -> tuple[BoundReport, Boun
     is conservative and can report a spurious violation; exact enumeration is
     used whenever n is within the cap.
     """
-    cert = lambda2_directed(c)
-    cut = _phi_value(c, 1.0, method, cert)
+    a = _analysis(c)
+    cert = a.cert(True)
+    cut = a.phi(1.0, True)
     wit = {"cut": cut, "lambda2": cert.lambda2, "phi_method": cut.method}
     lower = make_report("chung:lower", cut.phi**2 / 2.0, cert.lambda2, witnesses=wit)
     upper = make_report("chung:upper", cert.lambda2, 2.0 * cut.phi, witnesses=wit)
     return lower, upper
 
 
-def conjecture_ratio(c: MarkovChain, phi_half: float | None = None, method: str = "auto") -> float:
+def bound_suite(
+    a: ChainAnalysis, reversible_ps: Sequence[float] | None = None, directed_ps: Sequence[float] | None = None
+) -> list[BoundReport]:
+    """The inequality reports of each requested side, reversible side first.
+
+    A side (None skips it) is its Cheeger pair (Chung's for the directed
+    side), Morris-Peres when n is within the exact cap, and the phi_p bound
+    for each listed p in (1/2, 1]. Within the cap every exponent the suite
+    reads (1, 1/2 and the listed p) joins one exact pass.
+    """
+    sides = [(False, reversible_ps), (True, directed_ps)]
+    sides = [(directed, [p for p in ps if 0.5 < p <= 1.0]) for directed, ps in sides if ps is not None]
+    if a.exact_ok and sides:
+        a._expect([1.0, 0.5] + [p for _, ps in sides for p in ps])
+    reports: list[BoundReport] = []
+    for directed, ps in sides:
+        reports.extend(check_chung(a) if directed else check_cheeger(a))
+        if a.exact_ok:
+            reports.append(check_morris_peres(a, use_directed=directed))
+        reports.extend(check_phi_p_upper_bound(a, p, use_directed=directed) for p in ps)
+    return reports
+
+
+def conjecture_ratio(c: MarkovChain | ChainAnalysis, phi_half: float | None = None) -> float:
     """rho = phi_{1/2} / sqrt(lambda_2), the quantity whose boundedness the
     Houdre-Tetali conjecture asserted.
 
     rho is invariant under the lazy transform (p = 1/2 is the scale-free
     exponent); unbounded growth of rho along a family refutes the conjectured
     upper bound. Pass phi_half to reuse a precomputed (e.g. arc-restricted)
-    value; otherwise it is computed exactly or by sweep per ``method``.
+    value; otherwise it is computed exactly within the cap, else by sweep.
     """
-    cert = lambda2_reversible(c) if is_reversible(c) else lambda2_directed(c)
+    a = _analysis(c)
+    cert = a.cert(not a.reversible)
     if phi_half is None:
-        phi_half = _phi_value(c, 0.5, method, cert).phi
+        phi_half = a.phi(0.5, not a.reversible).phi
     return float(phi_half) / math.sqrt(cert.lambda2)
 
 

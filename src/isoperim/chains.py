@@ -19,6 +19,7 @@ from .errors import (
     DeltaOutOfRange,
     DisconnectedGraph,
     IsolatedVertex,
+    IsoperimError,
     NegativeWeight,
     NotIrreducible,
     NotStronglyConnected,
@@ -274,4 +275,8 @@ def lazy_transform(c: MarkovChain, delta: float) -> MarkovChain:
 
 def exact_enumeration_cap() -> int:
     """Current cap on exact subset enumeration (ISO_MAX_EXACT_N overrides)."""
-    return int(os.environ.get("ISO_MAX_EXACT_N", "24"))
+    text = os.environ.get("ISO_MAX_EXACT_N", "24")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise IsoperimError(f"ISO_MAX_EXACT_N must be an integer, got {text!r}") from exc

@@ -8,27 +8,26 @@ Subcommands:
   scan      growth table of the inverse-cube counterexample family (CSV)
   gadgets   numeric suprema behind the sweep analysis
 
-Exit codes: 0 success, 1 failed bound in ``verify``, 2 usage or input errors.
+Exit codes: 0 success, 1 failed bound in ``verify``, 2 usage, input or
+settings errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .bounds import (
-    check_cheeger,
-    check_chung,
-    check_morris_peres,
-    check_phi_p_upper_bound,
+    ChainAnalysis,
+    bound_suite,
     geometric_chain_sum,
     power_increment_supremum,
 )
-from .chains import MarkovChain, exact_enumeration_cap, is_reversible
-from .cuts import phi_p_exact, sweep_cut
+from .cuts import GUARANTEE_TOL, sweep_guarantee
 from .errors import IsoperimError
 from .families import (
     cycle_graph,
@@ -47,14 +46,17 @@ from .io import (
     make_provenance,
     write_graph_tsv,
 )
-from .spectral import lambda2_directed, lambda2_reversible
 
 
 def _parse_p_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        ps = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise IsoperimError(f"bad --p list {text!r}: {exc}") from exc
+    for p in ps:
+        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+            raise IsoperimError(f"bad --p list {text!r}: exponent {p} outside [0, 1]")
+    return ps
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -64,74 +66,44 @@ def _parse_n_list(text: str) -> list[int]:
         raise IsoperimError(f"bad --n-list {text!r}: {exc}") from exc
 
 
-def _applicable_bounds(c: MarkovChain, ps: list[float], directed_spectral: bool) -> tuple[list[dict], list]:
-    """Bound reports plus the witness cuts their sides were computed from."""
-    reports = []
-    reversible = is_reversible(c)
-    exact_ok = c.n <= exact_enumeration_cap()
-    if reversible:
-        reports.extend(check_cheeger(c))
-        if exact_ok:
-            reports.append(check_morris_peres(c))
-    if directed_spectral or not reversible:
-        reports.extend(check_chung(c))
-        if exact_ok:
-            reports.append(check_morris_peres(c, use_directed=True))
-    for p in ps:
-        if 0.5 < p <= 1.0:
-            if reversible:
-                reports.append(check_phi_p_upper_bound(c, p))
-            if directed_spectral or not reversible:
-                reports.append(check_phi_p_upper_bound(c, p, use_directed=True))
-    witness_cuts = []
-    for r in reports:
-        cut = (r.witnesses or {}).get("cut")
-        if cut is not None:
-            witness_cuts.append(cut)
-    return [bound_to_dict(r) for r in reports], witness_cuts
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     c = load_chain(args.input, args.format)
     ps = _parse_p_list(args.p)
-    reversible = is_reversible(c)
+    a = ChainAnalysis(c, ps if args.method != "sweep" else ())
+    directed = args.directed_spectral or not a.reversible
+    # the suite runs first so that its exponents join the one exact pass
+    reports = bound_suite(a, ps if a.reversible else None, ps if directed else None)
     spectral: dict = {}
-    sweep_cert = None
-    if reversible:
-        sweep_cert = lambda2_reversible(c)
-        spectral["lambda2_reversible"] = sweep_cert.lambda2
-        spectral["residual_reversible"] = sweep_cert.residual
-    if args.directed_spectral or not reversible:
-        dcert = lambda2_directed(c)
-        spectral["lambda2_directed"] = dcert.lambda2
-        spectral["residual_directed"] = dcert.residual
-        if sweep_cert is None:
-            sweep_cert = dcert
+    if a.reversible:
+        spectral["lambda2_reversible"] = a.cert(False).lambda2
+        spectral["residual_reversible"] = a.cert(False).residual
+    if directed:
+        spectral["lambda2_directed"] = a.cert(True).lambda2
+        spectral["residual_directed"] = a.cert(True).residual
 
     cuts = []
     for p in ps:
         if args.method in ("exact", "both"):
-            cuts.append(cut_to_dict(phi_p_exact(c, p)))
+            cuts.append(cut_to_dict(a.exact(p)))
         if args.method in ("sweep", "both"):
-            cuts.append(cut_to_dict(sweep_cut(c, p, sweep_cert)))
+            cuts.append(cut_to_dict(a.sweep(p, not a.reversible)))
 
-    bounds, witness_cuts = _applicable_bounds(c, ps, args.directed_spectral)
     # bounds verdicts must be re-derivable from the cuts section, so append
     # any witness cut (e.g. the exact phi_1 behind the Cheeger pair) that the
     # requested exponent list did not already produce
     seen = {(d["p"], d["method"], tuple(d["subset"])) for d in cuts}
-    for cut in witness_cuts:
-        d = cut_to_dict(cut)
+    for r in reports:
+        d = cut_to_dict(r.witnesses["cut"])
         key = (d["p"], d["method"], tuple(d["subset"]))
         if key not in seen:
             seen.add(key)
             cuts.append(d)
 
     report = AnalysisReport(
-        chain={"n": c.n, "origin": c.origin, "reversible": reversible},
+        chain={"n": c.n, "origin": c.origin, "reversible": a.reversible},
         spectral=spectral,
         cuts=cuts,
-        bounds=bounds,
+        bounds=[bound_to_dict(r) for r in reports],
         provenance=make_provenance(source=args.input),
     )
     text = emit_report(report, args.out, format=args.report_format)
@@ -158,18 +130,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     c = load_chain(args.input, args.format)
-    p = float(args.p)
-    reversible = is_reversible(c)
-    cert = lambda2_reversible(c) if reversible else lambda2_directed(c)
-    cut = sweep_cut(c, p, cert)
+    ps = _parse_p_list(args.p)
+    if len(ps) != 1:
+        raise IsoperimError(f"sweep takes one exponent, got --p {args.p!r}")
+    a = ChainAnalysis(c)
+    cert = a.cert(not a.reversible)
+    cut = a.sweep(ps[0], not a.reversible)
     spectral: dict = {"lambda2": cert.lambda2, "residual": cert.residual, "kind": cert.kind}
-    if p > 0.5:
-        scale = 1.0 if reversible else 2.0
-        bound = 2.0 * (scale * cert.lambda2 / (2.0 * p - 1.0)) ** 0.5
+    bound = sweep_guarantee(cert, ps[0])
+    if bound is not None:
         spectral["guarantee_rhs"] = bound
-        spectral["guarantee_holds"] = cut.phi <= bound + 1e-8
+        spectral["guarantee_holds"] = cut.phi <= bound + GUARANTEE_TOL
     report = AnalysisReport(
-        chain={"n": c.n, "origin": c.origin, "reversible": reversible},
+        chain={"n": c.n, "origin": c.origin, "reversible": a.reversible},
         spectral=spectral,
         cuts=[cut_to_dict(cut)],
         bounds=[],
@@ -183,25 +156,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     c = load_chain(args.input, args.format)
-    reversible = is_reversible(c)
-    exact_ok = c.n <= exact_enumeration_cap()
-    reports = []
-    run_reversible = args.suite in ("reversible", "all") and reversible
-    run_directed = args.suite in ("directed", "all")
-    if args.suite == "reversible" and not reversible:
+    a = ChainAnalysis(c)
+    if args.suite == "reversible" and not a.reversible:
         raise IsoperimError("reversible suite requested on a non-reversible chain")
-    if run_reversible:
-        reports.extend(check_cheeger(c))
-        if exact_ok:
-            reports.append(check_morris_peres(c))
-        for p in (0.6, 0.75, 0.9, 1.0):
-            reports.append(check_phi_p_upper_bound(c, p))
-    if run_directed:
-        reports.extend(check_chung(c))
-        if exact_ok:
-            reports.append(check_morris_peres(c, use_directed=True))
-        for p in (0.6, 1.0):
-            reports.append(check_phi_p_upper_bound(c, p, use_directed=True))
+    run_reversible = args.suite in ("reversible", "all") and a.reversible
+    run_directed = args.suite in ("directed", "all")
+    reports = bound_suite(
+        a,
+        (0.6, 0.75, 0.9, 1.0) if run_reversible else None,
+        (0.6, 1.0) if run_directed else None,
+    )
     width = max(len(r.name) for r in reports)
     for r in reports:
         verdict = "holds" if r.holds else "VIOLATED"
@@ -259,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     psw = sub.add_parser("sweep", help="sweep cut with its guarantee check")
     psw.add_argument("--input", required=True)
     psw.add_argument("--format", choices=["edge-tsv", "dense-matrix"], default="edge-tsv")
-    psw.add_argument("--p", required=True, type=float)
+    psw.add_argument("--p", required=True, help="one exponent in [0, 1]")
     psw.add_argument("--out", default=None)
     psw.set_defaults(func=cmd_sweep)
 

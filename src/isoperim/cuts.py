@@ -25,10 +25,11 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .chains import STRUCTURAL_ZERO, MarkovChain, exact_enumeration_cap
-from .errors import EmptySet, MassTooLarge, TooLarge
+from .errors import DegenerateEigenvector, EmptySet, MassTooLarge, NumericalFailure, TooLarge
 from .spectral import SpectralCertificate, truncated_eigenvector
 
 MASS_SLACK = 1e-12
+GUARANTEE_TOL = 1e-8
 _BLOCK_BITS = 16
 
 
@@ -212,9 +213,9 @@ def sweep_cut(c: MarkovChain, p: float, cert: SpectralCertificate) -> CutResult:
     Thresholds run over the distinct values of f(i)^2 in descending order, so
     vertices with equal f enter together and every distinct level set is
     tried. Each candidate has pi-mass <= 1/2 by the truncation. For
-    p in (1/2, 1] the returned set satisfies the certificate guarantee
-    phi_p(S) <= 2 sqrt(lambda2 / (2p - 1)) (an extra factor sqrt(2) inside
-    the root for directed certificates).
+    p in (1/2, 1] the returned set satisfies :func:`sweep_guarantee`, and a
+    winner above it (a certificate that understates lambda2) raises
+    NumericalFailure.
     """
     p = _validate_p(p)
     f = truncated_eigenvector(cert, c)
@@ -227,13 +228,23 @@ def sweep_cut(c: MarkovChain, p: float, cert: SpectralCertificate) -> CutResult:
         cut = _evaluate_set(c, idx, p, "sweep")
         if best is None or cut.phi < best.phi:
             best = cut
-    assert best is not None  # truncation guarantees a nonempty support
-    if p > 0.5:
-        # For directed certificates only the flow-symmetrized Rayleigh
-        # quotient is controlled by lambda2, which costs a factor sqrt(2).
-        scale = 2.0 if cert.kind == "chung-directed" else 1.0
-        bound = 2.0 * math.sqrt(scale * max(cert.lambda2, 0.0) / (2.0 * p - 1.0))
-        assert best.phi <= bound + 1e-8, (
-            f"sweep guarantee violated: phi={best.phi} > {bound}"
-        )
+    if best is None:
+        raise DegenerateEigenvector("truncated eigenvector has no nonempty level set")
+    bound = sweep_guarantee(cert, p)
+    if bound is not None and not best.phi <= bound + GUARANTEE_TOL:
+        raise NumericalFailure(f"sweep guarantee violated: phi={best.phi} > {bound}")
     return best
+
+
+def sweep_guarantee(cert: SpectralCertificate, p: float) -> float | None:
+    """The bound 2 sqrt(s lambda2 / (2p - 1)) a sweep cut meets for p in
+    (1/2, 1], with s = 1 for reversible and s = 2 for directed certificates;
+    None for p <= 1/2.
+
+    For directed certificates only the flow-symmetrized Rayleigh quotient is
+    controlled by lambda2, which costs the factor sqrt(2).
+    """
+    if p <= 0.5:
+        return None
+    scale = 2.0 if cert.kind == "chung-directed" else 1.0
+    return 2.0 * (scale * max(cert.lambda2, 0.0) / (2.0 * p - 1.0)) ** 0.5

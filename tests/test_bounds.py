@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isoperim.bounds
 from isoperim import (
+    ChainAnalysis,
+    bound_suite,
     check_cheeger,
     check_chung,
     check_morris_peres,
@@ -13,11 +16,12 @@ from isoperim import (
     gen_random_directed,
     gen_random_reversible,
     geometric_chain_sum,
+    is_reversible,
     lambda2_reversible,
     lazy_transform,
     power_increment_supremum,
 )
-from isoperim.errors import ExponentOutOfRange
+from isoperim.errors import ExponentOutOfRange, TooLarge
 
 
 def test_main_bound_two_state(two_state):
@@ -183,3 +187,73 @@ def test_ratio_chain_monotone_in_m():
             assert val >= prev - 1e-15
             assert val <= 0.5 * math.log(1 / b0) + 1e-12
             prev = val
+
+
+def _standalone_suite(c, ps, reversible_side, directed_side, exact_ok):
+    reports = []
+    for directed, on in ((False, reversible_side), (True, directed_side)):
+        if not on:
+            continue
+        reports.extend(check_chung(c) if directed else check_cheeger(c))
+        if exact_ok:
+            reports.append(check_morris_peres(c, use_directed=directed))
+        reports.extend(check_phi_p_upper_bound(c, p, use_directed=directed) for p in ps if 0.5 < p <= 1.0)
+    return reports
+
+
+@pytest.mark.parametrize("cap", ["24", "6"])
+def test_bound_suite_matches_standalone_checks(monkeypatch, cap):
+    # cap 24 puts the n=8 chains within the exact cap, cap 6 above it
+    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    ps = [0.3, 0.5, 0.75, 1.0]
+    for c in (gen_random_reversible(8, density=0.5, seed=11), gen_random_directed(8, density=0.5, seed=12)):
+        reversible = is_reversible(c)
+        a = ChainAnalysis(c)
+        suite = bound_suite(a, ps if reversible else None, ps)
+        expected = _standalone_suite(c, ps, reversible, True, cap == "24")
+        assert [r.name for r in suite] == [r.name for r in expected]
+        for got, want in zip(suite, expected):
+            for field in ("name", "lhs", "rhs", "slack", "holds", "tol", "witnesses"):
+                assert getattr(got, field) == getattr(want, field), (got.name, field)
+        methods = {r.witnesses["cut"].method for r in suite}
+        assert methods == ({"exact"} if cap == "24" else {"sweep"})
+
+
+def test_chain_analysis_derives_each_quantity_once(monkeypatch):
+    calls = {"exact_minima": [], "lambda2_reversible": 0, "lambda2_directed": 0}
+    for name in ("lambda2_reversible", "lambda2_directed"):
+        real = getattr(isoperim.bounds, name)
+
+        def counted(c, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(c)
+
+        monkeypatch.setattr(isoperim.bounds, name, counted)
+    real_exact = isoperim.bounds.exact_minima
+
+    def counted_exact(c, ps):
+        calls["exact_minima"].append(list(ps))
+        return real_exact(c, ps)
+
+    monkeypatch.setattr(isoperim.bounds, "exact_minima", counted_exact)
+    a = ChainAnalysis(gen_random_reversible(7, density=0.5, seed=3), [0.3])
+    bound_suite(a, [0.6, 0.75], [0.6])
+    assert calls["lambda2_reversible"] == 1 and calls["lambda2_directed"] == 1
+    assert calls["exact_minima"] == [[0.3, 1.0, 0.5, 0.6, 0.75]]
+    # reads of expected exponents and repeated sweeps are served from the store
+    assert a.exact(0.3) is a.exact(0.3)
+    assert a.sweep(0.75, True) is a.sweep(0.75, True)
+    assert calls["lambda2_directed"] == 1 and len(calls["exact_minima"]) == 1
+    # an exponent nobody expected costs exactly one more pass
+    a.exact(0.0)
+    assert calls["exact_minima"][1:] == [[0.0]]
+
+
+def test_chain_analysis_rejects_expected_exact_above_cap(monkeypatch):
+    monkeypatch.setenv("ISO_MAX_EXACT_N", "4")
+    c = gen_random_reversible(6, density=0.5, seed=1)
+    with pytest.raises(TooLarge):
+        ChainAnalysis(c, [0.5])
+    a = ChainAnalysis(c)
+    assert not a.exact_ok
+    assert a.phi(1.0, False).method == "sweep"

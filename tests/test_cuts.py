@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from isoperim import (
     phi_profile,
     sweep_cut,
 )
-from isoperim.errors import EmptySet, MassTooLarge, TooLarge
+from isoperim.errors import EmptySet, MassTooLarge, NumericalFailure, TooLarge
 from oracles import naive_phi_exact, naive_phi_p
 
 
@@ -263,3 +264,13 @@ def test_sweep_directed_certificate():
             sw = sweep_cut(c, p, cert)
             assert sw.pi_mass <= 0.5 + 1e-12
             assert sw.phi <= 2 * math.sqrt(2 * cert.lambda2 / (2 * p - 1)) + 1e-8
+
+
+def test_sweep_guarantee_violation_raises_numerical_failure(cycle6):
+    # a certificate that understates lambda2 makes the sweep winner exceed
+    # its guarantee; that is an explicit error, not an assert
+    cert = dataclasses.replace(lambda2_reversible(cycle6), lambda2=1e-12)
+    with pytest.raises(NumericalFailure):
+        sweep_cut(cycle6, 0.75, cert)
+    # p <= 1/2 carries no guarantee, so the same certificate still sweeps
+    assert sweep_cut(cycle6, 0.5, cert).method == "sweep"

@@ -1,5 +1,6 @@
 import json
 
+import isoperim.bounds
 import numpy as np
 import pytest
 
@@ -9,13 +10,14 @@ from isoperim import (
     WeightedGraph,
     as_chain,
     emit_report,
+    exact_enumeration_cap,
     gen_ht_counterexample,
     load_chain,
     parse_graph,
     write_graph_tsv,
 )
 from isoperim.cli import cli_main
-from isoperim.errors import InconsistentHeader, NegativeWeight, ParseError
+from isoperim.errors import InconsistentHeader, IsoperimError, NegativeWeight, ParseError
 from isoperim.families import cycle_graph, ht_counterexample_graph, random_reversible_graph
 from isoperim.io import make_provenance
 
@@ -246,3 +248,68 @@ def test_cli_gadgets(capsys):
 def test_cli_usage_error_exit_2():
     assert cli_main(["analyze"]) == 2  # missing --input
     assert cli_main(["frobnicate"]) == 2
+
+
+@pytest.fixture
+def random6(tmp_path):
+    g = tmp_path / "g.tsv"
+    assert cli_main(["generate", "--family", "random", "--n", "6", "--seed", "5", "--out", str(g)]) == 0
+    return str(g)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--p", "1.5"],
+        ["analyze", "--p", "-0.5", "--method", "sweep"],
+        ["analyze", "--p", "0.5,inf"],
+        ["sweep", "--p", "nan"],
+        ["sweep", "--p", "0.5,0.75"],
+    ],
+)
+def test_cli_bad_exponent_exit_2(random6, capsys, argv):
+    assert cli_main([argv[0], "--input", random6, *argv[1:]]) == 2
+    assert "--p" in capsys.readouterr().err
+
+
+def test_cli_bad_exact_cap_setting_exit_2(random6, monkeypatch, capsys):
+    monkeypatch.setenv("ISO_MAX_EXACT_N", "abc")
+    with pytest.raises(IsoperimError, match="ISO_MAX_EXACT_N"):
+        exact_enumeration_cap()
+    assert cli_main(["verify", "--input", random6]) == 2
+    assert "ISO_MAX_EXACT_N" in capsys.readouterr().err
+
+
+def test_cli_verify_derives_each_quantity_once(random6, monkeypatch):
+    calls = {"exact_minima": 0, "lambda2_reversible": 0, "lambda2_directed": 0}
+    for name in calls:
+        real = getattr(isoperim.bounds, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(isoperim.bounds, name, counted)
+    assert cli_main(["verify", "--input", random6, "--suite", "all"]) == 0
+    assert calls == {"exact_minima": 1, "lambda2_reversible": 1, "lambda2_directed": 1}
+
+
+def test_cli_analyze_directed_spectral_bounds_order(random6, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["analyze", "--input", random6, "--p", "0.5,0.75,1", "--directed-spectral", "--out", str(out)]
+    assert cli_main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["chain"]["reversible"] is True
+    # the reversible side's reports, then the directed side's
+    assert [b["name"] for b in doc["bounds"]] == [
+        "cheeger:lower",
+        "cheeger:upper",
+        "morris_peres",
+        "phi_p_squared[p=0.75]",
+        "phi_p_squared[p=1]",
+        "chung:lower",
+        "chung:upper",
+        "morris_peres:directed",
+        "phi_p_squared[p=0.75]:directed",
+        "phi_p_squared[p=1]:directed",
+    ]
