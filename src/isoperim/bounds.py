@@ -26,7 +26,7 @@ import numpy as np
 
 from .chains import MarkovChain, exact_enumeration_cap, is_reversible
 from .cuts import CutResult, exact_minima, sweep_cut
-from .errors import ExponentOutOfRange, LogDomain, TooLarge
+from .errors import InputError, NumericalFailure, TooLarge
 from .spectral import SpectralCertificate, lambda2_directed, lambda2_reversible
 
 DEFAULT_TOL = 1e-9
@@ -125,7 +125,7 @@ def check_phi_p_upper_bound(c: MarkovChain | ChainAnalysis, p: float, use_direct
     bound covers the sweep value as well); the method used is recorded.
     """
     if not (0.5 < p <= 1.0):
-        raise ExponentOutOfRange(f"inequality requires p in (1/2, 1], got {p}")
+        raise InputError(f"inequality requires p in (1/2, 1], got {p}")
     a = _analysis(c)
     cert = a.cert(use_directed)
     cut = a.phi(p, use_directed)
@@ -151,7 +151,7 @@ def check_morris_peres(c: MarkovChain | ChainAnalysis, use_directed: bool = Fals
     cut = a.exact(0.5)
     phi = cut.phi
     if phi >= 2.0:
-        raise LogDomain(f"phi_{{1/2}} = {phi} leaves log(2/phi) nonpositive")
+        raise NumericalFailure(f"phi_{{1/2}} = {phi} leaves log(2/phi) nonpositive")
     lhs = phi**2 / (8.0 * math.log(2.0 / phi))
     lazy = bool(np.all(np.diag(a.c.P) >= 0.5))
     name = "morris_peres" + (":directed" if use_directed else "")
@@ -241,7 +241,9 @@ def power_increment_supremum(p: float, trials: int = 100_000, seed: int = 0) -> 
     1/(2p - 1), so the estimate never exceeds that bound.
     """
     if not (0.5 < p <= 1.0):
-        raise ExponentOutOfRange(f"gadget requires p in (1/2, 1], got {p}")
+        raise InputError(f"gadget requires p in (1/2, 1], got {p}")
+    if seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     best = 0.0
     chunk = 20_000
@@ -279,8 +281,8 @@ def geometric_chain_sum(b0: float, m: int) -> float:
     in m with limit (1/2) log(1/b0).
     """
     if not (0.0 < b0 <= 1.0):
-        raise ValueError(f"b0 must lie in (0, 1], got {b0}")
+        raise InputError(f"b0 must lie in (0, 1], got {b0}")
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise InputError("m must be nonnegative")
     y = math.log(b0) / (m + 1)
     return (m + 1) * (-math.expm1(y)) / (1.0 + math.exp(y))

@@ -15,17 +15,7 @@ import dataclasses
 import os
 import numpy as np
 
-from .errors import (
-    DeltaOutOfRange,
-    DisconnectedGraph,
-    IsolatedVertex,
-    IsoperimError,
-    NegativeWeight,
-    NotIrreducible,
-    NotStronglyConnected,
-    NumericalFailure,
-    SinkVertex,
-)
+from .errors import InputError, NumericalFailure
 
 # Weights below this are structural zeros when building support digraphs.
 STRUCTURAL_ZERO = 1e-15
@@ -53,22 +43,22 @@ class WeightedGraph:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
+            raise InputError("graph needs at least one vertex")
         object.__setattr__(self, "edges", tuple((int(u), int(v), float(w)) for u, v, w in self.edges))
         seen: set[tuple[int, int]] = set()
         for u, v, w in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+                raise InputError(f"edge ({u}, {v}) out of range for n={self.n}")
             if not np.isfinite(w):
-                raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
+                raise InputError(f"edge ({u}, {v}) has non-finite weight {w}")
             if w < 0:
-                raise NegativeWeight(f"edge ({u}, {v}) has negative weight {w}")
+                raise InputError(f"edge ({u}, {v}) has negative weight {w}")
             if u == v and w > 0 and not self.allow_self_loops:
-                raise ValueError(f"self-loop at vertex {u} without allow_self_loops")
+                raise InputError(f"self-loop at vertex {u} without allow_self_loops")
             if not self.directed and u > v:
-                raise ValueError(f"undirected edge ({u}, {v}) must be stored with u < v")
+                raise InputError(f"undirected edge ({u}, {v}) must be stored with u < v")
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise InputError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
 
     def weight_matrix(self) -> np.ndarray:
@@ -85,45 +75,50 @@ class WeightedGraph:
 class MarkovChain:
     """Irreducible finite Markov chain (V, P, pi).
 
-    Invariants enforced at construction: rows of P sum to 1 within 1e-12,
-    entries lie in [0, 1], pi is strictly positive with unit sum and satisfies
-    ||pi^T P - pi^T||_inf <= 1e-10, and the support digraph of P is strongly
-    connected.
+    The one validator of P. Construction checks, in this order, that P is
+    square with n >= 2 rows, finite, entrywise in [0, 1], has rows summing to 1
+    within 1e-12, and has a strongly connected support digraph. Only then is
+    pi solved for, when it is given as None; a given pi must be strictly
+    positive with unit sum. Either way ||pi^T P - pi^T||_inf <= 1e-10.
     """
 
     n: int
     P: np.ndarray
-    pi: np.ndarray
+    pi: np.ndarray | None
     origin: str = "raw-matrix"
 
     def __post_init__(self) -> None:
         P = np.array(self.P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("P must be a square matrix")
+            raise InputError(f"P must be a square matrix, got shape {P.shape}")
+        if P.shape[0] < 2:
+            raise InputError(f"a chain needs at least 2 states, got {P.shape[0]}")
         if P.shape[0] != self.n:
-            raise ValueError("n does not match P")
+            raise InputError("n does not match P")
         if not np.all(np.isfinite(P)):
-            raise ValueError("P has non-finite entries")
+            raise InputError("P has non-finite entries")
         if P.min() < -1e-14 or P.max() > 1 + 1e-12:
-            raise ValueError("P entries must lie in [0, 1]")
+            raise InputError("P entries must lie in [0, 1]")
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
-            raise ValueError("rows of P must sum to 1 within 1e-12")
+            raise InputError("rows of P must sum to 1 within 1e-12")
         if not is_irreducible(P):
-            raise NotIrreducible("support digraph of P is not strongly connected")
+            raise InputError("P is not irreducible: its support digraph is not strongly connected")
 
+        if self.pi is None:
+            pi = _solve_stationary(P)
         # Reuse an already-frozen pi so derived chains (e.g. the lazy transform)
         # share the exact same stationary vector object.
-        if isinstance(self.pi, np.ndarray) and self.pi.dtype == np.float64 and not self.pi.flags.writeable:
+        elif isinstance(self.pi, np.ndarray) and self.pi.dtype == np.float64 and not self.pi.flags.writeable:
             pi = self.pi
         else:
             pi = np.array(self.pi, dtype=float)
         if pi.shape != (self.n,):
-            raise ValueError("pi has wrong shape")
+            raise InputError("pi has wrong shape")
         if pi.min() <= 0:
-            raise ValueError("pi must be strictly positive")
+            raise InputError("pi must be strictly positive")
         if abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError("pi must sum to 1")
+            raise InputError("pi must sum to 1")
         if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
             raise NumericalFailure("pi is not stationary for P within 1e-10")
 
@@ -150,7 +145,7 @@ def is_irreducible(P: np.ndarray) -> bool:
     """Strong connectivity of {(i, j) : P(i, j) > 0}, by forward and reverse traversal."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("P must be a square matrix")
+        raise InputError(f"P must be a square matrix, got shape {P.shape}")
     support = P > STRUCTURAL_ZERO
     return _reaches_all(support) and _reaches_all(support.T)
 
@@ -169,18 +164,14 @@ def _power_iteration(P: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Unique stationary distribution of an irreducible row-stochastic matrix.
+def _solve_stationary(P: np.ndarray) -> np.ndarray:
+    """Stationary vector of a validated irreducible row-stochastic P.
 
     Solves (P^T - I) x = 0 with the last row replaced by the normalization
     sum(x) = 1 (partial-pivoting dense solve); falls back to power iteration
     on the half-lazy chain when the direct solve is singular or inaccurate.
     """
-    P = np.asarray(P, dtype=float)
-    if not is_irreducible(P):
-        raise NotIrreducible("stationary distribution requires an irreducible matrix")
     n = P.shape[0]
-
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
     b = np.zeros(n)
@@ -199,17 +190,19 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return pi
 
 
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Unique stationary distribution of an irreducible row-stochastic matrix.
+
+    P is validated as :class:`MarkovChain` validates it, then solved directly
+    with a power-iteration fallback.
+    """
+    return chain_from_matrix(P).pi
+
+
 def chain_from_matrix(P: np.ndarray, origin: str = "raw-matrix", pi: np.ndarray | None = None) -> MarkovChain:
     """Wrap a row-stochastic matrix as a validated chain, computing pi if needed."""
     P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("P must be a square matrix")
-    rows = P.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
-        raise ValueError("rows of P must sum to 1 within 1e-12")
-    if pi is None:
-        pi = stationary_distribution(P)
-    return MarkovChain(n=P.shape[0], P=P, pi=np.asarray(pi, dtype=float), origin=origin)
+    return MarkovChain(n=P.shape[0] if P.ndim else 0, P=P, pi=pi, origin=origin)
 
 
 def chain_from_undirected(g: WeightedGraph) -> MarkovChain:
@@ -219,14 +212,11 @@ def chain_from_undirected(g: WeightedGraph) -> MarkovChain:
     result satisfies detailed balance by construction.
     """
     if g.directed:
-        raise ValueError("graph must be undirected")
+        raise InputError("graph must be undirected")
     W = g.weight_matrix()
     deg = W.sum(axis=1)
     if deg.min() <= STRUCTURAL_ZERO:
-        raise IsolatedVertex(f"vertex {int(deg.argmin())} has zero weighted degree")
-    support = W > STRUCTURAL_ZERO
-    if not _reaches_all(support):
-        raise DisconnectedGraph("support graph is not connected")
+        raise InputError(f"vertex {int(deg.argmin())} has zero weighted degree")
     P = W / deg[:, None]
     pi = deg / deg.sum()
     return MarkovChain(n=g.n, P=P, pi=pi, origin="undirected-graph")
@@ -235,16 +225,12 @@ def chain_from_undirected(g: WeightedGraph) -> MarkovChain:
 def chain_from_directed(g: WeightedGraph) -> MarkovChain:
     """Natural random walk on a strongly connected weighted directed graph."""
     if not g.directed:
-        raise ValueError("graph must be directed")
+        raise InputError("graph must be directed")
     W = g.weight_matrix()
     out = W.sum(axis=1)
     if out.min() <= STRUCTURAL_ZERO:
-        raise SinkVertex(f"vertex {int(out.argmin())} has zero out-weight")
-    P = W / out[:, None]
-    if not is_irreducible(P):
-        raise NotStronglyConnected("support digraph is not strongly connected")
-    pi = stationary_distribution(P)
-    return MarkovChain(n=g.n, P=P, pi=pi, origin="directed-graph")
+        raise InputError(f"vertex {int(out.argmin())} has zero out-weight")
+    return MarkovChain(n=g.n, P=W / out[:, None], pi=None, origin="directed-graph")
 
 
 def is_reversible(c: MarkovChain, tol: float = REVERSIBILITY_TOL) -> bool:
@@ -268,7 +254,7 @@ def lazy_transform(c: MarkovChain, delta: float) -> MarkovChain:
     respectively.
     """
     if not (0 < delta <= 1):
-        raise DeltaOutOfRange(f"delta must lie in (0, 1], got {delta}")
+        raise InputError(f"delta must lie in (0, 1], got {delta}")
     P2 = (1.0 - delta) * np.eye(c.n) + delta * c.P
     return MarkovChain(n=c.n, P=P2, pi=c.pi, origin=c.origin)
 
@@ -279,4 +265,4 @@ def exact_enumeration_cap() -> int:
     try:
         return int(text)
     except ValueError as exc:
-        raise IsoperimError(f"ISO_MAX_EXACT_N must be an integer, got {text!r}") from exc
+        raise InputError(f"ISO_MAX_EXACT_N must be an integer, got {text!r}") from exc

@@ -15,7 +15,6 @@ settings errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -27,8 +26,8 @@ from .bounds import (
     geometric_chain_sum,
     power_increment_supremum,
 )
-from .cuts import GUARANTEE_TOL, sweep_guarantee
-from .errors import IsoperimError
+from .cuts import GUARANTEE_TOL, _validate_p, sweep_guarantee
+from .errors import InputError, IsoperimError
 from .families import (
     cycle_graph,
     dumbbell_graph,
@@ -50,20 +49,16 @@ from .io import (
 
 def _parse_p_list(text: str) -> list[float]:
     try:
-        ps = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [_validate_p(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise IsoperimError(f"bad --p list {text!r}: {exc}") from exc
-    for p in ps:
-        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-            raise IsoperimError(f"bad --p list {text!r}: exponent {p} outside [0, 1]")
-    return ps
+        raise InputError(f"bad --p list {text!r}: {exc}") from exc
 
 
 def _parse_n_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise IsoperimError(f"bad --n-list {text!r}: {exc}") from exc
+        raise InputError(f"bad --n-list {text!r}: {exc}") from exc
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -132,7 +127,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     c = load_chain(args.input, args.format)
     ps = _parse_p_list(args.p)
     if len(ps) != 1:
-        raise IsoperimError(f"sweep takes one exponent, got --p {args.p!r}")
+        raise InputError(f"sweep takes one exponent, got --p {args.p!r}")
     a = ChainAnalysis(c)
     cert = a.cert(not a.reversible)
     cut = a.sweep(ps[0], not a.reversible)
@@ -158,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     c = load_chain(args.input, args.format)
     a = ChainAnalysis(c)
     if args.suite == "reversible" and not a.reversible:
-        raise IsoperimError("reversible suite requested on a non-reversible chain")
+        raise InputError("reversible suite requested on a non-reversible chain")
     run_reversible = args.suite in ("reversible", "all") and a.reversible
     run_directed = args.suite in ("directed", "all")
     reports = bound_suite(
@@ -175,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.family != "ht-counterexample":
-        raise IsoperimError(f"scan supports only the ht-counterexample family, got {args.family!r}")
+        raise InputError(f"scan supports only the ht-counterexample family, got {args.family!r}")
     rows = scaling_scan(_parse_n_list(args.n_list), output=args.out)
     for r in rows:
         sys.stdout.write(
@@ -254,11 +249,13 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        # argparse before Python 3.12 turns an option value "--" (as in
+        # --p=--) into an empty list instead of the string
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise InputError(f"--{name.replace('_', '-')} needs a value, got '--'")
         return args.func(args)
-    except IsoperimError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (IsoperimError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

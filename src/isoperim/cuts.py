@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .chains import STRUCTURAL_ZERO, MarkovChain, exact_enumeration_cap
-from .errors import DegenerateEigenvector, EmptySet, MassTooLarge, NumericalFailure, TooLarge
+from .errors import InputError, NumericalFailure, TooLarge
 from .spectral import SpectralCertificate, truncated_eigenvector
 
 MASS_SLACK = 1e-12
@@ -58,17 +58,17 @@ class PhiProfile(NamedTuple):
 
 def _validate_p(p: float) -> float:
     p = float(p)
-    if not (0.0 <= p <= 1.0) or not math.isfinite(p):
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if not 0.0 <= p <= 1.0:
+        raise InputError(f"p must lie in [0, 1], got {p}")
     return p
 
 
 def _subset_indices(c: MarkovChain, subset: Iterable[int]) -> np.ndarray:
     idx = np.unique(np.fromiter((int(v) for v in subset), dtype=np.int64))
     if idx.size == 0:
-        raise EmptySet("subset must be nonempty")
+        raise InputError("subset must be nonempty")
     if idx.size and (idx[0] < 0 or idx[-1] >= c.n):
-        raise ValueError(f"subset contains out-of-range vertices for n={c.n}")
+        raise InputError(f"subset contains out-of-range vertices for n={c.n}")
     return idx
 
 
@@ -76,10 +76,10 @@ def _evaluate_set(c: MarkovChain, idx: np.ndarray, p: float, method: str) -> Cut
     """phi_p of a validated index set, computed directly from P."""
     mass = float(c.pi[idx].sum())
     if mass > 0.5 + MASS_SLACK:
-        raise MassTooLarge(f"pi(S) = {mass} exceeds 1/2")
+        raise InputError(f"pi(S) = {mass} exceeds 1/2")
     comp = np.setdiff1d(np.arange(c.n), idx, assume_unique=True)
     if comp.size == 0:
-        raise MassTooLarge("subset is the whole state space")
+        raise InputError("subset is the whole state space")
     block = c.P[np.ix_(idx, comp)]
     if p == 0.0:
         boundary = (block > STRUCTURAL_ZERO).any(axis=1)
@@ -229,7 +229,7 @@ def sweep_cut(c: MarkovChain, p: float, cert: SpectralCertificate) -> CutResult:
         if best is None or cut.phi < best.phi:
             best = cut
     if best is None:
-        raise DegenerateEigenvector("truncated eigenvector has no nonempty level set")
+        raise NumericalFailure("truncated eigenvector has no nonempty level set")
     bound = sweep_guarantee(cert, p)
     if bound is not None and not best.phi <= bound + GUARANTEE_TOL:
         raise NumericalFailure(f"sweep guarantee violated: phi={best.phi} > {bound}")

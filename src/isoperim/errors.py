@@ -1,7 +1,18 @@
-"""Exception types raised across the package.
+"""The package's error contract: one base class and three leaves.
 
-Everything derives from :class:`IsoperimError` so callers can catch the whole
-family at once (the CLI does exactly that and maps it to exit code 2).
+Each leaf names the one thing a caller can do about it:
+
+- :class:`InputError` -- fix the input. A malformed or inconsistent file, a
+  parameter out of range (an exponent, a size, a density), or a graph or
+  matrix that is not an irreducible finite chain. The message names the case
+  (and, for files, the path and line). It is also a ``ValueError``.
+- :class:`TooLarge` -- the chain is above the exact-enumeration cap
+  (``ISO_MAX_EXACT_N``); use the sweep cut instead.
+- :class:`NumericalFailure` -- a solver or a certificate failed on a valid
+  input: the stationary solve, the eigensolve, an eigenpair residual, a
+  degenerate eigenvector, a sweep guarantee, or a non-finite value to print.
+
+The CLI maps every :class:`IsoperimError` to exit code 2.
 """
 
 
@@ -9,117 +20,13 @@ class IsoperimError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- graph / chain construction ---------------------------------------------
-
-class DisconnectedGraph(IsoperimError):
-    """Undirected input graph is not connected."""
-
-
-class IsolatedVertex(IsoperimError):
-    """A vertex has zero weighted degree."""
-
-
-class NotStronglyConnected(IsoperimError):
-    """Directed input graph is not strongly connected."""
-
-
-class SinkVertex(IsoperimError):
-    """A vertex has zero out-weight."""
-
-
-class NotIrreducible(IsoperimError):
-    """Transition matrix support digraph is not strongly connected."""
-
-
-class NumericalFailure(IsoperimError):
-    """A numeric residual stayed above tolerance after all solver paths."""
-
-
-class DeltaOutOfRange(IsoperimError):
-    """Lazy-transform parameter must lie in (0, 1]."""
-
-
-# --- spectral ----------------------------------------------------------------
-
-class NonSquare(IsoperimError):
-    """Matrix is not square."""
-
-
-class NoConvergence(IsoperimError):
-    """Eigensolver failed to converge or produced an invalid certificate."""
-
-
-class NotReversible(IsoperimError):
-    """Chain fails detailed balance beyond tolerance."""
-
-
-class DegenerateEigenvector(IsoperimError):
-    """Neither sign of the eigenvector has nonempty positive support."""
-
-
-# --- cuts --------------------------------------------------------------------
-
-class EmptySet(IsoperimError):
-    """Vertex subset must be nonempty."""
-
-
-class MassTooLarge(IsoperimError):
-    """Subset stationary mass exceeds 1/2 (plus slack)."""
+class InputError(IsoperimError, ValueError):
+    """The input or a parameter is invalid; the message names the case."""
 
 
 class TooLarge(IsoperimError):
     """State count exceeds the exact-enumeration cap."""
 
 
-class ZeroVector(IsoperimError):
-    """Vector is identically zero where a nonzero one is required."""
-
-
-# --- bounds ------------------------------------------------------------------
-
-class ExponentOutOfRange(IsoperimError):
-    """Exponent p outside the range required by the inequality."""
-
-
-class LogDomain(IsoperimError):
-    """Logarithm argument out of domain."""
-
-
-# --- families ----------------------------------------------------------------
-
-class NonSymmetricCirculant(IsoperimError):
-    """Circulant first row is not symmetric (a_d != a_{n-d})."""
-
-
-class TooSmall(IsoperimError):
-    """Family parameter below the smallest supported size."""
-
-
-class DimensionTooLarge(IsoperimError):
-    """Hypercube dimension above the supported cap."""
-
-
-class OverlappingSets(IsoperimError):
-    """Vertex sets must be disjoint."""
-
-
-class InvalidBlocks(IsoperimError):
-    """Block size sequence is not a valid alternating partition."""
-
-
-class NoZeroBlock(IsoperimError):
-    """Merge step requires exactly one zero block size."""
-
-
-# --- I/O ---------------------------------------------------------------------
-
-class ParseError(IsoperimError):
-    """Malformed input file; message carries the offending line number."""
-
-
-class NegativeWeight(IsoperimError):
-    """Edge weights must be nonnegative."""
-
-
-class InconsistentHeader(IsoperimError):
-    """Input file header missing or inconsistent with the requested format."""
+class NumericalFailure(IsoperimError):
+    """A solver or certificate failed its accuracy or validity check."""

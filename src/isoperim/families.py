@@ -26,18 +26,11 @@ import numpy as np
 
 from .bounds import BoundReport, make_report
 from .chains import MarkovChain, WeightedGraph, chain_from_directed, chain_from_undirected
-from .errors import (
-    DimensionTooLarge,
-    EmptySet,
-    InvalidBlocks,
-    MassTooLarge,
-    NonSymmetricCirculant,
-    NoZeroBlock,
-    OverlappingSets,
-    TooSmall,
-)
+from .errors import InputError
 
 _MASS_SLACK = 1e-12
+# Largest hypercube dimension built or evaluated: 2^14 states.
+_HYPERCUBE_MAX_D = 14
 
 
 # --------------------------------------------------------------------------
@@ -74,7 +67,7 @@ def gen_ht_counterexample(n: int) -> tuple[MarkovChain, CounterexampleMeta]:
     symmetric, doubly stochastic, reversible, and has uniform pi.
     """
     if n < 3:
-        raise TooSmall(f"family needs n >= 3, got {n}")
+        raise InputError(f"family needs n >= 3, got {n}")
     w = kernel_weights(n)
     C = normalizer(n)
     P = np.empty((n, n))
@@ -96,10 +89,10 @@ def circulant_lambda2(first_row: Sequence[float]) -> float:
     """
     a = np.asarray(first_row, dtype=float)
     if a.ndim != 1 or a.size < 2:
-        raise ValueError("first row must be a vector of length >= 2")
+        raise InputError("first row must be a vector of length >= 2")
     scale = max(float(np.abs(a).max()), 1e-300)
     if np.max(np.abs(a[1:] - a[1:][::-1])) > 1e-12 * scale:
-        raise NonSymmetricCirculant("first row must satisfy a[d] == a[n-d]")
+        raise InputError("first row must satisfy a[d] == a[n-d]")
     eigs = np.fft.fft(a).real
     return float(eigs[1:].min())
 
@@ -134,9 +127,9 @@ def arc_phi_half(n: int, l: int) -> float:
         phi_{1/2} = (1/l) * sum_{v=1}^{l} sqrt(P(v, complement)).
     """
     if n < 3:
-        raise TooSmall(f"family needs n >= 3, got {n}")
+        raise InputError(f"family needs n >= 3, got {n}")
     if not (1 <= l <= n // 2):
-        raise ValueError(f"arc length must satisfy 1 <= l <= n/2, got l={l}, n={n}")
+        raise InputError(f"arc length must satisfy 1 <= l <= n/2, got l={l}, n={n}")
     prefix, C = _kernel_prefix(n)
     v = np.arange(1, l + 1)
     cross = (prefix[n - v] - prefix[l - v]) / C
@@ -172,9 +165,9 @@ def scaling_scan(n_list: Iterable[int], output: str | None = None) -> list[ScanR
     """
     ns = sorted({int(n) for n in n_list})
     if not ns:
-        raise ValueError("n_list must be nonempty")
+        raise InputError("n_list must be nonempty")
     if ns[0] < 8:
-        raise TooSmall(f"scan needs every n >= 8, got {ns[0]}")
+        raise InputError(f"scan needs every n >= 8, got {ns[0]}")
     rows: list[ScanRow] = []
     for n in ns:
         prefix, C = _kernel_prefix(n)
@@ -211,7 +204,7 @@ def scaling_scan(n_list: Iterable[int], output: str | None = None) -> list[ScanR
 def cycle_graph(n: int) -> WeightedGraph:
     """Unit-weight ring on n >= 3 vertices."""
     if n < 3:
-        raise TooSmall(f"cycle needs n >= 3, got {n}")
+        raise InputError(f"cycle needs n >= 3, got {n}")
     edges = [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)]
     return WeightedGraph(n=n, edges=tuple(edges))
 
@@ -219,7 +212,9 @@ def cycle_graph(n: int) -> WeightedGraph:
 def hypercube_graph(d: int) -> WeightedGraph:
     """Unit-weight boolean hypercube Q_d; 2^d vertices, d-regular."""
     if d < 1:
-        raise TooSmall(f"hypercube needs d >= 1, got {d}")
+        raise InputError(f"hypercube needs d >= 1, got {d}")
+    if d > _HYPERCUBE_MAX_D:
+        raise InputError(f"hypercube supports d <= {_HYPERCUBE_MAX_D}, got {d}")
     n = 1 << d
     edges = [(x, x ^ (1 << i), 1.0) for x in range(n) for i in range(d) if not (x >> i) & 1]
     return WeightedGraph(n=n, edges=tuple(edges))
@@ -228,7 +223,7 @@ def hypercube_graph(d: int) -> WeightedGraph:
 def dumbbell_graph(m: int) -> WeightedGraph:
     """Two complete graphs K_m joined by a single unit edge (vertices m-1, m)."""
     if m < 3:
-        raise TooSmall(f"dumbbell needs m >= 3, got {m}")
+        raise InputError(f"dumbbell needs m >= 3, got {m}")
     edges = []
     for base in (0, m):
         edges += [(base + u, base + v, 1.0) for u in range(m) for v in range(u + 1, m)]
@@ -239,10 +234,21 @@ def dumbbell_graph(m: int) -> WeightedGraph:
 def ht_counterexample_graph(n: int) -> WeightedGraph:
     """The inverse-cube kernel as an explicit weighted edge list."""
     if n < 3:
-        raise TooSmall(f"family needs n >= 3, got {n}")
+        raise InputError(f"family needs n >= 3, got {n}")
     w = kernel_weights(n)
     edges = tuple((u, v, float(w[v - u])) for u in range(n) for v in range(u + 1, n))
     return WeightedGraph(n=n, edges=edges)
+
+
+def _random_weights(n: int, density: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform(0,1) weights and a mask keeping each entry with
+    probability ``density``, both n x n."""
+    if not 0.0 <= density <= 1.0:
+        raise InputError(f"density must be a number in [0, 1], got {density}")
+    if seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed}")
+    rng = np.random.default_rng(seed)
+    return rng.random((n, n)), rng.random((n, n)) < density
 
 
 def random_reversible_graph(n: int, density: float = 0.5, seed: int = 0) -> WeightedGraph:
@@ -253,10 +259,8 @@ def random_reversible_graph(n: int, density: float = 0.5, seed: int = 0) -> Weig
     irreducible for every draw.
     """
     if n < 3:
-        raise TooSmall(f"random family needs n >= 3, got {n}")
-    rng = np.random.default_rng(seed)
-    weights = rng.random((n, n))
-    keep = rng.random((n, n)) < density
+        raise InputError(f"random family needs n >= 3, got {n}")
+    weights, keep = _random_weights(n, density, seed)
     ring = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
     edges = []
     for u in range(n):
@@ -270,10 +274,8 @@ def random_directed_graph(n: int, density: float = 0.5, seed: int = 0) -> Weight
     """Seeded random strongly connected directed graph (directed uniform
     weights kept with probability ``density`` plus the directed ring)."""
     if n < 2:
-        raise TooSmall(f"random directed family needs n >= 2, got {n}")
-    rng = np.random.default_rng(seed)
-    weights = rng.random((n, n))
-    keep = rng.random((n, n)) < density
+        raise InputError(f"random directed family needs n >= 2, got {n}")
+    weights, keep = _random_weights(n, density, seed)
     edges = []
     for u in range(n):
         for v in range(n):
@@ -322,21 +324,21 @@ def hypercube_quantities(d: int, subset: Iterable[int]) -> HypercubeQuantities:
     and phi_0(S) = mu(dS) / mu(S) on the hypercube walk, matching
     phi_p_of_set on gen_hypercube(d).
     """
-    if d > 14:
-        raise DimensionTooLarge(f"hypercube quantities support d <= 14, got {d}")
+    if d > _HYPERCUBE_MAX_D:
+        raise InputError(f"hypercube quantities support d <= {_HYPERCUBE_MAX_D}, got {d}")
     if d < 1:
-        raise TooSmall(f"dimension must be >= 1, got {d}")
+        raise InputError(f"dimension must be >= 1, got {d}")
     n = 1 << d
     members = np.zeros(n, dtype=bool)
     idx = np.fromiter((int(x) for x in subset), dtype=np.int64)
     if idx.size == 0:
-        raise EmptySet("subset must be nonempty")
+        raise InputError("subset must be nonempty")
     if idx.min() < 0 or idx.max() >= n:
-        raise ValueError("subset contains points outside {0,1}^d")
+        raise InputError("subset contains points outside {0,1}^d")
     members[idx] = True
     mu_s = members.sum() / n
     if mu_s > 0.5 + _MASS_SLACK:
-        raise MassTooLarge(f"mu(S) = {mu_s} exceeds 1/2")
+        raise InputError(f"mu(S) = {mu_s} exceeds 1/2")
     points = np.arange(n)
     h = np.zeros(n, dtype=np.int64)
     for i in range(d):
@@ -357,11 +359,11 @@ def sqrt_crossweight(c: MarkovChain, A: Iterable[int], B: Iterable[int]) -> floa
     a = np.unique(np.fromiter((int(v) for v in A), dtype=np.int64))
     b = np.unique(np.fromiter((int(v) for v in B), dtype=np.int64))
     if a.size == 0 or b.size == 0:
-        raise EmptySet("both sets must be nonempty")
+        raise InputError("both sets must be nonempty")
     if np.intersect1d(a, b).size:
-        raise OverlappingSets("sets must be disjoint")
+        raise InputError("sets must be disjoint")
     if a.min() < 0 or a.max() >= c.n or b.min() < 0 or b.max() >= c.n:
-        raise ValueError("vertex out of range")
+        raise InputError("vertex out of range")
     cross = c.P[np.ix_(a, b)].sum(axis=1)
     return math.fsum(np.sqrt(np.maximum(cross, 0.0)).tolist())
 
@@ -384,11 +386,11 @@ class PartitionBlocks:
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.sizes)
         if len(sizes) < 2 or len(sizes) % 2 != 0:
-            raise InvalidBlocks("sizes must alternate (a1, b1, ..., ak, bk) with k >= 1")
+            raise InputError("sizes must alternate (a1, b1, ..., ak, bk) with k >= 1")
         if any(s < 0 for s in sizes):
-            raise InvalidBlocks("block sizes must be nonnegative")
+            raise InputError("block sizes must be nonnegative")
         if sum(sizes) <= 0:
-            raise InvalidBlocks("total size must be positive")
+            raise InputError("total size must be positive")
         object.__setattr__(self, "sizes", sizes)
 
     @property
@@ -420,7 +422,7 @@ class PartitionBlocks:
         vertex in B so the block list starts with an A run."""
         flags = [bool(x) for x in in_a]
         if not flags or not flags[0] or flags[-1]:
-            raise InvalidBlocks("coloring must start in A and end in B")
+            raise InputError("coloring must start in A and end in B")
         sizes = []
         current, count = True, 0
         for f in flags:
@@ -470,9 +472,9 @@ def block_merge_residual(pb: PartitionBlocks) -> float:
     sizes = list(pb.sizes)
     zeros = [i for i, s in enumerate(sizes) if s == 0]
     if len(zeros) != 1:
-        raise NoZeroBlock(f"expected exactly one zero block, found {len(zeros)}")
+        raise InputError(f"expected exactly one zero block, found {len(zeros)}")
     if pb.k == 1:
-        raise InvalidBlocks("k = 1 leaves no valid merge target")
+        raise InputError("k = 1 leaves no valid merge target")
     z = zeros[0]
     rot = sizes[z:] + sizes[:z]  # zero block first; h is rotation-invariant
     rest = rot[1:]
@@ -488,14 +490,14 @@ def check_block_lower_bound(c: MarkovChain, pb: PartitionBlocks, C: float | None
     circulant before evaluating both sides.
     """
     if pb.n != c.n:
-        raise InvalidBlocks(f"blocks cover {pb.n} vertices but the chain has {c.n}")
+        raise InputError(f"blocks cover {pb.n} vertices but the chain has {c.n}")
     if not pb.is_canonical:
-        raise InvalidBlocks("blocks must all be nonempty to describe a coloring")
+        raise InputError("blocks must all be nonempty to describe a coloring")
     if C is None:
         C = normalizer(c.n)
     expected_row = kernel_weights(c.n) / C
     if not np.allclose(c.P[0], expected_row, rtol=0.0, atol=1e-12):
-        raise ValueError("chain is not the inverse-cube circulant family")
+        raise InputError("chain is not the inverse-cube circulant family")
     A, B = pb.vertex_sets()
     lhs = block_log_sum(pb)
     rhs = math.sqrt(2.0 * C) * sqrt_crossweight(c, A, B)

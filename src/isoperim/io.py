@@ -26,14 +26,14 @@ from . import __version__ as _version
 from .bounds import BoundReport
 from .chains import MarkovChain, WeightedGraph, chain_from_directed, chain_from_matrix, chain_from_undirected
 from .cuts import CutResult
-from .errors import InconsistentHeader, NegativeWeight, ParseError
+from .errors import InputError, NumericalFailure
 
 FORMATS = ("edge-tsv", "dense-matrix")
 
 
 def _fmt(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x}")
+        raise NumericalFailure(f"cannot serialize non-finite value {x}")
     return format(float(x), ".17g")
 
 
@@ -51,10 +51,10 @@ def _significant_lines(path: str) -> list[tuple[int, str]]:
 def _parse_edge_tsv(path: str) -> WeightedGraph:
     lines = _significant_lines(path)
     if not lines:
-        raise InconsistentHeader(f"{path}: empty file, expected 'undirected' or 'directed' header")
+        raise InputError(f"{path}: empty file, expected 'undirected' or 'directed' header")
     lineno, header = lines[0]
     if header not in ("undirected", "directed"):
-        raise InconsistentHeader(f"{path}:{lineno}: header must be 'undirected' or 'directed', got {header!r}")
+        raise InputError(f"{path}:{lineno}: header must be 'undirected' or 'directed', got {header!r}")
     directed = header == "directed"
     edges: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
@@ -63,40 +63,42 @@ def _parse_edge_tsv(path: str) -> WeightedGraph:
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'u<TAB>v<TAB>w', got {line!r}")
+            raise InputError(f"{path}:{lineno}: expected 'u<TAB>v<TAB>w', got {line!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
             w = float(parts[2])
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
         if u < 1 or v < 1:
-            raise ParseError(f"{path}:{lineno}: vertex ids are 1-based, got ({u}, {v})")
+            raise InputError(f"{path}:{lineno}: vertex ids are 1-based, got ({u}, {v})")
+        if not math.isfinite(w):
+            raise InputError(f"{path}:{lineno}: weight {parts[2]!r} is not a finite number")
         if w < 0:
-            raise NegativeWeight(f"{path}:{lineno}: negative weight {w}")
+            raise InputError(f"{path}:{lineno}: negative weight {w}")
         u -= 1
         v -= 1
         if not directed and u > v:
             u, v = v, u
         if (u, v) in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate edge ({u + 1}, {v + 1}) (undirected edges are stored once)")
+            raise InputError(f"{path}:{lineno}: duplicate edge ({u + 1}, {v + 1}) (undirected edges are stored once)")
         seen.add((u, v))
         if u == v and w > 0:
             has_loops = True
         edges.append((u, v, w))
         n = max(n, u + 1, v + 1)
     if n == 0:
-        raise ParseError(f"{path}: no edges")
+        raise InputError(f"{path}: no edges")
     return WeightedGraph(n=n, edges=tuple(edges), directed=directed, allow_self_loops=has_loops)
 
 
 def _parse_dense(path: str) -> WeightedGraph | MarkovChain:
     lines = _significant_lines(path)
     if not lines:
-        raise InconsistentHeader(f"{path}: empty file, expected a 'matrix-kind' header")
+        raise InputError(f"{path}: empty file, expected a 'matrix-kind' header")
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "matrix-kind" or parts[1] not in ("transition", "weight"):
-        raise InconsistentHeader(
+        raise InputError(
             f"{path}:{lineno}: header must be 'matrix-kind transition' or 'matrix-kind weight', got {header!r}"
         )
     kind = parts[1]
@@ -105,17 +107,20 @@ def _parse_dense(path: str) -> WeightedGraph | MarkovChain:
         try:
             rows.append([float(tok) for tok in line.split()])
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        bad = [tok for tok, x in zip(line.split(), rows[-1]) if not math.isfinite(x)]
+        if bad:
+            raise InputError(f"{path}:{lineno}: entry {bad[0]!r} is not a finite number")
     n = len(rows)
     if n == 0:
-        raise ParseError(f"{path}: matrix body is empty")
+        raise InputError(f"{path}: matrix body is empty")
     if any(len(r) != n for r in rows):
-        raise ParseError(f"{path}: matrix must be square, got row lengths {[len(r) for r in rows]}")
+        raise InputError(f"{path}: matrix must be square, got row lengths {[len(r) for r in rows]}")
     M = np.array(rows, dtype=float)
     if kind == "transition":
         return chain_from_matrix(M, origin="raw-matrix")
     if M.min() < 0:
-        raise NegativeWeight(f"{path}: weight matrix has negative entries")
+        raise InputError(f"{path}: weight matrix has negative entries")
     directed = not np.array_equal(M, M.T)
     edges = []
     has_loops = False
@@ -134,7 +139,7 @@ def parse_graph(path: str, format: str) -> WeightedGraph | MarkovChain:
         return _parse_edge_tsv(path)
     if format == "dense-matrix":
         return _parse_dense(path)
-    raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    raise InputError(f"unknown format {format!r}; expected one of {FORMATS}")
 
 
 def as_chain(obj: WeightedGraph | MarkovChain) -> MarkovChain:
@@ -287,7 +292,7 @@ def emit_report(report: AnalysisReport, path: str | None, format: str = "json") 
     elif format == "text":
         text = report_text(report)
     else:
-        raise ValueError(f"unknown report format {format!r}")
+        raise InputError(f"unknown report format {format!r}")
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from .chains import MarkovChain, is_reversible
-from .errors import DegenerateEigenvector, NoConvergence, NonSquare, NotReversible, ZeroVector
+from .errors import InputError, NumericalFailure
 
 _RESIDUAL_TOL = 1e-8
 _ORTHO_TOL = 1e-8
@@ -56,18 +56,18 @@ def symmetric_eigensolve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {M.shape}")
+        raise InputError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
+        raise InputError("matrix has non-finite entries")
     norm = np.linalg.norm(M)
     asym = np.linalg.norm(M - M.T)
     if norm > 0 and asym > 1e-6 * norm:
-        raise ValueError("matrix is not symmetric within tolerance")
+        raise InputError("matrix is not symmetric within tolerance")
     Ms = 0.5 * (M + M.T)
     try:
         w, Q = np.linalg.eigh(Ms)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        raise NumericalFailure(str(exc)) from exc
     return w, Q
 
 
@@ -82,10 +82,10 @@ def _certificate(c: MarkovChain, L: np.ndarray, kind: str) -> SpectralCertificat
     residual = float(np.linalg.norm(L @ v2 - lambda2 * v2))
     scale = float(np.linalg.norm(L))
     if residual > _RESIDUAL_TOL * max(scale, 1e-300):
-        raise NoConvergence(f"eigenpair residual {residual:.3e} above tolerance")
+        raise NumericalFailure(f"eigenpair residual {residual:.3e} above tolerance")
     sqrt_pi = np.sqrt(c.pi)
     if abs(float(v2 @ sqrt_pi)) > _ORTHO_TOL:
-        raise NoConvergence("second eigenvector not orthogonal to the Perron direction")
+        raise NumericalFailure("second eigenvector not orthogonal to the Perron direction")
     f2 = v2 / sqrt_pi
     return SpectralCertificate(lambda2=lambda2, f2=f2, v2=v2, kind=kind, residual=residual)
 
@@ -97,7 +97,7 @@ def lambda2_reversible(c: MarkovChain) -> SpectralCertificate:
     I - S, and reports f2 = Pi^{-1/2} v2, an eigenvector of I - P itself.
     """
     if not is_reversible(c):
-        raise NotReversible("chain fails detailed balance; use lambda2_directed instead")
+        raise InputError("chain fails detailed balance; use lambda2_directed instead")
     sqrt_pi = np.sqrt(c.pi)
     S = (sqrt_pi[:, None] * c.P) / sqrt_pi[None, :]
     L = np.eye(c.n) - S
@@ -132,13 +132,13 @@ def truncated_eigenvector(cert: SpectralCertificate, c: MarkovChain) -> np.ndarr
     """
     f2 = np.asarray(cert.f2, dtype=float)
     if f2.shape != (c.n,):
-        raise ValueError("certificate does not match the chain")
+        raise InputError("certificate does not match the chain")
     pos_mass = float(c.pi[f2 > 0].sum())
     neg_mass = float(c.pi[f2 < 0].sum())
     pos_ok = pos_mass <= 0.5 + _MASS_SLACK and bool((f2 > 0).any())
     neg_ok = neg_mass <= 0.5 + _MASS_SLACK and bool((f2 < 0).any())
     if not pos_ok and not neg_ok:
-        raise DegenerateEigenvector("no sign choice yields nonempty positive support of mass <= 1/2")
+        raise NumericalFailure("no sign choice yields nonempty positive support of mass <= 1/2")
     if pos_ok and neg_ok and abs(pos_mass - 0.5) <= _MASS_SLACK and abs(neg_mass - 0.5) <= _MASS_SLACK:
         nz = np.nonzero(f2 != 0)[0]
         sign = 1.0 if f2[nz[0]] > 0 else -1.0
@@ -164,11 +164,11 @@ def truncated_rayleigh(c: MarkovChain, f: np.ndarray) -> float:
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (c.n,):
-        raise ValueError("vector length does not match the chain")
+        raise InputError("vector length does not match the chain")
     if (f < -1e-12).any():
-        raise ValueError("vector must be nonnegative")
+        raise InputError("vector must be nonnegative")
     if not (f > 0).any():
-        raise ZeroVector("vector is identically zero")
+        raise InputError("vector is identically zero")
     flow = c.pi[:, None] * c.P
     q = 0.5 * (flow + flow.T)
     diff = f[:, None] - f[None, :]

@@ -21,7 +21,7 @@ from isoperim import (
     lazy_transform,
     power_increment_supremum,
 )
-from isoperim.errors import ExponentOutOfRange, TooLarge
+from isoperim.errors import InputError, TooLarge
 
 
 def test_main_bound_two_state(two_state):
@@ -38,9 +38,9 @@ def test_main_bound_cycle4(cycle4):
 
 
 def test_main_bound_rejects_half(two_state):
-    with pytest.raises(ExponentOutOfRange):
+    with pytest.raises(InputError, match=r"requires p in \(1/2, 1\]"):
         check_phi_p_upper_bound(two_state, 0.5)
-    with pytest.raises(ExponentOutOfRange):
+    with pytest.raises(InputError, match=r"requires p in \(1/2, 1\]"):
         check_phi_p_upper_bound(two_state, 1.2)
 
 
@@ -154,7 +154,7 @@ def test_gadget_bounds_across_p():
 
 
 def test_gadget_rejects_small_p():
-    with pytest.raises(ExponentOutOfRange):
+    with pytest.raises(InputError, match=r"requires p in \(1/2, 1\]"):
         power_increment_supremum(0.5, trials=10, seed=0)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import isoperim.chains
 from isoperim import (
     MarkovChain,
     WeightedGraph,
@@ -8,20 +9,13 @@ from isoperim import (
     chain_from_matrix,
     chain_from_undirected,
     is_irreducible,
+    gen_random_directed,
     is_reversible,
     lazy_transform,
     stationary_distribution,
 )
 from isoperim.chains import _power_iteration
-from isoperim.errors import (
-    DeltaOutOfRange,
-    DisconnectedGraph,
-    IsolatedVertex,
-    NegativeWeight,
-    NotIrreducible,
-    NotStronglyConnected,
-    SinkVertex,
-)
+from isoperim.errors import InputError, NumericalFailure
 
 
 def test_cycle_chain(cycle4):
@@ -92,7 +86,7 @@ def test_is_irreducible_cases():
 
 
 def test_stationary_requires_irreducible():
-    with pytest.raises(NotIrreducible):
+    with pytest.raises(InputError, match="not irreducible"):
         stationary_distribution(np.eye(3))
 
 
@@ -110,22 +104,22 @@ def test_lazy_identity_delta_one(two_state):
 
 def test_lazy_delta_out_of_range(two_state):
     for bad in (0.0, -0.2, 1.5):
-        with pytest.raises(DeltaOutOfRange):
+        with pytest.raises(InputError, match=r"delta must lie in \(0, 1\]"):
             lazy_transform(two_state, bad)
 
 
 def test_graph_errors():
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(InputError, match="not strongly connected"):
         chain_from_undirected(WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0))))
-    with pytest.raises(IsolatedVertex):
+    with pytest.raises(InputError, match="zero weighted degree"):
         chain_from_undirected(WeightedGraph(n=3, edges=((0, 1, 1.0),)))
-    with pytest.raises(SinkVertex):
+    with pytest.raises(InputError, match="zero out-weight"):
         chain_from_directed(WeightedGraph(n=2, edges=((0, 1, 1.0),), directed=True))
-    with pytest.raises(NotStronglyConnected):
+    with pytest.raises(InputError, match="not strongly connected"):
         chain_from_directed(
             WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0)), directed=True, allow_self_loops=True)
         )
-    with pytest.raises(NegativeWeight):
+    with pytest.raises(InputError, match="negative weight"):
         WeightedGraph(n=2, edges=((0, 1, -1.0),))
     with pytest.raises(ValueError):
         WeightedGraph(n=2, edges=((1, 0, 1.0),))  # undirected stored u < v
@@ -136,7 +130,7 @@ def test_graph_errors():
 def test_chain_validation_rejects_bad_matrices():
     with pytest.raises(ValueError):
         chain_from_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]))  # rows do not sum to 1
-    with pytest.raises(NotIrreducible):
+    with pytest.raises(InputError, match="not irreducible"):
         MarkovChain(n=2, P=np.eye(2), pi=np.array([0.5, 0.5]))
 
 
@@ -146,3 +140,49 @@ def test_self_loops_contribute_to_degree():
     assert np.allclose(c.P[0], [0.5, 0.5])
     assert np.allclose(c.pi, [2 / 3, 1 / 3])
     assert is_reversible(c)
+
+
+# --- fault injection on the stationary solve -----------------------------------
+
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("injected: singular matrix")
+
+
+def test_stationary_fallback_matches_direct_solve(monkeypatch):
+    P = gen_random_directed(6, density=0.5, seed=11).P
+    direct = stationary_distribution(P)
+    monkeypatch.setattr(isoperim.chains.np.linalg, "solve", _singular)
+    fallback = stationary_distribution(P)
+    assert np.max(np.abs(fallback - direct)) <= 1e-12
+
+
+def test_stationary_both_paths_fail_is_numerical_failure(monkeypatch):
+    P = gen_random_directed(6, density=0.5, seed=11).P
+    monkeypatch.setattr(isoperim.chains.np.linalg, "solve", _singular)
+    monkeypatch.setattr(isoperim.chains, "_power_iteration", lambda P: None)
+    with pytest.raises(NumericalFailure, match="both solver paths"):
+        stationary_distribution(P)
+    with pytest.raises(NumericalFailure, match="both solver paths"):
+        chain_from_matrix(P)
+
+
+def test_nan_transition_rejected_before_any_solve(monkeypatch):
+    def never(P):
+        pytest.fail("the power iteration ran on an invalid matrix")
+
+    monkeypatch.setattr(isoperim.chains, "_power_iteration", never)
+    P = np.array([[0.0, np.nan, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    with pytest.raises(InputError, match="non-finite"):
+        chain_from_matrix(P)
+    with pytest.raises(InputError, match="non-finite"):
+        stationary_distribution(P)
+
+
+def test_one_irreducibility_check_per_chain_build(monkeypatch):
+    calls = []
+    real = isoperim.chains.is_irreducible
+    monkeypatch.setattr(isoperim.chains, "is_irreducible", lambda P: calls.append(1) or real(P))
+    gen_random_directed(6, density=0.5, seed=11)
+    assert len(calls) == 1
+    chain_from_undirected(WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))))
+    assert len(calls) == 2

@@ -19,7 +19,7 @@ from isoperim import (
     phi_profile,
     sweep_cut,
 )
-from isoperim.errors import EmptySet, MassTooLarge, NumericalFailure, TooLarge
+from isoperim.errors import InputError, NumericalFailure, TooLarge
 from oracles import naive_phi_exact, naive_phi_p
 
 
@@ -37,9 +37,9 @@ def test_cycle4_adjacent_pair(cycle4):
 
 
 def test_phi_p_of_set_errors(cycle4):
-    with pytest.raises(EmptySet):
+    with pytest.raises(InputError, match="nonempty"):
         phi_p_of_set(cycle4, [], 1.0)
-    with pytest.raises(MassTooLarge):
+    with pytest.raises(InputError, match="exceeds 1/2"):
         phi_p_of_set(cycle4, [0, 1, 2], 1.0)
     with pytest.raises(ValueError):
         phi_p_of_set(cycle4, [0], 1.5)
@@ -130,7 +130,8 @@ def test_profile_ordering_and_cauchy_schwarz(seed, data):
     subset = data.draw(st.sets(st.integers(0, n - 1), min_size=size, max_size=size))
     try:
         prof = phi_profile(c, subset)
-    except MassTooLarge:
+    except InputError as exc:
+        assert "exceeds 1/2" in str(exc)
         return
     assert prof.phi0 >= prof.phi_half - 1e-12
     assert prof.phi_half >= prof.phi1 - 1e-12

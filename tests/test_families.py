@@ -16,24 +16,19 @@ from isoperim import (
     gen_dumbbell,
     gen_ht_counterexample,
     gen_hypercube,
+    hypercube_graph,
     hypercube_quantities,
     is_reversible,
     kernel_weights,
     lambda2_reversible,
     phi_p_exact,
     phi_p_of_set,
+    random_directed_graph,
+    random_reversible_graph,
     scaling_scan,
     sqrt_crossweight,
 )
-from isoperim.errors import (
-    DimensionTooLarge,
-    InvalidBlocks,
-    MassTooLarge,
-    NonSymmetricCirculant,
-    NoZeroBlock,
-    OverlappingSets,
-    TooSmall,
-)
+from isoperim.errors import InputError
 from oracles import naive_block_h, naive_circulant_eigs
 
 
@@ -58,7 +53,7 @@ def test_counterexample_rows_and_reversibility():
 
 
 def test_counterexample_too_small():
-    with pytest.raises(TooSmall):
+    with pytest.raises(InputError, match="needs n >= 3"):
         gen_ht_counterexample(2)
 
 
@@ -77,7 +72,7 @@ def test_circulant_cycle_values():
 
 
 def test_circulant_rejects_asymmetric():
-    with pytest.raises(NonSymmetricCirculant):
+    with pytest.raises(InputError, match=r"a\[d\] == a\[n-d\]"):
         circulant_lambda2([1.0, -0.7, 0.0, -0.3])
 
 
@@ -148,10 +143,23 @@ def test_hypercube_singleton_d3():
 
 
 def test_hypercube_rejects_whole_cube():
-    with pytest.raises(MassTooLarge):
+    with pytest.raises(InputError, match="exceeds 1/2"):
         hypercube_quantities(3, list(range(8)))
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(InputError, match="support d <= 14"):
         hypercube_quantities(15, [0])
+
+
+def test_hypercube_graph_rejects_dimension_above_cap():
+    # 2^70 vertices: rejected before any edge is built
+    with pytest.raises(InputError, match="d <= 14"):
+        hypercube_graph(70)
+
+
+@pytest.mark.parametrize("density", [math.nan, math.inf, -0.1, 1.5])
+def test_random_families_reject_bad_density(density):
+    for build in (random_reversible_graph, random_directed_graph):
+        with pytest.raises(InputError, match=r"density must be a number in \[0, 1\]"):
+            build(5, density=density)
 
 
 def test_hypercube_quantities_match_phi_of_chain():
@@ -190,7 +198,7 @@ def test_crossweight_counterexample_consistency():
 
 
 def test_crossweight_rejects_overlap(cycle4):
-    with pytest.raises(OverlappingSets):
+    with pytest.raises(InputError, match="disjoint"):
         sqrt_crossweight(cycle4, [0, 1], [1, 2])
 
 
@@ -213,11 +221,11 @@ def test_block_merge_examples():
 
 
 def test_block_merge_errors():
-    with pytest.raises(NoZeroBlock):
+    with pytest.raises(InputError, match="exactly one zero block"):
         block_merge_residual(PartitionBlocks((1, 2, 3, 4)))
-    with pytest.raises(InvalidBlocks):
+    with pytest.raises(InputError, match="k = 1 leaves no valid merge target"):
         block_merge_residual(PartitionBlocks((3, 0)))
-    with pytest.raises(NoZeroBlock):
+    with pytest.raises(InputError, match="exactly one zero block"):
         block_merge_residual(PartitionBlocks((0, 2, 0, 3)))
 
 
@@ -273,11 +281,11 @@ def test_block_lower_bound_rejects_wrong_chain(cycle4):
 
 
 def test_partition_blocks_validation():
-    with pytest.raises(InvalidBlocks):
+    with pytest.raises(InputError, match="sizes must alternate"):
         PartitionBlocks((1, 2, 3))  # odd length
-    with pytest.raises(InvalidBlocks):
+    with pytest.raises(InputError, match="block sizes must be nonnegative"):
         PartitionBlocks((-1, 2))
-    with pytest.raises(InvalidBlocks):
+    with pytest.raises(InputError, match="coloring must start in A and end in B"):
         PartitionBlocks.from_membership([False, True])
     pb = PartitionBlocks.from_membership([True, True, False, True, False])
     assert pb.sizes == (2, 1, 1, 1)
@@ -336,5 +344,5 @@ def test_scan_monotone_rho():
 
 
 def test_scan_rejects_tiny_n():
-    with pytest.raises(TooSmall):
+    with pytest.raises(InputError, match="n >= 8"):
         scaling_scan([4, 64])

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import isoperim.bounds
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoperim import (
     AnalysisReport,
@@ -17,7 +21,7 @@ from isoperim import (
     write_graph_tsv,
 )
 from isoperim.cli import cli_main
-from isoperim.errors import InconsistentHeader, IsoperimError, NegativeWeight, ParseError
+from isoperim.errors import InputError
 from isoperim.families import cycle_graph, ht_counterexample_graph, random_reversible_graph
 from isoperim.io import make_provenance
 
@@ -34,28 +38,28 @@ def test_parse_single_edge(tmp_path):
 def test_parse_duplicate_undirected_edge(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("undirected\n1\t2\t1.0\n2\t1\t0.5\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="duplicate edge"):
         parse_graph(str(path), "edge-tsv")
 
 
 def test_parse_header_required(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("1\t2\t1.0\n")
-    with pytest.raises(InconsistentHeader):
+    with pytest.raises(InputError, match="header must be 'undirected' or 'directed'"):
         parse_graph(str(path), "edge-tsv")
 
 
 def test_parse_negative_weight(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("undirected\n1\t2\t-1\n")
-    with pytest.raises(NegativeWeight):
+    with pytest.raises(InputError, match="negative weight"):
         parse_graph(str(path), "edge-tsv")
 
 
 def test_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("undirected\n1\t2\t1.0\nbroken line\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(InputError, match="expected 'u<TAB>v<TAB>w'") as err:
         parse_graph(str(path), "edge-tsv")
     assert ":3:" in str(err.value)
 
@@ -90,7 +94,7 @@ def test_parse_dense_weight_asymmetric_is_directed(tmp_path):
 def test_parse_dense_bad_header(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("matrix-kind foo\n0 1\n1 0\n")
-    with pytest.raises(InconsistentHeader):
+    with pytest.raises(InputError, match="header must be 'matrix-kind transition' or 'matrix-kind weight'"):
         parse_graph(str(path), "dense-matrix")
 
 
@@ -274,7 +278,7 @@ def test_cli_bad_exponent_exit_2(random6, capsys, argv):
 
 def test_cli_bad_exact_cap_setting_exit_2(random6, monkeypatch, capsys):
     monkeypatch.setenv("ISO_MAX_EXACT_N", "abc")
-    with pytest.raises(IsoperimError, match="ISO_MAX_EXACT_N"):
+    with pytest.raises(InputError, match="ISO_MAX_EXACT_N"):
         exact_enumeration_cap()
     assert cli_main(["verify", "--input", random6]) == 2
     assert "ISO_MAX_EXACT_N" in capsys.readouterr().err
@@ -313,3 +317,154 @@ def test_cli_analyze_directed_spectral_bounds_order(random6, tmp_path):
         "phi_p_squared[p=0.75]:directed",
         "phi_p_squared[p=1]:directed",
     ]
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [
+        ("edge-tsv", "undirected\n1\t2\t1\n2\t3\tnan\n", ":3: weight 'nan' is not a finite number"),
+        ("edge-tsv", "undirected\n1\t2\tinf\n2\t3\t1\n", ":2: weight 'inf' is not a finite number"),
+        ("edge-tsv", "directed\n1\t2\t1e400\n2\t1\t1\n", ":2: weight '1e400' is not a finite number"),
+        ("dense-matrix", "matrix-kind weight\n0 nan\n1 0\n", ":2: entry 'nan' is not a finite number"),
+        ("dense-matrix", "matrix-kind weight\n0 1\ninf 0\n", ":3: entry 'inf' is not a finite number"),
+        ("dense-matrix", "matrix-kind transition\n0.5 0.4\n0.5 0.5\n", "rows of P must sum to 1"),
+    ],
+)
+def test_cli_bad_input_values_exit_2(tmp_path, capsys, fmt, text, message):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert cli_main(["analyze", "--input", str(path), "--format", fmt]) == 2
+    err = _one_error_line(capsys)
+    assert message in err
+    if message.startswith(":"):
+        assert f"{path}{message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan", "--n-list", "", "--out", "OUT"], "n_list must be nonempty"),
+        (["scan", "--n-list=--", "--out", "OUT"], "--n-list needs a value, got '--'"),
+        (["generate", "--family", "random", "--n", "6", "--density", "nan", "--out", "OUT"], "density must be a number in [0, 1], got nan"),
+        (["generate", "--family", "random", "--n", "6", "--density", "1.5", "--out", "OUT"], "density must be a number in [0, 1], got 1.5"),
+        (["generate", "--family", "random", "--n", "6", "--seed", "-1", "--out", "OUT"], "seed must be a nonnegative integer, got -1"),
+        (["generate", "--family", "hypercube", "--n", "70", "--out", "OUT"], "hypercube supports d <= 14, got 70"),
+        (["gadgets", "--seed", "-1", "--trials", "10"], "seed must be a nonnegative integer, got -1"),
+    ],
+)
+def test_cli_bad_parameters_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.txt"
+    assert cli_main([str(out) if a == "OUT" else a for a in argv]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+# --- CLI fuzz: any input ends in exit 0, 1 or 2, never a traceback --------------
+
+_GOOD = st.sampled_from(["1", "0.5", "2.5", "3", "1e-3"])
+_EXTREME = st.sampled_from(["0", "1e-300", "1e-16", "1e300", "5e-324"])
+_BAD = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "0", "x", "", "1 2"])
+_HEADERS = st.sampled_from(["Directed", "matrix-kind", "matrix-kind foo", "undirected directed", "# only a comment", ""])
+
+
+@st.composite
+def _faults(draw, header, rows):
+    """Up to two faults: a bad header, a bad or extreme token, a dropped or
+    extra token, or a stray edge between ids 1..8."""
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        kind = draw(st.sampled_from(["header", "bad", "extreme", "count", "stray"]))
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "header":
+            header = draw(_HEADERS)
+        elif kind in ("bad", "extreme") and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_BAD if kind == "bad" else _EXTREME)
+        elif kind == "stray":
+            rows.append([str(draw(st.integers(1, 8))), str(draw(st.integers(1, 8))), draw(_GOOD)])
+        elif row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(_GOOD))
+    return [header, *(" ".join(r) if draw(st.booleans()) else "\t".join(r) for r in rows)]
+
+
+@st.composite
+def _edge_tsv(draw):
+    """A ring on 2..6 states plus extra edges (duplicate, reversed and self
+    edges included), then faults."""
+    n = draw(st.integers(2, 6))
+    directed = draw(st.booleans())
+    rows = [[str(i + 1), str((i + 1) % n + 1), draw(_GOOD)] for i in range(n if directed or n > 2 else 1)]
+    ids = st.integers(1, n)
+    rows += [[str(u), str(v), draw(_GOOD)] for u, v in draw(st.lists(st.tuples(ids, ids), max_size=3))]
+    return draw(_faults("directed" if directed else "undirected", rows))
+
+
+@st.composite
+def _dense(draw):
+    """A 1..4 square transition matrix with stochastic rows, or a weight
+    matrix, then faults."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["transition", "weight"]))
+    rows = []
+    for _ in range(n):
+        if kind == "transition":
+            w = draw(st.lists(st.sampled_from([1, 2, 3, 0]), min_size=n, max_size=n).filter(any))
+            rows.append([repr(x / sum(w)) for x in w])
+        else:
+            rows.append(draw(st.lists(_GOOD, min_size=n, max_size=n)))
+    return draw(_faults(f"matrix-kind {kind}", rows))
+
+
+_P_TEXT = st.one_of(st.sampled_from(["0.5,1", "0.75", "1", "0,0.6", "nan", "", ",", "--", "1.5", "0.5,0.5,inf"]), st.text(max_size=8))
+_N_LIST = st.one_of(
+    st.lists(st.integers(-2, 64), max_size=4).map(lambda ns: ",".join(map(str, ns))),
+    st.text(alphabet=" ,+-.eabc", max_size=6),
+)
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    fmt=st.sampled_from(["edge-tsv", "dense-matrix"]),
+    data=st.data(),
+    command=st.sampled_from(["analyze", "sweep", "verify"]),
+    p_text=_P_TEXT,
+    option=st.sampled_from(["exact", "sweep", "both", "reversible", "directed", "all"]),
+)
+def test_cli_fuzz_file_commands(fuzz_dir, fmt, data, command, p_text, option):
+    path = fuzz_dir / "input.txt"
+    path.write_text("\n".join(data.draw(_edge_tsv() if fmt == "edge-tsv" else _dense())) + "\n")
+    argv = [command, "--input", str(path), "--format", fmt]
+    if command == "verify":
+        argv += ["--suite", option if option in ("reversible", "directed", "all") else "all"]
+    else:
+        argv += [f"--p={p_text}"]
+    if command == "analyze" and option in ("exact", "sweep", "both"):
+        argv += ["--method", option]
+    _run_cli(argv)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_list=_N_LIST)
+def test_cli_fuzz_scan(fuzz_dir, n_list):
+    _run_cli(["scan", f"--n-list={n_list}", "--out", str(fuzz_dir / "scan.csv")])

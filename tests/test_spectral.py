@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import isoperim.spectral
 from isoperim import (
     chung_laplacian,
     gen_random_directed,
@@ -14,7 +16,7 @@ from isoperim import (
     truncated_eigenvector,
     truncated_rayleigh,
 )
-from isoperim.errors import NonSquare, NotReversible, ZeroVector
+from isoperim.errors import InputError, NumericalFailure
 from oracles import naive_truncated_rayleigh
 
 
@@ -48,7 +50,7 @@ def test_eigensolve_reconstructs_random_symmetric():
 
 
 def test_eigensolve_errors():
-    with pytest.raises(NonSquare):
+    with pytest.raises(InputError, match="square"):
         symmetric_eigensolve(np.ones((2, 3)))
     with pytest.raises(ValueError):
         symmetric_eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))  # grossly asymmetric
@@ -74,7 +76,7 @@ def test_lambda2_lazy_scaling(two_state, cycle4):
 
 
 def test_lambda2_requires_reversible(directed_3cycle):
-    with pytest.raises(NotReversible):
+    with pytest.raises(InputError, match="detailed balance"):
         lambda2_reversible(directed_3cycle)
 
 
@@ -163,7 +165,7 @@ def test_truncated_rayleigh_matches_oracle_and_lemma():
 
 
 def test_truncated_rayleigh_zero_vector(two_state):
-    with pytest.raises(ZeroVector):
+    with pytest.raises(InputError, match="identically zero"):
         truncated_rayleigh(two_state, np.zeros(2))
 
 
@@ -174,3 +176,33 @@ def test_certificate_invariants():
         assert abs(np.linalg.norm(cert.v2) - 1.0) <= 1e-12
         assert abs(float(cert.v2 @ np.sqrt(c.pi))) <= 1e-8
         assert np.allclose(cert.f2, cert.v2 / np.sqrt(c.pi), atol=1e-14)
+
+
+# --- fault injection on the eigensolve -----------------------------------------
+
+def test_eigh_failure_is_numerical_failure(monkeypatch, cycle4):
+    def fail(M):
+        raise np.linalg.LinAlgError("injected: eigenvalues did not converge")
+
+    monkeypatch.setattr(isoperim.spectral.np.linalg, "eigh", fail)
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        lambda2_reversible(cycle4)
+
+
+def test_eigenpair_residual_above_tolerance(monkeypatch):
+    c = gen_random_reversible(6, density=0.5, seed=2)
+    real = np.linalg.eigh
+
+    def shifted(M):
+        w, Q = real(M)
+        return w + 1e-3, Q
+
+    monkeypatch.setattr(isoperim.spectral.np.linalg, "eigh", shifted)
+    with pytest.raises(NumericalFailure, match="residual"):
+        lambda2_reversible(c)
+
+
+def test_zero_eigenvector_is_numerical_failure(cycle4):
+    cert = dataclasses.replace(lambda2_reversible(cycle4), f2=np.zeros(4))
+    with pytest.raises(NumericalFailure, match="no sign choice"):
+        truncated_eigenvector(cert, cycle4)
