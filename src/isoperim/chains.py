@@ -15,59 +15,90 @@ import dataclasses
 import os
 import numpy as np
 
-from .errors import InputError, NumericalFailure
+from .errors import InputError, NumericalFailure, TooLarge
 
 # Weights below this are structural zeros when building support digraphs.
 STRUCTURAL_ZERO = 1e-15
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 REVERSIBILITY_TOL = 1e-10
+# Largest graph built: its n x n weight matrix takes 2 GiB.
+MAX_STATES = 2**14
 
 _POWER_ITER_TOL = 1e-13
 _POWER_ITER_CAP = 10**6
 
 
-@dataclasses.dataclass(frozen=True)
+def check_states(n: int) -> None:
+    """Raise TooLarge when n states exceed MAX_STATES."""
+    if n > MAX_STATES:
+        raise TooLarge(f"{n} states exceed the limit of {MAX_STATES}")
+
+
+def edge_fault(edges: np.ndarray, n: int, directed: bool, allow_self_loops: bool) -> tuple[int, str] | None:
+    """First faulty row of an (m, 3) array of (u, v, w) rows and its reason, or None.
+
+    Rows are checked in the order of the table below; n <= MAX_STATES. The
+    reason is a template over the row's ``{u}``, ``{v}``, ``{w}`` and the id range ``{ids}``.
+    """
+    u, v, w = edges.T
+    ids_ok = (u == np.floor(u)) & (v == np.floor(v)) & (np.minimum(u, v) >= 0) & (np.maximum(u, v) < n)
+    # rows with bad ids get distinct negative keys, so only valid pairs repeat
+    key = np.where(ids_ok, u, -1.0 - np.arange(len(edges))) * n + np.where(ids_ok, v, 0.0)
+    repeated = np.ones(len(edges), dtype=bool)
+    repeated[np.unique(key, return_index=True)[1]] = False
+    checks = [
+        (~ids_ok, "edge ({u}, {v}) has a vertex id outside {ids}"),
+        (~np.isfinite(w), "weight {w} is not a finite number"),
+        (w < 0, "negative weight {w}"),
+        ((u == v) & (w > 0) & (not allow_self_loops), "self-loop at vertex {u} without allow_self_loops"),
+        ((u > v) & (not directed), "undirected edge ({u}, {v}) must be stored with u < v"),
+        (repeated, "duplicate edge ({u}, {v})" + ("" if directed else " (undirected edges are stored once)")),
+    ]
+    faults = np.stack([mask for mask, _ in checks])
+    bad = faults.any(axis=0)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    return row, checks[int(faults[:, row].argmax())][1]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Edge-list graph with nonnegative weights.
 
-    Undirected graphs store each edge once with u < v. Self-loops are rejected
-    unless ``allow_self_loops`` is set; when present they contribute their
-    weight once to the degree.
+    ``edges`` takes (u, v, w) triples and holds them as a frozen (m, 3) float64
+    array. Undirected graphs store each edge once with u < v. Self-loops are
+    rejected unless ``allow_self_loops`` is set; when present they contribute
+    their weight once to the degree.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    edges: np.ndarray
     directed: bool = False
     allow_self_loops: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError("graph needs at least one vertex")
-        object.__setattr__(self, "edges", tuple((int(u), int(v), float(w)) for u, v, w in self.edges))
-        seen: set[tuple[int, int]] = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if not np.isfinite(w):
-                raise InputError(f"edge ({u}, {v}) has non-finite weight {w}")
-            if w < 0:
-                raise InputError(f"edge ({u}, {v}) has negative weight {w}")
-            if u == v and w > 0 and not self.allow_self_loops:
-                raise InputError(f"self-loop at vertex {u} without allow_self_loops")
-            if not self.directed and u > v:
-                raise InputError(f"undirected edge ({u}, {v}) must be stored with u < v")
-            if (u, v) in seen:
-                raise InputError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+        check_states(self.n)
+        edges = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
+        fault = edge_fault(edges, self.n, self.directed, self.allow_self_loops)
+        if fault is not None:
+            row, reason = fault
+            u, v, w = edges[row].tolist()
+            raise InputError(f"edge {row}: " + reason.format(u=f"{u:g}", v=f"{v:g}", w=w, ids=f"0..{self.n - 1}"))
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
     def weight_matrix(self) -> np.ndarray:
         """Dense weight matrix; symmetric for undirected graphs."""
+        u, v = self.edges[:, :2].T.astype(np.intp)
+        w = self.edges[:, 2]
         W = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            W[u, v] += w
-            if not self.directed and u != v:
-                W[v, u] += w
+        W[u, v] += w
+        if not self.directed:
+            W[v, u] += np.where(u != v, w, 0.0)  # a loop's weight counts once
         return W
 
 

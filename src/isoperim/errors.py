@@ -7,7 +7,7 @@ Each leaf names the one thing a caller can do about it:
   matrix that is not an irreducible finite chain. The message names the case
   (and, for files, the path and line). It is also a ``ValueError``.
 - :class:`TooLarge` -- the chain is above the exact-enumeration cap
-  (``ISO_MAX_EXACT_N``); use the sweep cut instead.
+  (``ISO_MAX_EXACT_N``; use the sweep) or ``chains.MAX_STATES`` states.
 - :class:`NumericalFailure` -- a solver or a certificate failed on a valid
   input: the stationary solve, the eigensolve, an eigenpair residual, a
   degenerate eigenvector, a sweep guarantee, or a non-finite value to print.
@@ -25,7 +25,7 @@ class InputError(IsoperimError, ValueError):
 
 
 class TooLarge(IsoperimError):
-    """State count exceeds the exact-enumeration cap."""
+    """State count exceeds the exact-enumeration cap or MAX_STATES."""
 
 
 class NumericalFailure(IsoperimError):

@@ -25,12 +25,12 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import BoundReport, make_report
-from .chains import MarkovChain, WeightedGraph, chain_from_directed, chain_from_undirected
+from .chains import MAX_STATES, MarkovChain, WeightedGraph, chain_from_directed, chain_from_undirected, check_states
 from .errors import InputError
 
 _MASS_SLACK = 1e-12
-# Largest hypercube dimension built or evaluated: 2^14 states.
-_HYPERCUBE_MAX_D = 14
+# Largest hypercube dimension built or evaluated: 2^d <= MAX_STATES states.
+_HYPERCUBE_MAX_D = MAX_STATES.bit_length() - 1
 
 
 # --------------------------------------------------------------------------
@@ -68,11 +68,10 @@ def gen_ht_counterexample(n: int) -> tuple[MarkovChain, CounterexampleMeta]:
     """
     if n < 3:
         raise InputError(f"family needs n >= 3, got {n}")
+    check_states(n)
     w = kernel_weights(n)
     C = normalizer(n)
-    P = np.empty((n, n))
-    for i in range(n):
-        P[i] = np.roll(w, i)
+    P = w[(np.arange(n) - np.arange(n)[:, None]) % n]  # row i is w rolled by i
     P /= C
     pi = np.full(n, 1.0 / n)
     chain = MarkovChain(n=n, P=P, pi=pi, origin="undirected-graph")
@@ -131,17 +130,20 @@ def arc_phi_half(n: int, l: int) -> float:
     if not (1 <= l <= n // 2):
         raise InputError(f"arc length must satisfy 1 <= l <= n/2, got l={l}, n={n}")
     prefix, C = _kernel_prefix(n)
+    return math.fsum(_arc_sqrt_cross(n, l, prefix, C).tolist()) / l
+
+
+def _arc_sqrt_cross(n: int, l: int, prefix: np.ndarray, C: float) -> np.ndarray:
+    """sqrt(P(v, complement)) for each vertex v of the arc {1..l}."""
     v = np.arange(1, l + 1)
     cross = (prefix[n - v] - prefix[l - v]) / C
-    return math.fsum(np.sqrt(np.maximum(cross, 0.0)).tolist()) / l
+    return np.sqrt(np.maximum(cross, 0.0))
 
 
 def _arc_min_phi_half(n: int, prefix: np.ndarray, C: float) -> float:
     best = math.inf
     for l in range(1, n // 2 + 1):
-        v = np.arange(1, l + 1)
-        cross = (prefix[n - v] - prefix[l - v]) / C
-        best = min(best, float(np.sqrt(np.maximum(cross, 0.0)).sum()) / l)
+        best = min(best, float(_arc_sqrt_cross(n, l, prefix, C).sum()) / l)
     return best
 
 
@@ -224,20 +226,19 @@ def dumbbell_graph(m: int) -> WeightedGraph:
     """Two complete graphs K_m joined by a single unit edge (vertices m-1, m)."""
     if m < 3:
         raise InputError(f"dumbbell needs m >= 3, got {m}")
-    edges = []
-    for base in (0, m):
-        edges += [(base + u, base + v, 1.0) for u in range(m) for v in range(u + 1, m)]
-    edges.append((m - 1, m, 1.0))
-    return WeightedGraph(n=2 * m, edges=tuple(edges))
+    check_states(2 * m)
+    u, v = np.triu_indices(m, k=1)
+    edges = np.vstack([np.column_stack([u, v]), np.column_stack([u + m, v + m]), [[m - 1, m]]])
+    return WeightedGraph(n=2 * m, edges=np.column_stack([edges, np.ones(len(edges))]))
 
 
 def ht_counterexample_graph(n: int) -> WeightedGraph:
     """The inverse-cube kernel as an explicit weighted edge list."""
     if n < 3:
         raise InputError(f"family needs n >= 3, got {n}")
-    w = kernel_weights(n)
-    edges = tuple((u, v, float(w[v - u])) for u in range(n) for v in range(u + 1, n))
-    return WeightedGraph(n=n, edges=edges)
+    check_states(n)
+    u, v = np.triu_indices(n, k=1)
+    return WeightedGraph(n=n, edges=np.column_stack([u, v, kernel_weights(n)[v - u]]))
 
 
 def _random_weights(n: int, density: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,6 +248,7 @@ def _random_weights(n: int, density: float, seed: int) -> tuple[np.ndarray, np.n
         raise InputError(f"density must be a number in [0, 1], got {density}")
     if seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
+    check_states(n)
     rng = np.random.default_rng(seed)
     return rng.random((n, n)), rng.random((n, n)) < density
 
@@ -261,13 +263,10 @@ def random_reversible_graph(n: int, density: float = 0.5, seed: int = 0) -> Weig
     if n < 3:
         raise InputError(f"random family needs n >= 3, got {n}")
     weights, keep = _random_weights(n, density, seed)
-    ring = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) in ring or keep[u, v]:
-                edges.append((u, v, float(weights[u, v])))
-    return WeightedGraph(n=n, edges=tuple(edges))
+    keep = np.triu(keep, k=1) | np.eye(n, k=1, dtype=bool)
+    keep[0, n - 1] = True
+    u, v = np.nonzero(keep)
+    return WeightedGraph(n=n, edges=np.column_stack([u, v, weights[u, v]]))
 
 
 def random_directed_graph(n: int, density: float = 0.5, seed: int = 0) -> WeightedGraph:
@@ -276,14 +275,11 @@ def random_directed_graph(n: int, density: float = 0.5, seed: int = 0) -> Weight
     if n < 2:
         raise InputError(f"random directed family needs n >= 2, got {n}")
     weights, keep = _random_weights(n, density, seed)
-    edges = []
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if v == (u + 1) % n or keep[u, v]:
-                edges.append((u, v, float(weights[u, v])))
-    return WeightedGraph(n=n, edges=tuple(edges), directed=True)
+    i = np.arange(n)
+    keep[i, (i + 1) % n] = True
+    keep[i, i] = False
+    u, v = np.nonzero(keep)
+    return WeightedGraph(n=n, edges=np.column_stack([u, v, weights[u, v]]), directed=True)
 
 
 def gen_cycle(n: int) -> MarkovChain:

@@ -18,13 +18,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__ as _version
 from .bounds import BoundReport
-from .chains import MarkovChain, WeightedGraph, chain_from_directed, chain_from_matrix, chain_from_undirected
+from .chains import MarkovChain, WeightedGraph, chain_from_directed, chain_from_matrix, chain_from_undirected, edge_fault
 from .cuts import CutResult
 from .errors import InputError, NumericalFailure
 
@@ -37,73 +37,56 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _significant_lines(path: str) -> list[tuple[int, str]]:
-    out = []
+def _header_and_body(path: str, headers: tuple[str, ...]) -> tuple[str, list[tuple[int, str]]]:
+    """The header line, one of ``headers`` up to whitespace, and the numbered
+    lines after it; blank lines and ``#`` comments are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            out.append((lineno, line))
-    return out
+        lines = [(lineno, line) for lineno, raw in enumerate(fh, start=1) if (line := raw.strip()) and line[0] != "#"]
+    expected = " or ".join(map(repr, headers))
+    if not lines:
+        raise InputError(f"{path}: empty file, expected header {expected}")
+    lineno, header = lines[0]
+    if " ".join(header.split()) not in headers:
+        raise InputError(f"{path}:{lineno}: header must be {expected}, got {header!r}")
+    if len(lines) == 1:
+        raise InputError(f"{path}: nothing after the header")
+    return " ".join(header.split()), lines[1:]
+
+
+def _graph(path: str, n: int, edges: np.ndarray, directed: bool, source: Callable[[int], tuple]) -> WeightedGraph:
+    """Graph of parsed edges; a faulty row is reported at ``source(row) = (lineno, u, v, w)``."""
+    try:
+        return WeightedGraph(n=n, edges=edges, directed=directed, allow_self_loops=True)
+    except InputError:
+        row, reason = edge_fault(edges, n, directed, True)
+        lineno, u, v, w = source(row)
+        raise InputError(f"{path}:{lineno}: " + reason.format(u=u, v=v, w=repr(w), ids=f"1..{n}")) from None
 
 
 def _parse_edge_tsv(path: str) -> WeightedGraph:
-    lines = _significant_lines(path)
-    if not lines:
-        raise InputError(f"{path}: empty file, expected 'undirected' or 'directed' header")
-    lineno, header = lines[0]
-    if header not in ("undirected", "directed"):
-        raise InputError(f"{path}:{lineno}: header must be 'undirected' or 'directed', got {header!r}")
+    header, body = _header_and_body(path, ("undirected", "directed"))
     directed = header == "directed"
-    edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    n = 0
-    has_loops = False
-    for lineno, line in lines[1:]:
+    rows = []
+    for lineno, line in body:
         parts = line.split()
         if len(parts) != 3:
             raise InputError(f"{path}:{lineno}: expected 'u<TAB>v<TAB>w', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError as exc:
+            rows.append((float(int(parts[0])), float(int(parts[1])), float(parts[2])))
+        except (ValueError, OverflowError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-        if u < 1 or v < 1:
-            raise InputError(f"{path}:{lineno}: vertex ids are 1-based, got ({u}, {v})")
-        if not math.isfinite(w):
-            raise InputError(f"{path}:{lineno}: weight {parts[2]!r} is not a finite number")
-        if w < 0:
-            raise InputError(f"{path}:{lineno}: negative weight {w}")
-        u -= 1
-        v -= 1
-        if not directed and u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise InputError(f"{path}:{lineno}: duplicate edge ({u + 1}, {v + 1}) (undirected edges are stored once)")
-        seen.add((u, v))
-        if u == v and w > 0:
-            has_loops = True
-        edges.append((u, v, w))
-        n = max(n, u + 1, v + 1)
-    if n == 0:
-        raise InputError(f"{path}: no edges")
-    return WeightedGraph(n=n, edges=tuple(edges), directed=directed, allow_self_loops=has_loops)
+    edges = np.array(rows)
+    edges[:, :2] -= 1
+    if not directed:
+        edges[:, :2].sort(axis=1)
+    n = max(int(edges[:, :2].max()) + 1, 1)
+    return _graph(path, n, edges, directed, lambda row: (body[row][0], *body[row][1].split()))
 
 
 def _parse_dense(path: str) -> WeightedGraph | MarkovChain:
-    lines = _significant_lines(path)
-    if not lines:
-        raise InputError(f"{path}: empty file, expected a 'matrix-kind' header")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "matrix-kind" or parts[1] not in ("transition", "weight"):
-        raise InputError(
-            f"{path}:{lineno}: header must be 'matrix-kind transition' or 'matrix-kind weight', got {header!r}"
-        )
-    kind = parts[1]
+    header, body = _header_and_body(path, ("matrix-kind transition", "matrix-kind weight"))
     rows = []
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         try:
             rows.append([float(tok) for tok in line.split()])
         except ValueError as exc:
@@ -112,25 +95,15 @@ def _parse_dense(path: str) -> WeightedGraph | MarkovChain:
         if bad:
             raise InputError(f"{path}:{lineno}: entry {bad[0]!r} is not a finite number")
     n = len(rows)
-    if n == 0:
-        raise InputError(f"{path}: matrix body is empty")
     if any(len(r) != n for r in rows):
         raise InputError(f"{path}: matrix must be square, got row lengths {[len(r) for r in rows]}")
     M = np.array(rows, dtype=float)
-    if kind == "transition":
+    if header == "matrix-kind transition":
         return chain_from_matrix(M, origin="raw-matrix")
-    if M.min() < 0:
-        raise InputError(f"{path}: weight matrix has negative entries")
     directed = not np.array_equal(M, M.T)
-    edges = []
-    has_loops = False
-    for u in range(n):
-        vs = range(n) if directed else range(u, n)
-        for v in vs:
-            if M[u, v] > 0:
-                edges.append((u, v, float(M[u, v])))
-                has_loops = has_loops or u == v
-    return WeightedGraph(n=n, edges=tuple(edges), directed=directed, allow_self_loops=has_loops)
+    u, v = np.nonzero(M if directed else np.triu(M))
+    edges = np.column_stack([u, v, M[u, v]])
+    return _graph(path, n, edges, directed, lambda r: (body[u[r]][0], u[r] + 1, v[r] + 1, body[u[r]][1].split()[v[r]]))
 
 
 def parse_graph(path: str, format: str) -> WeightedGraph | MarkovChain:
@@ -155,9 +128,9 @@ def load_chain(path: str, format: str) -> MarkovChain:
 
 def write_graph_tsv(g: WeightedGraph, path: str) -> None:
     """Write edge-tsv with 1-based ids and full-precision weights."""
+    us, vs = (g.edges[:, :2].astype(np.int64) + 1).T.tolist()
     lines = ["directed" if g.directed else "undirected"]
-    for u, v, w in g.edges:
-        lines.append(f"{u + 1}\t{v + 1}\t{_fmt(w)}")
+    lines += [f"{u}\t{v}\t{_fmt(w)}" for u, v, w in zip(us, vs, g.edges[:, 2].tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -88,3 +88,34 @@ def hypercube_h(d, members):
     for x in members:
         h[x] = sum(1 for i in range(d) if (x ^ (1 << i)) not in members)
     return h
+
+
+def naive_edge_fault(edges, n, directed, allow_self_loops):
+    """First faulty (row, kind) of (u, v, w) triples, checked row by row with
+    a set of the pairs seen so far; None when every row is valid."""
+    seen = set()
+    for row, (u, v, w) in enumerate(edges):
+        if not all(float(x).is_integer() and 0 <= x < n for x in (u, v)):
+            return row, "range"
+        if not math.isfinite(w):
+            return row, "finite"
+        if w < 0:
+            return row, "negative"
+        if u == v and w > 0 and not allow_self_loops:
+            return row, "loop"
+        if not directed and u > v:
+            return row, "order"
+        if (u, v) in seen:
+            return row, "duplicate"
+        seen.add((u, v))
+    return None
+
+
+def naive_weight_matrix(n, edges, directed):
+    """Dense weights accumulated edge by edge, each undirected edge both ways."""
+    W = np.zeros((n, n))
+    for u, v, w in edges:
+        W[int(u), int(v)] += w
+        if not directed and u != v:
+            W[int(v), int(u)] += w
+    return W

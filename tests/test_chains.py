@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isoperim.chains
 from isoperim import (
@@ -14,8 +18,9 @@ from isoperim import (
     lazy_transform,
     stationary_distribution,
 )
-from isoperim.chains import _power_iteration
-from isoperim.errors import InputError, NumericalFailure
+from isoperim.chains import MAX_STATES, _power_iteration, edge_fault
+from isoperim.errors import InputError, NumericalFailure, TooLarge
+from oracles import naive_edge_fault, naive_weight_matrix
 
 
 def test_cycle_chain(cycle4):
@@ -186,3 +191,43 @@ def test_one_irreducibility_check_per_chain_build(monkeypatch):
     assert len(calls) == 1
     chain_from_undirected(WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))))
     assert len(calls) == 2
+
+
+# --- the edge validator against its loop oracle --------------------------------
+
+_FAULT_WORDS = {
+    "range": "has a vertex id outside",
+    "finite": "is not a finite number",
+    "negative": "negative weight",
+    "loop": "self-loop",
+    "order": "must be stored with u < v",
+    "duplicate": "duplicate edge",
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 4), directed=st.booleans(), loops=st.booleans())
+def test_edge_validator_and_weight_matrix_match_loop_oracles(data, n, directed, loops):
+    ids, weights = st.integers(0, n - 1), st.sampled_from([1.0, 0.5, 2.5, 0.0, -0.0])
+    rows = data.draw(st.lists(st.tuples(ids, ids, weights), max_size=6))
+    if rows and data.draw(st.booleans()):  # one bad id or weight
+        row, col = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, 2))
+        bad = [-1, n, 0.5, math.nan, math.inf] if col < 2 else [-1.0, math.nan, math.inf]
+        rows[row] = rows[row][:col] + (data.draw(st.sampled_from(bad)),) + rows[row][col + 1 :]
+    expected = naive_edge_fault(rows, n, directed, loops)
+    fault = edge_fault(np.array(rows, dtype=float).reshape(-1, 3), n, directed, loops)
+    if expected is None:
+        assert fault is None
+        g = WeightedGraph(n=n, edges=rows, directed=directed, allow_self_loops=loops)
+        assert g.edges.shape == (len(rows), 3) and not g.edges.flags.writeable
+        assert g.weight_matrix().tobytes() == naive_weight_matrix(n, rows, directed).tobytes()
+    else:
+        row, kind = expected
+        assert fault[0] == row and _FAULT_WORDS[kind] in fault[1]
+        with pytest.raises(InputError, match=f"edge {row}: .*{_FAULT_WORDS[kind]}"):
+            WeightedGraph(n=n, edges=rows, directed=directed, allow_self_loops=loops)
+
+
+def test_graph_above_state_limit_is_too_large():
+    with pytest.raises(TooLarge, match=f"{MAX_STATES + 1} states exceed the limit of {MAX_STATES}"):
+        WeightedGraph(n=MAX_STATES + 1, edges=())

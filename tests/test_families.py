@@ -12,10 +12,12 @@ from isoperim import (
     block_merge_residual,
     check_block_lower_bound,
     circulant_lambda2,
+    dumbbell_graph,
     gen_cycle,
     gen_dumbbell,
     gen_ht_counterexample,
     gen_hypercube,
+    ht_counterexample_graph,
     hypercube_graph,
     hypercube_quantities,
     is_reversible,
@@ -28,7 +30,7 @@ from isoperim import (
     scaling_scan,
     sqrt_crossweight,
 )
-from isoperim.errors import InputError
+from isoperim.errors import InputError, TooLarge
 from oracles import naive_block_h, naive_circulant_eigs
 
 
@@ -160,6 +162,15 @@ def test_random_families_reject_bad_density(density):
     for build in (random_reversible_graph, random_directed_graph):
         with pytest.raises(InputError, match=r"density must be a number in \[0, 1\]"):
             build(5, density=density)
+
+
+def test_dense_families_refuse_too_many_states_before_allocating():
+    # 10^5 states would need tens of GiB: each builder must refuse first
+    for build in (gen_ht_counterexample, ht_counterexample_graph, random_reversible_graph, random_directed_graph):
+        with pytest.raises(TooLarge, match="100000 states exceed the limit of 16384"):
+            build(100000)
+    with pytest.raises(TooLarge, match="200000 states"):
+        dumbbell_graph(100000)
 
 
 def test_hypercube_quantities_match_phi_of_chain():

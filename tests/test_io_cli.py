@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -32,7 +33,8 @@ def test_parse_single_edge(tmp_path):
     g = parse_graph(str(path), "edge-tsv")
     assert isinstance(g, WeightedGraph)
     assert g.n == 2 and not g.directed
-    assert g.edges == ((0, 1, 1.0),)
+    assert g.edges.dtype == np.float64 and not g.edges.flags.writeable
+    assert np.array_equal(g.edges, [[0.0, 1.0, 1.0]])
 
 
 def test_parse_duplicate_undirected_edge(tmp_path):
@@ -334,6 +336,9 @@ def _one_error_line(capsys):
         ("dense-matrix", "matrix-kind weight\n0 nan\n1 0\n", ":2: entry 'nan' is not a finite number"),
         ("dense-matrix", "matrix-kind weight\n0 1\ninf 0\n", ":3: entry 'inf' is not a finite number"),
         ("dense-matrix", "matrix-kind transition\n0.5 0.4\n0.5 0.5\n", "rows of P must sum to 1"),
+        ("dense-matrix", "matrix-kind weight\n0 1\n-1 0\n", ":3: negative weight '-1'"),
+        ("edge-tsv", "undirected\n1\t2\t1\n0\t2\t1\n", ":3: edge (0, 2) has a vertex id outside 1..2"),
+        ("edge-tsv", "undirected\n1\t100000\t1\n", "100000 states exceed the limit of 16384"),
     ],
 )
 def test_cli_bad_input_values_exit_2(tmp_path, capsys, fmt, text, message):
@@ -356,6 +361,9 @@ def test_cli_bad_input_values_exit_2(tmp_path, capsys, fmt, text, message):
         (["generate", "--family", "random", "--n", "6", "--seed", "-1", "--out", "OUT"], "seed must be a nonnegative integer, got -1"),
         (["generate", "--family", "hypercube", "--n", "70", "--out", "OUT"], "hypercube supports d <= 14, got 70"),
         (["gadgets", "--seed", "-1", "--trials", "10"], "seed must be a nonnegative integer, got -1"),
+        (["generate", "--family", "random", "--n", "100000", "--out", "OUT"], "100000 states exceed the limit of 16384"),
+        (["generate", "--family", "ht-counterexample", "--n", "100000", "--out", "OUT"], "100000 states exceed the limit"),
+        (["generate", "--family", "dumbbell", "--n", "100000", "--out", "OUT"], "200000 states exceed the limit"),
     ],
 )
 def test_cli_bad_parameters_exit_2(tmp_path, capsys, argv, message):
@@ -363,6 +371,33 @@ def test_cli_bad_parameters_exit_2(tmp_path, capsys, argv, message):
     assert cli_main([str(out) if a == "OUT" else a for a in argv]) == 2
     assert message in _one_error_line(capsys)
     assert not out.exists()
+
+
+def test_cli_directed_duplicate_edge(tmp_path, capsys):
+    path = tmp_path / "d.tsv"
+    path.write_text("directed\n1\t2\t1\n2\t1\t1\n1\t2\t1\n")
+    assert cli_main(["verify", "--input", str(path)]) == 2
+    err = _one_error_line(capsys)
+    assert f"{path}:4: duplicate edge (1, 2)" in err and "undirected" not in err
+
+
+# Digests of `generate` output recorded before edges became one array; they pin
+# the edge order and every weight byte of each family.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["cycle", "--n", "7"], "fab29edff94fa13d8c6ba7bb983372d5e283d0bd09cae6fb40366438b8952cd1"),
+        (["hypercube", "--n", "3"], "55fae670ac73c2a8a44fff9ccf962cd5a9e347030fece6ded479983f14828b03"),
+        (["dumbbell", "--n", "4"], "e016cd9547e7cec0d89026d1bb32b1dbf015679cf5ae32ddb5d81ceaee189d05"),
+        (["ht-counterexample", "--n", "9"], "49515c6fc8d1998d19e7fb949462697016f18f04cd0567b108f596f64f7b39c3"),
+        (["random", "--n", "8", "--seed", "0"], "80ddcc4b5e8b5ac221e5746dceb8c43e8b738d8c5925f5df561db7c07875b0bd"),
+        (["random", "--n", "8", "--seed", "3"], "f1f4e233ebd57c5a62c8964c35e624091093edf2cf32bed55c209b1abcf6c697"),
+    ],
+)
+def test_cli_generate_bytes_pinned(tmp_path, argv, digest):
+    out = tmp_path / "g.tsv"
+    assert cli_main(["generate", "--family", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # --- CLI fuzz: any input ends in exit 0, 1 or 2, never a traceback --------------

@@ -1,0 +1,272 @@
+"""Compare the isoperim CLI's outputs of two checkouts, byte for byte.
+
+    python3 tools/compare_outputs.py --parent DIR --change DIR
+
+Both DIRs are roots of an isoperim checkout (each with ``src/isoperim``).
+The script writes one set of input files, then runs a fixed command matrix
+through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
+
+- every command of the three benchmark workloads for seeds 1 and 2, taken
+  from ``perfbench/run.py`` with inputs from ``perfbench/inputs.py``;
+- ``generate`` for every family;
+- ``analyze``, ``verify`` and ``sweep`` on edge-tsv files and on dense weight
+  and transition matrices, self-loops included;
+- malformed or invalid files, which must exit 2.
+
+It compares exit codes, standard output and every output file, checks that
+each command that exits 2 wrote exactly one ``error:`` line and nothing else
+to standard error, and prints the error messages that differ. It exits 1 when
+an exit code, a standard output or an output file differs, or when the
+change's checkout writes a traceback or a malformed error; otherwise 0.
+
+Sizes above the state limit are left out: older checkouts try to allocate
+them. A run takes about a minute on two cores; BLAS uses two threads.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+import inputs  # noqa: E402
+import run as perfbench_run  # noqa: E402
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Files that are not valid input, written as they are: (name, format, text).
+FAULTY = [
+    ("nan-weight.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\tnan\n"),
+    ("negative-weight.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\t-1\n"),
+    ("zero-id.tsv", "edge-tsv", "undirected\n1\t2\t1\n0\t2\t1\n"),
+    ("reversed-duplicate.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n2\t1\t0.5\n"),
+    ("directed-duplicate.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t1\t1\n1\t2\t1\n"),
+    ("bad-token.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\tx\t1\n"),
+    ("float-id.tsv", "edge-tsv", "undirected\n1\t2.5\t1\n"),
+    ("token-count.tsv", "edge-tsv", "undirected\n1\t2\t1\t4\n"),
+    ("bad-header.tsv", "edge-tsv", "graph\n1\t2\t1\n"),
+    ("no-edges.tsv", "edge-tsv", "undirected\n# nothing\n"),
+    ("empty.tsv", "edge-tsv", ""),
+    ("isolated.tsv", "edge-tsv", "undirected\n1\t2\t1\n3\t3\t0\n"),
+    ("one-state.tsv", "edge-tsv", "undirected\n1\t1\t2\n"),
+    ("disconnected.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t1\t1\n2\t3\t1\n"),
+    ("negative-entry.txt", "dense-matrix", "matrix-kind weight\n0 1\n-1 0\n"),
+    ("nan-entry.txt", "dense-matrix", "matrix-kind weight\n0 nan\n1 0\n"),
+    ("not-square.txt", "dense-matrix", "matrix-kind weight\n0 1 1\n1 0 1\n"),
+    ("not-stochastic.txt", "dense-matrix", "matrix-kind transition\n0.5 0.4\n0.5 0.5\n"),
+    ("bad-kind.txt", "dense-matrix", "matrix-kind foo\n0 1\n1 0\n"),
+    ("no-body.txt", "dense-matrix", "matrix-kind weight\n"),
+]
+
+
+def _write_dense(path: str, kind: str, M: np.ndarray) -> None:
+    body = "\n".join(" ".join(f"{x:.17g}" for x in row) for row in M)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"matrix-kind {kind}\n{body}\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _file_commands(name: str, path: str, fmt: str) -> list[dict]:
+    """analyze, verify and sweep on one valid input, to files and to stdout."""
+    base = ["--input", path, "--format", fmt]
+    return [
+        {"id": f"analyze-{name}", "argv": ["analyze", *base, "--p", "0,0.5,0.75,1", "--out", "OUT/a.json"]},
+        {"id": f"analyze-text-{name}", "argv": ["analyze", *base, "--method", "sweep", "--report-format", "text", "--out", "OUT/a.txt"]},
+        {"id": f"analyze-directed-{name}", "argv": ["analyze", *base, "--p", "0.5,1", "--directed-spectral"]},
+        {"id": f"verify-{name}", "argv": ["verify", *base, "--suite", "all"]},
+        {"id": f"sweep-{name}", "argv": ["sweep", *base, "--p", "0.75", "--out", "OUT/s.json"]},
+        {"id": f"sweep-stdout-{name}", "argv": ["sweep", *base, "--p", "1"]},
+    ]
+
+
+def build_plan(work: str) -> list[dict]:
+    """Write the inputs under ``work`` and return the commands. An argument
+    starting with ``OUT/`` names an output file in the checkout's own
+    output directory."""
+    plan: list[dict] = []
+    for seed in (1, 2):
+        for workload, build in perfbench_run.WORKLOADS.items():
+            bench_dir = os.path.join(work, f"{workload}-{seed}")
+            os.makedirs(bench_dir)
+            for cmd in build(bench_dir, np.random.default_rng(seed), perfbench_run.References()):
+                outs = {p: f"OUT/{workload}-{seed}-{os.path.basename(p)}" for p in cmd.outputs}
+                plan.append({"id": f"{cmd.id}-seed{seed}", "argv": [outs.get(a, a) for a in cmd.argv]})
+
+    families = [["cycle", "--n", "7"], ["hypercube", "--n", "4"], ["dumbbell", "--n", "4"], ["ht-counterexample", "--n", "64"]]
+    families += [["random", "--n", "9", "--seed", str(s), "--density", d] for s in (0, 3) for d in ("0.5", "0.2")]
+    for args in families:
+        plan.append({"id": "generate-" + "-".join(a.lstrip("-") for a in args), "argv": ["generate", "--family", *args, "--out", "OUT/g.tsv"]})
+
+    rng = np.random.default_rng(7)
+    valid = []
+    for name, write in (("rev8", inputs.write_random_reversible), ("dir8", inputs.write_random_directed)):
+        path = os.path.join(work, f"{name}.tsv")
+        write(path, 8, 0.4, rng)
+        valid.append((name, path, "edge-tsv"))
+    loops = os.path.join(work, "loops.tsv")
+    _write_text(loops, "undirected\n1\t1\t0.5\n1\t2\t1\n3\t2\t2\n3\t1\t0.25\n4\t4\t0\n4\t3\t1\n")
+    dloops = os.path.join(work, "dloops.tsv")
+    _write_text(dloops, "directed\n1\t2\t1\n2\t2\t3\n2\t3\t1\n3\t1\t0.5\n3\t3\t0\n1\t3\t2\n")
+    valid += [("loops", loops, "edge-tsv"), ("dloops", dloops, "edge-tsv")]
+
+    W = rng.random((7, 7)) * (rng.random((7, 7)) < 0.6)
+    W[np.arange(7), (np.arange(7) + 1) % 7] = 1.0
+    for name, M, kind in (
+        ("dense-sym", np.triu(W) + np.triu(W, 1).T, "weight"),
+        ("dense-asym", W, "weight"),
+        ("dense-transition", W / W.sum(axis=1, keepdims=True), "transition"),
+    ):
+        path = os.path.join(work, f"{name}.txt")
+        _write_dense(path, kind, M)
+        valid.append((name, path, "dense-matrix"))
+    for name, path, fmt in valid:
+        plan += _file_commands(name, path, fmt)
+
+    for name, fmt, text in FAULTY:
+        path = os.path.join(work, name)
+        _write_text(path, text)
+        plan.append({"id": f"faulty-{name}", "argv": ["analyze", "--input", path, "--format", fmt]})
+    return plan
+
+
+def _digest(path: str) -> str | None:
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except FileNotFoundError:
+        return None
+
+
+def worker(root: str, plan_path: str, out_dir: str, result_path: str) -> int:
+    """Run the plan in this interpreter with the package of ``root``."""
+    src = os.path.join(root, "src")
+    sys.path.insert(0, src)
+    from isoperim import cli
+
+    if os.path.dirname(os.path.abspath(cli.__file__)) != os.path.join(src, "isoperim"):
+        raise SystemExit(f"isoperim was imported from {cli.__file__}, not from {src}")
+    cli_main = cli.cli_main
+
+    with open(plan_path, encoding="utf-8") as fh:
+        plan = json.load(fh)
+    results = []
+    for cmd in plan:
+        argv = [os.path.join(out_dir, a[4:]) if a.startswith("OUT/") else a for a in cmd["argv"]]
+        outputs = [a for a in argv if a.startswith(out_dir)]
+        for path in outputs:
+            if os.path.exists(path):
+                os.remove(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli_main(argv)
+            except Exception:
+                rc = None
+                err.write(traceback.format_exc())
+        results.append(
+            {
+                "id": cmd["id"],
+                "rc": rc,
+                "stdout": out.getvalue(),
+                "stderr": err.getvalue(),
+                "files": [_digest(p) for p in outputs],
+            }
+        )
+    with open(result_path, "w", encoding="utf-8") as fh:
+        json.dump(results, fh)
+    return 0
+
+
+def run_checkout(root: str, plan_path: str, work: str, label: str) -> list[dict]:
+    out_dir = os.path.join(work, f"out-{label}")
+    os.makedirs(out_dir)
+    result_path = os.path.join(work, f"result-{label}.json")
+    env = {k: v for k, v in os.environ.items() if k not in ("ISO_MAX_EXACT_N", "PYTHONPATH")}
+    env.update({var: "2" for var in BLAS_VARS})
+    args = [sys.executable, os.path.abspath(__file__), "--worker", root, plan_path, out_dir, result_path]
+    subprocess.run(args, cwd=out_dir, env=env, check=True)
+    with open(result_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _error_ok(res: dict) -> bool:
+    """A command that exits 2 writes exactly one ``error:`` line."""
+    err = res["stderr"]
+    return res["rc"] != 2 or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+
+
+def compare(parent: list[dict], change: list[dict]) -> int:
+    failures = 0
+    same_messages = 0
+    for p, c in zip(parent, change):
+        problems = []
+        if p["rc"] != c["rc"]:
+            problems.append(f"exit code {p['rc']} -> {c['rc']}")
+        if p["stdout"] != c["stdout"]:
+            problems.append("stdout differs")
+        if p["files"] != c["files"]:
+            problems.append("output files differ")
+        if c["rc"] is None:
+            problems.append("traceback")
+        if not _error_ok(c):
+            problems.append("error output is not one 'error:' line")
+        if problems:
+            failures += 1
+            print(f"DIFF {c['id']}: {'; '.join(problems)}")
+            if c["stderr"]:
+                print(f"    change stderr: {c['stderr'].rstrip()}")
+        if p["stderr"] == c["stderr"]:
+            same_messages += 1
+        else:
+            print(f"MESSAGE {c['id']}:\n    parent: {p['stderr'].rstrip()}\n    change: {c['stderr'].rstrip()}")
+    codes = collections.Counter(c["rc"] for c in change)
+    print(
+        f"{len(change)} commands (exit codes {dict(sorted(codes.items(), key=str))}): "
+        f"{len(change) - failures} identical in exit code, stdout and files with well-formed errors, "
+        f"{same_messages} with identical stderr"
+    )
+    return 1 if failures else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", required=True, help="root of the reference checkout")
+    parser.add_argument("--change", required=True, help="root of the checkout under test")
+    args = parser.parse_args(argv)
+    roots = {}
+    for label in ("parent", "change"):
+        root = os.path.abspath(getattr(args, label))
+        if not os.path.isfile(os.path.join(root, "src", "isoperim", "cli.py")):
+            parser.error(f"{root} is not an isoperim checkout (no src/isoperim/cli.py)")
+        roots[label] = root
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work:
+        inputs_dir = os.path.join(work, "inputs")
+        os.makedirs(inputs_dir)
+        plan_path = os.path.join(work, "plan.json")
+        with open(plan_path, "w", encoding="utf-8") as fh:
+            json.dump(build_plan(inputs_dir), fh)
+        results = {label: run_checkout(root, plan_path, work, label) for label, root in roots.items()}
+    return compare(results["parent"], results["change"])
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 6 and sys.argv[1] == "--worker":
+        sys.exit(worker(*sys.argv[2:]))
+    sys.exit(main())
