@@ -48,6 +48,7 @@ from .cuts import (
     phi_p_of_set,
     phi_profile,
     sweep_cut,
+    sweep_cuts,
 )
 from .families import (
     CounterexampleMeta,

@@ -5,11 +5,11 @@ returns a :class:`BoundReport` with both sides, the slack, and a verdict.
 The checkers take a chain or a :class:`ChainAnalysis`, the per-chain store
 that derives each quantity once: at most one reversible and one Chung
 certificate, every exact minimum from a single enumeration pass over the
-exponents the run reads, and one sweep cut per (p, certificate kind). The
-store also holds the one rule for the phi_p value a bound uses (exact within
-the enumeration cap, otherwise the sweep cut). :func:`bound_suite` builds
-the reports of both sides from one store; the CLI's ``analyze`` and
-``verify`` select sides and exponents over it.
+exponents the run reads, and every sweep cut of a certificate from a single
+pass over its level sets. The store also holds the one rule for the phi_p
+value a bound uses (exact within the enumeration cap, otherwise the sweep
+cut). :func:`bound_suite` builds the reports of both sides from one store;
+the CLI's ``analyze`` and ``verify`` select sides and exponents over it.
 The gadgets expose the numeric suprema used in the sweep-cut analysis:
 the power-increment sum sup_a sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1})
 (bounded by 1/(2p-1) for p > 1/2) and the telescoping ratio-chain maximum
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .chains import MarkovChain, exact_enumeration_cap, is_reversible
-from .cuts import CutResult, exact_minima, sweep_cut
+from .cuts import CutResult, exact_minima, sweep_cuts
 from .errors import InputError, NumericalFailure, TooLarge
 from .spectral import SpectralCertificate, lambda2_directed, lambda2_reversible
 
@@ -58,25 +58,30 @@ def make_report(name: str, lhs: float, rhs: float, tol: float = DEFAULT_TOL, wit
 class ChainAnalysis:
     """Every certificate and cut a run reads, each derived at most once.
 
-    Holds at most one reversible and one Chung certificate, one sweep cut per
-    (p, certificate kind), and the exact minima. The first exact read
-    enumerates subsets once for every expected exponent (``ps`` here, plus
-    whatever :func:`bound_suite` adds); a read of an exponent not expected costs
-    one more pass. :meth:`phi` applies the one rule for the value a bound
-    uses: exact within :func:`exact_enumeration_cap`, otherwise the sweep cut
-    of the bound's own certificate. Expecting exact reads on a chain above
-    the cap raises TooLarge at once.
+    Holds at most one reversible and one Chung certificate, the sweep cuts of
+    each, and the exact minima. The first exact read enumerates subsets once
+    for every expected exponent (``ps`` here, plus whatever
+    :func:`bound_suite` adds), and the first sweep read of a certificate
+    sweeps its level sets once for every exponent expected of it
+    (``sweep_ps`` for the chain's own certificate, Chung's unless the chain
+    is reversible, plus the suite's); a read of an exponent not expected
+    costs one more pass. :meth:`phi` applies the one rule for the value a
+    bound uses: exact within :func:`exact_enumeration_cap`, otherwise the
+    sweep cut of the bound's own certificate. Expecting exact reads on a
+    chain above the cap raises TooLarge at once.
     """
 
-    def __init__(self, c: MarkovChain, ps: Iterable[float] = ()) -> None:
+    def __init__(self, c: MarkovChain, ps: Iterable[float] = (), sweep_ps: Iterable[float] = ()) -> None:
         self.c = c
         self.reversible = is_reversible(c)
         self.exact_ok = c.n <= exact_enumeration_cap()
         self._ps: list[float] = []
         self._exact: dict[float, CutResult] = {}
         self._certs: dict[bool, SpectralCertificate] = {}
+        self._sweep_ps: dict[bool, list[float]] = {False: [], True: []}
         self._sweeps: dict[tuple[float, bool], CutResult] = {}
         self._expect(ps)
+        self._expect_sweeps(sweep_ps, not self.reversible)
 
     def _expect(self, ps: Iterable[float]) -> None:
         """Include these exponents in the next exact pass."""
@@ -85,6 +90,12 @@ class ChainAnalysis:
                 raise TooLarge(f"n = {self.c.n} exceeds the exact enumeration cap {exact_enumeration_cap()}")
             if p not in self._ps:
                 self._ps.append(p)
+
+    def _expect_sweeps(self, ps: Iterable[float], directed: bool) -> None:
+        """Include these exponents in the next sweep pass of the certificate."""
+        for p in map(float, ps):
+            if p not in self._sweep_ps[directed]:
+                self._sweep_ps[directed].append(p)
 
     def cert(self, directed: bool) -> SpectralCertificate:
         """The Chung certificate if directed, else the reversible one."""
@@ -101,11 +112,17 @@ class ChainAnalysis:
         return self._exact[p]
 
     def sweep(self, p: float, directed: bool) -> CutResult:
-        """Sweep cut of the given certificate's eigenvector."""
-        key = (float(p), directed)
-        if key not in self._sweeps:
-            self._sweeps[key] = sweep_cut(self.c, p, self.cert(directed))
-        return self._sweeps[key]
+        """Sweep cut of the given certificate's eigenvector.
+
+        A pass puts the read exponent first, so guarantee failures are
+        raised in the order the run reads the cuts.
+        """
+        p = float(p)
+        if (p, directed) not in self._sweeps:
+            ps = [p] + [q for q in self._sweep_ps[directed] if q != p and (q, directed) not in self._sweeps]
+            cuts = sweep_cuts(self.c, ps, self.cert(directed))
+            self._sweeps.update(((q, directed), cut) for q, cut in cuts.items())
+        return self._sweeps[(p, directed)]
 
     def phi(self, p: float, directed: bool) -> CutResult:
         """The phi_p value a bound uses: exact within the cap, else the sweep."""
@@ -200,12 +217,17 @@ def bound_suite(
     A side (None skips it) is its Cheeger pair (Chung's for the directed
     side), Morris-Peres when n is within the exact cap, and the phi_p bound
     for each listed p in (1/2, 1]. Within the cap every exponent the suite
-    reads (1, 1/2 and the listed p) joins one exact pass.
+    reads (1, 1/2 and the listed p) joins one exact pass; above it the
+    exponents of each side (1 and the listed p) join one sweep pass of that
+    side's certificate.
     """
     sides = [(False, reversible_ps), (True, directed_ps)]
     sides = [(directed, [p for p in ps if 0.5 < p <= 1.0]) for directed, ps in sides if ps is not None]
-    if a.exact_ok and sides:
-        a._expect([1.0, 0.5] + [p for _, ps in sides for p in ps])
+    for directed, ps in sides:
+        if a.exact_ok:
+            a._expect([1.0, 0.5, *ps])
+        else:
+            a._expect_sweeps([1.0, *ps], directed)
     reports: list[BoundReport] = []
     for directed, ps in sides:
         reports.extend(check_chung(a) if directed else check_cheeger(a))

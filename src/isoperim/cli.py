@@ -64,7 +64,7 @@ def _parse_n_list(text: str) -> list[int]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     c = load_chain(args.input, args.format)
     ps = _parse_p_list(args.p)
-    a = ChainAnalysis(c, ps if args.method != "sweep" else ())
+    a = ChainAnalysis(c, ps if args.method != "sweep" else (), ps if args.method != "exact" else ())
     directed = args.directed_spectral or not a.reversible
     # the suite runs first so that its exponents join the one exact pass
     reports = bound_suite(a, ps if a.reversible else None, ps if directed else None)

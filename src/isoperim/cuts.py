@@ -11,9 +11,14 @@ is the minimum over nonempty S with pi(S) <= 1/2.
 
 The exact enumerator walks all bitmasks, vectorized in blocks of up to 2^16
 masks with an add-one-vertex recurrence for the subset row sums; ties are
-broken toward the smallest bitmask. The sweep cut evaluates phi_p on every
-distinct level set of the truncated second eigenvector and returns the best;
-for p > 1/2 the winner provably satisfies phi_p <= 2 sqrt(lambda2 / (2p-1)).
+broken toward the smallest bitmask. The sweep cut takes the best of the
+distinct level sets of the truncated second eigenvector; for p > 1/2 the
+winner provably satisfies phi_p <= 2 sqrt(lambda2 / (2p-1)). The level order
+depends only on the certificate, so :func:`sweep_cuts` serves every exponent
+from one incremental pass: it keeps each vertex's crossing mass as the level
+sets shrink, at O(n^2) per certificate, and evaluates again only the levels
+within rounding of the best, so the winner (smallest phi, then the smallest
+level set) is the one a direct evaluation of every level picks.
 """
 
 from __future__ import annotations
@@ -207,33 +212,95 @@ def phi_p_exact(c: MarkovChain, p: float, max_n: int | None = None) -> CutResult
     return exact_minima(c, [p], max_n=max_n)[_validate_p(p)]
 
 
-def sweep_cut(c: MarkovChain, p: float, cert: SpectralCertificate) -> CutResult:
-    """Best level set of the truncated second eigenvector.
+def sweep_cuts(c: MarkovChain, ps: Sequence[float], cert: SpectralCertificate) -> dict[float, CutResult]:
+    """Best level set of the truncated second eigenvector for each exponent,
+    from one pass over the level sets.
 
     Thresholds run over the distinct values of f(i)^2 in descending order, so
     vertices with equal f enter together and every distinct level set is
-    tried. Each candidate has pi-mass <= 1/2 by the truncation. For
-    p in (1/2, 1] the returned set satisfies :func:`sweep_guarantee`, and a
-    winner above it (a certificate that understates lambda2) raises
-    NumericalFailure.
+    tried. Each candidate has pi-mass <= 1/2 by the truncation. The pass
+    walks the levels from the largest set down, keeping the crossing mass
+    P(v, S-bar) of every vertex as a sum of the complement's columns (a group
+    leaving S adds its columns) and, for p = 0, the count of structurally
+    nonzero entries there; sums of nonnegative terms carry no cancellation.
+    Level masses and the p = 0 values equal :func:`_evaluate_set` exactly;
+    for p > 0 every level within a relative ``_sweep_rtol(n)`` of the pass's
+    minimum is evaluated again by :func:`_evaluate_set`. The winner is the
+    smallest phi, and on a tie the smallest level set. For p in (1/2, 1] it
+    satisfies :func:`sweep_guarantee`; a winner above it (a certificate that
+    understates lambda2) raises NumericalFailure, checked in the order of
+    ``ps``. Costs O(n^2) per certificate plus O(n) per level and exponent.
     """
-    p = _validate_p(p)
-    f = truncated_eigenvector(cert, c)
-    fsq = f**2
-    best: CutResult | None = None
-    for t in sorted(set(fsq.tolist()), reverse=True):
-        idx = np.nonzero(fsq > t)[0]
-        if idx.size == 0:
-            continue
-        cut = _evaluate_set(c, idx, p, "sweep")
-        if best is None or cut.phi < best.phi:
-            best = cut
-    if best is None:
+    ps = list(dict.fromkeys(_validate_p(p) for p in ps))
+    fsq = truncated_eigenvector(cert, c) ** 2
+    values, inverse = np.unique(fsq, return_inverse=True)
+    levels = values.size - 1  # level j = 1..levels is S_j = {fsq > values[-1 - j]}
+    if levels == 0:
         raise NumericalFailure("truncated eigenvector has no nonempty level set")
-    bound = sweep_guarantee(cert, p)
-    if bound is not None and not best.phi <= bound + GUARANTEE_TOL:
-        raise NumericalFailure(f"sweep guarantee violated: phi={best.phi} > {bound}")
-    return best
+    rank = levels - inverse  # group of each vertex: 0 holds the largest f^2
+    order = np.argsort(rank, kind="stable")
+    first = np.searchsorted(rank[order], np.arange(levels + 2))
+    P, pi = c.P, c.pi
+    need_p0 = 0.0 in ps
+    member = rank < levels
+    cross = np.zeros(c.n)
+    support = np.zeros(c.n, dtype=np.int64)
+    mass = np.empty(levels)
+    num = {p: np.empty(levels) for p in ps}
+    for j in range(levels, 0, -1):
+        group = order[first[j] : first[j + 1]]
+        member[group] = False
+        cols = P[:, group]
+        cross += cols.sum(axis=1)
+        pi_s = pi[member]
+        mass[j - 1] = pi_s.sum()
+        if need_p0:
+            support += (cols > STRUCTURAL_ZERO).sum(axis=1)
+            num[0.0][j - 1] = pi[member & (support > 0)].sum()
+        cross_s = cross[member]
+        for p in ps:
+            if p != 0.0:
+                num[p][j - 1] = np.dot(pi_s, cross_s**p)
+    too_heavy = np.flatnonzero(mass > 0.5 + MASS_SLACK)
+    if too_heavy.size:
+        raise InputError(f"pi(S) = {float(mass[too_heavy[0]])} exceeds 1/2")
+
+    out: dict[float, CutResult] = {}
+    for p in ps:
+        phi = num[p] / mass
+        if p == 0.0:  # exact values: the first minimum wins
+            near = np.argmin(phi, keepdims=True)
+        else:
+            near = np.flatnonzero(phi <= phi.min() * (1.0 + _sweep_rtol(c.n)))
+        best: CutResult | None = None
+        for j in near:
+            cut = _evaluate_set(c, np.flatnonzero(rank <= j), p, "sweep")
+            if best is None or cut.phi < best.phi:
+                best = cut
+        bound = sweep_guarantee(cert, p)
+        if bound is not None and not best.phi <= bound + GUARANTEE_TOL:
+            raise NumericalFailure(f"sweep guarantee violated: phi={best.phi} > {bound}")
+        out[p] = best
+    return out
+
+
+def _sweep_rtol(n: int) -> float:
+    """Relative window around the pass's minimum that holds the exact winner.
+
+    The pass and :func:`_evaluate_set` each sum at most n nonnegative
+    crossing terms and at most n positive numerator terms, in different
+    orders, so each is within about 2n units in the last place of the true
+    value and the exact winner's pass value within about 4n of the pass's
+    minimum; the window is twice that.
+    """
+    return max(1e-12, 4.0 * (n + 2) * float(np.finfo(float).eps))
+
+
+def sweep_cut(c: MarkovChain, p: float, cert: SpectralCertificate) -> CutResult:
+    """Best level set of the truncated second eigenvector for one exponent;
+    see :func:`sweep_cuts`."""
+    p = _validate_p(p)
+    return sweep_cuts(c, [p], cert)[p]
 
 
 def sweep_guarantee(cert: SpectralCertificate, p: float) -> float | None:

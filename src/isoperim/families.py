@@ -26,9 +26,11 @@ import numpy as np
 
 from .bounds import BoundReport, make_report
 from .chains import MAX_STATES, MarkovChain, WeightedGraph, chain_from_directed, chain_from_undirected, check_states
-from .errors import InputError
+from .errors import InputError, TooLarge
 
 _MASS_SLACK = 1e-12
+# Largest n of the scan: its arc minimum costs O(n^2) (about 6 s at 2^16).
+SCAN_MAX_N = 2**16
 # Largest hypercube dimension built or evaluated: 2^d <= MAX_STATES states.
 _HYPERCUBE_MAX_D = MAX_STATES.bit_length() - 1
 
@@ -163,13 +165,16 @@ def scaling_scan(n_list: Iterable[int], output: str | None = None) -> list[ScanR
     phi_{1/2} (an upper bound on the true value; arcs are conjectured but not
     proven optimal), rho = phi_half_arc / sqrt(lambda2), and the scaled
     quantities lambda2 * n^2 / log n and phi_half_arc * n / log n. Writes CSV
-    with full-precision scientific notation when ``output`` is given.
+    with full-precision scientific notation when ``output`` is given. An n
+    above SCAN_MAX_N raises TooLarge before any row is computed.
     """
     ns = sorted({int(n) for n in n_list})
     if not ns:
         raise InputError("n_list must be nonempty")
     if ns[0] < 8:
         raise InputError(f"scan needs every n >= 8, got {ns[0]}")
+    if ns[-1] > SCAN_MAX_N:
+        raise TooLarge(f"scan supports n <= {SCAN_MAX_N}, got {ns[-1]}")
     rows: list[ScanRow] = []
     for n in ns:
         prefix, C = _kernel_prefix(n)
@@ -207,8 +212,10 @@ def cycle_graph(n: int) -> WeightedGraph:
     """Unit-weight ring on n >= 3 vertices."""
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
-    edges = [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)]
-    return WeightedGraph(n=n, edges=tuple(edges))
+    check_states(n)
+    u = np.append(np.arange(n - 1), 0)
+    v = np.append(np.arange(1, n), n - 1)
+    return WeightedGraph(n=n, edges=np.column_stack([u, v, np.ones(n)]))
 
 
 def hypercube_graph(d: int) -> WeightedGraph:

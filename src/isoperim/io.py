@@ -63,7 +63,56 @@ def _graph(path: str, n: int, edges: np.ndarray, directed: bool, source: Callabl
         raise InputError(f"{path}:{lineno}: " + reason.format(u=u, v=v, w=repr(w), ids=f"1..{n}")) from None
 
 
+# The ASCII characters str.split() separates tokens at.
+_SPACE = np.array([chr(b).isspace() for b in range(128)])
+
+
+def _edge_tsv_whole(path: str) -> tuple[bool, np.ndarray] | None:
+    """Header kind and raw (u, v, w) rows of an edge-tsv file, parsed from the
+    whole body at once; None when the body needs the line-by-line parser:
+    a comment, non-ASCII text, a line that is not three tokens, or a token
+    that ``int``/``float`` reject. Ids go through an integer dtype, so
+    ``2.5`` is no id."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = ""
+        while not header or header[0] == "#":
+            line = fh.readline()
+            if not line:
+                return None
+            header = line.strip()
+        body = fh.read()
+    header = " ".join(header.split())
+    if header not in ("undirected", "directed") or not body.isascii() or "#" in body:
+        return None
+    text = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    space = _SPACE[text]
+    starts = ~space
+    starts[1:] &= space[:-1]
+    tokens_before = np.searchsorted(np.flatnonzero(starts), np.append(np.flatnonzero(text == 10), text.size))
+    del text, space, starts
+    per_line = np.diff(tokens_before, prepend=0)
+    if tokens_before[-1] == 0 or not np.all((per_line == 0) | (per_line == 3)):
+        return None
+    tokens = body.split()
+    del body
+    edges = np.empty((len(tokens) // 3, 3))
+    try:
+        edges[:, 0] = np.array(tokens[0::3], dtype=np.int64)
+        edges[:, 1] = np.array(tokens[1::3], dtype=np.int64)
+        edges[:, 2] = np.array(tokens[2::3], dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    return header == "directed", edges
+
+
 def _parse_edge_tsv(path: str) -> WeightedGraph:
+    whole = _edge_tsv_whole(path)
+    if whole is not None:
+        directed, edges = whole
+        try:
+            return WeightedGraph(n=_zero_based(edges, directed), edges=edges, directed=directed, allow_self_loops=True)
+        except InputError:
+            pass  # the line-by-line parse below names the faulty line
     header, body = _header_and_body(path, ("undirected", "directed"))
     directed = header == "directed"
     rows = []
@@ -76,11 +125,17 @@ def _parse_edge_tsv(path: str) -> WeightedGraph:
         except (ValueError, OverflowError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
     edges = np.array(rows)
+    n = _zero_based(edges, directed)
+    return _graph(path, n, edges, directed, lambda row: (body[row][0], *body[row][1].split()))
+
+
+def _zero_based(edges: np.ndarray, directed: bool) -> int:
+    """Make parsed (u, v, w) rows 0-based in place, with u <= v when
+    undirected, and return the number of vertices."""
     edges[:, :2] -= 1
     if not directed:
         edges[:, :2].sort(axis=1)
-    n = max(int(edges[:, :2].max()) + 1, 1)
-    return _graph(path, n, edges, directed, lambda row: (body[row][0], *body[row][1].split()))
+    return max(int(edges[:, :2].max()) + 1, 1)
 
 
 def _parse_dense(path: str) -> WeightedGraph | MarkovChain:
@@ -127,10 +182,17 @@ def load_chain(path: str, format: str) -> MarkovChain:
 
 
 def write_graph_tsv(g: WeightedGraph, path: str) -> None:
-    """Write edge-tsv with 1-based ids and full-precision weights."""
+    """Write edge-tsv with 1-based ids and full-precision weights.
+
+    Each distinct id and each distinct weight (by bit pattern, so -0.0 keeps
+    its sign) is formatted once.
+    """
+    bits, which = np.unique(g.edges[:, 2].view(np.int64), return_inverse=True)
+    weights = [_fmt(w) for w in bits.view(float).tolist()]
+    ids = [str(i) for i in range(g.n + 1)]
     us, vs = (g.edges[:, :2].astype(np.int64) + 1).T.tolist()
     lines = ["directed" if g.directed else "undirected"]
-    lines += [f"{u}\t{v}\t{_fmt(w)}" for u, v, w in zip(us, vs, g.edges[:, 2].tolist())]
+    lines += [f"{ids[u]}\t{ids[v]}\t{weights[k]}" for u, v, k in zip(us, vs, which.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -2,13 +2,19 @@
 
 Everything here is deliberately written with plain Python loops, fsum, and
 itertools so it shares no code path with the library (which vectorizes with
-bitmask tables, prefix sums, and FFTs).
+bitmask tables, prefix sums, and FFTs). The one exception is
+:func:`naive_sweep`, which walks the level sets on its own but evaluates each
+with the library's per-set evaluation, so that its winner can be compared bit
+for bit.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+from isoperim.cuts import _evaluate_set
+from isoperim.spectral import truncated_eigenvector
 
 ZERO = 1e-15
 
@@ -119,3 +125,19 @@ def naive_weight_matrix(n, edges, directed):
         if not directed and u != v:
             W[int(v), int(u)] += w
     return W
+
+
+def naive_sweep(c, p, cert):
+    """Best level set of the truncated eigenvector, each distinct threshold of
+    f^2 evaluated directly from P in descending order (O(n^3)); the first
+    strictly smallest phi wins. No guarantee check."""
+    fsq = truncated_eigenvector(cert, c) ** 2
+    best = None
+    for t in sorted(set(fsq.tolist()), reverse=True):
+        idx = np.nonzero(fsq > t)[0]
+        if idx.size == 0:
+            continue
+        cut = _evaluate_set(c, idx, p, "sweep")
+        if best is None or cut.phi < best.phi:
+            best = cut
+    return best

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from isoperim import (
     exact_minima,
+    gen_cycle,
     gen_hypercube,
     gen_random_directed,
     gen_random_reversible,
@@ -18,9 +19,10 @@ from isoperim import (
     phi_p_of_set,
     phi_profile,
     sweep_cut,
+    sweep_cuts,
 )
 from isoperim.errors import InputError, NumericalFailure, TooLarge
-from oracles import naive_phi_exact, naive_phi_p
+from oracles import naive_phi_exact, naive_phi_p, naive_sweep
 
 
 def test_two_state_singleton(two_state):
@@ -275,3 +277,72 @@ def test_sweep_guarantee_violation_raises_numerical_failure(cycle6):
         sweep_cut(cycle6, 0.75, cert)
     # p <= 1/2 carries no guarantee, so the same certificate still sweeps
     assert sweep_cut(cycle6, 0.5, cert).method == "sweep"
+
+
+SWEEP_PS = [0.0, 0.5, 0.6, 0.75, 1.0]
+
+
+def _assert_sweeps_match_naive(c, cert):
+    """sweep_cuts picks the subset and the bit-identical phi of the direct
+    level-by-level sweep for every exponent, from one pass."""
+    got = sweep_cuts(c, SWEEP_PS, cert)
+    for p in SWEEP_PS:
+        want = naive_sweep(c, p, cert)
+        assert got[p] == want, p
+        assert got[p].phi.hex() == want.phi.hex()
+        assert sweep_cut(c, p, cert) == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(3, 12),
+    directed=st.booleans(),
+    density=st.sampled_from([0.2, 0.5, 1.0]),
+    steps=st.sampled_from([None, 1, 2, 3, 5]),
+)
+def test_sweep_cuts_match_naive_sweep(seed, n, directed, density, steps):
+    c = (gen_random_directed if directed else gen_random_reversible)(n, density=density, seed=seed)
+    cert = lambda2_directed(c) if directed else lambda2_reversible(c)
+    if steps is not None:
+        # f2 rounded to a few values forces tied level sets; lambda2 = 2 puts
+        # every guarantee (at least 2 sqrt(2)) above any phi (at most 1)
+        f2 = np.round(cert.f2 / np.abs(cert.f2).max() * steps)
+        cert = dataclasses.replace(cert, f2=f2, lambda2=2.0)
+    try:
+        naive_sweep(c, 0.5, cert)
+    except NumericalFailure as exc:  # no sign of the rounded f2 has mass <= 1/2
+        with pytest.raises(NumericalFailure, match=str(exc)):
+            sweep_cuts(c, SWEEP_PS, cert)
+        return
+    _assert_sweeps_match_naive(c, cert)
+
+
+def test_sweep_cuts_match_naive_sweep_on_rounding_ties():
+    # levels grow through a set without internal transitions, so every level
+    # has phi_p = 1 in exact arithmetic: only rounding, which differs between
+    # the pass and a direct evaluation, and the tie rule separate them
+    for seed in range(150):
+        for gen in (gen_random_reversible, gen_random_directed):
+            c = gen(6 + seed % 7, density=0.5, seed=seed)
+            chosen: list[int] = []
+            for v in np.random.default_rng(seed).permutation(c.n).tolist():
+                if not c.P[v, chosen].any() and not c.P[chosen, v].any() and c.pi[chosen + [v]].sum() <= 0.5:
+                    chosen.append(v)
+            f2 = np.zeros(c.n)
+            f2[chosen] = np.arange(len(chosen), 0, -1)
+            cert = lambda2_directed(c) if gen is gen_random_directed else lambda2_reversible(c)
+            _assert_sweeps_match_naive(c, dataclasses.replace(cert, f2=f2, lambda2=2.0))
+
+
+def test_sweep_cuts_match_naive_sweep_with_tied_levels():
+    # exact eigenvectors with repeated values: the cycle's cosine made
+    # symmetric, v(i) = v(-i), and a sum of two hypercube coordinates
+    i = np.arange(16)
+    cos = np.cos(2 * np.pi * i / 16)
+    coords = (1.0 - 2.0 * (i & 1)) + (1.0 - 2.0 * ((i >> 1) & 1))
+    for c, f2 in ((gen_cycle(16), (cos + cos[-i % 16]) / 2), (gen_hypercube(4), coords)):
+        positive = f2[f2 > 0]
+        assert len(set(positive.tolist())) < positive.size
+        for cert in (lambda2_reversible(c), lambda2_directed(c)):
+            _assert_sweeps_match_naive(c, dataclasses.replace(cert, f2=f2))

@@ -2,8 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+from unittest import mock
 
 import isoperim.bounds
+import isoperim.io
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,8 @@ from isoperim import (
     write_graph_tsv,
 )
 from isoperim.cli import cli_main
-from isoperim.errors import InputError
-from isoperim.families import cycle_graph, ht_counterexample_graph, random_reversible_graph
+from isoperim.errors import InputError, IsoperimError
+from isoperim.families import cycle_graph, ht_counterexample_graph, random_directed_graph, random_reversible_graph
 from isoperim.io import make_provenance
 
 
@@ -300,6 +302,31 @@ def test_cli_verify_derives_each_quantity_once(random6, monkeypatch):
     assert calls == {"exact_minima": 1, "lambda2_reversible": 1, "lambda2_directed": 1}
 
 
+@pytest.mark.parametrize("cap", ["24", "4"])
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("extra", [[], ["--directed-spectral"]])
+def test_cli_analyze_sweeps_each_certificate_once(tmp_path, monkeypatch, cap, directed, extra):
+    # within the cap only the cuts section sweeps; above it the bound suite
+    # reads phi_1 and phi_0.75 of each side's certificate by sweep as well
+    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    g = tmp_path / "g.tsv"
+    write_graph_tsv((random_directed_graph if directed else random_reversible_graph)(7, 0.5, 2), str(g))
+    passes = []
+    real = isoperim.bounds.sweep_cuts
+
+    def counted(c, ps, cert):
+        passes.append((cert.kind, list(ps)))
+        return real(c, ps, cert)
+
+    monkeypatch.setattr(isoperim.bounds, "sweep_cuts", counted)
+    argv = ["analyze", "--input", str(g), "--p", "0.5,0.75,1", "--method", "sweep", *extra, "--out", str(tmp_path / "r.json")]
+    assert cli_main(argv) == 0
+    own = "chung-directed" if directed else "reversible-normalized"
+    both = cap == "4" and extra and not directed
+    assert sorted(kind for kind, _ in passes) == sorted([own, "chung-directed"] if both else [own])
+    assert {p for kind, ps in passes if kind == own for p in ps} == {0.5, 0.75, 1.0}
+
+
 def test_cli_analyze_directed_spectral_bounds_order(random6, tmp_path):
     out = tmp_path / "r.json"
     argv = ["analyze", "--input", random6, "--p", "0.5,0.75,1", "--directed-spectral", "--out", str(out)]
@@ -364,6 +391,8 @@ def test_cli_bad_input_values_exit_2(tmp_path, capsys, fmt, text, message):
         (["generate", "--family", "random", "--n", "100000", "--out", "OUT"], "100000 states exceed the limit of 16384"),
         (["generate", "--family", "ht-counterexample", "--n", "100000", "--out", "OUT"], "100000 states exceed the limit"),
         (["generate", "--family", "dumbbell", "--n", "100000", "--out", "OUT"], "200000 states exceed the limit"),
+        (["generate", "--family", "cycle", "--n", "1000000000", "--out", "OUT"], "1000000000 states exceed the limit"),
+        (["scan", "--n-list", "1048576", "--out", "OUT"], "scan supports n <= 65536, got 1048576"),
     ],
 )
 def test_cli_bad_parameters_exit_2(tmp_path, capsys, argv, message):
@@ -503,3 +532,52 @@ def test_cli_fuzz_file_commands(fuzz_dir, fmt, data, command, p_text, option):
 @given(n_list=_N_LIST)
 def test_cli_fuzz_scan(fuzz_dir, n_list):
     _run_cli(["scan", f"--n-list={n_list}", "--out", str(fuzz_dir / "scan.csv")])
+
+
+def _parse_outcome(path):
+    try:
+        g = parse_graph(str(path), "edge-tsv")
+    except IsoperimError as exc:
+        return type(exc).__name__, str(exc)
+    return g.n, g.directed, g.edges.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=_edge_tsv(), data=st.data())
+def test_parse_whole_body_matches_line_by_line(fuzz_dir, lines, data):
+    # the whole-body parse must accept, build and reject exactly what the
+    # line-by-line parse does, with the same message; its fallbacks are
+    # exercised by comments, blank lines, other whitespace and non-ASCII text
+    seps = st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n", "\n# note\n", " \n", "\x0b\n"])
+    spaces = st.sampled_from(["\t", " ", "  ", "\x0b", "\x1f", "\xa0"])
+    text = "".join(line.replace("\t", data.draw(spaces)) + data.draw(seps) for line in lines)
+    path = fuzz_dir / "whole.tsv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    whole = _parse_outcome(path)
+    with mock.patch.object(isoperim.io, "_edge_tsv_whole", return_value=None):
+        assert whole == _parse_outcome(path)
+
+
+def test_parse_whole_body_falls_back(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("directed\n1\t2\t0.5\n\n2 1  1e-3\n")
+    directed, edges = isoperim.io._edge_tsv_whole(str(path))
+    assert directed and edges.tolist() == [[1.0, 2.0, 0.5], [2.0, 1.0, 1e-3]]
+    for body in ("1\t2\n1\t2\t3\t4\n", "1\t2\t3\x0b4\x1f5\x0c6\n", "# c\n1\t2\t1\n", "1\t2.5\t1\n", "1\t2\t1\xa0\n", "1\t99999999999999999999\t1\n"):
+        path.write_text("undirected\n" + body)
+        assert isoperim.io._edge_tsv_whole(str(path)) is None, body
+    # two and four tokens make six, but each line is still checked
+    path.write_text("undirected\n1\t2\n1\t2\t3\t4\n")
+    with pytest.raises(InputError, match=f"{path}:2: expected"):
+        parse_graph(str(path), "edge-tsv")
+
+
+def test_write_graph_tsv_formats_each_weight_bit_pattern(tmp_path):
+    # repeated weights are formatted once; -0.0 equals 0.0 but keeps its sign
+    edges = [(0, 1, -0.0), (1, 2, 0.0), (0, 2, 0.1), (2, 3, 0.1), (0, 3, 1 / 3)]
+    path = tmp_path / "g.tsv"
+    write_graph_tsv(WeightedGraph(n=4, edges=edges), str(path))
+    rows = [f"{u + 1}\t{v + 1}\t{w:.17g}" for u, v, w in edges]
+    assert path.read_text() == "undirected\n" + "\n".join(rows) + "\n"
+    assert rows[0].endswith("-0")

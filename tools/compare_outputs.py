@@ -11,6 +11,9 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``generate`` for every family;
 - ``analyze``, ``verify`` and ``sweep`` on edge-tsv files and on dense weight
   and transition matrices, self-loops included;
+- ``sweep`` and ``analyze --method sweep`` at p = 0, 1/2 and 1 on cycles,
+  hypercubes and dumbbells within and above the exact cap, whose symmetric
+  eigenvectors give tied level sets;
 - malformed or invalid files, which must exit 2.
 
 It compares exit codes, standard output and every output file, checks that
@@ -96,6 +99,27 @@ def _file_commands(name: str, path: str, fmt: str) -> list[dict]:
     ]
 
 
+def _write_tied(path: str, family: str, size: int) -> None:
+    """Unit-weight cycle on ``size`` vertices, hypercube of dimension
+    ``size``, or two cliques K_size joined by one edge."""
+    if family == "cycle":
+        inputs.write_cycle(path, size)
+        return
+    if family == "hypercube":
+        pairs = [(a, a ^ (1 << i)) for a in range(1 << size) for i in range(size) if not (a >> i) & 1]
+    else:
+        pairs = [(a + k, b + k) for k in (0, size) for a in range(size) for b in range(a + 1, size)] + [(size - 1, size)]
+    lines = ["undirected"] + [f"{a + 1}\t{b + 1}\t1" for a, b in pairs]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _tied_commands(name: str, path: str) -> list[dict]:
+    base = ["--input", path, "--format", "edge-tsv"]
+    plan = [{"id": f"sweep-p{p}-{name}", "argv": ["sweep", *base, "--p", p]} for p in ("0", "0.5", "1")]
+    plan.append({"id": f"analyze-sweep-{name}", "argv": ["analyze", *base, "--p", "0,0.5,1", "--method", "sweep", "--out", "OUT/t.json"]})
+    return plan
+
+
 def build_plan(work: str) -> list[dict]:
     """Write the inputs under ``work`` and return the commands. An argument
     starting with ``OUT/`` names an output file in the checkout's own
@@ -138,6 +162,12 @@ def build_plan(work: str) -> list[dict]:
         valid.append((name, path, "dense-matrix"))
     for name, path, fmt in valid:
         plan += _file_commands(name, path, fmt)
+
+    # sizes on both sides of the default exact cap of 24 states
+    for family, size in (("cycle", 12), ("cycle", 40), ("hypercube", 4), ("hypercube", 5), ("dumbbell", 5), ("dumbbell", 15)):
+        path = os.path.join(work, f"tied-{family}{size}.tsv")
+        _write_tied(path, family, size)
+        plan += _tied_commands(f"{family}{size}", path)
 
     for name, fmt, text in FAULTY:
         path = os.path.join(work, name)
