@@ -131,7 +131,7 @@ def _support_masks(P: np.ndarray) -> np.ndarray:
     return masks
 
 
-def exact_minima(c: MarkovChain, ps: Sequence[float], max_n: int | None = None) -> dict[float, CutResult]:
+def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     """Global minimizers of phi_p over all admissible subsets, one pass for
     several exponents at once.
 
@@ -139,7 +139,7 @@ def exact_minima(c: MarkovChain, ps: Sequence[float], max_n: int | None = None) 
     vectorized in blocks over the low bits; ties go to the smallest bitmask.
     """
     ps = [_validate_p(p) for p in ps]
-    cap = exact_enumeration_cap() if max_n is None else int(max_n)
+    cap = exact_enumeration_cap()
     if c.n > cap:
         raise TooLarge(f"n = {c.n} exceeds the exact enumeration cap {cap}")
     n, P, pi = c.n, c.P, c.pi
@@ -207,9 +207,9 @@ def exact_minima(c: MarkovChain, ps: Sequence[float], max_n: int | None = None) 
     return out
 
 
-def phi_p_exact(c: MarkovChain, p: float, max_n: int | None = None) -> CutResult:
+def phi_p_exact(c: MarkovChain, p: float) -> CutResult:
     """Exact phi_p by enumeration of all admissible subsets (n <= cap)."""
-    return exact_minima(c, [p], max_n=max_n)[_validate_p(p)]
+    return exact_minima(c, [p])[_validate_p(p)]
 
 
 def sweep_cuts(c: MarkovChain, ps: Sequence[float], cert: SpectralCertificate) -> dict[float, CutResult]:

@@ -99,7 +99,12 @@ def circulant_lambda2(first_row: Sequence[float]) -> float:
 
 
 def _kahan_cumsum(x: np.ndarray) -> np.ndarray:
-    """Compensated running sum; keeps kernel prefix tails accurate."""
+    """Compensated running sum; keeps kernel prefix tails accurate.
+
+    Kept on purpose: ``np.cumsum`` moves ``arc_phi_half`` by up to about
+    5e-11 relative (n = 4096: 3.7528998506785307e-03 becomes
+    3.7528998508551477e-03), which changes the bytes ``scan`` writes.
+    """
     out = np.empty(x.size)
     total = 0.0
     comp = 0.0
@@ -224,9 +229,10 @@ def hypercube_graph(d: int) -> WeightedGraph:
         raise InputError(f"hypercube needs d >= 1, got {d}")
     if d > _HYPERCUBE_MAX_D:
         raise InputError(f"hypercube supports d <= {_HYPERCUBE_MAX_D}, got {d}")
-    n = 1 << d
-    edges = [(x, x ^ (1 << i), 1.0) for x in range(n) for i in range(d) if not (x >> i) & 1]
-    return WeightedGraph(n=n, edges=tuple(edges))
+    x, i = np.divmod(np.arange(d << d), d)  # every (vertex, bit), vertex-major
+    low = (x >> i) & 1 == 0
+    x, i = x[low], i[low]
+    return WeightedGraph(n=1 << d, edges=np.column_stack([x, x ^ (1 << i), np.ones(x.size)]))
 
 
 def dumbbell_graph(m: int) -> WeightedGraph:

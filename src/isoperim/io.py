@@ -2,12 +2,14 @@
 
 Two input formats are supported. ``edge-tsv`` starts with a header line
 ``undirected`` or ``directed`` followed by ``u<TAB>v<TAB>w`` lines with
-1-based vertex ids (``#`` comments and blank lines ignored); undirected edges
-are stored once, so listing both (u, v) and (v, u) is a parse error.
-``dense-matrix`` starts with ``matrix-kind transition`` or
-``matrix-kind weight`` followed by n rows of n whitespace-separated reals; a
-transition matrix becomes a validated raw-matrix chain, a weight matrix
-becomes an undirected graph when symmetric and a directed one otherwise.
+1-based vertex ids; undirected edges are stored once, so listing both (u, v)
+and (v, u) is a parse error. ``dense-matrix`` starts with
+``matrix-kind transition`` or ``matrix-kind weight`` followed by n rows of n
+whitespace-separated reals; a transition matrix becomes a validated
+raw-matrix chain, a weight matrix becomes an undirected graph when symmetric
+and a directed one otherwise. Input is UTF-8, lines end at ``\n``, ``\r\n``
+or ``\r``, tokens are separated by whatever ``str.split`` splits at, and blank
+lines and lines whose first token starts with ``#`` are skipped.
 
 All numeric output is decimal with 17 significant digits, so every float
 round-trips bit-identically and identical inputs give byte-identical files.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from typing import Any, Callable
 
 import numpy as np
@@ -37,20 +40,73 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _header_and_body(path: str, headers: tuple[str, ...]) -> tuple[str, list[tuple[int, str]]]:
-    """The header line, one of ``headers`` up to whitespace, and the numbered
-    lines after it; blank lines and ``#`` comments are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, line) for lineno, raw in enumerate(fh, start=1) if (line := raw.strip()) and line[0] != "#"]
+# str.split() separates tokens at ASCII whitespace, which no byte of a
+# multibyte UTF-8 character is, and at these characters (U+0085..U+3000).
+_SPACE = np.array([b < 128 and chr(b).isspace() for b in range(256)])
+_WIDE_SPACES = [chr(c).encode() for c in range(128, 0x3001) if chr(c).isspace()]
+_BLOCK = 1 << 16  # edge-tsv lines whose tokens are alive at once
+_LINE = re.compile(rb"[^\r\n]*")
+
+
+def _read(path: str, headers: tuple[str, ...]) -> tuple:
+    """Read an input file once and lay out all its lines at once: returns the
+    header, the file's bytes with comments blanked, and the line number,
+    first-token offset (plus the end of the file) and token count of each
+    body line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = raw
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+            raise InputError(f"{path}:{lineno}: not UTF-8 text (byte {raw[exc.start]:#04x})") from None
+        for space in _WIDE_SPACES:  # as many ASCII spaces, so the offsets stay those of raw
+            data = data.replace(space, b" " * len(space))
+    b = np.frombuffer(data, dtype=np.uint8)
+    space = _SPACE[b]
+    start = ~space
+    start[1:] &= space[:-1]
+    start = np.flatnonzero(start)  # offset of each token
+    del space
+    brk = b == 10
+    if b"\r" in data:
+        brk |= (b == 13) & np.append(b[1:] != 10, True)
+    end = np.append(np.flatnonzero(brk), b.size)  # offset at which each line ends
+    del brk
+    before = np.searchsorted(start, end)  # tokens before the end of each line
+    count = np.diff(before, prepend=0)
+    line = np.flatnonzero(count)  # lines with tokens
+    heads = start[before[line] - count[line]]
+    comment = b[heads] == ord("#")
+    del data, b, start, before  # only per-line arrays are left
+    spans = np.column_stack([heads[comment], end[line[comment]]])
+    lines, heads, counts = line[~comment] + 1, heads[~comment], count[line[~comment]]
     expected = " or ".join(map(repr, headers))
-    if not lines:
+    if lines.size == 0:
         raise InputError(f"{path}: empty file, expected header {expected}")
-    lineno, header = lines[0]
+    header = _line(raw, heads[0])
     if " ".join(header.split()) not in headers:
-        raise InputError(f"{path}:{lineno}: header must be {expected}, got {header!r}")
-    if len(lines) == 1:
+        raise InputError(f"{path}:{lines[0]}: header must be {expected}, got {header!r}")
+    if lines.size == 1:
         raise InputError(f"{path}: nothing after the header")
-    return " ".join(header.split()), lines[1:]
+    if spans.size:
+        raw = bytearray(raw)
+        edge = np.zeros(len(raw) + 1, dtype=np.int8)
+        edge[spans] = [1, -1]
+        np.frombuffer(raw, dtype=np.uint8)[np.cumsum(edge[:-1], dtype=np.int8) > 0] = ord(" ")
+    return " ".join(header.split()), raw, lines[1:], np.append(heads[1:], len(raw)), counts[1:]
+
+
+def _line(data: bytes, at: int) -> str:
+    """The stripped text of the line of ``data`` that starts at offset ``at``."""
+    return _LINE.match(data, at).group().decode("utf-8").strip()
+
+
+def _tokens(data: bytes, heads: np.ndarray, a: int, z: int) -> list[str]:
+    """The tokens of body lines ``a`` to ``z - 1``."""
+    return str(memoryview(data)[heads[a] : heads[z]], "utf-8").split()
 
 
 def _graph(path: str, n: int, edges: np.ndarray, directed: bool, source: Callable[[int], tuple]) -> WeightedGraph:
@@ -63,102 +119,57 @@ def _graph(path: str, n: int, edges: np.ndarray, directed: bool, source: Callabl
         raise InputError(f"{path}:{lineno}: " + reason.format(u=u, v=v, w=repr(w), ids=f"1..{n}")) from None
 
 
-# The ASCII characters str.split() separates tokens at.
-_SPACE = np.array([chr(b).isspace() for b in range(128)])
-
-
-def _edge_tsv_whole(path: str) -> tuple[bool, np.ndarray] | None:
-    """Header kind and raw (u, v, w) rows of an edge-tsv file, parsed from the
-    whole body at once; None when the body needs the line-by-line parser:
-    a comment, non-ASCII text, a line that is not three tokens, or a token
-    that ``int``/``float`` reject. Ids go through an integer dtype, so
-    ``2.5`` is no id."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = ""
-        while not header or header[0] == "#":
-            line = fh.readline()
-            if not line:
-                return None
-            header = line.strip()
-        body = fh.read()
-    header = " ".join(header.split())
-    if header not in ("undirected", "directed") or not body.isascii() or "#" in body:
-        return None
-    text = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    space = _SPACE[text]
-    starts = ~space
-    starts[1:] &= space[:-1]
-    tokens_before = np.searchsorted(np.flatnonzero(starts), np.append(np.flatnonzero(text == 10), text.size))
-    del text, space, starts
-    per_line = np.diff(tokens_before, prepend=0)
-    if tokens_before[-1] == 0 or not np.all((per_line == 0) | (per_line == 3)):
-        return None
-    tokens = body.split()
-    del body
-    edges = np.empty((len(tokens) // 3, 3))
-    try:
-        edges[:, 0] = np.array(tokens[0::3], dtype=np.int64)
-        edges[:, 1] = np.array(tokens[1::3], dtype=np.int64)
-        edges[:, 2] = np.array(tokens[2::3], dtype=float)
-    except (ValueError, OverflowError):
-        return None
-    return header == "directed", edges
-
-
 def _parse_edge_tsv(path: str) -> WeightedGraph:
-    whole = _edge_tsv_whole(path)
-    if whole is not None:
-        directed, edges = whole
+    header, data, lines, heads, counts = _read(path, ("undirected", "directed"))
+    m = np.append(np.flatnonzero(counts != 3), len(counts))[0]  # lines before the first of another width
+    edges = np.empty((m, 3))
+    for a in range(0, m, _BLOCK):
+        z = min(a + _BLOCK, m)
+        tokens = _tokens(data, heads, a, z)
         try:
-            return WeightedGraph(n=_zero_based(edges, directed), edges=edges, directed=directed, allow_self_loops=True)
-        except InputError:
-            pass  # the line-by-line parse below names the faulty line
-    header, body = _header_and_body(path, ("undirected", "directed"))
-    directed = header == "directed"
-    rows = []
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 3:
-            raise InputError(f"{path}:{lineno}: expected 'u<TAB>v<TAB>w', got {line!r}")
-        try:
-            rows.append((float(int(parts[0])), float(int(parts[1])), float(parts[2])))
-        except (ValueError, OverflowError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-    edges = np.array(rows)
-    n = _zero_based(edges, directed)
-    return _graph(path, n, edges, directed, lambda row: (body[row][0], *body[row][1].split()))
-
-
-def _zero_based(edges: np.ndarray, directed: bool) -> int:
-    """Make parsed (u, v, w) rows 0-based in place, with u <= v when
-    undirected, and return the number of vertices."""
+            edges[a:z, 0] = np.array(tokens[0::3], dtype=np.int64)
+            edges[a:z, 1] = np.array(tokens[1::3], dtype=np.int64)
+            edges[a:z, 2] = np.array(tokens[2::3], dtype=float)
+        except (ValueError, OverflowError):  # name the first faulty line; ids past int64 go on to the graph check
+            for i, u, v, w in zip(range(a, z), tokens[0::3], tokens[1::3], tokens[2::3]):
+                try:
+                    edges[i] = float(int(u)), float(int(v)), float(w)
+                except (ValueError, OverflowError) as exc:
+                    raise InputError(f"{path}:{lines[i]}: {exc}") from exc
+    if m < len(counts):
+        raise InputError(f"{path}:{lines[m]}: expected 'u<TAB>v<TAB>w', got {_line(data, heads[m])!r}")
     edges[:, :2] -= 1
-    if not directed:
+    if header == "undirected":
         edges[:, :2].sort(axis=1)
-    return max(int(edges[:, :2].max()) + 1, 1)
+    n = max(int(edges[:, :2].max()) + 1, 1)
+    return _graph(path, n, edges, header == "directed", lambda row: (lines[row], *_tokens(data, heads, row, row + 1)))
 
 
 def _parse_dense(path: str) -> WeightedGraph | MarkovChain:
-    header, body = _header_and_body(path, ("matrix-kind transition", "matrix-kind weight"))
-    rows = []
-    for lineno, line in body:
-        try:
-            rows.append([float(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        bad = [tok for tok, x in zip(line.split(), rows[-1]) if not math.isfinite(x)]
-        if bad:
-            raise InputError(f"{path}:{lineno}: entry {bad[0]!r} is not a finite number")
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InputError(f"{path}: matrix must be square, got row lengths {[len(r) for r in rows]}")
-    M = np.array(rows, dtype=float)
+    header, data, lines, heads, counts = _read(path, ("matrix-kind transition", "matrix-kind weight"))
+    n = len(lines)
+    tokens = _tokens(data, heads, 0, n)
+    try:
+        M = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        M = None
+    if M is None or not np.isfinite(M).all():  # name the first faulty line
+        for i in range(n):
+            try:
+                bad = [tok for tok in _tokens(data, heads, i, i + 1) if not math.isfinite(float(tok))]
+            except ValueError as exc:
+                raise InputError(f"{path}:{lines[i]}: {exc}") from exc
+            if bad:
+                raise InputError(f"{path}:{lines[i]}: entry {bad[0]!r} is not a finite number")
+    if np.any(counts != n):
+        raise InputError(f"{path}: matrix must be square, got row lengths {counts.tolist()}")
+    M = M.reshape(n, n)
     if header == "matrix-kind transition":
         return chain_from_matrix(M, origin="raw-matrix")
     directed = not np.array_equal(M, M.T)
     u, v = np.nonzero(M if directed else np.triu(M))
     edges = np.column_stack([u, v, M[u, v]])
-    return _graph(path, n, edges, directed, lambda r: (body[u[r]][0], u[r] + 1, v[r] + 1, body[u[r]][1].split()[v[r]]))
+    return _graph(path, n, edges, directed, lambda r: (lines[u[r]], u[r] + 1, v[r] + 1, tokens[u[r] * n + v[r]]))
 
 
 def parse_graph(path: str, format: str) -> WeightedGraph | MarkovChain:
@@ -239,23 +250,11 @@ class AnalysisReport:
     provenance: dict
 
     def to_dict(self) -> dict:
-        return {
-            "chain": self.chain,
-            "spectral": self.spectral,
-            "cuts": self.cuts,
-            "bounds": self.bounds,
-            "provenance": self.provenance,
-        }
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisReport":
-        return cls(
-            chain=d["chain"],
-            spectral=d["spectral"],
-            cuts=list(d["cuts"]),
-            bounds=list(d["bounds"]),
-            provenance=d["provenance"],
-        )
+        return cls(**{field.name: d[field.name] for field in dataclasses.fields(cls)})
 
 
 def make_provenance(source: str, seed: int | None = None) -> dict:

@@ -2,10 +2,14 @@
 
 Everything here is deliberately written with plain Python loops, fsum, and
 itertools so it shares no code path with the library (which vectorizes with
-bitmask tables, prefix sums, and FFTs). The one exception is
-:func:`naive_sweep`, which walks the level sets on its own but evaluates each
-with the library's per-set evaluation, so that its winner can be compared bit
-for bit.
+bitmask tables, prefix sums, and FFTs). Two exceptions:
+
+- :func:`naive_sweep` walks the level sets on its own but evaluates each with
+  the library's per-set evaluation, so that its winner can be compared bit
+  for bit;
+- :func:`naive_parse_graph` reads a file line by line, converting each token
+  with ``int`` and ``float``, but hands the rows to the library's graph and
+  chain validators, so that its errors can be compared message for message.
 """
 
 import math
@@ -13,7 +17,9 @@ from itertools import combinations
 
 import numpy as np
 
+from isoperim.chains import WeightedGraph, chain_from_matrix, edge_fault
 from isoperim.cuts import _evaluate_set
+from isoperim.errors import InputError
 from isoperim.spectral import truncated_eigenvector
 
 ZERO = 1e-15
@@ -141,3 +147,86 @@ def naive_sweep(c, p, cert):
         if best is None or cut.phi < best.phi:
             best = cut
     return best
+
+
+def _header_and_body(path, headers):
+    """The header line, one of ``headers`` up to whitespace, and the numbered
+    lines after it; blank lines and ``#`` comments are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(lineno, line) for lineno, raw in enumerate(fh, start=1) if (line := raw.strip()) and line[0] != "#"]
+    expected = " or ".join(map(repr, headers))
+    if not lines:
+        raise InputError(f"{path}: empty file, expected header {expected}")
+    lineno, header = lines[0]
+    if " ".join(header.split()) not in headers:
+        raise InputError(f"{path}:{lineno}: header must be {expected}, got {header!r}")
+    if len(lines) == 1:
+        raise InputError(f"{path}: nothing after the header")
+    return " ".join(header.split()), lines[1:]
+
+
+def _graph(path, n, edges, directed, source):
+    """Graph of parsed edges; a faulty row is reported at ``source(row) = (lineno, u, v, w)``."""
+    try:
+        return WeightedGraph(n=n, edges=edges, directed=directed, allow_self_loops=True)
+    except InputError:
+        row, reason = edge_fault(edges, n, directed, True)
+        lineno, u, v, w = source(row)
+        raise InputError(f"{path}:{lineno}: " + reason.format(u=u, v=v, w=repr(w), ids=f"1..{n}")) from None
+
+
+def _zero_based(edges, directed):
+    """Make parsed (u, v, w) rows 0-based in place, with u <= v when
+    undirected, and return the number of vertices."""
+    edges[:, :2] -= 1
+    if not directed:
+        edges[:, :2].sort(axis=1)
+    return max(int(edges[:, :2].max()) + 1, 1)
+
+
+def naive_parse_edge_tsv(path):
+    """An edge-tsv file read line by line: the reference for its tokens, its
+    accepted graphs and its error messages."""
+    header, body = _header_and_body(path, ("undirected", "directed"))
+    directed = header == "directed"
+    rows = []
+    for lineno, line in body:
+        parts = line.split()
+        if len(parts) != 3:
+            raise InputError(f"{path}:{lineno}: expected 'u<TAB>v<TAB>w', got {line!r}")
+        try:
+            rows.append((float(int(parts[0])), float(int(parts[1])), float(parts[2])))
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+    edges = np.array(rows)
+    n = _zero_based(edges, directed)
+    return _graph(path, n, edges, directed, lambda row: (body[row][0], *body[row][1].split()))
+
+
+def naive_parse_dense(path):
+    """A dense-matrix file read line by line, the same way."""
+    header, body = _header_and_body(path, ("matrix-kind transition", "matrix-kind weight"))
+    rows = []
+    for lineno, line in body:
+        try:
+            rows.append([float(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        bad = [tok for tok, x in zip(line.split(), rows[-1]) if not math.isfinite(x)]
+        if bad:
+            raise InputError(f"{path}:{lineno}: entry {bad[0]!r} is not a finite number")
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InputError(f"{path}: matrix must be square, got row lengths {[len(r) for r in rows]}")
+    M = np.array(rows, dtype=float)
+    if header == "matrix-kind transition":
+        return chain_from_matrix(M, origin="raw-matrix")
+    directed = not np.array_equal(M, M.T)
+    u, v = np.nonzero(M if directed else np.triu(M))
+    edges = np.column_stack([u, v, M[u, v]])
+    return _graph(path, n, edges, directed, lambda r: (body[u[r]][0], u[r] + 1, v[r] + 1, body[u[r]][1].split()[v[r]]))
+
+
+def naive_parse_graph(path, format):
+    """The reference reading of an input file in either format."""
+    return naive_parse_edge_tsv(path) if format == "edge-tsv" else naive_parse_dense(path)

@@ -84,10 +84,13 @@ def test_exact_matches_bruteforce_oracle():
             assert abs(mine.phi - expected) < 1e-12
 
 
-def test_exact_cap_enforced():
+def test_exact_cap_enforced(monkeypatch):
     c = gen_random_reversible(8, density=0.5, seed=1)
-    with pytest.raises(TooLarge):
-        phi_p_exact(c, 1.0, max_n=6)
+    monkeypatch.setenv("ISO_MAX_EXACT_N", "6")
+    with pytest.raises(TooLarge, match="n = 8 exceeds the exact enumeration cap 6"):
+        phi_p_exact(c, 1.0)
+    with pytest.raises(TooLarge, match="cap 6"):
+        exact_minima(c, [0.5, 1.0])
 
 
 def test_exact_cap_env_override(monkeypatch):

@@ -151,6 +151,15 @@ def test_hypercube_rejects_whole_cube():
         hypercube_quantities(15, [0])
 
 
+def test_hypercube_graph_edges_in_comprehension_order():
+    # the order of the per-edge comprehension the array replaced
+    for d in range(1, 11):
+        rows = [(x, x ^ (1 << i), 1.0) for x in range(1 << d) for i in range(d) if not (x >> i) & 1]
+        g = hypercube_graph(d)
+        assert g.n == 1 << d and not g.directed
+        assert np.array_equal(g.edges, np.array(rows))
+
+
 def test_hypercube_graph_rejects_dimension_above_cap():
     # 2^70 vertices: rejected before any edge is built
     with pytest.raises(InputError, match="d <= 14"):

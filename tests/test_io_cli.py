@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import sys
 from unittest import mock
 
 import isoperim.bounds
@@ -27,6 +29,7 @@ from isoperim.cli import cli_main
 from isoperim.errors import InputError, IsoperimError
 from isoperim.families import cycle_graph, ht_counterexample_graph, random_directed_graph, random_reversible_graph
 from isoperim.io import make_provenance
+from oracles import naive_parse_graph
 
 
 def test_parse_single_edge(tmp_path):
@@ -366,11 +369,14 @@ def _one_error_line(capsys):
         ("dense-matrix", "matrix-kind weight\n0 1\n-1 0\n", ":3: negative weight '-1'"),
         ("edge-tsv", "undirected\n1\t2\t1\n0\t2\t1\n", ":3: edge (0, 2) has a vertex id outside 1..2"),
         ("edge-tsv", "undirected\n1\t100000\t1\n", "100000 states exceed the limit of 16384"),
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        ("edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\udcff\n", ":3: not UTF-8 text (byte 0xff)"),
+        ("dense-matrix", "matrix-kind weight\r\n0 1\udcff\r\n1 0\r\n", ":2: not UTF-8 text (byte 0xff)"),
     ],
 )
 def test_cli_bad_input_values_exit_2(tmp_path, capsys, fmt, text, message):
     path = tmp_path / "in.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert cli_main(["analyze", "--input", str(path), "--format", fmt]) == 2
     err = _one_error_line(capsys)
     assert message in err
@@ -534,43 +540,120 @@ def test_cli_fuzz_scan(fuzz_dir, n_list):
     _run_cli(["scan", f"--n-list={n_list}", "--out", str(fuzz_dir / "scan.csv")])
 
 
-def _parse_outcome(path):
+# --- the reader against the line-by-line oracle --------------------------------
+
+def _outcome(parse, path, fmt):
     try:
-        g = parse_graph(str(path), "edge-tsv")
+        obj = parse(str(path), fmt)
     except IsoperimError as exc:
         return type(exc).__name__, str(exc)
-    return g.n, g.directed, g.edges.tobytes()
+    if isinstance(obj, MarkovChain):
+        return obj.n, obj.origin, obj.P.tobytes(), obj.pi.tobytes()
+    return obj.n, obj.directed, obj.edges.tobytes()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(lines=_edge_tsv(), data=st.data())
-def test_parse_whole_body_matches_line_by_line(fuzz_dir, lines, data):
-    # the whole-body parse must accept, build and reject exactly what the
-    # line-by-line parse does, with the same message; its fallbacks are
-    # exercised by comments, blank lines, other whitespace and non-ASCII text
-    seps = st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n", "\n# note\n", " \n", "\x0b\n"])
-    spaces = st.sampled_from(["\t", " ", "  ", "\x0b", "\x1f", "\xa0"])
-    text = "".join(line.replace("\t", data.draw(spaces)) + data.draw(seps) for line in lines)
-    path = fuzz_dir / "whole.tsv"
+def _write_raw(path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    whole = _parse_outcome(path)
-    with mock.patch.object(isoperim.io, "_edge_tsv_whole", return_value=None):
-        assert whole == _parse_outcome(path)
 
 
-def test_parse_whole_body_falls_back(tmp_path):
-    path = tmp_path / "g.tsv"
-    path.write_text("directed\n1\t2\t0.5\n\n2 1  1e-3\n")
-    directed, edges = isoperim.io._edge_tsv_whole(str(path))
-    assert directed and edges.tolist() == [[1.0, 2.0, 0.5], [2.0, 1.0, 1e-3]]
-    for body in ("1\t2\n1\t2\t3\t4\n", "1\t2\t3\x0b4\x1f5\x0c6\n", "# c\n1\t2\t1\n", "1\t2.5\t1\n", "1\t2\t1\xa0\n", "1\t99999999999999999999\t1\n"):
-        path.write_text("undirected\n" + body)
-        assert isoperim.io._edge_tsv_whole(str(path)) is None, body
-    # two and four tokens make six, but each line is still checked
-    path.write_text("undirected\n1\t2\n1\t2\t3\t4\n")
-    with pytest.raises(InputError, match=f"{path}:2: expected"):
-        parse_graph(str(path), "edge-tsv")
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \t\n", "\n# note\n", "\r\n  # 1 2 3\r\n", " \n", "\x0b\n", "\x0c\r", "\n\u2028\n"])
+_SEPARATORS = st.sampled_from(["\t", " ", "  ", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\x85", "\u2003", "\u3000"])
+_ODD = st.sampled_from(["99999999999999999999", "-99999999999999999999", "9" * 400, "\u0661", "+2", "1_0", "2.5", "#", "-0", "1e400", "0x1"])
+
+
+@st.composite
+def _laid_out(draw, lines):
+    """The lines of a file, with drawn separators, line ends and leading
+    comments, and now and then one odd token."""
+    lines = list(lines)
+    if len(lines) > 1 and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(1, len(lines) - 1))
+        tokens = lines[k].split()
+        if tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_ODD)
+            lines[k] = " ".join(tokens)
+    text = draw(st.sampled_from(["", "# c\n", "\n\n", "  # c\r\n"]))
+    for line in lines:
+        text += re.sub("[ \t]", lambda _: draw(_SEPARATORS), line) + draw(_LINE_ENDS)
+    return text
+
+
+@pytest.mark.parametrize("fmt", ["edge-tsv", "dense-matrix"])
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_parse_matches_oracle(fuzz_dir, fmt, data):
+    # the one reader accepts, builds and rejects exactly what the
+    # line-by-line reading does, with the same message
+    text = data.draw(_laid_out(data.draw(_edge_tsv() if fmt == "edge-tsv" else _dense())))
+    path = fuzz_dir / "oracle.txt"
+    _write_raw(path, text)
+    assert _outcome(parse_graph, path, fmt) == _outcome(naive_parse_graph, path, fmt)
+
+
+def _big_directed(lines):
+    """A valid directed body of ``lines`` distinct edges on ids 1..300."""
+    return [f"{k // 299 + 1}\t{(k // 299 + 1 + k % 299) % 300 + 1}\t0.5" for k in range(lines)]
+
+
+def test_parse_line_faults_match_oracle(tmp_path):
+    path = tmp_path / "in.txt"
+    big = _big_directed(70000)  # more lines than one block of the reader
+    cases = [
+        ("edge-tsv", "undirected\n1\t2\n1\t2\t3\t4\n", ":2: expected"),  # two and four tokens make six
+        ("edge-tsv", "undirected\n1\t2\tx\n1\t2\n", ":2: could not convert"),
+        ("edge-tsv", "undirected\n1\t2\n1\tx\t1\n", ":2: expected"),
+        ("edge-tsv", "undirected\n1\t2\t3\x0b4\x1f5\x0c6\n", ":2: expected"),
+        ("edge-tsv", "undirected\n# c\n1\t2\t1\n1\t2.5\t1\n", ":4: invalid literal for int()"),
+        ("edge-tsv", "undirected\n1\t2\t1\xa0\n2\t3\t-1\n", ":3: negative weight '-1'"),
+        ("edge-tsv", "undirected\n1\t99999999999999999999\t1\n", "100000000000000000001 states exceed"),
+        ("edge-tsv", "directed\n1\t2\t1\n-99999999999999999999\t1\t1\n", ":3: edge (-99999999999999999999, 1)"),
+        ("edge-tsv", "directed\n1\t2\t1\n1\t" + "9" * 400 + "\t1\n", ":3: int too large to convert to float"),
+        ("edge-tsv", "directed\r1\t2\t1\r2\t1\tnan\r\n", ":3: weight 'nan'"),
+        ("edge-tsv", "directed\n" + "\n".join(big[:68000] + ["1\tx\t1"] + big[68000:]) + "\n", ":68002: invalid literal"),
+        ("edge-tsv", "directed\n" + "\n".join(big[:67000] + ["1\t2"] + big[67000:]) + "\n", ":67002: expected"),
+        ("edge-tsv", "directed\n" + "\n".join(big + ["300\t1\t-2"]) + "\n", ":70002: negative weight '-2'"),
+        ("dense-matrix", "matrix-kind weight\n0 1 1\n1 0\n", "row lengths [3, 2]"),
+        ("dense-matrix", "matrix-kind weight\n0 1 x\n1 0\n", ":2: could not convert"),
+        ("dense-matrix", "matrix-kind weight\n0 inf\n1 x\n", ":2: entry 'inf'"),
+        ("dense-matrix", "matrix-kind weight\n# c\n0 1\n\n1 -0.5\n", ":5: negative weight '-0.5'"),
+        ("dense-matrix", "matrix-kind  weight\r\n0\xa01\r\n# 1 2\r\n1\u30000\r\n", None),
+        ("dense-matrix", "# c\nmatrix-kind transition\n0 1\n1 0\n", None),
+        ("dense-matrix", "\n\nmatrix-kind foo\n0 1\n1 0\n", ":3: header must be"),
+    ]
+    for fmt, text, message in cases:
+        _write_raw(path, text)
+        outcome = _outcome(parse_graph, path, fmt)
+        assert outcome == _outcome(naive_parse_graph, path, fmt), text[:60]
+        assert outcome[0] in ("InputError", "TooLarge") if message else isinstance(outcome[0], int)
+        if message:
+            assert message in outcome[1], (text[:60], outcome)
+
+
+def test_parse_opens_each_file_once(tmp_path):
+    path = tmp_path / "in.txt"
+    for fmt, text in [
+        ("edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n"),
+        ("edge-tsv", "undirected\n1\t2\t1\n# note\n2\t3\t1\n"),
+        ("edge-tsv", "undirected\n1\t2\t1\n2\t3\n"),
+        ("edge-tsv", "undirected\n1\t2\t1\n2\t1\t1\n"),
+        ("dense-matrix", "matrix-kind weight\n0 1\n# note\n1 0\n"),
+        ("dense-matrix", "matrix-kind weight\n0 1\n1 x\n"),
+    ]:
+        path.write_text(text)
+        with mock.patch("builtins.open", wraps=open) as opened:
+            try:
+                parse_graph(str(path), fmt)
+            except InputError:
+                pass
+        assert opened.call_count == 1, text
+
+
+def test_reader_separates_tokens_as_str_split():
+    ascii_spaces = [b for b in range(128) if chr(b).isspace()]
+    assert np.flatnonzero(isoperim.io._SPACE).tolist() == ascii_spaces
+    wide = [chr(c).encode() for c in range(128, sys.maxunicode + 1) if chr(c).isspace()]
+    assert isoperim.io._WIDE_SPACES == wide
 
 
 def test_write_graph_tsv_formats_each_weight_bit_pattern(tmp_path):

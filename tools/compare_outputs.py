@@ -14,13 +14,21 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``sweep`` and ``analyze --method sweep`` at p = 0, 1/2 and 1 on cycles,
   hypercubes and dumbbells within and above the exact cap, whose symmetric
   eigenvectors give tied level sets;
-- malformed or invalid files, which must exit 2.
+- ``analyze`` on valid files laid out in the ways the readers accept:
+  comments between body lines, CRLF and CR line ends, blank lines and
+  ``\x0b`` / ``\x1f`` / ``\xa0`` separators;
+- malformed or invalid files, which must exit 2, among them one per parse
+  error of both formats.
 
 It compares exit codes, standard output and every output file, checks that
 each command that exits 2 wrote exactly one ``error:`` line and nothing else
 to standard error, and prints the error messages that differ. It exits 1 when
 an exit code, a standard output or an output file differs, or when the
 change's checkout writes a traceback or a malformed error; otherwise 0.
+
+One difference is expected and reported as ``EXPECTED``: on a file that is
+not UTF-8, checkouts before the one reader raise ``UnicodeDecodeError`` (a
+traceback), and later ones exit 2 with one ``error:`` line.
 
 Sizes above the state limit are left out: older checkouts try to allocate
 them. A run takes about a minute on two cores; BLAS uses two threads.
@@ -72,6 +80,37 @@ FAULTY = [
     ("not-stochastic.txt", "dense-matrix", "matrix-kind transition\n0.5 0.4\n0.5 0.5\n"),
     ("bad-kind.txt", "dense-matrix", "matrix-kind foo\n0 1\n1 0\n"),
     ("no-body.txt", "dense-matrix", "matrix-kind weight\n"),
+    ("crlf-bad-header.tsv", "edge-tsv", "# c\r\nundirected graph\r\n1\t2\t1\r\n"),
+    ("dense-bad-header.txt", "dense-matrix", "\n# c\nmatrix-kind\n0 1\n1 0\n"),
+    ("two-tokens.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t1\n"),
+    ("fault-then-misfit.tsv", "edge-tsv", "directed\n1\t2\tx\n2\t1\n"),
+    ("misfit-then-fault.tsv", "edge-tsv", "directed\n1\t2\n2\tx\t1\n"),
+    ("overflow-id.tsv", "edge-tsv", "undirected\n1\t99999999999999999999\t1\n"),
+    ("negative-overflow-id.tsv", "edge-tsv", "directed\n1\t2\t1\n-99999999999999999999\t1\t1\n"),
+    ("huge-id.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t" + "9" * 400 + "\t1\n"),
+    ("bad-weight.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\t1,5\n"),
+    ("inf-weight.tsv", "edge-tsv", "undirected\n1\t2\tinf\n2\t3\t1\n"),
+    ("comment-then-fault.tsv", "edge-tsv", "undirected\n1\t2\t1\n# note\n\n2\tx\t1\n"),
+    ("comment-then-duplicate.tsv", "edge-tsv", "undirected\r\n1\t2\t1\r\n  # note\r\n2\t1\t1\r\n"),
+    ("comment-then-entry.txt", "dense-matrix", "matrix-kind weight\n0 1\n# note\n1 x\n"),
+    ("inf-then-token.txt", "dense-matrix", "matrix-kind weight\n0 inf\n1 x\n"),
+    ("token-not-square.txt", "dense-matrix", "matrix-kind weight\n0 1 x\n1 0\n"),
+    ("overflow-entry.txt", "dense-matrix", "matrix-kind transition\n0 1e400\n1 0\n"),
+]
+
+# Files that are not UTF-8: "\udcff" is written as the byte 0xff.
+NOT_UTF8 = [
+    ("not-utf8.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\udcff\n"),
+    ("not-utf8-header.tsv", "edge-tsv", "undirected\udcff\n1\t2\t1\n"),
+    ("not-utf8.txt", "dense-matrix", "matrix-kind weight\r\n0 1\udcff\r\n1 0\r\n"),
+]
+
+# Valid files laid out in the ways the readers accept: (name, format, text).
+LAID_OUT = [
+    ("laid-out.tsv", "edge-tsv", "# a graph\nundirected\r\n1\t2\t1\r\n\r\n# note\r\n2 3  0.5\r3\x0b4\x1f0.25\n\n  # 1 2 3\n4\xa01\t2\n \t\n"),
+    ("laid-out-directed.tsv", "edge-tsv", "directed \n1\t2\t1\n# 2\t1\t1\n2\t3\t1\x0c\n3\t1\t1e-3\r\n3\t2\t2\n"),
+    ("laid-out-weight.txt", "dense-matrix", "\n# weights\nmatrix-kind   weight\r\n0 1\xa00.5\r\n# row 2\r\n1\t0\x0b2\r\n\r\n0.5 2\x1f0\r\n"),
+    ("laid-out-transition.txt", "dense-matrix", "matrix-kind transition\r0 1\r# note\r0.5 0.5\r"),
 ]
 
 
@@ -82,7 +121,7 @@ def _write_dense(path: str, kind: str, M: np.ndarray) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write(text)
 
 
@@ -169,10 +208,15 @@ def build_plan(work: str) -> list[dict]:
         _write_tied(path, family, size)
         plan += _tied_commands(f"{family}{size}", path)
 
-    for name, fmt, text in FAULTY:
+    for name, fmt, text in LAID_OUT:
         path = os.path.join(work, name)
         _write_text(path, text)
-        plan.append({"id": f"faulty-{name}", "argv": ["analyze", "--input", path, "--format", fmt]})
+        plan.append({"id": f"analyze-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--p", "0.5,1"]})
+    for kind, cases in (("faulty", FAULTY), ("not-utf8", NOT_UTF8)):
+        for name, fmt, text in cases:
+            path = os.path.join(work, name)
+            _write_text(path, text)
+            plan.append({"id": f"{kind}-{name}", "argv": ["analyze", "--input", path, "--format", fmt]})
     return plan
 
 
@@ -242,10 +286,21 @@ def _error_ok(res: dict) -> bool:
     return res["rc"] != 2 or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
 
 
+def _expected(p: dict, c: dict) -> bool:
+    """The one expected difference: a file that is not UTF-8 turns a
+    traceback into a well-formed exit 2."""
+    return c["id"].startswith("not-utf8-") and p["rc"] is None and c["rc"] == 2 and _error_ok(c)
+
+
 def compare(parent: list[dict], change: list[dict]) -> int:
     failures = 0
     same_messages = 0
+    expected = 0
     for p, c in zip(parent, change):
+        if _expected(p, c):
+            expected += 1
+            print(f"EXPECTED {c['id']}: traceback -> exit 2\n    change stderr: {c['stderr'].rstrip()}")
+            continue
         problems = []
         if p["rc"] != c["rc"]:
             problems.append(f"exit code {p['rc']} -> {c['rc']}")
@@ -269,8 +324,8 @@ def compare(parent: list[dict], change: list[dict]) -> int:
     codes = collections.Counter(c["rc"] for c in change)
     print(
         f"{len(change)} commands (exit codes {dict(sorted(codes.items(), key=str))}): "
-        f"{len(change) - failures} identical in exit code, stdout and files with well-formed errors, "
-        f"{same_messages} with identical stderr"
+        f"{len(change) - failures - expected} identical in exit code, stdout and files with well-formed errors, "
+        f"{same_messages} with identical stderr, {expected} expected differences"
     )
     return 1 if failures else 0
 
