@@ -49,10 +49,10 @@ class BoundReport:
     witnesses: dict | None = None
 
 
-def make_report(name: str, lhs: float, rhs: float, tol: float = DEFAULT_TOL, witnesses: dict | None = None) -> BoundReport:
-    """Assemble a report for lhs <= rhs with verdict slack >= -tol."""
+def make_report(name: str, lhs: float, rhs: float, witnesses: dict | None = None) -> BoundReport:
+    """Assemble a report for lhs <= rhs with verdict slack >= -DEFAULT_TOL."""
     slack = rhs - lhs
-    return BoundReport(name=name, lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -tol, tol=tol, witnesses=witnesses)
+    return BoundReport(name=name, lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -DEFAULT_TOL, tol=DEFAULT_TOL, witnesses=witnesses)
 
 
 class ChainAnalysis:
@@ -237,20 +237,17 @@ def bound_suite(
     return reports
 
 
-def conjecture_ratio(c: MarkovChain | ChainAnalysis, phi_half: float | None = None) -> float:
+def conjecture_ratio(c: MarkovChain | ChainAnalysis) -> float:
     """rho = phi_{1/2} / sqrt(lambda_2), the quantity whose boundedness the
     Houdre-Tetali conjecture asserted.
 
     rho is invariant under the lazy transform (p = 1/2 is the scale-free
     exponent); unbounded growth of rho along a family refutes the conjectured
-    upper bound. Pass phi_half to reuse a precomputed (e.g. arc-restricted)
-    value; otherwise it is computed exactly within the cap, else by sweep.
+    upper bound. phi_{1/2} is computed exactly within the cap, else by sweep.
     """
     a = _analysis(c)
     cert = a.cert(not a.reversible)
-    if phi_half is None:
-        phi_half = a.phi(0.5, not a.reversible).phi
-    return float(phi_half) / math.sqrt(cert.lambda2)
+    return a.phi(0.5, not a.reversible).phi / math.sqrt(cert.lambda2)
 
 
 def power_increment_supremum(p: float, trials: int = 100_000, seed: int = 0) -> float:

@@ -19,6 +19,8 @@ from .errors import InputError, NumericalFailure, TooLarge
 
 # Weights below this are structural zeros when building support digraphs.
 STRUCTURAL_ZERO = 1e-15
+# A set is admissible (at most half the stationary mass) when pi(S) <= 1/2 + MASS_SLACK.
+MASS_SLACK = 1e-12
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 REVERSIBILITY_TOL = 1e-10
@@ -68,9 +70,10 @@ class WeightedGraph:
     """Edge-list graph with nonnegative weights.
 
     ``edges`` takes (u, v, w) triples and holds them as a frozen (m, 3) float64
-    array. Undirected graphs store each edge once with u < v. Self-loops are
-    rejected unless ``allow_self_loops`` is set; when present they contribute
-    their weight once to the degree.
+    array; an array that is one already is kept, not copied. Undirected graphs
+    store each edge once with u < v. Self-loops are rejected unless
+    ``allow_self_loops`` is set; when present they contribute their weight
+    once to the degree.
     """
 
     n: int
@@ -82,7 +85,11 @@ class WeightedGraph:
         if self.n < 1:
             raise InputError("graph needs at least one vertex")
         check_states(self.n)
-        edges = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
+        # Reuse an already-frozen (m, 3) float64 array, such as a parser's.
+        edges = self.edges
+        frozen = isinstance(edges, np.ndarray) and edges.dtype == np.float64 and not edges.flags.writeable
+        if not (frozen and edges.ndim == 2 and edges.shape[1] == 3):
+            edges = np.array(edges, dtype=float).reshape(len(edges), 3)
         fault = edge_fault(edges, self.n, self.directed, self.allow_self_loops)
         if fault is not None:
             row, reason = fault
@@ -230,10 +237,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return chain_from_matrix(P).pi
 
 
-def chain_from_matrix(P: np.ndarray, origin: str = "raw-matrix", pi: np.ndarray | None = None) -> MarkovChain:
-    """Wrap a row-stochastic matrix as a validated chain, computing pi if needed."""
+def chain_from_matrix(P: np.ndarray, origin: str = "raw-matrix") -> MarkovChain:
+    """Wrap a row-stochastic matrix as a validated chain, computing pi."""
     P = np.asarray(P, dtype=float)
-    return MarkovChain(n=P.shape[0] if P.ndim else 0, P=P, pi=pi, origin=origin)
+    return MarkovChain(n=P.shape[0] if P.ndim else 0, P=P, pi=None, origin=origin)
 
 
 def chain_from_undirected(g: WeightedGraph) -> MarkovChain:
@@ -264,8 +271,8 @@ def chain_from_directed(g: WeightedGraph) -> MarkovChain:
     return MarkovChain(n=g.n, P=W / out[:, None], pi=None, origin="directed-graph")
 
 
-def is_reversible(c: MarkovChain, tol: float = REVERSIBILITY_TOL) -> bool:
-    """Detailed balance check: max |pi(i)P(i,j) - pi(j)P(j,i)| <= tol * max flow.
+def is_reversible(c: MarkovChain) -> bool:
+    """Detailed balance check: max |pi(i)P(i,j) - pi(j)P(j,i)| <= REVERSIBILITY_TOL * max flow.
 
     The tolerance is relative to the largest entry of the flow matrix
     pi(i)P(i,j), making the test scale-free.
@@ -274,7 +281,7 @@ def is_reversible(c: MarkovChain, tol: float = REVERSIBILITY_TOL) -> bool:
     scale = F.max()
     if scale == 0.0:
         return True
-    return bool(np.max(np.abs(F - F.T)) <= tol * scale)
+    return bool(np.max(np.abs(F - F.T)) <= REVERSIBILITY_TOL * scale)
 
 
 def lazy_transform(c: MarkovChain, delta: float) -> MarkovChain:

@@ -9,14 +9,20 @@ with 0^p taken as 0. For p = 0 the numerator is instead pi(dS), the mass of
 the inner vertex boundary dS = {v in S : P(v, S-bar) > 0}. phi_p of the chain
 is the minimum over nonempty S with pi(S) <= 1/2.
 
-The exact enumerator walks all bitmasks, vectorized in blocks of up to 2^16
-masks with an add-one-vertex recurrence for the subset row sums; ties are
-broken toward the smallest bitmask. The sweep cut takes the best of the
-distinct level sets of the truncated second eigenvector; for p > 1/2 the
-winner provably satisfies phi_p <= 2 sqrt(lambda2 / (2p-1)). The level order
-depends only on the certificate, so :func:`sweep_cuts` serves every exponent
-from one incremental pass: it keeps each vertex's crossing mass as the level
-sets shrink, at O(n^2) per certificate, and evaluates again only the levels
+The exact enumerator walks all bitmasks in blocks of the 2^16 masks of the
+low bits. One subset-sum recurrence, by doubling, gives every low mask's
+pi-mass, row sums P(v, S), membership and, for p = 0, each row's count of
+support entries inside S (v is on the boundary iff that count is below its
+row's); each block of the high bits adds its own vertices, keeps only its
+admissible sets and scores those. Ties are broken toward the smallest
+bitmask.
+
+The sweep cut takes the best of the distinct level sets of the truncated
+second eigenvector; for p > 1/2 the winner provably satisfies
+phi_p <= 2 sqrt(lambda2 / (2p-1)). The level order depends only on the
+certificate, so :func:`sweep_cuts` serves every exponent from one
+incremental pass: it keeps each vertex's crossing mass as the level sets
+shrink, at O(n^2) per certificate, and evaluates again only the levels
 within rounding of the best, so the winner (smallest phi, then the smallest
 level set) is the one a direct evaluation of every level picks.
 """
@@ -29,11 +35,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .chains import STRUCTURAL_ZERO, MarkovChain, exact_enumeration_cap
+from .chains import MASS_SLACK, STRUCTURAL_ZERO, MarkovChain, exact_enumeration_cap
 from .errors import InputError, NumericalFailure, TooLarge
 from .spectral import SpectralCertificate, truncated_eigenvector
 
-MASS_SLACK = 1e-12
 GUARANTEE_TOL = 1e-8
 _BLOCK_BITS = 16
 
@@ -121,90 +126,67 @@ def phi_profile(c: MarkovChain, subset: Iterable[int]) -> PhiProfile:
     )
 
 
-def _support_masks(P: np.ndarray) -> np.ndarray:
-    """Per-vertex bitmask of structurally nonzero transitions."""
-    n = P.shape[0]
-    masks = np.zeros(n, dtype=np.int64)
-    sup = P > STRUCTURAL_ZERO
-    for u in range(n):
-        masks |= sup[:, u] * np.int64(1 << u)
-    return masks
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Row m is the sum of ``rows[b]`` over the set bits b of m, for every
+    mask m of ``len(rows)`` bits, built by doubling (bit b is added last)."""
+    sums = np.zeros((1, *rows.shape[1:]), dtype=rows.dtype)
+    for row in rows:
+        sums = np.concatenate([sums, sums + row])
+    return sums
 
 
 def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     """Global minimizers of phi_p over all admissible subsets, one pass for
     several exponents at once.
 
-    Enumerates every nonempty S with pi(S) <= 1/2 + 1e-12 by bitmask,
-    vectorized in blocks over the low bits; ties go to the smallest bitmask.
+    Enumerates every nonempty S with pi(S) <= 1/2 + 1e-12 by bitmask. Over
+    the masks of the low bits, pi(S), the row sums P(v, S), membership and
+    (for p = 0) the count of support entries of each row inside S are subset
+    sums of per-vertex rows; each block of the high bits adds its own
+    vertices and scores only its admissible sets. A vertex of S is on the
+    boundary iff its row has support outside S. Ties go to the smallest
+    bitmask.
     """
-    ps = [_validate_p(p) for p in ps]
+    ps = list(dict.fromkeys(_validate_p(p) for p in ps))
     cap = exact_enumeration_cap()
     if c.n > cap:
         raise TooLarge(f"n = {c.n} exceeds the exact enumeration cap {cap}")
     n, P, pi = c.n, c.P, c.pi
+    low = min(n, _BLOCK_BITS)
+    mass_low = _subset_sums(pi[:low])
+    R_low = _subset_sums(P[:, :low].T)  # R_low[m, v] = P(v, m)
+    member_low = _subset_sums(np.eye(low, n, dtype=bool))
     rowsum = P.sum(axis=1)
-    low_bits = min(n, _BLOCK_BITS)
-    high_bits = n - low_bits
+    if 0.0 in ps:
+        support = P > STRUCTURAL_ZERO
+        degree = support.sum(axis=1)
+        inside_low = _subset_sums(support[:, :low].T.astype(np.int64))
 
-    # R_low[m, v] = sum_{u in m} P(v, u) over low-bit masks m, built by doubling.
-    R_low = np.zeros((1, n))
-    mass_low = np.zeros(1)
-    for b in range(low_bits):
-        R_low = np.concatenate([R_low, R_low + P[:, b][None, :]])
-        mass_low = np.concatenate([mass_low, mass_low + pi[b]])
-    n_low = 1 << low_bits
-    member_low = ((np.arange(n_low, dtype=np.int64)[:, None] >> np.arange(low_bits)[None, :]) & 1).astype(bool)
-    low_masks = np.arange(n_low, dtype=np.int64)
-
-    need_p0 = any(p == 0.0 for p in ps)
-    supp = _support_masks(P) if need_p0 else None
-    full = np.int64((1 << n) - 1)
-
-    best_phi = {p: math.inf for p in ps}
-    best_mask = {p: -1 for p in ps}
-
-    for hi in range(1 << high_bits):
-        hi_idx = [low_bits + j for j in range(high_bits) if (hi >> j) & 1]
-        if hi_idx:
-            R = R_low + P[:, hi_idx].sum(axis=1)[None, :]
-            mass = mass_low + pi[hi_idx].sum()
-        else:
-            R = R_low
-            mass = mass_low
-        admissible = mass <= 0.5 + MASS_SLACK
-        if hi == 0:
-            admissible = admissible.copy()
-            admissible[0] = False  # empty set
-        if not admissible.any():
+    best = {p: (math.inf, -1) for p in ps}
+    for hi in range(1 << (n - low)):
+        bits = low + np.flatnonzero(hi >> np.arange(n - low) & 1)
+        mass = mass_low + pi[bits].sum()
+        keep = mass <= 0.5 + MASS_SLACK
+        keep[0] &= hi > 0  # the empty set
+        rows = np.flatnonzero(keep)
+        if rows.size == 0:
             continue
-        member = np.zeros((n_low, n), dtype=bool)
-        member[:, :low_bits] = member_low
-        if hi_idx:
-            member[:, hi_idx] = True
-        masks = low_masks + np.int64(hi << low_bits)
-        cross = np.maximum(rowsum[None, :] - R, 0.0)
+        mass = mass[rows]
+        member = member_low[rows]
+        member[:, bits] = True
+        weight = pi * member
+        cross = np.maximum(rowsum - (R_low[rows] + P[:, bits].sum(axis=1)), 0.0)
         for p in ps:
             if p == 0.0:
-                outside = (~masks) & full
-                on_boundary = (outside[:, None] & supp[None, :]) != 0
-                num = ((on_boundary & member) * pi[None, :]).sum(axis=1)
+                inside = inside_low[rows] + support[:, bits].sum(axis=1)
+                num = ((inside < degree) * weight).sum(axis=1)
             else:
-                num = ((cross**p) * pi[None, :] * member).sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phi = np.where(admissible, num / mass, math.inf)
+                num = (cross**p * weight).sum(axis=1)
+            phi = num / mass
             j = int(np.argmin(phi))
-            if phi[j] < best_phi[p]:
-                best_phi[p] = float(phi[j])
-                best_mask[p] = int(masks[j])
-
-    out: dict[float, CutResult] = {}
-    for p in ps:
-        mask = best_mask[p]
-        idx = np.array([v for v in range(n) if (mask >> v) & 1], dtype=np.int64)
-        result = _evaluate_set(c, idx, p, "exact")
-        out[p] = result
-    return out
+            if phi[j] < best[p][0]:
+                best[p] = float(phi[j]), hi << low | int(rows[j])
+    return {p: _evaluate_set(c, np.flatnonzero(mask >> np.arange(n) & 1), p, "exact") for p, (_, mask) in best.items()}
 
 
 def phi_p_exact(c: MarkovChain, p: float) -> CutResult:

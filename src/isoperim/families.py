@@ -25,10 +25,9 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import BoundReport, make_report
-from .chains import MAX_STATES, MarkovChain, WeightedGraph, chain_from_directed, chain_from_undirected, check_states
+from .chains import MASS_SLACK, MAX_STATES, MarkovChain, WeightedGraph, chain_from_directed, chain_from_undirected, check_states
 from .errors import InputError, TooLarge
 
-_MASS_SLACK = 1e-12
 # Largest n of the scan: its arc minimum costs O(n^2) (about 6 s at 2^16).
 SCAN_MAX_N = 2**16
 # Largest hypercube dimension built or evaluated: 2^d <= MAX_STATES states.
@@ -346,7 +345,7 @@ def hypercube_quantities(d: int, subset: Iterable[int]) -> HypercubeQuantities:
         raise InputError("subset contains points outside {0,1}^d")
     members[idx] = True
     mu_s = members.sum() / n
-    if mu_s > 0.5 + _MASS_SLACK:
+    if mu_s > 0.5 + MASS_SLACK:
         raise InputError(f"mu(S) = {mu_s} exceeds 1/2")
     points = np.arange(n)
     h = np.zeros(n, dtype=np.int64)

@@ -29,7 +29,7 @@ from . import __version__ as _version
 from .bounds import BoundReport
 from .chains import MarkovChain, WeightedGraph, chain_from_directed, chain_from_matrix, chain_from_undirected, edge_fault
 from .cuts import CutResult
-from .errors import InputError, NumericalFailure
+from .errors import InputError, NumericalFailure, TooLarge
 
 FORMATS = ("edge-tsv", "dense-matrix")
 
@@ -110,9 +110,15 @@ def _tokens(data: bytes, heads: np.ndarray, a: int, z: int) -> list[str]:
 
 
 def _graph(path: str, n: int, edges: np.ndarray, directed: bool, source: Callable[[int], tuple]) -> WeightedGraph:
-    """Graph of parsed edges; a faulty row is reported at ``source(row) = (lineno, u, v, w)``."""
+    """Graph of parsed edges, frozen and handed over without a copy; a faulty
+    row, or the row with the largest id when there are too many states, is
+    reported at ``source(row) = (lineno, u, v, w)``."""
+    edges.setflags(write=False)
     try:
         return WeightedGraph(n=n, edges=edges, directed=directed, allow_self_loops=True)
+    except TooLarge as exc:
+        lineno, u, v, _ = source(int(edges[:, :2].max(axis=1).argmax()))
+        raise TooLarge(f"{path}:{lineno}: vertex id {max(u, v, key=int)}: {exc}") from None
     except InputError:
         row, reason = edge_fault(edges, n, directed, True)
         lineno, u, v, w = source(row)

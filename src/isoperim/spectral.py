@@ -19,12 +19,11 @@ import dataclasses
 
 import numpy as np
 
-from .chains import MarkovChain, is_reversible
+from .chains import MASS_SLACK, MarkovChain, is_reversible
 from .errors import InputError, NumericalFailure
 
 _RESIDUAL_TOL = 1e-8
 _ORTHO_TOL = 1e-8
-_MASS_SLACK = 1e-12
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -135,11 +134,11 @@ def truncated_eigenvector(cert: SpectralCertificate, c: MarkovChain) -> np.ndarr
         raise InputError("certificate does not match the chain")
     pos_mass = float(c.pi[f2 > 0].sum())
     neg_mass = float(c.pi[f2 < 0].sum())
-    pos_ok = pos_mass <= 0.5 + _MASS_SLACK and bool((f2 > 0).any())
-    neg_ok = neg_mass <= 0.5 + _MASS_SLACK and bool((f2 < 0).any())
+    pos_ok = pos_mass <= 0.5 + MASS_SLACK and bool((f2 > 0).any())
+    neg_ok = neg_mass <= 0.5 + MASS_SLACK and bool((f2 < 0).any())
     if not pos_ok and not neg_ok:
         raise NumericalFailure("no sign choice yields nonempty positive support of mass <= 1/2")
-    if pos_ok and neg_ok and abs(pos_mass - 0.5) <= _MASS_SLACK and abs(neg_mass - 0.5) <= _MASS_SLACK:
+    if pos_ok and neg_ok and abs(pos_mass - 0.5) <= MASS_SLACK and abs(neg_mass - 0.5) <= MASS_SLACK:
         nz = np.nonzero(f2 != 0)[0]
         sign = 1.0 if f2[nz[0]] > 0 else -1.0
     elif pos_ok:

@@ -2,24 +2,37 @@
 
 Everything here is deliberately written with plain Python loops, fsum, and
 itertools so it shares no code path with the library (which vectorizes with
-bitmask tables, prefix sums, and FFTs). Two exceptions:
+bitmask tables, prefix sums, and FFTs). Three exceptions:
 
 - :func:`naive_sweep` walks the level sets on its own but evaluates each with
   the library's per-set evaluation, so that its winner can be compared bit
   for bit;
 - :func:`naive_parse_graph` reads a file line by line, converting each token
   with ``int`` and ``float``, but hands the rows to the library's graph and
-  chain validators, so that its errors can be compared message for message.
+  chain validators, so that its errors can be compared message for message;
+- :func:`blocked_exact_minima` is the enumerator the library used before its
+  subset-sum form: bitmask blocks, a bit-shift membership table, every mask
+  scored and the inadmissible ones masked out, and int64 support bitmasks
+  for p = 0. Its minima are compared with the library's bit for bit.
 """
 
 import math
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from isoperim.chains import WeightedGraph, chain_from_matrix, edge_fault
-from isoperim.cuts import _evaluate_set
-from isoperim.errors import InputError
+from isoperim.chains import (
+    MASS_SLACK,
+    STRUCTURAL_ZERO,
+    MarkovChain,
+    WeightedGraph,
+    chain_from_matrix,
+    edge_fault,
+    exact_enumeration_cap,
+)
+from isoperim.cuts import _BLOCK_BITS, CutResult, _evaluate_set, _validate_p
+from isoperim.errors import InputError, TooLarge
 from isoperim.spectral import truncated_eigenvector
 
 ZERO = 1e-15
@@ -49,6 +62,92 @@ def naive_phi_exact(P, pi, p):
             if val < best - 1e-15:
                 best, best_set = val, S
     return best, best_set
+
+
+def _support_masks(P: np.ndarray) -> np.ndarray:
+    """Per-vertex bitmask of structurally nonzero transitions."""
+    n = P.shape[0]
+    masks = np.zeros(n, dtype=np.int64)
+    sup = P > STRUCTURAL_ZERO
+    for u in range(n):
+        masks |= sup[:, u] * np.int64(1 << u)
+    return masks
+
+
+def blocked_exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
+    """Global minimizers of phi_p over all admissible subsets, one pass for
+    several exponents at once.
+
+    Enumerates every nonempty S with pi(S) <= 1/2 + 1e-12 by bitmask,
+    vectorized in blocks over the low bits; ties go to the smallest bitmask.
+    """
+    ps = [_validate_p(p) for p in ps]
+    cap = exact_enumeration_cap()
+    if c.n > cap:
+        raise TooLarge(f"n = {c.n} exceeds the exact enumeration cap {cap}")
+    n, P, pi = c.n, c.P, c.pi
+    rowsum = P.sum(axis=1)
+    low_bits = min(n, _BLOCK_BITS)
+    high_bits = n - low_bits
+
+    # R_low[m, v] = sum_{u in m} P(v, u) over low-bit masks m, built by doubling.
+    R_low = np.zeros((1, n))
+    mass_low = np.zeros(1)
+    for b in range(low_bits):
+        R_low = np.concatenate([R_low, R_low + P[:, b][None, :]])
+        mass_low = np.concatenate([mass_low, mass_low + pi[b]])
+    n_low = 1 << low_bits
+    member_low = ((np.arange(n_low, dtype=np.int64)[:, None] >> np.arange(low_bits)[None, :]) & 1).astype(bool)
+    low_masks = np.arange(n_low, dtype=np.int64)
+
+    need_p0 = any(p == 0.0 for p in ps)
+    supp = _support_masks(P) if need_p0 else None
+    full = np.int64((1 << n) - 1)
+
+    best_phi = {p: math.inf for p in ps}
+    best_mask = {p: -1 for p in ps}
+
+    for hi in range(1 << high_bits):
+        hi_idx = [low_bits + j for j in range(high_bits) if (hi >> j) & 1]
+        if hi_idx:
+            R = R_low + P[:, hi_idx].sum(axis=1)[None, :]
+            mass = mass_low + pi[hi_idx].sum()
+        else:
+            R = R_low
+            mass = mass_low
+        admissible = mass <= 0.5 + MASS_SLACK
+        if hi == 0:
+            admissible = admissible.copy()
+            admissible[0] = False  # empty set
+        if not admissible.any():
+            continue
+        member = np.zeros((n_low, n), dtype=bool)
+        member[:, :low_bits] = member_low
+        if hi_idx:
+            member[:, hi_idx] = True
+        masks = low_masks + np.int64(hi << low_bits)
+        cross = np.maximum(rowsum[None, :] - R, 0.0)
+        for p in ps:
+            if p == 0.0:
+                outside = (~masks) & full
+                on_boundary = (outside[:, None] & supp[None, :]) != 0
+                num = ((on_boundary & member) * pi[None, :]).sum(axis=1)
+            else:
+                num = ((cross**p) * pi[None, :] * member).sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi = np.where(admissible, num / mass, math.inf)
+            j = int(np.argmin(phi))
+            if phi[j] < best_phi[p]:
+                best_phi[p] = float(phi[j])
+                best_mask[p] = int(masks[j])
+
+    out: dict[float, CutResult] = {}
+    for p in ps:
+        mask = best_mask[p]
+        idx = np.array([v for v in range(n) if (mask >> v) & 1], dtype=np.int64)
+        result = _evaluate_set(c, idx, p, "exact")
+        out[p] = result
+    return out
 
 
 def naive_truncated_rayleigh(P, pi, f):
@@ -166,9 +265,13 @@ def _header_and_body(path, headers):
 
 
 def _graph(path, n, edges, directed, source):
-    """Graph of parsed edges; a faulty row is reported at ``source(row) = (lineno, u, v, w)``."""
+    """Graph of parsed edges; a faulty row, or the row with the largest id
+    when there are too many states, is reported at ``source(row) = (lineno, u, v, w)``."""
     try:
         return WeightedGraph(n=n, edges=edges, directed=directed, allow_self_loops=True)
+    except TooLarge as exc:
+        lineno, u, v, _ = source(int(edges[:, :2].max(axis=1).argmax()))
+        raise TooLarge(f"{path}:{lineno}: vertex id {max(u, v, key=int)}: {exc}") from None
     except InputError:
         row, reason = edge_fault(edges, n, directed, True)
         lineno, u, v, w = source(row)

@@ -48,7 +48,7 @@ def test_undirected_is_reversible_and_stationary_fixed_point():
         n = rng.integers(3, 9)
         edges = [(u, v, float(rng.random() + 0.05)) for u in range(n) for v in range(u + 1, n)]
         c = chain_from_undirected(WeightedGraph(n=int(n), edges=tuple(edges)))
-        assert is_reversible(c, tol=1e-10)
+        assert is_reversible(c)
         assert np.max(np.abs(stationary_distribution(c.P) - c.pi)) < 1e-10
         assert np.max(np.abs(c.P.sum(axis=1) - 1)) < 1e-12
 
@@ -226,6 +226,17 @@ def test_edge_validator_and_weight_matrix_match_loop_oracles(data, n, directed, 
         assert fault[0] == row and _FAULT_WORDS[kind] in fault[1]
         with pytest.raises(InputError, match=f"edge {row}: .*{_FAULT_WORDS[kind]}"):
             WeightedGraph(n=n, edges=rows, directed=directed, allow_self_loops=loops)
+
+
+def test_graph_keeps_a_frozen_edge_array_and_copies_a_writable_one():
+    frozen = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 0.5]])
+    frozen.setflags(write=False)
+    assert WeightedGraph(n=3, edges=frozen).edges is frozen
+    writable = frozen.copy()
+    g = WeightedGraph(n=3, edges=writable)
+    assert g.edges is not writable and not np.shares_memory(g.edges, writable)
+    assert writable.flags.writeable and not g.edges.flags.writeable
+    assert g.edges.tobytes() == frozen.tobytes()
 
 
 def test_graph_above_state_limit_is_too_large():

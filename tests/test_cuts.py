@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoperim import (
+    chain_from_matrix,
     exact_minima,
     gen_cycle,
+    gen_dumbbell,
     gen_hypercube,
+    gen_ht_counterexample,
     gen_random_directed,
     gen_random_reversible,
     lambda2_directed,
@@ -22,7 +25,7 @@ from isoperim import (
     sweep_cuts,
 )
 from isoperim.errors import InputError, NumericalFailure, TooLarge
-from oracles import naive_phi_exact, naive_phi_p, naive_sweep
+from oracles import blocked_exact_minima, naive_phi_exact, naive_phi_p, naive_sweep
 
 
 def test_two_state_singleton(two_state):
@@ -189,6 +192,45 @@ def test_exact_minima_multiblock_path_n18():
         got = phi_p_exact(c, p)
         assert abs(got.phi - expected) < 1e-12
         assert c.pi[list(got.subset)].sum() <= 0.5 + 1e-12
+
+
+EXACT_PS = [0.0, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0]
+
+
+@st.composite
+def _exact_chains(draw):
+    """Random reversible and directed chains on 2 to 18 states (17 and 18
+    take several blocks of the enumerator) and the symmetric families, whose
+    tied sets exercise the smallest-bitmask rule."""
+    kind = draw(st.sampled_from(["reversible", "directed", "cycle", "hypercube", "dumbbell", "circulant"]))
+    if kind == "cycle":
+        return gen_cycle(draw(st.integers(3, 18)))
+    if kind == "hypercube":
+        return gen_hypercube(draw(st.integers(1, 4)))
+    if kind == "dumbbell":
+        return gen_dumbbell(draw(st.integers(3, 9)))
+    if kind == "circulant":
+        return gen_ht_counterexample(draw(st.integers(3, 18)))[0]
+    n = draw(st.integers(2, 16) | st.integers(17, 18))
+    if n == 2:
+        a, b = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))
+        return chain_from_matrix(np.array([[1.0 - a, a], [b, 1.0 - b]]))
+    gen = gen_random_reversible if kind == "reversible" else gen_random_directed
+    return gen(n, density=draw(st.sampled_from([0.2, 0.5, 1.0])), seed=draw(st.integers(0, 10**6)))
+
+
+def _float_bits(cuts):
+    return [[x.hex() for x in (cut.numerator, cut.pi_mass, cut.phi)] for cut in cuts.values()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c=_exact_chains(), ps=st.lists(st.sampled_from(EXACT_PS), min_size=1, max_size=7))
+def test_exact_minima_match_blocked_enumerator(c, ps):
+    # the subset-sum enumerator finds the blocked one's minimizers, ties and
+    # p = 0 included, with bit-identical values
+    got, want = exact_minima(c, ps), blocked_exact_minima(c, ps)
+    assert got == want and list(got) == list(want)
+    assert _float_bits(got) == _float_bits(want)
 
 
 def test_cauchy_schwarz_ten_thousand_random_sets():

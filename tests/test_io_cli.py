@@ -606,7 +606,8 @@ def test_parse_line_faults_match_oracle(tmp_path):
         ("edge-tsv", "undirected\n1\t2\t3\x0b4\x1f5\x0c6\n", ":2: expected"),
         ("edge-tsv", "undirected\n# c\n1\t2\t1\n1\t2.5\t1\n", ":4: invalid literal for int()"),
         ("edge-tsv", "undirected\n1\t2\t1\xa0\n2\t3\t-1\n", ":3: negative weight '-1'"),
-        ("edge-tsv", "undirected\n1\t99999999999999999999\t1\n", "100000000000000000001 states exceed"),
+        ("edge-tsv", "undirected\n1\t99999999999999999999\t1\n", ":2: vertex id 99999999999999999999: 100000000000000000001 states exceed"),
+        ("edge-tsv", "undirected\n1\t2\t1\n# c\n16385\t2\t1\n3\t16384\t1\n", ":4: vertex id 16385: 16385 states exceed"),
         ("edge-tsv", "directed\n1\t2\t1\n-99999999999999999999\t1\t1\n", ":3: edge (-99999999999999999999, 1)"),
         ("edge-tsv", "directed\n1\t2\t1\n1\t" + "9" * 400 + "\t1\n", ":3: int too large to convert to float"),
         ("edge-tsv", "directed\r1\t2\t1\r2\t1\tnan\r\n", ":3: weight 'nan'"),
@@ -647,6 +648,20 @@ def test_parse_opens_each_file_once(tmp_path):
             except InputError:
                 pass
         assert opened.call_count == 1, text
+
+
+def test_parsers_hand_their_edge_array_to_the_graph_uncopied(tmp_path, monkeypatch):
+    handed = []
+
+    def graph(**kwargs):
+        handed.append(kwargs["edges"])
+        return WeightedGraph(**kwargs)
+
+    monkeypatch.setattr(isoperim.io, "WeightedGraph", graph)
+    path = tmp_path / "in.txt"
+    for fmt, text in [("edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n"), ("dense-matrix", "matrix-kind weight\n0 1\n1 0\n")]:
+        path.write_text(text)
+        assert parse_graph(str(path), fmt).edges is handed[-1]
 
 
 def test_reader_separates_tokens_as_str_split():

@@ -14,6 +14,9 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``sweep`` and ``analyze --method sweep`` at p = 0, 1/2 and 1 on cycles,
   hypercubes and dumbbells within and above the exact cap, whose symmetric
   eigenvectors give tied level sets;
+- ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1 on a cycle, a
+  hypercube and a dumbbell, whose minimizers tie, and on random reversible
+  and directed chains on 18 states, more than one block of the enumerator;
 - ``analyze`` on valid files laid out in the ways the readers accept:
   comments between body lines, CRLF and CR line ends, blank lines and
   ``\x0b`` / ``\x1f`` / ``\xa0`` separators;
@@ -207,6 +210,14 @@ def build_plan(work: str) -> list[dict]:
         path = os.path.join(work, f"tied-{family}{size}.tsv")
         _write_tied(path, family, size)
         plan += _tied_commands(f"{family}{size}", path)
+    exact = [(name, os.path.join(work, f"tied-{name}.tsv")) for name in ("cycle12", "hypercube4", "dumbbell5")]
+    for name, write in (("rev18", inputs.write_random_reversible), ("dir18", inputs.write_random_directed)):
+        path = os.path.join(work, f"{name}.tsv")
+        write(path, 18, 0.4, np.random.default_rng(18))
+        exact.append((name, path))
+    for name, path in exact:
+        argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.3,0.5,0.75,1"]
+        plan.append({"id": f"analyze-exact-{name}", "argv": argv})
 
     for name, fmt, text in LAID_OUT:
         path = os.path.join(work, name)
