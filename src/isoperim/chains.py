@@ -237,10 +237,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return chain_from_matrix(P).pi
 
 
-def chain_from_matrix(P: np.ndarray, origin: str = "raw-matrix") -> MarkovChain:
+def chain_from_matrix(P: np.ndarray) -> MarkovChain:
     """Wrap a row-stochastic matrix as a validated chain, computing pi."""
     P = np.asarray(P, dtype=float)
-    return MarkovChain(n=P.shape[0] if P.ndim else 0, P=P, pi=None, origin=origin)
+    return MarkovChain(n=P.shape[0] if P.ndim else 0, P=P, pi=None)
 
 
 def chain_from_undirected(g: WeightedGraph) -> MarkovChain:

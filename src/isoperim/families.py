@@ -28,7 +28,9 @@ from .bounds import BoundReport, make_report
 from .chains import MASS_SLACK, MAX_STATES, MarkovChain, WeightedGraph, chain_from_directed, chain_from_undirected, check_states
 from .errors import InputError, TooLarge
 
-# Largest n of the scan: its arc minimum costs O(n^2) (about 6 s at 2^16).
+# Largest n of the scan. The arc minimum costs O(n) when its certificate rules
+# out every shorter arc, as it does on this family; each arc it cannot rule
+# out costs O(n) more, so the cap bounds that fallback at O(n^2).
 SCAN_MAX_N = 2**16
 # Largest hypercube dimension built or evaluated: 2^d <= MAX_STATES states.
 _HYPERCUBE_MAX_D = MAX_STATES.bit_length() - 1
@@ -104,16 +106,16 @@ def _kahan_cumsum(x: np.ndarray) -> np.ndarray:
     5e-11 relative (n = 4096: 3.7528998506785307e-03 becomes
     3.7528998508551477e-03), which changes the bytes ``scan`` writes.
     """
-    out = np.empty(x.size)
+    out = []
     total = 0.0
     comp = 0.0
-    for i, xi in enumerate(x):
-        y = float(xi) - comp
+    for xi in x.tolist():
+        y = xi - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        out[i] = total
-    return out
+        out.append(total)
+    return np.array(out)
 
 
 def _kernel_prefix(n: int) -> tuple[np.ndarray, float]:
@@ -147,8 +149,33 @@ def _arc_sqrt_cross(n: int, l: int, prefix: np.ndarray, C: float) -> np.ndarray:
 
 
 def _arc_min_phi_half(n: int, prefix: np.ndarray, C: float) -> float:
+    """min over l = 1..n//2 of phi_{1/2} of the arc {1..l}, certified from
+    the longest arc.
+
+    Let x_l be the terms ``_arc_sqrt_cross(n, l, ...)`` and L = n // 2. When
+    C > 0 and ``prefix`` is finite and nondecreasing, each term is monotone
+    in both prefix entries it reads, so a shorter arc dominates the longest
+    one from both ends: x_l[v] >= x_L[v] and x_l[l-1-j] >= x_L[L-1-j].
+    Hence sum(x_l) >= lb(l) = head[l // 2] + tail[(l + 1) // 2], with head
+    and tail the running sums of x_L from its two ends. An l with
+    lb(l) (1 - s) / l > value(L) (1 + s), s = (2L + 4) eps, evaluates above
+    value(L) whatever the summation and division rounding, so it is skipped.
+    Every other l, or every l when the prefix fails the check, is evaluated
+    as before, so the result is the float the loop over all l gives.
+    """
+    L = n // 2
     best = math.inf
-    for l in range(1, n // 2 + 1):
+    lengths = range(1, L + 1)
+    if C > 0 and np.all(np.isfinite(prefix)) and np.all(np.diff(prefix) >= 0):
+        x = _arc_sqrt_cross(n, L, prefix, C)
+        best = float(x.sum()) / L
+        head = np.concatenate([[0.0], np.cumsum(x)])
+        tail = np.concatenate([[0.0], np.cumsum(x[::-1])])
+        short = np.arange(1, L)
+        s = (2 * L + 4) * np.finfo(float).eps
+        lb = head[short // 2] + tail[(short + 1) // 2]
+        lengths = short[lb * (1 - s) / short <= best * (1 + s)].tolist()
+    for l in lengths:
         best = min(best, float(_arc_sqrt_cross(n, l, prefix, C).sum()) / l)
     return best
 
@@ -165,9 +192,11 @@ class ScanRow(NamedTuple):
 def scaling_scan(n_list: Iterable[int], output: str | None = None) -> list[ScanRow]:
     """Growth table of the counterexample family, in ascending n.
 
-    Columns: analytic lambda_2 of I - P, the arc-restricted minimum of
-    phi_{1/2} (an upper bound on the true value; arcs are conjectured but not
-    proven optimal), rho = phi_half_arc / sqrt(lambda2), and the scaled
+    Columns: analytic lambda_2 of I - P, the minimum of phi_{1/2} over the
+    arcs {1..l}, l <= n/2 (certified on each run from the arc of length
+    n // 2, see ``_arc_min_phi_half``; an upper bound on the true value, since
+    arcs are conjectured but not proven optimal among all sets),
+    rho = phi_half_arc / sqrt(lambda2), and the scaled
     quantities lambda2 * n^2 / log n and phi_half_arc * n / log n. Writes CSV
     with full-precision scientific notation when ``output`` is given. An n
     above SCAN_MAX_N raises TooLarge before any row is computed.

@@ -171,7 +171,7 @@ def _parse_dense(path: str) -> WeightedGraph | MarkovChain:
         raise InputError(f"{path}: matrix must be square, got row lengths {counts.tolist()}")
     M = M.reshape(n, n)
     if header == "matrix-kind transition":
-        return chain_from_matrix(M, origin="raw-matrix")
+        return chain_from_matrix(M)
     directed = not np.array_equal(M, M.T)
     u, v = np.nonzero(M if directed else np.triu(M))
     edges = np.column_stack([u, v, M[u, v]])

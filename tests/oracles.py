@@ -2,7 +2,7 @@
 
 Everything here is deliberately written with plain Python loops, fsum, and
 itertools so it shares no code path with the library (which vectorizes with
-bitmask tables, prefix sums, and FFTs). Three exceptions:
+bitmask tables, prefix sums, and FFTs). Four exceptions:
 
 - :func:`naive_sweep` walks the level sets on its own but evaluates each with
   the library's per-set evaluation, so that its winner can be compared bit
@@ -13,7 +13,10 @@ bitmask tables, prefix sums, and FFTs). Three exceptions:
 - :func:`blocked_exact_minima` is the enumerator the library used before its
   subset-sum form: bitmask blocks, a bit-shift membership table, every mask
   scored and the inadmissible ones masked out, and int64 support bitmasks
-  for p = 0. Its minima are compared with the library's bit for bit.
+  for p = 0. Its minima are compared with the library's bit for bit;
+- :func:`naive_arc_min_phi_half` is the loop over every arc length the
+  library used before its certified minimum, with the library's per-arc
+  terms, so that the two minima can be compared bit for bit.
 """
 
 import math
@@ -33,6 +36,7 @@ from isoperim.chains import (
 )
 from isoperim.cuts import _BLOCK_BITS, CutResult, _evaluate_set, _validate_p
 from isoperim.errors import InputError, TooLarge
+from isoperim.families import _arc_sqrt_cross
 from isoperim.spectral import truncated_eigenvector
 
 ZERO = 1e-15
@@ -170,6 +174,14 @@ def circulant_matrix(first_row):
 def naive_circulant_eigs(first_row):
     """All eigenvalues of the materialized circulant, via the dense solver."""
     return np.sort(np.linalg.eigvalsh(circulant_matrix(first_row)))
+
+
+def naive_arc_min_phi_half(n: int, prefix: np.ndarray, C: float) -> float:
+    """min over l = 1..n//2 of phi_{1/2} of the arc {1..l}, every l evaluated."""
+    best = math.inf
+    for l in range(1, n // 2 + 1):
+        best = min(best, float(_arc_sqrt_cross(n, l, prefix, C).sum()) / l)
+    return best
 
 
 def naive_block_h(sizes):
@@ -323,7 +335,7 @@ def naive_parse_dense(path):
         raise InputError(f"{path}: matrix must be square, got row lengths {[len(r) for r in rows]}")
     M = np.array(rows, dtype=float)
     if header == "matrix-kind transition":
-        return chain_from_matrix(M, origin="raw-matrix")
+        return chain_from_matrix(M)
     directed = not np.array_equal(M, M.T)
     u, v = np.nonzero(M if directed else np.triu(M))
     edges = np.column_stack([u, v, M[u, v]])

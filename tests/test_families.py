@@ -30,8 +30,9 @@ from isoperim import (
     scaling_scan,
     sqrt_crossweight,
 )
+from isoperim import families
 from isoperim.errors import InputError, TooLarge
-from oracles import naive_block_h, naive_circulant_eigs
+from oracles import naive_arc_min_phi_half, naive_block_h, naive_circulant_eigs
 
 
 # --- counterexample family -------------------------------------------------
@@ -341,6 +342,59 @@ def test_arc_upper_bounds_exact():
         exact = phi_p_exact(chain, 0.5).phi
         arc_min = min(arc_phi_half(n, l) for l in range(1, n // 2 + 1))
         assert exact <= arc_min + 1e-12
+
+
+def _record_arc_lengths(monkeypatch) -> list[int]:
+    """The arc lengths ``families._arc_min_phi_half`` evaluates, in order."""
+    seen: list[int] = []
+    inner = families._arc_sqrt_cross
+
+    def record(n, l, prefix, C):
+        seen.append(l)
+        return inner(n, l, prefix, C)
+
+    monkeypatch.setattr(families, "_arc_sqrt_cross", record)
+    return seen
+
+
+def test_arc_min_matches_loop_over_every_length():
+    for n in [*range(8, 601), 1023, 1024, 2047, 2048, 4095, 4097, 8191, 8192]:
+        prefix, C = families._kernel_prefix(n)
+        got = families._arc_min_phi_half(n, prefix, C)
+        assert (n, got.hex()) == (n, naive_arc_min_phi_half(n, prefix, C).hex())
+
+
+def test_arc_min_evaluates_only_the_longest_arc_on_the_family(monkeypatch):
+    seen = _record_arc_lengths(monkeypatch)
+    for n in (8, 9, 64, 1023, 32768):
+        seen.clear()
+        families._arc_min_phi_half(n, *families._kernel_prefix(n))
+        assert seen == [n // 2]
+
+
+def test_arc_min_evaluates_every_length_the_certificate_keeps(monkeypatch):
+    # weight only at cyclic distance 20: every arc up to 20 crosses twice per
+    # vertex, so no shorter arc is ruled out from the arc of length 32
+    n = 64
+    w = np.zeros(n)
+    w[20] = w[n - 20] = 1.0
+    prefix, C = np.concatenate([[0.0], np.cumsum(w[1:])]), 2.0
+    seen = _record_arc_lengths(monkeypatch)
+    got = families._arc_min_phi_half(n, prefix, C)
+    assert seen == [32, *range(1, 32)]
+    assert got == naive_arc_min_phi_half(n, prefix, C)
+
+
+def test_arc_min_loops_over_every_length_on_a_decreasing_prefix(monkeypatch):
+    n = 64
+    prefix, C = families._kernel_prefix(n)
+    prefix[30] = 0.0  # the one entry below its predecessor
+    want = naive_arc_min_phi_half(n, prefix, C)
+    # a shorter arc wins here, which a bound from the arc of length 32 would hide
+    assert want < float(families._arc_sqrt_cross(n, 32, prefix, C).sum()) / 32
+    seen = _record_arc_lengths(monkeypatch)
+    assert families._arc_min_phi_half(n, prefix, C) == want
+    assert seen == list(range(1, 33))
 
 
 def test_scan_rows_and_csv(tmp_path):

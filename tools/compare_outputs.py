@@ -17,6 +17,8 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1 on a cycle, a
   hypercube and a dumbbell, whose minimizers tie, and on random reversible
   and directed chains on 18 states, more than one block of the enumerator;
+- ``scan`` on every n from 8 to 300, odd and even, and on 4095 and the cap
+  65536, beyond the benchmark's five sizes;
 - ``analyze`` on valid files laid out in the ways the readers accept:
   comments between body lines, CRLF and CR line ends, blank lines and
   ``\x0b`` / ``\x1f`` / ``\xa0`` separators;
@@ -218,6 +220,9 @@ def build_plan(work: str) -> list[dict]:
     for name, path in exact:
         argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.3,0.5,0.75,1"]
         plan.append({"id": f"analyze-exact-{name}", "argv": argv})
+
+    for name, ns in (("8-300", range(8, 301)), ("4095-65536", (4095, 65536))):
+        plan.append({"id": f"scan-{name}", "argv": ["scan", "--n-list", ",".join(map(str, ns)), "--out", "OUT/scan.csv"]})
 
     for name, fmt, text in LAID_OUT:
         path = os.path.join(work, name)
