@@ -263,6 +263,8 @@ def power_increment_supremum(p: float, trials: int = 100_000, seed: int = 0) -> 
         raise InputError(f"gadget requires p in (1/2, 1], got {p}")
     if seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
+    if trials < 0:
+        raise InputError(f"trials must be a nonnegative integer, got {trials}")
     rng = np.random.default_rng(seed)
     best = 0.0
     chunk = 20_000

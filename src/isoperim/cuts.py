@@ -14,8 +14,9 @@ low bits. One subset-sum recurrence, by doubling, gives every low mask's
 pi-mass, row sums P(v, S), membership and, for p = 0, each row's count of
 support entries inside S (v is on the boundary iff that count is below its
 row's); each block of the high bits adds its own vertices, keeps only its
-admissible sets and scores those. Ties are broken toward the smallest
-bitmask.
+admissible sets and scores those, split across the CPUs in the process's
+affinity mask (no setting; the results are identical on any number of
+CPUs). Ties are broken toward the smallest bitmask.
 
 The sweep cut takes the best of the distinct level sets of the truncated
 second eigenvector; for p > 1/2 the winner provably satisfies
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +43,7 @@ from .spectral import SpectralCertificate, truncated_eigenvector
 
 GUARANTEE_TOL = 1e-8
 _BLOCK_BITS = 16
+_MIN_CHUNK_ROWS = 1 << 13  # fewest admissible sets in a part; smaller blocks start no thread
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,6 +149,13 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     vertices and scores only its admissible sets. A vertex of S is on the
     boundary iff its row has support outside S. Ties go to the smallest
     bitmask.
+
+    A block's admissible sets are split into contiguous parts of at least
+    ``_MIN_CHUNK_ROWS`` sets, at most one per CPU in the process's affinity
+    mask; the calling thread scores the first part and a thread pool, made
+    at most once per call, the others. There is no setting. Each set's
+    arithmetic does not depend on the split and the parts are folded in
+    mask order, so the minima are identical on any number of CPUs.
     """
     ps = list(dict.fromkeys(_validate_p(p) for p in ps))
     cap = exact_enumeration_cap()
@@ -157,36 +167,80 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     R_low = _subset_sums(P[:, :low].T)  # R_low[m, v] = P(v, m)
     member_low = _subset_sums(np.eye(low, n, dtype=bool))
     rowsum = P.sum(axis=1)
-    if 0.0 in ps:
+    need_p0 = 0.0 in ps
+    if need_p0:
         support = P > STRUCTURAL_ZERO
         degree = support.sum(axis=1)
-        inside_low = _subset_sums(support[:, :low].T.astype(np.int64))
+        count = np.min_scalar_type(n)  # holds every count of entries inside S, 0..n
+        inside_low = _subset_sums(support[:, :low].T.astype(count))
 
-    best = {p: (math.inf, -1) for p in ps}
-    for hi in range(1 << (n - low)):
-        bits = low + np.flatnonzero(hi >> np.arange(n - low) & 1)
-        mass = mass_low + pi[bits].sum()
-        keep = mass <= 0.5 + MASS_SLACK
-        keep[0] &= hi > 0  # the empty set
-        rows = np.flatnonzero(keep)
-        if rows.size == 0:
-            continue
-        mass = mass[rows]
+    def score(
+        rows: np.ndarray, mass: np.ndarray, bits: np.ndarray, hi_cross: np.ndarray, hi_inside: np.ndarray | None
+    ) -> list[tuple[float, int]]:
+        """(phi, low mask) of each exponent's first minimum over ``rows``, one
+        contiguous slice of a block's admissible rows; numpy calls only, so
+        a worker thread runs it without the GIL for most of its time."""
         member = member_low[rows]
         member[:, bits] = True
         weight = pi * member
-        cross = np.maximum(rowsum - (R_low[rows] + P[:, bits].sum(axis=1)), 0.0)
+        cross = R_low[rows]
+        cross += hi_cross
+        np.subtract(rowsum, cross, out=cross)
+        np.maximum(cross, 0.0, out=cross)
+        found = []
         for p in ps:
             if p == 0.0:
-                inside = inside_low[rows] + support[:, bits].sum(axis=1)
+                inside = inside_low[rows]
+                inside += hi_inside
                 num = ((inside < degree) * weight).sum(axis=1)
             else:
-                num = (cross**p * weight).sum(axis=1)
+                terms = cross**p
+                terms *= weight
+                num = terms.sum(axis=1)
             phi = num / mass
             j = int(np.argmin(phi))
-            if phi[j] < best[p][0]:
-                best[p] = float(phi[j]), hi << low | int(rows[j])
+            found.append((phi[j], int(rows[j])))
+        return found
+
+    best = {p: (math.inf, -1) for p in ps}
+    workers = _usable_cpus()
+    pool = None
+    try:
+        for hi in range(1 << (n - low)):
+            bits = low + np.flatnonzero(hi >> np.arange(n - low) & 1)
+            mass = mass_low + pi[bits].sum()
+            keep = mass <= 0.5 + MASS_SLACK
+            keep[0] &= hi > 0  # the empty set
+            rows = np.flatnonzero(keep)
+            if rows.size == 0:
+                continue
+            mass = mass[rows]
+            block = (bits, P[:, bits].sum(axis=1), support[:, bits].sum(axis=1, dtype=count) if need_p0 else None)
+            k = max(1, min(workers, rows.size // _MIN_CHUNK_ROWS))
+            parts = list(zip(np.array_split(rows, k), np.array_split(mass, k)))
+            if k > 1 and pool is None:
+                from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import
+
+                pool = ThreadPoolExecutor(workers - 1)
+            pending = [pool.submit(score, *part, *block) for part in parts[1:]]
+            results = [score(*parts[0], *block)] + [f.result() for f in pending]
+            for found in results:  # ascending masks: the first minimum wins ties
+                for p, (phi, mask) in zip(ps, found):
+                    if phi < best[p][0]:
+                        best[p] = float(phi), hi << low | mask
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return {p: _evaluate_set(c, np.flatnonzero(mask >> np.arange(n) & 1), p, "exact") for p, (_, mask) in best.items()}
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask, or all of them where the
+    platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def phi_p_exact(c: MarkovChain, p: float) -> CutResult:

@@ -138,7 +138,7 @@ def arc_phi_half(n: int, l: int) -> float:
     if not (1 <= l <= n // 2):
         raise InputError(f"arc length must satisfy 1 <= l <= n/2, got l={l}, n={n}")
     prefix, C = _kernel_prefix(n)
-    return math.fsum(_arc_sqrt_cross(n, l, prefix, C).tolist()) / l
+    return float(_arc_sqrt_cross(n, l, prefix, C).sum()) / l
 
 
 def _arc_sqrt_cross(n: int, l: int, prefix: np.ndarray, C: float) -> np.ndarray:

@@ -1,5 +1,8 @@
+import concurrent.futures
+import contextlib
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from isoperim import (
     sweep_cut,
     sweep_cuts,
 )
+from isoperim import cuts
 from isoperim.errors import InputError, NumericalFailure, TooLarge
 from oracles import blocked_exact_minima, naive_phi_exact, naive_phi_p, naive_sweep
 
@@ -219,8 +223,14 @@ def _exact_chains(draw):
     return gen(n, density=draw(st.sampled_from([0.2, 0.5, 1.0])), seed=draw(st.integers(0, 10**6)))
 
 
-def _float_bits(cuts):
-    return [[x.hex() for x in (cut.numerator, cut.pi_mass, cut.phi)] for cut in cuts.values()]
+def _float_bits(results):
+    return [[x.hex() for x in (cut.numerator, cut.pi_mass, cut.phi)] for cut in results.values()]
+
+
+def _assert_same_minima(c, ps):
+    got, want = exact_minima(c, ps), blocked_exact_minima(c, ps)
+    assert got == want and list(got) == list(want)
+    assert _float_bits(got) == _float_bits(want)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -228,9 +238,74 @@ def _float_bits(cuts):
 def test_exact_minima_match_blocked_enumerator(c, ps):
     # the subset-sum enumerator finds the blocked one's minimizers, ties and
     # p = 0 included, with bit-identical values
-    got, want = exact_minima(c, ps), blocked_exact_minima(c, ps)
-    assert got == want and list(got) == list(want)
-    assert _float_bits(got) == _float_bits(want)
+    _assert_same_minima(c, ps)
+
+
+class _CountingPool(concurrent.futures.ThreadPoolExecutor):
+    """Thread pool that counts how many pools the enumerator makes."""
+
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).made += 1
+        super().__init__(*args, **kwargs)
+
+
+@contextlib.contextmanager
+def _split_every_block(cpus):
+    """Score every block of admissible sets in ``cpus`` parts of at least one
+    set each, counting the pools made; no thread may outlive a call."""
+    threads = threading.active_count()
+    _CountingPool.made = 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cuts, "_MIN_CHUNK_ROWS", 1)
+        m.setattr(cuts, "_usable_cpus", lambda: cpus)
+        m.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
+        yield
+    assert threading.active_count() == threads
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    directed=st.booleans(),
+    n=st.integers(3, 16) | st.integers(17, 18),
+    density=st.sampled_from([0.2, 0.5, 1.0]),
+    seed=st.integers(0, 10**6),
+    ps=st.lists(st.sampled_from(EXACT_PS), min_size=1, max_size=7),
+)
+def test_exact_minima_split_across_threads_match_blocked_enumerator(directed, n, density, seed, ps):
+    # parts of one set upward: a part boundary falls between every pair of
+    # neighbouring admissible sets of a small block
+    c = (gen_random_directed if directed else gen_random_reversible)(n, density=density, seed=seed)
+    with _split_every_block(3):
+        _assert_same_minima(c, ps)
+    assert _CountingPool.made == 1
+
+
+@pytest.mark.parametrize(
+    "c",
+    [gen_cycle(12), gen_hypercube(4), gen_dumbbell(5), chain_from_matrix(np.array([[0.25, 0.75], [0.5, 0.5]]))],
+    ids=["cycle12", "hypercube4", "dumbbell5", "two-state"],
+)
+@pytest.mark.parametrize("cpus", [2, 3, 7])
+def test_exact_minima_split_ties_go_to_smallest_bitmask(c, cpus):
+    # tied minimizers fall in different parts; the first part's must win
+    with _split_every_block(cpus):
+        _assert_same_minima(c, [0.0, 0.3, 0.5, 0.75, 1.0])
+    assert _CountingPool.made == (c.n > 2)  # two states: one admissible set
+
+
+@pytest.mark.parametrize("cpus, min_rows, n", [(1, 1, 12), (4, None, 14)])
+def test_exact_minima_start_no_thread_without_a_split(monkeypatch, cpus, min_rows, n):
+    # one CPU, or blocks below two parts' worth of sets (2^14 masks at most)
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made")
+
+    monkeypatch.setattr(cuts, "_usable_cpus", lambda: cpus)
+    if min_rows is not None:
+        monkeypatch.setattr(cuts, "_MIN_CHUNK_ROWS", min_rows)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    _assert_same_minima(gen_random_reversible(n, density=0.5, seed=5), [0.0, 0.5, 1.0])
 
 
 def test_cauchy_schwarz_ten_thousand_random_sets():

@@ -329,6 +329,14 @@ def test_arc_matches_materialized_chain():
             assert abs(arc_phi_half(n, l) - direct) < 1e-10
 
 
+def test_arc_min_equals_scan_column_bit_for_bit():
+    # arc_phi_half sums as the scan does, so the public arc values and the
+    # scan's phi_half_arc agree to the last bit (math.fsum differed at 129 n)
+    for row in scaling_scan(range(8, 400)):
+        arc_min = min(arc_phi_half(row.n, l) for l in range(1, row.n // 2 + 1))
+        assert arc_min.hex() == row.phi_half_arc.hex(), row.n
+
+
 def test_arc_range_validation():
     with pytest.raises(ValueError):
         arc_phi_half(8, 5)

@@ -399,6 +399,8 @@ def test_cli_bad_input_values_exit_2(tmp_path, capsys, fmt, text, message):
         (["generate", "--family", "dumbbell", "--n", "100000", "--out", "OUT"], "200000 states exceed the limit"),
         (["generate", "--family", "cycle", "--n", "1000000000", "--out", "OUT"], "1000000000 states exceed the limit"),
         (["scan", "--n-list", "1048576", "--out", "OUT"], "scan supports n <= 65536, got 1048576"),
+        # appended last: pytest names these cases by their position
+        (["gadgets", "--trials", "-5"], "trials must be a nonnegative integer, got -5"),
     ],
 )
 def test_cli_bad_parameters_exit_2(tmp_path, capsys, argv, message):

@@ -17,6 +17,9 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1 on a cycle, a
   hypercube and a dumbbell, whose minimizers tie, and on random reversible
   and directed chains on 18 states, more than one block of the enumerator;
+- ``analyze --method both`` and ``verify --suite all`` on random reversible
+  and directed chains on 20 states, and ``analyze --method exact`` at p = 0,
+  1/2 and 1 on a 20-cycle, whose blocks the enumerator splits across threads;
 - ``scan`` on every n from 8 to 300, odd and even, and on 4095 and the cap
   65536, beyond the benchmark's five sizes;
 - ``analyze`` on valid files laid out in the ways the readers accept:
@@ -220,6 +223,19 @@ def build_plan(work: str) -> list[dict]:
     for name, path in exact:
         argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.3,0.5,0.75,1"]
         plan.append({"id": f"analyze-exact-{name}", "argv": argv})
+
+    # 20 states: about 2^15 admissible sets per block, which the enumerator
+    # splits across threads
+    for name, write in (("rev20", inputs.write_random_reversible), ("dir20", inputs.write_random_directed)):
+        path = os.path.join(work, f"{name}.tsv")
+        write(path, 20, 0.4, np.random.default_rng(20))
+        base = ["--input", path, "--format", "edge-tsv"]
+        plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", *base, "--method", "both", "--p", "0,0.5,0.75,1"]})
+        plan.append({"id": f"verify-{name}", "argv": ["verify", *base, "--suite", "all"]})
+    path = os.path.join(work, "cycle20.tsv")
+    _write_tied(path, "cycle", 20)
+    argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.5,1"]
+    plan.append({"id": "analyze-exact-cycle20", "argv": argv})
 
     for name, ns in (("8-300", range(8, 301)), ("4095-65536", (4095, 65536))):
         plan.append({"id": f"scan-{name}", "argv": ["scan", "--n-list", ",".join(map(str, ns)), "--out", "OUT/scan.csv"]})
