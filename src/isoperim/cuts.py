@@ -14,9 +14,10 @@ low bits. One subset-sum recurrence, by doubling, gives every low mask's
 pi-mass, row sums P(v, S), membership and, for p = 0, each row's count of
 support entries inside S (v is on the boundary iff that count is below its
 row's); each block of the high bits adds its own vertices, keeps only its
-admissible sets and scores those, split across the CPUs in the process's
-affinity mask (no setting; the results are identical on any number of
-CPUs). Ties are broken toward the smallest bitmask.
+admissible sets and scores those in slices of at most 2^12 sets, taken in
+turn by one thread per CPU in the process's affinity mask (no setting; the
+results are identical on any number of CPUs). Ties are broken toward the
+smallest bitmask.
 
 The sweep cut takes the best of the distinct level sets of the truncated
 second eigenvector; for p > 1/2 the winner provably satisfies
@@ -31,9 +32,10 @@ level set) is the one a direct evaluation of every level picks.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +45,8 @@ from .spectral import SpectralCertificate, truncated_eigenvector
 
 GUARANTEE_TOL = 1e-8
 _BLOCK_BITS = 16
-_MIN_CHUNK_ROWS = 1 << 13  # fewest admissible sets in a part; smaller blocks start no thread
+_MIN_CHUNK_ROWS = 1 << 13  # fewest admissible sets per thread; smaller blocks start no thread
+_SCORE_ROWS = 1 << 12  # most sets in one slice; bounds each thread's temporaries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,12 +153,16 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     boundary iff its row has support outside S. Ties go to the smallest
     bitmask.
 
-    A block's admissible sets are split into contiguous parts of at least
-    ``_MIN_CHUNK_ROWS`` sets, at most one per CPU in the process's affinity
-    mask; the calling thread scores the first part and a thread pool, made
-    at most once per call, the others. There is no setting. Each set's
-    arithmetic does not depend on the split and the parts are folded in
-    mask order, so the minima are identical on any number of CPUs.
+    A block's admissible sets are scored by the calling thread and, when
+    the block holds at least ``_MIN_CHUNK_ROWS`` sets per extra thread, by
+    up to one more thread per CPU in the process's affinity mask, from a
+    pool made at most once per call. The sets are cut into contiguous
+    slices of at most ``_SCORE_ROWS``, which the threads take one at a time
+    in mask order, so a call's peak memory is small and does not depend on
+    how the threads interleave, and a thread that is slow to run leaves
+    its share to the others. There is no setting. Each set's arithmetic
+    does not depend on the slicing and the slices are folded in mask
+    order, so the minima are identical on any number of CPUs.
     """
     ps = list(dict.fromkeys(_validate_p(p) for p in ps))
     cap = exact_enumeration_cap()
@@ -202,6 +209,13 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
             found.append((phi[j], int(rows[j])))
         return found
 
+    def drain(tickets: Iterator[int], slices: list, block: tuple, found: list) -> None:
+        """Score the next unscored slice of the block until none is left."""
+        for i in tickets:
+            if i >= len(slices):
+                return
+            found[i] = score(*slices[i], *block)
+
     best = {p: (math.inf, -1) for p in ps}
     workers = _usable_cpus()
     pool = None
@@ -217,15 +231,20 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
             mass = mass[rows]
             block = (bits, P[:, bits].sum(axis=1), support[:, bits].sum(axis=1, dtype=count) if need_p0 else None)
             k = max(1, min(workers, rows.size // _MIN_CHUNK_ROWS))
-            parts = list(zip(np.array_split(rows, k), np.array_split(mass, k)))
+            step = min(_SCORE_ROWS, -(-rows.size // k))
+            slices = [(rows[i : i + step], mass[i : i + step]) for i in range(0, rows.size, step)]
+            found = [None] * len(slices)
+            tickets = itertools.count()  # next() on it is atomic under the GIL
             if k > 1 and pool is None:
                 from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import
 
                 pool = ThreadPoolExecutor(workers - 1)
-            pending = [pool.submit(score, *part, *block) for part in parts[1:]]
-            results = [score(*parts[0], *block)] + [f.result() for f in pending]
-            for found in results:  # ascending masks: the first minimum wins ties
-                for p, (phi, mask) in zip(ps, found):
+            pending = [pool.submit(drain, tickets, slices, block, found) for _ in range(k - 1)]
+            drain(tickets, slices, block, found)
+            for f in pending:
+                f.result()
+            for part in found:  # ascending masks: the first minimum wins ties
+                for p, (phi, mask) in zip(ps, part):
                     if phi < best[p][0]:
                         best[p] = float(phi), hi << low | mask
     finally:
