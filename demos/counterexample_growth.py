@@ -9,17 +9,17 @@ minimizer there; large n uses the analytic circulant eigenvalue and the
 arc-restricted upper bound on phi_half.
 """
 
-from isoperim import arc_phi_half, gen_ht_counterexample, phi_p_exact, scaling_scan
+from isoperim import arc_phi_half, gen_ht_counterexample, normalizer, phi_p_exact, scaling_scan
 
 
 def main():
     print("small n: exact minimum vs best arc (they coincide)")
     for n in (8, 12, 16):
-        chain, meta = gen_ht_counterexample(n)
+        chain = gen_ht_counterexample(n)
         exact = phi_p_exact(chain, 0.5)
         arc = min(arc_phi_half(n, l) for l in range(1, n // 2 + 1))
         print(
-            f"  n={n:3d}  C={meta.C:.4f}  exact phi_half={exact.phi:.6f} at S={exact.subset}"
+            f"  n={n:3d}  C={normalizer(n):.4f}  exact phi_half={exact.phi:.6f} at S={exact.subset}"
             f"  arc min={arc:.6f}"
         )
 

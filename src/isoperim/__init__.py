@@ -51,7 +51,6 @@ from .cuts import (
     sweep_cuts,
 )
 from .families import (
-    CounterexampleMeta,
     HypercubeQuantities,
     PartitionBlocks,
     ScanRow,

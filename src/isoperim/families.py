@@ -19,6 +19,7 @@ scaled table rows.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -54,20 +55,12 @@ def normalizer(n: int) -> float:
     return math.fsum(kernel_weights(n)[1:].tolist())
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class CounterexampleMeta:
-    """Size, normalizing constant, and the generated chain itself."""
-
-    n: int
-    C: float
-    chain: MarkovChain
-
-
-def gen_ht_counterexample(n: int) -> tuple[MarkovChain, CounterexampleMeta]:
+def gen_ht_counterexample(n: int) -> MarkovChain:
     """The inverse-cube circulant chain on n >= 3 vertices.
 
     Rows are cyclic shifts of the kernel divided by C, so the chain is
-    symmetric, doubly stochastic, reversible, and has uniform pi.
+    symmetric, doubly stochastic, reversible, and has uniform pi; C is
+    ``normalizer(n)``.
     """
     if n < 3:
         raise InputError(f"family needs n >= 3, got {n}")
@@ -77,8 +70,7 @@ def gen_ht_counterexample(n: int) -> tuple[MarkovChain, CounterexampleMeta]:
     P = w[(np.arange(n) - np.arange(n)[:, None]) % n]  # row i is w rolled by i
     P /= C
     pi = np.full(n, 1.0 / n)
-    chain = MarkovChain(n=n, P=P, pi=pi, origin="undirected-graph")
-    return chain, CounterexampleMeta(n=n, C=C, chain=chain)
+    return MarkovChain(n=n, P=P, pi=pi, origin="undirected-graph")
 
 
 def circulant_lambda2(first_row: Sequence[float]) -> float:
@@ -125,6 +117,15 @@ def _kernel_prefix(n: int) -> tuple[np.ndarray, float]:
     return prefix, math.fsum(w[1:].tolist())
 
 
+@functools.lru_cache(maxsize=1)
+def _arc_prefix(n: int) -> tuple[np.ndarray, float]:
+    """``_kernel_prefix(n)``, read-only and kept for the last n that
+    ``arc_phi_half`` saw, so a pass over every arc length builds it once."""
+    prefix, C = _kernel_prefix(n)
+    prefix.setflags(write=False)
+    return prefix, C
+
+
 def arc_phi_half(n: int, l: int) -> float:
     """phi_{1/2} of the contiguous arc {1..l} in the inverse-cube chain.
 
@@ -137,7 +138,7 @@ def arc_phi_half(n: int, l: int) -> float:
         raise InputError(f"family needs n >= 3, got {n}")
     if not (1 <= l <= n // 2):
         raise InputError(f"arc length must satisfy 1 <= l <= n/2, got l={l}, n={n}")
-    prefix, C = _kernel_prefix(n)
+    prefix, C = _arc_prefix(n)
     return float(_arc_sqrt_cross(n, l, prefix, C).sum()) / l
 
 

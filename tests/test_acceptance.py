@@ -25,6 +25,7 @@ from isoperim import (
     lambda2_directed,
     lambda2_reversible,
     lazy_transform,
+    normalizer,
     phi_p_exact,
     phi_p_of_set,
     power_increment_supremum,
@@ -117,7 +118,7 @@ def test_criterion_4_exactness_cross_checks():
     ok = True
     details = []
     for n in (8, 12, 16):
-        chain, _ = gen_ht_counterexample(n)
+        chain = gen_ht_counterexample(n)
         exact = phi_p_exact(chain, 0.5).phi
         arc_min = min(arc_phi_half(n, l) for l in range(1, n // 2 + 1))
         floor = 0.5 * math.log(n) / n
@@ -126,7 +127,7 @@ def test_criterion_4_exactness_cross_checks():
         details.append(f"n={n}: exact={exact:.6f} arc={arc_min:.6f} floor={floor:.6f}")
     worst_eig = 0.0
     for n in (4, 8, 16, 32, 64, 128, 256):
-        for chain in (gen_ht_counterexample(n)[0], gen_cycle(n)):
+        for chain in (gen_ht_counterexample(n), gen_cycle(n)):
             first_row = np.concatenate([[1.0], -chain.P[0, 1:]])
             analytic = circulant_lambda2(first_row)
             w, _ = symmetric_eigensolve(np.eye(n) - chain.P)
@@ -248,12 +249,12 @@ def test_criterion_9_block_machinery():
         worst_merge = max(worst_merge, block_merge_residual(PartitionBlocks(tuple(cfg))))
     worst_logsum = -math.inf
     for n in (8, 16, 32):
-        chain, meta = gen_ht_counterexample(n)
+        chain = gen_ht_counterexample(n)
         for _ in range(500):
             flags = rng.random(n) < 0.5
             flags[0], flags[-1] = True, False
             pb = PartitionBlocks.from_membership(flags.tolist())
-            rep = check_block_lower_bound(chain, pb, C=meta.C)
+            rep = check_block_lower_bound(chain, pb, C=normalizer(n))
             worst_logsum = max(worst_logsum, rep.lhs - rep.rhs)
     ok = worst_concavity <= 1e-9 and worst_merge <= 1e-12 and worst_logsum <= 1e-9
     _line(

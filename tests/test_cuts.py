@@ -214,7 +214,7 @@ def _exact_chains(draw):
     if kind == "dumbbell":
         return gen_dumbbell(draw(st.integers(3, 9)))
     if kind == "circulant":
-        return gen_ht_counterexample(draw(st.integers(3, 18)))[0]
+        return gen_ht_counterexample(draw(st.integers(3, 18)))
     n = draw(st.integers(2, 16) | st.integers(17, 18))
     if n == 2:
         a, b = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))

@@ -21,8 +21,8 @@ from isoperim import (
     hypercube_graph,
     hypercube_quantities,
     is_reversible,
-    kernel_weights,
     lambda2_reversible,
+    normalizer,
     phi_p_exact,
     phi_p_of_set,
     random_directed_graph,
@@ -38,8 +38,8 @@ from oracles import naive_arc_min_phi_half, naive_block_h, naive_circulant_eigs
 # --- counterexample family -------------------------------------------------
 
 def test_counterexample_n4_values():
-    chain, meta = gen_ht_counterexample(4)
-    assert meta.C == 2.125
+    chain = gen_ht_counterexample(4)
+    assert normalizer(4) == 2.125
     assert abs(chain.P[0, 1] - 8 / 17) < 1e-15
     assert abs(chain.P[0, 2] - 1 / 17) < 1e-15
     assert abs(chain.P[0, 3] - 8 / 17) < 1e-15
@@ -48,11 +48,11 @@ def test_counterexample_n4_values():
 
 def test_counterexample_rows_and_reversibility():
     for n in (3, 5, 8, 33, 64):
-        chain, meta = gen_ht_counterexample(n)
+        chain = gen_ht_counterexample(n)
         assert np.max(np.abs(chain.P.sum(axis=1) - 1)) < 1e-12
         assert is_reversible(chain)
         assert np.max(np.abs(chain.pi - 1.0 / n)) < 1e-12
-        assert abs(meta.C - math.fsum(kernel_weights(n)[1:].tolist())) < 1e-12
+        assert abs(chain.P[0, 1] * normalizer(n) - 1) < 1e-12
 
 
 def test_counterexample_too_small():
@@ -61,7 +61,7 @@ def test_counterexample_too_small():
 
 
 def test_counterexample_lambda2_n4():
-    chain, meta = gen_ht_counterexample(4)
+    chain = gen_ht_counterexample(4)
     first_row = np.concatenate([[1.0], -chain.P[0, 1:]])
     assert abs(circulant_lambda2(first_row) - 18 / 17) < 1e-12
     assert abs(lambda2_reversible(chain).lambda2 - 18 / 17) < 1e-10
@@ -81,7 +81,7 @@ def test_circulant_rejects_asymmetric():
 
 def test_circulant_matches_dense_eigensolver():
     for n in (4, 8, 16, 33, 64, 128, 256):
-        chain, _ = gen_ht_counterexample(n)
+        chain = gen_ht_counterexample(n)
         first_row = np.concatenate([[1.0], -chain.P[0, 1:]])
         analytic = circulant_lambda2(first_row)
         dense = np.sort(naive_circulant_eigs(first_row))
@@ -96,7 +96,7 @@ def test_circulant_matches_sin_closed_form():
     # 4 * sum P(1, i) sin^2((i-1) pi / n) over the half range, plus the even-n
     # boundary term, reproduces the analytic eigenvalue at k = 1
     for n in (9, 15, 21):
-        chain, meta = gen_ht_counterexample(n)
+        chain = gen_ht_counterexample(n)
         k = (n - 1) // 2
         closed = 4.0 * math.fsum(
             chain.P[0, i] * math.sin(i * math.pi / n) ** 2 for i in range(1, k + 1)
@@ -209,7 +209,7 @@ def test_crossweight_cycle4(cycle4):
 
 
 def test_crossweight_counterexample_consistency():
-    chain, _ = gen_ht_counterexample(8)
+    chain = gen_ht_counterexample(8)
     for size in (1, 2, 4):
         A = list(range(size))
         B = list(range(size, 8))
@@ -278,20 +278,20 @@ def test_block_concavity_random(data):
 
 def test_block_lower_bound_cases():
     for n, sizes in [(16, (8, 8)), (16, (1, 1) * 8), (4, (2, 2)), (16, (3, 5, 2, 6))]:
-        chain, meta = gen_ht_counterexample(n)
-        rep = check_block_lower_bound(chain, PartitionBlocks(sizes), C=meta.C)
+        chain = gen_ht_counterexample(n)
+        rep = check_block_lower_bound(chain, PartitionBlocks(sizes), C=normalizer(n))
         assert rep.holds
 
 
 def test_block_lower_bound_random_colorings():
     rng = np.random.default_rng(11)
     for n in (8, 16, 32):
-        chain, meta = gen_ht_counterexample(n)
+        chain = gen_ht_counterexample(n)
         for _ in range(60):
             flags = rng.random(n) < 0.5
             flags[0], flags[-1] = True, False
             pb = PartitionBlocks.from_membership(flags.tolist())
-            rep = check_block_lower_bound(chain, pb, C=meta.C)
+            rep = check_block_lower_bound(chain, pb, C=normalizer(n))
             assert rep.holds
             assert pb.n == n
 
@@ -323,7 +323,7 @@ def test_arc_singleton_is_one():
 
 def test_arc_matches_materialized_chain():
     for n in (4, 8, 16, 64, 512):
-        chain, _ = gen_ht_counterexample(n)
+        chain = gen_ht_counterexample(n)
         for l in {1, 2, n // 4, n // 2} - {0}:
             direct = phi_p_of_set(chain, list(range(l)), 0.5).phi
             assert abs(arc_phi_half(n, l) - direct) < 1e-10
@@ -346,7 +346,7 @@ def test_arc_range_validation():
 
 def test_arc_upper_bounds_exact():
     for n in (8, 12, 16):
-        chain, _ = gen_ht_counterexample(n)
+        chain = gen_ht_counterexample(n)
         exact = phi_p_exact(chain, 0.5).phi
         arc_min = min(arc_phi_half(n, l) for l in range(1, n // 2 + 1))
         assert exact <= arc_min + 1e-12

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import sys
+import warnings
 from unittest import mock
 
 import isoperim.bounds
@@ -166,7 +167,7 @@ def test_cli_generate_ht_family_roundtrip(tmp_path):
     out = tmp_path / "ht.tsv"
     assert cli_main(["generate", "--family", "ht-counterexample", "--n", "8", "--out", str(out)]) == 0
     c = load_chain(str(out), "edge-tsv")
-    chain, _ = gen_ht_counterexample(8)
+    chain = gen_ht_counterexample(8)
     assert np.max(np.abs(c.P - chain.P)) <= 1e-15
 
 
@@ -598,7 +599,7 @@ def _big_directed(lines):
     return [f"{k // 299 + 1}\t{(k // 299 + 1 + k % 299) % 300 + 1}\t0.5" for k in range(lines)]
 
 
-def test_parse_line_faults_match_oracle(tmp_path):
+def test_parse_line_faults_match_oracle(tmp_path, capsys):
     path = tmp_path / "in.txt"
     big = _big_directed(70000)  # more lines than one block of the reader
     cases = [
@@ -616,6 +617,18 @@ def test_parse_line_faults_match_oracle(tmp_path):
         ("edge-tsv", "directed\n" + "\n".join(big[:68000] + ["1\tx\t1"] + big[68000:]) + "\n", ":68002: invalid literal"),
         ("edge-tsv", "directed\n" + "\n".join(big[:67000] + ["1\t2"] + big[67000:]) + "\n", ":67002: expected"),
         ("edge-tsv", "directed\n" + "\n".join(big + ["300\t1\t-2"]) + "\n", ":70002: negative weight '-2'"),
+        # plain ASCII files: numpy's C reader sees them first, then the layout reader names the fault
+        ("edge-tsv", "directed\n", ": nothing after the header"),
+        ("edge-tsv", "directed\n\n  \n", ": nothing after the header"),
+        ("edge-tsv", "undirected\n\t\r\n\x0b\x1c \n", ": nothing after the header"),
+        ("edge-tsv", "directed\n" + "\n".join(big[:69999] + ["1\tx\t1"]) + "\n", ":70001: invalid literal"),
+        ("edge-tsv", "directed\n" + "\n".join(big[:69999] + ["1\t2"]) + "\n", ":70001: expected"),
+        ("edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n3\t2\t0.5\n", ":4: duplicate edge (3, 2)"),
+        ("edge-tsv", "directed\n1\t2\t1\n2\t1\tnan\n", ":3: weight 'nan' is not a finite number"),
+        ("edge-tsv", "directed\n1\t2\t1\n16385\t1\t1\n", ":3: vertex id 16385: 16385 states exceed"),
+        ("edge-tsv", "directed\n1\t2\t1\n2\t9223372036854775808\t1\n", ":3: vertex id 9223372036854775808: "),
+        ("edge-tsv", "directed\n1\t2\t1_0\n2\t1\t1\n", None),
+        ("edge-tsv", "\ndirected\n1\t2\t1\n2\t1\t1\n", None),
         ("dense-matrix", "matrix-kind weight\n0 1 1\n1 0\n", "row lengths [3, 2]"),
         ("dense-matrix", "matrix-kind weight\n0 1 x\n1 0\n", ":2: could not convert"),
         ("dense-matrix", "matrix-kind weight\n0 inf\n1 x\n", ":2: entry 'inf'"),
@@ -624,13 +637,18 @@ def test_parse_line_faults_match_oracle(tmp_path):
         ("dense-matrix", "# c\nmatrix-kind transition\n0 1\n1 0\n", None),
         ("dense-matrix", "\n\nmatrix-kind foo\n0 1\n1 0\n", ":3: header must be"),
     ]
-    for fmt, text, message in cases:
-        _write_raw(path, text)
-        outcome = _outcome(parse_graph, path, fmt)
-        assert outcome == _outcome(naive_parse_graph, path, fmt), text[:60]
-        assert outcome[0] in ("InputError", "TooLarge") if message else isinstance(outcome[0], int)
-        if message:
-            assert message in outcome[1], (text[:60], outcome)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print above the error line
+        for fmt, text, message in cases:
+            _write_raw(path, text)
+            outcome = _outcome(parse_graph, path, fmt)
+            assert outcome == _outcome(naive_parse_graph, path, fmt), text[:60]
+            assert outcome[0] in ("InputError", "TooLarge") if message else isinstance(outcome[0], int)
+            if message:
+                assert message in outcome[1], (text[:60], outcome)
+            if message == ": nothing after the header":
+                assert cli_main(["analyze", "--input", str(path), "--format", fmt]) == 2
+                assert f"{path}{message}" in _one_error_line(capsys)
 
 
 def test_parse_opens_each_file_once(tmp_path):
@@ -640,6 +658,8 @@ def test_parse_opens_each_file_once(tmp_path):
         ("edge-tsv", "undirected\n1\t2\t1\n# note\n2\t3\t1\n"),
         ("edge-tsv", "undirected\n1\t2\t1\n2\t3\n"),
         ("edge-tsv", "undirected\n1\t2\t1\n2\t1\t1\n"),
+        ("edge-tsv", "directed\n\n  \n"),
+        ("edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n3\t2\t0.5\n"),
         ("dense-matrix", "matrix-kind weight\n0 1\n# note\n1 0\n"),
         ("dense-matrix", "matrix-kind weight\n0 1\n1 x\n"),
     ]:
@@ -650,6 +670,53 @@ def test_parse_opens_each_file_once(tmp_path):
             except InputError:
                 pass
         assert opened.call_count == 1, text
+
+
+def test_plain_edge_tsv_never_reaches_the_layout_reader(tmp_path, monkeypatch):
+    # numpy's C reader converts plain ASCII files on its own; the layout
+    # reader runs only for the files it cannot take or that fail a check
+    path = tmp_path / "in.txt"
+    texts = [
+        "undirected\n1\t2\t0.5\n2\t3\t1e-3\n3 1  +2\n",
+        " directed \r\n1\t2\t1\r\n\r\n2\t1\x0b007\x0c\r\n",
+        "directed\n" + "\n".join(_big_directed(70000)) + "\n",
+    ]
+    wanted = []
+    for text in texts:
+        _write_raw(path, text)
+        wanted.append(_outcome(naive_parse_graph, path, "edge-tsv"))
+
+    def refuse(*args):
+        raise AssertionError("the layout reader ran")
+
+    monkeypatch.setattr(isoperim.io, "_read", refuse)
+    for text, want in zip(texts, wanted):
+        _write_raw(path, text)
+        assert _outcome(parse_graph, path, "edge-tsv") == want, text[:60]
+
+
+def test_c_reader_agrees_with_int_and_float_or_rejects():
+    # any ASCII byte before, inside or after each token of a line: numpy's C
+    # reader converts what str.split, int() and float() make of the line, or
+    # rejects the file so that the layout reader decides
+    converted = set()
+    for byte in range(128):
+        for k in range(3):
+            for at in (0, 1, None):
+                tokens = [b"12", b"34", b"0.5"]
+                at = len(tokens[k]) if at is None else at
+                tokens[k] = tokens[k][:at] + bytes([byte]) + tokens[k][at:]
+                body = b"\t".join(tokens)
+                graph = isoperim.io._plain_graph(b"directed\n" + body + b"\n")
+                if graph is None:
+                    continue
+                rows = [line.split() for line in re.split(r"\r\n|\r|\n", body.decode()) if line.split()]
+                assert len(rows) == 1 and len(rows[0]) == 3, body
+                u, v, w = rows[0]
+                want = np.array([[int(u) - 1, int(v) - 1, float(w)]])
+                assert graph.directed and graph.edges.tobytes() == want.tobytes(), body
+                converted.add(body)
+    assert {b"+12\t34\t0.5", b"12\x1c\t34\t0.5", b"12\t34\t0.57", b"12\t34\t0.5\x0b"} <= converted
 
 
 def test_parsers_hand_their_edge_array_to_the_graph_uncopied(tmp_path, monkeypatch):

@@ -9,8 +9,9 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - every command of the three benchmark workloads for seeds 1 and 2, taken
   from ``perfbench/run.py`` with inputs from ``perfbench/inputs.py``;
 - ``generate`` for every family;
-- ``analyze``, ``verify`` and ``sweep`` on edge-tsv files and on dense weight
-  and transition matrices, self-loops included;
+- ``analyze``, ``verify`` and ``sweep`` on edge-tsv files (one of them a
+  directed chain on 300 states) and on dense weight and transition matrices,
+  self-loops included;
 - ``sweep`` and ``analyze --method sweep`` at p = 0, 1/2 and 1 on cycles,
   hypercubes and dumbbells within and above the exact cap, whose symmetric
   eigenvectors give tied level sets;
@@ -24,9 +25,11 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
   65536, beyond the benchmark's five sizes;
 - ``analyze`` on valid files laid out in the ways the readers accept:
   comments between body lines, CRLF and CR line ends, blank lines and
-  ``\x0b`` / ``\x1f`` / ``\xa0`` separators;
+  ``\x0b`` / ``\x1f`` / ``\xa0`` separators, a ``1_0`` weight and a blank line
+  before the header;
 - malformed or invalid files, which must exit 2, among them one per parse
-  error of both formats.
+  error of both formats, and plain ASCII edge-tsv files that numpy's C reader
+  converts or rejects before the layout reader names the fault.
 
 It compares exit codes, standard output and every output file, checks that
 each command that exits 2 wrote exactly one ``error:`` line and nothing else
@@ -66,6 +69,9 @@ import run as perfbench_run  # noqa: E402
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# 69999 distinct directed edges on ids 1..300, one per line.
+_PLAIN_BODY = "".join(f"{k // 299 + 1}\t{(k // 299 + 1 + k % 299) % 300 + 1}\t0.5\n" for k in range(69999))
+
 # Files that are not valid input, written as they are: (name, format, text).
 FAULTY = [
     ("nan-weight.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\tnan\n"),
@@ -104,6 +110,16 @@ FAULTY = [
     ("inf-then-token.txt", "dense-matrix", "matrix-kind weight\n0 inf\n1 x\n"),
     ("token-not-square.txt", "dense-matrix", "matrix-kind weight\n0 1 x\n1 0\n"),
     ("overflow-entry.txt", "dense-matrix", "matrix-kind transition\n0 1e400\n1 0\n"),
+    # plain ASCII files, which numpy's C reader sees before the layout reader
+    ("plain-header-only.tsv", "edge-tsv", "directed\n"),
+    ("plain-blank-body.tsv", "edge-tsv", "directed\n\n  \n"),
+    ("plain-last-token.tsv", "edge-tsv", "directed\n" + _PLAIN_BODY + "1\tx\t1\n"),
+    ("plain-last-two-tokens.tsv", "edge-tsv", "directed\n" + _PLAIN_BODY + "1\t2\n"),
+    ("plain-duplicate.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n3\t2\t0.5\n"),
+    ("plain-nan.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t1\tnan\n"),
+    ("plain-id-16385.tsv", "edge-tsv", "directed\n1\t2\t1\n16385\t1\t1\n"),
+    ("plain-id-past-int64.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t9223372036854775808\t1\n"),
+    ("plain-blank-then-header.tsv", "edge-tsv", "\ndirected\n1\t2\t1\n2\t3\t1\n"),
 ]
 
 # Files that are not UTF-8: "\udcff" is written as the byte 0xff.
@@ -119,6 +135,8 @@ LAID_OUT = [
     ("laid-out-directed.tsv", "edge-tsv", "directed \n1\t2\t1\n# 2\t1\t1\n2\t3\t1\x0c\n3\t1\t1e-3\r\n3\t2\t2\n"),
     ("laid-out-weight.txt", "dense-matrix", "\n# weights\nmatrix-kind   weight\r\n0 1\xa00.5\r\n# row 2\r\n1\t0\x0b2\r\n\r\n0.5 2\x1f0\r\n"),
     ("laid-out-transition.txt", "dense-matrix", "matrix-kind transition\r0 1\r# note\r0.5 0.5\r"),
+    ("underscore-weight.tsv", "edge-tsv", "directed\n1\t2\t1_0\n2\t1\t1\n"),
+    ("blank-then-header.tsv", "edge-tsv", "\ndirected\n1\t2\t1\n2\t1\t1\n"),
 ]
 
 
@@ -191,6 +209,9 @@ def build_plan(work: str) -> list[dict]:
         path = os.path.join(work, f"{name}.tsv")
         write(path, 8, 0.4, rng)
         valid.append((name, path, "edge-tsv"))
+    path = os.path.join(work, "dir300.tsv")  # plain ASCII, more lines than one block of the layout reader
+    inputs.write_random_directed(path, 300, 0.8, np.random.default_rng(300))
+    valid.append(("dir300", path, "edge-tsv"))
     loops = os.path.join(work, "loops.tsv")
     _write_text(loops, "undirected\n1\t1\t0.5\n1\t2\t1\n3\t2\t2\n3\t1\t0.25\n4\t4\t0\n4\t3\t1\n")
     dloops = os.path.join(work, "dloops.tsv")
