@@ -27,7 +27,7 @@ import numpy as np
 from .chains import MarkovChain, exact_enumeration_cap, is_reversible
 from .cuts import CutResult, exact_minima, sweep_cuts
 from .errors import InputError, NumericalFailure, TooLarge
-from .spectral import SpectralCertificate, lambda2_directed, lambda2_reversible
+from .spectral import SpectralCertificate, _reversible_certificate, lambda2_directed
 
 DEFAULT_TOL = 1e-9
 
@@ -98,9 +98,10 @@ class ChainAnalysis:
                 self._sweep_ps[directed].append(p)
 
     def cert(self, directed: bool) -> SpectralCertificate:
-        """The Chung certificate if directed, else the reversible one."""
+        """The Chung certificate if directed, else the reversible one, which
+        reuses this analysis's detailed-balance verdict."""
         if directed not in self._certs:
-            self._certs[directed] = lambda2_directed(self.c) if directed else lambda2_reversible(self.c)
+            self._certs[directed] = lambda2_directed(self.c) if directed else _reversible_certificate(self.c, self.reversible)
         return self._certs[directed]
 
     def exact(self, p: float) -> CutResult:

@@ -242,6 +242,13 @@ def scaling_scan(n_list: Iterable[int], output: str | None = None) -> list[ScanR
 # standard families
 # --------------------------------------------------------------------------
 
+def _graph(n: int, edges: np.ndarray, directed: bool = False) -> WeightedGraph:
+    """Graph of a fresh float64 (m, 3) array of (u, v, w) rows, frozen so that
+    the graph keeps it without a copy."""
+    edges.setflags(write=False)
+    return WeightedGraph(n=n, edges=edges, directed=directed)
+
+
 def cycle_graph(n: int) -> WeightedGraph:
     """Unit-weight ring on n >= 3 vertices."""
     if n < 3:
@@ -249,7 +256,7 @@ def cycle_graph(n: int) -> WeightedGraph:
     check_states(n)
     u = np.append(np.arange(n - 1), 0)
     v = np.append(np.arange(1, n), n - 1)
-    return WeightedGraph(n=n, edges=np.column_stack([u, v, np.ones(n)]))
+    return _graph(n, np.column_stack([u, v, np.ones(n)]))
 
 
 def hypercube_graph(d: int) -> WeightedGraph:
@@ -261,7 +268,7 @@ def hypercube_graph(d: int) -> WeightedGraph:
     x, i = np.divmod(np.arange(d << d), d)  # every (vertex, bit), vertex-major
     low = (x >> i) & 1 == 0
     x, i = x[low], i[low]
-    return WeightedGraph(n=1 << d, edges=np.column_stack([x, x ^ (1 << i), np.ones(x.size)]))
+    return _graph(1 << d, np.column_stack([x, x ^ (1 << i), np.ones(x.size)]))
 
 
 def dumbbell_graph(m: int) -> WeightedGraph:
@@ -271,7 +278,7 @@ def dumbbell_graph(m: int) -> WeightedGraph:
     check_states(2 * m)
     u, v = np.triu_indices(m, k=1)
     edges = np.vstack([np.column_stack([u, v]), np.column_stack([u + m, v + m]), [[m - 1, m]]])
-    return WeightedGraph(n=2 * m, edges=np.column_stack([edges, np.ones(len(edges))]))
+    return _graph(2 * m, np.column_stack([edges, np.ones(len(edges))]))
 
 
 def ht_counterexample_graph(n: int) -> WeightedGraph:
@@ -280,7 +287,9 @@ def ht_counterexample_graph(n: int) -> WeightedGraph:
         raise InputError(f"family needs n >= 3, got {n}")
     check_states(n)
     u, v = np.triu_indices(n, k=1)
-    return WeightedGraph(n=n, edges=np.column_stack([u, v, kernel_weights(n)[v - u]]))
+    edges = np.column_stack([u, v, kernel_weights(n)[v - u]])
+    del u, v  # only the edge array is alive while the graph checks it
+    return _graph(n, edges)
 
 
 def _random_weights(n: int, density: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +317,7 @@ def random_reversible_graph(n: int, density: float = 0.5, seed: int = 0) -> Weig
     keep = np.triu(keep, k=1) | np.eye(n, k=1, dtype=bool)
     keep[0, n - 1] = True
     u, v = np.nonzero(keep)
-    return WeightedGraph(n=n, edges=np.column_stack([u, v, weights[u, v]]))
+    return _graph(n, np.column_stack([u, v, weights[u, v]]))
 
 
 def random_directed_graph(n: int, density: float = 0.5, seed: int = 0) -> WeightedGraph:
@@ -321,7 +330,7 @@ def random_directed_graph(n: int, density: float = 0.5, seed: int = 0) -> Weight
     keep[i, (i + 1) % n] = True
     keep[i, i] = False
     u, v = np.nonzero(keep)
-    return WeightedGraph(n=n, edges=np.column_stack([u, v, weights[u, v]]), directed=True)
+    return _graph(n, np.column_stack([u, v, weights[u, v]]), directed=True)
 
 
 def gen_cycle(n: int) -> MarkovChain:

@@ -53,7 +53,7 @@ def _fmt(x: float) -> str:
 # multibyte UTF-8 character is, and at these characters (U+0085..U+3000).
 _SPACE = np.array([b < 128 and chr(b).isspace() for b in range(256)])
 _WIDE_SPACES = [chr(c).encode() for c in range(128, 0x3001) if chr(c).isspace()]
-_BLOCK = 1 << 16  # edge-tsv lines whose tokens are alive at once
+_BLOCK = 1 << 16  # edge-tsv lines converted, or written, at once
 _LINE = re.compile(rb"[^\r\n]*")
 _INK = re.compile(rb"[^\t-\r\x1c-\x20]")  # an ASCII byte that str.split does not split at
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
@@ -242,20 +242,29 @@ def load_chain(path: str, format: str) -> MarkovChain:
     return as_chain(parse_graph(path, format))
 
 
+def _byte_table(texts: list[str]) -> np.ndarray:
+    """One row of ASCII bytes per text, zero-padded to the longest."""
+    table = np.array([t.encode("ascii") for t in texts], dtype=bytes)
+    return table.view(np.uint8).reshape(len(texts), table.itemsize)
+
+
 def write_graph_tsv(g: WeightedGraph, path: str) -> None:
     """Write edge-tsv with 1-based ids and full-precision weights.
 
     Each distinct id and each distinct weight (by bit pattern, so -0.0 keeps
-    its sign) is formatted once.
+    its sign) is formatted once, into a zero-padded byte table. The lines are
+    written ``_BLOCK`` at a time: the table rows of each line's ids and weight
+    side by side, padding dropped.
     """
     bits, which = np.unique(g.edges[:, 2].view(np.int64), return_inverse=True)
-    weights = [_fmt(w) for w in bits.view(float).tolist()]
-    ids = [str(i) for i in range(g.n + 1)]
-    us, vs = (g.edges[:, :2].astype(np.int64) + 1).T.tolist()
-    lines = ["directed" if g.directed else "undirected"]
-    lines += [f"{ids[u]}\t{ids[v]}\t{weights[k]}" for u, v, k in zip(us, vs, which.tolist())]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    weights = _byte_table([_fmt(w) + "\n" for w in bits.view(float).tolist()])
+    ids = _byte_table([f"{i}\t" for i in range(1, g.n + 1)])  # row i is id i + 1
+    with open(path, "wb") as fh:
+        fh.write(b"directed\n" if g.directed else b"undirected\n")
+        for a in range(0, len(which), _BLOCK):
+            u, v = g.edges[a : a + _BLOCK, :2].astype(np.intp).T
+            rows = np.concatenate([ids[u], ids[v], weights[which[a : a + _BLOCK]]], axis=1)
+            fh.write(rows[rows != 0])
 
 
 # --------------------------------------------------------------------------

@@ -95,7 +95,13 @@ def lambda2_reversible(c: MarkovChain) -> SpectralCertificate:
     Builds S = Pi^{1/2} P Pi^{-1/2} (symmetric by detailed balance), solves
     I - S, and reports f2 = Pi^{-1/2} v2, an eigenvector of I - P itself.
     """
-    if not is_reversible(c):
+    return _reversible_certificate(c, is_reversible(c))
+
+
+def _reversible_certificate(c: MarkovChain, reversible: bool) -> SpectralCertificate:
+    """:func:`lambda2_reversible` given the chain's detailed-balance verdict,
+    for a caller that already holds it."""
+    if not reversible:
         raise InputError("chain fails detailed balance; use lambda2_directed instead")
     sqrt_pi = np.sqrt(c.pi)
     S = (sqrt_pi[:, None] * c.P) / sqrt_pi[None, :]

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written with plain Python loops, fsum, and
 itertools so it shares no code path with the library (which vectorizes with
-bitmask tables, prefix sums, and FFTs). Four exceptions:
+bitmask tables, prefix sums, and FFTs). Five exceptions:
 
 - :func:`naive_sweep` walks the level sets on its own but evaluates each with
   the library's per-set evaluation, so that its winner can be compared bit
@@ -16,7 +16,11 @@ bitmask tables, prefix sums, and FFTs). Four exceptions:
   for p = 0. Its minima are compared with the library's bit for bit;
 - :func:`naive_arc_min_phi_half` is the loop over every arc length the
   library used before its certified minimum, with the library's per-arc
-  terms, so that the two minima can be compared bit for bit.
+  terms, so that the two minima can be compared bit for bit;
+- :func:`naive_write_graph_tsv` is the edge-tsv writer the library used
+  before its byte tables: one f-string per line, joined into one text, with
+  the library's weight formatting, so that the two files can be compared
+  byte for byte.
 """
 
 import math
@@ -37,6 +41,7 @@ from isoperim.chains import (
 from isoperim.cuts import _BLOCK_BITS, CutResult, _evaluate_set, _validate_p
 from isoperim.errors import InputError, TooLarge
 from isoperim.families import _arc_sqrt_cross
+from isoperim.io import _fmt
 from isoperim.spectral import truncated_eigenvector
 
 ZERO = 1e-15
@@ -345,3 +350,19 @@ def naive_parse_dense(path):
 def naive_parse_graph(path, format):
     """The reference reading of an input file in either format."""
     return naive_parse_edge_tsv(path) if format == "edge-tsv" else naive_parse_dense(path)
+
+
+def naive_write_graph_tsv(g, path):
+    """Write edge-tsv with 1-based ids and full-precision weights.
+
+    Each distinct id and each distinct weight (by bit pattern, so -0.0 keeps
+    its sign) is formatted once.
+    """
+    bits, which = np.unique(g.edges[:, 2].view(np.int64), return_inverse=True)
+    weights = [_fmt(w) for w in bits.view(float).tolist()]
+    ids = [str(i) for i in range(g.n + 1)]
+    us, vs = (g.edges[:, :2].astype(np.int64) + 1).T.tolist()
+    lines = ["directed" if g.directed else "undirected"]
+    lines += [f"{ids[u]}\t{ids[v]}\t{weights[k]}" for u, v, k in zip(us, vs, which.tolist())]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

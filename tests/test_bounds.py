@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isoperim.bounds
+import isoperim.spectral
 from isoperim import (
     ChainAnalysis,
     bound_suite,
@@ -220,15 +221,20 @@ def test_bound_suite_matches_standalone_checks(monkeypatch, cap):
 
 
 def test_chain_analysis_derives_each_quantity_once(monkeypatch):
-    calls = {"exact_minima": [], "lambda2_reversible": 0, "lambda2_directed": 0}
-    for name in ("lambda2_reversible", "lambda2_directed"):
-        real = getattr(isoperim.bounds, name)
+    calls = {"exact_minima": [], "_reversible_certificate": 0, "lambda2_directed": 0, "is_reversible": 0}
+    for module, name in (
+        (isoperim.bounds, "_reversible_certificate"),
+        (isoperim.bounds, "lambda2_directed"),
+        (isoperim.bounds, "is_reversible"),
+        (isoperim.spectral, "is_reversible"),
+    ):
+        real = getattr(module, name)
 
-        def counted(c, _real=real, _name=name):
+        def counted(*args, _real=real, _name=name):
             calls[_name] += 1
-            return _real(c)
+            return _real(*args)
 
-        monkeypatch.setattr(isoperim.bounds, name, counted)
+        monkeypatch.setattr(module, name, counted)
     real_exact = isoperim.bounds.exact_minima
 
     def counted_exact(c, ps):
@@ -238,7 +244,9 @@ def test_chain_analysis_derives_each_quantity_once(monkeypatch):
     monkeypatch.setattr(isoperim.bounds, "exact_minima", counted_exact)
     a = ChainAnalysis(gen_random_reversible(7, density=0.5, seed=3), [0.3])
     bound_suite(a, [0.6, 0.75], [0.6])
-    assert calls["lambda2_reversible"] == 1 and calls["lambda2_directed"] == 1
+    assert calls["_reversible_certificate"] == 1 and calls["lambda2_directed"] == 1
+    # the reversible certificate reuses the analysis's detailed-balance verdict
+    assert calls["is_reversible"] == 1
     assert calls["exact_minima"] == [[0.3, 1.0, 0.5, 0.6, 0.75]]
     # reads of expected exponents and repeated sweeps are served from the store
     assert a.exact(0.3) is a.exact(0.3)
@@ -247,6 +255,17 @@ def test_chain_analysis_derives_each_quantity_once(monkeypatch):
     # an exponent nobody expected costs exactly one more pass
     a.exact(0.0)
     assert calls["exact_minima"][1:] == [[0.0]]
+
+
+def test_chain_analysis_reversible_cert_refuses_a_directed_chain():
+    c = gen_random_directed(6, density=0.5, seed=2)
+    a = ChainAnalysis(c)
+    assert not a.reversible
+    with pytest.raises(InputError, match="fails detailed balance") as got:
+        a.cert(False)
+    with pytest.raises(InputError) as want:
+        lambda2_reversible(c)
+    assert str(got.value) == str(want.value)
 
 
 def test_chain_analysis_rejects_expected_exact_above_cap(monkeypatch):

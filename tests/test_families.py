@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 from isoperim import (
     PartitionBlocks,
+    WeightedGraph,
     arc_phi_half,
     block_log_sum,
     block_merge_residual,
     check_block_lower_bound,
     circulant_lambda2,
+    cycle_graph,
     dumbbell_graph,
     gen_cycle,
     gen_dumbbell,
@@ -159,6 +162,23 @@ def test_hypercube_graph_edges_in_comprehension_order():
         g = hypercube_graph(d)
         assert g.n == 1 << d and not g.directed
         assert np.array_equal(g.edges, np.array(rows))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cycle_graph(7),
+        lambda: hypercube_graph(3),
+        lambda: dumbbell_graph(4),
+        lambda: ht_counterexample_graph(9),
+        lambda: random_reversible_graph(8, 0.5, 0),
+        lambda: random_directed_graph(8, 0.5, 0),
+    ],
+)
+def test_family_graphs_keep_the_edge_array_they_build(build):
+    with mock.patch.object(families, "WeightedGraph", wraps=WeightedGraph) as made:
+        g = build()
+    assert g.edges is made.call_args.kwargs["edges"]
 
 
 def test_hypercube_graph_rejects_dimension_above_cap():

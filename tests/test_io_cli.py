@@ -4,14 +4,16 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
 import isoperim.bounds
 import isoperim.io
+import isoperim.spectral
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoperim import (
@@ -30,7 +32,7 @@ from isoperim.cli import cli_main
 from isoperim.errors import InputError, IsoperimError
 from isoperim.families import cycle_graph, ht_counterexample_graph, random_directed_graph, random_reversible_graph
 from isoperim.io import make_provenance
-from oracles import naive_parse_graph
+from oracles import naive_parse_graph, naive_write_graph_tsv
 
 
 def test_parse_single_edge(tmp_path):
@@ -293,17 +295,17 @@ def test_cli_bad_exact_cap_setting_exit_2(random6, monkeypatch, capsys):
 
 
 def test_cli_verify_derives_each_quantity_once(random6, monkeypatch):
-    calls = {"exact_minima": 0, "lambda2_reversible": 0, "lambda2_directed": 0}
-    for name in calls:
-        real = getattr(isoperim.bounds, name)
+    calls = {"exact_minima": 0, "_reversible_certificate": 0, "lambda2_directed": 0, "is_reversible": 0}
+    for module, name in [(isoperim.bounds, name) for name in calls] + [(isoperim.spectral, "is_reversible")]:
+        real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(isoperim.bounds, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert cli_main(["verify", "--input", random6, "--suite", "all"]) == 0
-    assert calls == {"exact_minima": 1, "lambda2_reversible": 1, "lambda2_directed": 1}
+    assert calls == {"exact_minima": 1, "_reversible_certificate": 1, "lambda2_directed": 1, "is_reversible": 1}
 
 
 @pytest.mark.parametrize("cap", ["24", "4"])
@@ -748,3 +750,47 @@ def test_write_graph_tsv_formats_each_weight_bit_pattern(tmp_path):
     rows = [f"{u + 1}\t{v + 1}\t{w:.17g}" for u, v, w in edges]
     assert path.read_text() == "undirected\n" + "\n".join(rows) + "\n"
     assert rows[0].endswith("-0")
+
+
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0, 1e300]),
+    st.floats(min_value=0.0, max_value=1e308, allow_nan=False),
+)
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs on up to 12 ids, directed or not, with self-loops and weights
+    that repeat, are -0.0 or subnormal."""
+    n = draw(st.integers(1, 12))
+    directed = draw(st.booleans())
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(pair if directed else pair.map(sorted).map(tuple), unique=True, max_size=40))
+    edges = [(u, v, draw(_WEIGHTS)) for u, v in pairs]
+    return WeightedGraph(n=n, edges=edges, directed=directed, allow_self_loops=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(g=_graphs(), block=st.sampled_from([1, 7, 1 << 16]))
+@example(g=WeightedGraph(n=1, edges=[]), block=1)
+@example(g=WeightedGraph(n=1, edges=[]), block=7)
+def test_write_graph_tsv_matches_oracle(fuzz_dir, g, block):
+    # blocks of 1 and 7 lines split every file the strategy draws
+    path, ref = fuzz_dir / "written.tsv", fuzz_dir / "reference.tsv"
+    with mock.patch.object(isoperim.io, "_BLOCK", block):
+        write_graph_tsv(g, str(path))
+    naive_write_graph_tsv(g, str(ref))
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_write_graph_tsv_peak_memory_stays_below_twice_the_edges(tmp_path):
+    # 523,776 lines, a 15 MiB file: the writer holds one block of lines,
+    # never the whole text
+    g = ht_counterexample_graph(1024)
+    tracemalloc.start()
+    try:
+        write_graph_tsv(g, str(tmp_path / "g.tsv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * g.edges.nbytes

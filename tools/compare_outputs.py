@@ -8,7 +8,10 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 
 - every command of the three benchmark workloads for seeds 1 and 2, taken
   from ``perfbench/run.py`` with inputs from ``perfbench/inputs.py``;
-- ``generate`` for every family;
+- ``generate`` for every family, and three files past the writer's block of
+  65536 lines (``ht-counterexample --n 400``, 79800 lines;
+  ``random --n 400 --seed 1 --density 0.9``, about 72000; ``dumbbell --n 300``,
+  89701);
 - ``analyze``, ``verify`` and ``sweep`` on edge-tsv files (one of them a
   directed chain on 300 states) and on dense weight and transition matrices,
   self-loops included;
@@ -200,6 +203,9 @@ def build_plan(work: str) -> list[dict]:
 
     families = [["cycle", "--n", "7"], ["hypercube", "--n", "4"], ["dumbbell", "--n", "4"], ["ht-counterexample", "--n", "64"]]
     families += [["random", "--n", "9", "--seed", str(s), "--density", d] for s in (0, 3) for d in ("0.5", "0.2")]
+    # more lines than one block of the writer
+    families += [["ht-counterexample", "--n", "400"], ["dumbbell", "--n", "300"]]
+    families += [["random", "--n", "400", "--seed", "1", "--density", "0.9"]]
     for args in families:
         plan.append({"id": "generate-" + "-".join(a.lstrip("-") for a in args), "argv": ["generate", "--family", *args, "--out", "OUT/g.tsv"]})
 
