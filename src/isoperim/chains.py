@@ -113,11 +113,12 @@ class WeightedGraph:
 class MarkovChain:
     """Irreducible finite Markov chain (V, P, pi).
 
-    The one validator of P. Construction checks, in this order, that P is
-    square with n >= 2 rows, finite, entrywise in [0, 1], has rows summing to 1
-    within 1e-12, and has a strongly connected support digraph. Only then is
-    pi solved for, when it is given as None; a given pi must be strictly
-    positive with unit sum. Either way ||pi^T P - pi^T||_inf <= 1e-10.
+    The one validator of P. Construction checks, in this order, that n is at
+    most MAX_STATES and that P is square with n >= 2 rows, finite, entrywise
+    in [0, 1], has rows summing to 1 within 1e-12, and has a strongly
+    connected support digraph. Only then is pi solved for, when it is given
+    as None; a given pi must be strictly positive with unit sum. Either way
+    ||pi^T P - pi^T||_inf <= 1e-10.
     """
 
     n: int
@@ -126,6 +127,7 @@ class MarkovChain:
     origin: str = "raw-matrix"
 
     def __post_init__(self) -> None:
+        check_states(self.n)
         P = np.array(self.P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise InputError(f"P must be a square matrix, got shape {P.shape}")

@@ -11,13 +11,13 @@ and a directed one otherwise. Input is UTF-8, lines end at ``\n``, ``\r\n``
 or ``\r``, tokens are separated by whatever ``str.split`` splits at, and blank
 lines and lines whose first token starts with ``#`` are skipped.
 
-The body of a plain edge-tsv file (ASCII, no ``#``, the header alone on the
-first line) is converted by numpy's C reader in one ``np.loadtxt`` call. Any
-other file, and a plain one the C reader rejects or whose edges fail a graph
-check, goes to the layout reader. It takes the same bytes, gives the same
-graph for every file the C reader converts, also accepts comments, non-ASCII
-whitespace and ``1_0``-style numbers, and is the only code that names a fault,
-as ``path:line``.
+Each file is read once and its tokens are converted once. numpy's C reader
+converts the body of an ASCII edge-tsv file with the header alone on the
+first line and only whole-line comments, in one ``np.loadtxt`` call. Any
+other file, or one the C reader rejects or whose edges fail a graph check,
+goes to the line loop, which splits one line of text at a time with
+``str.split`` and appends its numbers to an ``array``. It also takes non-ASCII
+whitespace and ``1_0``-style numbers, and alone names a fault, as ``path:line``.
 
 All numeric output is decimal with 17 significant digits, so every float
 round-trips bit-identically and identical inputs give byte-identical files.
@@ -26,17 +26,20 @@ round-trips bit-identically and identical inputs give byte-identical files.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
-from io import BytesIO
-from typing import Any, Callable
+from array import array
+from io import BytesIO, TextIOWrapper
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from . import __version__ as _version
 from .bounds import BoundReport
-from .chains import MarkovChain, WeightedGraph, chain_from_directed, chain_from_matrix, chain_from_undirected, edge_fault
+from .chains import MarkovChain, WeightedGraph, chain_from_directed, chain_from_matrix, chain_from_undirected
+from .chains import check_states, edge_fault
 from .cuts import CutResult
 from .errors import InputError, NumericalFailure, TooLarge
 
@@ -49,87 +52,60 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# str.split() separates tokens at ASCII whitespace, which no byte of a
-# multibyte UTF-8 character is, and at these characters (U+0085..U+3000).
-_SPACE = np.array([b < 128 and chr(b).isspace() for b in range(256)])
-_WIDE_SPACES = [chr(c).encode() for c in range(128, 0x3001) if chr(c).isspace()]
-_BLOCK = 1 << 16  # edge-tsv lines converted, or written, at once
-_LINE = re.compile(rb"[^\r\n]*")
+_BLOCK = 1 << 16  # edge-tsv lines written at once
 _INK = re.compile(rb"[^\t-\r\x1c-\x20]")  # an ASCII byte that str.split does not split at
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
-def _read(path: str, raw: bytes, headers: tuple[str, ...]) -> tuple:
-    """Lay out all the lines of an input file's bytes at once: returns the
-    header, the bytes with comments blanked, and the line number, first-token
-    offset (plus the end of the file) and token count of each body line."""
-    data = raw
+def _lines(raw: bytes) -> Iterator[tuple[int, str, list[str]]]:
+    """The number, text and tokens of each UTF-8 line of ``raw`` that is
+    neither blank nor a comment, one at a time; lines end at ``\n``, ``\r\n``
+    or ``\r``."""
+    text = TextIOWrapper(BytesIO(raw), "utf-8", newline=None)
+    return ((k, line, tokens) for k, line in enumerate(text, 1) if (tokens := line.split()) and tokens[0][0] != "#")
+
+
+def _row(raw: bytes, k: int) -> tuple[int, list[str]]:
+    """The line number and tokens of body line ``k``, found again on an error path."""
+    lineno, _, tokens = next(itertools.islice(_lines(raw), k + 1, None))
+    return lineno, tokens
+
+
+def _body(path: str, raw: bytes, headers: tuple[str, ...]) -> tuple[str, Iterator[tuple[int, str, list[str]]]]:
+    """The header of an input file's bytes, one of ``headers`` up to
+    whitespace, and the lines after it, at least one, as ``_lines`` gives them."""
     if not raw.isascii():
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             lineno = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
             raise InputError(f"{path}:{lineno}: not UTF-8 text (byte {raw[exc.start]:#04x})") from None
-        for space in _WIDE_SPACES:  # as many ASCII spaces, so the offsets stay those of raw
-            data = data.replace(space, b" " * len(space))
-    b = np.frombuffer(data, dtype=np.uint8)
-    space = _SPACE[b]
-    start = ~space
-    start[1:] &= space[:-1]
-    start = np.flatnonzero(start)  # offset of each token
-    del space
-    brk = b == 10
-    if b"\r" in data:
-        brk |= (b == 13) & np.append(b[1:] != 10, True)
-    end = np.append(np.flatnonzero(brk), b.size)  # offset at which each line ends
-    del brk
-    before = np.searchsorted(start, end)  # tokens before the end of each line
-    count = np.diff(before, prepend=0)
-    line = np.flatnonzero(count)  # lines with tokens
-    heads = start[before[line] - count[line]]
-    comment = b[heads] == ord("#")
-    del data, b, start, before  # only per-line arrays are left
-    spans = np.column_stack([heads[comment], end[line[comment]]])
-    lines, heads, counts = line[~comment] + 1, heads[~comment], count[line[~comment]]
+    lines = _lines(raw)
     expected = " or ".join(map(repr, headers))
-    if lines.size == 0:
+    lineno, line, tokens = next(lines, (0, "", None))
+    if tokens is None:
         raise InputError(f"{path}: empty file, expected header {expected}")
-    header = _line(raw, heads[0])
-    if " ".join(header.split()) not in headers:
-        raise InputError(f"{path}:{lines[0]}: header must be {expected}, got {header!r}")
-    if lines.size == 1:
+    if " ".join(tokens) not in headers:
+        raise InputError(f"{path}:{lineno}: header must be {expected}, got {line.strip()!r}")
+    first = next(lines, None)
+    if first is None:
         raise InputError(f"{path}: nothing after the header")
-    if spans.size:
-        raw = bytearray(raw)
-        edge = np.zeros(len(raw) + 1, dtype=np.int8)
-        edge[spans] = [1, -1]
-        np.frombuffer(raw, dtype=np.uint8)[np.cumsum(edge[:-1], dtype=np.int8) > 0] = ord(" ")
-    return " ".join(header.split()), raw, lines[1:], np.append(heads[1:], len(raw)), counts[1:]
-
-
-def _line(data: bytes, at: int) -> str:
-    """The stripped text of the line of ``data`` that starts at offset ``at``."""
-    return _LINE.match(data, at).group().decode("utf-8").strip()
-
-
-def _tokens(data: bytes, heads: np.ndarray, a: int, z: int) -> list[str]:
-    """The tokens of body lines ``a`` to ``z - 1``."""
-    return str(memoryview(data)[heads[a] : heads[z]], "utf-8").split()
+    return " ".join(tokens), itertools.chain([first], lines)
 
 
 def _graph(path: str, n: int, edges: np.ndarray, directed: bool, source: Callable[[int], tuple]) -> WeightedGraph:
     """Graph of parsed edges, frozen and handed over without a copy; a faulty
     row, or the row with the largest id when there are too many states, is
-    reported at ``source(row) = (lineno, u, v, w)``."""
+    reported at ``source(row) = (lineno, (u, v, w))``."""
     edges.setflags(write=False)
     try:
         return WeightedGraph(n=n, edges=edges, directed=directed, allow_self_loops=True)
     except TooLarge as exc:
-        lineno, u, v, _ = source(int(edges[:, :2].max(axis=1).argmax()))
+        lineno, (u, v, _) = source(int(edges[:, :2].max(axis=1).argmax()))
         raise TooLarge(f"{path}:{lineno}: vertex id {max(u, v, key=int)}: {exc}") from None
     except InputError:
         row, reason = edge_fault(edges, n, directed, True)
-        lineno, u, v, w = source(row)
+        lineno, (u, v, w) = source(row)
         raise InputError(f"{path}:{lineno}: " + reason.format(u=u, v=v, w=repr(w), ids=f"1..{n}")) from None
 
 
@@ -142,20 +118,36 @@ def _shift(edges: np.ndarray, directed: bool) -> int:
     return max(int(edges[:, :2].max()) + 1, 1)
 
 
+def _whole_line_comments(raw: bytes, at: int) -> bool:
+    """Whether, after offset ``at`` of ASCII ``raw``, only ``str.split``
+    whitespace precedes each ``#`` on a line that no lone ``\r`` splits (a
+    comment that loadtxt drops too) and some line is not blank or a comment."""
+    sharp = raw.find(b"#", at)
+    while sharp >= 0:  # find's -1, no line end, becomes len(raw)
+        start, stop = raw.rfind(b"\n", 0, sharp) + 1, raw.find(b"\n", sharp) % (len(raw) + 1)
+        if _INK.search(raw, start, sharp) or raw.find(b"\r", start, stop) not in (-1, stop - 1):
+            return False
+        sharp = raw.find(b"#", stop)
+    ink = _INK.search(raw, at)
+    while ink and ink.group() == b"#":  # a whole-line comment, as checked above: go on at the next line
+        ink = _INK.search(raw, raw.find(b"\n", ink.start()) % (len(raw) + 1))
+    return ink is not None
+
+
 def _plain_graph(raw: bytes) -> WeightedGraph | None:
     """The graph of an edge-tsv file whose body numpy's C reader converts, or
-    None, and the layout reader decides. Only plain files go to the C reader:
-    ASCII, no ``#``, the header alone on the first line and a body that is
-    not blank. For any ASCII byte before, inside or after a token it gives
-    what ``int`` and ``float`` give after ``str.split``, or rejects the file
-    (``1_0``, ids past int64, a lone ``\r``); a rejected file, or edges the
-    graph refuses, give None."""
+    None, and the line loop decides. The C reader takes ASCII files with the
+    header alone on the first line, comments that are whole lines and a body
+    that is not blank. For any ASCII byte before, inside or after a token it
+    gives what ``int`` and ``float`` give after ``str.split``, or rejects the
+    file (``1_0``, ids past int64, a lone ``\r``); a rejected file, or edges
+    the graph refuses, give None."""
     end = raw.find(b"\n") + 1
     header = raw[:end].split()
-    if header not in ([b"undirected"], [b"directed"]) or not raw.isascii() or b"#" in raw or not _INK.search(raw, end):
+    if header not in ([b"undirected"], [b"directed"]) or not raw.isascii() or not _whole_line_comments(raw, end):
         return None
     try:
-        rows = np.loadtxt(BytesIO(raw), dtype=_EDGE_ROW, skiprows=1, comments=None, ndmin=1)
+        rows = np.loadtxt(BytesIO(raw), dtype=_EDGE_ROW, skiprows=1, comments="#", ndmin=1)
     except ValueError:
         return None
     edges = rows.view(np.float64).reshape(-1, 3)  # loadtxt's own buffer, the ids cast in place
@@ -173,53 +165,56 @@ def _parse_edge_tsv(path: str, raw: bytes) -> WeightedGraph:
     graph = _plain_graph(raw)
     if graph is not None:
         return graph
-    header, data, lines, heads, counts = _read(path, raw, ("undirected", "directed"))
-    m = np.append(np.flatnonzero(counts != 3), len(counts))[0]  # lines before the first of another width
-    edges = np.empty((m, 3))
-    for a in range(0, m, _BLOCK):
-        z = min(a + _BLOCK, m)
-        tokens = _tokens(data, heads, a, z)
-        try:
-            edges[a:z, 0] = np.array(tokens[0::3], dtype=np.int64)
-            edges[a:z, 1] = np.array(tokens[1::3], dtype=np.int64)
-            edges[a:z, 2] = np.array(tokens[2::3], dtype=float)
-        except (ValueError, OverflowError):  # name the first faulty line; ids past int64 go on to the graph check
-            for i, u, v, w in zip(range(a, z), tokens[0::3], tokens[1::3], tokens[2::3]):
-                try:
-                    edges[i] = float(int(u)), float(int(v)), float(w)
-                except (ValueError, OverflowError) as exc:
-                    raise InputError(f"{path}:{lines[i]}: {exc}") from exc
-    if m < len(counts):
-        raise InputError(f"{path}:{lines[m]}: expected 'u<TAB>v<TAB>w', got {_line(data, heads[m])!r}")
+    header, lines = _body(path, raw, ("undirected", "directed"))
+    values = array("d")
+    append = values.append
+    for lineno, line, tokens in lines:
+        if len(tokens) != 3:
+            raise InputError(f"{path}:{lineno}: expected 'u<TAB>v<TAB>w', got {line.strip()!r}")
+        u, v, w = tokens
+        try:  # one token at a time, so that an id past float range is named before a later bad token
+            append(int(u))
+            append(int(v))
+            append(float(w))
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+    edges = np.frombuffer(values).reshape(-1, 3)
     n = _shift(edges, header == "directed")
-    return _graph(path, n, edges, header == "directed", lambda row: (lines[row], *_tokens(data, heads, row, row + 1)))
+    return _graph(path, n, edges, header == "directed", lambda row: _row(raw, row))
 
 
 def _parse_dense(path: str, raw: bytes) -> WeightedGraph | MarkovChain:
-    header, data, lines, heads, counts = _read(path, raw, ("matrix-kind transition", "matrix-kind weight"))
-    n = len(lines)
-    tokens = _tokens(data, heads, 0, n)
-    try:
-        M = np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:
-        M = None
-    if M is None or not np.isfinite(M).all():  # name the first faulty line
-        for i in range(n):
-            try:
-                bad = [tok for tok in _tokens(data, heads, i, i + 1) if not math.isfinite(float(tok))]
-            except ValueError as exc:
-                raise InputError(f"{path}:{lines[i]}: {exc}") from exc
+    header, lines = _body(path, raw, ("matrix-kind transition", "matrix-kind weight"))
+    values, widths = array("d"), []
+    for lineno, _, tokens in lines:
+        try:
+            check_states(len(tokens))
+            row = [float(tok) for tok in tokens]
+        except TooLarge as exc:
+            raise TooLarge(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(sum(row)):  # an inf or a nan entry, or only an overflowing sum
+            bad = [tok for tok, x in zip(tokens, row) if not math.isfinite(x)]
             if bad:
-                raise InputError(f"{path}:{lines[i]}: entry {bad[0]!r} is not a finite number")
-    if np.any(counts != n):
-        raise InputError(f"{path}: matrix must be square, got row lengths {counts.tolist()}")
-    M = M.reshape(n, n)
+                raise InputError(f"{path}:{lineno}: entry {bad[0]!r} is not a finite number")
+        values.extend(row)
+        widths.append(len(row))
+    n = len(widths)
+    if any(width != n for width in widths):
+        raise InputError(f"{path}: matrix must be square, got row lengths {widths}")
+    M = np.frombuffer(values).reshape(n, n)
     if header == "matrix-kind transition":
         return chain_from_matrix(M)
     directed = not np.array_equal(M, M.T)
     u, v = np.nonzero(M if directed else np.triu(M))
     edges = np.column_stack([u, v, M[u, v]])
-    return _graph(path, n, edges, directed, lambda r: (lines[u[r]], u[r] + 1, v[r] + 1, tokens[u[r] * n + v[r]]))
+
+    def source(r: int) -> tuple:
+        lineno, tokens = _row(raw, u[r])
+        return lineno, (u[r] + 1, v[r] + 1, tokens[v[r]])
+
+    return _graph(path, n, edges, directed, source)
 
 
 def parse_graph(path: str, format: str) -> WeightedGraph | MarkovChain:

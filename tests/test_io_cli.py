@@ -3,12 +3,12 @@ import hashlib
 import io
 import json
 import re
-import sys
 import tracemalloc
 import warnings
 from unittest import mock
 
 import isoperim.bounds
+import isoperim.chains
 import isoperim.io
 import isoperim.spectral
 import numpy as np
@@ -29,7 +29,7 @@ from isoperim import (
     write_graph_tsv,
 )
 from isoperim.cli import cli_main
-from isoperim.errors import InputError, IsoperimError
+from isoperim.errors import InputError, IsoperimError, TooLarge
 from isoperim.families import cycle_graph, ht_counterexample_graph, random_directed_graph, random_reversible_graph
 from isoperim.io import make_provenance
 from oracles import naive_parse_graph, naive_write_graph_tsv
@@ -565,10 +565,16 @@ def _write_raw(path, text):
 _LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \t\n", "\n# note\n", "\r\n  # 1 2 3\r\n", " \n", "\x0b\n", "\x0c\r", "\n\u2028\n"])
 _SEPARATORS = st.sampled_from(["\t", " ", "  ", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\x85", "\u2003", "\u3000"])
 _ODD = st.sampled_from(["99999999999999999999", "-99999999999999999999", "9" * 400, "\u0661", "+2", "1_0", "2.5", "#", "-0", "1e400", "0x1"])
+_LEADS = st.sampled_from(["", "# c\n", "\n\n", "  # c\r\n"])
+# ASCII only, with whole-line comments that numpy's C reader takes and a "#" inside a token that it must not
+_ASCII_LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\n\n", "\n# note\n", "\r\n  # 1 2 3\r\n", "\n##\n", "\n\x0b# c\n", "\n\x1c#\t#\r\n", " \n", "\x0c\n", "\n#\r"])
+_ASCII_SEPARATORS = st.sampled_from(["\t", " ", "  ", "\x0b", "\x0c", "\x1c", "\x1f"])
+_ASCII_ODD = st.sampled_from(["99999999999999999999", "9223372036854775808", "+2", "1_0", "2.5", "#", "1#", "-0", "1e400", "0x1"])
+_ASCII_LEADS = st.sampled_from(["", "", "", "# c\n"])  # mostly the header alone on the first line
 
 
 @st.composite
-def _laid_out(draw, lines):
+def _laid_out(draw, lines, line_ends=_LINE_ENDS, separators=_SEPARATORS, odd=_ODD, leads=_LEADS):
     """The lines of a file, with drawn separators, line ends and leading
     comments, and now and then one odd token."""
     lines = list(lines)
@@ -576,21 +582,23 @@ def _laid_out(draw, lines):
         k = draw(st.integers(1, len(lines) - 1))
         tokens = lines[k].split()
         if tokens:
-            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_ODD)
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(odd)
             lines[k] = " ".join(tokens)
-    text = draw(st.sampled_from(["", "# c\n", "\n\n", "  # c\r\n"]))
+    text = draw(leads)
     for line in lines:
-        text += re.sub("[ \t]", lambda _: draw(_SEPARATORS), line) + draw(_LINE_ENDS)
+        text += re.sub("[ \t]", lambda _: draw(separators), line) + draw(line_ends)
     return text
 
 
-@pytest.mark.parametrize("fmt", ["edge-tsv", "dense-matrix"])
+@pytest.mark.parametrize("fmt, ascii_only", [("edge-tsv", False), ("dense-matrix", False), ("edge-tsv", True)], ids=["edge-tsv", "dense-matrix", "ascii-edge-tsv"])
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_parse_matches_oracle(fuzz_dir, fmt, data):
-    # the one reader accepts, builds and rejects exactly what the
-    # line-by-line reading does, with the same message
-    text = data.draw(_laid_out(data.draw(_edge_tsv() if fmt == "edge-tsv" else _dense())))
+def test_parse_matches_oracle(fuzz_dir, fmt, ascii_only, data):
+    # the readers accept, build and reject exactly what the line-by-line
+    # reading does, with the same message; ASCII files with whole-line
+    # comments go to numpy's C reader
+    lines = data.draw(_edge_tsv() if fmt == "edge-tsv" else _dense())
+    text = data.draw(_laid_out(lines, _ASCII_LINE_ENDS, _ASCII_SEPARATORS, _ASCII_ODD, _ASCII_LEADS) if ascii_only else _laid_out(lines))
     path = fuzz_dir / "oracle.txt"
     _write_raw(path, text)
     assert _outcome(parse_graph, path, fmt) == _outcome(naive_parse_graph, path, fmt)
@@ -619,7 +627,7 @@ def test_parse_line_faults_match_oracle(tmp_path, capsys):
         ("edge-tsv", "directed\n" + "\n".join(big[:68000] + ["1\tx\t1"] + big[68000:]) + "\n", ":68002: invalid literal"),
         ("edge-tsv", "directed\n" + "\n".join(big[:67000] + ["1\t2"] + big[67000:]) + "\n", ":67002: expected"),
         ("edge-tsv", "directed\n" + "\n".join(big + ["300\t1\t-2"]) + "\n", ":70002: negative weight '-2'"),
-        # plain ASCII files: numpy's C reader sees them first, then the layout reader names the fault
+        # plain ASCII files: numpy's C reader sees them first, then the line loop names the fault
         ("edge-tsv", "directed\n", ": nothing after the header"),
         ("edge-tsv", "directed\n\n  \n", ": nothing after the header"),
         ("edge-tsv", "undirected\n\t\r\n\x0b\x1c \n", ": nothing after the header"),
@@ -674,14 +682,19 @@ def test_parse_opens_each_file_once(tmp_path):
         assert opened.call_count == 1, text
 
 
-def test_plain_edge_tsv_never_reaches_the_layout_reader(tmp_path, monkeypatch):
-    # numpy's C reader converts plain ASCII files on its own; the layout
-    # reader runs only for the files it cannot take or that fail a check
+def test_plain_edge_tsv_never_reaches_the_line_reader(tmp_path, monkeypatch):
+    # numpy's C reader converts ASCII files with whole-line comments on its
+    # own; the line loop runs only for the files it cannot take or that fail
+    # a check
     path = tmp_path / "in.txt"
+    big = _big_directed(70000)
     texts = [
         "undirected\n1\t2\t0.5\n2\t3\t1e-3\n3 1  +2\n",
         " directed \r\n1\t2\t1\r\n\r\n2\t1\x0b007\x0c\r\n",
-        "directed\n" + "\n".join(_big_directed(70000)) + "\n",
+        "directed\n" + "\n".join(big) + "\n",
+        "directed\n# edges\n" + "\n".join(big[:35000] + ["  # half way", ""] + big[35000:]) + "\n# end",
+        "undirected\n##\n1\t2\t1\n## 2\t3\t1\r\n2\t3\t0.5\n#",
+        "directed\n\x0b# c\n1\t2\t1\n\x0b\x0c#\t#\n2\t1\t1\n",
     ]
     wanted = []
     for text in texts:
@@ -689,9 +702,9 @@ def test_plain_edge_tsv_never_reaches_the_layout_reader(tmp_path, monkeypatch):
         wanted.append(_outcome(naive_parse_graph, path, "edge-tsv"))
 
     def refuse(*args):
-        raise AssertionError("the layout reader ran")
+        raise AssertionError("the line loop ran")
 
-    monkeypatch.setattr(isoperim.io, "_read", refuse)
+    monkeypatch.setattr(isoperim.io, "_lines", refuse)
     for text, want in zip(texts, wanted):
         _write_raw(path, text)
         assert _outcome(parse_graph, path, "edge-tsv") == want, text[:60]
@@ -700,7 +713,7 @@ def test_plain_edge_tsv_never_reaches_the_layout_reader(tmp_path, monkeypatch):
 def test_c_reader_agrees_with_int_and_float_or_rejects():
     # any ASCII byte before, inside or after each token of a line: numpy's C
     # reader converts what str.split, int() and float() make of the line, or
-    # rejects the file so that the layout reader decides
+    # rejects the file so that the line loop decides
     converted = set()
     for byte in range(128):
         for k in range(3):
@@ -735,11 +748,36 @@ def test_parsers_hand_their_edge_array_to_the_graph_uncopied(tmp_path, monkeypat
         assert parse_graph(str(path), fmt).edges is handed[-1]
 
 
-def test_reader_separates_tokens_as_str_split():
-    ascii_spaces = [b for b in range(128) if chr(b).isspace()]
-    assert np.flatnonzero(isoperim.io._SPACE).tolist() == ascii_spaces
-    wide = [chr(c).encode() for c in range(128, sys.maxunicode + 1) if chr(c).isspace()]
-    assert isoperim.io._WIDE_SPACES == wide
+def test_line_loop_peak_memory_is_the_bytes_and_the_edges(tmp_path):
+    # a 768-state directed file with one non-ASCII separator: past the bytes,
+    # the line loop holds O(line) temporaries and the growing edge array
+    g = random_directed_graph(768, 0.5, 1)
+    path = tmp_path / "g.tsv"
+    write_graph_tsv(g, str(path))
+    raw = path.read_bytes()
+    at = raw.index(b"\t", 1000)
+    path.write_bytes(raw[:at] + "\xa0".encode() + raw[at + 1 :])
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(str(path), "edge-tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.edges.tobytes() == g.edges.tobytes()
+    assert peak < len(raw) + 4 * g.edges.nbytes
+
+
+@pytest.mark.parametrize("kind", ["transition", "weight"])
+def test_dense_rows_above_the_state_limit_are_refused_at_their_line(tmp_path, monkeypatch, kind):
+    # the first row longer than the cap is refused before it is converted
+    monkeypatch.setattr(isoperim.chains, "MAX_STATES", 4)
+    path = tmp_path / "m.txt"
+    path.write_text(f"matrix-kind {kind}\n# 5 x 5\n" + "0.2 0.2 0.2 0.2 0.2\n" * 5)
+    with pytest.raises(TooLarge) as info:
+        parse_graph(str(path), "dense-matrix")
+    assert str(info.value) == f"{path}:3: 5 states exceed the limit of 4"
+    with pytest.raises(TooLarge, match="5 states exceed the limit of 4"):
+        MarkovChain(n=5, P=np.full((5, 5), 0.2), pi=None)
 
 
 def test_write_graph_tsv_formats_each_weight_bit_pattern(tmp_path):

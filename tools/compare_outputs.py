@@ -29,10 +29,13 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``analyze`` on valid files laid out in the ways the readers accept:
   comments between body lines, CRLF and CR line ends, blank lines and
   ``\x0b`` / ``\x1f`` / ``\xa0`` separators, a ``1_0`` weight and a blank line
-  before the header;
+  before the header; on two copies of the 300-state directed file, past 65536
+  lines, one with comment lines (numpy's C reader) and one with a ``\xa0``
+  separator (the line loop); and on a 200 x 200 dense weight matrix;
 - malformed or invalid files, which must exit 2, among them one per parse
-  error of both formats, and plain ASCII edge-tsv files that numpy's C reader
-  converts or rejects before the layout reader names the fault.
+  error of both formats, a ``#`` after the tokens of a line, and plain ASCII
+  edge-tsv files that numpy's C reader converts or rejects before the line
+  loop names the fault.
 
 It compares exit codes, standard output and every output file, checks that
 each command that exits 2 wrote exactly one ``error:`` line and nothing else
@@ -41,7 +44,7 @@ an exit code, a standard output or an output file differs, or when the
 change's checkout writes a traceback or a malformed error; otherwise 0.
 
 One difference is expected and reported as ``EXPECTED``: on a file that is
-not UTF-8, checkouts before the one reader raise ``UnicodeDecodeError`` (a
+not UTF-8, checkouts before the UTF-8 check raise ``UnicodeDecodeError`` (a
 traceback), and later ones exit 2 with one ``error:`` line.
 
 Sizes above the state limit are left out: older checkouts try to allocate
@@ -113,7 +116,8 @@ FAULTY = [
     ("inf-then-token.txt", "dense-matrix", "matrix-kind weight\n0 inf\n1 x\n"),
     ("token-not-square.txt", "dense-matrix", "matrix-kind weight\n0 1 x\n1 0\n"),
     ("overflow-entry.txt", "dense-matrix", "matrix-kind transition\n0 1e400\n1 0\n"),
-    # plain ASCII files, which numpy's C reader sees before the layout reader
+    ("hash-after-tokens.tsv", "edge-tsv", "directed\n# c\n1\t2\t1\n2\t1\t1\n1\t2\t3 # x\n"),
+    # plain ASCII files, which numpy's C reader sees before the line loop
     ("plain-header-only.tsv", "edge-tsv", "directed\n"),
     ("plain-blank-body.tsv", "edge-tsv", "directed\n\n  \n"),
     ("plain-last-token.tsv", "edge-tsv", "directed\n" + _PLAIN_BODY + "1\tx\t1\n"),
@@ -215,9 +219,20 @@ def build_plan(work: str) -> list[dict]:
         path = os.path.join(work, f"{name}.tsv")
         write(path, 8, 0.4, rng)
         valid.append((name, path, "edge-tsv"))
-    path = os.path.join(work, "dir300.tsv")  # plain ASCII, more lines than one block of the layout reader
+    path = os.path.join(work, "dir300.tsv")  # plain ASCII, past 65536 lines
     inputs.write_random_directed(path, 300, 0.8, np.random.default_rng(300))
     valid.append(("dir300", path, "edge-tsv"))
+    with open(path, "rb") as fh:
+        head, body = fh.read().split(b"\n", 1)
+    middle = body.index(b"\n", len(body) // 2) + 1
+    copies = {
+        "dir300-comments.tsv": head + b"\n# edges\n" + body[:middle] + b"  # half way\n\n##\n" + body[middle:] + b"# end",
+        "dir300-nbsp.tsv": head + b"\n" + body.replace(b"\t", "\xa0".encode(), 1),
+    }
+    for name, data in copies.items():
+        with open(os.path.join(work, name), "wb") as fh:
+            fh.write(data)
+        plan.append({"id": f"analyze-{name}", "argv": ["analyze", "--input", os.path.join(work, name), "--format", "edge-tsv", "--p", "0.5,1"]})
     loops = os.path.join(work, "loops.tsv")
     _write_text(loops, "undirected\n1\t1\t0.5\n1\t2\t1\n3\t2\t2\n3\t1\t0.25\n4\t4\t0\n4\t3\t1\n")
     dloops = os.path.join(work, "dloops.tsv")
@@ -236,6 +251,9 @@ def build_plan(work: str) -> list[dict]:
         valid.append((name, path, "dense-matrix"))
     for name, path, fmt in valid:
         plan += _file_commands(name, path, fmt)
+    path = os.path.join(work, "dense200.txt")
+    _write_dense(path, "weight", np.random.default_rng(200).random((200, 200)))
+    plan.append({"id": "analyze-dense200", "argv": ["analyze", "--input", path, "--format", "dense-matrix", "--p", "0.5,1"]})
 
     # sizes on both sides of the default exact cap of 24 states
     for family, size in (("cycle", 12), ("cycle", 40), ("hypercube", 4), ("hypercube", 5), ("dumbbell", 5), ("dumbbell", 15)):
