@@ -17,7 +17,15 @@ row's); each block of the high bits adds its own vertices, keeps only its
 admissible sets and scores those in slices of at most 2^12 sets, taken in
 turn by one thread per CPU in the process's affinity mask (no setting; the
 results are identical on any number of CPUs). Ties are broken toward the
-smallest bitmask.
+smallest bitmask. An exponent p in (1/2, 1) is scored only on the sets of a
+slice that the power-mean bracket
+
+    max(phi_1, phi_{1/2}^{2p}) <= phi_p <= phi_1^p
+
+(x^p >= x on [0, 1], and M_{1/2} <= M_p <= M_1 for the pi-weighted means of
+P(v, S-bar) over S) cannot rule out as the slice's first minimum; phi_{1/2}
+and phi_1 take numpy's sqrt and identity fast paths, and a general power
+costs several times as much.
 
 The sweep cut takes the best of the distinct level sets of the truncated
 second eigenvector; for p > 1/2 the winner provably satisfies
@@ -134,10 +142,12 @@ def phi_profile(c: MarkovChain, subset: Iterable[int]) -> PhiProfile:
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
     """Row m is the sum of ``rows[b]`` over the set bits b of m, for every
-    mask m of ``len(rows)`` bits, built by doubling (bit b is added last)."""
-    sums = np.zeros((1, *rows.shape[1:]), dtype=rows.dtype)
-    for row in rows:
-        sums = np.concatenate([sums, sums + row])
+    mask m of ``len(rows)`` bits, built in place by doubling (bit b is added
+    last)."""
+    sums = np.empty((1 << len(rows), *rows.shape[1:]), dtype=rows.dtype)
+    sums[0] = 0
+    for b, row in enumerate(rows):
+        np.add(sums[: 1 << b], row, out=sums[1 << b : 2 << b])
     return sums
 
 
@@ -152,6 +162,18 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     vertices and scores only its admissible sets. A vertex of S is on the
     boundary iff its row has support outside S. Ties go to the smallest
     bitmask.
+
+    When ``ps`` holds an exponent p in (1/2, 1), each slice computes phi_{1/2}
+    and phi_1 of all its sets (once, also when ``ps`` asks for them) and
+    scores p only on the sets whose lower bound max(phi_1, phi_{1/2}^{2p})
+    is within a relative ``_bracket_rtol(n)`` of the slice's smallest upper
+    bound min phi_1^p; the window is rounding, a few n eps. Those sets are
+    scored with the same arithmetic as every other exponent, so the values
+    and the first minimum are bit-identical to scoring them all. Exponents
+    0, those in (0, 1/2] and 1 are scored on every set, and a call that asks
+    for no exponent in (1/2, 1) computes nothing more. Where some pi(v) is
+    below 2^-400 a product could underflow and the window would not hold, so
+    every set is scored.
 
     A block's admissible sets are scored by the calling thread and, when
     the block holds at least ``_MIN_CHUNK_ROWS`` sets per extra thread, by
@@ -180,6 +202,10 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
         degree = support.sum(axis=1)
         count = np.min_scalar_type(n)  # holds every count of entries inside S, 0..n
         inside_low = _subset_sums(support[:, :low].T.astype(count))
+    # with pi >= 2^-400 every nonzero pi(v) x_v^q and phi_{1/2}^{2p} is a normal
+    # float: a nonzero x_v, a difference of two sums near 1, is at least 2^-54
+    bracket = any(0.5 < p < 1.0 for p in ps) and pi.min() >= 2.0**-400
+    rtol = _bracket_rtol(n)
 
     def score(
         rows: np.ndarray, mass: np.ndarray, bits: np.ndarray, hi_cross: np.ndarray, hi_inside: np.ndarray | None
@@ -194,19 +220,33 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
         cross += hi_cross
         np.subtract(rowsum, cross, out=cross)
         np.maximum(cross, 0.0, out=cross)
+
+        def phi_of(p: float, near=...) -> np.ndarray:
+            terms = cross[near] ** p
+            terms *= weight[near]
+            return terms.sum(axis=1) / mass[near]
+
+        if bracket:
+            known = {q: phi_of(q) for q in (0.5, 1.0)}
+            top = max(1.0, float(cross.max()))  # x**p >= x / top on [0, top]
         found = []
         for p in ps:
+            near = ...  # the sets scored: all, or those the bracket keeps
             if p == 0.0:
                 inside = inside_low[rows]
                 inside += hi_inside
-                num = ((inside < degree) * weight).sum(axis=1)
+                phi = ((inside < degree) * weight).sum(axis=1) / mass
+            elif bracket and p in known:
+                phi = known[p]
+            elif bracket and 0.5 < p < 1.0:
+                ub = float(known[1.0].min()) ** p * (1.0 + rtol)
+                near = np.flatnonzero(known[1.0] <= ub * top)
+                near = near[known[0.5][near] ** (2.0 * p) <= ub]
+                phi = phi_of(p, near)
             else:
-                terms = cross**p
-                terms *= weight
-                num = terms.sum(axis=1)
-            phi = num / mass
+                phi = phi_of(p)
             j = int(np.argmin(phi))
-            found.append((phi[j], int(rows[j])))
+            found.append((phi[j], int(rows[near][j])))
         return found
 
     def drain(tickets: Iterator[int], slices: list, block: tuple, found: list) -> None:
@@ -251,6 +291,23 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return {p: _evaluate_set(c, np.flatnonzero(mask >> np.arange(n) & 1), p, "exact") for p, (_, mask) in best.items()}
+
+
+def _bracket_rtol(n: int) -> float:
+    """Relative window around a slice's smallest upper bound phi_1^p that
+    holds the lower bounds max(phi_1 / top, phi_{1/2}^{2p}) of its first
+    minimum of phi_p, top being the largest crossing mass or 1.
+
+    Each phi_q a slice computes takes a power of every crossing mass (numpy's
+    powers are within 4 units in the last place), multiplies it by pi(v),
+    sums at most n nonnegative terms and divides once, so it is within
+    (n + 9) eps / 2 of its value for the computed crossing masses; the
+    computed pi(S) is within n eps / 2 of its members' sum. Following the
+    first minimum through the bracket, the bound's scalar power and the
+    power phi_{1/2}^{2p} costs at most about (3.25 n + 32) eps; the window is
+    16 (n + 2) eps.
+    """
+    return 16.0 * (n + 2) * float(np.finfo(float).eps)
 
 
 def _usable_cpus() -> int:

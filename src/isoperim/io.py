@@ -14,10 +14,12 @@ lines and lines whose first token starts with ``#`` are skipped.
 Each file is read once and its tokens are converted once. numpy's C reader
 converts the body of an ASCII edge-tsv file with the header alone on the
 first line and only whole-line comments, in one ``np.loadtxt`` call. Any
-other file, or one the C reader rejects or whose edges fail a graph check,
-goes to the line loop, which splits one line of text at a time with
-``str.split`` and appends its numbers to an ``array``. It also takes non-ASCII
-whitespace and ``1_0``-style numbers, and alone names a fault, as ``path:line``.
+other file, or one the C reader rejects, goes to the line loop, which splits
+one line of text at a time with ``str.split`` and appends its numbers to an
+``array``. It also takes non-ASCII whitespace and ``1_0``-style numbers, and
+alone names a faulty token, as ``path:line``; an edge the graph refuses is
+named at its line on either path. A non-ASCII file is checked as UTF-8 a
+1 MiB piece at a time.
 
 All numeric output is decimal with 17 significant digits, so every float
 round-trips bit-identically and identical inputs give byte-identical files.
@@ -25,6 +27,7 @@ round-trips bit-identically and identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import itertools
 import json
@@ -53,6 +56,7 @@ def _fmt(x: float) -> str:
 
 
 _BLOCK = 1 << 16  # edge-tsv lines written at once
+_UTF8_PIECE = 1 << 20  # bytes of a non-ASCII file checked as UTF-8 at once
 _INK = re.compile(rb"[^\t-\r\x1c-\x20]")  # an ASCII byte that str.split does not split at
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
@@ -74,12 +78,15 @@ def _row(raw: bytes, k: int) -> tuple[int, list[str]]:
 def _body(path: str, raw: bytes, headers: tuple[str, ...]) -> tuple[str, Iterator[tuple[int, str, list[str]]]]:
     """The header of an input file's bytes, one of ``headers`` up to
     whitespace, and the lines after it, at least one, as ``_lines`` gives them."""
-    if not raw.isascii():
+    view, at = memoryview(raw), len(raw) if raw.isascii() else 0
+    while at < len(raw):  # a piece and the 3 bytes a sequence it starts may need; one left unfinished starts the next
+        stop = at + _UTF8_PIECE + 3
         try:
-            raw.decode("utf-8")
+            at += codecs.utf_8_decode(view[at:stop], "strict", stop >= len(raw))[1]
         except UnicodeDecodeError as exc:
-            lineno = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
-            raise InputError(f"{path}:{lineno}: not UTF-8 text (byte {raw[exc.start]:#04x})") from None
+            bad = at + exc.start
+            lineno = raw[:bad].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+            raise InputError(f"{path}:{lineno}: not UTF-8 text (byte {raw[bad]:#04x})") from None
     lines = _lines(raw)
     expected = " or ".join(map(repr, headers))
     lineno, line, tokens = next(lines, (0, "", None))
@@ -134,14 +141,15 @@ def _whole_line_comments(raw: bytes, at: int) -> bool:
     return ink is not None
 
 
-def _plain_graph(raw: bytes) -> WeightedGraph | None:
+def _plain_graph(path: str, raw: bytes) -> WeightedGraph | None:
     """The graph of an edge-tsv file whose body numpy's C reader converts, or
     None, and the line loop decides. The C reader takes ASCII files with the
     header alone on the first line, comments that are whole lines and a body
     that is not blank. For any ASCII byte before, inside or after a token it
     gives what ``int`` and ``float`` give after ``str.split``, or rejects the
-    file (``1_0``, ids past int64, a lone ``\r``); a rejected file, or edges
-    the graph refuses, give None."""
+    file (``1_0``, ids past int64, a lone ``\r``), which gives None. Edges the
+    graph refuses are reported as the line loop reports them, at the line of
+    the faulty row."""
     end = raw.find(b"\n") + 1
     header = raw[:end].split()
     if header not in ([b"undirected"], [b"directed"]) or not raw.isascii() or not _whole_line_comments(raw, end):
@@ -153,16 +161,11 @@ def _plain_graph(raw: bytes) -> WeightedGraph | None:
     edges = rows.view(np.float64).reshape(-1, 3)  # loadtxt's own buffer, the ids cast in place
     edges[:, :2] = rows.view(np.int64).reshape(-1, 3)[:, :2]
     directed = header == [b"directed"]
-    n = _shift(edges, directed)
-    edges.setflags(write=False)
-    try:
-        return WeightedGraph(n=n, edges=edges, directed=directed, allow_self_loops=True)
-    except (InputError, TooLarge):
-        return None
+    return _graph(path, _shift(edges, directed), edges, directed, lambda row: _row(raw, row))
 
 
 def _parse_edge_tsv(path: str, raw: bytes) -> WeightedGraph:
-    graph = _plain_graph(raw)
+    graph = _plain_graph(path, raw)
     if graph is not None:
         return graph
     header, lines = _body(path, raw, ("undirected", "directed"))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoperim import (
+    MarkovChain,
     chain_from_matrix,
     exact_minima,
     gen_cycle,
@@ -162,6 +163,55 @@ def test_phi_monotone_in_p(seed, p, q):
     assert cut_p.phi >= cut_q.phi - 1e-12
 
 
+@st.composite
+def _chains_and_sets(draw):
+    """A chain and an admissible set. Cycle arcs of three or more states,
+    radius-1 balls of hypercubes and a random chain's state with its
+    out-neighbours hold states v with P(v, S-bar) = 0."""
+    kind = draw(st.sampled_from(["reversible", "directed", "cycle", "hypercube"]))
+    if kind == "cycle":
+        n = draw(st.integers(6, 24))
+        start, size = draw(st.integers(0, n - 1)), draw(st.integers(3, n // 2))
+        return gen_cycle(n), [(start + k) % n for k in range(size)]
+    if kind == "hypercube":
+        d = draw(st.integers(3, 6))
+        centre = draw(st.integers(0, (1 << d) - 1))
+        ball = {centre} | {centre ^ (1 << b) for b in range(d)}
+        extra = draw(st.sets(st.integers(0, (1 << d) - 1), max_size=(1 << (d - 1)) - d - 1))
+        return gen_hypercube(d), sorted(ball | extra)
+    n = draw(st.integers(3, 20))
+    gen = gen_random_reversible if kind == "reversible" else gen_random_directed
+    c = gen(n, density=draw(st.sampled_from([0.2, 0.5, 1.0])), seed=draw(st.integers(0, 10**6)))
+    v = draw(st.integers(0, n - 1))
+    subset = set(np.flatnonzero(c.P[v] > 0)) | {v} if draw(st.booleans()) else {v}
+    subset |= draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    if len(subset) == n or c.pi[sorted(subset)].sum() > 0.5:
+        subset = set(range(n)) - subset or {v}
+    return c, sorted(subset)
+
+
+_NEAR_THE_ENDS = [math.nextafter(0.5, 1.0), 0.5 + 1e-9, 1.0 - 1e-9, math.nextafter(1.0, 0.0)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    chain_and_set=_chains_and_sets(),
+    p=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(_NEAR_THE_ENDS),
+)
+def test_power_mean_bracket_holds_within_the_window(chain_and_set, p):
+    # max(phi_1, phi_half^(2p)) <= phi_p <= phi_1^p per set, up to the
+    # enumerator's rounding window
+    c, subset = chain_and_set
+    try:
+        phi = {q: phi_p_of_set(c, subset, q).phi for q in (0.5, p, 1.0)}
+    except InputError as exc:  # {v} alone can weigh more than 1/2
+        assert "exceeds 1/2" in str(exc) and len(subset) == 1
+        return
+    window = 1.0 + cuts._bracket_rtol(c.n)
+    assert max(phi[1.0], phi[0.5] ** (2 * p)) <= phi[p] * window
+    assert phi[p] <= phi[1.0] ** p * window
+
+
 def test_lazy_scaling_identity_per_set():
     c = gen_random_reversible(6, density=0.7, seed=5)
     for delta in (0.1, 0.5, 0.9):
@@ -241,6 +291,18 @@ def test_exact_minima_match_blocked_enumerator(c, ps):
     _assert_same_minima(c, ps)
 
 
+def test_exact_minima_match_blocked_enumerator_where_pi_is_tiny():
+    # pi falls to 5e-184 along a birth-death chain, where the enumerator
+    # scores every set rather than trust the bracket's rounding window
+    n, up, down = 14, 4e-15, 0.5
+    P = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+    P += np.diag(1.0 - P.sum(axis=1))
+    pi = (up / down) ** np.arange(n)
+    c = MarkovChain(n=n, P=P, pi=pi / pi.sum())
+    assert c.pi.min() < 2.0**-400
+    _assert_same_minima(c, [0.0, 0.5, 0.6, 0.9, 1.0])
+
+
 class _CountingPool(concurrent.futures.ThreadPoolExecutor):
     """Thread pool that counts how many pools the enumerator makes."""
 
@@ -289,10 +351,12 @@ def test_exact_minima_split_across_threads_match_blocked_enumerator(directed, n,
 )
 @pytest.mark.parametrize("cpus", [2, 3, 7])
 def test_exact_minima_split_ties_go_to_smallest_bitmask(c, cpus):
-    # tied minimizers fall in different parts; the first part's must win
-    with _split_every_block(cpus):
-        _assert_same_minima(c, [0.0, 0.3, 0.5, 0.75, 1.0])
-    assert _CountingPool.made == (c.n > 2)  # two states: one admissible set
+    # tied minimizers fall in different parts; the first part's must win,
+    # also where exponents in (1/2, 1) come without 1/2 and 1
+    for ps in ([0.0, 0.3, 0.5, 0.75, 1.0], [0.6, 0.9]):
+        with _split_every_block(cpus):
+            _assert_same_minima(c, ps)
+        assert _CountingPool.made == (c.n > 2)  # two states: one admissible set
 
 
 @pytest.mark.parametrize("cpus, min_rows, n", [(1, 1, 12), (4, None, 14)])

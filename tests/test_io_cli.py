@@ -627,7 +627,8 @@ def test_parse_line_faults_match_oracle(tmp_path, capsys):
         ("edge-tsv", "directed\n" + "\n".join(big[:68000] + ["1\tx\t1"] + big[68000:]) + "\n", ":68002: invalid literal"),
         ("edge-tsv", "directed\n" + "\n".join(big[:67000] + ["1\t2"] + big[67000:]) + "\n", ":67002: expected"),
         ("edge-tsv", "directed\n" + "\n".join(big + ["300\t1\t-2"]) + "\n", ":70002: negative weight '-2'"),
-        # plain ASCII files: numpy's C reader sees them first, then the line loop names the fault
+        # plain ASCII files: numpy's C reader sees them first; the line loop names a faulty token,
+        # and the C reader's own path a row the graph refuses
         ("edge-tsv", "directed\n", ": nothing after the header"),
         ("edge-tsv", "directed\n\n  \n", ": nothing after the header"),
         ("edge-tsv", "undirected\n\t\r\n\x0b\x1c \n", ": nothing after the header"),
@@ -684,8 +685,8 @@ def test_parse_opens_each_file_once(tmp_path):
 
 def test_plain_edge_tsv_never_reaches_the_line_reader(tmp_path, monkeypatch):
     # numpy's C reader converts ASCII files with whole-line comments on its
-    # own; the line loop runs only for the files it cannot take or that fail
-    # a check
+    # own, and names the line of a row the graph refuses; the line loop runs
+    # only for the files the C reader cannot take
     path = tmp_path / "in.txt"
     big = _big_directed(70000)
     texts = [
@@ -695,16 +696,23 @@ def test_plain_edge_tsv_never_reaches_the_line_reader(tmp_path, monkeypatch):
         "directed\n# edges\n" + "\n".join(big[:35000] + ["  # half way", ""] + big[35000:]) + "\n# end",
         "undirected\n##\n1\t2\t1\n## 2\t3\t1\r\n2\t3\t0.5\n#",
         "directed\n\x0b# c\n1\t2\t1\n\x0b\x0c#\t#\n2\t1\t1\n",
+        # rows the graph refuses: a duplicate, a nan and a negative weight, too many states
+        "directed\n# edges\n" + "\n".join(big[:50000] + ["", big[123]] + big[50000:]) + "\n",
+        "undirected\r\n1\t2\t1\r\n\r\n# c\r\n2\t3\tnan\r\n",
+        "directed\n" + "\n".join(big[:69999] + ["  # c", "300\t1\t-2"]) + "\n",
+        "directed\n1\t2\t1\n\x0b\x0c\n16385\t1\t1\n2\t3\t1\n",
     ]
     wanted = []
     for text in texts:
         _write_raw(path, text)
         wanted.append(_outcome(naive_parse_graph, path, "edge-tsv"))
 
+    assert [want[0] for want in wanted[-4:]] == ["InputError", "InputError", "InputError", "TooLarge"]
+
     def refuse(*args):
         raise AssertionError("the line loop ran")
 
-    monkeypatch.setattr(isoperim.io, "_lines", refuse)
+    monkeypatch.setattr(isoperim.io, "_body", refuse)
     for text, want in zip(texts, wanted):
         _write_raw(path, text)
         assert _outcome(parse_graph, path, "edge-tsv") == want, text[:60]
@@ -722,7 +730,10 @@ def test_c_reader_agrees_with_int_and_float_or_rejects():
                 at = len(tokens[k]) if at is None else at
                 tokens[k] = tokens[k][:at] + bytes([byte]) + tokens[k][at:]
                 body = b"\t".join(tokens)
-                graph = isoperim.io._plain_graph(b"directed\n" + body + b"\n")
+                try:
+                    graph = isoperim.io._plain_graph("in.txt", b"directed\n" + body + b"\n")
+                except IsoperimError:  # converted, and the graph refuses the row
+                    continue
                 if graph is None:
                     continue
                 rows = [line.split() for line in re.split(r"\r\n|\r|\n", body.decode()) if line.split()]
@@ -749,22 +760,50 @@ def test_parsers_hand_their_edge_array_to_the_graph_uncopied(tmp_path, monkeypat
 
 
 def test_line_loop_peak_memory_is_the_bytes_and_the_edges(tmp_path):
-    # a 768-state directed file with one non-ASCII separator: past the bytes,
-    # the line loop holds O(line) temporaries and the growing edge array
+    # a 768-state directed file with one non-ASCII separator, or one comment
+    # line with a character above U+FFFF: past the bytes, the UTF-8 check and
+    # the line loop hold O(line) temporaries and the growing edge array
     g = random_directed_graph(768, 0.5, 1)
     path = tmp_path / "g.tsv"
     write_graph_tsv(g, str(path))
     raw = path.read_bytes()
-    at = raw.index(b"\t", 1000)
-    path.write_bytes(raw[:at] + "\xa0".encode() + raw[at + 1 :])
-    tracemalloc.start()
-    try:
-        parsed = parse_graph(str(path), "edge-tsv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert parsed.edges.tobytes() == g.edges.tobytes()
-    assert peak < len(raw) + 4 * g.edges.nbytes
+    for old, new in [(b"\t", "\xa0"), (b"\n", "\n# \U0001F600\n")]:
+        at = raw.index(old, 1000)
+        path.write_bytes(raw[:at] + new.encode() + raw[at + 1 :])
+        tracemalloc.start()
+        try:
+            parsed = parse_graph(str(path), "edge-tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.edges.tobytes() == g.edges.tobytes()
+        assert peak < len(raw) + 4 * g.edges.nbytes, new
+
+
+_UTF8_CASES = [
+    "undirected\n1\xa02\t1\n# \U0001F600\u3000\n2\t3\t1\n",
+    "undirected\n1\t2\t1\n2\t3\t1\udcff\n",
+    "directed\r\n# \u20ac\udce2\udc82x\r\n1\t2\t1\r\n",
+    "directed\n1\t2\t1\n# \udcf0\udc9f\udc98",
+    "directed\n# \udced\udca0\udc80\n1\t2\t1\n",
+    "matrix-kind weight\r0 1\r# \udcc0\udcaf\r1 0\r",
+]
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 5])
+def test_utf8_check_in_pieces_names_the_byte_one_piece_names(tmp_path, monkeypatch, piece):
+    # valid, invalid, truncated, surrogate and overlong sequences cut at
+    # every piece boundary give what one piece of the whole file gives
+    path = tmp_path / "in.txt"
+    wanted = []
+    for text in _UTF8_CASES:
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        wanted.append(_outcome(parse_graph, path, "dense-matrix" if text.startswith("matrix") else "edge-tsv"))
+    assert sum("not UTF-8" in str(want[1]) for want in wanted) == 5
+    monkeypatch.setattr(isoperim.io, "_UTF8_PIECE", piece)
+    for text, want in zip(_UTF8_CASES, wanted):
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert _outcome(parse_graph, path, "dense-matrix" if text.startswith("matrix") else "edge-tsv") == want, text
 
 
 @pytest.mark.parametrize("kind", ["transition", "weight"])

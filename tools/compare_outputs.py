@@ -21,9 +21,12 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1 on a cycle, a
   hypercube and a dumbbell, whose minimizers tie, and on random reversible
   and directed chains on 18 states, more than one block of the enumerator;
+  the same at p = 0.6 and 0.9 on the tied chains and at p = 0.55 and 0.99 on
+  the random ones, exponents in (1/2, 1) without 1/2 and 1;
 - ``analyze --method both`` and ``verify --suite all`` on random reversible
-  and directed chains on 20 states, and ``analyze --method exact`` at p = 0,
-  1/2 and 1 on a 20-cycle, whose blocks the enumerator splits across threads;
+  and directed chains on 20 states, ``analyze --method exact`` at p = 0.55
+  and 0.99 on them, and ``analyze --method exact`` at p = 0, 1/2 and 1 on a
+  20-cycle, whose blocks the enumerator splits across threads;
 - ``scan`` on every n from 8 to 300, odd and even, and on 4095 and the cap
   65536, beyond the benchmark's five sizes;
 - ``analyze`` on valid files laid out in the ways the readers accept:
@@ -268,6 +271,9 @@ def build_plan(work: str) -> list[dict]:
     for name, path in exact:
         argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.3,0.5,0.75,1"]
         plan.append({"id": f"analyze-exact-{name}", "argv": argv})
+        # exponents in (1/2, 1) without 1/2 and 1
+        ps = "0.55,0.99" if name in ("rev18", "dir18") else "0.6,0.9"
+        plan.append({"id": f"analyze-exact-{name}-p{ps}", "argv": [*argv[:-1], ps]})
 
     # 20 states: about 2^15 admissible sets per block, which the enumerator
     # splits across threads
@@ -277,6 +283,7 @@ def build_plan(work: str) -> list[dict]:
         base = ["--input", path, "--format", "edge-tsv"]
         plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", *base, "--method", "both", "--p", "0,0.5,0.75,1"]})
         plan.append({"id": f"verify-{name}", "argv": ["verify", *base, "--suite", "all"]})
+        plan.append({"id": f"analyze-exact-{name}-p0.55,0.99", "argv": ["analyze", *base, "--method", "exact", "--p", "0.55,0.99"]})
     path = os.path.join(work, "cycle20.tsv")
     _write_tied(path, "cycle", 20)
     argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.5,1"]
