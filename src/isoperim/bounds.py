@@ -3,13 +3,13 @@
 Each checker evaluates one concrete inequality instance on a chain and
 returns a :class:`BoundReport` with both sides, the slack, and a verdict.
 The checkers take a chain or a :class:`ChainAnalysis`, the per-chain store
-that derives each quantity once: at most one reversible and one Chung
-certificate, every exact minimum from a single enumeration pass over the
-exponents the run reads, and every sweep cut of a certificate from a single
-pass over its level sets. The store also holds the one rule for the phi_p
-value a bound uses (exact within the enumeration cap, otherwise the sweep
-cut). :func:`bound_suite` builds the reports of both sides from one store;
-the CLI's ``analyze`` and ``verify`` select sides and exponents over it.
+that derives each quantity once: one eigensolve for the certificates of
+both kinds (the residual taken per kind), every exact minimum from a single
+enumeration pass over the exponents the run reads, and every sweep cut of a
+certificate from a single pass over its level sets. The store also holds the one rule for the
+phi_p value a bound uses (exact within the enumeration cap, otherwise the
+sweep cut). :func:`bound_suite` builds the reports of both sides from one
+store; the CLI's ``analyze`` and ``verify`` select sides and exponents over it.
 The gadgets expose the numeric suprema used in the sweep-cut analysis:
 the power-increment sum sup_a sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1})
 (bounded by 1/(2p-1) for p > 1/2) and the telescoping ratio-chain maximum
@@ -27,7 +27,7 @@ import numpy as np
 from .chains import MarkovChain, exact_enumeration_cap, is_reversible
 from .cuts import CutResult, exact_minima, sweep_cuts
 from .errors import InputError, NumericalFailure, TooLarge
-from .spectral import SpectralCertificate, _reversible_certificate, lambda2_directed
+from .spectral import SpectralCertificate, _certificate
 
 DEFAULT_TOL = 1e-9
 
@@ -58,17 +58,17 @@ def make_report(name: str, lhs: float, rhs: float, witnesses: dict | None = None
 class ChainAnalysis:
     """Every certificate and cut a run reads, each derived at most once.
 
-    Holds at most one reversible and one Chung certificate, the sweep cuts of
-    each, and the exact minima. The first exact read enumerates subsets once
-    for every expected exponent (``ps`` here, plus whatever
-    :func:`bound_suite` adds), and the first sweep read of a certificate
-    sweeps its level sets once for every exponent expected of it
-    (``sweep_ps`` for the chain's own certificate, Chung's unless the chain
-    is reversible, plus the suite's); a read of an exponent not expected
-    costs one more pass. :meth:`phi` applies the one rule for the value a
-    bound uses: exact within :func:`exact_enumeration_cap`, otherwise the
-    sweep cut of the bound's own certificate. Expecting exact reads on a
-    chain above the cap raises TooLarge at once.
+    Holds the certificates, both kinds from one solve on a reversible chain
+    (each with its residual against its own matrix), the sweep cuts of each,
+    and the exact minima. The first exact read enumerates subsets once for
+    every expected exponent (``ps`` here, plus whatever :func:`bound_suite`
+    adds), and the first sweep read of a certificate sweeps its level sets
+    once for every exponent expected of it (``sweep_ps`` for the chain's own
+    certificate, Chung's unless the chain is reversible, plus the suite's); a
+    read of an exponent not expected costs one more pass. :meth:`phi` applies
+    the one rule for the value a bound uses: exact within
+    :func:`exact_enumeration_cap`, otherwise the sweep cut of the bound's own
+    certificate. Expecting exact reads above the cap raises TooLarge at once.
     """
 
     def __init__(self, c: MarkovChain, ps: Iterable[float] = (), sweep_ps: Iterable[float] = ()) -> None:
@@ -98,10 +98,10 @@ class ChainAnalysis:
                 self._sweep_ps[directed].append(p)
 
     def cert(self, directed: bool) -> SpectralCertificate:
-        """The Chung certificate if directed, else the reversible one, which
-        reuses this analysis's detailed-balance verdict."""
+        """The Chung certificate if directed, else the reversible one; either
+        reuses the analysis's detailed-balance verdict and the other's solve."""
         if directed not in self._certs:
-            self._certs[directed] = lambda2_directed(self.c) if directed else _reversible_certificate(self.c, self.reversible)
+            self._certs[directed] = _certificate(self.c, directed, self.reversible, self._certs.get(not directed))
         return self._certs[directed]
 
     def exact(self, p: float) -> CutResult:

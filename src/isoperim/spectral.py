@@ -1,16 +1,14 @@
 """Second-eigenvalue certificates for reversible and directed chains.
 
-For a reversible chain, I - P is similar to the symmetric matrix
-I - Pi^{1/2} P Pi^{-1/2}, so its spectrum is real and lambda_2 comes with an
-eigenvector certificate. For a general irreducible chain we use Chung's
-symmetric directed Laplacian
-
-    L = I - (Pi^{1/2} P Pi^{-1/2} + Pi^{-1/2} P^T Pi^{1/2}) / 2,
-
-whose second eigenvalue plays the same role. Both paths return a
-:class:`SpectralCertificate` carrying lambda_2, the unit eigenvector v2 of the
-symmetric matrix, and the reweighted eigenvector f2 = Pi^{-1/2} v2 used by the
-sweep-cut machinery.
+With S = Pi^{1/2} P Pi^{-1/2}, I - P is similar to I - S, which is symmetric
+when the chain is reversible, so lambda_2 comes with an eigenvector
+certificate. For a general irreducible chain we use Chung's symmetric
+directed Laplacian L = I - (S + S^T)/2, whose second eigenvalue plays the
+same role. L is the symmetrization of I - S, so on a reversible chain one
+solve serves both kinds (``bounds.ChainAnalysis``), each with its residual
+against its own matrix. Both return a :class:`SpectralCertificate` carrying
+lambda_2, the unit eigenvector v2 of the symmetric matrix, and the
+reweighted eigenvector f2 = Pi^{-1/2} v2 used by the sweep-cut machinery.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ class SpectralCertificate:
     """lambda_2 with its eigenvector pair and the solve residual.
 
     kind is 'reversible-normalized' or 'chung-directed'. residual is
-    ||L v2 - lambda2 v2||_2 for the symmetric matrix L the value came from.
+    ||L v2 - lambda2 v2||_2 for the kind's own L: I - S or Chung's.
     """
 
     lambda2: float
@@ -47,46 +45,60 @@ class SpectralCertificate:
             object.__setattr__(self, name, arr)
 
 
-def symmetric_eigensolve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    The input is symmetrized as (M + M^T)/2 before solving; gross asymmetry is
-    rejected as a caller bug. Returns (eigenvalues, orthonormal columns Q).
-    """
+def _symmetrized(M: np.ndarray) -> np.ndarray:
+    """(M + M^T)/2, after the input checks of :func:`symmetric_eigensolve`."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InputError("matrix has non-finite entries")
     norm = np.linalg.norm(M)
-    asym = np.linalg.norm(M - M.T)
-    if norm > 0 and asym > 1e-6 * norm:
+    if norm > 0 and np.linalg.norm(M - M.T) > 1e-6 * norm:
         raise InputError("matrix is not symmetric within tolerance")
-    Ms = 0.5 * (M + M.T)
+    return 0.5 * (M + M.T)
+
+
+def symmetric_eigensolve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending,
+    as (eigenvalues, orthonormal columns Q). The input is symmetrized as
+    (M + M^T)/2 before solving; gross asymmetry is rejected as a caller bug."""
     try:
-        w, Q = np.linalg.eigh(Ms)
+        w, Q = np.linalg.eigh(_symmetrized(M))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
     return w, Q
 
 
-def _certificate(c: MarkovChain, L: np.ndarray, kind: str) -> SpectralCertificate:
-    w, Q = symmetric_eigensolve(L)
-    lambda2 = float(w[1])
-    v2 = Q[:, 1].copy()
-    # Deterministic sign: first non-negligible coordinate positive.
-    nz = np.nonzero(np.abs(v2) > 1e-12)[0]
-    if nz.size and v2[nz[0]] < 0:
-        v2 = -v2
+def _similarity(c: MarkovChain) -> np.ndarray:
+    """S = Pi^{1/2} P Pi^{-1/2}, symmetric when c is reversible."""
+    return (np.sqrt(c.pi)[:, None] * c.P) / np.sqrt(c.pi)[None, :]
+
+
+def _certificate(c: MarkovChain, directed: bool, reversible: bool, shared: SpectralCertificate | None = None) -> SpectralCertificate:
+    """The Chung certificate if directed, else the reversible one, given the
+    chain's detailed-balance verdict. I - S symmetrizes to Chung's L, so
+    ``shared``, the other kind's certificate of c, can stand in for the solve
+    of L; L still gets the solve's input checks and its own residual."""
+    if not (directed or reversible):
+        raise InputError("chain fails detailed balance; use lambda2_directed instead")
+    L = chung_laplacian(c) if directed else np.eye(c.n) - _similarity(c)
+    if shared is None:
+        w, Q = symmetric_eigensolve(L)
+        lambda2, v2 = float(w[1]), Q[:, 1].copy()
+        nz = np.nonzero(np.abs(v2) > 1e-12)[0]
+        if nz.size and v2[nz[0]] < 0:  # deterministic sign: first non-negligible coordinate positive
+            v2 = -v2
+    else:
+        _symmetrized(L)
+        lambda2, v2 = shared.lambda2, shared.v2
     residual = float(np.linalg.norm(L @ v2 - lambda2 * v2))
-    scale = float(np.linalg.norm(L))
-    if residual > _RESIDUAL_TOL * max(scale, 1e-300):
+    if residual > _RESIDUAL_TOL * max(float(np.linalg.norm(L)), 1e-300):
         raise NumericalFailure(f"eigenpair residual {residual:.3e} above tolerance")
     sqrt_pi = np.sqrt(c.pi)
     if abs(float(v2 @ sqrt_pi)) > _ORTHO_TOL:
         raise NumericalFailure("second eigenvector not orthogonal to the Perron direction")
-    f2 = v2 / sqrt_pi
-    return SpectralCertificate(lambda2=lambda2, f2=f2, v2=v2, kind=kind, residual=residual)
+    kind = "chung-directed" if directed else "reversible-normalized"
+    return SpectralCertificate(lambda2=lambda2, f2=v2 / sqrt_pi, v2=v2, kind=kind, residual=residual)
 
 
 def lambda2_reversible(c: MarkovChain) -> SpectralCertificate:
@@ -95,18 +107,7 @@ def lambda2_reversible(c: MarkovChain) -> SpectralCertificate:
     Builds S = Pi^{1/2} P Pi^{-1/2} (symmetric by detailed balance), solves
     I - S, and reports f2 = Pi^{-1/2} v2, an eigenvector of I - P itself.
     """
-    return _reversible_certificate(c, is_reversible(c))
-
-
-def _reversible_certificate(c: MarkovChain, reversible: bool) -> SpectralCertificate:
-    """:func:`lambda2_reversible` given the chain's detailed-balance verdict,
-    for a caller that already holds it."""
-    if not reversible:
-        raise InputError("chain fails detailed balance; use lambda2_directed instead")
-    sqrt_pi = np.sqrt(c.pi)
-    S = (sqrt_pi[:, None] * c.P) / sqrt_pi[None, :]
-    L = np.eye(c.n) - S
-    return _certificate(c, L, "reversible-normalized")
+    return _certificate(c, False, is_reversible(c))
 
 
 def chung_laplacian(c: MarkovChain) -> np.ndarray:
@@ -115,15 +116,14 @@ def chung_laplacian(c: MarkovChain) -> np.ndarray:
     L = I - (Pi^{1/2} P Pi^{-1/2} + Pi^{-1/2} P^T Pi^{1/2}) / 2; the smallest
     eigenvalue is 0 with eigenvector Pi^{1/2} 1.
     """
-    sqrt_pi = np.sqrt(c.pi)
-    A = (sqrt_pi[:, None] * c.P) / sqrt_pi[None, :]
-    return np.eye(c.n) - 0.5 * (A + A.T)
+    S = _similarity(c)
+    return np.eye(c.n) - 0.5 * (S + S.T)
 
 
 def lambda2_directed(c: MarkovChain) -> SpectralCertificate:
     """lambda_2 of the Chung Laplacian; agrees with lambda2_reversible when
     the chain is reversible (the two matrices coincide under detailed balance)."""
-    return _certificate(c, chung_laplacian(c), "chung-directed")
+    return _certificate(c, True, False)
 
 
 def truncated_eigenvector(cert: SpectralCertificate, c: MarkovChain) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,15 +10,21 @@ import isoperim.spectral
 from isoperim import (
     ChainAnalysis,
     bound_suite,
+    chain_from_matrix,
     check_cheeger,
     check_chung,
     check_morris_peres,
     check_phi_p_upper_bound,
     conjecture_ratio,
+    gen_cycle,
+    gen_dumbbell,
+    gen_ht_counterexample,
+    gen_hypercube,
     gen_random_directed,
     gen_random_reversible,
     geometric_chain_sum,
     is_reversible,
+    lambda2_directed,
     lambda2_reversible,
     lazy_transform,
     power_increment_supremum,
@@ -221,12 +228,17 @@ def test_bound_suite_matches_standalone_checks(monkeypatch, cap):
 
 
 def test_chain_analysis_derives_each_quantity_once(monkeypatch):
-    calls = {"exact_minima": [], "_reversible_certificate": 0, "lambda2_directed": 0, "is_reversible": 0}
+    for directed in (False, True):
+        with monkeypatch.context() as m:
+            _check_derives_each_quantity_once(m, directed)
+
+
+def _check_derives_each_quantity_once(monkeypatch, directed):
+    calls = {"exact_minima": [], "eigh": 0, "is_reversible": 0}
     for module, name in (
-        (isoperim.bounds, "_reversible_certificate"),
-        (isoperim.bounds, "lambda2_directed"),
         (isoperim.bounds, "is_reversible"),
         (isoperim.spectral, "is_reversible"),
+        (isoperim.spectral.np.linalg, "eigh"),
     ):
         real = getattr(module, name)
 
@@ -242,19 +254,73 @@ def test_chain_analysis_derives_each_quantity_once(monkeypatch):
         return real_exact(c, ps)
 
     monkeypatch.setattr(isoperim.bounds, "exact_minima", counted_exact)
-    a = ChainAnalysis(gen_random_reversible(7, density=0.5, seed=3), [0.3])
-    bound_suite(a, [0.6, 0.75], [0.6])
-    assert calls["_reversible_certificate"] == 1 and calls["lambda2_directed"] == 1
+    c = (gen_random_directed if directed else gen_random_reversible)(7, density=0.5, seed=3)
+    a = ChainAnalysis(c, [0.3])
+    assert a.reversible is not directed
+    bound_suite(a, None if directed else [0.6, 0.75], [0.6])
+    # one eigensolve serves both certificates of a reversible chain
+    assert calls["eigh"] == 1
     # the reversible certificate reuses the analysis's detailed-balance verdict
     assert calls["is_reversible"] == 1
-    assert calls["exact_minima"] == [[0.3, 1.0, 0.5, 0.6, 0.75]]
+    assert calls["exact_minima"] == [[0.3, 1.0, 0.5, 0.6] + ([] if directed else [0.75])]
     # reads of expected exponents and repeated sweeps are served from the store
     assert a.exact(0.3) is a.exact(0.3)
-    assert a.sweep(0.75, True) is a.sweep(0.75, True)
-    assert calls["lambda2_directed"] == 1 and len(calls["exact_minima"]) == 1
+    assert a.sweep(0.6, True) is a.sweep(0.6, True)
+    assert a.cert(True) is a.cert(True)
+    assert calls["eigh"] == 1 and len(calls["exact_minima"]) == 1
     # an exponent nobody expected costs exactly one more pass
     a.exact(0.0)
     assert calls["exact_minima"][1:] == [[0.0]]
+
+
+def _birth_death(n, up, down):
+    """Birth-death chain on 0..n-1 with the given rates and holding on the
+    diagonal; reversible, with pi falling geometrically by up / down."""
+    P = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+    P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
+    return chain_from_matrix(P)
+
+
+@pytest.mark.parametrize("directed_first", [False, True])
+def test_chain_analysis_keeps_the_reversible_refusal(directed_first):
+    # detailed balance holds within its tolerance, but I - S is too far from
+    # symmetric for the eigensolve's check, which Chung's L always passes
+    c = _birth_death(8, 1e-6, 0.5)
+    assert is_reversible(c) and c.pi.min() < 1e-16
+    with pytest.raises(InputError, match="not symmetric within tolerance") as want:
+        lambda2_reversible(c)
+    a = ChainAnalysis(c)
+    if directed_first:
+        a.cert(True)
+    for _ in range(2):
+        with pytest.raises(InputError) as got:
+            a.cert(False)
+        assert str(got.value) == str(want.value)
+    _assert_same_certificate(a.cert(True), lambda2_directed(c))
+
+
+def _assert_same_certificate(got, want):
+    assert got.lambda2 == want.lambda2
+    assert np.array_equal(got.v2, want.v2) and np.array_equal(got.f2, want.f2)
+    assert got.kind == want.kind
+    assert got.residual == want.residual
+
+
+def _oracle_chains():
+    chains = [gen_random_reversible(n, density=0.5, seed=n) for n in (5, 9, 17, 28, 40)]
+    chains += [gen_cycle(12), gen_hypercube(4), gen_dumbbell(6), gen_ht_counterexample(64)]
+    chains.append(lazy_transform(gen_random_reversible(10, density=0.4, seed=2), 0.3))
+    chains += [gen_random_directed(n, density=0.5, seed=n) for n in (5, 12, 30)]
+    return chains
+
+
+@pytest.mark.parametrize("order", [(False, True), (True, False)])
+def test_chain_analysis_certificates_match_the_standalone_solves(order):
+    for c in _oracle_chains():
+        a = ChainAnalysis(c)
+        for directed in order if a.reversible else (True,):
+            want = lambda2_directed(c) if directed else lambda2_reversible(c)
+            _assert_same_certificate(a.cert(directed), want)
 
 
 def test_chain_analysis_reversible_cert_refuses_a_directed_chain():

@@ -294,18 +294,38 @@ def test_cli_bad_exact_cap_setting_exit_2(random6, monkeypatch, capsys):
     assert "ISO_MAX_EXACT_N" in capsys.readouterr().err
 
 
-def test_cli_verify_derives_each_quantity_once(random6, monkeypatch):
-    calls = {"exact_minima": 0, "_reversible_certificate": 0, "lambda2_directed": 0, "is_reversible": 0}
-    for module, name in [(isoperim.bounds, name) for name in calls] + [(isoperim.spectral, "is_reversible")]:
-        real = getattr(module, name)
+def _derivation_counts(tmp_path, monkeypatch, directed, argv):
+    """Calls of exact_minima, is_reversible and numpy's eigh made by one
+    command on a random 6-state chain, reversible or directed."""
+    g = tmp_path / ("directed.tsv" if directed else "reversible.tsv")
+    write_graph_tsv((random_directed_graph if directed else random_reversible_graph)(6, 0.5, 5), str(g))
+    calls = {"exact_minima": 0, "is_reversible": 0, "eigh": 0}
+    targets = [(isoperim.bounds, "exact_minima"), (isoperim.bounds, "is_reversible"), (isoperim.spectral, "is_reversible")]
+    with monkeypatch.context() as m:
+        for module, name in targets + [(isoperim.spectral.np.linalg, "eigh")]:
+            real = getattr(module, name)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
-    assert cli_main(["verify", "--input", random6, "--suite", "all"]) == 0
-    assert calls == {"exact_minima": 1, "_reversible_certificate": 1, "lambda2_directed": 1, "is_reversible": 1}
+            m.setattr(module, name, counted)
+        assert cli_main([argv[0], "--input", str(g), *argv[1:]]) == 0
+    return calls
+
+
+def test_cli_verify_derives_each_quantity_once(tmp_path, monkeypatch):
+    # one eigensolve serves both certificates of a reversible chain
+    for directed in (False, True):
+        calls = _derivation_counts(tmp_path, monkeypatch, directed, ["verify", "--suite", "all"])
+        assert calls == {"exact_minima": 1, "is_reversible": 1, "eigh": 1}
+
+
+def test_cli_analyze_directed_spectral_solves_once(tmp_path, monkeypatch):
+    for directed in (False, True):
+        argv = ["analyze", "--directed-spectral", "--out", str(tmp_path / "r.json")]
+        calls = _derivation_counts(tmp_path, monkeypatch, directed, argv)
+        assert calls == {"exact_minima": 1, "is_reversible": 1, "eigh": 1}
 
 
 @pytest.mark.parametrize("cap", ["24", "4"])

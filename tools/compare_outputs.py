@@ -18,6 +18,15 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``sweep`` and ``analyze --method sweep`` at p = 0, 1/2 and 1 on cycles,
   hypercubes and dumbbells within and above the exact cap, whose symmetric
   eigenvectors give tied level sets;
+- ``verify --suite all`` and ``--suite directed`` and ``analyze --method
+  sweep --directed-spectral`` on a 40-cycle, a 5-cube, a dumbbell of two K_15
+  and a random reversible chain on 40 states, above the exact cap, where one
+  eigensolve serves both certificates;
+- ``verify`` with each suite and ``analyze --directed-spectral`` on a
+  birth-death chain on 8 states (up-rate 1e-6, down-rate 1/2) written as a
+  dense transition matrix: it passes the detailed-balance check, but the
+  eigensolve refuses its I - S as not symmetric, so the reversible
+  certificate exits 2 while Chung's succeeds;
 - ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1 on a cycle, a
   hypercube and a dumbbell, whose minimizers tie, and on random reversible
   and directed chains on 18 states, more than one block of the enumerator;
@@ -156,6 +165,14 @@ def _write_dense(path: str, kind: str, M: np.ndarray) -> None:
         fh.write(f"matrix-kind {kind}\n{body}\n")
 
 
+def _birth_death(n: int, up: float, down: float) -> np.ndarray:
+    """Transition matrix of the birth-death chain on n states with the given
+    rates, holding on the diagonal."""
+    P = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+    P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
+    return P
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write(text)
@@ -263,6 +280,19 @@ def build_plan(work: str) -> list[dict]:
         path = os.path.join(work, f"tied-{family}{size}.tsv")
         _write_tied(path, family, size)
         plan += _tied_commands(f"{family}{size}", path)
+    # both certificates of reversible chains above the cap, and a birth-death
+    # chain whose I - S the eigensolve refuses while Chung's L passes
+    path = os.path.join(work, "rev40.tsv")
+    inputs.write_random_reversible(path, 40, 0.3, np.random.default_rng(40))
+    both = [("rev40", path, "edge-tsv")] + [(name, os.path.join(work, f"tied-{name}.tsv"), "edge-tsv") for name in ("cycle40", "hypercube5", "dumbbell15")]
+    path = os.path.join(work, "birth-death8.txt")
+    _write_dense(path, "transition", _birth_death(8, 1e-6, 0.5))
+    for name, path, fmt in both + [("birth-death8", path, "dense-matrix")]:
+        base = ["--input", path, "--format", fmt]
+        suites = ("all", "reversible", "directed") if name == "birth-death8" else ("all", "directed")
+        plan += [{"id": f"verify-{suite}-{name}", "argv": ["verify", *base, "--suite", suite]} for suite in suites]
+        argv = ["analyze", *base, "--p", "0.5,0.75,1", "--directed-spectral", "--out", "OUT/b.json"]
+        plan.append({"id": f"analyze-directed-spectral-{name}", "argv": argv if name == "birth-death8" else [*argv, "--method", "sweep"]})
     exact = [(name, os.path.join(work, f"tied-{name}.tsv")) for name in ("cycle12", "hypercube4", "dumbbell5")]
     for name, write in (("rev18", inputs.write_random_reversible), ("dir18", inputs.write_random_directed)):
         path = os.path.join(work, f"{name}.tsv")
