@@ -24,6 +24,7 @@ bitmask tables, prefix sums, and FFTs). Five exceptions:
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -366,3 +367,43 @@ def naive_write_graph_tsv(g, path):
     lines += [f"{ids[u]}\t{ids[v]}\t{weights[k]}" for u, v, k in zip(us, vs, which.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def birth_death_matrix(n, up, down):
+    """Transition matrix of the birth-death chain on 0..n-1 that steps up
+    with probability ``up`` and down with ``down``, holding on the diagonal."""
+    P = np.zeros((n, n))
+    for k in range(n - 1):
+        P[k, k + 1] = up
+        P[k + 1, k] = down
+    for k in range(n):
+        P[k, k] = 1.0 - P[k].sum()
+    return P
+
+
+def birth_death_pi(n, up, down):
+    """Closed-form pi of :func:`birth_death_matrix`: detailed balance across
+    each step gives pi_k proportional to (up / down)^k whatever the holding.
+    Exact rationals of the float rates, rounded once per entry."""
+    ratio = Fraction(up) / Fraction(down)
+    weights = [ratio**k for k in range(n)]
+    total = sum(weights)
+    return np.array([float(w / total) for w in weights])
+
+
+def exact_stationary(W):
+    """pi of P = W / rowsum(W) for a square nonnegative integer matrix W, as
+    Fractions: Gauss-Jordan elimination on sum_i pi_i P(i, j) = pi_j for
+    j < n - 1 and sum_j pi_j = 1, in exact arithmetic."""
+    n = len(W)
+    P = [[Fraction(w, sum(row)) for w in row] for row in W]
+    A = [[P[i][j] - (i == j) for i in range(n)] + [Fraction(0)] for j in range(n - 1)]
+    A.append([Fraction(1)] * (n + 1))
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[pivot] = A[pivot], A[col]
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col] / A[col][col]
+                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
+    return [A[r][n] / A[r][r] for r in range(n)]

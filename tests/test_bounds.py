@@ -9,6 +9,7 @@ import isoperim.bounds
 import isoperim.spectral
 from isoperim import (
     ChainAnalysis,
+    MarkovChain,
     bound_suite,
     chain_from_matrix,
     check_cheeger,
@@ -30,6 +31,7 @@ from isoperim import (
     power_increment_supremum,
 )
 from isoperim.errors import InputError, TooLarge
+from oracles import birth_death_matrix, birth_death_pi
 
 
 def test_main_bound_two_state(two_state):
@@ -273,11 +275,14 @@ def _check_derives_each_quantity_once(monkeypatch, directed):
     assert calls["exact_minima"][1:] == [[0.0]]
 
 
-def _birth_death(n, up, down):
-    """Birth-death chain on 0..n-1 with the given rates and holding on the
-    diagonal; reversible, with pi falling geometrically by up / down."""
-    P = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
-    P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
+def _light_cycle():
+    """Birth-death chain on 6 states (up-rate 1e-3, down-rate 1/2) plus 0.01
+    on 3 -> 4, 4 -> 5 and 5 -> 3, taken from the diagonal: pi falls to 4e-12,
+    and the cycle's flow is within the detailed-balance tolerance."""
+    P = birth_death_matrix(6, 1e-3, 0.5)
+    for a, b in ((3, 4), (4, 5), (5, 3)):
+        P[a, b] += 0.01
+        P[a, a] -= 0.01
     return chain_from_matrix(P)
 
 
@@ -285,8 +290,8 @@ def _birth_death(n, up, down):
 def test_chain_analysis_keeps_the_reversible_refusal(directed_first):
     # detailed balance holds within its tolerance, but I - S is too far from
     # symmetric for the eigensolve's check, which Chung's L always passes
-    c = _birth_death(8, 1e-6, 0.5)
-    assert is_reversible(c) and c.pi.min() < 1e-16
+    c = _light_cycle()
+    assert is_reversible(c) and c.pi.min() < 1e-11
     with pytest.raises(InputError, match="not symmetric within tolerance") as want:
         lambda2_reversible(c)
     a = ChainAnalysis(c)
@@ -297,6 +302,20 @@ def test_chain_analysis_keeps_the_reversible_refusal(directed_first):
             a.cert(False)
         assert str(got.value) == str(want.value)
     _assert_same_certificate(a.cert(True), lambda2_directed(c))
+
+
+@pytest.mark.parametrize("n, up", [(8, 1e-6), (16, 5e-5), (24, 5e-9)])
+def test_birth_death_certificates_agree_with_the_closed_form_pi(n, up):
+    # pi right to every entry makes I - S symmetric, so both certificates
+    # succeed; each matches the one built on the closed-form pi
+    P = birth_death_matrix(n, up, 0.5)
+    a = ChainAnalysis(chain_from_matrix(P))
+    oracle = MarkovChain(n=n, P=P, pi=birth_death_pi(n, up, 0.5))
+    want = lambda2_directed(oracle).lambda2
+    for directed in (False, True):
+        assert abs(a.cert(directed).lambda2 / want - 1) <= 1e-12
+    if n == 8:
+        assert abs(want - 0.498694) < 1e-6
 
 
 def _assert_same_certificate(got, want):

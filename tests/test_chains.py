@@ -18,9 +18,9 @@ from isoperim import (
     lazy_transform,
     stationary_distribution,
 )
-from isoperim.chains import MAX_STATES, _power_iteration, edge_fault
+from isoperim.chains import MAX_STATES, _gth, edge_fault
 from isoperim.errors import InputError, NumericalFailure, TooLarge
-from oracles import naive_edge_fault, naive_weight_matrix
+from oracles import birth_death_matrix, birth_death_pi, exact_stationary, naive_edge_fault, naive_weight_matrix
 
 
 def test_cycle_chain(cycle4):
@@ -75,11 +75,28 @@ def test_stationary_doubly_stochastic_uniform():
     assert np.allclose(stationary_distribution(P), 1 / 3)
 
 
-def test_power_iteration_agrees_with_direct():
+def test_gth_two_state():
     P = np.array([[0.9, 0.1], [0.5, 0.5]])
-    pi = _power_iteration(P)
-    assert pi is not None
-    assert np.allclose(pi, [5 / 6, 1 / 6], atol=1e-10)
+    assert np.allclose(_gth(P), [5 / 6, 1 / 6], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+@pytest.mark.parametrize("up", [5e-3, 5e-5, 5e-7, 5e-9])
+def test_birth_death_pi_matches_the_closed_form_per_entry(n, up):
+    # pi falls by up / 0.5 = 1e-2 .. 1e-8 per state, to 8e-178 at n = 24
+    pi = chain_from_matrix(birth_death_matrix(n, up, 0.5)).pi
+    assert np.max(np.abs(pi / birth_death_pi(n, up, 0.5) - 1)) <= 1e-12
+
+
+def test_integer_weighted_pi_matches_exact_rationals():
+    rng = np.random.default_rng(3)
+    for n in range(2, 9):
+        for scale in (1, 10**8):
+            W = rng.integers(0, 4, (n, n)) * rng.choice([1, scale], (n, n))
+            W[np.arange(n), (np.arange(n) + 1) % n] += 1  # a cycle keeps the chain irreducible
+            want = np.array([float(x) for x in exact_stationary(W.tolist())])
+            got = chain_from_matrix(W / W.sum(axis=1, keepdims=True)).pi
+            assert np.max(np.abs(got / want - 1)) <= 1e-12, (n, scale)
 
 
 def test_is_irreducible_cases():
@@ -158,29 +175,41 @@ def test_stationary_fallback_matches_direct_solve(monkeypatch):
     direct = stationary_distribution(P)
     monkeypatch.setattr(isoperim.chains.np.linalg, "solve", _singular)
     fallback = stationary_distribution(P)
-    assert np.max(np.abs(fallback - direct)) <= 1e-12
-
-
-def test_stationary_both_paths_fail_is_numerical_failure(monkeypatch):
-    P = gen_random_directed(6, density=0.5, seed=11).P
-    monkeypatch.setattr(isoperim.chains.np.linalg, "solve", _singular)
-    monkeypatch.setattr(isoperim.chains, "_power_iteration", lambda P: None)
-    with pytest.raises(NumericalFailure, match="both solver paths"):
-        stationary_distribution(P)
-    with pytest.raises(NumericalFailure, match="both solver paths"):
-        chain_from_matrix(P)
+    assert np.max(np.abs(fallback / direct - 1)) <= 1e-12
 
 
 def test_nan_transition_rejected_before_any_solve(monkeypatch):
-    def never(P):
-        pytest.fail("the power iteration ran on an invalid matrix")
+    def never(*args, **kwargs):
+        pytest.fail("a stationary solver ran on an invalid matrix")
 
-    monkeypatch.setattr(isoperim.chains, "_power_iteration", never)
+    monkeypatch.setattr(isoperim.chains, "_gth", never)
+    monkeypatch.setattr(isoperim.chains.np.linalg, "solve", never)
     P = np.array([[0.0, np.nan, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
     with pytest.raises(InputError, match="non-finite"):
         chain_from_matrix(P)
     with pytest.raises(InputError, match="non-finite"):
         stationary_distribution(P)
+
+
+def test_lu_pi_is_kept_where_it_passes_the_per_entry_check(monkeypatch):
+    monkeypatch.setattr(isoperim.chains, "_gth", lambda P: pytest.fail("GTH ran where LU passes"))
+    c = gen_random_directed(300, 0.5, 1)
+    assert c.pi.min() > 0
+
+
+def test_given_pi_is_checked_per_entry():
+    # the closed-form pi of a birth-death chain with its tail doubled: off by
+    # a factor of 2 on entries below 1e-12, so within 1e-10 absolutely
+    P = birth_death_matrix(8, 1e-6, 0.5)
+    pi = birth_death_pi(8, 1e-6, 0.5)
+    assert np.max(np.abs(pi @ P - pi)) <= 1e-10
+    MarkovChain(n=8, P=P, pi=pi)
+    bad = pi.copy()
+    bad[4:] *= 2
+    bad[0] -= bad.sum() - 1.0
+    assert np.max(np.abs(bad @ P - bad)) <= 1e-10 and abs(bad.sum() - 1.0) <= 1e-12
+    with pytest.raises(NumericalFailure, match="not stationary"):
+        MarkovChain(n=8, P=P, pi=bad)
 
 
 def test_one_irreducibility_check_per_chain_build(monkeypatch):

@@ -30,7 +30,7 @@ from isoperim import (
 )
 from isoperim import cuts
 from isoperim.errors import InputError, NumericalFailure, TooLarge
-from oracles import blocked_exact_minima, naive_phi_exact, naive_phi_p, naive_sweep
+from oracles import birth_death_matrix, birth_death_pi, blocked_exact_minima, exact_stationary, naive_phi_exact, naive_phi_p, naive_sweep
 
 
 def test_two_state_singleton(two_state):
@@ -301,6 +301,27 @@ def test_exact_minima_match_blocked_enumerator_where_pi_is_tiny():
     c = MarkovChain(n=n, P=P, pi=pi / pi.sum())
     assert c.pi.min() < 2.0**-400
     _assert_same_minima(c, [0.0, 0.5, 0.6, 0.9, 1.0])
+
+
+def _solved_and_oracle_chains():
+    for n, up in ((8, 1e-6), (8, 5e-3), (12, 5e-5), (14, 5e-7), (14, 5e-9)):
+        P = birth_death_matrix(n, up, 0.5)
+        yield chain_from_matrix(P), MarkovChain(n=n, P=P, pi=birth_death_pi(n, up, 0.5))
+    W = np.random.default_rng(9).integers(0, 4, (10, 10)) * 10 ** np.arange(10)[None, :]
+    W[np.arange(10), (np.arange(10) + 1) % 10] += 1
+    P = W / W.sum(axis=1, keepdims=True)
+    pi = np.array([float(x) for x in exact_stationary(W.tolist())])
+    yield chain_from_matrix(P), MarkovChain(n=10, P=P, pi=pi)
+
+
+def test_exact_minima_of_the_solved_pi_match_the_oracle_pi():
+    # the values, not the sets: on the 8-state chain with up-rate 1e-6 at
+    # p = 1/2, {3, 4, 5, 6} and {5, 6, 7} are within one ulp of each other
+    ps = [0.0, 0.5, 0.6, 1.0]
+    for solved, oracle in _solved_and_oracle_chains():
+        got, want = exact_minima(solved, ps), exact_minima(oracle, ps)
+        for p in ps:
+            assert abs(got[p].phi / want[p].phi - 1) <= 1e-12, (solved.n, p)
 
 
 class _CountingPool(concurrent.futures.ThreadPoolExecutor):

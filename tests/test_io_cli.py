@@ -32,7 +32,7 @@ from isoperim.cli import cli_main
 from isoperim.errors import InputError, IsoperimError, TooLarge
 from isoperim.families import cycle_graph, ht_counterexample_graph, random_directed_graph, random_reversible_graph
 from isoperim.io import make_provenance
-from oracles import naive_parse_graph, naive_write_graph_tsv
+from oracles import birth_death_matrix, naive_parse_graph, naive_write_graph_tsv
 
 
 def test_parse_single_edge(tmp_path):
@@ -163,6 +163,16 @@ def test_cli_generate_and_verify(tmp_path):
     out = tmp_path / "cycle.tsv"
     assert cli_main(["generate", "--family", "cycle", "--n", "4", "--out", str(out)]) == 0
     assert cli_main(["verify", "--input", str(out), "--suite", "all"]) == 0
+
+
+def test_cli_verify_all_on_a_birth_death_chain_with_tiny_pi(tmp_path, capsys):
+    # pi falls by 2e-6 per state; with every entry right, both certificates
+    # succeed and every bound holds
+    P = birth_death_matrix(8, 1e-6, 0.5)
+    path = tmp_path / "bd8.txt"
+    path.write_text("matrix-kind transition\n" + "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in P))
+    assert cli_main(["verify", "--input", str(path), "--format", "dense-matrix", "--suite", "all"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_generate_ht_family_roundtrip(tmp_path):

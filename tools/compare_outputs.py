@@ -22,11 +22,16 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
   sweep --directed-spectral`` on a 40-cycle, a 5-cube, a dumbbell of two K_15
   and a random reversible chain on 40 states, above the exact cap, where one
   eigensolve serves both certificates;
-- ``verify`` with each suite and ``analyze --directed-spectral`` on a
-  birth-death chain on 8 states (up-rate 1e-6, down-rate 1/2) written as a
-  dense transition matrix: it passes the detailed-balance check, but the
-  eigensolve refuses its I - S as not symmetric, so the reversible
-  certificate exits 2 while Chung's succeeds;
+- ``verify`` with each suite and ``analyze --directed-spectral`` on two
+  chains written as dense transition matrices whose pi falls below 1e-11:
+  a birth-death chain on 8 states (up-rate 1e-6, down-rate 1/2), where the
+  stationary solve must get every entry of pi right for both certificates
+  to succeed and agree, and the same chain on 6 states with up-rate 1e-3
+  and 0.01 more on 3 -> 4, 4 -> 5 and 5 -> 3, which passes the
+  detailed-balance check but whose I - S the eigensolve refuses as not
+  symmetric, so the reversible certificate exits 2 while Chung's succeeds;
+- ``analyze --method both`` on a birth-death chain on 12 states with
+  up-rate 1e-8, whose pi falls to 2e-85;
 - ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1 on a cycle, a
   hypercube and a dumbbell, whose minimizers tie, and on random reversible
   and directed chains on 18 states, more than one block of the enumerator;
@@ -280,19 +285,28 @@ def build_plan(work: str) -> list[dict]:
         path = os.path.join(work, f"tied-{family}{size}.tsv")
         _write_tied(path, family, size)
         plan += _tied_commands(f"{family}{size}", path)
-    # both certificates of reversible chains above the cap, and a birth-death
-    # chain whose I - S the eigensolve refuses while Chung's L passes
+    # both certificates of reversible chains above the cap, and of chains
+    # with tiny pi, one of which the reversible certificate refuses
     path = os.path.join(work, "rev40.tsv")
     inputs.write_random_reversible(path, 40, 0.3, np.random.default_rng(40))
     both = [("rev40", path, "edge-tsv")] + [(name, os.path.join(work, f"tied-{name}.tsv"), "edge-tsv") for name in ("cycle40", "hypercube5", "dumbbell15")]
-    path = os.path.join(work, "birth-death8.txt")
-    _write_dense(path, "transition", _birth_death(8, 1e-6, 0.5))
-    for name, path, fmt in both + [("birth-death8", path, "dense-matrix")]:
+    light_cycle = _birth_death(6, 1e-3, 0.5)
+    for a, b in ((3, 4), (4, 5), (5, 3)):
+        light_cycle[a, b] += 0.01
+        light_cycle[a, a] -= 0.01
+    tiny_pi = []
+    for name, P in (("birth-death8", _birth_death(8, 1e-6, 0.5)), ("light-cycle6", light_cycle), ("birth-death12", _birth_death(12, 1e-8, 0.5))):
+        path = os.path.join(work, f"{name}.txt")
+        _write_dense(path, "transition", P)
+        tiny_pi.append((name, path, "dense-matrix"))
+    for name, path, fmt in both + tiny_pi[:2]:
         base = ["--input", path, "--format", fmt]
-        suites = ("all", "reversible", "directed") if name == "birth-death8" else ("all", "directed")
+        suites = ("all", "directed") if fmt == "edge-tsv" else ("all", "reversible", "directed")
         plan += [{"id": f"verify-{suite}-{name}", "argv": ["verify", *base, "--suite", suite]} for suite in suites]
         argv = ["analyze", *base, "--p", "0.5,0.75,1", "--directed-spectral", "--out", "OUT/b.json"]
-        plan.append({"id": f"analyze-directed-spectral-{name}", "argv": argv if name == "birth-death8" else [*argv, "--method", "sweep"]})
+        plan.append({"id": f"analyze-directed-spectral-{name}", "argv": argv if fmt == "dense-matrix" else [*argv, "--method", "sweep"]})
+    name, path, fmt = tiny_pi[2]
+    plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--method", "both", "--p", "0,0.5,0.75,1"]})
     exact = [(name, os.path.join(work, f"tied-{name}.tsv")) for name in ("cycle12", "hypercube4", "dumbbell5")]
     for name, write in (("rev18", inputs.write_random_reversible), ("dir18", inputs.write_random_directed)):
         path = os.path.join(work, f"{name}.tsv")
