@@ -3,13 +3,14 @@
 Each checker evaluates one concrete inequality instance on a chain and
 returns a :class:`BoundReport` with both sides, the slack, and a verdict.
 The checkers take a chain or a :class:`ChainAnalysis`, the per-chain store
-that derives each quantity once: one eigensolve for the certificates of
-both kinds (the residual taken per kind), every exact minimum from a single
-enumeration pass over the exponents the run reads, and every sweep cut of a
-certificate from a single pass over its level sets. The store also holds the one rule for the
-phi_p value a bound uses (exact within the enumeration cap, otherwise the
-sweep cut). :func:`bound_suite` builds the reports of both sides from one
-store; the CLI's ``analyze`` and ``verify`` select sides and exponents over it.
+that derives each quantity once: one eigensolve of Chung's Laplacian for
+the certificates of both kinds (the residual taken per kind), every exact
+minimum from one enumeration pass over the exponents the run reads, and
+every sweep cut from one pass over the level sets of the chain's own
+certificate. It also holds the one rule for the phi_p value a bound uses
+(exact within the enumeration cap, else the sweep cut). :func:`bound_suite`
+builds both sides' reports from one store; the CLI's ``analyze`` and
+``verify`` select sides and exponents over it.
 The gadgets expose the numeric suprema used in the sweep-cut analysis:
 the power-increment sum sup_a sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1})
 (bounded by 1/(2p-1) for p > 1/2) and the telescoping ratio-chain maximum
@@ -27,7 +28,7 @@ import numpy as np
 from .chains import MarkovChain, exact_enumeration_cap, is_reversible
 from .cuts import CutResult, exact_minima, sweep_cuts
 from .errors import InputError, NumericalFailure, TooLarge
-from .spectral import SpectralCertificate, _certificate
+from .spectral import _IRREVERSIBLE, SpectralCertificate, _certificate
 
 DEFAULT_TOL = 1e-9
 
@@ -58,17 +59,17 @@ def make_report(name: str, lhs: float, rhs: float, witnesses: dict | None = None
 class ChainAnalysis:
     """Every certificate and cut a run reads, each derived at most once.
 
-    Holds the certificates, both kinds from one solve on a reversible chain
-    (each with its residual against its own matrix), the sweep cuts of each,
-    and the exact minima. The first exact read enumerates subsets once for
-    every expected exponent (``ps`` here, plus whatever :func:`bound_suite`
-    adds), and the first sweep read of a certificate sweeps its level sets
-    once for every exponent expected of it (``sweep_ps`` for the chain's own
-    certificate, Chung's unless the chain is reversible, plus the suite's); a
-    read of an exponent not expected costs one more pass. :meth:`phi` applies
-    the one rule for the value a bound uses: exact within
-    :func:`exact_enumeration_cap`, otherwise the sweep cut of the bound's own
-    certificate. Expecting exact reads above the cap raises TooLarge at once.
+    Holds the certificates, both kinds from one solve of Chung's Laplacian
+    (each with its residual against its own matrix), the sweep cuts and the
+    exact minima. The first exact read enumerates subsets once for every
+    expected exponent (``ps`` here, plus whatever :func:`bound_suite` adds),
+    and the first sweep read sweeps the level sets of the chain's own
+    certificate (the reversible one if the chain is reversible, else
+    Chung's; on a reversible chain both share f2) once for every expected
+    exponent (``sweep_ps`` here, plus the suite's); a read of an exponent not
+    expected costs one more pass. :meth:`phi` applies the one rule for the
+    value a bound uses: exact within :func:`exact_enumeration_cap`, otherwise
+    the sweep cut. Expecting exact reads above the cap raises TooLarge at once.
     """
 
     def __init__(self, c: MarkovChain, ps: Iterable[float] = (), sweep_ps: Iterable[float] = ()) -> None:
@@ -78,10 +79,9 @@ class ChainAnalysis:
         self._ps: list[float] = []
         self._exact: dict[float, CutResult] = {}
         self._certs: dict[bool, SpectralCertificate] = {}
-        self._sweep_ps: dict[bool, list[float]] = {False: [], True: []}
-        self._sweeps: dict[tuple[float, bool], CutResult] = {}
+        self._sweep_ps = dict.fromkeys(map(float, sweep_ps))  # the next sweep pass's exponents, in order
+        self._sweeps: dict[float, CutResult] = {}
         self._expect(ps)
-        self._expect_sweeps(sweep_ps, not self.reversible)
 
     def _expect(self, ps: Iterable[float]) -> None:
         """Include these exponents in the next exact pass."""
@@ -91,17 +91,13 @@ class ChainAnalysis:
             if p not in self._ps:
                 self._ps.append(p)
 
-    def _expect_sweeps(self, ps: Iterable[float], directed: bool) -> None:
-        """Include these exponents in the next sweep pass of the certificate."""
-        for p in map(float, ps):
-            if p not in self._sweep_ps[directed]:
-                self._sweep_ps[directed].append(p)
-
     def cert(self, directed: bool) -> SpectralCertificate:
-        """The Chung certificate if directed, else the reversible one; either
-        reuses the analysis's detailed-balance verdict and the other's solve."""
+        """The Chung certificate if directed, else the reversible one, which
+        takes Chung's eigenpair and the analysis's detailed-balance verdict."""
         if directed not in self._certs:
-            self._certs[directed] = _certificate(self.c, directed, self.reversible, self._certs.get(not directed))
+            if not (directed or self.reversible):
+                raise InputError(_IRREVERSIBLE)
+            self._certs[directed] = _certificate(self.c, None if directed else self.cert(True))
         return self._certs[directed]
 
     def exact(self, p: float) -> CutResult:
@@ -112,22 +108,22 @@ class ChainAnalysis:
             self._exact.update(exact_minima(self.c, ps if p in ps else ps + [p]))
         return self._exact[p]
 
-    def sweep(self, p: float, directed: bool) -> CutResult:
-        """Sweep cut of the given certificate's eigenvector.
+    def sweep(self, p: float) -> CutResult:
+        """Sweep cut of the chain's own certificate: the reversible one when
+        the chain is reversible, else Chung's. Both kinds share f2.
 
         A pass puts the read exponent first, so guarantee failures are
         raised in the order the run reads the cuts.
         """
         p = float(p)
-        if (p, directed) not in self._sweeps:
-            ps = [p] + [q for q in self._sweep_ps[directed] if q != p and (q, directed) not in self._sweeps]
-            cuts = sweep_cuts(self.c, ps, self.cert(directed))
-            self._sweeps.update(((q, directed), cut) for q, cut in cuts.items())
-        return self._sweeps[(p, directed)]
+        if p not in self._sweeps:
+            ps = [p] + [q for q in self._sweep_ps if q != p and q not in self._sweeps]
+            self._sweeps.update(sweep_cuts(self.c, ps, self.cert(not self.reversible)))
+        return self._sweeps[p]
 
-    def phi(self, p: float, directed: bool) -> CutResult:
+    def phi(self, p: float) -> CutResult:
         """The phi_p value a bound uses: exact within the cap, else the sweep."""
-        return self.exact(p) if self.exact_ok else self.sweep(p, directed)
+        return self.exact(p) if self.exact_ok else self.sweep(p)
 
 
 def _analysis(c: MarkovChain | ChainAnalysis) -> ChainAnalysis:
@@ -146,7 +142,7 @@ def check_phi_p_upper_bound(c: MarkovChain | ChainAnalysis, p: float, use_direct
         raise InputError(f"inequality requires p in (1/2, 1], got {p}")
     a = _analysis(c)
     cert = a.cert(use_directed)
-    cut = a.phi(p, use_directed)
+    cut = a.phi(p)
     name = f"phi_p_squared[p={p:g}]" + (":directed" if use_directed else "")
     return make_report(
         name,
@@ -186,7 +182,7 @@ def check_cheeger(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundRep
     lambda_2 / 2 <= phi_1 and phi_1 <= sqrt(2 lambda_2)."""
     a = _analysis(c)
     cert = a.cert(False)
-    cut = a.phi(1.0, False)
+    cut = a.phi(1.0)
     wit = {"cut": cut, "lambda2": cert.lambda2, "phi_method": cut.method}
     easy = make_report("cheeger:lower", cert.lambda2 / 2.0, cut.phi, witnesses=wit)
     hard = make_report("cheeger:upper", cut.phi, math.sqrt(2.0 * cert.lambda2), witnesses=wit)
@@ -203,7 +199,7 @@ def check_chung(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundRepor
     """
     a = _analysis(c)
     cert = a.cert(True)
-    cut = a.phi(1.0, True)
+    cut = a.phi(1.0)
     wit = {"cut": cut, "lambda2": cert.lambda2, "phi_method": cut.method}
     lower = make_report("chung:lower", cut.phi**2 / 2.0, cert.lambda2, witnesses=wit)
     upper = make_report("chung:upper", cert.lambda2, 2.0 * cut.phi, witnesses=wit)
@@ -219,16 +215,15 @@ def bound_suite(
     side), Morris-Peres when n is within the exact cap, and the phi_p bound
     for each listed p in (1/2, 1]. Within the cap every exponent the suite
     reads (1, 1/2 and the listed p) joins one exact pass; above it the
-    exponents of each side (1 and the listed p) join one sweep pass of that
-    side's certificate.
+    exponents of both sides (1 and the listed p) join one sweep pass.
     """
     sides = [(False, reversible_ps), (True, directed_ps)]
     sides = [(directed, [p for p in ps if 0.5 < p <= 1.0]) for directed, ps in sides if ps is not None]
-    for directed, ps in sides:
+    for _, ps in sides:
         if a.exact_ok:
             a._expect([1.0, 0.5, *ps])
         else:
-            a._expect_sweeps([1.0, *ps], directed)
+            a._sweep_ps.update(dict.fromkeys([1.0, *ps]))
     reports: list[BoundReport] = []
     for directed, ps in sides:
         reports.extend(check_chung(a) if directed else check_cheeger(a))
@@ -247,8 +242,7 @@ def conjecture_ratio(c: MarkovChain | ChainAnalysis) -> float:
     upper bound. phi_{1/2} is computed exactly within the cap, else by sweep.
     """
     a = _analysis(c)
-    cert = a.cert(not a.reversible)
-    return a.phi(0.5, not a.reversible).phi / math.sqrt(cert.lambda2)
+    return a.phi(0.5).phi / math.sqrt(a.cert(not a.reversible).lambda2)
 
 
 def power_increment_supremum(p: float, trials: int = 100_000, seed: int = 0) -> float:

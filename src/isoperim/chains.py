@@ -42,10 +42,17 @@ def edge_fault(edges: np.ndarray, n: int, directed: bool, allow_self_loops: bool
     """
     u, v, w = edges.T
     ids_ok = (u == np.floor(u)) & (v == np.floor(v)) & (np.minimum(u, v) >= 0) & (np.maximum(u, v) < n)
-    # rows with bad ids get distinct negative keys, so only valid pairs repeat
-    key = np.where(ids_ok, u, -1.0 - np.arange(len(edges))) * n + np.where(ids_ok, v, 0.0)
-    repeated = np.ones(len(edges), dtype=bool)
-    repeated[np.unique(key, return_index=True)[1]] = False
+    # key u n + v, built in place; rows with bad ids get distinct negative keys,
+    # so only valid pairs repeat, and a stable sort puts each first occurrence first
+    key = np.zeros(len(edges))
+    np.multiply(u, n, out=key, where=ids_ok)
+    np.add(key, v, out=key, where=ids_ok)
+    key[~ids_ok] = -1.0 - np.flatnonzero(~ids_ok)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeated = np.zeros(len(edges), dtype=bool)
+    repeated[order[1:]] = key[1:] == key[:-1]
+    del key, order  # freed before the fault masks are stacked
     checks = [
         (~ids_ok, "edge ({u}, {v}) has a vertex id outside {ids}"),
         (~np.isfinite(w), "weight {w} is not a finite number"),
@@ -274,16 +281,17 @@ def chain_from_directed(g: WeightedGraph) -> MarkovChain:
 
 
 def is_reversible(c: MarkovChain) -> bool:
-    """Detailed balance check: max |pi(i)P(i,j) - pi(j)P(j,i)| <= REVERSIBILITY_TOL * max flow.
+    """Detailed balance, pair by pair: |F_ij - F_ji| <= REVERSIBILITY_TOL * max(F_ij, F_ji)
+    for the flows F = Pi P.
 
-    The tolerance is relative to the largest entry of the flow matrix
-    pi(i)P(i,j), making the test scale-free.
+    This is S = Pi^{1/2} P Pi^{-1/2} symmetric entry by entry to the same
+    relative tolerance, however small pi gets, so a reversible chain's I - S
+    and Chung's Laplacian share their eigenpairs (``spectral``).
     """
     F = c.pi[:, None] * c.P
-    scale = F.max()
-    if scale == 0.0:
-        return True
-    return bool(np.max(np.abs(F - F.T)) <= REVERSIBILITY_TOL * scale)
+    gap = F - F.T
+    scale = np.maximum(F, F.T)
+    return bool(np.all(np.abs(gap, out=gap) <= np.multiply(scale, REVERSIBILITY_TOL, out=scale)))
 
 
 def lazy_transform(c: MarkovChain, delta: float) -> MarkovChain:

@@ -81,7 +81,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.method in ("exact", "both"):
             cuts.append(cut_to_dict(a.exact(p)))
         if args.method in ("sweep", "both"):
-            cuts.append(cut_to_dict(a.sweep(p, not a.reversible)))
+            cuts.append(cut_to_dict(a.sweep(p)))
 
     # bounds verdicts must be re-derivable from the cuts section, so append
     # any witness cut (e.g. the exact phi_1 behind the Cheeger pair) that the
@@ -130,7 +130,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError(f"sweep takes one exponent, got --p {args.p!r}")
     a = ChainAnalysis(c)
     cert = a.cert(not a.reversible)
-    cut = a.sweep(ps[0], not a.reversible)
+    cut = a.sweep(ps[0])
     spectral: dict = {"lambda2": cert.lambda2, "residual": cert.residual, "kind": cert.kind}
     bound = sweep_guarantee(cert, ps[0])
     if bound is not None:

@@ -1,14 +1,14 @@
 """Second-eigenvalue certificates for reversible and directed chains.
 
-With S = Pi^{1/2} P Pi^{-1/2}, I - P is similar to I - S, which is symmetric
-when the chain is reversible, so lambda_2 comes with an eigenvector
-certificate. For a general irreducible chain we use Chung's symmetric
-directed Laplacian L = I - (S + S^T)/2, whose second eigenvalue plays the
-same role. L is the symmetrization of I - S, so on a reversible chain one
-solve serves both kinds (``bounds.ChainAnalysis``), each with its residual
-against its own matrix. Both return a :class:`SpectralCertificate` carrying
-lambda_2, the unit eigenvector v2 of the symmetric matrix, and the
-reweighted eigenvector f2 = Pi^{-1/2} v2 used by the sweep-cut machinery.
+With S = Pi^{1/2} P Pi^{-1/2}, I - P is similar to I - S. Every chain is
+solved once, through Chung's symmetric directed Laplacian
+L = I - (S + S^T)/2, whose second eigenvalue plays the role of lambda_2. A
+reversible chain (``chains.is_reversible``) has S symmetric entry by entry,
+so I - S is L (Chung, Ann. Comb. 9, 2005): its certificate takes L's
+eigenpair and checks its own residual against I - S. Both kinds are a
+:class:`SpectralCertificate` carrying lambda_2, the unit eigenvector v2 of
+the symmetric matrix, and the reweighted eigenvector f2 = Pi^{-1/2} v2 used
+by the sweep-cut machinery.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import InputError, NumericalFailure
 
 _RESIDUAL_TOL = 1e-8
 _ORTHO_TOL = 1e-8
+_IRREVERSIBLE = "chain fails detailed balance; use lambda2_directed instead"
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -45,8 +46,10 @@ class SpectralCertificate:
             object.__setattr__(self, name, arr)
 
 
-def _symmetrized(M: np.ndarray) -> np.ndarray:
-    """(M + M^T)/2, after the input checks of :func:`symmetric_eigensolve`."""
+def symmetric_eigensolve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending,
+    as (eigenvalues, orthonormal columns Q). The input is symmetrized as
+    (M + M^T)/2 before solving; gross asymmetry is rejected as a caller bug."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"expected a square matrix, got shape {M.shape}")
@@ -55,15 +58,8 @@ def _symmetrized(M: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(M)
     if norm > 0 and np.linalg.norm(M - M.T) > 1e-6 * norm:
         raise InputError("matrix is not symmetric within tolerance")
-    return 0.5 * (M + M.T)
-
-
-def symmetric_eigensolve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending,
-    as (eigenvalues, orthonormal columns Q). The input is symmetrized as
-    (M + M^T)/2 before solving; gross asymmetry is rejected as a caller bug."""
     try:
-        w, Q = np.linalg.eigh(_symmetrized(M))
+        w, Q = np.linalg.eigh(0.5 * (M + M.T))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
     return w, Q
@@ -74,40 +70,40 @@ def _similarity(c: MarkovChain) -> np.ndarray:
     return (np.sqrt(c.pi)[:, None] * c.P) / np.sqrt(c.pi)[None, :]
 
 
-def _certificate(c: MarkovChain, directed: bool, reversible: bool, shared: SpectralCertificate | None = None) -> SpectralCertificate:
-    """The Chung certificate if directed, else the reversible one, given the
-    chain's detailed-balance verdict. I - S symmetrizes to Chung's L, so
-    ``shared``, the other kind's certificate of c, can stand in for the solve
-    of L; L still gets the solve's input checks and its own residual."""
-    if not (directed or reversible):
-        raise InputError("chain fails detailed balance; use lambda2_directed instead")
-    L = chung_laplacian(c) if directed else np.eye(c.n) - _similarity(c)
-    if shared is None:
+def _certificate(c: MarkovChain, chung: SpectralCertificate | None = None) -> SpectralCertificate:
+    """Chung's certificate of c from one solve of L, or, given it for a
+    reversible c, the reversible one: there I - S symmetrizes to L, so it
+    takes L's eigenpair and checks its own residual against I - S."""
+    if chung is None:
+        L = chung_laplacian(c)
         w, Q = symmetric_eigensolve(L)
         lambda2, v2 = float(w[1]), Q[:, 1].copy()
         nz = np.nonzero(np.abs(v2) > 1e-12)[0]
         if nz.size and v2[nz[0]] < 0:  # deterministic sign: first non-negligible coordinate positive
             v2 = -v2
     else:
-        _symmetrized(L)
-        lambda2, v2 = shared.lambda2, shared.v2
+        L = np.eye(c.n) - _similarity(c)
+        lambda2, v2 = chung.lambda2, chung.v2
     residual = float(np.linalg.norm(L @ v2 - lambda2 * v2))
     if residual > _RESIDUAL_TOL * max(float(np.linalg.norm(L)), 1e-300):
         raise NumericalFailure(f"eigenpair residual {residual:.3e} above tolerance")
     sqrt_pi = np.sqrt(c.pi)
     if abs(float(v2 @ sqrt_pi)) > _ORTHO_TOL:
         raise NumericalFailure("second eigenvector not orthogonal to the Perron direction")
-    kind = "chung-directed" if directed else "reversible-normalized"
+    kind = "chung-directed" if chung is None else "reversible-normalized"
     return SpectralCertificate(lambda2=lambda2, f2=v2 / sqrt_pi, v2=v2, kind=kind, residual=residual)
 
 
 def lambda2_reversible(c: MarkovChain) -> SpectralCertificate:
     """lambda_2 of I - P for a reversible chain, via the symmetric similarity.
 
-    Builds S = Pi^{1/2} P Pi^{-1/2} (symmetric by detailed balance), solves
-    I - S, and reports f2 = Pi^{-1/2} v2, an eigenvector of I - P itself.
+    S = Pi^{1/2} P Pi^{-1/2} is symmetric by detailed balance, so I - S is
+    Chung's Laplacian: its eigenpair, checked against I - S, gives lambda_2
+    and f2 = Pi^{-1/2} v2, an eigenvector of I - P itself.
     """
-    return _certificate(c, False, is_reversible(c))
+    if not is_reversible(c):
+        raise InputError(_IRREVERSIBLE)
+    return _certificate(c, _certificate(c))
 
 
 def chung_laplacian(c: MarkovChain) -> np.ndarray:
@@ -123,7 +119,7 @@ def chung_laplacian(c: MarkovChain) -> np.ndarray:
 def lambda2_directed(c: MarkovChain) -> SpectralCertificate:
     """lambda_2 of the Chung Laplacian; agrees with lambda2_reversible when
     the chain is reversible (the two matrices coincide under detailed balance)."""
-    return _certificate(c, True, False)
+    return _certificate(c)
 
 
 def truncated_eigenvector(cert: SpectralCertificate, c: MarkovChain) -> np.ndarray:

@@ -407,3 +407,26 @@ def exact_stationary(W):
                 f = A[r][col] / A[col][col]
                 A[r] = [a - f * b for a, b in zip(A[r], A[col])]
     return [A[r][n] / A[r][r] for r in range(n)]
+
+
+def light_cycle_matrix():
+    """:func:`birth_death_matrix` on 6 states (up 1e-3, down 1/2) plus 0.01 on
+    3 -> 4, 4 -> 5 and 5 -> 3, taken from the diagonal: pi falls to 4e-12, so
+    the cycle's flows are below 1e-10 of the largest flow, but 4 -> 3 and the
+    other reverse steps have no 0.01 to match them."""
+    P = birth_death_matrix(6, 1e-3, 0.5)
+    for a, b in ((3, 4), (4, 5), (5, 3)):
+        P[a, b] += 0.01
+        P[a, a] -= 0.01
+    return P
+
+
+def eigh_certificate(P, pi, directed):
+    """Eigenvalues and second eigenvector of Chung's Laplacian (directed) or
+    of I - S, with S(i, j) = sqrt(pi_i) P(i, j) / sqrt(pi_j) built entry by
+    entry and the matrix handed to ``np.linalg.eigh`` as it is."""
+    n = len(pi)
+    S = [[math.sqrt(pi[i]) * P[i][j] / math.sqrt(pi[j]) for j in range(n)] for i in range(n)]
+    L = np.array([[(i == j) - ((S[i][j] + S[j][i]) / 2 if directed else S[i][j]) for j in range(n)] for i in range(n)])
+    w, Q = np.linalg.eigh(L)
+    return w, Q[:, 1]

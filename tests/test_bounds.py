@@ -31,7 +31,7 @@ from isoperim import (
     power_increment_supremum,
 )
 from isoperim.errors import InputError, TooLarge
-from oracles import birth_death_matrix, birth_death_pi
+from oracles import birth_death_matrix, birth_death_pi, eigh_certificate, light_cycle_matrix
 
 
 def test_main_bound_two_state(two_state):
@@ -267,7 +267,7 @@ def _check_derives_each_quantity_once(monkeypatch, directed):
     assert calls["exact_minima"] == [[0.3, 1.0, 0.5, 0.6] + ([] if directed else [0.75])]
     # reads of expected exponents and repeated sweeps are served from the store
     assert a.exact(0.3) is a.exact(0.3)
-    assert a.sweep(0.6, True) is a.sweep(0.6, True)
+    assert a.sweep(0.6) is a.sweep(0.6)
     assert a.cert(True) is a.cert(True)
     assert calls["eigh"] == 1 and len(calls["exact_minima"]) == 1
     # an exponent nobody expected costs exactly one more pass
@@ -275,24 +275,14 @@ def _check_derives_each_quantity_once(monkeypatch, directed):
     assert calls["exact_minima"][1:] == [[0.0]]
 
 
-def _light_cycle():
-    """Birth-death chain on 6 states (up-rate 1e-3, down-rate 1/2) plus 0.01
-    on 3 -> 4, 4 -> 5 and 5 -> 3, taken from the diagonal: pi falls to 4e-12,
-    and the cycle's flow is within the detailed-balance tolerance."""
-    P = birth_death_matrix(6, 1e-3, 0.5)
-    for a, b in ((3, 4), (4, 5), (5, 3)):
-        P[a, b] += 0.01
-        P[a, a] -= 0.01
-    return chain_from_matrix(P)
-
-
 @pytest.mark.parametrize("directed_first", [False, True])
 def test_chain_analysis_keeps_the_reversible_refusal(directed_first):
-    # detailed balance holds within its tolerance, but I - S is too far from
-    # symmetric for the eigensolve's check, which Chung's L always passes
-    c = _light_cycle()
-    assert is_reversible(c) and c.pi.min() < 1e-11
-    with pytest.raises(InputError, match="not symmetric within tolerance") as want:
+    # the 0.01 cycle's flows are below 1e-10 of the largest flow, but each is
+    # paired with a zero, so the pairwise detailed-balance test refuses the
+    # chain in either read order, and Chung's certificate still succeeds
+    c = chain_from_matrix(light_cycle_matrix())
+    assert not is_reversible(c) and c.pi.min() < 1e-11
+    with pytest.raises(InputError, match="fails detailed balance") as want:
         lambda2_reversible(c)
     a = ChainAnalysis(c)
     if directed_first:
@@ -342,6 +332,20 @@ def test_chain_analysis_certificates_match_the_standalone_solves(order):
             _assert_same_certificate(a.cert(directed), want)
 
 
+def test_chain_analysis_certificates_match_the_eigh_oracle():
+    # I - S and Chung's L built entry by entry from P and pi, each solved by
+    # its own eigh; v2 is compared up to sign where lambda2 is simple
+    for c in _oracle_chains() + [chain_from_matrix(light_cycle_matrix())]:
+        a = ChainAnalysis(c)
+        for directed in (False, True) if a.reversible else (True,):
+            got = a.cert(directed)
+            w, v2 = eigh_certificate(c.P, c.pi, directed)
+            assert abs(got.lambda2 / w[1] - 1) <= 1e-12
+            gap = min(w[1] - w[0], w[2] - w[1])
+            if gap > 1e-6:
+                assert min(np.linalg.norm(got.v2 - v2), np.linalg.norm(got.v2 + v2)) <= 1e-10 / gap
+
+
 def test_chain_analysis_reversible_cert_refuses_a_directed_chain():
     c = gen_random_directed(6, density=0.5, seed=2)
     a = ChainAnalysis(c)
@@ -360,4 +364,4 @@ def test_chain_analysis_rejects_expected_exact_above_cap(monkeypatch):
         ChainAnalysis(c, [0.5])
     a = ChainAnalysis(c)
     assert not a.exact_ok
-    assert a.phi(1.0, False).method == "sweep"
+    assert a.phi(1.0).method == "sweep"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,14 +14,25 @@ from isoperim import (
     chain_from_matrix,
     chain_from_undirected,
     is_irreducible,
+    gen_cycle,
+    gen_ht_counterexample,
     gen_random_directed,
+    gen_random_reversible,
+    ht_counterexample_graph,
     is_reversible,
     lazy_transform,
     stationary_distribution,
 )
 from isoperim.chains import MAX_STATES, _gth, edge_fault
 from isoperim.errors import InputError, NumericalFailure, TooLarge
-from oracles import birth_death_matrix, birth_death_pi, exact_stationary, naive_edge_fault, naive_weight_matrix
+from oracles import (
+    birth_death_matrix,
+    birth_death_pi,
+    exact_stationary,
+    light_cycle_matrix,
+    naive_edge_fault,
+    naive_weight_matrix,
+)
 
 
 def test_cycle_chain(cycle4):
@@ -51,6 +63,22 @@ def test_undirected_is_reversible_and_stationary_fixed_point():
         assert is_reversible(c)
         assert np.max(np.abs(stationary_distribution(c.P) - c.pi)) < 1e-10
         assert np.max(np.abs(c.P.sum(axis=1) - 1)) < 1e-12
+
+
+def test_is_reversible_tests_each_pair_of_flows():
+    # the light cycle's 0.01 flows are below 1e-10 of the largest flow, but
+    # the reverse flows are zero, so detailed balance fails pair by pair
+    assert not is_reversible(chain_from_matrix(light_cycle_matrix()))
+    chains = [gen_cycle(64), gen_ht_counterexample(256)]
+    chains += [gen_random_reversible(40, density=0.3, seed=s) for s in range(3)]
+    # pi down to 1e-184, and pi solved by LU on dense reversible matrices
+    chains += [chain_from_matrix(birth_death_matrix(24, up, down)) for up, down in ((1e-8, 0.99), (1e-2, 0.5))]
+    assert chains[-2].pi.min() < 1e-180
+    rng = np.random.default_rng(200)
+    for _ in range(2):
+        W = rng.random((200, 200))
+        chains.append(chain_from_matrix((W + W.T) / (W + W.T).sum(axis=1, keepdims=True)))
+    assert all(is_reversible(c) for c in chains)
 
 
 def test_directed_cycle_pi_uniform(directed_3cycle):
@@ -255,6 +283,19 @@ def test_edge_validator_and_weight_matrix_match_loop_oracles(data, n, directed, 
         assert fault[0] == row and _FAULT_WORDS[kind] in fault[1]
         with pytest.raises(InputError, match=f"edge {row}: .*{_FAULT_WORDS[kind]}"):
             WeightedGraph(n=n, edges=rows, directed=directed, allow_self_loops=loops)
+
+
+def test_edge_fault_temporaries_stay_near_one_edge_array():
+    # the duplicate check sorts one key per row: the key, its sorted copy and
+    # the permutation are 24 bytes a row, the size of the edge array itself
+    edges = ht_counterexample_graph(1024).edges
+    tracemalloc.start()
+    try:
+        assert edge_fault(edges, 1024, False, False) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * edges.nbytes, (peak, edges.nbytes)
 
 
 def test_graph_keeps_a_frozen_edge_array_and_copies_a_writable_one():

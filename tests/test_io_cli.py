@@ -338,15 +338,8 @@ def test_cli_analyze_directed_spectral_solves_once(tmp_path, monkeypatch):
         assert calls == {"exact_minima": 1, "is_reversible": 1, "eigh": 1}
 
 
-@pytest.mark.parametrize("cap", ["24", "4"])
-@pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("extra", [[], ["--directed-spectral"]])
-def test_cli_analyze_sweeps_each_certificate_once(tmp_path, monkeypatch, cap, directed, extra):
-    # within the cap only the cuts section sweeps; above it the bound suite
-    # reads phi_1 and phi_0.75 of each side's certificate by sweep as well
-    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
-    g = tmp_path / "g.tsv"
-    write_graph_tsv((random_directed_graph if directed else random_reversible_graph)(7, 0.5, 2), str(g))
+def _sweep_passes(monkeypatch):
+    """The (certificate kind, exponents) of every sweep pass ChainAnalysis makes."""
     passes = []
     real = isoperim.bounds.sweep_cuts
 
@@ -355,12 +348,36 @@ def test_cli_analyze_sweeps_each_certificate_once(tmp_path, monkeypatch, cap, di
         return real(c, ps, cert)
 
     monkeypatch.setattr(isoperim.bounds, "sweep_cuts", counted)
+    return passes
+
+
+@pytest.mark.parametrize("cap", ["24", "4"])
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("extra", [[], ["--directed-spectral"]])
+def test_cli_analyze_sweeps_each_certificate_once(tmp_path, monkeypatch, cap, directed, extra):
+    # within the cap only the cuts section sweeps; above it the bound suite
+    # reads phi_1 and phi_0.75 of both sides by sweep as well, all from one
+    # pass over the chain's own certificate
+    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    g = tmp_path / "g.tsv"
+    write_graph_tsv((random_directed_graph if directed else random_reversible_graph)(7, 0.5, 2), str(g))
+    passes = _sweep_passes(monkeypatch)
     argv = ["analyze", "--input", str(g), "--p", "0.5,0.75,1", "--method", "sweep", *extra, "--out", str(tmp_path / "r.json")]
     assert cli_main(argv) == 0
     own = "chung-directed" if directed else "reversible-normalized"
-    both = cap == "4" and extra and not directed
-    assert sorted(kind for kind, _ in passes) == sorted([own, "chung-directed"] if both else [own])
-    assert {p for kind, ps in passes if kind == own for p in ps} == {0.5, 0.75, 1.0}
+    assert [kind for kind, _ in passes] == [own]
+    assert set(passes[0][1]) == {0.5, 0.75, 1.0}
+
+
+def test_cli_verify_all_above_the_cap_sweeps_once(tmp_path, monkeypatch):
+    # both sides of a reversible chain read their cuts from one pass over the
+    # reversible certificate, which shares f2 with Chung's
+    monkeypatch.setenv("ISO_MAX_EXACT_N", "4")
+    g = tmp_path / "g.tsv"
+    write_graph_tsv(random_reversible_graph(7, 0.5, 2), str(g))
+    passes = _sweep_passes(monkeypatch)
+    assert cli_main(["verify", "--input", str(g), "--suite", "all"]) == 0
+    assert passes == [("reversible-normalized", [1.0, 0.6, 0.75, 0.9])]
 
 
 def test_cli_analyze_directed_spectral_bounds_order(random6, tmp_path):

@@ -27,9 +27,11 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
   a birth-death chain on 8 states (up-rate 1e-6, down-rate 1/2), where the
   stationary solve must get every entry of pi right for both certificates
   to succeed and agree, and the same chain on 6 states with up-rate 1e-3
-  and 0.01 more on 3 -> 4, 4 -> 5 and 5 -> 3, which passes the
-  detailed-balance check but whose I - S the eigensolve refuses as not
-  symmetric, so the reversible certificate exits 2 while Chung's succeeds;
+  and 0.01 more on 3 -> 4, 4 -> 5 and 5 -> 3 (``light-cycle6``), whose
+  cycle flows are below 1e-10 of the largest flow but have no reverse flow,
+  so it fails detailed balance: the reversible suite exits 2, while the
+  other commands, and ``sweep --p 0.75`` and ``analyze --method sweep`` on
+  it, read Chung's certificate;
 - ``analyze --method both`` on a birth-death chain on 12 states with
   up-rate 1e-8, whose pi falls to 2e-85;
 - ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1 on a cycle, a
@@ -305,6 +307,9 @@ def build_plan(work: str) -> list[dict]:
         plan += [{"id": f"verify-{suite}-{name}", "argv": ["verify", *base, "--suite", suite]} for suite in suites]
         argv = ["analyze", *base, "--p", "0.5,0.75,1", "--directed-spectral", "--out", "OUT/b.json"]
         plan.append({"id": f"analyze-directed-spectral-{name}", "argv": argv if fmt == "dense-matrix" else [*argv, "--method", "sweep"]})
+    name, path, fmt = tiny_pi[1]
+    plan.append({"id": f"sweep-{name}", "argv": ["sweep", "--input", path, "--format", fmt, "--p", "0.75"]})
+    plan.append({"id": f"analyze-sweep-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--method", "sweep", "--p", "0.5,0.75,1"]})
     name, path, fmt = tiny_pi[2]
     plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--method", "both", "--p", "0,0.5,0.75,1"]})
     exact = [(name, os.path.join(work, f"tied-{name}.tsv")) for name in ("cycle12", "hypercube4", "dumbbell5")]
