@@ -7,7 +7,8 @@ The library computes the interpolating family of isoperimetric constants
 (edge conductance at p = 1, vertex expansion at p = 0) together with second
 eigenvalues of the reversible normalized Laplacian and of Chung's directed
 Laplacian, sweep-cut certificates meeting the Cheeger-type guarantee
-phi_p^2 <= 4 lambda_2 / (2p - 1) for p > 1/2, machine checks of the classical
+phi_p^2 <= 4 s lambda_2 / (2p - 1) for p > 1/2 (s = 1 for reversible and
+s = 2 for directed certificates), machine checks of the classical
 inequalities relating the two worlds, and the inverse-cube circulant family
 on which phi_{1/2} / sqrt(lambda_2) grows without bound.
 """
@@ -25,7 +26,6 @@ from .bounds import (
     check_phi_p_upper_bound,
     conjecture_ratio,
     geometric_chain_sum,
-    make_report,
     power_increment_supremum,
 )
 from .chains import (

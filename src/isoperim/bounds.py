@@ -1,16 +1,18 @@
 """Machine-checkable inequality reports and the two proof gadgets.
 
 Each checker evaluates one concrete inequality instance on a chain and
-returns a :class:`BoundReport` with both sides, the slack, and a verdict.
-The checkers take a chain or a :class:`ChainAnalysis`, the per-chain store
-that derives each quantity once: one eigensolve of Chung's Laplacian for
-the certificates of both kinds (the residual taken per kind), every exact
-minimum from one enumeration pass over the exponents the run reads, and
-every sweep cut from one pass over the level sets of the chain's own
-certificate. It also holds the one rule for the phi_p value a bound uses
-(exact within the enumeration cap, else the sweep cut). :func:`bound_suite`
-builds both sides' reports from one store; the CLI's ``analyze`` and
-``verify`` select sides and exponents over it.
+returns a :class:`BoundReport` holding both sides, from which its slack and
+verdict are derived. The checkers take a chain or a :class:`ChainAnalysis`,
+the per-chain store that derives each quantity once: one eigensolve of
+Chung's Laplacian for the certificates of both kinds (the residual taken per
+kind), every exact minimum from one enumeration pass over the exponents the
+run reads, and every sweep cut from one pass over the level sets of the
+chain's own certificate (:attr:`ChainAnalysis.own`). It also holds the one
+rule for the phi_p value a bound uses (exact within the enumeration cap,
+else the sweep cut), and :meth:`ChainAnalysis.expect` routes an exponent to
+the pass that rule reads. :func:`bound_suite` builds both sides' reports
+from one store; the CLI's ``analyze`` and ``verify`` select sides and
+exponents over it.
 The gadgets expose the numeric suprema used in the sweep-cut analysis:
 the power-increment sum sup_a sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1})
 (bounded by 1/(2p-1) for p > 1/2) and the telescoping ratio-chain maximum
@@ -21,13 +23,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .chains import MarkovChain, exact_enumeration_cap, is_reversible
+from .chains import MarkovChain, check_exact, exact_enumeration_cap, is_reversible
 from .cuts import CutResult, exact_minima, sweep_cuts
-from .errors import InputError, NumericalFailure, TooLarge
+from .errors import InputError
 from .spectral import _IRREVERSIBLE, SpectralCertificate, _certificate
 
 DEFAULT_TOL = 1e-9
@@ -35,25 +37,27 @@ DEFAULT_TOL = 1e-9
 
 @dataclasses.dataclass(frozen=True)
 class BoundReport:
-    """One inequality instance lhs <= rhs, with slack = rhs - lhs.
+    """One inequality instance lhs <= rhs.
 
-    holds is slack >= -tol. witnesses carries the cut / certificate data the
-    two sides were computed from, enough to re-derive them.
+    slack = rhs - lhs and the verdict holds = slack >= -tol are derived from
+    the two sides, so a report made by ``dataclasses.replace`` carries its
+    own verdict. witnesses carries the cut / certificate data the two sides
+    were computed from, enough to re-derive them.
     """
 
+    tol: ClassVar[float] = DEFAULT_TOL
     name: str
     lhs: float
     rhs: float
-    slack: float
-    holds: bool
-    tol: float
     witnesses: dict | None = None
 
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
 
-def make_report(name: str, lhs: float, rhs: float, witnesses: dict | None = None) -> BoundReport:
-    """Assemble a report for lhs <= rhs with verdict slack >= -DEFAULT_TOL."""
-    slack = rhs - lhs
-    return BoundReport(name=name, lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -DEFAULT_TOL, tol=DEFAULT_TOL, witnesses=witnesses)
+    @property
+    def holds(self) -> bool:
+        return self.slack >= -self.tol
 
 
 class ChainAnalysis:
@@ -62,34 +66,38 @@ class ChainAnalysis:
     Holds the certificates, both kinds from one solve of Chung's Laplacian
     (each with its residual against its own matrix), the sweep cuts and the
     exact minima. The first exact read enumerates subsets once for every
-    expected exponent (``ps`` here, plus whatever :func:`bound_suite` adds),
-    and the first sweep read sweeps the level sets of the chain's own
-    certificate (the reversible one if the chain is reversible, else
-    Chung's; on a reversible chain both share f2) once for every expected
-    exponent (``sweep_ps`` here, plus the suite's); a read of an exponent not
+    expected exponent, and the first sweep read sweeps the level sets of
+    :attr:`own` once for every expected exponent; a read of an exponent not
     expected costs one more pass. :meth:`phi` applies the one rule for the
     value a bound uses: exact within :func:`exact_enumeration_cap`, otherwise
-    the sweep cut. Expecting exact reads above the cap raises TooLarge at once.
+    the sweep cut, and :meth:`expect` adds exponents to the pass it reads.
+    The constructor expects ``ps`` of the exact pass and ``sweep_ps`` of the
+    sweep pass whatever the cap; ``ps`` above the cap raises TooLarge at once.
     """
 
     def __init__(self, c: MarkovChain, ps: Iterable[float] = (), sweep_ps: Iterable[float] = ()) -> None:
         self.c = c
         self.reversible = is_reversible(c)
         self.exact_ok = c.n <= exact_enumeration_cap()
-        self._ps: list[float] = []
+        self._ps = dict.fromkeys(map(float, ps))  # the next exact pass's exponents, in order
+        if self._ps:
+            check_exact(c.n)
         self._exact: dict[float, CutResult] = {}
         self._certs: dict[bool, SpectralCertificate] = {}
         self._sweep_ps = dict.fromkeys(map(float, sweep_ps))  # the next sweep pass's exponents, in order
         self._sweeps: dict[float, CutResult] = {}
-        self._expect(ps)
 
-    def _expect(self, ps: Iterable[float]) -> None:
-        """Include these exponents in the next exact pass."""
-        for p in map(float, ps):
-            if not self.exact_ok:
-                raise TooLarge(f"n = {self.c.n} exceeds the exact enumeration cap {exact_enumeration_cap()}")
-            if p not in self._ps:
-                self._ps.append(p)
+    def expect(self, ps: Iterable[float]) -> None:
+        """Add these exponents to the next pass :meth:`phi` reads: the exact
+        pass within the cap, else the sweep pass."""
+        (self._ps if self.exact_ok else self._sweep_ps).update(dict.fromkeys(map(float, ps)))
+
+    @property
+    def own(self) -> SpectralCertificate:
+        """The chain's own certificate, whose level sets :meth:`sweep` cuts:
+        the reversible one when the chain is reversible, else Chung's. Both
+        kinds share f2."""
+        return self.cert(not self.reversible)
 
     def cert(self, directed: bool) -> SpectralCertificate:
         """The Chung certificate if directed, else the reversible one, which
@@ -109,8 +117,7 @@ class ChainAnalysis:
         return self._exact[p]
 
     def sweep(self, p: float) -> CutResult:
-        """Sweep cut of the chain's own certificate: the reversible one when
-        the chain is reversible, else Chung's. Both kinds share f2.
+        """Sweep cut of :attr:`own`.
 
         A pass puts the read exponent first, so guarantee failures are
         raised in the order the run reads the cuts.
@@ -118,7 +125,7 @@ class ChainAnalysis:
         p = float(p)
         if p not in self._sweeps:
             ps = [p] + [q for q in self._sweep_ps if q != p and q not in self._sweeps]
-            self._sweeps.update(sweep_cuts(self.c, ps, self.cert(not self.reversible)))
+            self._sweeps.update(sweep_cuts(self.c, ps, self.own))
         return self._sweeps[p]
 
     def phi(self, p: float) -> CutResult:
@@ -135,8 +142,10 @@ def check_phi_p_upper_bound(c: MarkovChain | ChainAnalysis, p: float, use_direct
 
     lambda_2 is the reversible normalized-Laplacian eigenvalue by default, or
     the Chung directed one with use_directed. phi_p comes from exact
-    enumeration when n is small enough, otherwise from the sweep cut (the
-    bound covers the sweep value as well); the method used is recorded.
+    enumeration when n is small enough, otherwise from the sweep cut; the
+    method used is recorded. The bound covers the sweep value of a
+    reversible certificate as well; that of a directed certificate is
+    guaranteed only phi_p^2 <= 8 lambda_2 / (2p - 1) (:func:`sweep_guarantee`).
     """
     if not (0.5 < p <= 1.0):
         raise InputError(f"inequality requires p in (1/2, 1], got {p}")
@@ -144,7 +153,7 @@ def check_phi_p_upper_bound(c: MarkovChain | ChainAnalysis, p: float, use_direct
     cert = a.cert(use_directed)
     cut = a.phi(p)
     name = f"phi_p_squared[p={p:g}]" + (":directed" if use_directed else "")
-    return make_report(
+    return BoundReport(
         name,
         cut.phi**2,
         4.0 * cert.lambda2 / (2.0 * p - 1.0),
@@ -159,17 +168,18 @@ def check_morris_peres(c: MarkovChain | ChainAnalysis, use_directed: bool = Fals
     phi <= phi/2 + sqrt(2 log(2/phi) lambda_2); no lazy (self-loop)
     hypothesis is needed. phi_{1/2} is computed exactly, so n must be within
     the enumeration cap. The report records whether the chain is lazy.
+    log(2/phi) is positive: phi_{1/2}(S) is a pi-weighted mean of
+    sqrt(P(v, S-bar)), and each crossing mass is at most its row sum, within
+    1e-12 of 1, so phi < 2.
     """
     a = _analysis(c)
     cert = a.cert(use_directed)
     cut = a.exact(0.5)
     phi = cut.phi
-    if phi >= 2.0:
-        raise NumericalFailure(f"phi_{{1/2}} = {phi} leaves log(2/phi) nonpositive")
     lhs = phi**2 / (8.0 * math.log(2.0 / phi))
     lazy = bool(np.all(np.diag(a.c.P) >= 0.5))
     name = "morris_peres" + (":directed" if use_directed else "")
-    return make_report(
+    return BoundReport(
         name,
         lhs,
         cert.lambda2,
@@ -184,8 +194,8 @@ def check_cheeger(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundRep
     cert = a.cert(False)
     cut = a.phi(1.0)
     wit = {"cut": cut, "lambda2": cert.lambda2, "phi_method": cut.method}
-    easy = make_report("cheeger:lower", cert.lambda2 / 2.0, cut.phi, witnesses=wit)
-    hard = make_report("cheeger:upper", cut.phi, math.sqrt(2.0 * cert.lambda2), witnesses=wit)
+    easy = BoundReport("cheeger:lower", cert.lambda2 / 2.0, cut.phi, witnesses=wit)
+    hard = BoundReport("cheeger:upper", cut.phi, math.sqrt(2.0 * cert.lambda2), witnesses=wit)
     return easy, hard
 
 
@@ -201,8 +211,8 @@ def check_chung(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundRepor
     cert = a.cert(True)
     cut = a.phi(1.0)
     wit = {"cut": cut, "lambda2": cert.lambda2, "phi_method": cut.method}
-    lower = make_report("chung:lower", cut.phi**2 / 2.0, cert.lambda2, witnesses=wit)
-    upper = make_report("chung:upper", cert.lambda2, 2.0 * cut.phi, witnesses=wit)
+    lower = BoundReport("chung:lower", cut.phi**2 / 2.0, cert.lambda2, witnesses=wit)
+    upper = BoundReport("chung:upper", cert.lambda2, 2.0 * cut.phi, witnesses=wit)
     return lower, upper
 
 
@@ -213,17 +223,16 @@ def bound_suite(
 
     A side (None skips it) is its Cheeger pair (Chung's for the directed
     side), Morris-Peres when n is within the exact cap, and the phi_p bound
-    for each listed p in (1/2, 1]. Within the cap every exponent the suite
-    reads (1, 1/2 and the listed p) joins one exact pass; above it the
-    exponents of both sides (1 and the listed p) join one sweep pass.
+    for each listed p in (1/2, 1]. Every exponent the suite reads through
+    :meth:`ChainAnalysis.phi` (1 and the listed p, both sides) is expected
+    first, so it joins one exact pass within the cap and one sweep pass
+    above it; Morris-Peres's exact 1/2 joins the exact pass.
     """
     sides = [(False, reversible_ps), (True, directed_ps)]
     sides = [(directed, [p for p in ps if 0.5 < p <= 1.0]) for directed, ps in sides if ps is not None]
+    half = [0.5] if a.exact_ok else []
     for _, ps in sides:
-        if a.exact_ok:
-            a._expect([1.0, 0.5, *ps])
-        else:
-            a._sweep_ps.update(dict.fromkeys([1.0, *ps]))
+        a.expect([1.0, *half, *ps])
     reports: list[BoundReport] = []
     for directed, ps in sides:
         reports.extend(check_chung(a) if directed else check_cheeger(a))
@@ -242,7 +251,7 @@ def conjecture_ratio(c: MarkovChain | ChainAnalysis) -> float:
     upper bound. phi_{1/2} is computed exactly within the cap, else by sweep.
     """
     a = _analysis(c)
-    return a.phi(0.5).phi / math.sqrt(a.cert(not a.reversible).lambda2)
+    return a.phi(0.5).phi / math.sqrt(a.own.lambda2)
 
 
 def power_increment_supremum(p: float, trials: int = 100_000, seed: int = 0) -> float:

@@ -314,3 +314,10 @@ def exact_enumeration_cap() -> int:
         return int(text)
     except ValueError as exc:
         raise InputError(f"ISO_MAX_EXACT_N must be an integer, got {text!r}") from exc
+
+
+def check_exact(n: int) -> None:
+    """Raise TooLarge when n states exceed :func:`exact_enumeration_cap`."""
+    cap = exact_enumeration_cap()
+    if n > cap:
+        raise TooLarge(f"n = {n} exceeds the exact enumeration cap {cap}")

@@ -26,7 +26,7 @@ from .bounds import (
     geometric_chain_sum,
     power_increment_supremum,
 )
-from .cuts import GUARANTEE_TOL, _validate_p, sweep_guarantee
+from .cuts import _validate_p, sweep_guarantee
 from .errors import InputError, IsoperimError
 from .families import (
     cycle_graph,
@@ -37,6 +37,7 @@ from .families import (
     scaling_scan,
 )
 from .io import (
+    FORMATS,
     AnalysisReport,
     bound_to_dict,
     cut_to_dict,
@@ -45,6 +46,15 @@ from .io import (
     make_provenance,
     write_graph_tsv,
 )
+
+# the generate families, in the order the help lists them
+_FAMILIES = {
+    "cycle": lambda args: cycle_graph(args.n),
+    "hypercube": lambda args: hypercube_graph(args.n),
+    "dumbbell": lambda args: dumbbell_graph(args.n),
+    "ht-counterexample": lambda args: ht_counterexample_graph(args.n),
+    "random": lambda args: random_reversible_graph(args.n, density=args.density, seed=args.seed),
+}
 
 
 def _parse_p_list(text: str) -> list[float]:
@@ -59,6 +69,21 @@ def _parse_n_list(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise InputError(f"bad --n-list {text!r}: {exc}") from exc
+
+
+def _emit(args: argparse.Namespace, a: ChainAnalysis, spectral: dict, cuts: list, bounds: list, format: str) -> int:
+    """Write the report of an ``analyze`` or ``sweep`` run to ``--out``, or to stdout."""
+    report = AnalysisReport(
+        chain={"n": a.c.n, "origin": a.c.origin, "reversible": a.reversible},
+        spectral=spectral,
+        cuts=[cut_to_dict(cut) for cut in cuts],
+        bounds=[bound_to_dict(r) for r in bounds],
+        provenance=make_provenance(source=args.input),
+    )
+    text = emit_report(report, args.out, format=format)
+    if args.out is None:
+        sys.stdout.write(text)
+    return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -79,47 +104,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cuts = []
     for p in ps:
         if args.method in ("exact", "both"):
-            cuts.append(cut_to_dict(a.exact(p)))
+            cuts.append(a.exact(p))
         if args.method in ("sweep", "both"):
-            cuts.append(cut_to_dict(a.sweep(p)))
-
+            cuts.append(a.sweep(p))
     # bounds verdicts must be re-derivable from the cuts section, so append
     # any witness cut (e.g. the exact phi_1 behind the Cheeger pair) that the
     # requested exponent list did not already produce
-    seen = {(d["p"], d["method"], tuple(d["subset"])) for d in cuts}
     for r in reports:
-        d = cut_to_dict(r.witnesses["cut"])
-        key = (d["p"], d["method"], tuple(d["subset"]))
-        if key not in seen:
-            seen.add(key)
-            cuts.append(d)
-
-    report = AnalysisReport(
-        chain={"n": c.n, "origin": c.origin, "reversible": a.reversible},
-        spectral=spectral,
-        cuts=cuts,
-        bounds=[bound_to_dict(r) for r in reports],
-        provenance=make_provenance(source=args.input),
-    )
-    text = emit_report(report, args.out, format=args.report_format)
-    if args.out is None:
-        sys.stdout.write(text)
-    return 0
+        if r.witnesses["cut"] not in cuts:
+            cuts.append(r.witnesses["cut"])
+    return _emit(args, a, spectral, cuts, reports, args.report_format)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    fam, n = args.family, args.n
-    if fam == "cycle":
-        g = cycle_graph(n)
-    elif fam == "hypercube":
-        g = hypercube_graph(n)
-    elif fam == "dumbbell":
-        g = dumbbell_graph(n)
-    elif fam == "random":
-        g = random_reversible_graph(n, density=args.density, seed=args.seed)
-    else:
-        g = ht_counterexample_graph(n)
-    write_graph_tsv(g, args.out)
+    write_graph_tsv(_FAMILIES[args.family](args), args.out)
     return 0
 
 
@@ -129,24 +127,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(ps) != 1:
         raise InputError(f"sweep takes one exponent, got --p {args.p!r}")
     a = ChainAnalysis(c)
-    cert = a.cert(not a.reversible)
-    cut = a.sweep(ps[0])
+    cut, cert = a.sweep(ps[0]), a.own
     spectral: dict = {"lambda2": cert.lambda2, "residual": cert.residual, "kind": cert.kind}
     bound = sweep_guarantee(cert, ps[0])
-    if bound is not None:
+    if bound is not None:  # sweep_cuts raised NumericalFailure if the cut broke it
         spectral["guarantee_rhs"] = bound
-        spectral["guarantee_holds"] = cut.phi <= bound + GUARANTEE_TOL
-    report = AnalysisReport(
-        chain={"n": c.n, "origin": c.origin, "reversible": a.reversible},
-        spectral=spectral,
-        cuts=[cut_to_dict(cut)],
-        bounds=[],
-        provenance=make_provenance(source=args.input),
-    )
-    text = emit_report(report, args.out, format="json")
-    if args.out is None:
-        sys.stdout.write(text)
-    return 0
+        spectral["guarantee_holds"] = True
+    return _emit(args, a, spectral, [cut], [], "json")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -199,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="full report for an input chain")
     pa.add_argument("--input", required=True)
-    pa.add_argument("--format", choices=["edge-tsv", "dense-matrix"], default="edge-tsv")
+    pa.add_argument("--format", choices=FORMATS, default="edge-tsv")
     pa.add_argument("--p", default="0.5,1", help="comma-separated exponents in [0, 1]")
     pa.add_argument("--method", choices=["exact", "sweep", "both"], default="both")
     pa.add_argument("--directed-spectral", action="store_true")
@@ -208,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     pg = sub.add_parser("generate", help="write a family chain as edge-tsv")
-    pg.add_argument("--family", required=True, choices=["cycle", "hypercube", "dumbbell", "ht-counterexample", "random"])
+    pg.add_argument("--family", required=True, choices=_FAMILIES)
     pg.add_argument("--n", type=int, required=True, help="size (dimension for hypercube, bell size for dumbbell)")
     pg.add_argument("--density", type=float, default=0.5)
     pg.add_argument("--seed", type=int, default=0)
@@ -217,14 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     psw = sub.add_parser("sweep", help="sweep cut with its guarantee check")
     psw.add_argument("--input", required=True)
-    psw.add_argument("--format", choices=["edge-tsv", "dense-matrix"], default="edge-tsv")
+    psw.add_argument("--format", choices=FORMATS, default="edge-tsv")
     psw.add_argument("--p", required=True, help="one exponent in [0, 1]")
     psw.add_argument("--out", default=None)
     psw.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="check all applicable bounds; exit 1 on failure")
     pv.add_argument("--input", required=True)
-    pv.add_argument("--format", choices=["edge-tsv", "dense-matrix"], default="edge-tsv")
+    pv.add_argument("--format", choices=FORMATS, default="edge-tsv")
     pv.add_argument("--suite", choices=["reversible", "directed", "all"], default="all")
     pv.set_defaults(func=cmd_verify)
 

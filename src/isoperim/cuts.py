@@ -29,9 +29,10 @@ costs several times as much.
 
 The sweep cut takes the best of the distinct level sets of the truncated
 second eigenvector; for p > 1/2 the winner provably satisfies
-phi_p <= 2 sqrt(lambda2 / (2p-1)). The level order depends only on the
-certificate, so :func:`sweep_cuts` serves every exponent from one
-incremental pass: it keeps each vertex's crossing mass as the level sets
+phi_p <= 2 sqrt(s lambda2 / (2p-1)), with s = 1 for a reversible certificate
+and s = 2 for Chung's (:func:`sweep_guarantee`). The level order depends
+only on the certificate, so :func:`sweep_cuts` serves every exponent from
+one incremental pass: it keeps each vertex's crossing mass as the level sets
 shrink, at O(n^2) per certificate, and evaluates again only the levels
 within rounding of the best, so the winner (smallest phi, then the smallest
 level set) is the one a direct evaluation of every level picks.
@@ -47,8 +48,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .chains import MASS_SLACK, STRUCTURAL_ZERO, MarkovChain, exact_enumeration_cap
-from .errors import InputError, NumericalFailure, TooLarge
+from .chains import MASS_SLACK, STRUCTURAL_ZERO, MarkovChain, check_exact
+from .errors import InputError, NumericalFailure
 from .spectral import SpectralCertificate, truncated_eigenvector
 
 GUARANTEE_TOL = 1e-8
@@ -187,9 +188,7 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     order, so the minima are identical on any number of CPUs.
     """
     ps = list(dict.fromkeys(_validate_p(p) for p in ps))
-    cap = exact_enumeration_cap()
-    if c.n > cap:
-        raise TooLarge(f"n = {c.n} exceeds the exact enumeration cap {cap}")
+    check_exact(c.n)
     n, P, pi = c.n, c.P, c.pi
     low = min(n, _BLOCK_BITS)
     mass_low = _subset_sums(pi[:low])

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, make_report
+from .bounds import BoundReport
 from .chains import MASS_SLACK, MAX_STATES, MarkovChain, WeightedGraph, chain_from_directed, chain_from_undirected, check_states
 from .errors import InputError, TooLarge
 
@@ -548,9 +548,4 @@ def check_block_lower_bound(c: MarkovChain, pb: PartitionBlocks, C: float | None
     A, B = pb.vertex_sets()
     lhs = block_log_sum(pb)
     rhs = math.sqrt(2.0 * C) * sqrt_crossweight(c, A, B)
-    return make_report(
-        "block_log_lower_bound",
-        lhs,
-        rhs,
-        witnesses={"sizes": pb.sizes, "C": C},
-    )
+    return BoundReport("block_log_lower_bound", lhs, rhs, witnesses={"sizes": pb.sizes, "C": C})

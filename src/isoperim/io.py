@@ -314,12 +314,8 @@ class AnalysisReport:
         return cls(**{field.name: d[field.name] for field in dataclasses.fields(cls)})
 
 
-def make_provenance(source: str, seed: int | None = None) -> dict:
-    prov: dict[str, Any] = {"source": source}
-    if seed is not None:
-        prov["seed"] = seed
-    prov["tool_version"] = _version
-    return prov
+def make_provenance(source: str) -> dict:
+    return {"source": source, "tool_version": _version}
 
 
 def _json_value(obj: Any, indent: int) -> str:

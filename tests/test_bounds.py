@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -134,6 +135,15 @@ def test_directed_suite_bounds_hold():
             assert check_phi_p_upper_bound(c, p, use_directed=True).holds
 
 
+def test_replaced_report_derives_its_verdict(two_state):
+    # slack and holds follow the sides, so a copy with a new lhs is judged anew
+    rep = check_phi_p_upper_bound(two_state, 0.75)
+    assert rep.holds
+    bad = dataclasses.replace(rep, lhs=rep.rhs + 1)
+    assert bad.holds is False
+    assert bad.slack == bad.rhs - (rep.rhs + 1) and bad.slack < -bad.tol
+
+
 def test_report_fields(two_state):
     rep = check_phi_p_upper_bound(two_state, 0.75)
     assert rep.slack == rep.rhs - rep.lhs
@@ -227,6 +237,42 @@ def test_bound_suite_matches_standalone_checks(monkeypatch, cap):
                 assert getattr(got, field) == getattr(want, field), (got.name, field)
         methods = {r.witnesses["cut"].method for r in suite}
         assert methods == ({"exact"} if cap == "24" else {"sweep"})
+
+
+@pytest.mark.parametrize("cap", ["24", "4"])
+def test_expect_joins_the_pass_phi_reads(monkeypatch, cap):
+    # within the cap expected exponents join one exact pass, above it one
+    # sweep pass, which puts the read exponent first
+    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    passes = []
+    for name in ("exact_minima", "sweep_cuts"):
+        real = getattr(isoperim.bounds, name)
+
+        def counted(c, ps, *rest, _real=real, _name=name):
+            passes.append((_name, list(ps)))
+            return _real(c, ps, *rest)
+
+        monkeypatch.setattr(isoperim.bounds, name, counted)
+    a = ChainAnalysis(gen_random_reversible(7, density=0.5, seed=3))
+    a.expect([0.75, 1.0])
+    a.expect([0.5, 0.75])
+    for p in (1.0, 0.5, 0.75):
+        assert a.phi(p).method == ("exact" if cap == "24" else "sweep")
+    want = ("exact_minima", [0.75, 1.0, 0.5]) if cap == "24" else ("sweep_cuts", [1.0, 0.75, 0.5])
+    assert passes == [want]
+
+
+def test_own_is_the_certificate_of_the_chains_kind():
+    chains = [
+        gen_random_reversible(6, density=0.5, seed=1),
+        gen_random_directed(6, density=0.5, seed=2),
+        chain_from_matrix(light_cycle_matrix()),
+    ]
+    for c, reversible in zip(chains, (True, False, False)):
+        a = ChainAnalysis(c)
+        assert a.reversible is reversible
+        assert a.own is a.cert(not reversible)
+        assert a.own.kind == ("reversible-normalized" if reversible else "chung-directed")
 
 
 def test_chain_analysis_derives_each_quantity_once(monkeypatch):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -127,7 +128,7 @@ def _tiny_report():
             {"name": "cheeger:lower", "lhs": 1.0, "rhs": 1.0, "slack": 0.0, "holds": True, "tol": 1e-9},
             {"name": "cheeger:upper", "lhs": 1.0, "rhs": 2.0, "slack": 1.0, "holds": True, "tol": 1e-9},
         ],
-        provenance=make_provenance("test", seed=7),
+        provenance=make_provenance("test"),
     )
 
 
@@ -378,6 +379,17 @@ def test_cli_verify_all_above_the_cap_sweeps_once(tmp_path, monkeypatch):
     passes = _sweep_passes(monkeypatch)
     assert cli_main(["verify", "--input", str(g), "--suite", "all"]) == 0
     assert passes == [("reversible-normalized", [1.0, 0.6, 0.75, 0.9])]
+
+
+def test_cli_sweep_guarantee_violation_exit_2(random6, tmp_path, monkeypatch, capsys):
+    # a certificate that understates lambda2 breaks the sweep guarantee, which
+    # sweep_cuts refuses before the report is written
+    real = isoperim.bounds.sweep_cuts
+    monkeypatch.setattr(isoperim.bounds, "sweep_cuts", lambda c, ps, cert: real(c, ps, dataclasses.replace(cert, lambda2=1e-12)))
+    out = tmp_path / "cut.json"
+    assert cli_main(["sweep", "--input", random6, "--p", "0.75", "--out", str(out)]) == 2
+    assert _one_error_line(capsys).startswith("error: sweep guarantee violated")
+    assert not out.exists()
 
 
 def test_cli_analyze_directed_spectral_bounds_order(random6, tmp_path):
