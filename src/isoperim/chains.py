@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from typing import Iterable
+
 import numpy as np
 
 from .errors import InputError, NumericalFailure, TooLarge
@@ -32,6 +34,18 @@ def check_states(n: int) -> None:
     """Raise TooLarge when n states exceed MAX_STATES."""
     if n > MAX_STATES:
         raise TooLarge(f"{n} states exceed the limit of {MAX_STATES}")
+
+
+def vertex_ids(vertices: Iterable[int]) -> np.ndarray:
+    """Vertex ids as an int64 array; a value that is not an integer (0.7, not
+    1.0) raises InputError rather than being truncated."""
+    ids = []
+    for v in vertices:
+        i = int(v)
+        if i != v:
+            raise InputError(f"vertex id {v} is not an integer")
+        ids.append(i)
+    return np.array(ids, dtype=np.int64)
 
 
 def edge_fault(edges: np.ndarray, n: int, directed: bool, allow_self_loops: bool) -> tuple[int, str] | None:
@@ -119,8 +133,9 @@ class MarkovChain:
 
     The one validator of P. Construction checks, in this order, that n is at
     most MAX_STATES and that P is square with n >= 2 rows, finite, entrywise
-    in [0, 1], has rows summing to 1 within 1e-12, and has a strongly
-    connected support digraph. Only then is pi solved for, when it is given
+    in [-1e-14, 1 + 1e-12], has rows summing to 1 within 1e-12 once its
+    entries in [-1e-14, 0), which are rounding, are set to zero in the
+    chain's own copy, and has a strongly connected support digraph. Only then is pi solved for, when it is given
     as None; a given pi must be strictly positive with unit sum. Either way
     every entry is stationary to a relative 1e-10: |(pi^T P)_j - pi_j| <= 1e-10 pi_j.
     """
@@ -143,6 +158,7 @@ class MarkovChain:
             raise InputError("P has non-finite entries")
         if P.min() < -1e-14 or P.max() > 1 + 1e-12:
             raise InputError("P entries must lie in [0, 1]")
+        np.maximum(P, 0.0, out=P)  # entries in [-1e-14, 0) are rounding
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
             raise InputError("rows of P must sum to 1 within 1e-12")

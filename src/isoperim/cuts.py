@@ -11,12 +11,13 @@ is the minimum over nonempty S with pi(S) <= 1/2.
 
 The exact enumerator walks all bitmasks in blocks of the 2^16 masks of the
 low bits. One subset-sum recurrence, by doubling, gives every low mask's
-pi-mass, row sums P(v, S), membership and, for p = 0, each row's count of
-support entries inside S (v is on the boundary iff that count is below its
-row's); each block of the high bits adds its own vertices, keeps only its
-admissible sets and scores those in slices of at most 2^12 sets, taken in
-turn by one thread per CPU in the process's affinity mask (no setting; the
-results are identical on any number of CPUs). Ties are broken toward the
+pi-mass, row sums P(v, S) and membership; for p = 0, v is on the boundary
+iff the bitmask of its entries above STRUCTURAL_ZERO has a bit outside S's
+mask. Each block of the high bits adds its own vertices, keeps only its
+admissible sets and scores those in slices of 2^12 sets, taken in turn by
+the calling thread and, when a block has more than one slice, by up to one
+thread per CPU in the process's affinity mask (no setting; the results are
+identical on any number of CPUs). Ties are broken toward the
 smallest bitmask. An exponent p in (1/2, 1) is scored only on the sets of a
 slice that the power-mean bracket
 
@@ -48,14 +49,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .chains import MASS_SLACK, STRUCTURAL_ZERO, MarkovChain, check_exact
+from .chains import MASS_SLACK, STRUCTURAL_ZERO, MarkovChain, check_exact, vertex_ids
 from .errors import InputError, NumericalFailure
 from .spectral import SpectralCertificate, truncated_eigenvector
 
 GUARANTEE_TOL = 1e-8
 _BLOCK_BITS = 16
-_MIN_CHUNK_ROWS = 1 << 13  # fewest admissible sets per thread; smaller blocks start no thread
-_SCORE_ROWS = 1 << 12  # most sets in one slice; bounds each thread's temporaries
+_SCORE_ROWS = 1 << 12  # sets in one slice; bounds each thread's temporaries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,7 +89,7 @@ def _validate_p(p: float) -> float:
 
 
 def _subset_indices(c: MarkovChain, subset: Iterable[int]) -> np.ndarray:
-    idx = np.unique(np.fromiter((int(v) for v in subset), dtype=np.int64))
+    idx = np.unique(vertex_ids(subset))
     if idx.size == 0:
         raise InputError("subset must be nonempty")
     if idx.size and (idx[0] < 0 or idx[-1] >= c.n):
@@ -157,12 +157,11 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     several exponents at once.
 
     Enumerates every nonempty S with pi(S) <= 1/2 + 1e-12 by bitmask. Over
-    the masks of the low bits, pi(S), the row sums P(v, S), membership and
-    (for p = 0) the count of support entries of each row inside S are subset
-    sums of per-vertex rows; each block of the high bits adds its own
-    vertices and scores only its admissible sets. A vertex of S is on the
-    boundary iff its row has support outside S. Ties go to the smallest
-    bitmask.
+    the masks of the low bits, pi(S), the row sums P(v, S) and membership
+    are subset sums of per-vertex rows; each block of the high bits adds its
+    own vertices and scores only its admissible sets. A vertex v of S is on
+    the boundary iff its bitmask of entries above STRUCTURAL_ZERO has a bit
+    outside S's mask. Ties go to the smallest bitmask.
 
     When ``ps`` holds an exponent p in (1/2, 1), each slice computes phi_{1/2}
     and phi_1 of all its sets (once, also when ``ps`` asks for them) and
@@ -176,16 +175,15 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     below 2^-400 a product could underflow and the window would not hold, so
     every set is scored.
 
-    A block's admissible sets are scored by the calling thread and, when
-    the block holds at least ``_MIN_CHUNK_ROWS`` sets per extra thread, by
-    up to one more thread per CPU in the process's affinity mask, from a
-    pool made at most once per call. The sets are cut into contiguous
-    slices of at most ``_SCORE_ROWS``, which the threads take one at a time
-    in mask order, so a call's peak memory is small and does not depend on
-    how the threads interleave, and a thread that is slow to run leaves
-    its share to the others. There is no setting. Each set's arithmetic
-    does not depend on the slicing and the slices are folded in mask
-    order, so the minima are identical on any number of CPUs.
+    A block's admissible sets are cut into contiguous slices of
+    ``_SCORE_ROWS``, which the calling thread and, when the block has more
+    than one slice, up to one more thread per CPU in the process's affinity
+    mask (at most one per slice, from a pool made at most once per call)
+    take one at a time in mask order. So a call's peak memory is small and
+    does not depend on how the threads interleave, and a thread that is
+    slow to run leaves its share to the others. There is no setting. Each
+    set's arithmetic does not depend on the slicing and the slices are
+    folded in mask order, so the minima are identical on any number of CPUs.
     """
     ps = list(dict.fromkeys(_validate_p(p) for p in ps))
     check_exact(c.n)
@@ -195,19 +193,14 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     R_low = _subset_sums(P[:, :low].T)  # R_low[m, v] = P(v, m)
     member_low = _subset_sums(np.eye(low, n, dtype=bool))
     rowsum = P.sum(axis=1)
-    need_p0 = 0.0 in ps
-    if need_p0:
-        support = P > STRUCTURAL_ZERO
-        degree = support.sum(axis=1)
-        count = np.min_scalar_type(n)  # holds every count of entries inside S, 0..n
-        inside_low = _subset_sums(support[:, :low].T.astype(count))
+    nbr = (P > STRUCTURAL_ZERO) @ (1 << np.arange(n))  # bitmask of each row's support
     # with pi >= 2^-400 every nonzero pi(v) x_v^q and phi_{1/2}^{2p} is a normal
     # float: a nonzero x_v, a difference of two sums near 1, is at least 2^-54
     bracket = any(0.5 < p < 1.0 for p in ps) and pi.min() >= 2.0**-400
     rtol = _bracket_rtol(n)
 
     def score(
-        rows: np.ndarray, mass: np.ndarray, bits: np.ndarray, hi_cross: np.ndarray, hi_inside: np.ndarray | None
+        rows: np.ndarray, mass: np.ndarray, bits: np.ndarray, hi_cross: np.ndarray, hi_mask: int
     ) -> list[tuple[float, int]]:
         """(phi, low mask) of each exponent's first minimum over ``rows``, one
         contiguous slice of a block's admissible rows; numpy calls only, so
@@ -232,9 +225,8 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
         for p in ps:
             near = ...  # the sets scored: all, or those the bracket keeps
             if p == 0.0:
-                inside = inside_low[rows]
-                inside += hi_inside
-                phi = ((inside < degree) * weight).sum(axis=1) / mass
+                outside = ~(rows | hi_mask)
+                phi = (((nbr & outside[:, None]) != 0) * weight).sum(axis=1) / mass
             elif bracket and p in known:
                 phi = known[p]
             elif bracket and 0.5 < p < 1.0:
@@ -265,20 +257,17 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
             keep = mass <= 0.5 + MASS_SLACK
             keep[0] &= hi > 0  # the empty set
             rows = np.flatnonzero(keep)
-            if rows.size == 0:
-                continue
             mass = mass[rows]
-            block = (bits, P[:, bits].sum(axis=1), support[:, bits].sum(axis=1, dtype=count) if need_p0 else None)
-            k = max(1, min(workers, rows.size // _MIN_CHUNK_ROWS))
-            step = min(_SCORE_ROWS, -(-rows.size // k))
-            slices = [(rows[i : i + step], mass[i : i + step]) for i in range(0, rows.size, step)]
+            block = (bits, P[:, bits].sum(axis=1), hi << low)
+            slices = [(rows[i : i + _SCORE_ROWS], mass[i : i + _SCORE_ROWS]) for i in range(0, rows.size, _SCORE_ROWS)]
             found = [None] * len(slices)
             tickets = itertools.count()  # next() on it is atomic under the GIL
-            if k > 1 and pool is None:
+            threads = min(workers, len(slices))
+            if threads > 1 and pool is None:
                 from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import
 
                 pool = ThreadPoolExecutor(workers - 1)
-            pending = [pool.submit(drain, tickets, slices, block, found) for _ in range(k - 1)]
+            pending = [pool.submit(drain, tickets, slices, block, found) for _ in range(threads - 1)]
             drain(tickets, slices, block, found)
             for f in pending:
                 f.result()
@@ -332,8 +321,8 @@ def sweep_cuts(c: MarkovChain, ps: Sequence[float], cert: SpectralCertificate) -
     tried. Each candidate has pi-mass <= 1/2 by the truncation. The pass
     walks the levels from the largest set down, keeping the crossing mass
     P(v, S-bar) of every vertex as a sum of the complement's columns (a group
-    leaving S adds its columns) and, for p = 0, the count of structurally
-    nonzero entries there; sums of nonnegative terms carry no cancellation.
+    leaving S adds its columns) and, for p = 0, whether it has an entry above
+    STRUCTURAL_ZERO there; sums of nonnegative terms carry no cancellation.
     Level masses and the p = 0 values equal :func:`_evaluate_set` exactly;
     for p > 0 every level within a relative ``_sweep_rtol(n)`` of the pass's
     minimum is evaluated again by :func:`_evaluate_set`. The winner is the
@@ -352,10 +341,9 @@ def sweep_cuts(c: MarkovChain, ps: Sequence[float], cert: SpectralCertificate) -
     order = np.argsort(rank, kind="stable")
     first = np.searchsorted(rank[order], np.arange(levels + 2))
     P, pi = c.P, c.pi
-    need_p0 = 0.0 in ps
     member = rank < levels
     cross = np.zeros(c.n)
-    support = np.zeros(c.n, dtype=np.int64)
+    leaving = np.zeros(c.n, dtype=bool)  # has an entry above STRUCTURAL_ZERO outside S
     mass = np.empty(levels)
     num = {p: np.empty(levels) for p in ps}
     for j in range(levels, 0, -1):
@@ -365,10 +353,10 @@ def sweep_cuts(c: MarkovChain, ps: Sequence[float], cert: SpectralCertificate) -
         cross += cols.sum(axis=1)
         pi_s = pi[member]
         mass[j - 1] = pi_s.sum()
-        if need_p0:
-            support += (cols > STRUCTURAL_ZERO).sum(axis=1)
-            num[0.0][j - 1] = pi[member & (support > 0)].sum()
         cross_s = cross[member]
+        if 0.0 in num:
+            leaving |= (cols > STRUCTURAL_ZERO).any(axis=1)
+            num[0.0][j - 1] = pi[member & leaving].sum()
         for p in ps:
             if p != 0.0:
                 num[p][j - 1] = np.dot(pi_s, cross_s**p)
@@ -383,11 +371,8 @@ def sweep_cuts(c: MarkovChain, ps: Sequence[float], cert: SpectralCertificate) -
             near = np.argmin(phi, keepdims=True)
         else:
             near = np.flatnonzero(phi <= phi.min() * (1.0 + _sweep_rtol(c.n)))
-        best: CutResult | None = None
-        for j in near:
-            cut = _evaluate_set(c, np.flatnonzero(rank <= j), p, "sweep")
-            if best is None or cut.phi < best.phi:
-                best = cut
+        # the first of equal phi is the smallest level set
+        best = min((_evaluate_set(c, np.flatnonzero(rank <= j), p, "sweep") for j in near), key=lambda cut: cut.phi)
         bound = sweep_guarantee(cert, p)
         if bound is not None and not best.phi <= bound + GUARANTEE_TOL:
             raise NumericalFailure(f"sweep guarantee violated: phi={best.phi} > {bound}")

@@ -26,7 +26,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import BoundReport
-from .chains import MASS_SLACK, MAX_STATES, MarkovChain, WeightedGraph, chain_from_directed, chain_from_undirected, check_states
+from .chains import MASS_SLACK, MAX_STATES, MarkovChain, WeightedGraph, check_states, vertex_ids
+from .chains import chain_from_directed, chain_from_undirected
 from .errors import InputError, TooLarge
 
 # Largest n of the scan. The arc minimum costs O(n) when its certificate rules
@@ -377,7 +378,7 @@ def hypercube_quantities(d: int, subset: Iterable[int]) -> HypercubeQuantities:
         raise InputError(f"dimension must be >= 1, got {d}")
     n = 1 << d
     members = np.zeros(n, dtype=bool)
-    idx = np.fromiter((int(x) for x in subset), dtype=np.int64)
+    idx = vertex_ids(subset)
     if idx.size == 0:
         raise InputError("subset must be nonempty")
     if idx.min() < 0 or idx.max() >= n:
@@ -403,8 +404,8 @@ def sqrt_crossweight(c: MarkovChain, A: Iterable[int], B: Iterable[int]) -> floa
     On the inverse-cube chain with B the complement of A this equals
     |A| * phi_{1/2}(A) because pi is uniform.
     """
-    a = np.unique(np.fromiter((int(v) for v in A), dtype=np.int64))
-    b = np.unique(np.fromiter((int(v) for v in B), dtype=np.int64))
+    a = np.unique(vertex_ids(A))
+    b = np.unique(vertex_ids(B))
     if a.size == 0 or b.size == 0:
         raise InputError("both sets must be nonempty")
     if np.intersect1d(a, b).size:

@@ -129,14 +129,15 @@ def blocked_exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, Cut
         if hi == 0:
             admissible = admissible.copy()
             admissible[0] = False  # empty set
-        if not admissible.any():
+        rows = np.flatnonzero(admissible)
+        if rows.size == 0:
             continue
-        member = np.zeros((n_low, n), dtype=bool)
-        member[:, :low_bits] = member_low
+        member = np.zeros((rows.size, n), dtype=bool)
+        member[:, :low_bits] = member_low[rows]
         if hi_idx:
             member[:, hi_idx] = True
-        masks = low_masks + np.int64(hi << low_bits)
-        cross = np.maximum(rowsum[None, :] - R, 0.0)
+        masks = low_masks[rows] + np.int64(hi << low_bits)
+        cross = np.maximum(rowsum[None, :] - R[rows], 0.0)
         for p in ps:
             if p == 0.0:
                 outside = (~masks) & full
@@ -144,8 +145,7 @@ def blocked_exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, Cut
                 num = ((on_boundary & member) * pi[None, :]).sum(axis=1)
             else:
                 num = ((cross**p) * pi[None, :] * member).sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phi = np.where(admissible, num / mass, math.inf)
+            phi = num / mass[rows]
             j = int(np.argmin(phi))
             if phi[j] < best_phi[p]:
                 best_phi[p] = float(phi[j])

@@ -184,6 +184,17 @@ def test_chain_validation_rejects_bad_matrices():
         MarkovChain(n=2, P=np.eye(2), pi=np.array([0.5, 0.5]))
 
 
+def test_negative_rounding_entries_are_zeroed():
+    # entries in [-1e-14, 0) are accepted as rounding and set to zero, so no
+    # crossing mass is negative; the caller's array is left as it was
+    P = np.array([[0.5, 0.500000000000001, -1e-15], [0.1, 0.1, 0.8], [0.05, 0.05, 0.9]])
+    c = chain_from_matrix(P)
+    assert c.P.min() == 0.0
+    assert c.P[0, 2] == 0.0 and P[0, 2] == -1e-15
+    with pytest.raises(InputError, match=r"lie in \[0, 1\]"):
+        chain_from_matrix(np.array([[0.5, 0.5 + 2e-14, -2e-14], [0.1, 0.1, 0.8], [0.05, 0.05, 0.9]]))
+
+
 def test_self_loops_contribute_to_degree():
     g = WeightedGraph(n=2, edges=((0, 0, 1.0), (0, 1, 1.0)), allow_self_loops=True)
     c = chain_from_undirected(g)

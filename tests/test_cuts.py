@@ -30,6 +30,7 @@ from isoperim import (
 )
 from isoperim import cuts
 from isoperim.errors import InputError, NumericalFailure, TooLarge
+from isoperim.spectral import truncated_eigenvector
 from oracles import birth_death_matrix, birth_death_pi, blocked_exact_minima, exact_stationary, naive_phi_exact, naive_phi_p, naive_sweep
 
 
@@ -53,6 +54,16 @@ def test_phi_p_of_set_errors(cycle4):
         phi_p_of_set(cycle4, [0, 1, 2], 1.0)
     with pytest.raises(ValueError):
         phi_p_of_set(cycle4, [0], 1.5)
+
+
+def test_phi_p_of_set_rejects_non_integral_vertices():
+    # {0.7, 1.9} is not truncated to {0, 1}; an integral float is a vertex
+    c = gen_cycle(6)
+    with pytest.raises(InputError, match="vertex id 0.7 is not an integer"):
+        phi_p_of_set(c, [0.7, 1.9], 1.0)
+    with pytest.raises(InputError, match="vertex id 1.9 is not an integer"):
+        phi_profile(c, [0, 1.9])
+    assert phi_p_of_set(c, [0.0, 1.0], 1.0) == phi_p_of_set(c, [0, 1], 1.0)
 
 
 def test_exact_two_state(two_state):
@@ -90,6 +101,39 @@ def test_exact_matches_bruteforce_oracle():
             mine = phi_p_exact(c, p)
             expected, _ = naive_phi_exact(c.P, c.pi, p)
             assert abs(mine.phi - expected) < 1e-12
+
+
+def _sweep_levels(c, cert):
+    """Every level set of the truncated eigenvector, as a sorted vertex list."""
+    fsq = truncated_eigenvector(cert, c) ** 2
+    return [np.flatnonzero(fsq > t).tolist() for t in sorted(set(fsq.tolist()), reverse=True)[1:]]
+
+
+def _p0_chains():
+    # two pairs {0, 1} and {2, 3} joined by 1 - 2, with 0 <-> 3 at 5e-16: below
+    # STRUCTURAL_ZERO, so {0, 1} has boundary {1} alone and phi_0 = 1/2 (the
+    # entry counted would make every admissible set's phi_0 equal 1)
+    tiny = 5e-16
+    P = np.array([[0.5 - tiny, 0.5, 0.0, tiny], [0.5, 0.4, 0.1, 0.0], [0.0, 0.1, 0.4, 0.5], [tiny, 0.0, 0.5, 0.5 - tiny]])
+    yield chain_from_matrix(P), lambda2_reversible
+    for seed in range(4):
+        yield gen_random_directed(6 + seed, density=0.4, seed=90 + seed), lambda2_directed
+
+
+def test_phi_0_of_exact_and_sweep_match_the_combinations_oracle():
+    # the oracle tests each entry against 1e-15 over combinations, not bitmasks
+    for c, certify in _p0_chains():
+        exact = exact_minima(c, [0.0])[0.0]
+        expected, _ = naive_phi_exact(c.P, c.pi, 0.0)
+        assert exact.phi == pytest.approx(expected, abs=1e-12)
+        assert naive_phi_p(c.P, c.pi, exact.subset, 0.0) == pytest.approx(exact.phi, abs=1e-12)
+        cert = certify(c)
+        sweep = sweep_cuts(c, [0.0], cert)[0.0]
+        levels = [naive_phi_p(c.P, c.pi, S, 0.0) for S in _sweep_levels(c, cert)]
+        assert sweep.phi == pytest.approx(min(levels), abs=1e-12)
+        assert naive_phi_p(c.P, c.pi, sweep.subset, 0.0) == pytest.approx(sweep.phi, abs=1e-12)
+        if c.n == 4:
+            assert exact.phi == pytest.approx(0.5, abs=1e-12) and sweep.phi == pytest.approx(0.5, abs=1e-12)
 
 
 def test_exact_cap_enforced(monkeypatch):
@@ -335,13 +379,17 @@ class _CountingPool(concurrent.futures.ThreadPoolExecutor):
 
 
 @contextlib.contextmanager
-def _split_every_block(cpus):
-    """Score every block of admissible sets in ``cpus`` parts of at least one
-    set each, counting the pools made; no thread may outlive a call."""
+def _split_every_block(c, cpus):
+    """Score ``c`` on ``cpus`` CPUs in slices small enough that the first
+    block of admissible sets has at least ``cpus`` of them, counting the
+    pools made; no thread may outlive a call. Of each of the 2^(low - 1) - 1
+    pairs of a nonempty low-bit mask and its complement within the low bits,
+    at least one is admissible."""
+    rows = (1 << (min(c.n, cuts._BLOCK_BITS) - 1)) - 1
     threads = threading.active_count()
     _CountingPool.made = 0
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cuts, "_MIN_CHUNK_ROWS", 1)
+        m.setattr(cuts, "_SCORE_ROWS", max(1, min(cuts._SCORE_ROWS, rows // cpus)))
         m.setattr(cuts, "_usable_cpus", lambda: cpus)
         m.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
         yield
@@ -357,10 +405,10 @@ def _split_every_block(cpus):
     ps=st.lists(st.sampled_from(EXACT_PS), min_size=1, max_size=7),
 )
 def test_exact_minima_split_across_threads_match_blocked_enumerator(directed, n, density, seed, ps):
-    # parts of one set upward: a part boundary falls between every pair of
+    # slices of one set upward: a slice boundary falls between every pair of
     # neighbouring admissible sets of a small block
     c = (gen_random_directed if directed else gen_random_reversible)(n, density=density, seed=seed)
-    with _split_every_block(3):
+    with _split_every_block(c, 3):
         _assert_same_minima(c, ps)
     assert _CountingPool.made == 1
 
@@ -372,23 +420,23 @@ def test_exact_minima_split_across_threads_match_blocked_enumerator(directed, n,
 )
 @pytest.mark.parametrize("cpus", [2, 3, 7])
 def test_exact_minima_split_ties_go_to_smallest_bitmask(c, cpus):
-    # tied minimizers fall in different parts; the first part's must win,
+    # tied minimizers fall in different slices; the first slice's must win,
     # also where exponents in (1/2, 1) come without 1/2 and 1
     for ps in ([0.0, 0.3, 0.5, 0.75, 1.0], [0.6, 0.9]):
-        with _split_every_block(cpus):
+        with _split_every_block(c, cpus):
             _assert_same_minima(c, ps)
         assert _CountingPool.made == (c.n > 2)  # two states: one admissible set
 
 
-@pytest.mark.parametrize("cpus, min_rows, n", [(1, 1, 12), (4, None, 14)])
-def test_exact_minima_start_no_thread_without_a_split(monkeypatch, cpus, min_rows, n):
-    # one CPU, or blocks below two parts' worth of sets (2^14 masks at most)
+@pytest.mark.parametrize("cpus, score_rows, n", [(1, 1, 12), (4, None, 12)])
+def test_exact_minima_start_no_thread_without_a_split(monkeypatch, cpus, score_rows, n):
+    # one CPU however many slices, or blocks of one slice (2^12 masks at most)
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was made")
 
     monkeypatch.setattr(cuts, "_usable_cpus", lambda: cpus)
-    if min_rows is not None:
-        monkeypatch.setattr(cuts, "_MIN_CHUNK_ROWS", min_rows)
+    if score_rows is not None:
+        monkeypatch.setattr(cuts, "_SCORE_ROWS", score_rows)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     _assert_same_minima(gen_random_reversible(n, density=0.5, seed=5), [0.0, 0.5, 1.0])
 

@@ -155,6 +155,13 @@ def test_hypercube_rejects_whole_cube():
         hypercube_quantities(15, [0])
 
 
+def test_hypercube_rejects_a_non_integral_point():
+    # 0.5 is not truncated to the point 0
+    with pytest.raises(InputError, match="vertex id 0.5 is not an integer"):
+        hypercube_quantities(3, [0.5])
+    assert hypercube_quantities(3, [0.0]) == hypercube_quantities(3, [0])
+
+
 def test_hypercube_graph_edges_in_comprehension_order():
     # the order of the per-edge comprehension the array replaced
     for d in range(1, 11):
@@ -226,6 +233,13 @@ def test_crossweight_two_state(two_state):
 
 def test_crossweight_cycle4(cycle4):
     assert abs(sqrt_crossweight(cycle4, [0, 1], [2, 3]) - math.sqrt(2)) < 1e-15
+
+
+def test_crossweight_rejects_a_non_integral_vertex(cycle4):
+    with pytest.raises(InputError, match="vertex id 1.5 is not an integer"):
+        sqrt_crossweight(cycle4, [0, 1.5], [2, 3])
+    with pytest.raises(InputError, match="vertex id 2.2 is not an integer"):
+        sqrt_crossweight(cycle4, [0, 1], [2.2, 3])
 
 
 def test_crossweight_counterexample_consistency():

@@ -176,6 +176,19 @@ def test_cli_verify_all_on_a_birth_death_chain_with_tiny_pi(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--p", "0.5"], ["sweep", "--p", "0.75"], ["verify"]], ids=lambda a: a[0])
+def test_cli_on_a_matrix_with_a_negative_rounding_entry(tmp_path, capsys, argv):
+    # the -1e-15 entry is zeroed, so no crossing mass is negative and no
+    # phi_p or bound is NaN
+    path = tmp_path / "negative.txt"
+    path.write_text("matrix-kind transition\n0.5 0.500000000000001 -1e-15\n0.1 0.1 0.8\n0.05 0.05 0.9\n")
+    assert cli_main([*argv, "--input", str(path), "--format", "dense-matrix"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and not re.search(r"\bnan\b", out, re.IGNORECASE) and "VIOLATED" not in out
+    if argv[0] == "analyze":
+        assert '"phi": 0.44721359549995815' in out
+
+
 def test_cli_generate_ht_family_roundtrip(tmp_path):
     out = tmp_path / "ht.tsv"
     assert cli_main(["generate", "--family", "ht-counterexample", "--n", "8", "--out", str(out)]) == 0

@@ -43,6 +43,11 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
   and directed chains on 20 states, ``analyze --method exact`` at p = 0.55
   and 0.99 on them, and ``analyze --method exact`` at p = 0, 1/2 and 1 on a
   20-cycle, whose blocks the enumerator splits across threads;
+- ``analyze --method exact`` at p = 0, 1/2, 3/4 and 1 on random reversible
+  and directed chains on 14 states, one block of two slices that the
+  enumerator splits across threads, and on a dense transition matrix of two
+  pairs of states with an entry of 5e-16 between them, which is below the
+  structural zero and so is no boundary;
 - ``scan`` on every n from 8 to 300, odd and even, and on 4095 and the cap
   65536, beyond the benchmark's five sizes;
 - ``analyze`` on valid files laid out in the ways the readers accept:
@@ -333,6 +338,20 @@ def build_plan(work: str) -> list[dict]:
         plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", *base, "--method", "both", "--p", "0,0.5,0.75,1"]})
         plan.append({"id": f"verify-{name}", "argv": ["verify", *base, "--suite", "all"]})
         plan.append({"id": f"analyze-exact-{name}-p0.55,0.99", "argv": ["analyze", *base, "--method", "exact", "--p", "0.55,0.99"]})
+    # 14 states: one block of two slices, which the enumerator splits across
+    # threads; and a 0 <-> 3 entry of 5e-16, below the structural zero
+    tiny = 5e-16
+    P = np.array([[0.5 - tiny, 0.5, 0.0, tiny], [0.5, 0.4, 0.1, 0.0], [0.0, 0.1, 0.4, 0.5], [tiny, 0.0, 0.5, 0.5 - tiny]])
+    path = os.path.join(work, "tiny-entry.txt")
+    _write_dense(path, "transition", P)
+    cases = [("tiny-entry", path, "dense-matrix")]
+    for name, write in (("rev14", inputs.write_random_reversible), ("dir14", inputs.write_random_directed)):
+        path = os.path.join(work, f"{name}.tsv")
+        write(path, 14, 0.4, np.random.default_rng(14))
+        cases.append((name, path, "edge-tsv"))
+    for name, path, fmt in cases:
+        argv = ["analyze", "--input", path, "--format", fmt, "--method", "exact", "--p", "0,0.5,0.75,1"]
+        plan.append({"id": f"analyze-exact-{name}", "argv": argv})
     path = os.path.join(work, "cycle20.tsv")
     _write_tied(path, "cycle", 20)
     argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.5,1"]
