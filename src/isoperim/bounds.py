@@ -41,15 +41,17 @@ class BoundReport:
 
     slack = rhs - lhs and the verdict holds = slack >= -tol are derived from
     the two sides, so a report made by ``dataclasses.replace`` carries its
-    own verdict. witnesses carries the cut / certificate data the two sides
-    were computed from, enough to re-derive them.
+    own verdict. cut and cert are the phi_p cut and the lambda_2 certificate
+    the two sides were computed from (None for a bound that reads neither),
+    enough to re-derive them: the cut's method says whether phi_p is exact.
     """
 
     tol: ClassVar[float] = DEFAULT_TOL
     name: str
     lhs: float
     rhs: float
-    witnesses: dict | None = None
+    cut: CutResult | None = None
+    cert: SpectralCertificate | None = None
 
     @property
     def slack(self) -> float:
@@ -142,8 +144,8 @@ def check_phi_p_upper_bound(c: MarkovChain | ChainAnalysis, p: float, use_direct
 
     lambda_2 is the reversible normalized-Laplacian eigenvalue by default, or
     the Chung directed one with use_directed. phi_p comes from exact
-    enumeration when n is small enough, otherwise from the sweep cut; the
-    method used is recorded. The bound covers the sweep value of a
+    enumeration when n is small enough, otherwise from the sweep cut, as the
+    report's cut.method records. The bound covers the sweep value of a
     reversible certificate as well; that of a directed certificate is
     guaranteed only phi_p^2 <= 8 lambda_2 / (2p - 1) (:func:`sweep_guarantee`).
     """
@@ -153,12 +155,7 @@ def check_phi_p_upper_bound(c: MarkovChain | ChainAnalysis, p: float, use_direct
     cert = a.cert(use_directed)
     cut = a.phi(p)
     name = f"phi_p_squared[p={p:g}]" + (":directed" if use_directed else "")
-    return BoundReport(
-        name,
-        cut.phi**2,
-        4.0 * cert.lambda2 / (2.0 * p - 1.0),
-        witnesses={"cut": cut, "lambda2": cert.lambda2, "phi_method": cut.method},
-    )
+    return BoundReport(name, cut.phi**2, 4.0 * cert.lambda2 / (2.0 * p - 1.0), cut, cert)
 
 
 def check_morris_peres(c: MarkovChain | ChainAnalysis, use_directed: bool = False) -> BoundReport:
@@ -167,7 +164,7 @@ def check_morris_peres(c: MarkovChain | ChainAnalysis, use_directed: bool = Fals
     The constant 8 comes from rearranging the sweep-cut estimate
     phi <= phi/2 + sqrt(2 log(2/phi) lambda_2); no lazy (self-loop)
     hypothesis is needed. phi_{1/2} is computed exactly, so n must be within
-    the enumeration cap. The report records whether the chain is lazy.
+    the enumeration cap.
     log(2/phi) is positive: phi_{1/2}(S) is a pi-weighted mean of
     sqrt(P(v, S-bar)), and each crossing mass is at most its row sum, within
     1e-12 of 1, so phi < 2.
@@ -177,14 +174,8 @@ def check_morris_peres(c: MarkovChain | ChainAnalysis, use_directed: bool = Fals
     cut = a.exact(0.5)
     phi = cut.phi
     lhs = phi**2 / (8.0 * math.log(2.0 / phi))
-    lazy = bool(np.all(np.diag(a.c.P) >= 0.5))
     name = "morris_peres" + (":directed" if use_directed else "")
-    return BoundReport(
-        name,
-        lhs,
-        cert.lambda2,
-        witnesses={"cut": cut, "lambda2": cert.lambda2, "lazy_chain": lazy},
-    )
+    return BoundReport(name, lhs, cert.lambda2, cut, cert)
 
 
 def check_cheeger(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundReport]:
@@ -193,9 +184,8 @@ def check_cheeger(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundRep
     a = _analysis(c)
     cert = a.cert(False)
     cut = a.phi(1.0)
-    wit = {"cut": cut, "lambda2": cert.lambda2, "phi_method": cut.method}
-    easy = BoundReport("cheeger:lower", cert.lambda2 / 2.0, cut.phi, witnesses=wit)
-    hard = BoundReport("cheeger:upper", cut.phi, math.sqrt(2.0 * cert.lambda2), witnesses=wit)
+    easy = BoundReport("cheeger:lower", cert.lambda2 / 2.0, cut.phi, cut, cert)
+    hard = BoundReport("cheeger:upper", cut.phi, math.sqrt(2.0 * cert.lambda2), cut, cert)
     return easy, hard
 
 
@@ -210,9 +200,8 @@ def check_chung(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundRepor
     a = _analysis(c)
     cert = a.cert(True)
     cut = a.phi(1.0)
-    wit = {"cut": cut, "lambda2": cert.lambda2, "phi_method": cut.method}
-    lower = BoundReport("chung:lower", cut.phi**2 / 2.0, cert.lambda2, witnesses=wit)
-    upper = BoundReport("chung:upper", cert.lambda2, 2.0 * cut.phi, witnesses=wit)
+    lower = BoundReport("chung:lower", cut.phi**2 / 2.0, cert.lambda2, cut, cert)
+    upper = BoundReport("chung:upper", cert.lambda2, 2.0 * cut.phi, cut, cert)
     return lower, upper
 
 

@@ -280,9 +280,8 @@ def chain_from_undirected(g: WeightedGraph) -> MarkovChain:
     deg = W.sum(axis=1)
     if deg.min() <= STRUCTURAL_ZERO:
         raise InputError(f"vertex {int(deg.argmin())} has zero weighted degree")
-    P = W / deg[:, None]
-    pi = deg / deg.sum()
-    return MarkovChain(n=g.n, P=P, pi=pi, origin="undirected-graph")
+    W /= deg[:, None]  # in place: MarkovChain copies P once more
+    return MarkovChain(n=g.n, P=W, pi=deg / deg.sum(), origin="undirected-graph")
 
 
 def chain_from_directed(g: WeightedGraph) -> MarkovChain:
@@ -293,7 +292,8 @@ def chain_from_directed(g: WeightedGraph) -> MarkovChain:
     out = W.sum(axis=1)
     if out.min() <= STRUCTURAL_ZERO:
         raise InputError(f"vertex {int(out.argmin())} has zero out-weight")
-    return MarkovChain(n=g.n, P=W / out[:, None], pi=None, origin="directed-graph")
+    W /= out[:, None]
+    return MarkovChain(n=g.n, P=W, pi=None, origin="directed-graph")
 
 
 def is_reversible(c: MarkovChain) -> bool:

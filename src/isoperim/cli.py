@@ -108,11 +108,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.method in ("sweep", "both"):
             cuts.append(a.sweep(p))
     # bounds verdicts must be re-derivable from the cuts section, so append
-    # any witness cut (e.g. the exact phi_1 behind the Cheeger pair) that the
-    # requested exponent list did not already produce
+    # the cut each bound cites (e.g. the exact phi_1 behind the Cheeger
+    # pair) that the requested exponent list did not already produce
     for r in reports:
-        if r.witnesses["cut"] not in cuts:
-            cuts.append(r.witnesses["cut"])
+        if r.cut not in cuts:
+            cuts.append(r.cut)
     return _emit(args, a, spectral, cuts, reports, args.report_format)
 
 

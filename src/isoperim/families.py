@@ -13,7 +13,8 @@ Everything needed to certify that at scale is here: analytic circulant
 eigenvalues (DFT of the first row), exact arc values of phi_{1/2} from kernel
 prefix sums without materializing the matrix, the block lower-bound function
 h for cyclic 2-colorings with its merge identity, and a scan emitting the
-scaled table rows.
+scaled table rows. One cached builder, ``_kernel(n)``, computes the kernel,
+its prefix sums and C; every function here reads them from it.
 """
 
 from __future__ import annotations
@@ -42,18 +43,57 @@ _HYPERCUBE_MAX_D = MAX_STATES.bit_length() - 1
 # inverse-cube circulant family
 # --------------------------------------------------------------------------
 
-def kernel_weights(n: int) -> np.ndarray:
-    """Cyclic kernel w[d] = 1/min(d, n-d)^3 for d = 1..n-1 (w[0] = 0)."""
+def _kahan_cumsum(x: np.ndarray) -> np.ndarray:
+    """Compensated running sum; keeps kernel prefix tails accurate.
+
+    Kept on purpose: ``np.cumsum`` moves ``arc_phi_half`` by up to about
+    5e-11 relative (n = 4096: 3.7528998506785307e-03 becomes
+    3.7528998508551477e-03), which changes the bytes ``scan`` writes.
+    """
+    out = []
+    total = 0.0
+    comp = 0.0
+    for xi in x.tolist():
+        y = xi - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        out.append(total)
+    return np.array(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel(n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The one owner of the family's derived values: the kernel
+    w[d] = 1/min(d, n-d)^3 (w[0] = 0), its prefix sums W[m] = sum_{j<=m} w[j]
+    (W[0] = 0) and C = sum_d w[d], read-only and kept for the last n."""
     d = np.arange(n)
     m = np.minimum(d, n - d).astype(float)
     w = np.zeros(n)
     w[1:] = 1.0 / m[1:] ** 3
-    return w
+    prefix = np.concatenate([[0.0], _kahan_cumsum(w[1:])])
+    w.setflags(write=False)
+    prefix.setflags(write=False)
+    return w, prefix, math.fsum(w[1:].tolist())
+
+
+def kernel_weights(n: int) -> np.ndarray:
+    """Cyclic kernel w[d] = 1/min(d, n-d)^3 for d = 1..n-1 (w[0] = 0), a
+    writable copy."""
+    return _kernel(n)[0].copy()
 
 
 def normalizer(n: int) -> float:
     """C = sum_{d=1}^{n-1} 1/min(d, n-d)^3, the row weight making P stochastic."""
-    return math.fsum(kernel_weights(n)[1:].tolist())
+    return _kernel(n)[2]
+
+
+def _circulant(n: int) -> np.ndarray:
+    """The family's P: row i is the kernel rolled by i, divided by C."""
+    w, _, C = _kernel(n)
+    P = w[(np.arange(n) - np.arange(n)[:, None]) % n]
+    P /= C
+    return P
 
 
 def gen_ht_counterexample(n: int) -> MarkovChain:
@@ -66,12 +106,7 @@ def gen_ht_counterexample(n: int) -> MarkovChain:
     if n < 3:
         raise InputError(f"family needs n >= 3, got {n}")
     check_states(n)
-    w = kernel_weights(n)
-    C = normalizer(n)
-    P = w[(np.arange(n) - np.arange(n)[:, None]) % n]  # row i is w rolled by i
-    P /= C
-    pi = np.full(n, 1.0 / n)
-    return MarkovChain(n=n, P=P, pi=pi, origin="undirected-graph")
+    return MarkovChain(n=n, P=_circulant(n), pi=np.full(n, 1.0 / n), origin="undirected-graph")
 
 
 def circulant_lambda2(first_row: Sequence[float]) -> float:
@@ -92,41 +127,6 @@ def circulant_lambda2(first_row: Sequence[float]) -> float:
     return float(eigs[1:].min())
 
 
-def _kahan_cumsum(x: np.ndarray) -> np.ndarray:
-    """Compensated running sum; keeps kernel prefix tails accurate.
-
-    Kept on purpose: ``np.cumsum`` moves ``arc_phi_half`` by up to about
-    5e-11 relative (n = 4096: 3.7528998506785307e-03 becomes
-    3.7528998508551477e-03), which changes the bytes ``scan`` writes.
-    """
-    out = []
-    total = 0.0
-    comp = 0.0
-    for xi in x.tolist():
-        y = xi - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out.append(total)
-    return np.array(out)
-
-
-def _kernel_prefix(n: int) -> tuple[np.ndarray, float]:
-    """Prefix sums W[m] = sum_{j<=m} w[j] (W[0] = 0) and the normalizer C."""
-    w = kernel_weights(n)
-    prefix = np.concatenate([[0.0], _kahan_cumsum(w[1:])])
-    return prefix, math.fsum(w[1:].tolist())
-
-
-@functools.lru_cache(maxsize=1)
-def _arc_prefix(n: int) -> tuple[np.ndarray, float]:
-    """``_kernel_prefix(n)``, read-only and kept for the last n that
-    ``arc_phi_half`` saw, so a pass over every arc length builds it once."""
-    prefix, C = _kernel_prefix(n)
-    prefix.setflags(write=False)
-    return prefix, C
-
-
 def arc_phi_half(n: int, l: int) -> float:
     """phi_{1/2} of the contiguous arc {1..l} in the inverse-cube chain.
 
@@ -139,7 +139,7 @@ def arc_phi_half(n: int, l: int) -> float:
         raise InputError(f"family needs n >= 3, got {n}")
     if not (1 <= l <= n // 2):
         raise InputError(f"arc length must satisfy 1 <= l <= n/2, got l={l}, n={n}")
-    prefix, C = _arc_prefix(n)
+    _, prefix, C = _kernel(n)
     return float(_arc_sqrt_cross(n, l, prefix, C).sum()) / l
 
 
@@ -212,8 +212,8 @@ def scaling_scan(n_list: Iterable[int], output: str | None = None) -> list[ScanR
         raise TooLarge(f"scan supports n <= {SCAN_MAX_N}, got {ns[-1]}")
     rows: list[ScanRow] = []
     for n in ns:
-        prefix, C = _kernel_prefix(n)
-        first_row = -kernel_weights(n) / C
+        w, prefix, C = _kernel(n)
+        first_row = -w / C
         first_row[0] = 1.0
         lam = circulant_lambda2(first_row)
         phi = _arc_min_phi_half(n, prefix, C)
@@ -288,7 +288,7 @@ def ht_counterexample_graph(n: int) -> WeightedGraph:
         raise InputError(f"family needs n >= 3, got {n}")
     check_states(n)
     u, v = np.triu_indices(n, k=1)
-    edges = np.column_stack([u, v, kernel_weights(n)[v - u]])
+    edges = np.column_stack([u, v, _kernel(n)[0][v - u]])
     del u, v  # only the edge array is alive while the graph checks it
     return _graph(n, edges)
 
@@ -530,23 +530,21 @@ def block_merge_residual(pb: PartitionBlocks) -> float:
     return abs(block_log_sum(pb) - block_log_sum(merged))
 
 
-def check_block_lower_bound(c: MarkovChain, pb: PartitionBlocks, C: float | None = None) -> BoundReport:
+def check_block_lower_bound(c: MarkovChain, pb: PartitionBlocks) -> BoundReport:
     """h(blocks) <= sqrt(2C) f(A, B) on the inverse-cube chain.
 
     The blocks must describe an actual 2-coloring of the chain's cycle (all
-    sizes positive, total n); the chain is checked to be the inverse-cube
-    circulant before evaluating both sides.
+    sizes positive, total n), and every row of the chain's P must be within
+    1e-12 of the family's P, built as ``gen_ht_counterexample`` builds it,
+    before both sides are evaluated.
     """
     if pb.n != c.n:
         raise InputError(f"blocks cover {pb.n} vertices but the chain has {c.n}")
     if not pb.is_canonical:
         raise InputError("blocks must all be nonempty to describe a coloring")
-    if C is None:
-        C = normalizer(c.n)
-    expected_row = kernel_weights(c.n) / C
-    if not np.allclose(c.P[0], expected_row, rtol=0.0, atol=1e-12):
+    if not np.allclose(c.P, _circulant(c.n), rtol=0.0, atol=1e-12):
         raise InputError("chain is not the inverse-cube circulant family")
     A, B = pb.vertex_sets()
     lhs = block_log_sum(pb)
-    rhs = math.sqrt(2.0 * C) * sqrt_crossweight(c, A, B)
-    return BoundReport("block_log_lower_bound", lhs, rhs, witnesses={"sizes": pb.sizes, "C": C})
+    rhs = math.sqrt(2.0 * normalizer(c.n)) * sqrt_crossweight(c, A, B)
+    return BoundReport("block_log_lower_bound", lhs, rhs)

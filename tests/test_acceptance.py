@@ -25,7 +25,6 @@ from isoperim import (
     lambda2_directed,
     lambda2_reversible,
     lazy_transform,
-    normalizer,
     phi_p_exact,
     phi_p_of_set,
     power_increment_supremum,
@@ -254,7 +253,7 @@ def test_criterion_9_block_machinery():
             flags = rng.random(n) < 0.5
             flags[0], flags[-1] = True, False
             pb = PartitionBlocks.from_membership(flags.tolist())
-            rep = check_block_lower_bound(chain, pb, C=normalizer(n))
+            rep = check_block_lower_bound(chain, pb)
             worst_logsum = max(worst_logsum, rep.lhs - rep.rhs)
     ok = worst_concavity <= 1e-9 and worst_merge <= 1e-12 and worst_logsum <= 1e-9
     _line(

@@ -60,7 +60,6 @@ def test_morris_peres_two_state(two_state):
     assert rep.holds
     assert abs(rep.lhs - 1.0 / (8.0 * math.log(2.0))) < 1e-12
     assert abs(rep.rhs - 2.0) < 1e-12
-    assert rep.witnesses["lazy_chain"] is False
 
 
 def test_morris_peres_lazy_scaling(two_state):
@@ -148,11 +147,20 @@ def test_report_fields(two_state):
     rep = check_phi_p_upper_bound(two_state, 0.75)
     assert rep.slack == rep.rhs - rep.lhs
     assert rep.holds == (rep.slack >= -rep.tol)
-    assert rep.witnesses["phi_method"] == "exact"
-    # witnesses re-evaluate to the reported sides
-    cut = rep.witnesses["cut"]
-    assert abs(rep.lhs - cut.phi**2) < 1e-10
-    assert abs(rep.rhs - 4 * rep.witnesses["lambda2"] / (2 * 0.75 - 1)) < 1e-10
+    assert rep.cut.method == "exact"
+    # the cited cut and certificate re-evaluate to the reported sides
+    assert abs(rep.lhs - rep.cut.phi**2) < 1e-10
+    assert abs(rep.rhs - 4 * rep.cert.lambda2 / (2 * 0.75 - 1)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "b0, m, message",
+    [(0.0, 1, "b0 must lie in (0, 1], got 0.0"), (1.5, 1, "b0 must lie in (0, 1], got 1.5"), (0.5, -1, "m must be nonnegative")],
+)
+def test_geometric_chain_sum_refusals(b0, m, message):
+    with pytest.raises(InputError) as exc:
+        geometric_chain_sum(b0, m)
+    assert type(exc.value) is InputError and str(exc.value) == message
 
 
 def test_gadget_p_one_telescopes():
@@ -233,10 +241,41 @@ def test_bound_suite_matches_standalone_checks(monkeypatch, cap):
         expected = _standalone_suite(c, ps, reversible, True, cap == "24")
         assert [r.name for r in suite] == [r.name for r in expected]
         for got, want in zip(suite, expected):
-            for field in ("name", "lhs", "rhs", "slack", "holds", "tol", "witnesses"):
+            for field in ("name", "lhs", "rhs", "slack", "holds", "tol", "cut"):
                 assert getattr(got, field) == getattr(want, field), (got.name, field)
-        methods = {r.witnesses["cut"].method for r in suite}
+            # certificates compare by identity, so compare what they hold
+            assert (got.cert.lambda2, got.cert.kind) == (want.cert.lambda2, want.cert.kind), got.name
+        methods = {r.cut.method for r in suite}
         assert methods == ({"exact"} if cap == "24" else {"sweep"})
+
+
+# each checker's two sides as a function of the phi and lambda_2 it cites
+_SIDES = {
+    "cheeger:lower": lambda phi, lam, p: (lam / 2.0, phi),
+    "cheeger:upper": lambda phi, lam, p: (phi, math.sqrt(2.0 * lam)),
+    "chung:lower": lambda phi, lam, p: (phi**2 / 2.0, lam),
+    "chung:upper": lambda phi, lam, p: (lam, 2.0 * phi),
+    "morris_peres": lambda phi, lam, p: (phi**2 / (8.0 * math.log(2.0 / phi)), lam),
+    "phi_p_squared": lambda phi, lam, p: (phi**2, 4.0 * lam / (2.0 * p - 1.0)),
+}
+
+
+@pytest.mark.parametrize("cap", ["24", "6"])
+def test_every_report_rederives_from_its_cut_and_certificate(monkeypatch, cap):
+    # cap 24 puts the n=8 chains within the exact cap, cap 6 above it
+    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    ps = [0.6, 0.75, 1.0]
+    for c in (gen_random_reversible(8, density=0.5, seed=11), gen_random_directed(8, density=0.5, seed=12)):
+        a = ChainAnalysis(c)
+        suite = bound_suite(a, ps if a.reversible else None, ps)
+        assert suite
+        for r in suite:
+            directed = r.name.startswith("chung") or r.name.endswith(":directed")
+            assert r.cert is a.cert(directed), r.name
+            assert r.cut.method == ("exact" if cap == "24" else "sweep"), r.name
+            assert r.cut == a.phi(r.cut.p), r.name
+            lhs, rhs = _SIDES[r.name.split("[")[0].removesuffix(":directed")](r.cut.phi, r.cert.lambda2, r.cut.p)
+            assert (r.lhs, r.rhs) == (lhs, rhs), r.name
 
 
 @pytest.mark.parametrize("cap", ["24", "4"])

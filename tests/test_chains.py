@@ -21,6 +21,8 @@ from isoperim import (
     ht_counterexample_graph,
     is_reversible,
     lazy_transform,
+    random_directed_graph,
+    random_reversible_graph,
     stationary_distribution,
 )
 from isoperim.chains import MAX_STATES, _gth, edge_fault
@@ -184,6 +186,33 @@ def test_chain_validation_rejects_bad_matrices():
         MarkovChain(n=2, P=np.eye(2), pi=np.array([0.5, 0.5]))
 
 
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: WeightedGraph(n=0, edges=()), "graph needs at least one vertex", id="graph-n0"),
+        pytest.param(lambda: MarkovChain(n=2, P=np.full((2, 3), 1 / 3), pi=None), "P must be a square matrix, got shape (2, 3)", id="P-not-square"),
+        pytest.param(lambda: MarkovChain(n=3, P=_SWAP, pi=None), "n does not match P", id="n-mismatch"),
+        pytest.param(lambda: MarkovChain(n=2, P=_SWAP, pi=np.full(3, 1 / 3)), "pi has wrong shape", id="pi-shape"),
+        pytest.param(lambda: MarkovChain(n=2, P=_SWAP, pi=[1.5, -0.5]), "pi must be strictly positive", id="pi-sign"),
+        pytest.param(lambda: MarkovChain(n=2, P=_SWAP, pi=[0.5, 0.6]), "pi must sum to 1", id="pi-sum"),
+        pytest.param(lambda: is_irreducible(np.ones((2, 3))), "P must be a square matrix, got shape (2, 3)", id="irreducible-not-square"),
+        pytest.param(
+            lambda: chain_from_undirected(WeightedGraph(n=2, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=True)),
+            "graph must be undirected",
+            id="undirected-given-directed",
+        ),
+        pytest.param(lambda: chain_from_directed(WeightedGraph(n=2, edges=((0, 1, 1.0),))), "graph must be directed", id="directed-given-undirected"),
+    ],
+)
+def test_chains_public_refusals(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert type(exc.value) is InputError and str(exc.value) == message
+
+
 def test_negative_rounding_entries_are_zeroed():
     # entries in [-1e-14, 0) are accepted as rounding and set to zero, so no
     # crossing mass is negative; the caller's array is left as it was
@@ -307,6 +336,25 @@ def test_edge_fault_temporaries_stay_near_one_edge_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * edges.nbytes, (peak, edges.nbytes)
+
+
+@pytest.mark.parametrize(
+    "make_graph, build, limit",
+    [(random_reversible_graph, chain_from_undirected, 2.5), (random_directed_graph, chain_from_directed, 4.5)],
+    ids=["undirected", "directed"],
+)
+def test_chain_build_peak_memory_in_n_squared_doubles(make_graph, build, limit):
+    # the weight matrix is divided in place, so the build holds W, which
+    # becomes P, and MarkovChain's own copy (2.2 n^2); the directed build
+    # adds the stationary solve's matrix (4.0 n^2)
+    graph = make_graph(1024, seed=1)
+    tracemalloc.start()
+    try:
+        c = build(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * 8 * c.n**2, peak / (8 * c.n**2)
 
 
 def test_graph_keeps_a_frozen_edge_array_and_copies_a_writable_one():

@@ -56,6 +56,13 @@ def test_phi_p_of_set_errors(cycle4):
         phi_p_of_set(cycle4, [0], 1.5)
 
 
+@pytest.mark.parametrize("subset", [[4], [0, -1]], ids=["above", "negative"])
+def test_phi_p_of_set_refuses_an_out_of_range_vertex(cycle4, subset):
+    with pytest.raises(InputError) as exc:
+        phi_p_of_set(cycle4, subset, 1.0)
+    assert type(exc.value) is InputError and str(exc.value) == "subset contains out-of-range vertices for n=4"
+
+
 def test_phi_p_of_set_rejects_non_integral_vertices():
     # {0.7, 1.9} is not truncated to {0, 1}; an integral float is a vertex
     c = gen_cycle(6)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoperim import (
+    MarkovChain,
     PartitionBlocks,
     WeightedGraph,
     arc_phi_half,
@@ -313,7 +314,7 @@ def test_block_concavity_random(data):
 def test_block_lower_bound_cases():
     for n, sizes in [(16, (8, 8)), (16, (1, 1) * 8), (4, (2, 2)), (16, (3, 5, 2, 6))]:
         chain = gen_ht_counterexample(n)
-        rep = check_block_lower_bound(chain, PartitionBlocks(sizes), C=normalizer(n))
+        rep = check_block_lower_bound(chain, PartitionBlocks(sizes))
         assert rep.holds
 
 
@@ -325,7 +326,7 @@ def test_block_lower_bound_random_colorings():
             flags = rng.random(n) < 0.5
             flags[0], flags[-1] = True, False
             pb = PartitionBlocks.from_membership(flags.tolist())
-            rep = check_block_lower_bound(chain, pb, C=normalizer(n))
+            rep = check_block_lower_bound(chain, pb)
             assert rep.holds
             assert pb.n == n
 
@@ -333,6 +334,55 @@ def test_block_lower_bound_random_colorings():
 def test_block_lower_bound_rejects_wrong_chain(cycle4):
     with pytest.raises(ValueError):
         check_block_lower_bound(cycle4, PartitionBlocks((2, 2)))
+
+
+def test_block_lower_bound_rejects_a_chain_that_matches_row_0_only():
+    # rows 1..7 moved toward uniform by up to 0.151: row 0 alone cannot tell
+    # this chain from the circulant, on which the bound reads rhs 3.942
+    # (the moved chain would read 4.537)
+    chain = gen_ht_counterexample(8)
+    P = chain.P.copy()
+    P[1:] = 0.5 * P[1:] + 0.5 / 8
+    moved = MarkovChain(n=8, P=P, pi=None)
+    assert np.array_equal(moved.P[0], chain.P[0])
+    with pytest.raises(InputError, match="chain is not the inverse-cube circulant family"):
+        check_block_lower_bound(moved, PartitionBlocks((3, 5)))
+    assert abs(check_block_lower_bound(chain, PartitionBlocks((3, 5))).rhs - 3.942) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: cycle_graph(2), "cycle needs n >= 3, got 2", id="cycle"),
+        pytest.param(lambda: hypercube_graph(0), "hypercube needs d >= 1, got 0", id="hypercube"),
+        pytest.param(lambda: dumbbell_graph(2), "dumbbell needs m >= 3, got 2", id="dumbbell"),
+        pytest.param(lambda: ht_counterexample_graph(2), "family needs n >= 3, got 2", id="ht-graph"),
+        pytest.param(lambda: random_reversible_graph(2), "random family needs n >= 3, got 2", id="random"),
+        pytest.param(lambda: random_directed_graph(1), "random directed family needs n >= 2, got 1", id="random-directed"),
+        pytest.param(lambda: arc_phi_half(2, 1), "family needs n >= 3, got 2", id="arc"),
+        pytest.param(lambda: circulant_lambda2([1.0]), "first row must be a vector of length >= 2", id="circulant-row"),
+        pytest.param(lambda: hypercube_quantities(0, [0]), "dimension must be >= 1, got 0", id="quantities-d0"),
+        pytest.param(lambda: hypercube_quantities(3, []), "subset must be nonempty", id="quantities-empty"),
+        pytest.param(lambda: hypercube_quantities(3, [8]), "subset contains points outside {0,1}^d", id="quantities-range"),
+        pytest.param(lambda: sqrt_crossweight(gen_ht_counterexample(8), [], [1]), "both sets must be nonempty", id="crossweight-empty"),
+        pytest.param(lambda: sqrt_crossweight(gen_ht_counterexample(8), [0], [8]), "vertex out of range", id="crossweight-range"),
+        pytest.param(lambda: PartitionBlocks((0, 0)), "total size must be positive", id="blocks-empty"),
+        pytest.param(
+            lambda: check_block_lower_bound(gen_ht_counterexample(8), PartitionBlocks((3, 4))),
+            "blocks cover 7 vertices but the chain has 8",
+            id="block-bound-size",
+        ),
+        pytest.param(
+            lambda: check_block_lower_bound(gen_ht_counterexample(8), PartitionBlocks((3, 0, 2, 3))),
+            "blocks must all be nonempty to describe a coloring",
+            id="block-bound-zero-block",
+        ),
+    ],
+)
+def test_families_public_refusals(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert type(exc.value) is InputError and str(exc.value) == message
 
 
 def test_partition_blocks_validation():
@@ -401,7 +451,7 @@ def _record_arc_lengths(monkeypatch) -> list[int]:
 
 def test_arc_min_matches_loop_over_every_length():
     for n in [*range(8, 601), 1023, 1024, 2047, 2048, 4095, 4097, 8191, 8192]:
-        prefix, C = families._kernel_prefix(n)
+        _, prefix, C = families._kernel(n)
         got = families._arc_min_phi_half(n, prefix, C)
         assert (n, got.hex()) == (n, naive_arc_min_phi_half(n, prefix, C).hex())
 
@@ -410,7 +460,7 @@ def test_arc_min_evaluates_only_the_longest_arc_on_the_family(monkeypatch):
     seen = _record_arc_lengths(monkeypatch)
     for n in (8, 9, 64, 1023, 32768):
         seen.clear()
-        families._arc_min_phi_half(n, *families._kernel_prefix(n))
+        families._arc_min_phi_half(n, *families._kernel(n)[1:])
         assert seen == [n // 2]
 
 
@@ -429,7 +479,8 @@ def test_arc_min_evaluates_every_length_the_certificate_keeps(monkeypatch):
 
 def test_arc_min_loops_over_every_length_on_a_decreasing_prefix(monkeypatch):
     n = 64
-    prefix, C = families._kernel_prefix(n)
+    _, prefix, C = families._kernel(n)
+    prefix = prefix.copy()  # the cached prefix is read-only
     prefix[30] = 0.0  # the one entry below its predecessor
     want = naive_arc_min_phi_half(n, prefix, C)
     # a shorter arc wins here, which a bound from the arc of length 32 would hide

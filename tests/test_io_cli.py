@@ -10,6 +10,7 @@ from unittest import mock
 
 import isoperim.bounds
 import isoperim.chains
+import isoperim.cli
 import isoperim.io
 import isoperim.spectral
 import numpy as np
@@ -30,9 +31,9 @@ from isoperim import (
     write_graph_tsv,
 )
 from isoperim.cli import cli_main
-from isoperim.errors import InputError, IsoperimError, TooLarge
+from isoperim.errors import InputError, IsoperimError, NumericalFailure, TooLarge
 from isoperim.families import cycle_graph, ht_counterexample_graph, random_directed_graph, random_reversible_graph
-from isoperim.io import make_provenance
+from isoperim.io import cut_to_dict, make_provenance
 from oracles import birth_death_matrix, naive_parse_graph, naive_write_graph_tsv
 
 
@@ -150,6 +151,38 @@ def test_report_emit_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda path: parse_graph(path, "edge-tsv"), InputError, "{path}: empty file, expected header 'undirected' or 'directed'", id="empty-edge-tsv"
+        ),
+        pytest.param(
+            lambda path: parse_graph(path, "dense-matrix"),
+            InputError,
+            "{path}: empty file, expected header 'matrix-kind transition' or 'matrix-kind weight'",
+            id="empty-dense-matrix",
+        ),
+        pytest.param(
+            lambda path: parse_graph(path, "csv"), InputError, "unknown format 'csv'; expected one of ('edge-tsv', 'dense-matrix')", id="format"
+        ),
+        pytest.param(lambda path: emit_report(_tiny_report(), None, format="xml"), InputError, "unknown report format 'xml'", id="report-format"),
+        pytest.param(
+            lambda path: emit_report(dataclasses.replace(_tiny_report(), spectral={"lambda2_reversible": float("nan")}), None),
+            NumericalFailure,
+            "cannot serialize non-finite value nan",
+            id="non-finite",
+        ),
+    ],
+)
+def test_io_public_refusals(tmp_path, call, error, message):
+    path = tmp_path / "empty.txt"
+    path.write_bytes(b"")
+    with pytest.raises(error) as exc:
+        call(str(path))
+    assert type(exc.value) is error and str(exc.value) == message.format(path=path)
+
+
 def test_report_text_table():
     text = emit_report(_tiny_report(), None, format="text")
     lines = text.splitlines()
@@ -239,6 +272,30 @@ def test_cli_analyze_bounds_rederivable_from_sections(tmp_path):
             assert b["lhs"] == phi[0.75] ** 2
             assert abs(b["rhs"] - 4 * lam / 0.5) < 1e-15
         assert b["holds"] == (b["rhs"] - b["lhs"] >= -b["tol"])
+
+
+@pytest.mark.parametrize("cap", ["24", "6"])
+@pytest.mark.parametrize("directed", [False, True])
+def test_cli_analyze_lists_the_cut_of_every_bound(tmp_path, monkeypatch, cap, directed):
+    # within the cap the bounds cite exact cuts, which --method sweep does not
+    # list; above it they cite the sweep phi_1, which --p 0.75 does not ask
+    # for; analyze appends each
+    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    g, out = tmp_path / "g.tsv", tmp_path / "r.json"
+    write_graph_tsv((random_directed_graph if directed else random_reversible_graph)(8, 0.5, 3), str(g))
+    reports = []
+    real = isoperim.cli.bound_suite
+
+    def recorded(*args):
+        reports.extend(real(*args))
+        return reports
+
+    monkeypatch.setattr(isoperim.cli, "bound_suite", recorded)
+    assert cli_main(["analyze", "--input", str(g), "--p", "0.75", "--method", "sweep", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [b["name"] for b in doc["bounds"]] == [r.name for r in reports]
+    for r in reports:
+        assert cut_to_dict(r.cut) in doc["cuts"], r.name
 
 
 def test_cli_sweep(tmp_path):
@@ -476,6 +533,7 @@ def test_cli_bad_input_values_exit_2(tmp_path, capsys, fmt, text, message):
         (["scan", "--n-list", "1048576", "--out", "OUT"], "scan supports n <= 65536, got 1048576"),
         # appended last: pytest names these cases by their position
         (["gadgets", "--trials", "-5"], "trials must be a nonnegative integer, got -5"),
+        (["scan", "--family", "cycle", "--out", "OUT"], "scan supports only the ht-counterexample family, got 'cycle'"),
     ],
 )
 def test_cli_bad_parameters_exit_2(tmp_path, capsys, argv, message):

@@ -7,6 +7,7 @@ import pytest
 import isoperim.spectral
 from isoperim import (
     chung_laplacian,
+    gen_cycle,
     gen_random_directed,
     gen_random_reversible,
     lambda2_directed,
@@ -54,6 +55,23 @@ def test_eigensolve_errors():
         symmetric_eigensolve(np.ones((2, 3)))
     with pytest.raises(ValueError):
         symmetric_eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))  # grossly asymmetric
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: symmetric_eigensolve(np.array([[0.0, np.nan], [np.nan, 0.0]])), "matrix has non-finite entries", id="eigensolve-nan"),
+        pytest.param(
+            lambda: truncated_eigenvector(lambda2_reversible(gen_cycle(4)), gen_cycle(6)), "certificate does not match the chain", id="cert-shape"
+        ),
+        pytest.param(lambda: truncated_rayleigh(gen_cycle(4), np.ones(3)), "vector length does not match the chain", id="rayleigh-shape"),
+        pytest.param(lambda: truncated_rayleigh(gen_cycle(4), np.array([1.0, -0.5, 0.0, 0.0])), "vector must be nonnegative", id="rayleigh-sign"),
+    ],
+)
+def test_spectral_public_refusals(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert type(exc.value) is InputError and str(exc.value) == message
 
 
 def test_lambda2_two_state(two_state):
