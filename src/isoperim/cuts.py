@@ -11,22 +11,28 @@ is the minimum over nonempty S with pi(S) <= 1/2.
 
 The exact enumerator walks all bitmasks in blocks of the 2^16 masks of the
 low bits. One subset-sum recurrence, by doubling, gives every low mask's
-pi-mass, row sums P(v, S) and membership; for p = 0, v is on the boundary
-iff the bitmask of its entries above STRUCTURAL_ZERO has a bit outside S's
-mask. Each block of the high bits adds its own vertices, keeps only its
+pi-mass and row sums P(v, S), with +inf for a low vertex outside the mask.
+Each block of the high bits adds its own vertices, +inf for those it leaves
+out, so the crossing mass max(P(v, V) - P(v, S), 0) is 0 outside S; for
+p = 0, v is on the boundary iff it is in S and the bitmask of its entries
+above STRUCTURAL_ZERO has a bit outside S's mask. Each block keeps only its
 admissible sets and scores those in slices of 2^12 sets, taken in turn by
 the calling thread and, when a block has more than one slice, by up to one
 thread per CPU in the process's affinity mask (no setting; the results are
-identical on any number of CPUs). Ties are broken toward the
-smallest bitmask. An exponent p in (1/2, 1) is scored only on the sets of a
-slice that the power-mean bracket
+identical on any number of CPUs). For p > 0 a slice takes a fast phi_p of
+every set from one matrix-vector product with pi and scores again, term by
+term, only the sets within a rounding window of its fast minimum, so the
+values and the winner are those of scoring every set term by term; p = 0 is
+scored term by term on every set. Ties are broken toward the smallest
+bitmask. An exponent p in (1/2, 1) is scored only on the sets
+of a slice that the power-mean bracket
 
     max(phi_1, phi_{1/2}^{2p}) <= phi_p <= phi_1^p
 
 (x^p >= x on [0, 1], and M_{1/2} <= M_p <= M_1 for the pi-weighted means of
-P(v, S-bar) over S) cannot rule out as the slice's first minimum; phi_{1/2}
-and phi_1 take numpy's sqrt and identity fast paths, and a general power
-costs several times as much.
+P(v, S-bar) over S), read on the fast phi_{1/2} and phi_1, cannot rule out
+as the slice's first minimum; phi_{1/2} and phi_1 take numpy's sqrt and
+identity fast paths, and a general power costs several times as much.
 
 The sweep cut takes the best of the distinct level sets of the truncated
 second eigenvector; for p > 1/2 the winner provably satisfies
@@ -103,8 +109,6 @@ def _evaluate_set(c: MarkovChain, idx: np.ndarray, p: float, method: str) -> Cut
     if mass > 0.5 + MASS_SLACK:
         raise InputError(f"pi(S) = {mass} exceeds 1/2")
     comp = np.setdiff1d(np.arange(c.n), idx, assume_unique=True)
-    if comp.size == 0:
-        raise InputError("subset is the whole state space")
     block = c.P[np.ix_(idx, comp)]
     if p == 0.0:
         boundary = (block > STRUCTURAL_ZERO).any(axis=1)
@@ -157,23 +161,36 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     several exponents at once.
 
     Enumerates every nonempty S with pi(S) <= 1/2 + 1e-12 by bitmask. Over
-    the masks of the low bits, pi(S), the row sums P(v, S) and membership
-    are subset sums of per-vertex rows; each block of the high bits adds its
-    own vertices and scores only its admissible sets. A vertex v of S is on
-    the boundary iff its bitmask of entries above STRUCTURAL_ZERO has a bit
-    outside S's mask. Ties go to the smallest bitmask.
+    the masks of the low bits, pi(S) and the row sums P(v, S) are subset
+    sums of per-vertex rows, with +inf in place of P(v, S) for a low vertex
+    outside the mask; each block of the high bits adds its own vertices' row
+    sums, +inf for the high vertices it leaves out, and scores only its
+    admissible sets. The crossing mass x_v = max(P(v, V) - P(v, S), 0) is
+    then 0 for every v outside S, so the term of v is x_v^p for p > 0 with
+    no membership table. For p = 0 the term is 1 when v is on the boundary,
+    that is in S (its P(v, S) finite) with a bit of its bitmask of entries
+    above STRUCTURAL_ZERO outside S's mask, and 0 otherwise. Ties go to the
+    smallest bitmask.
 
-    When ``ps`` holds an exponent p in (1/2, 1), each slice computes phi_{1/2}
-    and phi_1 of all its sets (once, also when ``ps`` asks for them) and
-    scores p only on the sets whose lower bound max(phi_1, phi_{1/2}^{2p})
-    is within a relative ``_bracket_rtol(n)`` of the slice's smallest upper
-    bound min phi_1^p; the window is rounding, a few n eps. Those sets are
-    scored with the same arithmetic as every other exponent, so the values
-    and the first minimum are bit-identical to scoring them all. Exponents
-    0, those in (0, 1/2] and 1 are scored on every set, and a call that asks
-    for no exponent in (1/2, 1) computes nothing more. Where some pi(v) is
-    below 2^-400 a product could underflow and the window would not hold, so
-    every set is scored.
+    A slice scores an exponent p > 0 in two steps. The fast value of each
+    set is one matrix-vector product of its terms with pi, divided by pi(S).
+    The sets whose fast value is within a relative ``_score_rtol(n)`` of the
+    slice's smallest are scored again term by term: each term times pi(v),
+    summed along the row by numpy, divided by pi(S). Only these values are
+    compared and kept, and the window holds the first minimum of them over
+    the whole slice, so the values and the winner are bit-identical to
+    scoring every set term by term, however the BLAS orders its sums. p = 0
+    is scored term by term on every set: on a dense chain most sets tie at
+    phi_0 = 1, and the window would keep them all.
+
+    When ``ps`` holds an exponent p in (1/2, 1), each slice takes the fast
+    phi_{1/2} and phi_1 of all its sets (once, also when ``ps`` asks for
+    them) and scores p, term by term, only on the sets whose lower bound
+    max(phi_1, phi_{1/2}^{2p}) is within a relative ``_bracket_rtol(n)`` of
+    the slice's smallest upper bound min phi_1^p; so the general power is
+    taken on those few sets alone. Where some pi(v) is below 2^-400 a
+    product could underflow and neither window would hold, so every set is
+    scored term by term.
 
     A block's admissible sets are cut into contiguous slices of
     ``_SCORE_ROWS``, which the calling thread and, when the block has more
@@ -190,52 +207,62 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     n, P, pi = c.n, c.P, c.pi
     low = min(n, _BLOCK_BITS)
     mass_low = _subset_sums(pi[:low])
-    R_low = _subset_sums(P[:, :low].T)  # R_low[m, v] = P(v, m)
-    member_low = _subset_sums(np.eye(low, n, dtype=bool))
+    R_low = _subset_sums(P[:, :low].T)  # R_low[m, v] = P(v, m), or inf for v < low outside m
+    for b in range(low):
+        R_low[(np.arange(1 << low) >> b & 1) == 0, b] = np.inf
     rowsum = P.sum(axis=1)
     nbr = (P > STRUCTURAL_ZERO) @ (1 << np.arange(n))  # bitmask of each row's support
     # with pi >= 2^-400 every nonzero pi(v) x_v^q and phi_{1/2}^{2p} is a normal
-    # float: a nonzero x_v, a difference of two sums near 1, is at least 2^-54
-    bracket = any(0.5 < p < 1.0 for p in ps) and pi.min() >= 2.0**-400
+    # float, so both windows hold: a nonzero x_v, a difference of two sums
+    # near 1, is at least 2^-54
+    normal = pi.min() >= 2.0**-400
+    bracket = normal and any(0.5 < p < 1.0 for p in ps)
     rtol = _bracket_rtol(n)
+    score_rtol = _score_rtol(n)
 
-    def score(
-        rows: np.ndarray, mass: np.ndarray, bits: np.ndarray, hi_cross: np.ndarray, hi_mask: int
-    ) -> list[tuple[float, int]]:
+    def score(rows: np.ndarray, mass: np.ndarray, hi_cross: np.ndarray, hi_mask: int) -> list[tuple[float, int]]:
         """(phi, low mask) of each exponent's first minimum over ``rows``, one
-        contiguous slice of a block's admissible rows; numpy calls only, so
-        a worker thread runs it without the GIL for most of its time."""
-        member = member_low[rows]
-        member[:, bits] = True
-        weight = pi * member
-        cross = R_low[rows]
+        contiguous slice of a block's admissible rows, with the term-by-term
+        phi; numpy calls only, so a worker thread runs it without the GIL for
+        most of its time."""
+        cross = np.take(R_low, rows, axis=0)
         cross += hi_cross
-        np.subtract(rowsum, cross, out=cross)
+        np.subtract(rowsum, cross, out=cross)  # -inf outside the set
+        terms = {}  # p: the terms of every set, x_v^p or for p = 0 whether v is on the boundary
+        if 0.0 in ps:
+            terms[0.0] = (cross > -np.inf) & ((nbr & ~(rows | hi_mask)[:, None]) != 0)
         np.maximum(cross, 0.0, out=cross)
+        fast = {}  # p: the fast phi of every set
 
-        def phi_of(p: float, near=...) -> np.ndarray:
-            terms = cross[near] ** p
-            terms *= weight[near]
-            return terms.sum(axis=1) / mass[near]
+        def terms_of(p: float) -> np.ndarray:
+            if p not in terms:
+                terms[p] = _powers(cross, p)
+            return terms[p]
+
+        def fast_phi(p: float) -> np.ndarray:
+            if p not in fast:
+                fast[p] = _fast_phi(terms_of(p), pi, mass)
+            return fast[p]
 
         if bracket:
-            known = {q: phi_of(q) for q in (0.5, 1.0)}
             top = max(1.0, float(cross.max()))  # x**p >= x / top on [0, top]
         found = []
         for p in ps:
-            near = ...  # the sets scored: all, or those the bracket keeps
-            if p == 0.0:
-                outside = ~(rows | hi_mask)
-                phi = (((nbr & outside[:, None]) != 0) * weight).sum(axis=1) / mass
-            elif bracket and p in known:
-                phi = known[p]
-            elif bracket and 0.5 < p < 1.0:
-                ub = float(known[1.0].min()) ** p * (1.0 + rtol)
-                near = np.flatnonzero(known[1.0] <= ub * top)
-                near = near[known[0.5][near] ** (2.0 * p) <= ub]
-                phi = phi_of(p, near)
+            if bracket and 0.5 < p < 1.0:
+                ub = float(fast_phi(1.0).min()) ** p * (1.0 + rtol)
+                near = np.flatnonzero(fast_phi(1.0) <= ub * top)
+                near = near[fast_phi(0.5)[near] ** (2.0 * p) <= ub]
+                x = _powers(cross[near], p)
             else:
-                phi = phi_of(p)
+                # every set where pi is too small for the window, and at p = 0,
+                # where most sets of a dense chain tie at phi_0 = 1 and would
+                # all fall in the window
+                near = ...
+                if normal and p > 0.0:
+                    phi = fast_phi(p)
+                    near = np.flatnonzero(phi <= phi.min() * (1.0 + score_rtol))
+                x = terms_of(p)[near]
+            phi = (x * pi).sum(axis=1) / mass[near]  # the sets near the minimum, term by term
             j = int(np.argmin(phi))
             found.append((phi[j], int(rows[near][j])))
         return found
@@ -252,13 +279,16 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     pool = None
     try:
         for hi in range(1 << (n - low)):
-            bits = low + np.flatnonzero(hi >> np.arange(n - low) & 1)
+            held = hi >> np.arange(n - low) & 1  # which high vertices the block holds
+            bits = low + np.flatnonzero(held)
             mass = mass_low + pi[bits].sum()
             keep = mass <= 0.5 + MASS_SLACK
             keep[0] &= hi > 0  # the empty set
             rows = np.flatnonzero(keep)
             mass = mass[rows]
-            block = (bits, P[:, bits].sum(axis=1), hi << low)
+            hi_cross = P[:, bits].sum(axis=1)
+            hi_cross[low:][held == 0] = np.inf
+            block = (hi_cross, hi << low)
             slices = [(rows[i : i + _SCORE_ROWS], mass[i : i + _SCORE_ROWS]) for i in range(0, rows.size, _SCORE_ROWS)]
             found = [None] * len(slices)
             tickets = itertools.count()  # next() on it is atomic under the GIL
@@ -286,16 +316,66 @@ def _bracket_rtol(n: int) -> float:
     holds the lower bounds max(phi_1 / top, phi_{1/2}^{2p}) of its first
     minimum of phi_p, top being the largest crossing mass or 1.
 
-    Each phi_q a slice computes takes a power of every crossing mass (numpy's
-    powers are within 4 units in the last place), multiplies it by pi(v),
-    sums at most n nonnegative terms and divides once, so it is within
-    (n + 9) eps / 2 of its value for the computed crossing masses; the
-    computed pi(S) is within n eps / 2 of its members' sum. Following the
+    The bracket reads the fast phi_{1/2} and phi_1 of every set (see
+    :func:`_score_rtol`) and the term-by-term phi_p of the sets it keeps.
+    Each takes a power of every crossing mass (numpy's powers are within 4
+    units in the last place), multiplies it by pi(v), sums at most n
+    nonnegative terms and divides once. In any order of the sum, with or
+    without fused multiply-adds, the products and the sum are within
+    gamma_n = n eps / 2 / (1 - n eps / 2) of their exact value, so each phi_q
+    is within (n + 9) eps / 2 of its value for the computed crossing masses;
+    the computed pi(S) is within n eps / 2 of its members' sum. Following the
     first minimum through the bracket, the bound's scalar power and the
     power phi_{1/2}^{2p} costs at most about (3.25 n + 32) eps; the window is
     16 (n + 2) eps.
     """
     return 16.0 * (n + 2) * float(np.finfo(float).eps)
+
+
+def _powers(x: np.ndarray, p: float) -> np.ndarray:
+    """x**p of a nonnegative array, p > 0. numpy's general power is several
+    times slower at 0 than elsewhere, so zeros are raised as ones and then
+    cleared; the other entries are numpy's x**p."""
+    if p in (0.5, 1.0):  # sqrt and the identity, as fast at 0
+        return x if p == 1.0 else x**p
+    zero = x == 0.0
+    out = x + zero
+    out **= p
+    out *= ~zero
+    return out
+
+
+def _fast_phi(terms: np.ndarray, pi: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The fast phi of each row's set: its terms, 0 outside the set, times pi
+    by one matrix-vector product, over pi(S); see :func:`_score_rtol`."""
+    return terms @ pi / mass
+
+
+def _score_rtol(n: int) -> float:
+    """Relative window around a slice's smallest fast phi that holds the
+    fast phi of the first minimum of the term-by-term values.
+
+    Both values of a set start from the same computed terms t_v >= 0 and the
+    same computed pi(S). Let N = sum_v t_v pi(v) exactly and u = eps / 2.
+    The term-by-term value rounds each product t_v pi(v) and sums the n of
+    them in numpy's order; the fast value is one BLAS dot product, whose
+    order and fused multiply-adds are the library's. For nonnegative terms
+    either is within gamma_n = n u / (1 - n u) of N in any order (Higham,
+    Accuracy and Stability of Numerical Algorithms, sections 3.1 and 4.2),
+    and the division by pi(S) adds one rounding. No product underflows when
+    pi >= 2^-400, so a value is 0 iff N is. The two values of one set are
+    then within a relative 2 gamma_n + 2u + O(u^2) = (n + 1) eps + O(eps^2)
+    of each other, below kappa = (n + 2) eps.
+
+    Let F be the fast minimum, at a set T, and S the first minimum of the
+    term-by-term values. Then ref(S) <= ref(T) <= F (1 + kappa) and
+    fast(S) <= ref(S) (1 + kappa) <= F (1 + kappa)^2, about F (1 + 2 kappa).
+    The window is 4 kappa, so it holds S while each fast value is within
+    about 2 kappa of its term-by-term value, twice the bound. S is the first
+    minimum of the sets in the window too: a set before it with the same
+    value would be the first minimum of the slice.
+    """
+    return 4.0 * (n + 2) * float(np.finfo(float).eps)
 
 
 def _usable_cpus() -> int:

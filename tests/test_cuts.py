@@ -354,6 +354,49 @@ def test_exact_minima_match_blocked_enumerator_where_pi_is_tiny():
     _assert_same_minima(c, [0.0, 0.5, 0.6, 0.9, 1.0])
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(c=_exact_chains(), ps=st.lists(st.sampled_from(EXACT_PS[1:]), min_size=1, max_size=6))
+def test_fast_phi_is_within_the_bound_of_the_term_by_term_phi(c, ps):
+    # at every p > 0, each set's fast phi (one matrix-vector product) is
+    # within a relative kappa = _score_rtol(n) / 4 of its term-by-term phi,
+    # and so 0 only where that is 0; the window of 4 kappa rests on it
+    kappa = cuts._score_rtol(c.n) / 4
+    fast_phi, sets = cuts._fast_phi, []
+
+    def checked(terms, pi, mass):
+        fast = fast_phi(terms, pi, mass)
+        ref = (terms * pi).sum(axis=1) / mass
+        assert np.all(np.abs(fast - ref) <= kappa * ref)
+        sets.append(mass.size)
+        return fast
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cuts, "_fast_phi", checked)
+        _assert_same_minima(c, ps)
+    assert sum(sets) > 0
+
+
+@pytest.mark.parametrize(
+    "c",
+    [gen_cycle(12), gen_cycle(17), gen_hypercube(4), gen_dumbbell(5), gen_dumbbell(9)],
+    ids=["cycle12", "cycle17", "hypercube4", "dumbbell5", "dumbbell9"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_minima_hold_when_every_fast_phi_is_off_by_the_bound(monkeypatch, c, seed):
+    # each fast phi moved up or down by the whole bound kappa, at random: the
+    # window still holds every slice's first minimum among tied sets, so the
+    # minima are bit-identical
+    kappa = cuts._score_rtol(c.n) / 4
+    fast_phi, rng = cuts._fast_phi, np.random.default_rng(seed)
+
+    def off(terms, pi, mass):
+        return fast_phi(terms, pi, mass) * (1.0 + kappa * rng.choice([-1.0, 1.0], size=mass.size))
+
+    monkeypatch.setattr(cuts, "_usable_cpus", lambda: 1)  # one order of draws
+    monkeypatch.setattr(cuts, "_fast_phi", off)
+    _assert_same_minima(c, EXACT_PS)
+
+
 def _solved_and_oracle_chains():
     for n, up in ((8, 1e-6), (8, 5e-3), (12, 5e-5), (14, 5e-7), (14, 5e-9)):
         P = birth_death_matrix(n, up, 0.5)
