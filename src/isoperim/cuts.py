@@ -16,22 +16,23 @@ Each block of the high bits adds its own vertices, +inf for those it leaves
 out, so the crossing mass max(P(v, V) - P(v, S), 0) is 0 outside S; for
 p = 0, v is on the boundary iff it is in S and the bitmask of its entries
 above STRUCTURAL_ZERO has a bit outside S's mask. Each block keeps only its
-admissible sets and scores those in slices of 2^12 sets, taken in turn by
-the calling thread and, when a block has more than one slice, by up to one
-thread per CPU in the process's affinity mask (no setting; the results are
-identical on any number of CPUs). For p > 0 a slice takes a fast phi_p of
-every set from one matrix-vector product with pi and scores again, term by
-term, only the sets within a rounding window of its fast minimum, so the
-values and the winner are those of scoring every set term by term; p = 0 is
-scored term by term on every set. Ties are broken toward the smallest
-bitmask. An exponent p in (1/2, 1) is scored only on the sets
-of a slice that the power-mean bracket
+admissible sets and runs the bulk kernels on them in slices of 2^12 sets,
+taken in turn by the calling thread and, when a block has more than one
+slice, by up to one thread per CPU in the process's affinity mask (no
+setting; the results are identical on any number of CPUs). The threads run
+only long numpy calls: the crossing masses, p = 0 scored term by term on
+every set, and for p > 0 a fast phi_p of every set from one matrix-vector
+product with pi. The calling thread then scores again, term by term, only
+the sets within a rounding window of the block's fast minimum, so the
+values and the winner are those of scoring every set term by term. Ties are
+broken toward the smallest bitmask. An exponent p in (1/2, 1) is scored
+only on the sets of a block that the power-mean bracket
 
     max(phi_1, phi_{1/2}^{2p}) <= phi_p <= phi_1^p
 
 (x^p >= x on [0, 1], and M_{1/2} <= M_p <= M_1 for the pi-weighted means of
 P(v, S-bar) over S), read on the fast phi_{1/2} and phi_1, cannot rule out
-as the slice's first minimum; phi_{1/2} and phi_1 take numpy's sqrt and
+as the block's first minimum; phi_{1/2} and phi_1 take numpy's sqrt and
 identity fast paths, and a general power costs several times as much.
 
 The sweep cut takes the best of the distinct level sets of the truncated
@@ -172,22 +173,23 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     above STRUCTURAL_ZERO outside S's mask, and 0 otherwise. Ties go to the
     smallest bitmask.
 
-    A slice scores an exponent p > 0 in two steps. The fast value of each
+    A block scores an exponent p > 0 in two steps. The fast value of each
     set is one matrix-vector product of its terms with pi, divided by pi(S).
     The sets whose fast value is within a relative ``_score_rtol(n)`` of the
-    slice's smallest are scored again term by term: each term times pi(v),
-    summed along the row by numpy, divided by pi(S). Only these values are
-    compared and kept, and the window holds the first minimum of them over
-    the whole slice, so the values and the winner are bit-identical to
-    scoring every set term by term, however the BLAS orders its sums. p = 0
-    is scored term by term on every set: on a dense chain most sets tie at
-    phi_0 = 1, and the window would keep them all.
+    block's smallest are scored again term by term: their crossing masses
+    are built again, and each term times pi(v) is summed along the row by
+    numpy and divided by pi(S). Only these values are compared and kept, and
+    the window holds the first minimum of them over the whole block, so the
+    values and the winner are bit-identical to scoring every set term by
+    term, however the BLAS orders its sums. p = 0 is scored term by term on
+    every set: on a dense chain most sets tie at phi_0 = 1, and the window
+    would keep them all.
 
-    When ``ps`` holds an exponent p in (1/2, 1), each slice takes the fast
+    When ``ps`` holds an exponent p in (1/2, 1), each block takes the fast
     phi_{1/2} and phi_1 of all its sets (once, also when ``ps`` asks for
     them) and scores p, term by term, only on the sets whose lower bound
     max(phi_1, phi_{1/2}^{2p}) is within a relative ``_bracket_rtol(n)`` of
-    the slice's smallest upper bound min phi_1^p; so the general power is
+    the block's smallest upper bound min phi_1^p; so the general power is
     taken on those few sets alone. Where some pi(v) is below 2^-400 a
     product could underflow and neither window would hold, so every set is
     scored term by term.
@@ -196,11 +198,16 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     ``_SCORE_ROWS``, which the calling thread and, when the block has more
     than one slice, up to one more thread per CPU in the process's affinity
     mask (at most one per slice, from a pool made at most once per call)
-    take one at a time in mask order. So a call's peak memory is small and
-    does not depend on how the threads interleave, and a thread that is
-    slow to run leaves its share to the others. There is no setting. Each
-    set's arithmetic does not depend on the slicing and the slices are
-    folded in mask order, so the minima are identical on any number of CPUs.
+    take one at a time in mask order. A slice runs only the bulk kernels,
+    long numpy calls that release the GIL: its crossing masses, the first
+    minimum of each exponent scored on every set, its largest crossing mass
+    and the fast values. The calling thread then chooses the windows and the
+    bracket once per block, over the block's fast values, and scores their
+    sets. So a call's peak memory is small and does not depend on how the
+    threads interleave, and a thread that is slow to run leaves its share to
+    the others. There is no setting. Each set's arithmetic does not depend on
+    the slicing, and the slices and blocks are folded in mask order, so the
+    minima are identical on any number of CPUs.
     """
     ps = list(dict.fromkeys(_validate_p(p) for p in ps))
     check_exact(c.n)
@@ -208,8 +215,8 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     low = min(n, _BLOCK_BITS)
     mass_low = _subset_sums(pi[:low])
     R_low = _subset_sums(P[:, :low].T)  # R_low[m, v] = P(v, m), or inf for v < low outside m
-    for b in range(low):
-        R_low[(np.arange(1 << low) >> b & 1) == 0, b] = np.inf
+    for b in range(low):  # the masks without bit b, as a strided view
+        R_low.reshape(1 << (low - b - 1), 2, 1 << b, n)[:, 0, :, b] = np.inf
     rowsum = P.sum(axis=1)
     nbr = (P > STRUCTURAL_ZERO) @ (1 << np.arange(n))  # bitmask of each row's support
     # with pi >= 2^-400 every nonzero pi(v) x_v^q and phi_{1/2}^{2p} is a normal
@@ -217,64 +224,70 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     # near 1, is at least 2^-54
     normal = pi.min() >= 2.0**-400
     bracket = normal and any(0.5 < p < 1.0 for p in ps)
+    windowed = [p for p in ps if normal and p > 0.0]
+    every = [p for p in ps if p not in windowed]  # scored term by term on every set
+    # exponents with a fast value, 1/2 last: its sqrt overwrites the crossing masses
+    fast_ps = {p for p in windowed if not 0.5 < p < 1.0} | ({0.5, 1.0} if bracket else set())
+    fast_ps = sorted(fast_ps, key=lambda p: (p == 0.5, p))
     rtol = _bracket_rtol(n)
     score_rtol = _score_rtol(n)
 
-    def score(rows: np.ndarray, mass: np.ndarray, hi_cross: np.ndarray, hi_mask: int) -> list[tuple[float, int]]:
-        """(phi, low mask) of each exponent's first minimum over ``rows``, one
-        contiguous slice of a block's admissible rows, with the term-by-term
-        phi; numpy calls only, so a worker thread runs it without the GIL for
-        most of its time."""
+    def crossing(rows: np.ndarray, hi_cross: np.ndarray) -> np.ndarray:
+        """P(v, V) - P(v, S) of each row's set S, -inf for v outside S."""
         cross = np.take(R_low, rows, axis=0)
         cross += hi_cross
-        np.subtract(rowsum, cross, out=cross)  # -inf outside the set
-        terms = {}  # p: the terms of every set, x_v^p or for p = 0 whether v is on the boundary
-        if 0.0 in ps:
-            terms[0.0] = (cross > -np.inf) & ((nbr & ~(rows | hi_mask)[:, None]) != 0)
+        return np.subtract(rowsum, cross, out=cross)
+
+    def bulk(rows: np.ndarray, mass: np.ndarray, hi_cross: np.ndarray, hi_mask: int) -> tuple:
+        """The bulk kernels of ``rows``, one contiguous slice of a block's
+        admissible rows: the term-by-term first minimum (phi, index) of each
+        exponent of ``every``, the largest crossing mass and the fast phi of
+        each exponent of ``fast_ps``. Long numpy calls only, so a worker
+        thread runs it without the GIL for most of its time."""
+        cross = crossing(rows, hi_cross)
+        if 0.0 in every:  # whether v is on the boundary
+            boundary = (cross > -np.inf) & ((nbr & ~(rows | hi_mask)[:, None]) != 0)
         np.maximum(cross, 0.0, out=cross)
-        fast = {}  # p: the fast phi of every set
+        found = [_first_minimum(_powers(cross, p) if p else boundary, pi, mass) for p in every]
+        top = float(cross.max()) if bracket else 0.0
+        fast = [_fast_phi(np.sqrt(cross, out=cross) if p == 0.5 else _powers(cross, p), pi, mass) for p in fast_ps]
+        return found, top, fast
 
-        def terms_of(p: float) -> np.ndarray:
-            if p not in terms:
-                terms[p] = _powers(cross, p)
-            return terms[p]
-
-        def fast_phi(p: float) -> np.ndarray:
-            if p not in fast:
-                fast[p] = _fast_phi(terms_of(p), pi, mass)
-            return fast[p]
-
-        if bracket:
-            top = max(1.0, float(cross.max()))  # x**p >= x / top on [0, top]
-        found = []
-        for p in ps:
-            if bracket and 0.5 < p < 1.0:
-                ub = float(fast_phi(1.0).min()) ** p * (1.0 + rtol)
-                near = np.flatnonzero(fast_phi(1.0) <= ub * top)
-                near = near[fast_phi(0.5)[near] ** (2.0 * p) <= ub]
-                x = _powers(cross[near], p)
-            else:
-                # every set where pi is too small for the window, and at p = 0,
-                # where most sets of a dense chain tie at phi_0 = 1 and would
-                # all fall in the window
-                near = ...
-                if normal and p > 0.0:
-                    phi = fast_phi(p)
-                    near = np.flatnonzero(phi <= phi.min() * (1.0 + score_rtol))
-                x = terms_of(p)[near]
-            phi = (x * pi).sum(axis=1) / mass[near]  # the sets near the minimum, term by term
-            j = int(np.argmin(phi))
-            found.append((phi[j], int(rows[near][j])))
-        return found
-
-    def drain(tickets: Iterator[int], slices: list, block: tuple, found: list) -> None:
-        """Score the next unscored slice of the block until none is left."""
+    def drain(tickets: Iterator[int], slices: list, block: tuple, parts: list) -> None:
+        """Run the bulk kernels of the next slice of the block until none is left."""
         for i in tickets:
             if i >= len(slices):
                 return
-            found[i] = score(*slices[i], *block)
+            parts[i] = bulk(*slices[i], *block)
 
     best = {p: (math.inf, -1) for p in ps}
+
+    def fold(p: float, phi: float, mask: int) -> None:
+        """Keep the first minimum, the masks coming in ascending order."""
+        if phi < best[p][0]:
+            best[p] = float(phi), mask
+
+    def choose(rows: np.ndarray, mass: np.ndarray, slices: list, parts: list, hi_cross: np.ndarray, hi_mask: int) -> None:
+        """Fold one block's first minima once its slices have run: those of
+        ``every``, then for each windowed exponent the sets of its window or
+        bracket over the block's fast values, scored again term by term. The
+        block's fast values are freed on return, before the next block runs."""
+        founds, tops, fasts = zip(*parts)
+        for (part_rows, _), found in zip(slices, founds):
+            for p, (phi, j) in zip(every, found):
+                fold(p, phi, hi_mask | int(part_rows[j]))
+        fast = dict(zip(fast_ps, map(np.concatenate, zip(*fasts))))
+        top = max(1.0, *tops)  # x**p >= x / top on [0, top]
+        for p in windowed:
+            if 0.5 < p < 1.0:  # the bracket
+                ub = float(fast[1.0].min()) ** p * (1.0 + rtol)
+                near = np.flatnonzero(fast[1.0] <= ub * top)
+                near = near[fast[0.5][near] ** (2.0 * p) <= ub]
+            else:
+                near = np.flatnonzero(fast[p] <= fast[p].min() * (1.0 + score_rtol))
+            phi, j = _rescore(crossing(rows[near], hi_cross), p, pi, mass[near])
+            fold(p, phi, hi_mask | int(rows[near[j]]))
+
     workers = _usable_cpus()
     pool = None
     try:
@@ -285,36 +298,50 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
             keep = mass <= 0.5 + MASS_SLACK
             keep[0] &= hi > 0  # the empty set
             rows = np.flatnonzero(keep)
+            if rows.size == 0:
+                continue
             mass = mass[rows]
             hi_cross = P[:, bits].sum(axis=1)
             hi_cross[low:][held == 0] = np.inf
             block = (hi_cross, hi << low)
             slices = [(rows[i : i + _SCORE_ROWS], mass[i : i + _SCORE_ROWS]) for i in range(0, rows.size, _SCORE_ROWS)]
-            found = [None] * len(slices)
+            parts = [None] * len(slices)
             tickets = itertools.count()  # next() on it is atomic under the GIL
             threads = min(workers, len(slices))
             if threads > 1 and pool is None:
                 from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import
 
                 pool = ThreadPoolExecutor(workers - 1)
-            pending = [pool.submit(drain, tickets, slices, block, found) for _ in range(threads - 1)]
-            drain(tickets, slices, block, found)
+            pending = [pool.submit(drain, tickets, slices, block, parts) for _ in range(threads - 1)]
+            drain(tickets, slices, block, parts)
             for f in pending:
                 f.result()
-            for part in found:  # ascending masks: the first minimum wins ties
-                for p, (phi, mask) in zip(ps, part):
-                    if phi < best[p][0]:
-                        best[p] = float(phi), hi << low | mask
+            choose(rows, mass, slices, parts, *block)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return {p: _evaluate_set(c, np.flatnonzero(mask >> np.arange(n) & 1), p, "exact") for p, (_, mask) in best.items()}
 
 
+def _first_minimum(terms: np.ndarray, pi: np.ndarray, mass: np.ndarray) -> tuple[float, int]:
+    """(phi, index) of the first minimum over the rows of ``terms``, term by
+    term: each term times pi(v), summed along the row by numpy, over pi(S)."""
+    phi = (terms * pi).sum(axis=1) / mass
+    j = int(np.argmin(phi))
+    return phi[j], j
+
+
+def _rescore(cross: np.ndarray, p: float, pi: np.ndarray, mass: np.ndarray) -> tuple[float, int]:
+    """(phi, index) of the first minimum of phi_p, p > 0, term by term over
+    the sets of a block's window, from their crossing masses built again."""
+    np.maximum(cross, 0.0, out=cross)
+    return _first_minimum(_powers(cross, p), pi, mass)
+
+
 def _bracket_rtol(n: int) -> float:
-    """Relative window around a slice's smallest upper bound phi_1^p that
+    """Relative window around a block's smallest upper bound phi_1^p that
     holds the lower bounds max(phi_1 / top, phi_{1/2}^{2p}) of its first
-    minimum of phi_p, top being the largest crossing mass or 1.
+    minimum of phi_p, top being the block's largest crossing mass or 1.
 
     The bracket reads the fast phi_{1/2} and phi_1 of every set (see
     :func:`_score_rtol`) and the term-by-term phi_p of the sets it keeps.
@@ -352,7 +379,7 @@ def _fast_phi(terms: np.ndarray, pi: np.ndarray, mass: np.ndarray) -> np.ndarray
 
 
 def _score_rtol(n: int) -> float:
-    """Relative window around a slice's smallest fast phi that holds the
+    """Relative window around a block's smallest fast phi that holds the
     fast phi of the first minimum of the term-by-term values.
 
     Both values of a set start from the same computed terms t_v >= 0 and the
@@ -373,7 +400,9 @@ def _score_rtol(n: int) -> float:
     The window is 4 kappa, so it holds S while each fast value is within
     about 2 kappa of its term-by-term value, twice the bound. S is the first
     minimum of the sets in the window too: a set before it with the same
-    value would be the first minimum of the slice.
+    value would be the first minimum of the block. Nothing here depends on
+    which sets are compared, so the window holds over a block as over any
+    collection of sets.
     """
     return 4.0 * (n + 2) * float(np.finfo(float).eps)
 

@@ -48,18 +48,21 @@ class SpectralCertificate:
 
 def symmetric_eigensolve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix, eigenvalues ascending,
-    as (eigenvalues, orthonormal columns Q). The input is symmetrized as
-    (M + M^T)/2 before solving; gross asymmetry is rejected as a caller bug."""
+    as (eigenvalues, orthonormal columns Q). An input that is not symmetric
+    bit for bit is symmetrized as (M + M^T)/2 before solving, which leaves a
+    symmetric one unchanged; gross asymmetry is rejected as a caller bug."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InputError("matrix has non-finite entries")
-    norm = np.linalg.norm(M)
-    if norm > 0 and np.linalg.norm(M - M.T) > 1e-6 * norm:
-        raise InputError("matrix is not symmetric within tolerance")
+    if not np.array_equal(M.view(np.int64), M.T.view(np.int64)):
+        norm = np.linalg.norm(M)
+        if norm > 0 and np.linalg.norm(M - M.T) > 1e-6 * norm:
+            raise InputError("matrix is not symmetric within tolerance")
+        M = 0.5 * (M + M.T)
     try:
-        w, Q = np.linalg.eigh(0.5 * (M + M.T))
+        w, Q = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
     return w, Q
@@ -67,7 +70,10 @@ def symmetric_eigensolve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _similarity(c: MarkovChain) -> np.ndarray:
     """S = Pi^{1/2} P Pi^{-1/2}, symmetric when c is reversible."""
-    return (np.sqrt(c.pi)[:, None] * c.P) / np.sqrt(c.pi)[None, :]
+    sqrt_pi = np.sqrt(c.pi)
+    S = sqrt_pi[:, None] * c.P
+    S /= sqrt_pi
+    return S
 
 
 def _certificate(c: MarkovChain, chung: SpectralCertificate | None = None) -> SpectralCertificate:
@@ -112,8 +118,12 @@ def chung_laplacian(c: MarkovChain) -> np.ndarray:
     L = I - (Pi^{1/2} P Pi^{-1/2} + Pi^{-1/2} P^T Pi^{1/2}) / 2; the smallest
     eigenvalue is 0 with eigenvector Pi^{1/2} 1.
     """
-    S = _similarity(c)
-    return np.eye(c.n) - 0.5 * (S + S.T)
+    L = _similarity(c)
+    L += L.T.copy()
+    L *= 0.5
+    np.subtract(0.0, L, out=L)  # 0 - h off the diagonal keeps each zero's sign
+    L.flat[:: c.n + 1] += 1.0  # -h + 1 is 1 - h
+    return L
 
 
 def lambda2_directed(c: MarkovChain) -> SpectralCertificate:

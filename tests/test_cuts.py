@@ -376,25 +376,44 @@ def test_fast_phi_is_within_the_bound_of_the_term_by_term_phi(c, ps):
     assert sum(sets) > 0
 
 
-@pytest.mark.parametrize(
-    "c",
-    [gen_cycle(12), gen_cycle(17), gen_hypercube(4), gen_dumbbell(5), gen_dumbbell(9)],
-    ids=["cycle12", "cycle17", "hypercube4", "dumbbell5", "dumbbell9"],
-)
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_exact_minima_hold_when_every_fast_phi_is_off_by_the_bound(monkeypatch, c, seed):
-    # each fast phi moved up or down by the whole bound kappa, at random: the
-    # window still holds every slice's first minimum among tied sets, so the
-    # minima are bit-identical
+def _fast_phi_off_by_the_bound(monkeypatch, c, seed):
+    """Move each fast phi up or down by the whole bound kappa, at random."""
     kappa = cuts._score_rtol(c.n) / 4
     fast_phi, rng = cuts._fast_phi, np.random.default_rng(seed)
 
     def off(terms, pi, mass):
         return fast_phi(terms, pi, mass) * (1.0 + kappa * rng.choice([-1.0, 1.0], size=mass.size))
 
-    monkeypatch.setattr(cuts, "_usable_cpus", lambda: 1)  # one order of draws
     monkeypatch.setattr(cuts, "_fast_phi", off)
+
+
+_OFF_BY_THE_BOUND = pytest.mark.parametrize(
+    "c",
+    [gen_cycle(12), gen_cycle(17), gen_hypercube(4), gen_dumbbell(5), gen_dumbbell(9)],
+    ids=["cycle12", "cycle17", "hypercube4", "dumbbell5", "dumbbell9"],
+)
+
+
+@_OFF_BY_THE_BOUND
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_minima_hold_when_every_fast_phi_is_off_by_the_bound(monkeypatch, c, seed):
+    # each fast phi moved up or down by the whole bound kappa, at random: the
+    # window still holds every block's first minimum among tied sets, so the
+    # minima are bit-identical
+    _fast_phi_off_by_the_bound(monkeypatch, c, seed)
+    monkeypatch.setattr(cuts, "_usable_cpus", lambda: 1)  # one order of draws
     _assert_same_minima(c, EXACT_PS)
+
+
+@_OFF_BY_THE_BOUND
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_minima_hold_when_every_fast_phi_is_off_by_the_bound_across_threads(monkeypatch, c, seed):
+    # the same with every block split across three threads, so that a
+    # block's fast minimum and its term-by-term first minimum can fall in
+    # different slices; the threads draw the signs in any order
+    _fast_phi_off_by_the_bound(monkeypatch, c, seed)
+    with _split_every_block(c, 3):
+        _assert_same_minima(c, EXACT_PS)
 
 
 def _solved_and_oracle_chains():
@@ -489,6 +508,45 @@ def test_exact_minima_start_no_thread_without_a_split(monkeypatch, cpus, score_r
         monkeypatch.setattr(cuts, "_SCORE_ROWS", score_rows)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     _assert_same_minima(gen_random_reversible(n, density=0.5, seed=5), [0.0, 0.5, 1.0])
+
+
+def _heavy_last_vertex():
+    """A random walk on 18 states whose last vertex holds more than half of
+    pi, so that the blocks holding it have no admissible set."""
+    W = np.random.default_rng(18).random((18, 18))
+    W = W + W.T
+    W[-1, -1] = 2.0 * W.sum()
+    return chain_from_matrix(W / W.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [gen_random_reversible(18, density=0.5, seed=3), gen_random_directed(17, density=0.5, seed=4), _heavy_last_vertex(), gen_cycle(12)],
+    ids=["rev18", "dir17", "heavy18", "cycle12"],
+)
+@pytest.mark.parametrize("cpus, score_rows", [(1, None), (1, 5), (2, 64), (3, 700)])
+def test_exact_minima_rescore_once_per_block_and_windowed_exponent(monkeypatch, c, cpus, score_rows):
+    # the windows and the bracket are chosen once per block, by the calling
+    # thread: one term-by-term scoring per nonempty block and exponent p > 0,
+    # however many slices and threads the block is cut into; p = 0 is scored
+    # in the slices
+    ps = [0.0, 0.3, 0.5, 0.75, 1.0]
+    low = min(c.n, cuts._BLOCK_BITS)
+    held = [c.pi[low + np.flatnonzero(hi >> np.arange(c.n - low) & 1)].sum() for hi in range(1 << (c.n - low))]
+    blocks = sum(mass <= 0.5 + 1e-12 for mass in held)  # blocks with an admissible set
+    assert (blocks < 1 << (c.n - low)) == (c.pi[-1] > 0.5)  # heavy18 has empty blocks
+    rescore, calls = cuts._rescore, []
+
+    def counted(cross, p, pi, mass):
+        calls.append(p)
+        return rescore(cross, p, pi, mass)
+
+    monkeypatch.setattr(cuts, "_usable_cpus", lambda: cpus)
+    if score_rows is not None:
+        monkeypatch.setattr(cuts, "_SCORE_ROWS", score_rows)
+    monkeypatch.setattr(cuts, "_rescore", counted)
+    _assert_same_minima(c, ps)
+    assert sorted(calls) == sorted(ps[1:] * blocks)
 
 
 def test_cauchy_schwarz_ten_thousand_random_sets():

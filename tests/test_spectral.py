@@ -129,6 +129,39 @@ def test_zero_eigenvalue_with_sqrt_pi_direction():
         assert abs(w[0]) <= 1e-10
 
 
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("n, density, seed", [(3, 1.0, 0), (9, 0.3, 1), (24, 0.5, 2), (60, 0.2, 3)])
+def test_chung_laplacian_and_eigensolve_keep_the_bits_of_the_old_formulas(directed, n, density, seed):
+    # L built in place and L solved without symmetrizing it again give the
+    # bits of eye - (S + S^T) / 2 and of eigh((L + L^T) / 2), signed zeros
+    # included
+    c = (gen_random_directed if directed else gen_random_reversible)(n, density=density, seed=seed)
+    S = (np.sqrt(c.pi)[:, None] * c.P) / np.sqrt(c.pi)[None, :]
+    L_old = np.eye(n) - 0.5 * (S + S.T)
+    w_old, Q_old = np.linalg.eigh(0.5 * (L_old + L_old.T))
+    L = chung_laplacian(c)
+    w, Q = symmetric_eigensolve(L)
+    assert np.array_equal(_bits(L), _bits(L_old))
+    assert np.array_equal(_bits(w), _bits(w_old))
+    assert np.array_equal(_bits(Q), _bits(Q_old))
+
+
+def test_eigensolve_symmetrizes_a_nearly_symmetric_matrix_and_refuses_a_skewed_one():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((12, 12))
+    M = A + A.T + 1e-12 * rng.standard_normal((12, 12))
+    w, Q = symmetric_eigensolve(M)
+    w_old, Q_old = np.linalg.eigh(0.5 * (M + M.T))
+    assert np.array_equal(_bits(w), _bits(w_old))
+    assert np.array_equal(_bits(Q), _bits(Q_old))
+    with pytest.raises(InputError, match="not symmetric"):
+        symmetric_eigensolve(A + A.T + 1e-3 * np.triu(A, 1))
+
+
 def test_truncated_eigenvector_two_state(two_state):
     cert = lambda2_reversible(two_state)
     f = truncated_eigenvector(cert, two_state)

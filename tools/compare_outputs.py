@@ -48,9 +48,10 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
   enumerator splits across threads, and on a dense transition matrix of two
   pairs of states with an entry of 5e-16 between them, which is below the
   structural zero and so is no boundary;
-- ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1 on a random
-  reversible chain on 24 states, the default exact cap: 256 blocks of the
-  high bits, each split across threads;
+- ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1, and at p = 0.6
+  and 0.9 (the bracket without 1/2 and 1), on a random reversible chain on
+  24 states, the default exact cap: 256 blocks of the high bits, each split
+  across threads;
 - ``scan`` on every n from 8 to 300, odd and even, and on 4095 and the cap
   65536, beyond the benchmark's five sizes;
 - ``analyze`` on valid files laid out in the ways the readers accept:
@@ -364,6 +365,7 @@ def build_plan(work: str) -> list[dict]:
     inputs.write_random_reversible(path, 24, 0.4, np.random.default_rng(24))
     argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.3,0.5,0.75,1"]
     plan.append({"id": "analyze-exact-rev24", "argv": argv})
+    plan.append({"id": "analyze-exact-rev24-p0.6,0.9", "argv": [*argv[:-1], "0.6,0.9"]})
 
     for name, ns in (("8-300", range(8, 301)), ("4095-65536", (4095, 65536))):
         plan.append({"id": f"scan-{name}", "argv": ["scan", "--n-list", ",".join(map(str, ns)), "--out", "OUT/scan.csv"]})
