@@ -9,14 +9,13 @@ minimizer there; large n uses the analytic circulant eigenvalue and the
 arc-restricted upper bound on phi_half.
 """
 
-from isoperim import arc_phi_half, gen_ht_counterexample, normalizer, phi_p_exact, scaling_scan
+from isoperim import ChainAnalysis, arc_phi_half, gen_ht_counterexample, normalizer, scaling_scan
 
 
 def main():
     print("small n: exact minimum vs best arc (they coincide)")
     for n in (8, 12, 16):
-        chain = gen_ht_counterexample(n)
-        exact = phi_p_exact(chain, 0.5)
+        exact = ChainAnalysis(gen_ht_counterexample(n)).exact(0.5)
         arc = min(arc_phi_half(n, l) for l in range(1, n // 2 + 1))
         print(
             f"  n={n:3d}  C={normalizer(n):.4f}  exact phi_half={exact.phi:.6f} at S={exact.subset}"

@@ -8,15 +8,13 @@ reversible input the directed and reversible eigenvalues coincide.
 """
 
 from isoperim import (
+    ChainAnalysis,
     WeightedGraph,
     chain_from_directed,
     check_chung,
     check_phi_p_upper_bound,
     gen_cycle,
     gen_random_directed,
-    lambda2_directed,
-    lambda2_reversible,
-    sweep_cut,
 )
 
 
@@ -24,27 +22,28 @@ def main():
     ring = chain_from_directed(
         WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)), directed=True)
     )
-    cert = lambda2_directed(ring)
+    a = ChainAnalysis(ring)
+    cert = a.cert(True)
     print(f"directed 3-cycle: pi = {ring.pi.round(4)}, lambda2(Chung) = {cert.lambda2:.4f}")
-    lower, upper = check_chung(ring)
+    lower, upper = check_chung(a)
     print(f"  {lower.name}: {lower.lhs:.4f} <= {lower.rhs:.4f}  holds={lower.holds}")
     print(f"  {upper.name}: {upper.lhs:.4f} <= {upper.rhs:.4f}  holds={upper.holds}")
 
     print("\nrandom strongly connected chains:")
     for seed in range(4):
-        c = gen_random_directed(7, density=0.4, seed=seed)
-        cert = lambda2_directed(c)
-        rep = check_phi_p_upper_bound(c, 0.75, use_directed=True)
-        sw = sweep_cut(c, 0.75, cert)
+        a = ChainAnalysis(gen_random_directed(7, density=0.4, seed=seed))
+        cert = a.cert(True)
+        rep = check_phi_p_upper_bound(a, 0.75, use_directed=True)
+        sw = a.sweep(0.75)  # the level sets of Chung's certificate
         print(
             f"  seed={seed}: lambda2={cert.lambda2:.4f}  phi_.75^2={rep.lhs:.4f} <= {rep.rhs:.4f}"
             f"  holds={rep.holds}  sweep set={sw.subset} phi={sw.phi:.4f}"
         )
 
-    c = gen_cycle(5)
+    a = ChainAnalysis(gen_cycle(5))
     print(
-        f"\nreversible input: lambda2 reversible = {lambda2_reversible(c).lambda2:.12f}"
-        f" vs directed = {lambda2_directed(c).lambda2:.12f} (identical matrices)"
+        f"\nreversible input: lambda2 reversible = {a.cert(False).lambda2:.12f}"
+        f" vs directed = {a.cert(True).lambda2:.12f} (identical matrices)"
     )
 
 

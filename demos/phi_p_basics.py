@@ -7,24 +7,25 @@ exact enumerated minimum with the spectral sweep cut and its guarantee.
 import math
 
 from isoperim import (
+    ChainAnalysis,
     gen_cycle,
     gen_dumbbell,
     gen_hypercube,
-    lambda2_reversible,
     lazy_transform,
-    phi_p_exact,
     phi_p_of_set,
     phi_profile,
-    sweep_cut,
 )
 
 
 def show_chain(name, chain, ps=(0.0, 0.5, 1.0)):
-    cert = lambda2_reversible(chain)
+    # one store per chain: one eigensolve, one enumeration and one sweep
+    # serve every exponent
+    a = ChainAnalysis(chain, ps, ps)
+    cert = a.cert(False)
     print(f"\n{name}: n={chain.n}, lambda2 = {cert.lambda2:.6f}")
     for p in ps:
-        exact = phi_p_exact(chain, p)
-        sweep = sweep_cut(chain, p, cert)
+        exact = a.exact(p)
+        sweep = a.sweep(p)
         line = (
             f"  p={p:<4} exact phi_p = {exact.phi:.6f} at S={exact.subset}"
             f"   sweep = {sweep.phi:.6f} at S={sweep.subset}"

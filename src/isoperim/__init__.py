@@ -38,16 +38,13 @@ from .chains import (
     is_irreducible,
     is_reversible,
     lazy_transform,
-    stationary_distribution,
 )
 from .cuts import (
     CutResult,
     PhiProfile,
     exact_minima,
-    phi_p_exact,
     phi_p_of_set,
     phi_profile,
-    sweep_cut,
     sweep_cuts,
 )
 from .families import (
@@ -70,7 +67,6 @@ from .families import (
     ht_counterexample_graph,
     hypercube_graph,
     hypercube_quantities,
-    kernel_weights,
     normalizer,
     random_directed_graph,
     random_reversible_graph,
@@ -81,8 +77,6 @@ from .io import AnalysisReport, as_chain, emit_report, load_chain, parse_graph, 
 from .spectral import (
     SpectralCertificate,
     chung_laplacian,
-    lambda2_directed,
-    lambda2_reversible,
     symmetric_eigensolve,
     truncated_eigenvector,
     truncated_rayleigh,

@@ -2,17 +2,17 @@
 
 Each checker evaluates one concrete inequality instance on a chain and
 returns a :class:`BoundReport` holding both sides, from which its slack and
-verdict are derived. The checkers take a chain or a :class:`ChainAnalysis`,
-the per-chain store that derives each quantity once: one eigensolve of
-Chung's Laplacian for the certificates of both kinds (the residual taken per
-kind), every exact minimum from one enumeration pass over the exponents the
-run reads, and every sweep cut from one pass over the level sets of the
-chain's own certificate (:attr:`ChainAnalysis.own`). It also holds the one
-rule for the phi_p value a bound uses (exact within the enumeration cap,
-else the sweep cut), and :meth:`ChainAnalysis.expect` routes an exponent to
-the pass that rule reads. :func:`bound_suite` builds both sides' reports
-from one store; the CLI's ``analyze`` and ``verify`` select sides and
-exponents over it.
+verdict are derived. The checkers take a :class:`ChainAnalysis`, the
+per-chain store that derives each quantity once and the one public way to a
+chain's certificates: one eigensolve of Chung's Laplacian for the
+certificates of both kinds (the residual taken per kind), every exact
+minimum from one enumeration pass over the exponents the run reads, and
+every sweep cut from one pass over the level sets of the chain's own
+certificate (:attr:`ChainAnalysis.own`). It also holds the one rule for the
+phi_p value a bound uses (exact within the enumeration cap, else the sweep
+cut), and :meth:`ChainAnalysis.expect` routes an exponent to the pass that
+rule reads. :func:`bound_suite` builds both sides' reports from one store;
+the CLI's ``analyze`` and ``verify`` select sides and exponents over it.
 The gadgets expose the numeric suprema used in the sweep-cut analysis:
 the power-increment sum sup_a sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1})
 (bounded by 1/(2p-1) for p > 1/2) and the telescoping ratio-chain maximum
@@ -30,9 +30,10 @@ import numpy as np
 from .chains import MarkovChain, check_exact, exact_enumeration_cap, is_reversible
 from .cuts import CutResult, exact_minima, sweep_cuts
 from .errors import InputError
-from .spectral import _IRREVERSIBLE, SpectralCertificate, _certificate
+from .spectral import SpectralCertificate, _certificate
 
 DEFAULT_TOL = 1e-9
+_IRREVERSIBLE = "chain fails detailed balance; use ChainAnalysis.cert(True) instead"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,11 +136,7 @@ class ChainAnalysis:
         return self.exact(p) if self.exact_ok else self.sweep(p)
 
 
-def _analysis(c: MarkovChain | ChainAnalysis) -> ChainAnalysis:
-    return c if isinstance(c, ChainAnalysis) else ChainAnalysis(c)
-
-
-def check_phi_p_upper_bound(c: MarkovChain | ChainAnalysis, p: float, use_directed: bool = False) -> BoundReport:
+def check_phi_p_upper_bound(a: ChainAnalysis, p: float, use_directed: bool = False) -> BoundReport:
     """phi_p(P)^2 <= 4 lambda_2 / (2p - 1), for p in (1/2, 1].
 
     lambda_2 is the reversible normalized-Laplacian eigenvalue by default, or
@@ -151,14 +148,13 @@ def check_phi_p_upper_bound(c: MarkovChain | ChainAnalysis, p: float, use_direct
     """
     if not (0.5 < p <= 1.0):
         raise InputError(f"inequality requires p in (1/2, 1], got {p}")
-    a = _analysis(c)
     cert = a.cert(use_directed)
     cut = a.phi(p)
     name = f"phi_p_squared[p={p:g}]" + (":directed" if use_directed else "")
     return BoundReport(name, cut.phi**2, 4.0 * cert.lambda2 / (2.0 * p - 1.0), cut, cert)
 
 
-def check_morris_peres(c: MarkovChain | ChainAnalysis, use_directed: bool = False) -> BoundReport:
+def check_morris_peres(a: ChainAnalysis, use_directed: bool = False) -> BoundReport:
     """lambda_2 >= phi_{1/2}^2 / (8 log(2 / phi_{1/2})).
 
     The constant 8 comes from rearranging the sweep-cut estimate
@@ -169,7 +165,6 @@ def check_morris_peres(c: MarkovChain | ChainAnalysis, use_directed: bool = Fals
     sqrt(P(v, S-bar)), and each crossing mass is at most its row sum, within
     1e-12 of 1, so phi < 2.
     """
-    a = _analysis(c)
     cert = a.cert(use_directed)
     cut = a.exact(0.5)
     phi = cut.phi
@@ -178,10 +173,9 @@ def check_morris_peres(c: MarkovChain | ChainAnalysis, use_directed: bool = Fals
     return BoundReport(name, lhs, cert.lambda2, cut, cert)
 
 
-def check_cheeger(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundReport]:
+def check_cheeger(a: ChainAnalysis) -> tuple[BoundReport, BoundReport]:
     """Classical Cheeger pair for a reversible chain:
     lambda_2 / 2 <= phi_1 and phi_1 <= sqrt(2 lambda_2)."""
-    a = _analysis(c)
     cert = a.cert(False)
     cut = a.phi(1.0)
     easy = BoundReport("cheeger:lower", cert.lambda2 / 2.0, cut.phi, cut, cert)
@@ -189,7 +183,7 @@ def check_cheeger(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundRep
     return easy, hard
 
 
-def check_chung(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundReport]:
+def check_chung(a: ChainAnalysis) -> tuple[BoundReport, BoundReport]:
     """Chung's directed Cheeger pair:
     phi_1^2 / 2 <= lambda_2(L_directed) <= 2 phi_1.
 
@@ -197,7 +191,6 @@ def check_chung(c: MarkovChain | ChainAnalysis) -> tuple[BoundReport, BoundRepor
     is conservative and can report a spurious violation; exact enumeration is
     used whenever n is within the cap.
     """
-    a = _analysis(c)
     cert = a.cert(True)
     cut = a.phi(1.0)
     lower = BoundReport("chung:lower", cut.phi**2 / 2.0, cert.lambda2, cut, cert)
@@ -231,7 +224,7 @@ def bound_suite(
     return reports
 
 
-def conjecture_ratio(c: MarkovChain | ChainAnalysis) -> float:
+def conjecture_ratio(a: ChainAnalysis) -> float:
     """rho = phi_{1/2} / sqrt(lambda_2), the quantity whose boundedness the
     Houdre-Tetali conjecture asserted.
 
@@ -239,7 +232,6 @@ def conjecture_ratio(c: MarkovChain | ChainAnalysis) -> float:
     exponent); unbounded growth of rho along a family refutes the conjectured
     upper bound. phi_{1/2} is computed exactly within the cap, else by sweep.
     """
-    a = _analysis(c)
     return a.phi(0.5).phi / math.sqrt(a.own.lambda2)
 
 

@@ -253,15 +253,6 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
     return _gth(P)
 
 
-def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Unique stationary distribution of an irreducible row-stochastic matrix.
-
-    P is validated as :class:`MarkovChain` validates it, then solved by LU, or
-    by GTH elimination when LU's pi fails the per-entry stationarity check.
-    """
-    return chain_from_matrix(P).pi
-
-
 def chain_from_matrix(P: np.ndarray) -> MarkovChain:
     """Wrap a row-stochastic matrix as a validated chain, computing pi."""
     P = np.asarray(P, dtype=float)

@@ -58,8 +58,9 @@ _FAMILIES = {
 
 
 def _parse_p_list(text: str) -> list[float]:
+    """The exponents of a --p list, each once, in the order they first appear."""
     try:
-        return [_validate_p(tok) for tok in text.split(",") if tok.strip() != ""]
+        return list(dict.fromkeys(_validate_p(tok) for tok in text.split(",") if tok.strip() != ""))
     except ValueError as exc:
         raise InputError(f"bad --p list {text!r}: {exc}") from exc
 

@@ -416,11 +416,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def phi_p_exact(c: MarkovChain, p: float) -> CutResult:
-    """Exact phi_p by enumeration of all admissible subsets (n <= cap)."""
-    return exact_minima(c, [p])[_validate_p(p)]
-
-
 def sweep_cuts(c: MarkovChain, ps: Sequence[float], cert: SpectralCertificate) -> dict[float, CutResult]:
     """Best level set of the truncated second eigenvector for each exponent,
     from one pass over the level sets.
@@ -499,13 +494,6 @@ def _sweep_rtol(n: int) -> float:
     minimum; the window is twice that.
     """
     return max(1e-12, 4.0 * (n + 2) * float(np.finfo(float).eps))
-
-
-def sweep_cut(c: MarkovChain, p: float, cert: SpectralCertificate) -> CutResult:
-    """Best level set of the truncated second eigenvector for one exponent;
-    see :func:`sweep_cuts`."""
-    p = _validate_p(p)
-    return sweep_cuts(c, [p], cert)[p]
 
 
 def sweep_guarantee(cert: SpectralCertificate, p: float) -> float | None:

@@ -77,12 +77,6 @@ def _kernel(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     return w, prefix, math.fsum(w[1:].tolist())
 
 
-def kernel_weights(n: int) -> np.ndarray:
-    """Cyclic kernel w[d] = 1/min(d, n-d)^3 for d = 1..n-1 (w[0] = 0), a
-    writable copy."""
-    return _kernel(n)[0].copy()
-
-
 def normalizer(n: int) -> float:
     """C = sum_{d=1}^{n-1} 1/min(d, n-d)^3, the row weight making P stochastic."""
     return _kernel(n)[2]

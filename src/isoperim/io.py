@@ -309,10 +309,6 @@ class AnalysisReport:
     def to_dict(self) -> dict:
         return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisReport":
-        return cls(**{field.name: d[field.name] for field in dataclasses.fields(cls)})
-
 
 def make_provenance(source: str) -> dict:
     return {"source": source, "tool_version": _version}

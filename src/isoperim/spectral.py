@@ -8,7 +8,8 @@ so I - S is L (Chung, Ann. Comb. 9, 2005): its certificate takes L's
 eigenpair and checks its own residual against I - S. Both kinds are a
 :class:`SpectralCertificate` carrying lambda_2, the unit eigenvector v2 of
 the symmetric matrix, and the reweighted eigenvector f2 = Pi^{-1/2} v2 used
-by the sweep-cut machinery.
+by the sweep-cut machinery. A chain's certificates are read through
+``bounds.ChainAnalysis.cert``, which builds each kind at most once.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import dataclasses
 
 import numpy as np
 
-from .chains import MASS_SLACK, MarkovChain, is_reversible
+from .chains import MASS_SLACK, MarkovChain
 from .errors import InputError, NumericalFailure
 
 _RESIDUAL_TOL = 1e-8
 _ORTHO_TOL = 1e-8
-_IRREVERSIBLE = "chain fails detailed balance; use lambda2_directed instead"
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -100,18 +100,6 @@ def _certificate(c: MarkovChain, chung: SpectralCertificate | None = None) -> Sp
     return SpectralCertificate(lambda2=lambda2, f2=v2 / sqrt_pi, v2=v2, kind=kind, residual=residual)
 
 
-def lambda2_reversible(c: MarkovChain) -> SpectralCertificate:
-    """lambda_2 of I - P for a reversible chain, via the symmetric similarity.
-
-    S = Pi^{1/2} P Pi^{-1/2} is symmetric by detailed balance, so I - S is
-    Chung's Laplacian: its eigenpair, checked against I - S, gives lambda_2
-    and f2 = Pi^{-1/2} v2, an eigenvector of I - P itself.
-    """
-    if not is_reversible(c):
-        raise InputError(_IRREVERSIBLE)
-    return _certificate(c, _certificate(c))
-
-
 def chung_laplacian(c: MarkovChain) -> np.ndarray:
     """Chung's symmetric Laplacian of an irreducible chain.
 
@@ -124,12 +112,6 @@ def chung_laplacian(c: MarkovChain) -> np.ndarray:
     np.subtract(0.0, L, out=L)  # 0 - h off the diagonal keeps each zero's sign
     L.flat[:: c.n + 1] += 1.0  # -h + 1 is 1 - h
     return L
-
-
-def lambda2_directed(c: MarkovChain) -> SpectralCertificate:
-    """lambda_2 of the Chung Laplacian; agrees with lambda2_reversible when
-    the chain is reversible (the two matrices coincide under detailed balance)."""
-    return _certificate(c)
 
 
 def truncated_eigenvector(cert: SpectralCertificate, c: MarkovChain) -> np.ndarray:

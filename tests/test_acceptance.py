@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from isoperim import (
+    ChainAnalysis,
     PartitionBlocks,
     arc_phi_half,
     block_log_sum,
@@ -22,17 +23,14 @@ from isoperim import (
     gen_ht_counterexample,
     gen_hypercube,
     geometric_chain_sum,
-    lambda2_directed,
-    lambda2_reversible,
     lazy_transform,
-    phi_p_exact,
     phi_p_of_set,
     power_increment_supremum,
     scaling_scan,
-    sweep_cut,
     symmetric_eigensolve,
 )
 from conftest import directed_suite, reversible_suite
+from oracles import eigh_certificate
 
 # frozen calibration for criterion 3: scaled columns computed by this
 # implementation at n = 64 and n = 1024, widened by +-20%
@@ -56,11 +54,12 @@ def _suite_data():
         return _CACHE["reversible"]
     t0 = time.perf_counter()
     rows = []
+    exact_ps, sweep_ps = (0.5, 0.6, 0.75, 0.9, 1.0), (0.6, 0.75, 1.0)
     for chain in reversible_suite():
-        cert = lambda2_reversible(chain)
-        exact = exact_minima(chain, [0.5, 0.6, 0.75, 0.9, 1.0])
-        sweeps = {p: sweep_cut(chain, p, cert) for p in (0.6, 0.75, 1.0)}
-        rows.append((chain, cert, exact, sweeps))
+        a = ChainAnalysis(chain, exact_ps, sweep_ps)
+        exact = {p: a.exact(p) for p in exact_ps}
+        sweeps = {p: a.sweep(p) for p in sweep_ps}
+        rows.append((chain, a.cert(False), exact, sweeps))
     elapsed = time.perf_counter() - t0
     _CACHE["reversible"] = (rows, elapsed)
     return _CACHE["reversible"]
@@ -118,7 +117,7 @@ def test_criterion_4_exactness_cross_checks():
     details = []
     for n in (8, 12, 16):
         chain = gen_ht_counterexample(n)
-        exact = phi_p_exact(chain, 0.5).phi
+        exact = exact_minima(chain, [0.5])[0.5].phi
         arc_min = min(arc_phi_half(n, l) for l in range(1, n // 2 + 1))
         floor = 0.5 * math.log(n) / n
         ok &= exact <= arc_min + 1e-12
@@ -161,17 +160,20 @@ def test_criterion_5_sweep_guarantee():
 def test_criterion_6_directed_suite():
     worst = -math.inf
     for chain in directed_suite():
-        lower, upper = check_chung(chain)
+        a = ChainAnalysis(chain, [0.6, 1.0])
+        lower, upper = check_chung(a)
         worst = max(worst, lower.lhs - lower.rhs, upper.lhs - upper.rhs)
-        cert = lambda2_directed(chain)
-        exact = exact_minima(chain, [0.6, 1.0])
         for p in (0.6, 1.0):
-            worst = max(worst, exact[p].phi ** 2 - 4.0 * cert.lambda2 / (2 * p - 1))
+            worst = max(worst, a.exact(p).phi ** 2 - 4.0 * a.cert(True).lambda2 / (2 * p - 1))
+    # both certificates of a reversible chain against eigh of their own matrix
     agree = 0.0
     for chain in reversible_suite(count=20):
-        agree = max(agree, abs(lambda2_directed(chain).lambda2 - lambda2_reversible(chain).lambda2))
+        a = ChainAnalysis(chain)
+        for directed in (False, True):
+            w, _ = eigh_certificate(chain.P, chain.pi, directed)
+            agree = max(agree, abs(a.cert(directed).lambda2 - w[1]))
     ok = worst <= 1e-9 and agree <= 1e-8
-    _line(6, ok, f"100 directed chains, worst inequality gap {worst:.3e}; reversible agreement {agree:.2e}")
+    _line(6, ok, f"100 directed chains, worst inequality gap {worst:.3e}; reversible agreement with eigh {agree:.2e}")
     assert worst <= 1e-9
     assert agree <= 1e-8
 
@@ -182,8 +184,9 @@ def test_criterion_7_lazy_scaling_identities():
     worst_lam = 0.0
     worst_rho = 0.0
     for chain in reversible_suite(count=20):
-        cert = lambda2_reversible(chain)
-        rho = phi_p_exact(chain, 0.5).phi / math.sqrt(cert.lambda2)
+        a = ChainAnalysis(chain)
+        cert = a.cert(False)
+        rho = a.exact(0.5).phi / math.sqrt(cert.lambda2)
         n = chain.n
         masks = range(1, 1 << n) if n <= 9 else rng.integers(1, 1 << n, size=500)
         subsets = []
@@ -194,9 +197,10 @@ def test_criterion_7_lazy_scaling_identities():
         base = {(tuple(s), p): phi_p_of_set(chain, s, p).phi for s in subsets for p in (0.0, 0.5, 1.0)}
         for delta in (0.1, 0.5, 0.9):
             lazy = lazy_transform(chain, delta)
-            lam_gap = abs(lambda2_reversible(lazy).lambda2 - delta * cert.lambda2)
+            b = ChainAnalysis(lazy)
+            lam_gap = abs(b.cert(False).lambda2 - delta * cert.lambda2)
             worst_lam = max(worst_lam, lam_gap)
-            rho_lazy = phi_p_exact(lazy, 0.5).phi / math.sqrt(lambda2_reversible(lazy).lambda2)
+            rho_lazy = b.exact(0.5).phi / math.sqrt(b.cert(False).lambda2)
             worst_rho = max(worst_rho, abs(rho_lazy - rho))
             for s in subsets:
                 for p in (0.0, 0.5, 1.0):
@@ -271,8 +275,8 @@ def test_criterion_10_hypercube():
     for d in (2, 3, 4):
         chain = gen_hypercube(d)
         n = 1 << d
-        phi1 = phi_p_exact(chain, 1.0).phi
-        phi_half = phi_p_exact(chain, 0.5).phi
+        exact = exact_minima(chain, [1.0, 0.5])
+        phi1, phi_half = exact[1.0].phi, exact[0.5].phi
         dictator = [x for x in range(n) if not (x >> (d - 1)) & 1]
         witness = phi_p_of_set(chain, dictator, 0.5).phi
         ok &= abs(phi1 - 1.0 / d) <= 1e-12

@@ -10,7 +10,6 @@ import isoperim.bounds
 import isoperim.spectral
 from isoperim import (
     ChainAnalysis,
-    MarkovChain,
     bound_suite,
     chain_from_matrix,
     check_cheeger,
@@ -26,37 +25,38 @@ from isoperim import (
     gen_random_reversible,
     geometric_chain_sum,
     is_reversible,
-    lambda2_directed,
-    lambda2_reversible,
     lazy_transform,
     power_increment_supremum,
 )
 from isoperim.errors import InputError, TooLarge
+
+# the refusal names the certificate that does not need detailed balance
+_IRREVERSIBLE = "chain fails detailed balance; use ChainAnalysis.cert(True) instead"
 from oracles import birth_death_matrix, birth_death_pi, eigh_certificate, light_cycle_matrix
 
 
 def test_main_bound_two_state(two_state):
-    rep = check_phi_p_upper_bound(two_state, 1.0)
+    rep = check_phi_p_upper_bound(ChainAnalysis(two_state), 1.0)
     assert rep.holds
     assert abs(rep.lhs - 1.0) < 1e-12
     assert abs(rep.rhs - 8.0) < 1e-12
 
 
 def test_main_bound_cycle4(cycle4):
-    rep = check_phi_p_upper_bound(cycle4, 0.75)
+    rep = check_phi_p_upper_bound(ChainAnalysis(cycle4), 0.75)
     assert rep.holds
     assert abs(rep.rhs - 8.0) < 1e-9  # 8 * lambda2 with lambda2 = 1
 
 
 def test_main_bound_rejects_half(two_state):
     with pytest.raises(InputError, match=r"requires p in \(1/2, 1\]"):
-        check_phi_p_upper_bound(two_state, 0.5)
+        check_phi_p_upper_bound(ChainAnalysis(two_state), 0.5)
     with pytest.raises(InputError, match=r"requires p in \(1/2, 1\]"):
-        check_phi_p_upper_bound(two_state, 1.2)
+        check_phi_p_upper_bound(ChainAnalysis(two_state), 1.2)
 
 
 def test_morris_peres_two_state(two_state):
-    rep = check_morris_peres(two_state)
+    rep = check_morris_peres(ChainAnalysis(two_state))
     assert rep.holds
     assert abs(rep.lhs - 1.0 / (8.0 * math.log(2.0))) < 1e-12
     assert abs(rep.rhs - 2.0) < 1e-12
@@ -65,7 +65,7 @@ def test_morris_peres_two_state(two_state):
 def test_morris_peres_lazy_scaling(two_state):
     for delta in (0.1, 0.5):
         lazy = lazy_transform(two_state, delta)
-        rep = check_morris_peres(lazy)
+        rep = check_morris_peres(ChainAnalysis(lazy))
         assert rep.holds
         phi = math.sqrt(delta)
         assert abs(rep.lhs - phi**2 / (8 * math.log(2 / phi))) < 1e-12
@@ -73,70 +73,70 @@ def test_morris_peres_lazy_scaling(two_state):
 
 
 def test_cheeger_two_state_and_cycle(two_state, cycle4):
-    easy, hard = check_cheeger(two_state)
+    easy, hard = check_cheeger(ChainAnalysis(two_state))
     assert easy.holds and hard.holds
     assert abs(easy.lhs - 1.0) < 1e-12 and abs(easy.rhs - 1.0) < 1e-12
     assert abs(hard.rhs - 2.0) < 1e-12
-    easy, hard = check_cheeger(cycle4)
+    easy, hard = check_cheeger(ChainAnalysis(cycle4))
     assert abs(easy.lhs - 0.5) < 1e-10 and abs(easy.rhs - 0.5) < 1e-15
     assert abs(hard.rhs - math.sqrt(2)) < 1e-10
 
 
 def test_chung_directed_cycles(directed_3cycle, directed_4cycle):
-    lower, upper = check_chung(directed_3cycle)
+    lower, upper = check_chung(ChainAnalysis(directed_3cycle))
     assert lower.holds and upper.holds
     assert abs(lower.lhs - 0.5) < 1e-12  # phi_1 = 1 via singletons
     assert abs(lower.rhs - 1.5) < 1e-10
     assert abs(upper.rhs - 2.0) < 1e-12
-    lower, upper = check_chung(directed_4cycle)
+    lower, upper = check_chung(ChainAnalysis(directed_4cycle))
     assert lower.holds and upper.holds
     assert abs(upper.lhs - 1.0) < 1e-10
 
 
 def test_chung_reduces_to_classical_for_reversible(cycle4):
-    lower, upper = check_chung(cycle4)
-    lam_rev = lambda2_reversible(cycle4).lambda2
-    assert abs(lower.rhs - lam_rev) < 1e-8
+    lower, upper = check_chung(ChainAnalysis(cycle4))
+    w, _ = eigh_certificate(cycle4.P, cycle4.pi, False)  # I - S, solved on its own
+    assert abs(lower.rhs - w[1]) < 1e-8
     assert lower.holds and upper.holds
 
 
 def test_conjecture_ratio_two_state(two_state):
-    rho = conjecture_ratio(two_state)
+    rho = conjecture_ratio(ChainAnalysis(two_state))
     assert abs(rho - 1 / math.sqrt(2)) < 1e-12
 
 
 def test_conjecture_ratio_lazy_invariant():
     for seed in range(5):
         c = gen_random_reversible(6, density=0.6, seed=400 + seed)
-        rho = conjecture_ratio(c)
+        rho = conjecture_ratio(ChainAnalysis(c))
         for delta in (0.1, 0.5, 0.9):
-            assert abs(conjecture_ratio(lazy_transform(c, delta)) - rho) < 1e-9
+            assert abs(conjecture_ratio(ChainAnalysis(lazy_transform(c, delta))) - rho) < 1e-9
 
 
 def test_reversible_suite_bounds_hold():
     for seed in range(40):
         n = 3 + seed % 10
-        c = gen_random_reversible(n, density=0.45, seed=7000 + seed)
+        a = ChainAnalysis(gen_random_reversible(n, density=0.45, seed=7000 + seed))
         for p in (0.6, 0.75, 0.9, 1.0):
-            assert check_phi_p_upper_bound(c, p).holds
-        assert check_morris_peres(c).holds
-        easy, hard = check_cheeger(c)
+            assert check_phi_p_upper_bound(a, p).holds
+        assert check_morris_peres(a).holds
+        easy, hard = check_cheeger(a)
         assert easy.holds and hard.holds
 
 
 def test_directed_suite_bounds_hold():
     for seed in range(25):
         n = 3 + seed % 8
-        c = gen_random_directed(n, density=0.45, seed=8000 + seed)
-        lower, upper = check_chung(c)
+        a = ChainAnalysis(gen_random_directed(n, density=0.45, seed=8000 + seed))
+        lower, upper = check_chung(a)
         assert lower.holds and upper.holds
         for p in (0.6, 1.0):
-            assert check_phi_p_upper_bound(c, p, use_directed=True).holds
+            assert check_phi_p_upper_bound(a, p, use_directed=True).holds
 
 
 def test_replaced_report_derives_its_verdict(two_state):
     # slack and holds follow the sides, so a copy with a new lhs is judged anew
-    rep = check_phi_p_upper_bound(two_state, 0.75)
+    rep = check_phi_p_upper_bound(ChainAnalysis(two_state), 0.75)
     assert rep.holds
     bad = dataclasses.replace(rep, lhs=rep.rhs + 1)
     assert bad.holds is False
@@ -144,7 +144,7 @@ def test_replaced_report_derives_its_verdict(two_state):
 
 
 def test_report_fields(two_state):
-    rep = check_phi_p_upper_bound(two_state, 0.75)
+    rep = check_phi_p_upper_bound(ChainAnalysis(two_state), 0.75)
     assert rep.slack == rep.rhs - rep.lhs
     assert rep.holds == (rep.slack >= -rep.tol)
     assert rep.cut.method == "exact"
@@ -218,14 +218,15 @@ def test_ratio_chain_monotone_in_m():
 
 
 def _standalone_suite(c, ps, reversible_side, directed_side, exact_ok):
+    # each check reads a store of its own
     reports = []
     for directed, on in ((False, reversible_side), (True, directed_side)):
         if not on:
             continue
-        reports.extend(check_chung(c) if directed else check_cheeger(c))
+        reports.extend(check_chung(ChainAnalysis(c)) if directed else check_cheeger(ChainAnalysis(c)))
         if exact_ok:
-            reports.append(check_morris_peres(c, use_directed=directed))
-        reports.extend(check_phi_p_upper_bound(c, p, use_directed=directed) for p in ps if 0.5 < p <= 1.0)
+            reports.append(check_morris_peres(ChainAnalysis(c), use_directed=directed))
+        reports.extend(check_phi_p_upper_bound(ChainAnalysis(c), p, use_directed=directed) for p in ps if 0.5 < p <= 1.0)
     return reports
 
 
@@ -322,11 +323,7 @@ def test_chain_analysis_derives_each_quantity_once(monkeypatch):
 
 def _check_derives_each_quantity_once(monkeypatch, directed):
     calls = {"exact_minima": [], "eigh": 0, "is_reversible": 0}
-    for module, name in (
-        (isoperim.bounds, "is_reversible"),
-        (isoperim.spectral, "is_reversible"),
-        (isoperim.spectral.np.linalg, "eigh"),
-    ):
+    for module, name in ((isoperim.bounds, "is_reversible"), (isoperim.spectral.np.linalg, "eigh")):
         real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name):
@@ -367,37 +364,27 @@ def test_chain_analysis_keeps_the_reversible_refusal(directed_first):
     # chain in either read order, and Chung's certificate still succeeds
     c = chain_from_matrix(light_cycle_matrix())
     assert not is_reversible(c) and c.pi.min() < 1e-11
-    with pytest.raises(InputError, match="fails detailed balance") as want:
-        lambda2_reversible(c)
     a = ChainAnalysis(c)
     if directed_first:
         a.cert(True)
     for _ in range(2):
         with pytest.raises(InputError) as got:
             a.cert(False)
-        assert str(got.value) == str(want.value)
-    _assert_same_certificate(a.cert(True), lambda2_directed(c))
+        assert str(got.value) == _IRREVERSIBLE
+    _assert_matches_the_oracle(a.cert(True), *eigh_certificate(c.P, c.pi, True))
 
 
 @pytest.mark.parametrize("n, up", [(8, 1e-6), (16, 5e-5), (24, 5e-9)])
 def test_birth_death_certificates_agree_with_the_closed_form_pi(n, up):
     # pi right to every entry makes I - S symmetric, so both certificates
-    # succeed; each matches the one built on the closed-form pi
+    # succeed; each matches eigh of Chung's L built on the closed-form pi
     P = birth_death_matrix(n, up, 0.5)
     a = ChainAnalysis(chain_from_matrix(P))
-    oracle = MarkovChain(n=n, P=P, pi=birth_death_pi(n, up, 0.5))
-    want = lambda2_directed(oracle).lambda2
+    want = eigh_certificate(P, birth_death_pi(n, up, 0.5), True)[0][1]
     for directed in (False, True):
         assert abs(a.cert(directed).lambda2 / want - 1) <= 1e-12
     if n == 8:
         assert abs(want - 0.498694) < 1e-6
-
-
-def _assert_same_certificate(got, want):
-    assert got.lambda2 == want.lambda2
-    assert np.array_equal(got.v2, want.v2) and np.array_equal(got.f2, want.f2)
-    assert got.kind == want.kind
-    assert got.residual == want.residual
 
 
 def _oracle_chains():
@@ -408,38 +395,33 @@ def _oracle_chains():
     return chains
 
 
-@pytest.mark.parametrize("order", [(False, True), (True, False)])
-def test_chain_analysis_certificates_match_the_standalone_solves(order):
-    for c in _oracle_chains():
-        a = ChainAnalysis(c)
-        for directed in order if a.reversible else (True,):
-            want = lambda2_directed(c) if directed else lambda2_reversible(c)
-            _assert_same_certificate(a.cert(directed), want)
-
-
 def test_chain_analysis_certificates_match_the_eigh_oracle():
     # I - S and Chung's L built entry by entry from P and pi, each solved by
-    # its own eigh; v2 is compared up to sign where lambda2 is simple
+    # its own eigh; v2 is compared up to sign where lambda2 is simple. A
+    # reversible chain's certificates are read in both orders
     for c in _oracle_chains() + [chain_from_matrix(light_cycle_matrix())]:
-        a = ChainAnalysis(c)
-        for directed in (False, True) if a.reversible else (True,):
-            got = a.cert(directed)
-            w, v2 = eigh_certificate(c.P, c.pi, directed)
-            assert abs(got.lambda2 / w[1] - 1) <= 1e-12
-            gap = min(w[1] - w[0], w[2] - w[1])
-            if gap > 1e-6:
-                assert min(np.linalg.norm(got.v2 - v2), np.linalg.norm(got.v2 + v2)) <= 1e-10 / gap
+        kinds = (False, True) if is_reversible(c) else (True,)
+        oracle = {directed: eigh_certificate(c.P, c.pi, directed) for directed in kinds}
+        for order in (kinds, kinds[::-1]):
+            a = ChainAnalysis(c)
+            for directed in order:
+                _assert_matches_the_oracle(a.cert(directed), *oracle[directed])
+
+
+def _assert_matches_the_oracle(got, w, v2):
+    assert abs(got.lambda2 / w[1] - 1) <= 1e-12
+    gap = min(w[1] - w[0], w[2] - w[1])
+    if gap > 1e-6:
+        assert min(np.linalg.norm(got.v2 - v2), np.linalg.norm(got.v2 + v2)) <= 1e-10 / gap
 
 
 def test_chain_analysis_reversible_cert_refuses_a_directed_chain():
     c = gen_random_directed(6, density=0.5, seed=2)
     a = ChainAnalysis(c)
     assert not a.reversible
-    with pytest.raises(InputError, match="fails detailed balance") as got:
+    with pytest.raises(InputError) as got:
         a.cert(False)
-    with pytest.raises(InputError) as want:
-        lambda2_reversible(c)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == _IRREVERSIBLE
 
 
 def test_chain_analysis_rejects_expected_exact_above_cap(monkeypatch):

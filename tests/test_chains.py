@@ -23,7 +23,6 @@ from isoperim import (
     lazy_transform,
     random_directed_graph,
     random_reversible_graph,
-    stationary_distribution,
 )
 from isoperim.chains import MAX_STATES, _gth, edge_fault
 from isoperim.errors import InputError, NumericalFailure, TooLarge
@@ -63,7 +62,7 @@ def test_undirected_is_reversible_and_stationary_fixed_point():
         edges = [(u, v, float(rng.random() + 0.05)) for u in range(n) for v in range(u + 1, n)]
         c = chain_from_undirected(WeightedGraph(n=int(n), edges=tuple(edges)))
         assert is_reversible(c)
-        assert np.max(np.abs(stationary_distribution(c.P) - c.pi)) < 1e-10
+        assert np.max(np.abs(chain_from_matrix(c.P).pi - c.pi)) < 1e-10
         assert np.max(np.abs(c.P.sum(axis=1) - 1)) < 1e-12
 
 
@@ -96,13 +95,13 @@ def test_directed_triangle_with_reverse_edge():
 
 def test_stationary_two_state_asymmetric():
     P = np.array([[0.9, 0.1], [0.5, 0.5]])
-    pi = stationary_distribution(P)
+    pi = chain_from_matrix(P).pi
     assert np.allclose(pi, [5 / 6, 1 / 6], atol=1e-12)
 
 
 def test_stationary_doubly_stochastic_uniform():
     P = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0.0]])
-    assert np.allclose(stationary_distribution(P), 1 / 3)
+    assert np.allclose(chain_from_matrix(P).pi, 1 / 3)
 
 
 def test_gth_two_state():
@@ -139,7 +138,7 @@ def test_is_irreducible_cases():
 
 def test_stationary_requires_irreducible():
     with pytest.raises(InputError, match="not irreducible"):
-        stationary_distribution(np.eye(3))
+        chain_from_matrix(np.eye(3))
 
 
 def test_lazy_transform_two_state(two_state):
@@ -240,9 +239,9 @@ def _singular(*args, **kwargs):
 
 def test_stationary_fallback_matches_direct_solve(monkeypatch):
     P = gen_random_directed(6, density=0.5, seed=11).P
-    direct = stationary_distribution(P)
+    direct = chain_from_matrix(P).pi
     monkeypatch.setattr(isoperim.chains.np.linalg, "solve", _singular)
-    fallback = stationary_distribution(P)
+    fallback = chain_from_matrix(P).pi
     assert np.max(np.abs(fallback / direct - 1)) <= 1e-12
 
 
@@ -255,8 +254,6 @@ def test_nan_transition_rejected_before_any_solve(monkeypatch):
     P = np.array([[0.0, np.nan, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
     with pytest.raises(InputError, match="non-finite"):
         chain_from_matrix(P)
-    with pytest.raises(InputError, match="non-finite"):
-        stationary_distribution(P)
 
 
 def test_lu_pi_is_kept_where_it_passes_the_per_entry_check(monkeypatch):

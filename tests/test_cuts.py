@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoperim import (
+    ChainAnalysis,
     MarkovChain,
     chain_from_matrix,
     exact_minima,
@@ -19,13 +20,9 @@ from isoperim import (
     gen_ht_counterexample,
     gen_random_directed,
     gen_random_reversible,
-    lambda2_directed,
-    lambda2_reversible,
     lazy_transform,
-    phi_p_exact,
     phi_p_of_set,
     phi_profile,
-    sweep_cut,
     sweep_cuts,
 )
 from isoperim import cuts
@@ -75,13 +72,13 @@ def test_phi_p_of_set_rejects_non_integral_vertices():
 
 def test_exact_two_state(two_state):
     for p in (0.0, 0.5, 1.0):
-        cut = phi_p_exact(two_state, p)
+        cut = exact_minima(two_state, [p])[p]
         assert cut.phi == 1.0
         assert cut.subset == (0,)
 
 
 def test_exact_cycle4(cycle4):
-    cut = phi_p_exact(cycle4, 1.0)
+    cut = exact_minima(cycle4, [1.0])[1.0]
     assert abs(cut.phi - 0.5) < 1e-15
     assert cut.subset == (0, 1)  # smallest bitmask among the adjacent pairs
     assert cut.method == "exact"
@@ -89,7 +86,7 @@ def test_exact_cycle4(cycle4):
 
 def test_exact_hypercube_half(cycle4):
     q3 = gen_hypercube(3)
-    cut = phi_p_exact(q3, 0.5)
+    cut = exact_minima(q3, [0.5])[0.5]
     assert cut.phi <= 1 / math.sqrt(3) + 1e-12
 
 
@@ -98,14 +95,14 @@ def test_exact_matches_bruteforce_oracle():
         n = 4 + seed % 4
         c = gen_random_reversible(n, density=0.5, seed=40 + seed)
         for p in (0.0, 0.4, 0.5, 0.75, 1.0):
-            mine = phi_p_exact(c, p)
+            mine = exact_minima(c, [p])[p]
             expected, _ = naive_phi_exact(c.P, c.pi, p)
             assert abs(mine.phi - expected) < 1e-12
             assert abs(naive_phi_p(c.P, c.pi, mine.subset, p) - mine.phi) < 1e-12
     for seed in range(4):
         c = gen_random_directed(5 + seed, density=0.5, seed=70 + seed)
         for p in (0.0, 0.5, 1.0):
-            mine = phi_p_exact(c, p)
+            mine = exact_minima(c, [p])[p]
             expected, _ = naive_phi_exact(c.P, c.pi, p)
             assert abs(mine.phi - expected) < 1e-12
 
@@ -122,19 +119,19 @@ def _p0_chains():
     # entry counted would make every admissible set's phi_0 equal 1)
     tiny = 5e-16
     P = np.array([[0.5 - tiny, 0.5, 0.0, tiny], [0.5, 0.4, 0.1, 0.0], [0.0, 0.1, 0.4, 0.5], [tiny, 0.0, 0.5, 0.5 - tiny]])
-    yield chain_from_matrix(P), lambda2_reversible
+    yield chain_from_matrix(P), False
     for seed in range(4):
-        yield gen_random_directed(6 + seed, density=0.4, seed=90 + seed), lambda2_directed
+        yield gen_random_directed(6 + seed, density=0.4, seed=90 + seed), True
 
 
 def test_phi_0_of_exact_and_sweep_match_the_combinations_oracle():
     # the oracle tests each entry against 1e-15 over combinations, not bitmasks
-    for c, certify in _p0_chains():
+    for c, directed in _p0_chains():
         exact = exact_minima(c, [0.0])[0.0]
         expected, _ = naive_phi_exact(c.P, c.pi, 0.0)
         assert exact.phi == pytest.approx(expected, abs=1e-12)
         assert naive_phi_p(c.P, c.pi, exact.subset, 0.0) == pytest.approx(exact.phi, abs=1e-12)
-        cert = certify(c)
+        cert = ChainAnalysis(c).cert(directed)
         sweep = sweep_cuts(c, [0.0], cert)[0.0]
         levels = [naive_phi_p(c.P, c.pi, S, 0.0) for S in _sweep_levels(c, cert)]
         assert sweep.phi == pytest.approx(min(levels), abs=1e-12)
@@ -147,7 +144,7 @@ def test_exact_cap_enforced(monkeypatch):
     c = gen_random_reversible(8, density=0.5, seed=1)
     monkeypatch.setenv("ISO_MAX_EXACT_N", "6")
     with pytest.raises(TooLarge, match="n = 8 exceeds the exact enumeration cap 6"):
-        phi_p_exact(c, 1.0)
+        ChainAnalysis(c).exact(1.0)
     with pytest.raises(TooLarge, match="cap 6"):
         exact_minima(c, [0.5, 1.0])
 
@@ -156,9 +153,9 @@ def test_exact_cap_env_override(monkeypatch):
     c = gen_random_reversible(8, density=0.5, seed=1)
     monkeypatch.setenv("ISO_MAX_EXACT_N", "5")
     with pytest.raises(TooLarge):
-        phi_p_exact(c, 1.0)
+        exact_minima(c, [1.0])
     monkeypatch.setenv("ISO_MAX_EXACT_N", "12")
-    phi_p_exact(c, 1.0)
+    exact_minima(c, [1.0])
 
 
 def test_exact_minima_multi_p_consistent():
@@ -166,7 +163,7 @@ def test_exact_minima_multi_p_consistent():
     ps = [0.0, 0.5, 0.8, 1.0]
     multi = exact_minima(c, ps)
     for p in ps:
-        assert multi[p].phi == phi_p_exact(c, p).phi
+        assert multi[p].phi == exact_minima(c, [p])[p].phi
 
 
 def test_profile_values(two_state, cycle4):
@@ -207,8 +204,8 @@ def test_profile_ordering_and_cauchy_schwarz(seed, data):
 def test_phi_monotone_in_p(seed, p, q):
     p, q = min(p, q), max(p, q)
     c = gen_random_reversible(6, density=0.5, seed=seed)
-    cut_p = phi_p_exact(c, p)
-    cut_q = phi_p_exact(c, q)
+    cut_p = exact_minima(c, [p])[p]
+    cut_q = exact_minima(c, [q])[q]
     # per-set monotonicity on the minimizer of q, and minimum-level consequence
     assert phi_p_of_set(c, cut_q.subset, p).phi >= phi_p_of_set(c, cut_q.subset, q).phi - 1e-12
     assert cut_p.phi >= cut_q.phi - 1e-12
@@ -294,7 +291,7 @@ def test_exact_minima_multiblock_path_n18():
         else:
             num = (cross**p * c.pi[None, :] * member).sum(axis=1)
         expected = float(np.min(num / mass))
-        got = phi_p_exact(c, p)
+        got = exact_minima(c, [p])[p]
         assert abs(got.phi - expected) < 1e-12
         assert c.pi[list(got.subset)].sum() <= 0.5 + 1e-12
 
@@ -577,16 +574,16 @@ def test_cauchy_schwarz_ten_thousand_random_sets():
 
 
 def test_sweep_two_state(two_state):
-    cert = lambda2_reversible(two_state)
-    cut = sweep_cut(two_state, 1.0, cert)
+    cert = ChainAnalysis(two_state).cert(False)
+    cut = sweep_cuts(two_state, [1.0], cert)[1.0]
     assert cut.subset == (0,)
     assert cut.phi == 1.0
     assert cut.method == "sweep"
 
 
 def test_sweep_cycle6(cycle6):
-    cert = lambda2_reversible(cycle6)
-    cut = sweep_cut(cycle6, 1.0, cert)
+    cert = ChainAnalysis(cycle6).cert(False)
+    cut = sweep_cuts(cycle6, [1.0], cert)[1.0]
     lam = cert.lambda2
     assert cut.phi <= math.sqrt(2 * lam) + 1e-9
     # the sweep set is a cyclic arc
@@ -600,10 +597,10 @@ def test_sweep_guarantee_and_dominates_exact():
     for seed in range(30):
         n = 4 + seed % 7
         c = gen_random_reversible(n, density=0.5, seed=900 + seed)
-        cert = lambda2_reversible(c)
+        cert = ChainAnalysis(c).cert(False)
         for p in (0.6, 0.75, 1.0):
-            sw = sweep_cut(c, p, cert)
-            ex = phi_p_exact(c, p)
+            sw = sweep_cuts(c, [p], cert)[p]
+            ex = exact_minima(c, [p])[p]
             assert sw.phi >= ex.phi - 1e-12
             assert sw.pi_mass <= 0.5 + 1e-12
             assert sw.phi <= 2 * math.sqrt(cert.lambda2 / (2 * p - 1)) + 1e-8
@@ -614,18 +611,18 @@ def test_sweep_guarantee_and_dominates_exact():
 def test_sweep_small_n_set_is_among_enumerated():
     for seed in range(6):
         c = gen_random_reversible(6, density=0.5, seed=2000 + seed)
-        cert = lambda2_reversible(c)
+        cert = ChainAnalysis(c).cert(False)
         for p in (0.0, 0.5, 1.0):
-            sw = sweep_cut(c, p, cert)
+            sw = sweep_cuts(c, [p], cert)[p]
             assert naive_phi_p(c.P, c.pi, sw.subset, p) == pytest.approx(sw.phi, abs=1e-13)
 
 
 def test_sweep_directed_certificate():
     for seed in range(10):
         c = gen_random_directed(6, density=0.5, seed=3000 + seed)
-        cert = lambda2_directed(c)
+        cert = ChainAnalysis(c).cert(True)
         for p in (0.6, 1.0):
-            sw = sweep_cut(c, p, cert)
+            sw = sweep_cuts(c, [p], cert)[p]
             assert sw.pi_mass <= 0.5 + 1e-12
             assert sw.phi <= 2 * math.sqrt(2 * cert.lambda2 / (2 * p - 1)) + 1e-8
 
@@ -633,11 +630,11 @@ def test_sweep_directed_certificate():
 def test_sweep_guarantee_violation_raises_numerical_failure(cycle6):
     # a certificate that understates lambda2 makes the sweep winner exceed
     # its guarantee; that is an explicit error, not an assert
-    cert = dataclasses.replace(lambda2_reversible(cycle6), lambda2=1e-12)
+    cert = dataclasses.replace(ChainAnalysis(cycle6).cert(False), lambda2=1e-12)
     with pytest.raises(NumericalFailure):
-        sweep_cut(cycle6, 0.75, cert)
+        sweep_cuts(cycle6, [0.75], cert)
     # p <= 1/2 carries no guarantee, so the same certificate still sweeps
-    assert sweep_cut(cycle6, 0.5, cert).method == "sweep"
+    assert sweep_cuts(cycle6, [0.5], cert)[0.5].method == "sweep"
 
 
 SWEEP_PS = [0.0, 0.5, 0.6, 0.75, 1.0]
@@ -651,7 +648,7 @@ def _assert_sweeps_match_naive(c, cert):
         want = naive_sweep(c, p, cert)
         assert got[p] == want, p
         assert got[p].phi.hex() == want.phi.hex()
-        assert sweep_cut(c, p, cert) == want
+        assert sweep_cuts(c, [p], cert)[p] == want
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -664,7 +661,7 @@ def _assert_sweeps_match_naive(c, cert):
 )
 def test_sweep_cuts_match_naive_sweep(seed, n, directed, density, steps):
     c = (gen_random_directed if directed else gen_random_reversible)(n, density=density, seed=seed)
-    cert = lambda2_directed(c) if directed else lambda2_reversible(c)
+    cert = ChainAnalysis(c).cert(directed)
     if steps is not None:
         # f2 rounded to a few values forces tied level sets; lambda2 = 2 puts
         # every guarantee (at least 2 sqrt(2)) above any phi (at most 1)
@@ -692,7 +689,7 @@ def test_sweep_cuts_match_naive_sweep_on_rounding_ties():
                     chosen.append(v)
             f2 = np.zeros(c.n)
             f2[chosen] = np.arange(len(chosen), 0, -1)
-            cert = lambda2_directed(c) if gen is gen_random_directed else lambda2_reversible(c)
+            cert = ChainAnalysis(c).cert(gen is gen_random_directed)
             _assert_sweeps_match_naive(c, dataclasses.replace(cert, f2=f2, lambda2=2.0))
 
 
@@ -705,5 +702,6 @@ def test_sweep_cuts_match_naive_sweep_with_tied_levels():
     for c, f2 in ((gen_cycle(16), (cos + cos[-i % 16]) / 2), (gen_hypercube(4), coords)):
         positive = f2[f2 > 0]
         assert len(set(positive.tolist())) < positive.size
-        for cert in (lambda2_reversible(c), lambda2_directed(c)):
+        a = ChainAnalysis(c)
+        for cert in (a.cert(False), a.cert(True)):
             _assert_sweeps_match_naive(c, dataclasses.replace(cert, f2=f2))

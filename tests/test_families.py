@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoperim import (
+    ChainAnalysis,
     MarkovChain,
     PartitionBlocks,
     WeightedGraph,
@@ -17,6 +18,7 @@ from isoperim import (
     circulant_lambda2,
     cycle_graph,
     dumbbell_graph,
+    exact_minima,
     gen_cycle,
     gen_dumbbell,
     gen_ht_counterexample,
@@ -25,9 +27,7 @@ from isoperim import (
     hypercube_graph,
     hypercube_quantities,
     is_reversible,
-    lambda2_reversible,
     normalizer,
-    phi_p_exact,
     phi_p_of_set,
     random_directed_graph,
     random_reversible_graph,
@@ -68,7 +68,7 @@ def test_counterexample_lambda2_n4():
     chain = gen_ht_counterexample(4)
     first_row = np.concatenate([[1.0], -chain.P[0, 1:]])
     assert abs(circulant_lambda2(first_row) - 18 / 17) < 1e-12
-    assert abs(lambda2_reversible(chain).lambda2 - 18 / 17) < 1e-10
+    assert abs(ChainAnalysis(chain).cert(False).lambda2 - 18 / 17) < 1e-10
 
 
 # --- analytic circulant eigenvalues ------------------------------------------
@@ -93,7 +93,7 @@ def test_circulant_matches_dense_eigensolver():
     for n in (3, 4, 6, 12):
         c = gen_cycle(n)
         first_row = np.eye(n)[0] - c.P[0]
-        assert abs(circulant_lambda2(first_row) - lambda2_reversible(c).lambda2) < 1e-8
+        assert abs(circulant_lambda2(first_row) - ChainAnalysis(c).cert(False).lambda2) < 1e-8
 
 
 def test_circulant_matches_sin_closed_form():
@@ -126,7 +126,7 @@ def test_cycle_equals_ring_chain(cycle4):
 
 def test_dumbbell_phi1():
     c = gen_dumbbell(4)
-    cut = phi_p_exact(c, 1.0)
+    cut = exact_minima(c, [1.0])[1.0]
     assert abs(cut.phi - 1 / 13) < 1e-12
     assert sorted(cut.subset) in ([0, 1, 2, 3], [4, 5, 6, 7])
 
@@ -431,7 +431,7 @@ def test_arc_range_validation():
 def test_arc_upper_bounds_exact():
     for n in (8, 12, 16):
         chain = gen_ht_counterexample(n)
-        exact = phi_p_exact(chain, 0.5).phi
+        exact = exact_minima(chain, [0.5])[0.5].phi
         arc_min = min(arc_phi_half(n, l) for l in range(1, n // 2 + 1))
         assert exact <= arc_min + 1e-12
 

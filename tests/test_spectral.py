@@ -6,19 +6,18 @@ import pytest
 
 import isoperim.spectral
 from isoperim import (
+    ChainAnalysis,
     chung_laplacian,
     gen_cycle,
     gen_random_directed,
     gen_random_reversible,
-    lambda2_directed,
-    lambda2_reversible,
     lazy_transform,
     symmetric_eigensolve,
     truncated_eigenvector,
     truncated_rayleigh,
 )
 from isoperim.errors import InputError, NumericalFailure
-from oracles import naive_truncated_rayleigh
+from oracles import eigh_certificate, naive_truncated_rayleigh
 
 
 def test_eigensolve_diagonal():
@@ -62,7 +61,7 @@ def test_eigensolve_errors():
     [
         pytest.param(lambda: symmetric_eigensolve(np.array([[0.0, np.nan], [np.nan, 0.0]])), "matrix has non-finite entries", id="eigensolve-nan"),
         pytest.param(
-            lambda: truncated_eigenvector(lambda2_reversible(gen_cycle(4)), gen_cycle(6)), "certificate does not match the chain", id="cert-shape"
+            lambda: truncated_eigenvector(ChainAnalysis(gen_cycle(4)).cert(False), gen_cycle(6)), "certificate does not match the chain", id="cert-shape"
         ),
         pytest.param(lambda: truncated_rayleigh(gen_cycle(4), np.ones(3)), "vector length does not match the chain", id="rayleigh-shape"),
         pytest.param(lambda: truncated_rayleigh(gen_cycle(4), np.array([1.0, -0.5, 0.0, 0.0])), "vector must be nonnegative", id="rayleigh-sign"),
@@ -75,48 +74,53 @@ def test_spectral_public_refusals(call, message):
 
 
 def test_lambda2_two_state(two_state):
-    cert = lambda2_reversible(two_state)
+    cert = ChainAnalysis(two_state).cert(False)
     assert abs(cert.lambda2 - 2.0) < 1e-12
     assert cert.kind == "reversible-normalized"
     assert cert.residual <= 1e-10
 
 
 def test_lambda2_cycle4(cycle4):
-    assert abs(lambda2_reversible(cycle4).lambda2 - 1.0) < 1e-10
+    assert abs(ChainAnalysis(cycle4).cert(False).lambda2 - 1.0) < 1e-10
 
 
 def test_lambda2_lazy_scaling(two_state, cycle4):
     for c in (two_state, cycle4):
-        base = lambda2_reversible(c).lambda2
+        base = ChainAnalysis(c).cert(False).lambda2
         for delta in (0.25, 0.5):
             lazy = lazy_transform(c, delta)
-            assert abs(lambda2_reversible(lazy).lambda2 - delta * base) < 1e-8
+            assert abs(ChainAnalysis(lazy).cert(False).lambda2 - delta * base) < 1e-8
 
 
 def test_lambda2_requires_reversible(directed_3cycle):
     with pytest.raises(InputError, match="detailed balance"):
-        lambda2_reversible(directed_3cycle)
+        ChainAnalysis(directed_3cycle).cert(False)
 
 
 def test_chung_laplacian_directed_3cycle(directed_3cycle):
     L = chung_laplacian(directed_3cycle)
     expected = np.eye(3) - 0.5 * (directed_3cycle.P + directed_3cycle.P.T)
     assert np.allclose(L, expected, atol=1e-12)
-    cert = lambda2_directed(directed_3cycle)
+    cert = ChainAnalysis(directed_3cycle).cert(True)
     assert abs(cert.lambda2 - 1.5) < 1e-10
     assert cert.kind == "chung-directed"
 
 
 def test_chung_lambda2_directed_4cycle(directed_4cycle):
-    assert abs(lambda2_directed(directed_4cycle).lambda2 - 1.0) < 1e-10
+    assert abs(ChainAnalysis(directed_4cycle).cert(True).lambda2 - 1.0) < 1e-10
 
 
 def test_chung_matches_reversible_on_reversible_chains():
+    # I - S and Chung's L, each built and solved on its own by the oracle,
+    # share lambda2 on a reversible chain, and both certificates match it
     for seed in range(12):
         c = gen_random_reversible(3 + seed % 6, density=0.5, seed=seed)
-        a = lambda2_reversible(c).lambda2
-        b = lambda2_directed(c).lambda2
-        assert abs(a - b) < 1e-8
+        a = ChainAnalysis(c)
+        w_rev, _ = eigh_certificate(c.P, c.pi, False)
+        w_chung, _ = eigh_certificate(c.P, c.pi, True)
+        assert abs(w_rev[1] - w_chung[1]) < 1e-8
+        assert abs(a.cert(False).lambda2 - w_rev[1]) < 1e-8
+        assert abs(a.cert(True).lambda2 - w_chung[1]) < 1e-8
 
 
 def test_zero_eigenvalue_with_sqrt_pi_direction():
@@ -163,7 +167,7 @@ def test_eigensolve_symmetrizes_a_nearly_symmetric_matrix_and_refuses_a_skewed_o
 
 
 def test_truncated_eigenvector_two_state(two_state):
-    cert = lambda2_reversible(two_state)
+    cert = ChainAnalysis(two_state).cert(False)
     f = truncated_eigenvector(cert, two_state)
     assert np.array_equal(f, [1.0, 0.0])
 
@@ -171,7 +175,7 @@ def test_truncated_eigenvector_two_state(two_state):
 def test_truncated_eigenvector_sign_flip():
     # force the heavy side positive: flip must land on the light side
     c = gen_random_reversible(7, density=0.8, seed=11)
-    cert = lambda2_reversible(c)
+    cert = ChainAnalysis(c).cert(False)
     f = truncated_eigenvector(cert, c)
     assert c.pi[f > 0].sum() <= 0.5 + 1e-12
     assert f.max() == 1.0
@@ -179,7 +183,7 @@ def test_truncated_eigenvector_sign_flip():
 
 
 def test_truncated_support_is_arc_on_cycle(cycle6):
-    cert = lambda2_reversible(cycle6)
+    cert = ChainAnalysis(cycle6).cert(False)
     f = truncated_eigenvector(cert, cycle6)
     support = np.nonzero(f > 0)[0]
     assert cycle6.pi[support].sum() <= 0.5 + 1e-12
@@ -201,14 +205,14 @@ def test_truncated_rayleigh_constant_vector_is_zero():
 def test_truncated_rayleigh_matches_oracle_and_lemma():
     for seed in range(10):
         c = gen_random_reversible(4 + seed % 5, density=0.5, seed=100 + seed)
-        cert = lambda2_reversible(c)
+        cert = ChainAnalysis(c).cert(False)
         f = truncated_eigenvector(cert, c)
         q = truncated_rayleigh(c, f)
         assert abs(q - naive_truncated_rayleigh(c.P, c.pi, f)) < 1e-12
         assert q <= cert.lambda2 + 1e-8
     for seed in range(10):
         c = gen_random_directed(4 + seed % 5, density=0.5, seed=200 + seed)
-        cert = lambda2_directed(c)
+        cert = ChainAnalysis(c).cert(True)
         f = truncated_eigenvector(cert, c)
         q = truncated_rayleigh(c, f)
         assert abs(q - naive_truncated_rayleigh(c.P, c.pi, f)) < 1e-12
@@ -223,7 +227,7 @@ def test_truncated_rayleigh_zero_vector(two_state):
 def test_certificate_invariants():
     for seed in range(8):
         c = gen_random_reversible(5 + seed % 4, density=0.6, seed=300 + seed)
-        cert = lambda2_reversible(c)
+        cert = ChainAnalysis(c).cert(False)
         assert abs(np.linalg.norm(cert.v2) - 1.0) <= 1e-12
         assert abs(float(cert.v2 @ np.sqrt(c.pi))) <= 1e-8
         assert np.allclose(cert.f2, cert.v2 / np.sqrt(c.pi), atol=1e-14)
@@ -237,7 +241,7 @@ def test_eigh_failure_is_numerical_failure(monkeypatch, cycle4):
 
     monkeypatch.setattr(isoperim.spectral.np.linalg, "eigh", fail)
     with pytest.raises(NumericalFailure, match="did not converge"):
-        lambda2_reversible(cycle4)
+        ChainAnalysis(cycle4).cert(False)
 
 
 def test_eigenpair_residual_above_tolerance(monkeypatch):
@@ -250,10 +254,10 @@ def test_eigenpair_residual_above_tolerance(monkeypatch):
 
     monkeypatch.setattr(isoperim.spectral.np.linalg, "eigh", shifted)
     with pytest.raises(NumericalFailure, match="residual"):
-        lambda2_reversible(c)
+        ChainAnalysis(c).cert(False)
 
 
 def test_zero_eigenvector_is_numerical_failure(cycle4):
-    cert = dataclasses.replace(lambda2_reversible(cycle4), f2=np.zeros(4))
+    cert = dataclasses.replace(ChainAnalysis(cycle4).cert(False), f2=np.zeros(4))
     with pytest.raises(NumericalFailure, match="no sign choice"):
         truncated_eigenvector(cert, cycle4)
