@@ -4,7 +4,8 @@ A directed chain has a complex spectrum, so the certificates come from
 Chung's symmetric Laplacian I - (Pi^{1/2} P Pi^{-1/2} + transpose)/2 instead.
 The demo checks the directed Cheeger pair phi_1^2/2 <= lambda2 <= 2 phi_1 and
 the phi_p bound on random strongly connected chains, and shows that for a
-reversible input the directed and reversible eigenvalues coincide.
+reversible input one eigenpair serves both certificates: its residual is
+small against I - S as against Chung's Laplacian.
 """
 
 from isoperim import (
@@ -41,9 +42,10 @@ def main():
         )
 
     a = ChainAnalysis(gen_cycle(5))
+    rev, chung = a.cert(False), a.cert(True)
     print(
-        f"\nreversible input: lambda2 reversible = {a.cert(False).lambda2:.12f}"
-        f" vs directed = {a.cert(True).lambda2:.12f} (identical matrices)"
+        f"\nreversible input: one eigenpair, lambda2 = {chung.lambda2:.12f}, serves both certificates;"
+        f" residual against I - S = {rev.residual:.1e}, against Chung's L = {chung.residual:.1e}"
     )
 
 

@@ -11,28 +11,31 @@ is the minimum over nonempty S with pi(S) <= 1/2.
 
 The exact enumerator walks all bitmasks in blocks of the 2^16 masks of the
 low bits. One subset-sum recurrence, by doubling, gives every low mask's
-pi-mass and row sums P(v, S), with +inf for a low vertex outside the mask.
-Each block of the high bits adds its own vertices, +inf for those it leaves
-out, so the crossing mass max(P(v, V) - P(v, S), 0) is 0 outside S; for
-p = 0, v is on the boundary iff it is in S and the bitmask of its entries
-above STRUCTURAL_ZERO has a bit outside S's mask. Each block keeps only its
-admissible sets and runs the bulk kernels on them in slices of 2^12 sets,
-taken in turn by the calling thread and, when a block has more than one
-slice, by up to one thread per CPU in the process's affinity mask (no
-setting; the results are identical on any number of CPUs). The threads run
-only long numpy calls: the crossing masses, p = 0 scored term by term on
-every set, and for p > 0 a fast phi_p of every set from one matrix-vector
-product with pi. The calling thread then scores again, term by term, only
-the sets within a rounding window of the block's fast minimum, so the
-values and the winner are those of scoring every set term by term. Ties are
-broken toward the smallest bitmask. An exponent p in (1/2, 1) is scored
-only on the sets of a block that the power-mean bracket
+pi-mass and row sums P(v, S), with +inf for a low vertex outside the mask,
+written as the doubling goes. Each block of the high bits adds its own
+vertices, +inf for those it leaves out, so the crossing mass
+max(P(v, V) - P(v, S), 0) is 0 outside S; for p = 0, v is on the boundary
+iff it is in S and the bitmask of its entries above STRUCTURAL_ZERO has a
+bit outside S's mask. Each block keeps only its admissible sets and runs the
+bulk kernels on them in slices of 2^12 sets, taken in turn by the calling
+thread and, when a block has more than one slice, by up to one thread per
+CPU in the process's affinity mask (no setting; the results are identical on
+any number of CPUs). The threads run only long numpy calls: the crossing
+masses, built 2^8 sets at a time as rows of 2^8 n entries so that numpy's
+inner loop is long, p = 0 scored term by term on every set, and for p > 0 a
+fast phi_p of every set from one matrix-vector product with pi. The calling
+thread then scores again, term by term, only the sets within a rounding
+window of the block's fast minimum, so the values and the winner are those
+of scoring every set term by term. Ties are broken toward the smallest
+bitmask. An exponent p in (1/2, 1) is scored only on the sets of a block
+that the power-mean bracket
 
     max(phi_1, phi_{1/2}^{2p}) <= phi_p <= phi_1^p
 
 (x^p >= x on [0, 1], and M_{1/2} <= M_p <= M_1 for the pi-weighted means of
-P(v, S-bar) over S), read on the fast phi_{1/2} and phi_1, cannot rule out
-as the block's first minimum; phi_{1/2} and phi_1 take numpy's sqrt and
+P(v, S-bar) over S), read on the fast phi_{1/2} and phi_1, with phi_1
+divided by the largest row sum P(v, V) where that is above 1, cannot rule
+out as the block's first minimum; phi_{1/2} and phi_1 take numpy's sqrt and
 identity fast paths, and a general power costs several times as much.
 
 The sweep cut takes the best of the distinct level sets of the truncated
@@ -63,6 +66,7 @@ from .spectral import SpectralCertificate, truncated_eigenvector
 GUARANTEE_TOL = 1e-8
 _BLOCK_BITS = 16
 _SCORE_ROWS = 1 << 12  # sets in one slice; bounds each thread's temporaries
+_TILE_ROWS = 1 << 8  # sets whose crossing masses are built as one row; divides _SCORE_ROWS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,14 +150,19 @@ def phi_profile(c: MarkovChain, subset: Iterable[int]) -> PhiProfile:
     )
 
 
-def _subset_sums(rows: np.ndarray) -> np.ndarray:
+def _subset_sums(rows: np.ndarray, inf_outside: bool = False) -> np.ndarray:
     """Row m is the sum of ``rows[b]`` over the set bits b of m, for every
     mask m of ``len(rows)`` bits, built in place by doubling (bit b is added
-    last)."""
+    last). With ``inf_outside``, entry b of each row whose mask lacks bit b
+    is +inf instead: it is written into the first 2^b rows once the upper
+    half has been formed from them, and each later doubling carries it, as
+    inf + x = inf for finite x."""
     sums = np.empty((1 << len(rows), *rows.shape[1:]), dtype=rows.dtype)
     sums[0] = 0
     for b, row in enumerate(rows):
         np.add(sums[: 1 << b], row, out=sums[1 << b : 2 << b])
+        if inf_outside:
+            sums[: 1 << b, b] = np.inf
     return sums
 
 
@@ -188,11 +197,13 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     When ``ps`` holds an exponent p in (1/2, 1), each block takes the fast
     phi_{1/2} and phi_1 of all its sets (once, also when ``ps`` asks for
     them) and scores p, term by term, only on the sets whose lower bound
-    max(phi_1, phi_{1/2}^{2p}) is within a relative ``_bracket_rtol(n)`` of
-    the block's smallest upper bound min phi_1^p; so the general power is
-    taken on those few sets alone. Where some pi(v) is below 2^-400 a
-    product could underflow and neither window would hold, so every set is
-    scored term by term.
+    max(phi_1 / top, phi_{1/2}^{2p}) is within a relative ``_bracket_rtol(n)``
+    of the block's smallest upper bound min phi_1^p; so the general power is
+    taken on those few sets alone. top is the largest row sum P(v, V), or 1
+    if that is smaller: a computed crossing mass fl(P(v, V) - t), t >= 0,
+    never exceeds its row sum, and x^p >= x / top on [0, top]. Where some
+    pi(v) is below 2^-400 a product could underflow and neither window
+    would hold, so every set is scored term by term.
 
     A block's admissible sets are cut into contiguous slices of
     ``_SCORE_ROWS``, which the calling thread and, when the block has more
@@ -200,12 +211,17 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     mask (at most one per slice, from a pool made at most once per call)
     take one at a time in mask order. A slice runs only the bulk kernels,
     long numpy calls that release the GIL: its crossing masses, the first
-    minimum of each exponent scored on every set, its largest crossing mass
-    and the fast values. The calling thread then chooses the windows and the
-    bracket once per block, over the block's fast values, and scores their
-    sets. So a call's peak memory is small and does not depend on how the
-    threads interleave, and a thread that is slow to run leaves its share to
-    the others. There is no setting. Each set's arithmetic does not depend on
+    minimum of each exponent scored on every set, and the fast values. The
+    crossing masses of a slice are built ``_TILE_ROWS`` sets at a time, as
+    rows of ``_TILE_ROWS`` n entries against the high vertices' row sums and
+    P(v, V) tiled as often: the same elementwise operations as one set at a
+    time, in a longer inner loop; the rows past the last whole tile are
+    built one set at a time. The sets of a window are built again the same
+    way. The calling thread then chooses the windows and the bracket once
+    per block, over the block's fast values, and scores their sets. So a
+    call's peak memory is small and does not depend on how the threads
+    interleave, and a thread that is slow to run leaves its share to the
+    others. There is no setting. Each set's arithmetic does not depend on
     the slicing, and the slices and blocks are folded in mask order, so the
     minima are identical on any number of CPUs.
     """
@@ -214,10 +230,10 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     n, P, pi = c.n, c.P, c.pi
     low = min(n, _BLOCK_BITS)
     mass_low = _subset_sums(pi[:low])
-    R_low = _subset_sums(P[:, :low].T)  # R_low[m, v] = P(v, m), or inf for v < low outside m
-    for b in range(low):  # the masks without bit b, as a strided view
-        R_low.reshape(1 << (low - b - 1), 2, 1 << b, n)[:, 0, :, b] = np.inf
+    R_low = _subset_sums(P[:, :low].T, inf_outside=True)  # R_low[m, v] = P(v, m), or inf for v < low outside m
     rowsum = P.sum(axis=1)
+    tile = _TILE_ROWS
+    rowsum_tiled = np.tile(rowsum, tile)
     nbr = (P > STRUCTURAL_ZERO) @ (1 << np.arange(n))  # bitmask of each row's support
     # with pi >= 2^-400 every nonzero pi(v) x_v^q and phi_{1/2}^{2p} is a normal
     # float, so both windows hold: a nonzero x_v, a difference of two sums
@@ -231,27 +247,36 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     fast_ps = sorted(fast_ps, key=lambda p: (p == 0.5, p))
     rtol = _bracket_rtol(n)
     score_rtol = _score_rtol(n)
+    top = max(1.0, float(rowsum.max()))  # no crossing mass exceeds it; x**p >= x / top on [0, top]
 
-    def crossing(rows: np.ndarray, hi_cross: np.ndarray) -> np.ndarray:
-        """P(v, V) - P(v, S) of each row's set S, -inf for v outside S."""
+    def crossing(rows: np.ndarray, hi_cross: np.ndarray, hi_tiled: np.ndarray) -> np.ndarray:
+        """P(v, V) - P(v, S) of each row's set S, -inf for v outside S; each
+        whole tile of rows is built as one row of tile * n entries against
+        ``hi_tiled``, ``hi_cross`` tiled ``tile`` times."""
         cross = np.take(R_low, rows, axis=0)
-        cross += hi_cross
-        return np.subtract(rowsum, cross, out=cross)
+        whole = rows.size - rows.size % tile
+        if whole:
+            tiled = cross[:whole].reshape(-1, tile * n)
+            tiled += hi_tiled
+            np.subtract(rowsum_tiled, tiled, out=tiled)
+        rest = cross[whole:]
+        rest += hi_cross
+        np.subtract(rowsum, rest, out=rest)
+        return cross
 
-    def bulk(rows: np.ndarray, mass: np.ndarray, hi_cross: np.ndarray, hi_mask: int) -> tuple:
+    def bulk(rows: np.ndarray, mass: np.ndarray, hi_cross: np.ndarray, hi_tiled: np.ndarray, hi_mask: int) -> tuple:
         """The bulk kernels of ``rows``, one contiguous slice of a block's
         admissible rows: the term-by-term first minimum (phi, index) of each
-        exponent of ``every``, the largest crossing mass and the fast phi of
-        each exponent of ``fast_ps``. Long numpy calls only, so a worker
-        thread runs it without the GIL for most of its time."""
-        cross = crossing(rows, hi_cross)
+        exponent of ``every`` and the fast phi of each exponent of
+        ``fast_ps``. Long numpy calls only, so a worker thread runs it
+        without the GIL for most of its time."""
+        cross = crossing(rows, hi_cross, hi_tiled)
         if 0.0 in every:  # whether v is on the boundary
             boundary = (cross > -np.inf) & ((nbr & ~(rows | hi_mask)[:, None]) != 0)
         np.maximum(cross, 0.0, out=cross)
         found = [_first_minimum(_powers(cross, p) if p else boundary, pi, mass) for p in every]
-        top = float(cross.max()) if bracket else 0.0
         fast = [_fast_phi(np.sqrt(cross, out=cross) if p == 0.5 else _powers(cross, p), pi, mass) for p in fast_ps]
-        return found, top, fast
+        return found, fast
 
     def drain(tickets: Iterator[int], slices: list, block: tuple, parts: list) -> None:
         """Run the bulk kernels of the next slice of the block until none is left."""
@@ -267,17 +292,16 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
         if phi < best[p][0]:
             best[p] = float(phi), mask
 
-    def choose(rows: np.ndarray, mass: np.ndarray, slices: list, parts: list, hi_cross: np.ndarray, hi_mask: int) -> None:
+    def choose(rows: np.ndarray, mass: np.ndarray, slices: list, parts: list, hi_cross: np.ndarray, hi_tiled: np.ndarray, hi_mask: int) -> None:
         """Fold one block's first minima once its slices have run: those of
         ``every``, then for each windowed exponent the sets of its window or
         bracket over the block's fast values, scored again term by term. The
         block's fast values are freed on return, before the next block runs."""
-        founds, tops, fasts = zip(*parts)
+        founds, fasts = zip(*parts)
         for (part_rows, _), found in zip(slices, founds):
             for p, (phi, j) in zip(every, found):
                 fold(p, phi, hi_mask | int(part_rows[j]))
         fast = dict(zip(fast_ps, map(np.concatenate, zip(*fasts))))
-        top = max(1.0, *tops)  # x**p >= x / top on [0, top]
         for p in windowed:
             if 0.5 < p < 1.0:  # the bracket
                 ub = float(fast[1.0].min()) ** p * (1.0 + rtol)
@@ -285,7 +309,7 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
                 near = near[fast[0.5][near] ** (2.0 * p) <= ub]
             else:
                 near = np.flatnonzero(fast[p] <= fast[p].min() * (1.0 + score_rtol))
-            phi, j = _rescore(crossing(rows[near], hi_cross), p, pi, mass[near])
+            phi, j = _rescore(crossing(rows[near], hi_cross, hi_tiled), p, pi, mass[near])
             fold(p, phi, hi_mask | int(rows[near[j]]))
 
     workers = _usable_cpus()
@@ -303,7 +327,7 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
             mass = mass[rows]
             hi_cross = P[:, bits].sum(axis=1)
             hi_cross[low:][held == 0] = np.inf
-            block = (hi_cross, hi << low)
+            block = (hi_cross, np.tile(hi_cross, tile), hi << low)
             slices = [(rows[i : i + _SCORE_ROWS], mass[i : i + _SCORE_ROWS]) for i in range(0, rows.size, _SCORE_ROWS)]
             parts = [None] * len(slices)
             tickets = itertools.count()  # next() on it is atomic under the GIL
@@ -341,7 +365,8 @@ def _rescore(cross: np.ndarray, p: float, pi: np.ndarray, mass: np.ndarray) -> t
 def _bracket_rtol(n: int) -> float:
     """Relative window around a block's smallest upper bound phi_1^p that
     holds the lower bounds max(phi_1 / top, phi_{1/2}^{2p}) of its first
-    minimum of phi_p, top being the block's largest crossing mass or 1.
+    minimum of phi_p, top being the largest row sum P(v, V) or 1, whichever
+    is larger, which no computed crossing mass exceeds.
 
     The bracket reads the fast phi_{1/2} and phi_1 of every set (see
     :func:`_score_rtol`) and the term-by-term phi_p of the sets it keeps.

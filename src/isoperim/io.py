@@ -121,7 +121,9 @@ def _shift(edges: np.ndarray, directed: bool) -> int:
     in order; returns the number of states the ids name."""
     edges[:, :2] -= 1
     if not directed:
-        edges[:, :2].sort(axis=1)
+        u, v = edges[:, 0].copy(), edges[:, 1]
+        np.minimum(u, v, out=edges[:, 0])
+        np.maximum(u, v, out=edges[:, 1])
     return max(int(edges[:, :2].max()) + 1, 1)
 
 

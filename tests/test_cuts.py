@@ -521,12 +521,22 @@ def _heavy_last_vertex():
     [gen_random_reversible(18, density=0.5, seed=3), gen_random_directed(17, density=0.5, seed=4), _heavy_last_vertex(), gen_cycle(12)],
     ids=["rev18", "dir17", "heavy18", "cycle12"],
 )
-@pytest.mark.parametrize("cpus, score_rows", [(1, None), (1, 5), (2, 64), (3, 700)])
-def test_exact_minima_rescore_once_per_block_and_windowed_exponent(monkeypatch, c, cpus, score_rows):
+@pytest.mark.parametrize(
+    "cpus, score_rows, tile_rows",
+    [
+        pytest.param(cpus, rows, tile, id=f"{cpus}-{rows}" + (f"-tile{tile}" if tile else ""))
+        for tile in (None, 1, 3)
+        for cpus, rows in ((1, None), (1, 5), (2, 64), (3, 700))
+    ],
+)
+def test_exact_minima_rescore_once_per_block_and_windowed_exponent(monkeypatch, c, cpus, score_rows, tile_rows):
     # the windows and the bracket are chosen once per block, by the calling
     # thread: one term-by-term scoring per nonempty block and exponent p > 0,
     # however many slices and threads the block is cut into; p = 0 is scored
-    # in the slices
+    # in the slices. The crossing masses of a slice are built tile_rows rows
+    # at a time, with the rows past the last whole tile built one at a time:
+    # tiles of 1 row, tiles of 3 that slices of 5, 64 and 700 rows straddle,
+    # and the default tile, longer than slices of 5 and 64
     ps = [0.0, 0.3, 0.5, 0.75, 1.0]
     low = min(c.n, cuts._BLOCK_BITS)
     held = [c.pi[low + np.flatnonzero(hi >> np.arange(c.n - low) & 1)].sum() for hi in range(1 << (c.n - low))]
@@ -541,9 +551,32 @@ def test_exact_minima_rescore_once_per_block_and_windowed_exponent(monkeypatch, 
     monkeypatch.setattr(cuts, "_usable_cpus", lambda: cpus)
     if score_rows is not None:
         monkeypatch.setattr(cuts, "_SCORE_ROWS", score_rows)
+    if tile_rows is not None:
+        monkeypatch.setattr(cuts, "_TILE_ROWS", tile_rows)
     monkeypatch.setattr(cuts, "_rescore", counted)
     _assert_same_minima(c, ps)
     assert sorted(calls) == sorted(ps[1:] * blocks)
+
+
+def _dense_transition(n, seed):
+    """A dense transition matrix on n states whose row sums are 1 + 5e-13
+    and 1 - 5e-13 in turn, the first above 1."""
+    W = np.random.default_rng(seed).random((n, n))
+    P = W / W.sum(axis=1, keepdims=True)
+    P *= 1.0 + 5e-13 * (-1.0) ** np.arange(n)[:, None]
+    return chain_from_matrix(P)
+
+
+@pytest.mark.parametrize("n, seed", [(17, 1), (18, 2)])
+def test_exact_minima_bracket_where_rows_sum_above_one(n, seed):
+    # the bracket's top, the largest row sum or 1, is above 1 here: a
+    # crossing mass of a row summing to 1 + 5e-13 may exceed 1, never its
+    # row sum; more than one block of the high bits
+    c = _dense_transition(n, seed)
+    rowsum = c.P.sum(axis=1)
+    assert rowsum.max() > 1.0 > rowsum.min()
+    assert c.n > cuts._BLOCK_BITS
+    _assert_same_minima(c, [0.6, 0.75, 0.9])
 
 
 def test_cauchy_schwarz_ten_thousand_random_sets():

@@ -52,6 +52,9 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
   and 0.9 (the bracket without 1/2 and 1), on a random reversible chain on
   24 states, the default exact cap: 256 blocks of the high bits, each split
   across threads;
+- ``analyze --method exact`` at p = 0.6, 3/4 and 0.9 on a dense transition
+  matrix on 18 states whose rows sum to 1 + 5e-13, where the bracket's top,
+  the largest row sum, is above 1;
 - ``scan`` on every n from 8 to 300, odd and even, and on 4095 and the cap
   65536, beyond the benchmark's five sizes;
 - ``analyze`` on valid files laid out in the ways the readers accept:
@@ -366,6 +369,12 @@ def build_plan(work: str) -> list[dict]:
     argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.3,0.5,0.75,1"]
     plan.append({"id": "analyze-exact-rev24", "argv": argv})
     plan.append({"id": "analyze-exact-rev24-p0.6,0.9", "argv": [*argv[:-1], "0.6,0.9"]})
+    # 18 states whose rows sum to 1 + 5e-13, above 1
+    W = np.random.default_rng(180).random((18, 18))
+    path = os.path.join(work, "dense18-above-one.txt")
+    _write_dense(path, "transition", W / W.sum(axis=1, keepdims=True) * (1.0 + 5e-13))
+    argv = ["analyze", "--input", path, "--format", "dense-matrix", "--method", "exact", "--p", "0.6,0.75,0.9"]
+    plan.append({"id": "analyze-exact-dense18-above-one", "argv": argv})
 
     for name, ns in (("8-300", range(8, 301)), ("4095-65536", (4095, 65536))):
         plan.append({"id": f"scan-{name}", "argv": ["scan", "--n-list", ",".join(map(str, ns)), "--out", "OUT/scan.csv"]})
