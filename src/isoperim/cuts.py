@@ -9,34 +9,11 @@ with 0^p taken as 0. For p = 0 the numerator is instead pi(dS), the mass of
 the inner vertex boundary dS = {v in S : P(v, S-bar) > 0}. phi_p of the chain
 is the minimum over nonempty S with pi(S) <= 1/2.
 
-The exact enumerator walks all bitmasks in blocks of the 2^16 masks of the
-low bits. One subset-sum recurrence, by doubling, gives every low mask's
-pi-mass and row sums P(v, S), with +inf for a low vertex outside the mask,
-written as the doubling goes. Each block of the high bits adds its own
-vertices, +inf for those it leaves out, so the crossing mass
-max(P(v, V) - P(v, S), 0) is 0 outside S; for p = 0, v is on the boundary
-iff it is in S and the bitmask of its entries above STRUCTURAL_ZERO has a
-bit outside S's mask. Each block keeps only its admissible sets and runs the
-bulk kernels on them in slices of 2^12 sets, taken in turn by the calling
-thread and, when a block has more than one slice, by up to one thread per
-CPU in the process's affinity mask (no setting; the results are identical on
-any number of CPUs). The threads run only long numpy calls: the crossing
-masses, built 2^8 sets at a time as rows of 2^8 n entries so that numpy's
-inner loop is long, p = 0 scored term by term on every set, and for p > 0 a
-fast phi_p of every set from one matrix-vector product with pi. The calling
-thread then scores again, term by term, only the sets within a rounding
-window of the block's fast minimum, so the values and the winner are those
-of scoring every set term by term. Ties are broken toward the smallest
-bitmask. An exponent p in (1/2, 1) is scored only on the sets of a block
-that the power-mean bracket
-
-    max(phi_1, phi_{1/2}^{2p}) <= phi_p <= phi_1^p
-
-(x^p >= x on [0, 1], and M_{1/2} <= M_p <= M_1 for the pi-weighted means of
-P(v, S-bar) over S), read on the fast phi_{1/2} and phi_1, with phi_1
-divided by the largest row sum P(v, V) where that is above 1, cannot rule
-out as the block's first minimum; phi_{1/2} and phi_1 take numpy's sqrt and
-identity fast paths, and a general power costs several times as much.
+The exact enumerator, :func:`exact_minima`, walks every bitmask in one pass
+for all the exponents asked, on every CPU in the process's affinity mask. It
+scores sets with one kernel and keeps each exponent's first minimum with one
+chooser, so its values and winners (the smallest bitmask on a tie) are those
+of scoring every set term by term, on any number of CPUs.
 
 The sweep cut takes the best of the distinct level sets of the truncated
 second eigenvector; for p > 1/2 the winner provably satisfies
@@ -170,60 +147,67 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     """Global minimizers of phi_p over all admissible subsets, one pass for
     several exponents at once.
 
-    Enumerates every nonempty S with pi(S) <= 1/2 + 1e-12 by bitmask. Over
-    the masks of the low bits, pi(S) and the row sums P(v, S) are subset
-    sums of per-vertex rows, with +inf in place of P(v, S) for a low vertex
-    outside the mask; each block of the high bits adds its own vertices' row
-    sums, +inf for the high vertices it leaves out, and scores only its
-    admissible sets. The crossing mass x_v = max(P(v, V) - P(v, S), 0) is
-    then 0 for every v outside S, so the term of v is x_v^p for p > 0 with
-    no membership table. For p = 0 the term is 1 when v is on the boundary,
-    that is in S (its P(v, S) finite) with a bit of its bitmask of entries
-    above STRUCTURAL_ZERO outside S's mask, and 0 otherwise. Ties go to the
-    smallest bitmask.
+    Enumerates every nonempty S with pi(S) <= 1/2 + 1e-12 by bitmask, in
+    blocks of the 2^16 masks of the low bits. Over the masks of the low bits,
+    pi(S) and the row sums P(v, S) are subset sums of per-vertex rows, built
+    once by doubling, with +inf in place of P(v, S) for a low vertex outside
+    the mask; each block of the high bits adds its own vertices' row sums,
+    +inf for the high vertices it leaves out, and keeps only its admissible
+    sets. The crossing mass x_v = max(P(v, V) - P(v, S), 0) is then 0 for
+    every v outside S, so the term of v is x_v^p for p > 0 with no membership
+    table. For p = 0 the term is 1 when v is on the boundary, that is in S
+    (its P(v, S) finite) with a bit of its bitmask of entries above
+    STRUCTURAL_ZERO outside S's mask, and 0 otherwise.
 
-    A block scores an exponent p > 0 in two steps. The fast value of each
-    set is one matrix-vector product of its terms with pi, divided by pi(S).
-    The sets whose fast value is within a relative ``_score_rtol(n)`` of the
-    block's smallest are scored again term by term: their crossing masses
-    are built again, and each term times pi(v) is summed along the row by
-    numpy and divided by pi(S). Only these values are compared and kept, and
-    the window holds the first minimum of them over the whole block, so the
+    One kernel, ``bulk``, scores sets: from the crossing masses of some of a
+    block's admissible sets it returns, per exponent, the phi of each set,
+    term by term (:func:`_term_phi`) or fast (:func:`_fast_phi`, one
+    matrix-vector product). One chooser, ``choose``, keeps each exponent's
+    first minimum of each block, the masks in ascending order, and compares
+    term-by-term values alone. So ties go to the smallest bitmask, and the
     values and the winner are bit-identical to scoring every set term by
-    term, however the BLAS orders its sums. p = 0 is scored term by term on
-    every set: on a dense chain most sets tie at phi_0 = 1, and the window
-    would keep them all.
+    term, however the BLAS orders its sums:
 
-    When ``ps`` holds an exponent p in (1/2, 1), each block takes the fast
-    phi_{1/2} and phi_1 of all its sets (once, also when ``ps`` asks for
-    them) and scores p, term by term, only on the sets whose lower bound
-    max(phi_1 / top, phi_{1/2}^{2p}) is within a relative ``_bracket_rtol(n)``
-    of the block's smallest upper bound min phi_1^p; so the general power is
-    taken on those few sets alone. top is the largest row sum P(v, V), or 1
-    if that is smaller: a computed crossing mass fl(P(v, V) - t), t >= 0,
-    never exceeds its row sum, and x^p >= x / top on [0, top]. Where some
-    pi(v) is below 2^-400 a product could underflow and neither window
-    would hold, so every set is scored term by term.
+    - p = 0 is scored term by term on every set: on a dense chain most sets
+      tie at phi_0 = 1, and a window would keep them all. So is every p
+      where some pi(v) is below 2^-400, since a product could underflow and
+      neither window below would hold.
+    - Any other p > 0 outside (1/2, 1) is scored fast on every set.
+      ``choose`` has ``bulk`` score again, term by term, the sets whose fast
+      value is within a relative ``_score_rtol(n)`` of the block's smallest,
+      a window that holds the block's first minimum.
+    - Any other p, in (1/2, 1), is not scored fast. The block's fast
+      phi_{1/2} and phi_1 (taken once, also when ``ps`` asks for them) read
+      the power-mean bracket
+
+          max(phi_1, phi_{1/2}^{2p}) <= phi_p <= phi_1^p
+
+      (x^p >= x on [0, 1], and M_{1/2} <= M_p <= M_1 for the pi-weighted
+      means of P(v, S-bar) over S), and ``bulk`` scores p term by term on the
+      sets whose lower bound max(phi_1 / top, phi_{1/2}^{2p}) is within a
+      relative ``_bracket_rtol(n)`` of the block's smallest upper bound
+      min phi_1^p. top is the largest row sum P(v, V), or 1 if that is
+      smaller: a computed crossing mass fl(P(v, V) - t), t >= 0, never
+      exceeds its row sum, and x^p >= x / top on [0, top]. phi_{1/2} and
+      phi_1 take numpy's sqrt and identity fast paths, and a general power
+      costs several times as much.
 
     A block's admissible sets are cut into contiguous slices of
     ``_SCORE_ROWS``, which the calling thread and, when the block has more
     than one slice, up to one more thread per CPU in the process's affinity
     mask (at most one per slice, from a pool made at most once per call)
-    take one at a time in mask order. A slice runs only the bulk kernels,
-    long numpy calls that release the GIL: its crossing masses, the first
-    minimum of each exponent scored on every set, and the fast values. The
-    crossing masses of a slice are built ``_TILE_ROWS`` sets at a time, as
-    rows of ``_TILE_ROWS`` n entries against the high vertices' row sums and
-    P(v, V) tiled as often: the same elementwise operations as one set at a
-    time, in a longer inner loop; the rows past the last whole tile are
-    built one set at a time. The sets of a window are built again the same
-    way. The calling thread then chooses the windows and the bracket once
-    per block, over the block's fast values, and scores their sets. So a
-    call's peak memory is small and does not depend on how the threads
-    interleave, and a thread that is slow to run leaves its share to the
-    others. There is no setting. Each set's arithmetic does not depend on
-    the slicing, and the slices and blocks are folded in mask order, so the
-    minima are identical on any number of CPUs.
+    take one at a time in mask order. A slice runs ``bulk`` alone, long numpy
+    calls that release the GIL. Crossing masses are built ``_TILE_ROWS`` sets
+    at a time, as rows of ``_TILE_ROWS`` n entries against the high vertices'
+    row sums and P(v, V) tiled as often: the same elementwise operations as
+    one set at a time, in a longer inner loop; the rows past the last whole
+    tile are built one set at a time. Once every slice has run, the calling
+    thread runs ``choose`` on the block's arrays, joined in mask order, and
+    frees them before the next block. So a call's peak memory is small and
+    does not depend on how the threads interleave, and a thread that is slow
+    to run leaves its share to the others. There is no setting. Each set's
+    arithmetic does not depend on the slicing, so the minima are identical on
+    any number of CPUs.
     """
     ps = list(dict.fromkeys(_validate_p(p) for p in ps))
     check_exact(c.n)
@@ -264,22 +248,21 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
         np.subtract(rowsum, rest, out=rest)
         return cross
 
-    def bulk(rows: np.ndarray, mass: np.ndarray, hi_cross: np.ndarray, hi_tiled: np.ndarray, hi_mask: int) -> tuple:
-        """The bulk kernels of ``rows``, one contiguous slice of a block's
-        admissible rows: the term-by-term first minimum (phi, index) of each
-        exponent of ``every`` and the fast phi of each exponent of
-        ``fast_ps``. Long numpy calls only, so a worker thread runs it
-        without the GIL for most of its time."""
+    def bulk(rows: np.ndarray, mass: np.ndarray, hi_cross: np.ndarray, hi_tiled: np.ndarray, hi_mask: int,
+             term_ps: Sequence[float] = every, fast: Sequence[float] = fast_ps) -> list[np.ndarray]:
+        """The phi of each set of ``rows``, a slice of a block's admissible
+        rows or a window of them, one array per exponent: term by term for
+        ``term_ps``, then fast for ``fast``. Long numpy calls only, so a
+        worker thread runs it without the GIL for most of its time."""
         cross = crossing(rows, hi_cross, hi_tiled)
-        if 0.0 in every:  # whether v is on the boundary
+        if 0.0 in term_ps:  # whether v is on the boundary
             boundary = (cross > -np.inf) & ((nbr & ~(rows | hi_mask)[:, None]) != 0)
         np.maximum(cross, 0.0, out=cross)
-        found = [_first_minimum(_powers(cross, p) if p else boundary, pi, mass) for p in every]
-        fast = [_fast_phi(np.sqrt(cross, out=cross) if p == 0.5 else _powers(cross, p), pi, mass) for p in fast_ps]
-        return found, fast
+        phis = [_term_phi(_powers(cross, p) if p else boundary, pi, mass) for p in term_ps]
+        return phis + [_fast_phi(np.sqrt(cross, out=cross) if p == 0.5 else _powers(cross, p), pi, mass) for p in fast]
 
     def drain(tickets: Iterator[int], slices: list, block: tuple, parts: list) -> None:
-        """Run the bulk kernels of the next slice of the block until none is left."""
+        """Run ``bulk`` on the next slice of the block until none is left."""
         for i in tickets:
             if i >= len(slices):
                 return
@@ -287,30 +270,26 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
 
     best = {p: (math.inf, -1) for p in ps}
 
-    def fold(p: float, phi: float, mask: int) -> None:
-        """Keep the first minimum, the masks coming in ascending order."""
-        if phi < best[p][0]:
-            best[p] = float(phi), mask
-
-    def choose(rows: np.ndarray, mass: np.ndarray, slices: list, parts: list, hi_cross: np.ndarray, hi_tiled: np.ndarray, hi_mask: int) -> None:
-        """Fold one block's first minima once its slices have run: those of
-        ``every``, then for each windowed exponent the sets of its window or
-        bracket over the block's fast values, scored again term by term. The
-        block's fast values are freed on return, before the next block runs."""
-        founds, fasts = zip(*parts)
-        for (part_rows, _), found in zip(slices, founds):
-            for p, (phi, j) in zip(every, found):
-                fold(p, phi, hi_mask | int(part_rows[j]))
-        fast = dict(zip(fast_ps, map(np.concatenate, zip(*fasts))))
+    def choose(rows: np.ndarray, mass: np.ndarray, parts: list, block: tuple) -> None:
+        """Keep each exponent's first minimum over one block, from the arrays
+        of its slices joined in mask order: every set's for ``every``, and
+        for each windowed exponent those of the sets of its window or
+        bracket, scored again by ``bulk``."""
+        hi_mask = block[-1]
+        phis = dict(zip(every + fast_ps, map(np.concatenate, zip(*parts))))
+        scored = [(p, rows, phis[p]) for p in every]
         for p in windowed:
             if 0.5 < p < 1.0:  # the bracket
-                ub = float(fast[1.0].min()) ** p * (1.0 + rtol)
-                near = np.flatnonzero(fast[1.0] <= ub * top)
-                near = near[fast[0.5][near] ** (2.0 * p) <= ub]
+                ub = float(phis[1.0].min()) ** p * (1.0 + rtol)
+                near = np.flatnonzero(phis[1.0] <= ub * top)
+                near = near[phis[0.5][near] ** (2.0 * p) <= ub]
             else:
-                near = np.flatnonzero(fast[p] <= fast[p].min() * (1.0 + score_rtol))
-            phi, j = _rescore(crossing(rows[near], hi_cross, hi_tiled), p, pi, mass[near])
-            fold(p, phi, hi_mask | int(rows[near[j]]))
+                near = np.flatnonzero(phis[p] <= phis[p].min() * (1.0 + score_rtol))
+            scored.append((p, rows[near], *bulk(rows[near], mass[near], *block, (p,), ())))
+        for p, at, phi in scored:
+            j = int(np.argmin(phi))
+            if phi[j] < best[p][0]:
+                best[p] = float(phi[j]), hi_mask | int(at[j])
 
     workers = _usable_cpus()
     pool = None
@@ -340,26 +319,11 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
             drain(tickets, slices, block, parts)
             for f in pending:
                 f.result()
-            choose(rows, mass, slices, parts, *block)
+            choose(rows, mass, parts, block)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return {p: _evaluate_set(c, np.flatnonzero(mask >> np.arange(n) & 1), p, "exact") for p, (_, mask) in best.items()}
-
-
-def _first_minimum(terms: np.ndarray, pi: np.ndarray, mass: np.ndarray) -> tuple[float, int]:
-    """(phi, index) of the first minimum over the rows of ``terms``, term by
-    term: each term times pi(v), summed along the row by numpy, over pi(S)."""
-    phi = (terms * pi).sum(axis=1) / mass
-    j = int(np.argmin(phi))
-    return phi[j], j
-
-
-def _rescore(cross: np.ndarray, p: float, pi: np.ndarray, mass: np.ndarray) -> tuple[float, int]:
-    """(phi, index) of the first minimum of phi_p, p > 0, term by term over
-    the sets of a block's window, from their crossing masses built again."""
-    np.maximum(cross, 0.0, out=cross)
-    return _first_minimum(_powers(cross, p), pi, mass)
 
 
 def _bracket_rtol(n: int) -> float:
@@ -395,6 +359,12 @@ def _powers(x: np.ndarray, p: float) -> np.ndarray:
     out **= p
     out *= ~zero
     return out
+
+
+def _term_phi(terms: np.ndarray, pi: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The term-by-term phi of each row's set: each term, 0 outside the set,
+    times pi(v), summed along the row by numpy, over pi(S)."""
+    return (terms * pi).sum(axis=1) / mass
 
 
 def _fast_phi(terms: np.ndarray, pi: np.ndarray, mass: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -465,16 +466,7 @@ class PartitionBlocks:
         flags = [bool(x) for x in in_a]
         if not flags or not flags[0] or flags[-1]:
             raise InputError("coloring must start in A and end in B")
-        sizes = []
-        current, count = True, 0
-        for f in flags:
-            if f == current:
-                count += 1
-            else:
-                sizes.append(count)
-                current, count = f, 1
-        sizes.append(count)
-        return cls(sizes=tuple(sizes))
+        return cls(sizes=tuple(len(list(run)) for _, run in itertools.groupby(flags)))
 
 
 def block_log_sum(pb: PartitionBlocks) -> float:

@@ -11,15 +11,16 @@ and a directed one otherwise. Input is UTF-8, lines end at ``\n``, ``\r\n``
 or ``\r``, tokens are separated by whatever ``str.split`` splits at, and blank
 lines and lines whose first token starts with ``#`` are skipped.
 
-Each file is read once and its tokens are converted once. numpy's C reader
-converts the body of an ASCII edge-tsv file with the header alone on the
-first line and only whole-line comments, in one ``np.loadtxt`` call. Any
-other file, or one the C reader rejects, goes to the line loop, which splits
-one line of text at a time with ``str.split`` and appends its numbers to an
-``array``. It also takes non-ASCII whitespace and ``1_0``-style numbers, and
-alone names a faulty token, as ``path:line``; an edge the graph refuses is
-named at its line on either path. A non-ASCII file is checked as UTF-8 a
-1 MiB piece at a time.
+Each file is read once, its header and body lines are found once, and its
+tokens are converted once. numpy's C reader converts the body of an ASCII
+edge-tsv file with the header alone on the first line and only whole-line
+comments, in one ``np.loadtxt`` call. Any other body, or one the C reader
+rejects, goes to the line loop, which splits one line of text at a time with
+``str.split`` and appends its numbers to an ``array``. It also takes
+non-ASCII whitespace and ``1_0``-style numbers, and alone names a faulty
+token, as ``path:line``; an edge the graph refuses is named at its line
+whichever converter read it. A non-ASCII file is checked as UTF-8 a 1 MiB
+piece at a time.
 
 All numeric output is decimal with 17 significant digits, so every float
 round-trips bit-identically and identical inputs give byte-identical files.
@@ -129,32 +130,27 @@ def _shift(edges: np.ndarray, directed: bool) -> int:
 
 def _whole_line_comments(raw: bytes, at: int) -> bool:
     """Whether, after offset ``at`` of ASCII ``raw``, only ``str.split``
-    whitespace precedes each ``#`` on a line that no lone ``\r`` splits (a
-    comment that loadtxt drops too) and some line is not blank or a comment."""
+    whitespace precedes each ``#`` on a line that no lone ``\r`` splits: a
+    comment that loadtxt drops too."""
     sharp = raw.find(b"#", at)
     while sharp >= 0:  # find's -1, no line end, becomes len(raw)
         start, stop = raw.rfind(b"\n", 0, sharp) + 1, raw.find(b"\n", sharp) % (len(raw) + 1)
         if _INK.search(raw, start, sharp) or raw.find(b"\r", start, stop) not in (-1, stop - 1):
             return False
         sharp = raw.find(b"#", stop)
-    ink = _INK.search(raw, at)
-    while ink and ink.group() == b"#":  # a whole-line comment, as checked above: go on at the next line
-        ink = _INK.search(raw, raw.find(b"\n", ink.start()) % (len(raw) + 1))
-    return ink is not None
+    return True
 
 
-def _plain_graph(path: str, raw: bytes) -> WeightedGraph | None:
-    """The graph of an edge-tsv file whose body numpy's C reader converts, or
-    None, and the line loop decides. The C reader takes ASCII files with the
-    header alone on the first line, comments that are whole lines and a body
-    that is not blank. For any ASCII byte before, inside or after a token it
-    gives what ``int`` and ``float`` give after ``str.split``, or rejects the
-    file (``1_0``, ids past int64, a lone ``\r``), which gives None. Edges the
-    graph refuses are reported as the line loop reports them, at the line of
-    the faulty row."""
+def _c_rows(raw: bytes, header: str) -> np.ndarray | None:
+    """The 1-based ``(u, v, w)`` rows of an edge-tsv file whose body numpy's C
+    reader converts, or None, and the line loop converts it. The C reader
+    takes ASCII files with ``header``, which ``_body`` has read, alone on the
+    first line, and comments that are whole lines. For any ASCII byte before,
+    inside or after a token it gives what ``int`` and ``float`` give after
+    ``str.split``, or rejects the file (``1_0``, ids past int64, a lone
+    ``\r``), which gives None."""
     end = raw.find(b"\n") + 1
-    header = raw[:end].split()
-    if header not in ([b"undirected"], [b"directed"]) or not raw.isascii() or not _whole_line_comments(raw, end):
+    if raw[:end].split() != [header.encode()] or not raw.isascii() or not _whole_line_comments(raw, end):
         return None
     try:
         rows = np.loadtxt(BytesIO(raw), dtype=_EDGE_ROW, skiprows=1, comments="#", ndmin=1)
@@ -162,15 +158,12 @@ def _plain_graph(path: str, raw: bytes) -> WeightedGraph | None:
         return None
     edges = rows.view(np.float64).reshape(-1, 3)  # loadtxt's own buffer, the ids cast in place
     edges[:, :2] = rows.view(np.int64).reshape(-1, 3)[:, :2]
-    directed = header == [b"directed"]
-    return _graph(path, _shift(edges, directed), edges, directed, lambda row: _row(raw, row))
+    return edges
 
 
-def _parse_edge_tsv(path: str, raw: bytes) -> WeightedGraph:
-    graph = _plain_graph(path, raw)
-    if graph is not None:
-        return graph
-    header, lines = _body(path, raw, ("undirected", "directed"))
+def _line_rows(path: str, lines: Iterator[tuple[int, str, list[str]]]) -> np.ndarray:
+    """The 1-based ``(u, v, w)`` rows of the body lines ``_body`` gives, one
+    line at a time; a faulty line is named."""
     values = array("d")
     append = values.append
     for lineno, line, tokens in lines:
@@ -183,9 +176,16 @@ def _parse_edge_tsv(path: str, raw: bytes) -> WeightedGraph:
             append(float(w))
         except (ValueError, OverflowError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-    edges = np.frombuffer(values).reshape(-1, 3)
-    n = _shift(edges, header == "directed")
-    return _graph(path, n, edges, header == "directed", lambda row: _row(raw, row))
+    return np.frombuffer(values).reshape(-1, 3)
+
+
+def _parse_edge_tsv(path: str, raw: bytes) -> WeightedGraph:
+    header, lines = _body(path, raw, ("undirected", "directed"))
+    edges = _c_rows(raw, header)
+    if edges is None:
+        edges = _line_rows(path, lines)
+    directed = header == "directed"
+    return _graph(path, _shift(edges, directed), edges, directed, lambda row: _row(raw, row))
 
 
 def _parse_dense(path: str, raw: bytes) -> WeightedGraph | MarkovChain:

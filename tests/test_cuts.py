@@ -339,9 +339,21 @@ def test_exact_minima_match_blocked_enumerator(c, ps):
     _assert_same_minima(c, ps)
 
 
-def test_exact_minima_match_blocked_enumerator_where_pi_is_tiny():
+_SPLITS = [(1, None), (1, 5), (2, 64), (3, 700)]  # (cpus, _SCORE_ROWS or the default)
+
+
+def _split(monkeypatch, cpus, score_rows):
+    monkeypatch.setattr(cuts, "_usable_cpus", lambda: cpus)
+    if score_rows is not None:
+        monkeypatch.setattr(cuts, "_SCORE_ROWS", score_rows)
+
+
+@pytest.mark.parametrize("cpus, score_rows", _SPLITS, ids=[f"{cpus}-{rows}" for cpus, rows in _SPLITS])
+def test_exact_minima_match_blocked_enumerator_where_pi_is_tiny(monkeypatch, cpus, score_rows):
     # pi falls to 5e-184 along a birth-death chain, where the enumerator
-    # scores every set rather than trust the bracket's rounding window
+    # scores every set rather than trust the bracket's rounding window; the
+    # per-set values of every slice are joined across slices and threads
+    _split(monkeypatch, cpus, score_rows)
     n, up, down = 14, 4e-15, 0.5
     P = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
     P += np.diag(1.0 - P.sum(axis=1))
@@ -500,9 +512,7 @@ def test_exact_minima_start_no_thread_without_a_split(monkeypatch, cpus, score_r
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was made")
 
-    monkeypatch.setattr(cuts, "_usable_cpus", lambda: cpus)
-    if score_rows is not None:
-        monkeypatch.setattr(cuts, "_SCORE_ROWS", score_rows)
+    _split(monkeypatch, cpus, score_rows)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     _assert_same_minima(gen_random_reversible(n, density=0.5, seed=5), [0.0, 0.5, 1.0])
 
@@ -526,36 +536,39 @@ def _heavy_last_vertex():
     [
         pytest.param(cpus, rows, tile, id=f"{cpus}-{rows}" + (f"-tile{tile}" if tile else ""))
         for tile in (None, 1, 3)
-        for cpus, rows in ((1, None), (1, 5), (2, 64), (3, 700))
+        for cpus, rows in _SPLITS
     ],
 )
 def test_exact_minima_rescore_once_per_block_and_windowed_exponent(monkeypatch, c, cpus, score_rows, tile_rows):
     # the windows and the bracket are chosen once per block, by the calling
     # thread: one term-by-term scoring per nonempty block and exponent p > 0,
     # however many slices and threads the block is cut into; p = 0 is scored
-    # in the slices. The crossing masses of a slice are built tile_rows rows
-    # at a time, with the rows past the last whole tile built one at a time:
-    # tiles of 1 row, tiles of 3 that slices of 5, 64 and 700 rows straddle,
-    # and the default tile, longer than slices of 5 and 64
+    # in the slices, once each. The crossing masses of a slice are built
+    # tile_rows rows at a time, with the rows past the last whole tile built
+    # one at a time: tiles of 1 row, tiles of 3 that slices of 5, 64 and 700
+    # rows straddle, and the default tile, longer than slices of 5 and 64
     ps = [0.0, 0.3, 0.5, 0.75, 1.0]
     low = min(c.n, cuts._BLOCK_BITS)
+    mass_low = cuts._subset_sums(c.pi[:low])
     held = [c.pi[low + np.flatnonzero(hi >> np.arange(c.n - low) & 1)].sum() for hi in range(1 << (c.n - low))]
     blocks = sum(mass <= 0.5 + 1e-12 for mass in held)  # blocks with an admissible set
     assert (blocks < 1 << (c.n - low)) == (c.pi[-1] > 0.5)  # heavy18 has empty blocks
-    rescore, calls = cuts._rescore, []
+    sets = [int(np.sum(mass_low + mass <= 0.5 + 1e-12)) - (hi == 0) for hi, mass in enumerate(held)]  # less the empty set
+    rows = score_rows or cuts._SCORE_ROWS
+    slices = sum(-(-k // rows) for k in sets)
+    term_phi, calls = cuts._term_phi, []
 
-    def counted(cross, p, pi, mass):
-        calls.append(p)
-        return rescore(cross, p, pi, mass)
+    def counted(terms, pi, mass):
+        calls.append("slice" if terms.dtype == bool else "window")  # the terms of p = 0 are boundary flags
+        return term_phi(terms, pi, mass)
 
-    monkeypatch.setattr(cuts, "_usable_cpus", lambda: cpus)
-    if score_rows is not None:
-        monkeypatch.setattr(cuts, "_SCORE_ROWS", score_rows)
+    _split(monkeypatch, cpus, score_rows)
     if tile_rows is not None:
         monkeypatch.setattr(cuts, "_TILE_ROWS", tile_rows)
-    monkeypatch.setattr(cuts, "_rescore", counted)
+    monkeypatch.setattr(cuts, "_term_phi", counted)
     _assert_same_minima(c, ps)
-    assert sorted(calls) == sorted(ps[1:] * blocks)
+    assert calls.count("window") == len(ps[1:]) * blocks
+    assert calls.count("slice") == slices
 
 
 def _dense_transition(n, seed):

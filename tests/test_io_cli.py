@@ -865,7 +865,7 @@ def test_plain_edge_tsv_never_reaches_the_line_reader(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the line loop ran")
 
-    monkeypatch.setattr(isoperim.io, "_body", refuse)
+    monkeypatch.setattr(isoperim.io, "_line_rows", refuse)
     for text, want in zip(texts, wanted):
         _write_raw(path, text)
         assert _outcome(parse_graph, path, "edge-tsv") == want, text[:60]
@@ -883,17 +883,19 @@ def test_c_reader_agrees_with_int_and_float_or_rejects():
                 at = len(tokens[k]) if at is None else at
                 tokens[k] = tokens[k][:at] + bytes([byte]) + tokens[k][at:]
                 body = b"\t".join(tokens)
+                raw = b"directed\n" + body + b"\n"
                 try:
-                    graph = isoperim.io._plain_graph("in.txt", b"directed\n" + body + b"\n")
-                except IsoperimError:  # converted, and the graph refuses the row
+                    header, _ = isoperim.io._body("in.txt", raw, ("directed",))
+                except IsoperimError:  # no body line: refused before any conversion
                     continue
-                if graph is None:
+                edges = isoperim.io._c_rows(raw, header)
+                if edges is None:
                     continue
                 rows = [line.split() for line in re.split(r"\r\n|\r|\n", body.decode()) if line.split()]
                 assert len(rows) == 1 and len(rows[0]) == 3, body
                 u, v, w = rows[0]
-                want = np.array([[int(u) - 1, int(v) - 1, float(w)]])
-                assert graph.directed and graph.edges.tobytes() == want.tobytes(), body
+                want = np.array([[int(u), int(v), float(w)]])
+                assert edges.tobytes() == want.tobytes(), body
                 converted.add(body)
     assert {b"+12\t34\t0.5", b"12\x1c\t34\t0.5", b"12\t34\t0.57", b"12\t34\t0.5\x0b"} <= converted
 

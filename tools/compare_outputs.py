@@ -34,6 +34,10 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
   it, read Chung's certificate;
 - ``analyze --method both`` on a birth-death chain on 12 states with
   up-rate 1e-8, whose pi falls to 2e-85;
+- ``analyze --method exact`` at p = 0, 0.3, 1/2, 0.6, 0.9 and 1, and
+  ``verify``, on a birth-death chain on 14 states with up-rate 4e-15
+  (``birth-death14``), whose pi falls to 5.5e-184, below 2^-400, where the
+  enumerator scores every exponent term by term on every set;
 - ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1 on a cycle, a
   hypercube and a dumbbell, whose minimizers tie, and on random reversible
   and directed chains on 18 states, more than one block of the enumerator;
@@ -309,7 +313,9 @@ def build_plan(work: str) -> list[dict]:
         light_cycle[a, b] += 0.01
         light_cycle[a, a] -= 0.01
     tiny_pi = []
-    for name, P in (("birth-death8", _birth_death(8, 1e-6, 0.5)), ("light-cycle6", light_cycle), ("birth-death12", _birth_death(12, 1e-8, 0.5))):
+    chains = [("birth-death8", _birth_death(8, 1e-6, 0.5)), ("light-cycle6", light_cycle), ("birth-death12", _birth_death(12, 1e-8, 0.5))]
+    chains.append(("birth-death14", _birth_death(14, 4e-15, 0.5)))
+    for name, P in chains:
         path = os.path.join(work, f"{name}.txt")
         _write_dense(path, "transition", P)
         tiny_pi.append((name, path, "dense-matrix"))
@@ -324,6 +330,10 @@ def build_plan(work: str) -> list[dict]:
     plan.append({"id": f"analyze-sweep-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--method", "sweep", "--p", "0.5,0.75,1"]})
     name, path, fmt = tiny_pi[2]
     plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--method", "both", "--p", "0,0.5,0.75,1"]})
+    # pi falls below 2^-400: the exact pass scores every exponent term by term on every set
+    name, path, fmt = tiny_pi[3]
+    plan.append({"id": f"analyze-exact-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--method", "exact", "--p", "0,0.3,0.5,0.6,0.9,1"]})
+    plan.append({"id": f"verify-{name}", "argv": ["verify", "--input", path, "--format", fmt]})
     exact = [(name, os.path.join(work, f"tied-{name}.tsv")) for name in ("cycle12", "hypercube4", "dumbbell5")]
     for name, write in (("rev18", inputs.write_random_reversible), ("dir18", inputs.write_random_directed)):
         path = os.path.join(work, f"{name}.tsv")
