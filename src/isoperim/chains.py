@@ -28,6 +28,7 @@ STATIONARY_TOL = 1e-10
 REVERSIBILITY_TOL = 1e-10
 # Largest graph built: its n x n weight matrix takes 2 GiB.
 MAX_STATES = 2**14
+_REVERSIBLE_ROWS = 64  # rows of the flows F = Pi P that is_reversible compares at once
 
 
 def check_states(n: int) -> None:
@@ -118,12 +119,16 @@ class WeightedGraph:
 
     def weight_matrix(self) -> np.ndarray:
         """Dense weight matrix; symmetric for undirected graphs."""
-        u, v = self.edges[:, :2].T.astype(np.intp)
-        w = self.edges[:, 2]
-        W = np.zeros((self.n, self.n))
-        W[u, v] += w
-        if not self.directed:
-            W[v, u] += np.where(u != v, w, 0.0)  # a loop's weight counts once
+        n = self.n
+        w = self.edges[:, 2] + 0.0  # 0.0 + w: a -0.0 weight is stored as 0.0
+        W = np.zeros((n, n))
+        flat = W.reshape(-1)
+        # (u, v), and (v, u) when undirected: a loop's weight is written twice to one entry, so it counts once
+        for row, col in ((0, 1), (1, 0))[: 1 if self.directed else 2]:
+            at = self.edges[:, row].astype(np.intp)
+            at *= n
+            np.add(at, self.edges[:, col], out=at, casting="unsafe")  # ids below 2^14 add exactly
+            flat[at] = w
         return W
 
 
@@ -295,10 +300,15 @@ def is_reversible(c: MarkovChain) -> bool:
     relative tolerance, however small pi gets, so a reversible chain's I - S
     and Chung's Laplacian share their eigenpairs (``spectral``).
     """
-    F = c.pi[:, None] * c.P
-    gap = F - F.T
-    scale = np.maximum(F, F.T)
-    return bool(np.all(np.abs(gap, out=gap) <= np.multiply(scale, REVERSIBILITY_TOL, out=scale)))
+    pi, P = c.pi, c.P
+    for a in range(0, c.n, _REVERSIBLE_ROWS):  # F's rows a:b against F^T's, the same products
+        b = a + _REVERSIBLE_ROWS
+        F, Ft = pi[a:b, None] * P[a:b], (P[:, a:b] * pi[:, None]).T
+        gap = F - Ft
+        scale = np.maximum(F, Ft, out=F)
+        if not np.all(np.abs(gap, out=gap) <= np.multiply(scale, REVERSIBILITY_TOL, out=scale)):
+            return False
+    return True
 
 
 def lazy_transform(c: MarkovChain, delta: float) -> MarkovChain:

@@ -11,16 +11,19 @@ and a directed one otherwise. Input is UTF-8, lines end at ``\n``, ``\r\n``
 or ``\r``, tokens are separated by whatever ``str.split`` splits at, and blank
 lines and lines whose first token starts with ``#`` are skipped.
 
-Each file is read once, its header and body lines are found once, and its
+Each file's header and body lines are found once in its bytes, and its
 tokens are converted once. numpy's C reader converts the body of an ASCII
 edge-tsv file with the header alone on the first line and only whole-line
-comments, in one ``np.loadtxt`` call. Any other body, or one the C reader
-rejects, goes to the line loop, which splits one line of text at a time with
-``str.split`` and appends its numbers to an ``array``. It also takes
-non-ASCII whitespace and ``1_0``-style numbers, and alone names a faulty
-token, as ``path:line``; an edge the graph refuses is named at its line
-whichever converter read it. A non-ASCII file is checked as UTF-8 a 1 MiB
-piece at a time.
+comments, in one ``np.loadtxt`` call. It reads a regular file again by
+path, in chunks, and a file whose device, inode, size or modification time
+changed from before the first read to after the second is refused as
+``path: changed while it was read``; a pipe's bytes are converted as read.
+Any other body, or one the C reader rejects, goes to the line loop, which
+splits one line of text at a time with ``str.split`` and appends its
+numbers to an ``array``. It also takes non-ASCII whitespace and
+``1_0``-style numbers, and alone names a faulty token, as ``path:line``; an
+edge the graph refuses is named at its line whichever converter read it. A
+non-ASCII file is checked as UTF-8 a 1 MiB piece at a time.
 
 All numeric output is decimal with 17 significant digits, so every float
 round-trips bit-identically and identical inputs give byte-identical files.
@@ -33,7 +36,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import stat
 from array import array
 from io import BytesIO, TextIOWrapper
 from typing import Any, Callable, Iterator
@@ -60,6 +65,7 @@ _BLOCK = 1 << 16  # edge-tsv lines written at once
 _UTF8_PIECE = 1 << 20  # bytes of a non-ASCII file checked as UTF-8 at once
 _INK = re.compile(rb"[^\t-\r\x1c-\x20]")  # an ASCII byte that str.split does not split at
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _lines(raw: bytes) -> Iterator[tuple[int, str, list[str]]]:
@@ -76,10 +82,12 @@ def _row(raw: bytes, k: int) -> tuple[int, list[str]]:
     return lineno, tokens
 
 
-def _body(path: str, raw: bytes, headers: tuple[str, ...]) -> tuple[str, Iterator[tuple[int, str, list[str]]]]:
+def _body(path: str, raw: bytes, headers: tuple[str, ...]) -> tuple[str, Iterator[tuple[int, str, list[str]]], bool]:
     """The header of an input file's bytes, one of ``headers`` up to
-    whitespace, and the lines after it, at least one, as ``_lines`` gives them."""
-    view, at = memoryview(raw), len(raw) if raw.isascii() else 0
+    whitespace, the lines after it, at least one, as ``_lines`` gives them,
+    and whether the bytes are ASCII."""
+    is_ascii = raw.isascii()
+    view, at = memoryview(raw), len(raw) if is_ascii else 0
     while at < len(raw):  # a piece and the 3 bytes a sequence it starts may need; one left unfinished starts the next
         stop = at + _UTF8_PIECE + 3
         try:
@@ -98,7 +106,7 @@ def _body(path: str, raw: bytes, headers: tuple[str, ...]) -> tuple[str, Iterato
     first = next(lines, None)
     if first is None:
         raise InputError(f"{path}: nothing after the header")
-    return " ".join(tokens), itertools.chain([first], lines)
+    return " ".join(tokens), itertools.chain([first], lines), is_ascii
 
 
 def _graph(path: str, n: int, edges: np.ndarray, directed: bool, source: Callable[[int], tuple]) -> WeightedGraph:
@@ -141,20 +149,38 @@ def _whole_line_comments(raw: bytes, at: int) -> bool:
     return True
 
 
-def _c_rows(raw: bytes, header: str) -> np.ndarray | None:
+def _stamp(st: os.stat_result) -> tuple[int, int, int, int] | None:
+    """What tells a regular file's contents apart from a rewrite's, or None
+    for an input that can be read only once (a pipe, ``/dev/stdin``)."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns) if stat.S_ISREG(st.st_mode) else None
+
+
+def _c_rows(path: str, raw: bytes, header: str, is_ascii: bool, stamp: tuple | None) -> np.ndarray | None:
     """The 1-based ``(u, v, w)`` rows of an edge-tsv file whose body numpy's C
     reader converts, or None, and the line loop converts it. The C reader
     takes ASCII files with ``header``, which ``_body`` has read, alone on the
     first line, and comments that are whole lines. For any ASCII byte before,
     inside or after a token it gives what ``int`` and ``float`` give after
-    ``str.split``, or rejects the file (``1_0``, ids past int64, a lone
-    ``\r``), which gives None."""
+    ``str.split``, or rejects the file (``1_0``, ids past int64, and from
+    bytes a lone ``\r``), which gives None.
+
+    The checks are made on ``raw``. A regular file (``stamp`` not None) is
+    then read again by path, which numpy reads in chunks, and must still have
+    the ``_stamp`` it had before ``raw`` was read, or InputError is raised.
+    Any other input, and a file with a compressor's suffix, which numpy
+    would decompress, is converted from ``raw``."""
     end = raw.find(b"\n") + 1
-    if raw[:end].split() != [header.encode()] or not raw.isascii() or not _whole_line_comments(raw, end):
+    if raw[:end].split() != [header.encode()] or not is_ascii or not _whole_line_comments(raw, end):
         return None
+    by_path = stamp is not None and not path.endswith(_COMPRESSED)
+    source = os.path.abspath(path) if by_path else BytesIO(raw)  # numpy takes no absolute path for a URL
     try:
-        rows = np.loadtxt(BytesIO(raw), dtype=_EDGE_ROW, skiprows=1, comments="#", ndmin=1)
+        rows = np.loadtxt(source, dtype=_EDGE_ROW, skiprows=1, comments="#", ndmin=1, encoding="latin-1")
     except ValueError:
+        rows = None
+    if by_path and _stamp(os.stat(path)) != stamp:
+        raise InputError(f"{path}: changed while it was read")
+    if rows is None:
         return None
     edges = rows.view(np.float64).reshape(-1, 3)  # loadtxt's own buffer, the ids cast in place
     edges[:, :2] = rows.view(np.int64).reshape(-1, 3)[:, :2]
@@ -179,9 +205,9 @@ def _line_rows(path: str, lines: Iterator[tuple[int, str, list[str]]]) -> np.nda
     return np.frombuffer(values).reshape(-1, 3)
 
 
-def _parse_edge_tsv(path: str, raw: bytes) -> WeightedGraph:
-    header, lines = _body(path, raw, ("undirected", "directed"))
-    edges = _c_rows(raw, header)
+def _parse_edge_tsv(path: str, raw: bytes, stamp: tuple | None) -> WeightedGraph:
+    header, lines, is_ascii = _body(path, raw, ("undirected", "directed"))
+    edges = _c_rows(path, raw, header, is_ascii, stamp)
     if edges is None:
         edges = _line_rows(path, lines)
     directed = header == "directed"
@@ -189,7 +215,7 @@ def _parse_edge_tsv(path: str, raw: bytes) -> WeightedGraph:
 
 
 def _parse_dense(path: str, raw: bytes) -> WeightedGraph | MarkovChain:
-    header, lines = _body(path, raw, ("matrix-kind transition", "matrix-kind weight"))
+    header, lines, _ = _body(path, raw, ("matrix-kind transition", "matrix-kind weight"))
     values, widths = array("d"), []
     for lineno, _, tokens in lines:
         try:
@@ -227,8 +253,9 @@ def parse_graph(path: str, format: str) -> WeightedGraph | MarkovChain:
     if format not in FORMATS:
         raise InputError(f"unknown format {format!r}; expected one of {FORMATS}")
     with open(path, "rb") as fh:
+        stamp = _stamp(os.fstat(fh.fileno()))
         raw = fh.read()
-    return _parse_edge_tsv(path, raw) if format == "edge-tsv" else _parse_dense(path, raw)
+    return _parse_edge_tsv(path, raw, stamp) if format == "edge-tsv" else _parse_dense(path, raw)
 
 
 def as_chain(obj: WeightedGraph | MarkovChain) -> MarkovChain:

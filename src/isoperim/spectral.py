@@ -9,7 +9,8 @@ eigenpair and checks its own residual against I - S. Both kinds are a
 :class:`SpectralCertificate` carrying lambda_2, the unit eigenvector v2 of
 the symmetric matrix, and the reweighted eigenvector f2 = Pi^{-1/2} v2 used
 by the sweep-cut machinery. A chain's certificates are read through
-``bounds.ChainAnalysis.cert``, which builds each kind at most once.
+``bounds.ChainAnalysis.cert``, which builds each kind at most once. L is
+solved for its eigenvalues alone and one linear system (``_certificate``).
 """
 
 from __future__ import annotations
@@ -79,25 +80,65 @@ def _similarity(c: MarkovChain) -> np.ndarray:
 def _certificate(c: MarkovChain, chung: SpectralCertificate | None = None) -> SpectralCertificate:
     """Chung's certificate of c from one solve of L, or, given it for a
     reversible c, the reversible one: there I - S symmetrizes to L, so it
-    takes L's eigenpair and checks its own residual against I - S."""
+    takes L's eigenpair and checks its own residual against I - S.
+
+    The solve takes lambda2 = w[1] from L's eigenvalues alone, then v2 by
+    one step of inverse iteration: one LU solve of A x = b, with
+    A = L - lambda2 I + u u^T and u = Pi^{1/2} 1 / |Pi^{1/2} 1|, L's unit
+    eigenvector for 0. A is nearly singular only along lambda2's
+    eigenspace, so x lies in it to rounding; u is projected out of x and the
+    result normalized. The deflation u u^T moves u's eigenvalue from
+    -lambda2 to 1 - lambda2, so that a small lambda2 does not leave A nearly
+    singular along u too: on the inverse-cube circulant at n = 1024
+    (lambda2 = 1e-4) it makes x's u part three to four orders of magnitude
+    smaller before the projection. When lambda2 and A are exact in floating
+    point, A can be exactly singular; the solve is then made once more with
+    lambda2 lowered by the spacing of doubles at 2, the top of L's
+    spectrum, a step that no rounding of A's diagonal absorbs. On a
+    multiple lambda2, v2 is some unit vector of its eigenspace.
+    """
+    sqrt_pi = np.sqrt(c.pi)
     if chung is None:
         L = chung_laplacian(c)
-        w, Q = symmetric_eigensolve(L)
-        lambda2, v2 = float(w[1]), Q[:, 1].copy()
+        try:
+            lambda2 = float(np.linalg.eigvalsh(L)[1])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(str(exc)) from exc
+        v2 = _deflated_solve(L, sqrt_pi / np.linalg.norm(sqrt_pi), lambda2)
         nz = np.nonzero(np.abs(v2) > 1e-12)[0]
         if nz.size and v2[nz[0]] < 0:  # deterministic sign: first non-negligible coordinate positive
             v2 = -v2
     else:
-        L = np.eye(c.n) - _similarity(c)
+        L = _identity_minus(_similarity(c))
         lambda2, v2 = chung.lambda2, chung.v2
     residual = float(np.linalg.norm(L @ v2 - lambda2 * v2))
-    if residual > _RESIDUAL_TOL * max(float(np.linalg.norm(L)), 1e-300):
+    if not residual <= _RESIDUAL_TOL * max(float(np.linalg.norm(L)), 1e-300):  # a NaN residual fails too
         raise NumericalFailure(f"eigenpair residual {residual:.3e} above tolerance")
-    sqrt_pi = np.sqrt(c.pi)
     if abs(float(v2 @ sqrt_pi)) > _ORTHO_TOL:
         raise NumericalFailure("second eigenvector not orthogonal to the Perron direction")
     kind = "chung-directed" if chung is None else "reversible-normalized"
     return SpectralCertificate(lambda2=lambda2, f2=v2 / sqrt_pi, v2=v2, kind=kind, residual=residual)
+
+
+def _deflated_solve(L: np.ndarray, u: np.ndarray, sigma: float) -> np.ndarray:
+    """v2 of ``_certificate``'s solve, for the right-hand side
+    b_k = sin(k), k = 1..n: fixed, with no period or sign pattern of its
+    own, and free of the numpy.random import (about 9 ms a process) that a
+    seeded draw would cost."""
+    b = np.sin(np.arange(1.0, len(u) + 1.0))
+    for shift in (sigma, sigma - np.spacing(2.0)):
+        A = u[:, None] * u
+        A += L
+        A.flat[:: len(u) + 1] -= shift
+        try:
+            x = np.linalg.solve(A, b)
+            break
+        except np.linalg.LinAlgError as exc:
+            failure = exc
+    else:
+        raise NumericalFailure(str(failure)) from failure
+    x -= (u @ x) * u
+    return x / np.linalg.norm(x)
 
 
 def chung_laplacian(c: MarkovChain) -> np.ndarray:
@@ -109,9 +150,14 @@ def chung_laplacian(c: MarkovChain) -> np.ndarray:
     L = _similarity(c)
     L += L.T.copy()
     L *= 0.5
-    np.subtract(0.0, L, out=L)  # 0 - h off the diagonal keeps each zero's sign
-    L.flat[:: c.n + 1] += 1.0  # -h + 1 is 1 - h
-    return L
+    return _identity_minus(L)
+
+
+def _identity_minus(M: np.ndarray) -> np.ndarray:
+    """I - M in place, with the bits of ``np.eye(n) - M``."""
+    np.subtract(0.0, M, out=M)  # 0 - m off the diagonal keeps each zero's sign
+    M.flat[:: len(M) + 1] += 1.0  # -m + 1 is 1 - m
+    return M
 
 
 def truncated_eigenvector(cert: SpectralCertificate, c: MarkovChain) -> np.ndarray:

@@ -24,7 +24,7 @@ from isoperim import (
     random_directed_graph,
     random_reversible_graph,
 )
-from isoperim.chains import MAX_STATES, _gth, edge_fault
+from isoperim.chains import MAX_STATES, REVERSIBILITY_TOL, _gth, edge_fault
 from isoperim.errors import InputError, NumericalFailure, TooLarge
 from oracles import (
     birth_death_matrix,
@@ -80,6 +80,27 @@ def test_is_reversible_tests_each_pair_of_flows():
         W = rng.random((200, 200))
         chains.append(chain_from_matrix((W + W.T) / (W + W.T).sum(axis=1, keepdims=True)))
     assert all(is_reversible(c) for c in chains)
+
+
+def _full_matrix_reversible(c):
+    F = c.pi[:, None] * c.P
+    return bool(np.all(np.abs(F - F.T) <= REVERSIBILITY_TOL * np.maximum(F, F.T)))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_is_reversible_by_row_blocks_gives_the_full_matrix_verdict(monkeypatch, rows):
+    # blocks of 1, 3 and 64 rows, the last one short, on chains that pass and
+    # that fail, one of them only in its last rows
+    W = np.random.default_rng(5).random((70, 70))
+    W += W.T
+    W[69, 0] *= 1.5
+    chains = [chain_from_matrix(light_cycle_matrix()), chain_from_matrix(W / W.sum(axis=1, keepdims=True))]
+    chains += [gen_random_reversible(n, density=0.5, seed=n) for n in (3, 7, 65, 130)]
+    chains += [gen_random_directed(n, density=0.5, seed=n) for n in (7, 65)]
+    monkeypatch.setattr(isoperim.chains, "_REVERSIBLE_ROWS", rows)
+    verdicts = [is_reversible(c) for c in chains]
+    assert verdicts == [_full_matrix_reversible(c) for c in chains]
+    assert verdicts == [False, False, True, True, True, True, False, False]
 
 
 def test_directed_cycle_pi_uniform(directed_3cycle):
@@ -320,6 +341,19 @@ def test_edge_validator_and_weight_matrix_match_loop_oracles(data, n, directed, 
         assert fault[0] == row and _FAULT_WORDS[kind] in fault[1]
         with pytest.raises(InputError, match=f"edge {row}: .*{_FAULT_WORDS[kind]}"):
             WeightedGraph(n=n, edges=rows, directed=directed, allow_self_loops=loops)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_weight_matrix_keeps_the_bits_of_the_edge_by_edge_sum(directed):
+    # loops count once, and a -0.0 weight, on a loop or not, is stored as 0.0
+    edges = (random_directed_graph if directed else random_reversible_graph)(40, 0.3, seed=4).edges.copy()
+    edges[::7, 2] = -0.0
+    loops = np.array([[v, v, w] for v, w in zip(range(0, 40, 3), [2.5, -0.0, 0.0, 0.125] * 4)])
+    rows = np.concatenate([edges, loops])
+    W = WeightedGraph(n=40, edges=rows, directed=directed, allow_self_loops=True).weight_matrix()
+    want = naive_weight_matrix(40, rows.tolist(), directed)
+    assert W.tobytes() == want.tobytes()
+    assert not np.signbit(W).any()
 
 
 def test_edge_fault_temporaries_stay_near_one_edge_array():

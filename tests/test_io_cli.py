@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -399,14 +401,15 @@ def test_cli_bad_exact_cap_setting_exit_2(random6, monkeypatch, capsys):
 
 
 def _derivation_counts(tmp_path, monkeypatch, directed, argv):
-    """Calls of exact_minima, is_reversible and numpy's eigh made by one
-    command on a random 6-state chain, reversible or directed."""
+    """Calls of exact_minima, is_reversible and numpy's eigvalsh and eigh
+    made by one command on a random 6-state chain, reversible or directed."""
     g = tmp_path / ("directed.tsv" if directed else "reversible.tsv")
     write_graph_tsv((random_directed_graph if directed else random_reversible_graph)(6, 0.5, 5), str(g))
-    calls = {"exact_minima": 0, "is_reversible": 0, "eigh": 0}
+    calls = {"exact_minima": 0, "is_reversible": 0, "eigvalsh": 0, "eigh": 0}
+    linalg = isoperim.spectral.np.linalg
     targets = [(isoperim.bounds, "exact_minima"), (isoperim.bounds, "is_reversible")]
     with monkeypatch.context() as m:
-        for module, name in targets + [(isoperim.spectral.np.linalg, "eigh")]:
+        for module, name in targets + [(linalg, "eigvalsh"), (linalg, "eigh")]:
             real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -419,17 +422,17 @@ def _derivation_counts(tmp_path, monkeypatch, directed, argv):
 
 
 def test_cli_verify_derives_each_quantity_once(tmp_path, monkeypatch):
-    # one eigensolve serves both certificates of a reversible chain
+    # one eigenvalue solve serves both certificates of a reversible chain
     for directed in (False, True):
         calls = _derivation_counts(tmp_path, monkeypatch, directed, ["verify", "--suite", "all"])
-        assert calls == {"exact_minima": 1, "is_reversible": 1, "eigh": 1}
+        assert calls == {"exact_minima": 1, "is_reversible": 1, "eigvalsh": 1, "eigh": 0}
 
 
 def test_cli_analyze_directed_spectral_solves_once(tmp_path, monkeypatch):
     for directed in (False, True):
         argv = ["analyze", "--directed-spectral", "--out", str(tmp_path / "r.json")]
         calls = _derivation_counts(tmp_path, monkeypatch, directed, argv)
-        assert calls == {"exact_minima": 1, "is_reversible": 1, "eigh": 1}
+        assert calls == {"exact_minima": 1, "is_reversible": 1, "eigvalsh": 1, "eigh": 0}
 
 
 def _sweep_passes(monkeypatch):
@@ -871,10 +874,17 @@ def test_plain_edge_tsv_never_reaches_the_line_reader(tmp_path, monkeypatch):
         assert _outcome(parse_graph, path, "edge-tsv") == want, text[:60]
 
 
-def test_c_reader_agrees_with_int_and_float_or_rejects():
+def test_c_reader_agrees_with_int_and_float_or_rejects(tmp_path):
     # any ASCII byte before, inside or after each token of a line: numpy's C
-    # reader converts what str.split, int() and float() make of the line, or
+    # reader, reading a regular file by path or the bytes of any other input,
+    # converts what str.split, int() and float() make of the line, or
     # rejects the file so that the line loop decides
+    path = tmp_path / "in.txt"
+    for by_path in (True, False):
+        _check_c_reader_against_int_and_float(path, by_path)
+
+
+def _check_c_reader_against_int_and_float(path, by_path):
     converted = set()
     for byte in range(128):
         for k in range(3):
@@ -884,11 +894,13 @@ def test_c_reader_agrees_with_int_and_float_or_rejects():
                 tokens[k] = tokens[k][:at] + bytes([byte]) + tokens[k][at:]
                 body = b"\t".join(tokens)
                 raw = b"directed\n" + body + b"\n"
+                path.write_bytes(raw)
                 try:
-                    header, _ = isoperim.io._body("in.txt", raw, ("directed",))
+                    header, _, is_ascii = isoperim.io._body(str(path), raw, ("directed",))
                 except IsoperimError:  # no body line: refused before any conversion
                     continue
-                edges = isoperim.io._c_rows(raw, header)
+                stamp = isoperim.io._stamp(os.stat(path)) if by_path else None
+                edges = isoperim.io._c_rows(str(path), raw, header, is_ascii, stamp)
                 if edges is None:
                     continue
                 rows = [line.split() for line in re.split(r"\r\n|\r|\n", body.decode()) if line.split()]
@@ -912,6 +924,85 @@ def test_parsers_hand_their_edge_array_to_the_graph_uncopied(tmp_path, monkeypat
     for fmt, text in [("edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n"), ("dense-matrix", "matrix-kind weight\n0 1\n1 0\n")]:
         path.write_text(text)
         assert parse_graph(str(path), fmt).edges is handed[-1]
+
+
+def _loadtxt_sources(monkeypatch, before=None):
+    """The first argument of each np.loadtxt call the parser makes; ``before``
+    runs ahead of each call."""
+    real, sources = np.loadtxt, []
+
+    def loadtxt(source, *args, **kwargs):
+        sources.append(source)
+        if before is not None:
+            before()
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(isoperim.io.np, "loadtxt", loadtxt)
+    return sources
+
+
+@pytest.mark.parametrize("change", ["append", "replace", "touch"])
+def test_file_changed_during_the_c_read_exits_2(tmp_path, monkeypatch, capsys, change):
+    # the regular file is read again by path; one rewritten in between, in
+    # place, by a rename or only in its modification time, is refused
+    path = tmp_path / "g.tsv"
+    write_graph_tsv(random_directed_graph(12, 0.5, 3), str(path))
+    raw = path.read_bytes()
+
+    def rewrite():
+        if change == "append":
+            path.write_bytes(raw + b"1\t1\t1\n")
+        elif change == "replace":
+            (tmp_path / "new.tsv").write_bytes(raw)
+            os.replace(tmp_path / "new.tsv", path)
+        else:
+            st = os.stat(path)
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+    sources = _loadtxt_sources(monkeypatch, rewrite)
+    assert cli_main(["analyze", "--input", str(path), "--method", "sweep"]) == 2
+    assert capsys.readouterr().err.strip().endswith(f"{path}: changed while it was read")
+    assert sources == [os.path.abspath(path)]
+
+
+def test_fifo_input_gives_the_report_of_the_regular_file(tmp_path, monkeypatch, capsys):
+    # a pipe can be read only once: its bytes go to the C reader, and the
+    # report is the regular file's, up to the path it names
+    path, fifo = tmp_path / "g.tsv", tmp_path / "g.fifo"
+    write_graph_tsv(random_directed_graph(30, 0.5, 4), str(path))
+    os.mkfifo(fifo)
+    sources = _loadtxt_sources(monkeypatch)
+    assert cli_main(["analyze", "--input", str(path), "--method", "sweep"]) == 0
+    want = capsys.readouterr().out.replace(str(path), "INPUT")
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        assert cli_main(["analyze", "--input", str(fifo), "--method", "sweep"]) == 0
+    finally:
+        if writer.is_alive():  # the reader never opened the pipe: let the writer's open return
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(10)
+    assert capsys.readouterr().out.replace(str(fifo), "INPUT") == want
+    assert sources[0] == os.path.abspath(path) and isinstance(sources[1], io.BytesIO)
+
+
+def test_plain_file_with_a_compressed_suffix_is_read_from_its_bytes(tmp_path, monkeypatch):
+    # numpy would open a .gz path through gzip; the parser reads its bytes
+    path = tmp_path / "g.tsv"
+    write_graph_tsv(random_directed_graph(12, 0.5, 3), str(path))
+    sources = _loadtxt_sources(monkeypatch)
+    want = _outcome(parse_graph, path, "edge-tsv")
+    for suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        named = tmp_path / ("g.tsv" + suffix)
+        named.write_bytes(path.read_bytes())
+        assert _outcome(parse_graph, named, "edge-tsv") == want
+    assert sources[0] == os.path.abspath(path) and all(isinstance(s, io.BytesIO) for s in sources[1:])
+    assert len(sources) == 5
 
 
 def test_line_loop_peak_memory_is_the_bytes_and_the_edges(tmp_path):

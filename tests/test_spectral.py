@@ -7,8 +7,10 @@ import pytest
 import isoperim.spectral
 from isoperim import (
     ChainAnalysis,
+    chain_from_matrix,
     chung_laplacian,
     gen_cycle,
+    gen_hypercube,
     gen_random_directed,
     gen_random_reversible,
     lazy_transform,
@@ -154,6 +156,17 @@ def test_chung_laplacian_and_eigensolve_keep_the_bits_of_the_old_formulas(direct
     assert np.array_equal(_bits(Q), _bits(Q_old))
 
 
+@pytest.mark.parametrize("n, density, seed", [(3, 1.0, 0), (9, 0.3, 1), (60, 0.2, 3)])
+def test_reversible_certificate_builds_i_minus_s_with_the_bits_of_eye_minus_s(n, density, seed):
+    # signed zeros included; the residual it reports is taken on that matrix
+    c = gen_random_reversible(n, density=density, seed=seed)
+    S = (np.sqrt(c.pi)[:, None] * c.P) / np.sqrt(c.pi)[None, :]
+    want = np.eye(n) - S
+    assert np.array_equal(_bits(isoperim.spectral._identity_minus(S.copy())), _bits(want))
+    cert = ChainAnalysis(c).cert(False)
+    assert cert.residual == float(np.linalg.norm(want @ cert.v2 - cert.lambda2 * cert.v2))
+
+
 def test_eigensolve_symmetrizes_a_nearly_symmetric_matrix_and_refuses_a_skewed_one():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((12, 12))
@@ -235,26 +248,76 @@ def test_certificate_invariants():
 
 # --- fault injection on the eigensolve -----------------------------------------
 
-def test_eigh_failure_is_numerical_failure(monkeypatch, cycle4):
+def test_eigvalsh_failure_is_numerical_failure(monkeypatch, cycle4):
     def fail(M):
         raise np.linalg.LinAlgError("injected: eigenvalues did not converge")
 
-    monkeypatch.setattr(isoperim.spectral.np.linalg, "eigh", fail)
+    monkeypatch.setattr(isoperim.spectral.np.linalg, "eigvalsh", fail)
     with pytest.raises(NumericalFailure, match="did not converge"):
         ChainAnalysis(cycle4).cert(False)
 
 
 def test_eigenpair_residual_above_tolerance(monkeypatch):
     c = gen_random_reversible(6, density=0.5, seed=2)
-    real = np.linalg.eigh
+    real = np.linalg.eigvalsh
 
     def shifted(M):
-        w, Q = real(M)
-        return w + 1e-3, Q
+        return real(M) + 1e-3
 
-    monkeypatch.setattr(isoperim.spectral.np.linalg, "eigh", shifted)
+    monkeypatch.setattr(isoperim.spectral.np.linalg, "eigvalsh", shifted)
     with pytest.raises(NumericalFailure, match="residual"):
         ChainAnalysis(c).cert(False)
+
+
+def _solves(monkeypatch, singular):
+    """Log "singular" or "ok" for each of numpy's solves, the first
+    ``singular`` of them refused as exactly singular."""
+    real, log = np.linalg.solve, []
+
+    def solve(A, b):
+        if len(log) < singular:
+            log.append("singular")
+            raise np.linalg.LinAlgError("injected: Singular matrix")
+        try:
+            x = real(A, b)
+        except np.linalg.LinAlgError:
+            log.append("singular")
+            raise
+        log.append("ok")
+        return x
+
+    monkeypatch.setattr(isoperim.spectral.np.linalg, "solve", solve)
+    return log
+
+
+def _exact_lambda2_chains():
+    swap = chain_from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return [swap, lazy_transform(swap, 0.25), gen_cycle(3), gen_cycle(4), gen_hypercube(2), gen_hypercube(3)]
+
+
+@pytest.mark.parametrize("singular", [0, 1])
+def test_exactly_representable_lambda2_takes_the_step_and_keeps_the_residual(monkeypatch, singular):
+    # lambda2 = 2, 0.5, 1.5, 1, 1 and 2/3 (the last not a double): the lazy
+    # swap chain's and the 4-cycle's deflated matrices are exactly singular
+    # at lambda2 itself, so their second solve is the one stepped down;
+    # every chain's first solve refused as singular (singular = 1) steps
+    # too. Either way each pair meets a relative residual of 1e-12
+    stepped = []
+    for c in _exact_lambda2_chains():
+        log = _solves(monkeypatch, singular)
+        cert = ChainAnalysis(c).cert(True)
+        stepped.append(log == ["singular", "ok"])
+        assert log in (["ok"], ["singular", "ok"])
+        assert cert.residual <= 1e-12 * np.linalg.norm(chung_laplacian(c))
+        assert abs(cert.lambda2 / eigh_certificate(c.P, c.pi, True)[0][1] - 1) <= 1e-12
+    assert stepped[1] and stepped[3] if singular == 0 else all(stepped)
+
+
+def test_two_singular_solves_are_numerical_failure(monkeypatch, cycle4):
+    log = _solves(monkeypatch, 2)
+    with pytest.raises(NumericalFailure, match="Singular matrix"):
+        ChainAnalysis(cycle4).cert(False)
+    assert log == ["singular", "singular"]
 
 
 def test_zero_eigenvector_is_numerical_failure(cycle4):
