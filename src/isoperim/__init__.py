@@ -77,7 +77,6 @@ from .io import AnalysisReport, as_chain, emit_report, load_chain, parse_graph, 
 from .spectral import (
     SpectralCertificate,
     chung_laplacian,
-    symmetric_eigensolve,
     truncated_eigenvector,
     truncated_rayleigh,
 )

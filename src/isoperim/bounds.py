@@ -63,6 +63,11 @@ class BoundReport:
         return self.slack >= -self.tol
 
 
+def verdict(holds: bool) -> str:
+    """The word a report prints for a bound's verdict."""
+    return "holds" if holds else "VIOLATED"
+
+
 class ChainAnalysis:
     """Every certificate and cut a run reads, each derived at most once.
 

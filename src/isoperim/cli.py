@@ -25,6 +25,7 @@ from .bounds import (
     bound_suite,
     geometric_chain_sum,
     power_increment_supremum,
+    verdict,
 )
 from .cuts import _validate_p, sweep_guarantee
 from .errors import InputError, IsoperimError
@@ -151,8 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     width = max(len(r.name) for r in reports)
     for r in reports:
-        verdict = "holds" if r.holds else "VIOLATED"
-        sys.stdout.write(f"{r.name.ljust(width)}  lhs={r.lhs:.17g}  rhs={r.rhs:.17g}  {verdict}\n")
+        sys.stdout.write(f"{r.name.ljust(width)}  lhs={r.lhs:.17g}  rhs={r.rhs:.17g}  {verdict(r.holds)}\n")
     return 0 if all(r.holds for r in reports) else 1
 
 

@@ -201,7 +201,8 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     at a time, as rows of ``_TILE_ROWS`` n entries against the high vertices'
     row sums and P(v, V) tiled as often: the same elementwise operations as
     one set at a time, in a longer inner loop; the rows past the last whole
-    tile are built one set at a time. Once every slice has run, the calling
+    tile are built the same way, as one shorter row against the first
+    entries of the same tiled rows. Once every slice has run, the calling
     thread runs ``choose`` on the block's arrays, joined in mask order, and
     frees them before the next block. So a call's peak memory is small and
     does not depend on how the threads interleave, and a thread that is slow
@@ -233,28 +234,27 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
     score_rtol = _score_rtol(n)
     top = max(1.0, float(rowsum.max()))  # no crossing mass exceeds it; x**p >= x / top on [0, top]
 
-    def crossing(rows: np.ndarray, hi_cross: np.ndarray, hi_tiled: np.ndarray) -> np.ndarray:
+    def crossing(rows: np.ndarray, hi_tiled: np.ndarray) -> np.ndarray:
         """P(v, V) - P(v, S) of each row's set S, -inf for v outside S; each
-        whole tile of rows is built as one row of tile * n entries against
-        ``hi_tiled``, ``hi_cross`` tiled ``tile`` times."""
+        whole tile of rows is built as one row of tile * n entries, and the
+        rows past the last whole tile as one shorter row, each against as
+        many entries of ``hi_tiled`` (the high vertices' row sums tiled
+        ``tile`` times) and of P(v, V) tiled as often."""
         cross = np.take(R_low, rows, axis=0)
-        whole = rows.size - rows.size % tile
-        if whole:
-            tiled = cross[:whole].reshape(-1, tile * n)
-            tiled += hi_tiled
-            np.subtract(rowsum_tiled, tiled, out=tiled)
-        rest = cross[whole:]
-        rest += hi_cross
-        np.subtract(rowsum, rest, out=rest)
+        flat = cross.reshape(-1)
+        whole = (rows.size - rows.size % tile) * n
+        for part in (flat[:whole].reshape(-1, tile * n), flat[whole:]):
+            part += hi_tiled[: part.shape[-1]]
+            np.subtract(rowsum_tiled[: part.shape[-1]], part, out=part)
         return cross
 
-    def bulk(rows: np.ndarray, mass: np.ndarray, hi_cross: np.ndarray, hi_tiled: np.ndarray, hi_mask: int,
+    def bulk(rows: np.ndarray, mass: np.ndarray, hi_tiled: np.ndarray, hi_mask: int,
              term_ps: Sequence[float] = every, fast: Sequence[float] = fast_ps) -> list[np.ndarray]:
         """The phi of each set of ``rows``, a slice of a block's admissible
         rows or a window of them, one array per exponent: term by term for
         ``term_ps``, then fast for ``fast``. Long numpy calls only, so a
         worker thread runs it without the GIL for most of its time."""
-        cross = crossing(rows, hi_cross, hi_tiled)
+        cross = crossing(rows, hi_tiled)
         if 0.0 in term_ps:  # whether v is on the boundary
             boundary = (cross > -np.inf) & ((nbr & ~(rows | hi_mask)[:, None]) != 0)
         np.maximum(cross, 0.0, out=cross)
@@ -306,7 +306,7 @@ def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:
             mass = mass[rows]
             hi_cross = P[:, bits].sum(axis=1)
             hi_cross[low:][held == 0] = np.inf
-            block = (hi_cross, np.tile(hi_cross, tile), hi << low)
+            block = (np.tile(hi_cross, tile), hi << low)
             slices = [(rows[i : i + _SCORE_ROWS], mass[i : i + _SCORE_ROWS]) for i in range(0, rows.size, _SCORE_ROWS)]
             parts = [None] * len(slices)
             tickets = itertools.count()  # next() on it is atomic under the GIL

@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from . import __version__ as _version
-from .bounds import BoundReport
+from .bounds import BoundReport, verdict
 from .chains import MarkovChain, WeightedGraph, chain_from_directed, chain_from_matrix, chain_from_undirected
 from .chains import check_states, edge_fault
 from .cuts import CutResult
@@ -389,7 +389,7 @@ def report_text(report: AnalysisReport) -> str:
     if report.bounds:
         rows = [("name", "lhs", "rhs", "slack", "verdict")]
         for b in report.bounds:
-            rows.append((b["name"], _fmt(b["lhs"]), _fmt(b["rhs"]), _fmt(b["slack"]), "holds" if b["holds"] else "VIOLATED"))
+            rows.append((b["name"], _fmt(b["lhs"]), _fmt(b["rhs"]), _fmt(b["slack"]), verdict(b["holds"])))
         widths = [max(len(r[i]) for r in rows) for i in range(5)]
         for r in rows:
             lines.append("  ".join(r[i].ljust(widths[i]) for i in range(5)).rstrip())

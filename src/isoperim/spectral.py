@@ -47,28 +47,6 @@ class SpectralCertificate:
             object.__setattr__(self, name, arr)
 
 
-def symmetric_eigensolve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending,
-    as (eigenvalues, orthonormal columns Q). An input that is not symmetric
-    bit for bit is symmetrized as (M + M^T)/2 before solving, which leaves a
-    symmetric one unchanged; gross asymmetry is rejected as a caller bug."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise InputError("matrix has non-finite entries")
-    if not np.array_equal(M.view(np.int64), M.T.view(np.int64)):
-        norm = np.linalg.norm(M)
-        if norm > 0 and np.linalg.norm(M - M.T) > 1e-6 * norm:
-            raise InputError("matrix is not symmetric within tolerance")
-        M = 0.5 * (M + M.T)
-    try:
-        w, Q = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(str(exc)) from exc
-    return w, Q
-
-
 def _similarity(c: MarkovChain) -> np.ndarray:
     """S = Pi^{1/2} P Pi^{-1/2}, symmetric when c is reversible."""
     sqrt_pi = np.sqrt(c.pi)

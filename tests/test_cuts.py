@@ -545,8 +545,8 @@ def test_exact_minima_rescore_once_per_block_and_windowed_exponent(monkeypatch, 
     # however many slices and threads the block is cut into; p = 0 is scored
     # in the slices, once each. The crossing masses of a slice are built
     # tile_rows rows at a time, with the rows past the last whole tile built
-    # one at a time: tiles of 1 row, tiles of 3 that slices of 5, 64 and 700
-    # rows straddle, and the default tile, longer than slices of 5 and 64
+    # as one shorter row: tiles of 1 row, tiles of 3 that slices of 5, 64 and
+    # 700 rows straddle, and the default tile, longer than slices of 5 and 64
     ps = [0.0, 0.3, 0.5, 0.75, 1.0]
     low = min(c.n, cuts._BLOCK_BITS)
     mass_low = cuts._subset_sums(c.pi[:low])
