@@ -11,6 +11,7 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 from typing import Iterable
@@ -49,7 +50,16 @@ def vertex_ids(vertices: Iterable[int]) -> np.ndarray:
     return np.array(ids, dtype=np.int64)
 
 
-def edge_fault(edges: np.ndarray, n: int, directed: bool, allow_self_loops: bool) -> tuple[int, str] | None:
+def _kept(x) -> np.ndarray:
+    """x itself when it is a frozen float64 ndarray, else a frozen float64
+    copy: how a value object holds an array it is handed."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and not x.flags.writeable):
+        x = np.array(x, dtype=float)
+        x.setflags(write=False)
+    return x
+
+
+def edge_fault(edges: np.ndarray, n: int, directed: bool) -> tuple[int, str] | None:
     """First faulty row of an (m, 3) array of (u, v, w) rows and its reason, or None.
 
     Rows are checked in the order of the table below; n <= MAX_STATES. The
@@ -72,7 +82,6 @@ def edge_fault(edges: np.ndarray, n: int, directed: bool, allow_self_loops: bool
         (~ids_ok, "edge ({u}, {v}) has a vertex id outside {ids}"),
         (~np.isfinite(w), "weight {w} is not a finite number"),
         (w < 0, "negative weight {w}"),
-        ((u == v) & (w > 0) & (not allow_self_loops), "self-loop at vertex {u} without allow_self_loops"),
         ((u > v) & (not directed), "undirected edge ({u}, {v}) must be stored with u < v"),
         (repeated, "duplicate edge ({u}, {v})" + ("" if directed else " (undirected edges are stored once)")),
     ]
@@ -89,32 +98,26 @@ class WeightedGraph:
     """Edge-list graph with nonnegative weights.
 
     ``edges`` takes (u, v, w) triples and holds them as a frozen (m, 3) float64
-    array; an array that is one already is kept, not copied. Undirected graphs
-    store each edge once with u < v. Self-loops are rejected unless
-    ``allow_self_loops`` is set; when present they contribute their weight
-    once to the degree.
+    array (:func:`_kept`). Undirected graphs store each edge once with u < v.
+    A self-loop contributes its weight once to the degree.
     """
 
     n: int
     edges: np.ndarray
     directed: bool = False
-    allow_self_loops: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError("graph needs at least one vertex")
         check_states(self.n)
-        # Reuse an already-frozen (m, 3) float64 array, such as a parser's.
-        edges = self.edges
-        frozen = isinstance(edges, np.ndarray) and edges.dtype == np.float64 and not edges.flags.writeable
-        if not (frozen and edges.ndim == 2 and edges.shape[1] == 3):
-            edges = np.array(edges, dtype=float).reshape(len(edges), 3)
-        fault = edge_fault(edges, self.n, self.directed, self.allow_self_loops)
+        edges = _kept(self.edges)
+        if edges.shape[1:] != (3,):
+            edges = edges.reshape(len(edges), 3)
+        fault = edge_fault(edges, self.n, self.directed)
         if fault is not None:
             row, reason = fault
             u, v, w = edges[row].tolist()
             raise InputError(f"edge {row}: " + reason.format(u=f"{u:g}", v=f"{v:g}", w=w, ids=f"0..{self.n - 1}"))
-        edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 
     def weight_matrix(self) -> np.ndarray:
@@ -136,29 +139,34 @@ class WeightedGraph:
 class MarkovChain:
     """Irreducible finite Markov chain (V, P, pi).
 
-    The one validator of P. Construction checks, in this order, that n is at
-    most MAX_STATES and that P is square with n >= 2 rows, finite, entrywise
-    in [-1e-14, 1 + 1e-12], has rows summing to 1 within 1e-12 once its
-    entries in [-1e-14, 0), which are rounding, are set to zero in the
-    chain's own copy, and has a strongly connected support digraph. Only then is pi solved for, when it is given
-    as None; a given pi must be strictly positive with unit sum. Either way
-    every entry is stationary to a relative 1e-10: |(pi^T P)_j - pi_j| <= 1e-10 pi_j.
+    The one validator of P. Construction checks, in this order, that len(P)
+    is at most MAX_STATES, before P is converted, and that P is square with
+    n = len(P) >= 2 rows, finite, entrywise in [-1e-14, 1 + 1e-12], has rows
+    summing to 1 within 1e-12 once its entries in [-1e-14, 0), which are
+    rounding, are set to zero in the chain's own copy, and has a strongly
+    connected support digraph. Only then is pi solved for, when it is given
+    as None; a given pi (:func:`_kept`) must be strictly positive with unit
+    sum. Either way every entry is stationary to a relative 1e-10:
+    |(pi^T P)_j - pi_j| <= 1e-10 pi_j.
     """
 
-    n: int
     P: np.ndarray
     pi: np.ndarray | None
     origin: str = "raw-matrix"
 
+    @property
+    def n(self) -> int:
+        """Number of states."""
+        return len(self.P)
+
     def __post_init__(self) -> None:
-        check_states(self.n)
+        with contextlib.suppress(TypeError):  # a scalar has no len; it is refused below as not square
+            check_states(len(self.P))
         P = np.array(self.P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise InputError(f"P must be a square matrix, got shape {P.shape}")
         if P.shape[0] < 2:
             raise InputError(f"a chain needs at least 2 states, got {P.shape[0]}")
-        if P.shape[0] != self.n:
-            raise InputError("n does not match P")
         if not np.all(np.isfinite(P)):
             raise InputError("P has non-finite entries")
         if P.min() < -1e-14 or P.max() > 1 + 1e-12:
@@ -170,15 +178,8 @@ class MarkovChain:
         if not is_irreducible(P):
             raise InputError("P is not irreducible: its support digraph is not strongly connected")
 
-        if self.pi is None:
-            pi = _solve_stationary(P)
-        # Reuse an already-frozen pi so derived chains (e.g. the lazy transform)
-        # share the exact same stationary vector object.
-        elif isinstance(self.pi, np.ndarray) and self.pi.dtype == np.float64 and not self.pi.flags.writeable:
-            pi = self.pi
-        else:
-            pi = np.array(self.pi, dtype=float)
-        if pi.shape != (self.n,):
+        pi = _solve_stationary(P) if self.pi is None else _kept(self.pi)
+        if pi.shape != (len(P),):
             raise InputError("pi has wrong shape")
         if pi.min() <= 0:
             raise InputError("pi must be strictly positive")
@@ -260,8 +261,7 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
 
 def chain_from_matrix(P: np.ndarray) -> MarkovChain:
     """Wrap a row-stochastic matrix as a validated chain, computing pi."""
-    P = np.asarray(P, dtype=float)
-    return MarkovChain(n=P.shape[0] if P.ndim else 0, P=P, pi=None)
+    return MarkovChain(P=P, pi=None)
 
 
 def chain_from_undirected(g: WeightedGraph) -> MarkovChain:
@@ -277,7 +277,7 @@ def chain_from_undirected(g: WeightedGraph) -> MarkovChain:
     if deg.min() <= STRUCTURAL_ZERO:
         raise InputError(f"vertex {int(deg.argmin())} has zero weighted degree")
     W /= deg[:, None]  # in place: MarkovChain copies P once more
-    return MarkovChain(n=g.n, P=W, pi=deg / deg.sum(), origin="undirected-graph")
+    return MarkovChain(P=W, pi=deg / deg.sum(), origin="undirected-graph")
 
 
 def chain_from_directed(g: WeightedGraph) -> MarkovChain:
@@ -289,7 +289,7 @@ def chain_from_directed(g: WeightedGraph) -> MarkovChain:
     if out.min() <= STRUCTURAL_ZERO:
         raise InputError(f"vertex {int(out.argmin())} has zero out-weight")
     W /= out[:, None]
-    return MarkovChain(n=g.n, P=W, pi=None, origin="directed-graph")
+    return MarkovChain(P=W, pi=None, origin="directed-graph")
 
 
 def is_reversible(c: MarkovChain) -> bool:
@@ -321,7 +321,7 @@ def lazy_transform(c: MarkovChain, delta: float) -> MarkovChain:
     if not (0 < delta <= 1):
         raise InputError(f"delta must lie in (0, 1], got {delta}")
     P2 = (1.0 - delta) * np.eye(c.n) + delta * c.P
-    return MarkovChain(n=c.n, P=P2, pi=c.pi, origin=c.origin)
+    return MarkovChain(P=P2, pi=c.pi, origin=c.origin)
 
 
 def exact_enumeration_cap() -> int:

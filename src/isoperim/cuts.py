@@ -51,16 +51,19 @@ class CutResult:
     """A vertex subset with its phi_p value.
 
     numerator is sum_v pi(v) P(v, S-bar)^p (or pi(dS) when p = 0), pi_mass is
-    pi(S), and phi = numerator / pi_mass. method records how the set was
-    found: 'exact', 'sweep', or 'given-set'.
+    pi(S), and phi = numerator / pi_mass is derived from them. method records
+    how the set was found: 'exact', 'sweep', or 'given-set'.
     """
 
     subset: tuple[int, ...]
     p: float
     numerator: float
     pi_mass: float
-    phi: float
     method: str
+
+    @property
+    def phi(self) -> float:
+        return self.numerator / self.pi_mass
 
 
 class PhiProfile(NamedTuple):
@@ -98,14 +101,7 @@ def _evaluate_set(c: MarkovChain, idx: np.ndarray, p: float, method: str) -> Cut
     else:
         cross = block.sum(axis=1)
         num = float(np.sum(c.pi[idx] * cross**p))
-    return CutResult(
-        subset=tuple(int(v) for v in idx),
-        p=p,
-        numerator=num,
-        pi_mass=mass,
-        phi=num / mass,
-        method=method,
-    )
+    return CutResult(subset=tuple(int(v) for v in idx), p=p, numerator=num, pi_mass=mass, method=method)
 
 
 def phi_p_of_set(c: MarkovChain, subset: Iterable[int], p: float) -> CutResult:

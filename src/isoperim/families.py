@@ -101,7 +101,7 @@ def gen_ht_counterexample(n: int) -> MarkovChain:
     if n < 3:
         raise InputError(f"family needs n >= 3, got {n}")
     check_states(n)
-    return MarkovChain(n=n, P=_circulant(n), pi=np.full(n, 1.0 / n), origin="undirected-graph")
+    return MarkovChain(P=_circulant(n), pi=np.full(n, 1.0 / n), origin="undirected-graph")
 
 
 def circulant_lambda2(first_row: Sequence[float]) -> float:

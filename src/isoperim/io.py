@@ -115,12 +115,12 @@ def _graph(path: str, n: int, edges: np.ndarray, directed: bool, source: Callabl
     reported at ``source(row) = (lineno, (u, v, w))``."""
     edges.setflags(write=False)
     try:
-        return WeightedGraph(n=n, edges=edges, directed=directed, allow_self_loops=True)
+        return WeightedGraph(n=n, edges=edges, directed=directed)
     except TooLarge as exc:
         lineno, (u, v, _) = source(int(edges[:, :2].max(axis=1).argmax()))
         raise TooLarge(f"{path}:{lineno}: vertex id {max(u, v, key=int)}: {exc}") from None
     except InputError:
-        row, reason = edge_fault(edges, n, directed, True)
+        row, reason = edge_fault(edges, n, directed)
         lineno, (u, v, w) = source(row)
         raise InputError(f"{path}:{lineno}: " + reason.format(u=u, v=v, w=repr(w), ids=f"1..{n}")) from None
 

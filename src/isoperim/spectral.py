@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from .chains import MASS_SLACK, MarkovChain
+from .chains import MASS_SLACK, MarkovChain, _kept
 from .errors import InputError, NumericalFailure
 
 _RESIDUAL_TOL = 1e-8
@@ -31,7 +31,8 @@ class SpectralCertificate:
     """lambda_2 with its eigenvector pair and the solve residual.
 
     kind is 'reversible-normalized' or 'chung-directed'. residual is
-    ||L v2 - lambda2 v2||_2 for the kind's own L: I - S or Chung's.
+    ||L v2 - lambda2 v2||_2 for the kind's own L: I - S or Chung's. f2 and
+    v2 are held as frozen float64 arrays (``chains._kept``).
     """
 
     lambda2: float
@@ -42,9 +43,7 @@ class SpectralCertificate:
 
     def __post_init__(self) -> None:
         for name in ("f2", "v2"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _kept(getattr(self, name)))
 
 
 def _similarity(c: MarkovChain) -> np.ndarray:

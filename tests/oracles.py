@@ -219,7 +219,7 @@ def hypercube_h(d, members):
     return h
 
 
-def naive_edge_fault(edges, n, directed, allow_self_loops):
+def naive_edge_fault(edges, n, directed):
     """First faulty (row, kind) of (u, v, w) triples, checked row by row with
     a set of the pairs seen so far; None when every row is valid."""
     seen = set()
@@ -230,8 +230,6 @@ def naive_edge_fault(edges, n, directed, allow_self_loops):
             return row, "finite"
         if w < 0:
             return row, "negative"
-        if u == v and w > 0 and not allow_self_loops:
-            return row, "loop"
         if not directed and u > v:
             return row, "order"
         if (u, v) in seen:
@@ -286,12 +284,12 @@ def _graph(path, n, edges, directed, source):
     """Graph of parsed edges; a faulty row, or the row with the largest id
     when there are too many states, is reported at ``source(row) = (lineno, u, v, w)``."""
     try:
-        return WeightedGraph(n=n, edges=edges, directed=directed, allow_self_loops=True)
+        return WeightedGraph(n=n, edges=edges, directed=directed)
     except TooLarge as exc:
         lineno, u, v, _ = source(int(edges[:, :2].max(axis=1).argmax()))
         raise TooLarge(f"{path}:{lineno}: vertex id {max(u, v, key=int)}: {exc}") from None
     except InputError:
-        row, reason = edge_fault(edges, n, directed, True)
+        row, reason = edge_fault(edges, n, directed)
         lineno, u, v, w = source(row)
         raise InputError(f"{path}:{lineno}: " + reason.format(u=u, v=v, w=repr(w), ids=f"1..{n}")) from None
 

@@ -189,21 +189,19 @@ def test_graph_errors():
         chain_from_directed(WeightedGraph(n=2, edges=((0, 1, 1.0),), directed=True))
     with pytest.raises(InputError, match="not strongly connected"):
         chain_from_directed(
-            WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0)), directed=True, allow_self_loops=True)
+            WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0)), directed=True)
         )
     with pytest.raises(InputError, match="negative weight"):
         WeightedGraph(n=2, edges=((0, 1, -1.0),))
     with pytest.raises(ValueError):
         WeightedGraph(n=2, edges=((1, 0, 1.0),))  # undirected stored u < v
-    with pytest.raises(ValueError):
-        WeightedGraph(n=2, edges=((0, 0, 1.0),))  # self-loop without the flag
 
 
 def test_chain_validation_rejects_bad_matrices():
     with pytest.raises(ValueError):
         chain_from_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]))  # rows do not sum to 1
     with pytest.raises(InputError, match="not irreducible"):
-        MarkovChain(n=2, P=np.eye(2), pi=np.array([0.5, 0.5]))
+        MarkovChain(P=np.eye(2), pi=np.array([0.5, 0.5]))
 
 
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -213,11 +211,11 @@ _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
     "call, message",
     [
         pytest.param(lambda: WeightedGraph(n=0, edges=()), "graph needs at least one vertex", id="graph-n0"),
-        pytest.param(lambda: MarkovChain(n=2, P=np.full((2, 3), 1 / 3), pi=None), "P must be a square matrix, got shape (2, 3)", id="P-not-square"),
-        pytest.param(lambda: MarkovChain(n=3, P=_SWAP, pi=None), "n does not match P", id="n-mismatch"),
-        pytest.param(lambda: MarkovChain(n=2, P=_SWAP, pi=np.full(3, 1 / 3)), "pi has wrong shape", id="pi-shape"),
-        pytest.param(lambda: MarkovChain(n=2, P=_SWAP, pi=[1.5, -0.5]), "pi must be strictly positive", id="pi-sign"),
-        pytest.param(lambda: MarkovChain(n=2, P=_SWAP, pi=[0.5, 0.6]), "pi must sum to 1", id="pi-sum"),
+        pytest.param(lambda: MarkovChain(P=np.full((2, 3), 1 / 3), pi=None), "P must be a square matrix, got shape (2, 3)", id="P-not-square"),
+        pytest.param(lambda: chain_from_matrix(0.5), "P must be a square matrix, got shape ()", id="P-scalar"),
+        pytest.param(lambda: MarkovChain(P=_SWAP, pi=np.full(3, 1 / 3)), "pi has wrong shape", id="pi-shape"),
+        pytest.param(lambda: MarkovChain(P=_SWAP, pi=[1.5, -0.5]), "pi must be strictly positive", id="pi-sign"),
+        pytest.param(lambda: MarkovChain(P=_SWAP, pi=[0.5, 0.6]), "pi must sum to 1", id="pi-sum"),
         pytest.param(lambda: is_irreducible(np.ones((2, 3))), "P must be a square matrix, got shape (2, 3)", id="irreducible-not-square"),
         pytest.param(
             lambda: chain_from_undirected(WeightedGraph(n=2, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=True)),
@@ -233,6 +231,15 @@ def test_chains_public_refusals(call, message):
     assert type(exc.value) is InputError and str(exc.value) == message
 
 
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+def test_state_limit_is_checked_before_anything_else(monkeypatch, as_list):
+    # an all-ones P fails its row sums too, but the limit on len(P) runs first
+    monkeypatch.setattr(isoperim.chains, "MAX_STATES", 4)
+    P = np.ones((5, 5))
+    with pytest.raises(TooLarge, match="^5 states exceed the limit of 4$"):
+        MarkovChain(P=P.tolist() if as_list else P, pi=None)
+
+
 def test_negative_rounding_entries_are_zeroed():
     # entries in [-1e-14, 0) are accepted as rounding and set to zero, so no
     # crossing mass is negative; the caller's array is left as it was
@@ -245,7 +252,7 @@ def test_negative_rounding_entries_are_zeroed():
 
 
 def test_self_loops_contribute_to_degree():
-    g = WeightedGraph(n=2, edges=((0, 0, 1.0), (0, 1, 1.0)), allow_self_loops=True)
+    g = WeightedGraph(n=2, edges=((0, 0, 1.0), (0, 1, 1.0)))
     c = chain_from_undirected(g)
     assert np.allclose(c.P[0], [0.5, 0.5])
     assert np.allclose(c.pi, [2 / 3, 1 / 3])
@@ -289,13 +296,13 @@ def test_given_pi_is_checked_per_entry():
     P = birth_death_matrix(8, 1e-6, 0.5)
     pi = birth_death_pi(8, 1e-6, 0.5)
     assert np.max(np.abs(pi @ P - pi)) <= 1e-10
-    MarkovChain(n=8, P=P, pi=pi)
+    MarkovChain(P=P, pi=pi)
     bad = pi.copy()
     bad[4:] *= 2
     bad[0] -= bad.sum() - 1.0
     assert np.max(np.abs(bad @ P - bad)) <= 1e-10 and abs(bad.sum() - 1.0) <= 1e-12
     with pytest.raises(NumericalFailure, match="not stationary"):
-        MarkovChain(n=8, P=P, pi=bad)
+        MarkovChain(P=P, pi=bad)
 
 
 def test_one_irreducibility_check_per_chain_build(monkeypatch):
@@ -314,33 +321,32 @@ _FAULT_WORDS = {
     "range": "has a vertex id outside",
     "finite": "is not a finite number",
     "negative": "negative weight",
-    "loop": "self-loop",
     "order": "must be stored with u < v",
     "duplicate": "duplicate edge",
 }
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(data=st.data(), n=st.integers(1, 4), directed=st.booleans(), loops=st.booleans())
-def test_edge_validator_and_weight_matrix_match_loop_oracles(data, n, directed, loops):
+@given(data=st.data(), n=st.integers(1, 4), directed=st.booleans())
+def test_edge_validator_and_weight_matrix_match_loop_oracles(data, n, directed):
     ids, weights = st.integers(0, n - 1), st.sampled_from([1.0, 0.5, 2.5, 0.0, -0.0])
     rows = data.draw(st.lists(st.tuples(ids, ids, weights), max_size=6))
     if rows and data.draw(st.booleans()):  # one bad id or weight
         row, col = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, 2))
         bad = [-1, n, 0.5, math.nan, math.inf] if col < 2 else [-1.0, math.nan, math.inf]
         rows[row] = rows[row][:col] + (data.draw(st.sampled_from(bad)),) + rows[row][col + 1 :]
-    expected = naive_edge_fault(rows, n, directed, loops)
-    fault = edge_fault(np.array(rows, dtype=float).reshape(-1, 3), n, directed, loops)
+    expected = naive_edge_fault(rows, n, directed)
+    fault = edge_fault(np.array(rows, dtype=float).reshape(-1, 3), n, directed)
     if expected is None:
         assert fault is None
-        g = WeightedGraph(n=n, edges=rows, directed=directed, allow_self_loops=loops)
+        g = WeightedGraph(n=n, edges=rows, directed=directed)
         assert g.edges.shape == (len(rows), 3) and not g.edges.flags.writeable
         assert g.weight_matrix().tobytes() == naive_weight_matrix(n, rows, directed).tobytes()
     else:
         row, kind = expected
         assert fault[0] == row and _FAULT_WORDS[kind] in fault[1]
         with pytest.raises(InputError, match=f"edge {row}: .*{_FAULT_WORDS[kind]}"):
-            WeightedGraph(n=n, edges=rows, directed=directed, allow_self_loops=loops)
+            WeightedGraph(n=n, edges=rows, directed=directed)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -350,7 +356,7 @@ def test_weight_matrix_keeps_the_bits_of_the_edge_by_edge_sum(directed):
     edges[::7, 2] = -0.0
     loops = np.array([[v, v, w] for v, w in zip(range(0, 40, 3), [2.5, -0.0, 0.0, 0.125] * 4)])
     rows = np.concatenate([edges, loops])
-    W = WeightedGraph(n=40, edges=rows, directed=directed, allow_self_loops=True).weight_matrix()
+    W = WeightedGraph(n=40, edges=rows, directed=directed).weight_matrix()
     want = naive_weight_matrix(40, rows.tolist(), directed)
     assert W.tobytes() == want.tobytes()
     assert not np.signbit(W).any()
@@ -362,7 +368,7 @@ def test_edge_fault_temporaries_stay_near_one_edge_array():
     edges = ht_counterexample_graph(1024).edges
     tracemalloc.start()
     try:
-        assert edge_fault(edges, 1024, False, False) is None
+        assert edge_fault(edges, 1024, False) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -358,7 +358,7 @@ def test_exact_minima_match_blocked_enumerator_where_pi_is_tiny(monkeypatch, cpu
     P = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
     P += np.diag(1.0 - P.sum(axis=1))
     pi = (up / down) ** np.arange(n)
-    c = MarkovChain(n=n, P=P, pi=pi / pi.sum())
+    c = MarkovChain(P=P, pi=pi / pi.sum())
     assert c.pi.min() < 2.0**-400
     _assert_same_minima(c, [0.0, 0.5, 0.6, 0.9, 1.0])
 
@@ -428,12 +428,12 @@ def test_exact_minima_hold_when_every_fast_phi_is_off_by_the_bound_across_thread
 def _solved_and_oracle_chains():
     for n, up in ((8, 1e-6), (8, 5e-3), (12, 5e-5), (14, 5e-7), (14, 5e-9)):
         P = birth_death_matrix(n, up, 0.5)
-        yield chain_from_matrix(P), MarkovChain(n=n, P=P, pi=birth_death_pi(n, up, 0.5))
+        yield chain_from_matrix(P), MarkovChain(P=P, pi=birth_death_pi(n, up, 0.5))
     W = np.random.default_rng(9).integers(0, 4, (10, 10)) * 10 ** np.arange(10)[None, :]
     W[np.arange(10), (np.arange(10) + 1) % 10] += 1
     P = W / W.sum(axis=1, keepdims=True)
     pi = np.array([float(x) for x in exact_stationary(W.tolist())])
-    yield chain_from_matrix(P), MarkovChain(n=10, P=P, pi=pi)
+    yield chain_from_matrix(P), MarkovChain(P=P, pi=pi)
 
 
 def test_exact_minima_of_the_solved_pi_match_the_oracle_pi():

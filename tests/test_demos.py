@@ -1,15 +1,17 @@
-"""The demos and the README's library quick start run on the current API,
-and that API exports the names it is pinned to."""
+"""The demos, the README's library quick start and its CLI examples run on
+the current API, and that API exports the names it is pinned to."""
 
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import isoperim
+from isoperim.cli import cli_main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -27,6 +29,17 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     values = capsys.readouterr().out.split()
     assert len(values) == 3 and all(float(v) > 0 for v in values)
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
+    # each line reads the files the lines above it wrote
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n.*?```\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "isoperim", line
+        assert cli_main(argv[1:]) == 0, line
 
 
 # One public name per quantity: a chain's certificates are read through

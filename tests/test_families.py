@@ -343,7 +343,7 @@ def test_block_lower_bound_rejects_a_chain_that_matches_row_0_only():
     chain = gen_ht_counterexample(8)
     P = chain.P.copy()
     P[1:] = 0.5 * P[1:] + 0.5 / 8
-    moved = MarkovChain(n=8, P=P, pi=None)
+    moved = MarkovChain(P=P, pi=None)
     assert np.array_equal(moved.P[0], chain.P[0])
     with pytest.raises(InputError, match="chain is not the inverse-cube circulant family"):
         check_block_lower_bound(moved, PartitionBlocks((3, 5)))

@@ -1062,7 +1062,7 @@ def test_dense_rows_above_the_state_limit_are_refused_at_their_line(tmp_path, mo
         parse_graph(str(path), "dense-matrix")
     assert str(info.value) == f"{path}:3: 5 states exceed the limit of 4"
     with pytest.raises(TooLarge, match="5 states exceed the limit of 4"):
-        MarkovChain(n=5, P=np.full((5, 5), 0.2), pi=None)
+        MarkovChain(P=np.full((5, 5), 0.2), pi=None)
 
 
 def test_write_graph_tsv_formats_each_weight_bit_pattern(tmp_path):
@@ -1090,7 +1090,7 @@ def _graphs(draw):
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     pairs = draw(st.lists(pair if directed else pair.map(sorted).map(tuple), unique=True, max_size=40))
     edges = [(u, v, draw(_WEIGHTS)) for u, v in pairs]
-    return WeightedGraph(n=n, edges=edges, directed=directed, allow_self_loops=True)
+    return WeightedGraph(n=n, edges=edges, directed=directed)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

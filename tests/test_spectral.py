@@ -192,6 +192,20 @@ def test_certificate_invariants():
         assert np.allclose(cert.f2, cert.v2 / np.sqrt(c.pi), atol=1e-14)
 
 
+def test_certificate_keeps_a_frozen_vector_and_copies_a_writable_one():
+    # the reversible certificate holds Chung's frozen v2 itself; a writable f2
+    # handed to dataclasses.replace is copied and frozen, and the caller's
+    # array stays writable
+    a = ChainAnalysis(gen_random_reversible(7, density=0.6, seed=5))
+    chung, rev = a.cert(True), a.cert(False)
+    assert rev.v2 is chung.v2 and not rev.v2.flags.writeable
+    f2 = rev.f2.copy()
+    moved = dataclasses.replace(rev, f2=f2)
+    assert moved.f2 is not f2 and not np.shares_memory(moved.f2, f2)
+    assert f2.flags.writeable and not moved.f2.flags.writeable
+    assert moved.f2.tobytes() == f2.tobytes() and moved.v2 is rev.v2
+
+
 # --- fault injection on the eigensolve -----------------------------------------
 
 def test_eigvalsh_failure_is_numerical_failure(monkeypatch, cycle4):

@@ -21,7 +21,8 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``verify --suite all`` and ``--suite directed`` and ``analyze --method
   sweep --directed-spectral`` on a 40-cycle, a 5-cube, a dumbbell of two K_15
   and a random reversible chain on 40 states, above the exact cap, where one
-  eigensolve serves both certificates;
+  eigensolve serves both certificates, and ``analyze`` with the default
+  ``--method`` (``both``) on that random chain, which exits 2 above the cap;
 - ``verify`` with each suite and ``analyze --directed-spectral`` on two
   chains written as dense transition matrices whose pi falls below 1e-11:
   a birth-death chain on 8 states (up-rate 1e-6, down-rate 1/2), where the
@@ -307,6 +308,7 @@ def build_plan(work: str) -> list[dict]:
     # with tiny pi, one of which the reversible certificate refuses
     path = os.path.join(work, "rev40.tsv")
     inputs.write_random_reversible(path, 40, 0.3, np.random.default_rng(40))
+    plan.append({"id": "analyze-default-method-rev40", "argv": ["analyze", "--input", path, "--format", "edge-tsv"]})
     both = [("rev40", path, "edge-tsv")] + [(name, os.path.join(work, f"tied-{name}.tsv"), "edge-tsv") for name in ("cycle40", "hypercube5", "dumbbell15")]
     light_cycle = _birth_death(6, 1e-3, 0.5)
     for a, b in ((3, 4), (4, 5), (5, 3)):
