@@ -11,7 +11,7 @@ small against I - S as against Chung's Laplacian.
 from isoperim import (
     ChainAnalysis,
     WeightedGraph,
-    chain_from_directed,
+    chain_from_graph,
     check_chung,
     check_phi_p_upper_bound,
     gen_cycle,
@@ -20,7 +20,7 @@ from isoperim import (
 
 
 def main():
-    ring = chain_from_directed(
+    ring = chain_from_graph(
         WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)), directed=True)
     )
     a = ChainAnalysis(ring)

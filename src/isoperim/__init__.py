@@ -31,9 +31,7 @@ from .bounds import (
 from .chains import (
     MarkovChain,
     WeightedGraph,
-    chain_from_directed,
-    chain_from_matrix,
-    chain_from_undirected,
+    chain_from_graph,
     exact_enumeration_cap,
     is_irreducible,
     is_reversible,

@@ -43,8 +43,12 @@ def vertex_ids(vertices: Iterable[int]) -> np.ndarray:
     1.0) raises InputError rather than being truncated."""
     ids = []
     for v in vertices:
-        i = int(v)
-        if i != v:
+        try:
+            i = int(v)
+            integral = i == v
+        except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
+            integral = False
+        if not integral:
             raise InputError(f"vertex id {v} is not an integer")
         ids.append(i)
     return np.array(ids, dtype=np.int64)
@@ -126,10 +130,10 @@ class WeightedGraph:
         w = self.edges[:, 2] + 0.0  # 0.0 + w: a -0.0 weight is stored as 0.0
         W = np.zeros((n, n))
         flat = W.reshape(-1)
+        at = np.empty(len(w), dtype=np.intp)
         # (u, v), and (v, u) when undirected: a loop's weight is written twice to one entry, so it counts once
         for row, col in ((0, 1), (1, 0))[: 1 if self.directed else 2]:
-            at = self.edges[:, row].astype(np.intp)
-            at *= n
+            np.multiply(self.edges[:, row], n, out=at, casting="unsafe")
             np.add(at, self.edges[:, col], out=at, casting="unsafe")  # ids below 2^14 add exactly
             flat[at] = w
         return W
@@ -143,15 +147,18 @@ class MarkovChain:
     is at most MAX_STATES, before P is converted, and that P is square with
     n = len(P) >= 2 rows, finite, entrywise in [-1e-14, 1 + 1e-12], has rows
     summing to 1 within 1e-12 once its entries in [-1e-14, 0), which are
-    rounding, are set to zero in the chain's own copy, and has a strongly
-    connected support digraph. Only then is pi solved for, when it is given
-    as None; a given pi (:func:`_kept`) must be strictly positive with unit
-    sum. Either way every entry is stationary to a relative 1e-10:
-    |(pi^T P)_j - pi_j| <= 1e-10 pi_j.
+    rounding, and -0.0 are set to 0.0, and has a strongly connected support
+    digraph. Only then is pi solved for, when it is None; a given pi must be
+    strictly positive with unit sum. Either way every entry is stationary to
+    a relative 1e-10: |(pi^T P)_j - pi_j| <= 1e-10 pi_j.
+
+    P and pi are held as :func:`_kept` holds them; P is copied once more
+    when an entry has to be set to 0.0, so the caller's array is never
+    written.
     """
 
     P: np.ndarray
-    pi: np.ndarray | None
+    pi: np.ndarray | None = None
     origin: str = "raw-matrix"
 
     @property
@@ -162,7 +169,7 @@ class MarkovChain:
     def __post_init__(self) -> None:
         with contextlib.suppress(TypeError):  # a scalar has no len; it is refused below as not square
             check_states(len(self.P))
-        P = np.array(self.P, dtype=float)
+        P = _kept(self.P)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise InputError(f"P must be a square matrix, got shape {P.shape}")
         if P.shape[0] < 2:
@@ -171,7 +178,9 @@ class MarkovChain:
             raise InputError("P has non-finite entries")
         if P.min() < -1e-14 or P.max() > 1 + 1e-12:
             raise InputError("P entries must lie in [0, 1]")
-        np.maximum(P, 0.0, out=P)  # entries in [-1e-14, 0) are rounding
+        if np.signbit(P).any():  # entries in [-1e-14, 0) are rounding, and -0.0 is 0.0
+            P = np.maximum(P, 0.0)
+            P.setflags(write=False)
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
             raise InputError("rows of P must sum to 1 within 1e-12")
@@ -188,7 +197,6 @@ class MarkovChain:
         if not _is_stationary(P, pi):
             raise NumericalFailure("pi is not stationary for P within a relative 1e-10 per entry")
 
-        P.setflags(write=False)
         pi.setflags(write=False)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "pi", pi)
@@ -246,7 +254,8 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
     or when LU finds the matrix singular, :func:`_gth` solves P.
     """
     n = P.shape[0]
-    A = P.T - np.eye(n)
+    A = P.T.copy()
+    A.flat[:: n + 1] -= 1.0
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -259,37 +268,23 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
     return _gth(P)
 
 
-def chain_from_matrix(P: np.ndarray) -> MarkovChain:
-    """Wrap a row-stochastic matrix as a validated chain, computing pi."""
-    return MarkovChain(P=P, pi=None)
+def chain_from_graph(g: WeightedGraph) -> MarkovChain:
+    """Natural random walk on a weighted graph: P(u, v) = w(uv) / deg_w(u).
 
-
-def chain_from_undirected(g: WeightedGraph) -> MarkovChain:
-    """Natural random walk on a connected weighted undirected graph.
-
-    P(u, v) = w(uv) / deg_w(u) and pi(u) = deg_w(u) / sum_v deg_w(v); the
-    result satisfies detailed balance by construction.
+    An undirected graph must be connected; its pi(u) = deg_w(u) / sum_v
+    deg_w(v), and the chain satisfies detailed balance by construction. A
+    directed graph must be strongly connected; its pi is solved for.
     """
-    if g.directed:
-        raise InputError("graph must be undirected")
     W = g.weight_matrix()
     deg = W.sum(axis=1)
     if deg.min() <= STRUCTURAL_ZERO:
-        raise InputError(f"vertex {int(deg.argmin())} has zero weighted degree")
-    W /= deg[:, None]  # in place: MarkovChain copies P once more
-    return MarkovChain(P=W, pi=deg / deg.sum(), origin="undirected-graph")
-
-
-def chain_from_directed(g: WeightedGraph) -> MarkovChain:
-    """Natural random walk on a strongly connected weighted directed graph."""
-    if not g.directed:
-        raise InputError("graph must be directed")
-    W = g.weight_matrix()
-    out = W.sum(axis=1)
-    if out.min() <= STRUCTURAL_ZERO:
-        raise InputError(f"vertex {int(out.argmin())} has zero out-weight")
-    W /= out[:, None]
-    return MarkovChain(P=W, pi=None, origin="directed-graph")
+        zero = "zero out-weight" if g.directed else "zero weighted degree"
+        raise InputError(f"vertex {int(deg.argmin())} has {zero}")
+    W /= deg[:, None]
+    W.setflags(write=False)
+    if g.directed:
+        return MarkovChain(W, None, "directed-graph")
+    return MarkovChain(W, deg / deg.sum(), "undirected-graph")
 
 
 def is_reversible(c: MarkovChain) -> bool:
@@ -320,8 +315,10 @@ def lazy_transform(c: MarkovChain, delta: float) -> MarkovChain:
     """
     if not (0 < delta <= 1):
         raise InputError(f"delta must lie in (0, 1], got {delta}")
-    P2 = (1.0 - delta) * np.eye(c.n) + delta * c.P
-    return MarkovChain(P=P2, pi=c.pi, origin=c.origin)
+    P2 = delta * c.P
+    P2.flat[:: c.n + 1] += 1.0 - delta
+    P2.setflags(write=False)
+    return MarkovChain(P2, c.pi, c.origin)
 
 
 def exact_enumeration_cap() -> int:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .chains import MASS_SLACK, MAX_STATES, MarkovChain, WeightedGraph, check_states, vertex_ids
-from .chains import chain_from_directed, chain_from_undirected
+from .chains import chain_from_graph
 from .errors import InputError, TooLarge
 
 # Largest n of the scan. The arc minimum costs O(n) when its certificate rules
@@ -84,10 +84,11 @@ def normalizer(n: int) -> float:
 
 
 def _circulant(n: int) -> np.ndarray:
-    """The family's P: row i is the kernel rolled by i, divided by C."""
+    """The family's P, read-only: row i is the kernel rolled by i, divided by C."""
     w, _, C = _kernel(n)
     P = w[(np.arange(n) - np.arange(n)[:, None]) % n]
     P /= C
+    P.setflags(write=False)
     return P
 
 
@@ -101,7 +102,7 @@ def gen_ht_counterexample(n: int) -> MarkovChain:
     if n < 3:
         raise InputError(f"family needs n >= 3, got {n}")
     check_states(n)
-    return MarkovChain(P=_circulant(n), pi=np.full(n, 1.0 / n), origin="undirected-graph")
+    return MarkovChain(_circulant(n), np.full(n, 1.0 / n), "undirected-graph")
 
 
 def circulant_lambda2(first_row: Sequence[float]) -> float:
@@ -330,23 +331,23 @@ def random_directed_graph(n: int, density: float = 0.5, seed: int = 0) -> Weight
 
 
 def gen_cycle(n: int) -> MarkovChain:
-    return chain_from_undirected(cycle_graph(n))
+    return chain_from_graph(cycle_graph(n))
 
 
 def gen_hypercube(d: int) -> MarkovChain:
-    return chain_from_undirected(hypercube_graph(d))
+    return chain_from_graph(hypercube_graph(d))
 
 
 def gen_dumbbell(m: int) -> MarkovChain:
-    return chain_from_undirected(dumbbell_graph(m))
+    return chain_from_graph(dumbbell_graph(m))
 
 
 def gen_random_reversible(n: int, density: float = 0.5, seed: int = 0) -> MarkovChain:
-    return chain_from_undirected(random_reversible_graph(n, density, seed))
+    return chain_from_graph(random_reversible_graph(n, density, seed))
 
 
 def gen_random_directed(n: int, density: float = 0.5, seed: int = 0) -> MarkovChain:
-    return chain_from_directed(random_directed_graph(n, density, seed))
+    return chain_from_graph(random_directed_graph(n, density, seed))
 
 
 # --------------------------------------------------------------------------

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .bounds import BoundReport, verdict
-from .chains import MarkovChain, WeightedGraph, chain_from_directed, chain_from_matrix, chain_from_undirected
+from .chains import MarkovChain, WeightedGraph, chain_from_graph
 from .chains import check_states, edge_fault
 from .cuts import CutResult
 from .errors import InputError, NumericalFailure, TooLarge
@@ -236,7 +236,8 @@ def _parse_dense(path: str, raw: bytes) -> WeightedGraph | MarkovChain:
         raise InputError(f"{path}: matrix must be square, got row lengths {widths}")
     M = np.frombuffer(values).reshape(n, n)
     if header == "matrix-kind transition":
-        return chain_from_matrix(M)
+        M.setflags(write=False)
+        return MarkovChain(M)
     directed = not np.array_equal(M, M.T)
     u, v = np.nonzero(M if directed else np.triu(M))
     edges = np.column_stack([u, v, M[u, v]])
@@ -259,10 +260,8 @@ def parse_graph(path: str, format: str) -> WeightedGraph | MarkovChain:
 
 
 def as_chain(obj: WeightedGraph | MarkovChain) -> MarkovChain:
-    """Turn a parsed input into a chain via the matching constructor."""
-    if isinstance(obj, MarkovChain):
-        return obj
-    return chain_from_directed(obj) if obj.directed else chain_from_undirected(obj)
+    """Turn a parsed input into a chain: a graph through :func:`chain_from_graph`."""
+    return obj if isinstance(obj, MarkovChain) else chain_from_graph(obj)
 
 
 def load_chain(path: str, format: str) -> MarkovChain:

@@ -2,8 +2,7 @@ import pytest
 
 from isoperim import (
     WeightedGraph,
-    chain_from_directed,
-    chain_from_undirected,
+    chain_from_graph,
     gen_random_directed,
     gen_random_reversible,
 )
@@ -12,7 +11,7 @@ from isoperim import (
 @pytest.fixture
 def two_state():
     """The swap chain P = [[0,1],[1,0]]."""
-    return chain_from_undirected(WeightedGraph(n=2, edges=((0, 1, 1.0),)))
+    return chain_from_graph(WeightedGraph(n=2, edges=((0, 1, 1.0),)))
 
 
 @pytest.fixture
@@ -32,13 +31,13 @@ def cycle6():
 @pytest.fixture
 def directed_3cycle():
     edges = ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0))
-    return chain_from_directed(WeightedGraph(n=3, edges=edges, directed=True))
+    return chain_from_graph(WeightedGraph(n=3, edges=edges, directed=True))
 
 
 @pytest.fixture
 def directed_4cycle():
     edges = ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0))
-    return chain_from_directed(WeightedGraph(n=4, edges=edges, directed=True))
+    return chain_from_graph(WeightedGraph(n=4, edges=edges, directed=True))
 
 
 def reversible_suite(count=200, seed_base=1000):

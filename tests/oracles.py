@@ -35,7 +35,6 @@ from isoperim.chains import (
     STRUCTURAL_ZERO,
     MarkovChain,
     WeightedGraph,
-    chain_from_matrix,
     edge_fault,
     exact_enumeration_cap,
 )
@@ -339,7 +338,7 @@ def naive_parse_dense(path):
         raise InputError(f"{path}: matrix must be square, got row lengths {[len(r) for r in rows]}")
     M = np.array(rows, dtype=float)
     if header == "matrix-kind transition":
-        return chain_from_matrix(M)
+        return MarkovChain(M)
     directed = not np.array_equal(M, M.T)
     u, v = np.nonzero(M if directed else np.triu(M))
     edges = np.column_stack([u, v, M[u, v]])

@@ -10,8 +10,8 @@ import isoperim.bounds
 import isoperim.spectral
 from isoperim import (
     ChainAnalysis,
+    MarkovChain,
     bound_suite,
-    chain_from_matrix,
     check_cheeger,
     check_chung,
     check_morris_peres,
@@ -306,7 +306,7 @@ def test_own_is_the_certificate_of_the_chains_kind():
     chains = [
         gen_random_reversible(6, density=0.5, seed=1),
         gen_random_directed(6, density=0.5, seed=2),
-        chain_from_matrix(light_cycle_matrix()),
+        MarkovChain(light_cycle_matrix()),
     ]
     for c, reversible in zip(chains, (True, False, False)):
         a = ChainAnalysis(c)
@@ -364,7 +364,7 @@ def test_chain_analysis_keeps_the_reversible_refusal(directed_first):
     # the 0.01 cycle's flows are below 1e-10 of the largest flow, but each is
     # paired with a zero, so the pairwise detailed-balance test refuses the
     # chain in either read order, and Chung's certificate still succeeds
-    c = chain_from_matrix(light_cycle_matrix())
+    c = MarkovChain(light_cycle_matrix())
     assert not is_reversible(c) and c.pi.min() < 1e-11
     a = ChainAnalysis(c)
     if directed_first:
@@ -381,7 +381,7 @@ def test_birth_death_certificates_agree_with_the_closed_form_pi(n, up):
     # pi right to every entry makes I - S symmetric, so both certificates
     # succeed; each matches eigh of Chung's L built on the closed-form pi
     P = birth_death_matrix(n, up, 0.5)
-    a = ChainAnalysis(chain_from_matrix(P))
+    a = ChainAnalysis(MarkovChain(P))
     want = eigh_certificate(P, birth_death_pi(n, up, 0.5), True)[0][1]
     for directed in (False, True):
         assert abs(a.cert(directed).lambda2 / want - 1) <= 1e-12
@@ -401,7 +401,7 @@ def test_chain_analysis_certificates_match_the_eigh_oracle():
     # I - S and Chung's L built entry by entry from P and pi, each solved by
     # its own eigh; v2 is compared up to sign where lambda2 is simple. A
     # reversible chain's certificates are read in both orders
-    for c in _oracle_chains() + [chain_from_matrix(light_cycle_matrix())]:
+    for c in _oracle_chains() + [MarkovChain(light_cycle_matrix())]:
         kinds = (False, True) if is_reversible(c) else (True,)
         oracle = {directed: eigh_certificate(c.P, c.pi, directed) for directed in kinds}
         for order in (kinds, kinds[::-1]):

@@ -10,9 +10,7 @@ import isoperim.chains
 from isoperim import (
     MarkovChain,
     WeightedGraph,
-    chain_from_directed,
-    chain_from_matrix,
-    chain_from_undirected,
+    chain_from_graph,
     is_irreducible,
     gen_cycle,
     gen_ht_counterexample,
@@ -50,7 +48,7 @@ def test_single_edge(two_state):
 
 def test_path_pi_proportional_to_degree():
     g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
-    c = chain_from_undirected(g)
+    c = chain_from_graph(g)
     assert np.allclose(c.pi, [0.25, 0.5, 0.25])
     assert c.origin == "undirected-graph"
 
@@ -60,25 +58,25 @@ def test_undirected_is_reversible_and_stationary_fixed_point():
     for _ in range(10):
         n = rng.integers(3, 9)
         edges = [(u, v, float(rng.random() + 0.05)) for u in range(n) for v in range(u + 1, n)]
-        c = chain_from_undirected(WeightedGraph(n=int(n), edges=tuple(edges)))
+        c = chain_from_graph(WeightedGraph(n=int(n), edges=tuple(edges)))
         assert is_reversible(c)
-        assert np.max(np.abs(chain_from_matrix(c.P).pi - c.pi)) < 1e-10
+        assert np.max(np.abs(MarkovChain(c.P).pi - c.pi)) < 1e-10
         assert np.max(np.abs(c.P.sum(axis=1) - 1)) < 1e-12
 
 
 def test_is_reversible_tests_each_pair_of_flows():
     # the light cycle's 0.01 flows are below 1e-10 of the largest flow, but
     # the reverse flows are zero, so detailed balance fails pair by pair
-    assert not is_reversible(chain_from_matrix(light_cycle_matrix()))
+    assert not is_reversible(MarkovChain(light_cycle_matrix()))
     chains = [gen_cycle(64), gen_ht_counterexample(256)]
     chains += [gen_random_reversible(40, density=0.3, seed=s) for s in range(3)]
     # pi down to 1e-184, and pi solved by LU on dense reversible matrices
-    chains += [chain_from_matrix(birth_death_matrix(24, up, down)) for up, down in ((1e-8, 0.99), (1e-2, 0.5))]
+    chains += [MarkovChain(birth_death_matrix(24, up, down)) for up, down in ((1e-8, 0.99), (1e-2, 0.5))]
     assert chains[-2].pi.min() < 1e-180
     rng = np.random.default_rng(200)
     for _ in range(2):
         W = rng.random((200, 200))
-        chains.append(chain_from_matrix((W + W.T) / (W + W.T).sum(axis=1, keepdims=True)))
+        chains.append(MarkovChain((W + W.T) / (W + W.T).sum(axis=1, keepdims=True)))
     assert all(is_reversible(c) for c in chains)
 
 
@@ -94,7 +92,7 @@ def test_is_reversible_by_row_blocks_gives_the_full_matrix_verdict(monkeypatch, 
     W = np.random.default_rng(5).random((70, 70))
     W += W.T
     W[69, 0] *= 1.5
-    chains = [chain_from_matrix(light_cycle_matrix()), chain_from_matrix(W / W.sum(axis=1, keepdims=True))]
+    chains = [MarkovChain(light_cycle_matrix()), MarkovChain(W / W.sum(axis=1, keepdims=True))]
     chains += [gen_random_reversible(n, density=0.5, seed=n) for n in (3, 7, 65, 130)]
     chains += [gen_random_directed(n, density=0.5, seed=n) for n in (7, 65)]
     monkeypatch.setattr(isoperim.chains, "_REVERSIBLE_ROWS", rows)
@@ -110,19 +108,19 @@ def test_directed_cycle_pi_uniform(directed_3cycle):
 
 def test_directed_triangle_with_reverse_edge():
     edges = ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (1, 0, 1.0))
-    c = chain_from_directed(WeightedGraph(n=3, edges=edges, directed=True))
+    c = chain_from_graph(WeightedGraph(n=3, edges=edges, directed=True))
     assert np.allclose(c.pi, [0.4, 0.4, 0.2], atol=1e-12)
 
 
 def test_stationary_two_state_asymmetric():
     P = np.array([[0.9, 0.1], [0.5, 0.5]])
-    pi = chain_from_matrix(P).pi
+    pi = MarkovChain(P).pi
     assert np.allclose(pi, [5 / 6, 1 / 6], atol=1e-12)
 
 
 def test_stationary_doubly_stochastic_uniform():
     P = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0.0]])
-    assert np.allclose(chain_from_matrix(P).pi, 1 / 3)
+    assert np.allclose(MarkovChain(P).pi, 1 / 3)
 
 
 def test_gth_two_state():
@@ -134,7 +132,7 @@ def test_gth_two_state():
 @pytest.mark.parametrize("up", [5e-3, 5e-5, 5e-7, 5e-9])
 def test_birth_death_pi_matches_the_closed_form_per_entry(n, up):
     # pi falls by up / 0.5 = 1e-2 .. 1e-8 per state, to 8e-178 at n = 24
-    pi = chain_from_matrix(birth_death_matrix(n, up, 0.5)).pi
+    pi = MarkovChain(birth_death_matrix(n, up, 0.5)).pi
     assert np.max(np.abs(pi / birth_death_pi(n, up, 0.5) - 1)) <= 1e-12
 
 
@@ -145,7 +143,7 @@ def test_integer_weighted_pi_matches_exact_rationals():
             W = rng.integers(0, 4, (n, n)) * rng.choice([1, scale], (n, n))
             W[np.arange(n), (np.arange(n) + 1) % n] += 1  # a cycle keeps the chain irreducible
             want = np.array([float(x) for x in exact_stationary(W.tolist())])
-            got = chain_from_matrix(W / W.sum(axis=1, keepdims=True)).pi
+            got = MarkovChain(W / W.sum(axis=1, keepdims=True)).pi
             assert np.max(np.abs(got / want - 1)) <= 1e-12, (n, scale)
 
 
@@ -159,7 +157,7 @@ def test_is_irreducible_cases():
 
 def test_stationary_requires_irreducible():
     with pytest.raises(InputError, match="not irreducible"):
-        chain_from_matrix(np.eye(3))
+        MarkovChain(np.eye(3))
 
 
 def test_lazy_transform_two_state(two_state):
@@ -174,6 +172,14 @@ def test_lazy_identity_delta_one(two_state):
     assert np.array_equal(lazy.P, two_state.P)
 
 
+@pytest.mark.parametrize("delta", [0.3, 1.0])
+def test_lazy_transform_keeps_the_bits_of_the_identity_formula(delta):
+    c = gen_random_directed(9, 0.4, seed=2)
+    lazy = lazy_transform(c, delta)
+    assert lazy.P.tobytes() == ((1.0 - delta) * np.eye(c.n) + delta * c.P).tobytes()
+    assert not lazy.P.flags.writeable and lazy.pi is c.pi
+
+
 def test_lazy_delta_out_of_range(two_state):
     for bad in (0.0, -0.2, 1.5):
         with pytest.raises(InputError, match=r"delta must lie in \(0, 1\]"):
@@ -182,13 +188,13 @@ def test_lazy_delta_out_of_range(two_state):
 
 def test_graph_errors():
     with pytest.raises(InputError, match="not strongly connected"):
-        chain_from_undirected(WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0))))
+        chain_from_graph(WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0))))
     with pytest.raises(InputError, match="zero weighted degree"):
-        chain_from_undirected(WeightedGraph(n=3, edges=((0, 1, 1.0),)))
+        chain_from_graph(WeightedGraph(n=3, edges=((0, 1, 1.0),)))
     with pytest.raises(InputError, match="zero out-weight"):
-        chain_from_directed(WeightedGraph(n=2, edges=((0, 1, 1.0),), directed=True))
+        chain_from_graph(WeightedGraph(n=2, edges=((0, 1, 1.0),), directed=True))
     with pytest.raises(InputError, match="not strongly connected"):
-        chain_from_directed(
+        chain_from_graph(
             WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0)), directed=True)
         )
     with pytest.raises(InputError, match="negative weight"):
@@ -199,7 +205,7 @@ def test_graph_errors():
 
 def test_chain_validation_rejects_bad_matrices():
     with pytest.raises(ValueError):
-        chain_from_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]))  # rows do not sum to 1
+        MarkovChain(np.array([[0.5, 0.4], [0.5, 0.5]]))  # rows do not sum to 1
     with pytest.raises(InputError, match="not irreducible"):
         MarkovChain(P=np.eye(2), pi=np.array([0.5, 0.5]))
 
@@ -212,17 +218,11 @@ _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
     [
         pytest.param(lambda: WeightedGraph(n=0, edges=()), "graph needs at least one vertex", id="graph-n0"),
         pytest.param(lambda: MarkovChain(P=np.full((2, 3), 1 / 3), pi=None), "P must be a square matrix, got shape (2, 3)", id="P-not-square"),
-        pytest.param(lambda: chain_from_matrix(0.5), "P must be a square matrix, got shape ()", id="P-scalar"),
+        pytest.param(lambda: MarkovChain(0.5), "P must be a square matrix, got shape ()", id="P-scalar"),
         pytest.param(lambda: MarkovChain(P=_SWAP, pi=np.full(3, 1 / 3)), "pi has wrong shape", id="pi-shape"),
         pytest.param(lambda: MarkovChain(P=_SWAP, pi=[1.5, -0.5]), "pi must be strictly positive", id="pi-sign"),
         pytest.param(lambda: MarkovChain(P=_SWAP, pi=[0.5, 0.6]), "pi must sum to 1", id="pi-sum"),
         pytest.param(lambda: is_irreducible(np.ones((2, 3))), "P must be a square matrix, got shape (2, 3)", id="irreducible-not-square"),
-        pytest.param(
-            lambda: chain_from_undirected(WeightedGraph(n=2, edges=((0, 1, 1.0), (1, 0, 1.0)), directed=True)),
-            "graph must be undirected",
-            id="undirected-given-directed",
-        ),
-        pytest.param(lambda: chain_from_directed(WeightedGraph(n=2, edges=((0, 1, 1.0),))), "graph must be directed", id="directed-given-undirected"),
     ],
 )
 def test_chains_public_refusals(call, message):
@@ -244,16 +244,64 @@ def test_negative_rounding_entries_are_zeroed():
     # entries in [-1e-14, 0) are accepted as rounding and set to zero, so no
     # crossing mass is negative; the caller's array is left as it was
     P = np.array([[0.5, 0.500000000000001, -1e-15], [0.1, 0.1, 0.8], [0.05, 0.05, 0.9]])
-    c = chain_from_matrix(P)
+    c = MarkovChain(P)
     assert c.P.min() == 0.0
     assert c.P[0, 2] == 0.0 and P[0, 2] == -1e-15
     with pytest.raises(InputError, match=r"lie in \[0, 1\]"):
-        chain_from_matrix(np.array([[0.5, 0.5 + 2e-14, -2e-14], [0.1, 0.1, 0.8], [0.05, 0.05, 0.9]]))
+        MarkovChain(np.array([[0.5, 0.5 + 2e-14, -2e-14], [0.1, 0.1, 0.8], [0.05, 0.05, 0.9]]))
+
+
+def _frozen(P):
+    P = np.array(P, dtype=float)
+    P.setflags(write=False)
+    return P
+
+
+def test_a_frozen_float64_P_is_kept():
+    P = _frozen(light_cycle_matrix())
+    c = MarkovChain(P)
+    assert c.P is P
+    assert MarkovChain(c.P, c.pi).P is P
+
+
+@pytest.mark.parametrize("entry", [-1e-15, -0.0], ids=["rounding", "negative-zero"])
+def test_a_frozen_P_with_a_sign_bit_gives_a_frozen_clamped_copy(entry):
+    P = _frozen([[0.5, 0.5 - entry, entry], [0.1, 0.1, 0.8], [0.05, 0.05, 0.9]])
+    c = MarkovChain(P)
+    assert c.P is not P and not c.P.flags.writeable
+    assert c.P[0, 2] == 0.0 and not np.signbit(c.P).any()
+    assert P[0, 2] == entry and np.signbit(P[0, 2])
+    assert c.P[1:].tobytes() == P[1:].tobytes()
+
+
+def test_markov_chain_solves_for_pi_by_default():
+    P = _frozen(birth_death_matrix(8, 1e-6, 0.5))
+    a, b = MarkovChain(P), MarkovChain(P, None)
+    assert a.P is b.P is P
+    assert a.pi.tobytes() == b.pi.tobytes() and a.origin == b.origin == "raw-matrix"
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_chain_from_graph_keeps_the_bits_of_the_row_normalised_weights(directed):
+    # the formulas of the two constructors chain_from_graph replaced; the
+    # directed graph has a self-loop
+    edges = (random_directed_graph if directed else random_reversible_graph)(12, 0.4, seed=5).edges
+    if directed:
+        edges = np.concatenate([edges, [[3.0, 3.0, 0.75]]])
+    g = WeightedGraph(n=12, edges=edges, directed=directed)
+    c = chain_from_graph(g)
+    W = g.weight_matrix()
+    P = W / W.sum(axis=1, keepdims=True)
+    assert c.P.tobytes() == P.tobytes() and not c.P.flags.writeable
+    deg = W.sum(axis=1)
+    pi = MarkovChain(P).pi if directed else deg / deg.sum()
+    assert c.pi.tobytes() == pi.tobytes()
+    assert c.origin == ("directed-graph" if directed else "undirected-graph")
 
 
 def test_self_loops_contribute_to_degree():
     g = WeightedGraph(n=2, edges=((0, 0, 1.0), (0, 1, 1.0)))
-    c = chain_from_undirected(g)
+    c = chain_from_graph(g)
     assert np.allclose(c.P[0], [0.5, 0.5])
     assert np.allclose(c.pi, [2 / 3, 1 / 3])
     assert is_reversible(c)
@@ -267,9 +315,9 @@ def _singular(*args, **kwargs):
 
 def test_stationary_fallback_matches_direct_solve(monkeypatch):
     P = gen_random_directed(6, density=0.5, seed=11).P
-    direct = chain_from_matrix(P).pi
+    direct = MarkovChain(P).pi
     monkeypatch.setattr(isoperim.chains.np.linalg, "solve", _singular)
-    fallback = chain_from_matrix(P).pi
+    fallback = MarkovChain(P).pi
     assert np.max(np.abs(fallback / direct - 1)) <= 1e-12
 
 
@@ -281,7 +329,7 @@ def test_nan_transition_rejected_before_any_solve(monkeypatch):
     monkeypatch.setattr(isoperim.chains.np.linalg, "solve", never)
     P = np.array([[0.0, np.nan, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
     with pytest.raises(InputError, match="non-finite"):
-        chain_from_matrix(P)
+        MarkovChain(P)
 
 
 def test_lu_pi_is_kept_where_it_passes_the_per_entry_check(monkeypatch):
@@ -311,7 +359,7 @@ def test_one_irreducibility_check_per_chain_build(monkeypatch):
     monkeypatch.setattr(isoperim.chains, "is_irreducible", lambda P: calls.append(1) or real(P))
     gen_random_directed(6, density=0.5, seed=11)
     assert len(calls) == 1
-    chain_from_undirected(WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))))
+    chain_from_graph(WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))))
     assert len(calls) == 2
 
 
@@ -375,23 +423,18 @@ def test_edge_fault_temporaries_stay_near_one_edge_array():
     assert peak <= 1.1 * edges.nbytes, (peak, edges.nbytes)
 
 
-@pytest.mark.parametrize(
-    "make_graph, build, limit",
-    [(random_reversible_graph, chain_from_undirected, 2.5), (random_directed_graph, chain_from_directed, 4.5)],
-    ids=["undirected", "directed"],
-)
-def test_chain_build_peak_memory_in_n_squared_doubles(make_graph, build, limit):
-    # the weight matrix is divided in place, so the build holds W, which
-    # becomes P, and MarkovChain's own copy (2.2 n^2); the directed build
-    # adds the stationary solve's matrix (4.0 n^2)
+@pytest.mark.parametrize("make_graph", [random_reversible_graph, random_directed_graph], ids=["undirected", "directed"])
+def test_chain_build_peak_memory_in_n_squared_doubles(make_graph):
+    # the weight matrix is divided in place and becomes P; the directed build
+    # adds the stationary solve's matrix
     graph = make_graph(1024, seed=1)
     tracemalloc.start()
     try:
-        c = build(graph)
+        c = chain_from_graph(graph)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= limit * 8 * c.n**2, peak / (8 * c.n**2)
+    assert peak <= 2.1 * 8 * c.n**2, peak / (8 * c.n**2)
 
 
 def test_graph_keeps_a_frozen_edge_array_and_copies_a_writable_one():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from isoperim import (
     ChainAnalysis,
     MarkovChain,
-    chain_from_matrix,
     exact_minima,
     gen_cycle,
     gen_dumbbell,
@@ -20,9 +19,11 @@ from isoperim import (
     gen_ht_counterexample,
     gen_random_directed,
     gen_random_reversible,
+    hypercube_quantities,
     lazy_transform,
     phi_p_of_set,
     phi_profile,
+    sqrt_crossweight,
     sweep_cuts,
 )
 from isoperim import cuts
@@ -51,6 +52,18 @@ def test_phi_p_of_set_errors(cycle4):
         phi_p_of_set(cycle4, [0, 1, 2], 1.0)
     with pytest.raises(ValueError):
         phi_p_of_set(cycle4, [0], 1.5)
+    # ids that int() refuses are refused as ids, by every caller of vertex_ids
+    callers = [
+        lambda ids: phi_p_of_set(cycle4, ids, 0.5),
+        lambda ids: phi_profile(cycle4, ids),
+        lambda ids: hypercube_quantities(2, ids),
+        lambda ids: sqrt_crossweight(cycle4, [0], ids),
+    ]
+    for bad in (float("inf"), float("nan"), "a", None):
+        for call in callers:
+            with pytest.raises(InputError) as exc:
+                call([bad])
+            assert type(exc.value) is InputError and str(exc.value) == f"vertex id {bad} is not an integer"
 
 
 @pytest.mark.parametrize("subset", [[4], [0, -1]], ids=["above", "negative"])
@@ -119,7 +132,7 @@ def _p0_chains():
     # entry counted would make every admissible set's phi_0 equal 1)
     tiny = 5e-16
     P = np.array([[0.5 - tiny, 0.5, 0.0, tiny], [0.5, 0.4, 0.1, 0.0], [0.0, 0.1, 0.4, 0.5], [tiny, 0.0, 0.5, 0.5 - tiny]])
-    yield chain_from_matrix(P), False
+    yield MarkovChain(P), False
     for seed in range(4):
         yield gen_random_directed(6 + seed, density=0.4, seed=90 + seed), True
 
@@ -316,7 +329,7 @@ def _exact_chains(draw):
     n = draw(st.integers(2, 16) | st.integers(17, 18))
     if n == 2:
         a, b = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))
-        return chain_from_matrix(np.array([[1.0 - a, a], [b, 1.0 - b]]))
+        return MarkovChain(np.array([[1.0 - a, a], [b, 1.0 - b]]))
     gen = gen_random_reversible if kind == "reversible" else gen_random_directed
     return gen(n, density=draw(st.sampled_from([0.2, 0.5, 1.0])), seed=draw(st.integers(0, 10**6)))
 
@@ -428,12 +441,12 @@ def test_exact_minima_hold_when_every_fast_phi_is_off_by_the_bound_across_thread
 def _solved_and_oracle_chains():
     for n, up in ((8, 1e-6), (8, 5e-3), (12, 5e-5), (14, 5e-7), (14, 5e-9)):
         P = birth_death_matrix(n, up, 0.5)
-        yield chain_from_matrix(P), MarkovChain(P=P, pi=birth_death_pi(n, up, 0.5))
+        yield MarkovChain(P), MarkovChain(P=P, pi=birth_death_pi(n, up, 0.5))
     W = np.random.default_rng(9).integers(0, 4, (10, 10)) * 10 ** np.arange(10)[None, :]
     W[np.arange(10), (np.arange(10) + 1) % 10] += 1
     P = W / W.sum(axis=1, keepdims=True)
     pi = np.array([float(x) for x in exact_stationary(W.tolist())])
-    yield chain_from_matrix(P), MarkovChain(P=P, pi=pi)
+    yield MarkovChain(P), MarkovChain(P=P, pi=pi)
 
 
 def test_exact_minima_of_the_solved_pi_match_the_oracle_pi():
@@ -493,7 +506,7 @@ def test_exact_minima_split_across_threads_match_blocked_enumerator(directed, n,
 
 @pytest.mark.parametrize(
     "c",
-    [gen_cycle(12), gen_hypercube(4), gen_dumbbell(5), chain_from_matrix(np.array([[0.25, 0.75], [0.5, 0.5]]))],
+    [gen_cycle(12), gen_hypercube(4), gen_dumbbell(5), MarkovChain(np.array([[0.25, 0.75], [0.5, 0.5]]))],
     ids=["cycle12", "hypercube4", "dumbbell5", "two-state"],
 )
 @pytest.mark.parametrize("cpus", [2, 3, 7])
@@ -523,7 +536,7 @@ def _heavy_last_vertex():
     W = np.random.default_rng(18).random((18, 18))
     W = W + W.T
     W[-1, -1] = 2.0 * W.sum()
-    return chain_from_matrix(W / W.sum(axis=1, keepdims=True))
+    return MarkovChain(W / W.sum(axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize(
@@ -577,7 +590,7 @@ def _dense_transition(n, seed):
     W = np.random.default_rng(seed).random((n, n))
     P = W / W.sum(axis=1, keepdims=True)
     P *= 1.0 + 5e-13 * (-1.0) ** np.arange(n)[:, None]
-    return chain_from_matrix(P)
+    return MarkovChain(P)
 
 
 @pytest.mark.parametrize("n, seed", [(17, 1), (18, 2)])

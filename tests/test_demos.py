@@ -45,7 +45,7 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
 # One public name per quantity: a chain's certificates are read through
 # ChainAnalysis.cert, its exact minima through exact_minima or
 # ChainAnalysis.exact, its sweep cuts through sweep_cuts or
-# ChainAnalysis.sweep, and its stationary vector as chain_from_matrix(P).pi.
+# ChainAnalysis.sweep, and its stationary vector as MarkovChain(P).pi.
 PUBLIC_NAMES = {
     # the modules the package imports
     "bounds", "chains", "cuts", "errors", "families", "io", "spectral",
@@ -53,8 +53,8 @@ PUBLIC_NAMES = {
     "BoundReport", "ChainAnalysis", "bound_suite", "check_cheeger", "check_chung", "check_morris_peres",
     "check_phi_p_upper_bound", "conjecture_ratio", "geometric_chain_sum", "power_increment_supremum",
     # chains
-    "MarkovChain", "WeightedGraph", "chain_from_directed", "chain_from_matrix", "chain_from_undirected",
-    "exact_enumeration_cap", "is_irreducible", "is_reversible", "lazy_transform",
+    "MarkovChain", "WeightedGraph", "chain_from_graph", "exact_enumeration_cap", "is_irreducible", "is_reversible",
+    "lazy_transform",
     # cuts
     "CutResult", "PhiProfile", "exact_minima", "phi_p_of_set", "phi_profile", "sweep_cuts",
     # families
@@ -74,5 +74,5 @@ def test_public_names_are_pinned():
     # a second path to a quantity cannot come back unnoticed; isoperim.cli is
     # bound only once something imports it
     public = {name for name in vars(isoperim) if not name.startswith("_")} - {"cli"}
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 64
     assert public == PUBLIC_NAMES

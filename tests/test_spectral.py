@@ -6,7 +6,7 @@ import pytest
 import isoperim.spectral
 from isoperim import (
     ChainAnalysis,
-    chain_from_matrix,
+    MarkovChain,
     chung_laplacian,
     gen_cycle,
     gen_hypercube,
@@ -251,7 +251,7 @@ def _solves(monkeypatch, singular):
 
 
 def _exact_lambda2_chains():
-    swap = chain_from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    swap = MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]))
     return [swap, lazy_transform(swap, 0.25), gen_cycle(3), gen_cycle(4), gen_hypercube(2), gen_hypercube(3)]
 
 

@@ -53,6 +53,9 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
   enumerator splits across threads, and on a dense transition matrix of two
   pairs of states with an entry of 5e-16 between them, which is below the
   structural zero and so is no boundary;
+- ``analyze`` and ``verify --suite all`` on a dense transition matrix on 3
+  states with an entry of -1e-15, rounding that the chain sets to zero in a
+  copy of the matrix it is handed;
 - ``analyze --method exact`` at p = 0, 0.3, 1/2, 3/4 and 1, and at p = 0.6
   and 0.9 (the bracket without 1/2 and 1), on a random reversible chain on
   24 states, the default exact cap: 256 blocks of the high bits, each split
@@ -371,6 +374,12 @@ def build_plan(work: str) -> list[dict]:
     for name, path, fmt in cases:
         argv = ["analyze", "--input", path, "--format", fmt, "--method", "exact", "--p", "0,0.5,0.75,1"]
         plan.append({"id": f"analyze-exact-{name}", "argv": argv})
+    # a -1e-15 entry, which the chain sets to zero in a copy of the parsed matrix
+    path = os.path.join(work, "negative-rounding.txt")
+    _write_dense(path, "transition", np.array([[0.5, 0.500000000000001, -1e-15], [0.1, 0.1, 0.8], [0.05, 0.05, 0.9]]))
+    base = ["--input", path, "--format", "dense-matrix"]
+    plan.append({"id": "analyze-negative-rounding", "argv": ["analyze", *base, "--p", "0,0.5,0.75,1"]})
+    plan.append({"id": "verify-negative-rounding", "argv": ["verify", *base, "--suite", "all"]})
     path = os.path.join(work, "cycle20.tsv")
     _write_tied(path, "cycle", 20)
     argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.5,1"]
