@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure, TooLarge
 
-# Weights below this are structural zeros when building support digraphs.
+# Transition probabilities below this are structural zeros when building support digraphs.
 STRUCTURAL_ZERO = 1e-15
 # A set is admissible (at most half the stationary mass) when pi(S) <= 1/2 + MASS_SLACK.
 MASS_SLACK = 1e-12
@@ -38,20 +38,23 @@ def check_states(n: int) -> None:
         raise TooLarge(f"{n} states exceed the limit of {MAX_STATES}")
 
 
+def _integer(v, what: str) -> int:
+    """v as an int when it is integral (3, 3.0, np.float64(3.0)); anything
+    else (0.7, nan, inf, "3", None) raises InputError rather than being
+    truncated or converted."""
+    try:
+        i = int(v)
+        integral = i == v
+    except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
+        integral = False
+    if not integral:
+        raise InputError(f"{what} {v} is not an integer")
+    return i
+
+
 def vertex_ids(vertices: Iterable[int]) -> np.ndarray:
-    """Vertex ids as an int64 array; a value that is not an integer (0.7, not
-    1.0) raises InputError rather than being truncated."""
-    ids = []
-    for v in vertices:
-        try:
-            i = int(v)
-            integral = i == v
-        except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
-            integral = False
-        if not integral:
-            raise InputError(f"vertex id {v} is not an integer")
-        ids.append(i)
-    return np.array(ids, dtype=np.int64)
+    """Vertex ids as an int64 array, each taken as :func:`_integer` takes it."""
+    return np.array([_integer(v, "vertex id") for v in vertices], dtype=np.int64)
 
 
 def _kept(x) -> np.ndarray:
@@ -101,9 +104,10 @@ def edge_fault(edges: np.ndarray, n: int, directed: bool) -> tuple[int, str] | N
 class WeightedGraph:
     """Edge-list graph with nonnegative weights.
 
-    ``edges`` takes (u, v, w) triples and holds them as a frozen (m, 3) float64
-    array (:func:`_kept`). Undirected graphs store each edge once with u < v.
-    A self-loop contributes its weight once to the degree.
+    ``n`` is taken as :func:`_integer` takes it. ``edges`` takes (u, v, w)
+    triples and holds them as a frozen (m, 3) float64 array (:func:`_kept`).
+    Undirected graphs store each edge once with u < v. A self-loop
+    contributes its weight once to the degree.
     """
 
     n: int
@@ -111,9 +115,11 @@ class WeightedGraph:
     directed: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = _integer(self.n, "vertex count")
+        if n < 1:
             raise InputError("graph needs at least one vertex")
-        check_states(self.n)
+        check_states(n)
+        object.__setattr__(self, "n", n)
         edges = _kept(self.edges)
         if edges.shape[1:] != (3,):
             edges = edges.reshape(len(edges), 3)
@@ -268,23 +274,40 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
     return _gth(P)
 
 
+def _walk(W: np.ndarray, directed: bool) -> MarkovChain:
+    """Natural random walk on a finite nonnegative weight matrix W, symmetric
+    unless ``directed``: W is divided by its row sums in place, frozen and
+    handed to the chain.
+
+    A degree (row sum) must be nonzero, however small, and finite; so must
+    the degrees' total when undirected, which pi divides by.
+    """
+    with np.errstate(over="ignore"):
+        deg = W.sum(axis=1)
+        total = deg.sum()
+    if deg.min() == 0:
+        zero = "zero out-weight" if directed else "zero weighted degree"
+        raise InputError(f"vertex {int(deg.argmin())} has {zero}")
+    if not np.isfinite(deg).all():
+        raise InputError(f"vertex {int(np.isinf(deg).argmax())} has a weighted degree past the float range")
+    if not (directed or np.isfinite(total)):
+        raise InputError("the weighted degrees sum past the float range")
+    W /= deg[:, None]
+    W.setflags(write=False)
+    if directed:
+        return MarkovChain(W, None, "directed-graph")
+    return MarkovChain(W, deg / total, "undirected-graph")
+
+
 def chain_from_graph(g: WeightedGraph) -> MarkovChain:
     """Natural random walk on a weighted graph: P(u, v) = w(uv) / deg_w(u).
 
     An undirected graph must be connected; its pi(u) = deg_w(u) / sum_v
     deg_w(v), and the chain satisfies detailed balance by construction. A
-    directed graph must be strongly connected; its pi is solved for.
+    directed graph must be strongly connected; its pi is solved for. Every
+    degree must be nonzero and, with their total when undirected, finite.
     """
-    W = g.weight_matrix()
-    deg = W.sum(axis=1)
-    if deg.min() <= STRUCTURAL_ZERO:
-        zero = "zero out-weight" if g.directed else "zero weighted degree"
-        raise InputError(f"vertex {int(deg.argmin())} has {zero}")
-    W /= deg[:, None]
-    W.setflags(write=False)
-    if g.directed:
-        return MarkovChain(W, None, "directed-graph")
-    return MarkovChain(W, deg / deg.sum(), "undirected-graph")
+    return _walk(g.weight_matrix(), g.directed)
 
 
 def is_reversible(c: MarkovChain) -> bool:

@@ -6,9 +6,11 @@ Two input formats are supported. ``edge-tsv`` starts with a header line
 and (v, u) is a parse error. ``dense-matrix`` starts with
 ``matrix-kind transition`` or ``matrix-kind weight`` followed by n rows of n
 whitespace-separated reals; a transition matrix becomes a validated
-raw-matrix chain, a weight matrix becomes an undirected graph when symmetric
-and a directed one otherwise. Input is UTF-8, lines end at ``\n``, ``\r\n``
-or ``\r``, tokens are separated by whatever ``str.split`` splits at, and blank
+raw-matrix chain, and a nonnegative weight matrix is read straight into
+the transition matrix of the natural random walk on it, undirected when
+symmetric and directed otherwise; its first negative entry in row order is
+named at its line. Input is UTF-8, lines end at ``\n``, ``\r\n`` or
+``\r``, tokens are separated by whatever ``str.split`` splits at, and blank
 lines and lines whose first token starts with ``#`` are skipped.
 
 Each file's header and body lines are found once in its bytes, and its
@@ -41,14 +43,14 @@ import re
 import stat
 from array import array
 from io import BytesIO, TextIOWrapper
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
 from . import __version__ as _version
 from .bounds import BoundReport, verdict
 from .chains import MarkovChain, WeightedGraph, chain_from_graph
-from .chains import check_states, edge_fault
+from .chains import _walk, check_states, edge_fault
 from .cuts import CutResult
 from .errors import InputError, NumericalFailure, TooLarge
 
@@ -109,19 +111,19 @@ def _body(path: str, raw: bytes, headers: tuple[str, ...]) -> tuple[str, Iterato
     return " ".join(tokens), itertools.chain([first], lines), is_ascii
 
 
-def _graph(path: str, n: int, edges: np.ndarray, directed: bool, source: Callable[[int], tuple]) -> WeightedGraph:
-    """Graph of parsed edges, frozen and handed over without a copy; a faulty
-    row, or the row with the largest id when there are too many states, is
-    reported at ``source(row) = (lineno, (u, v, w))``."""
+def _graph(path: str, n: int, edges: np.ndarray, directed: bool, raw: bytes) -> WeightedGraph:
+    """Graph of the edges parsed from body line k of ``raw`` into row k,
+    frozen and handed over without a copy; a faulty row, or the row with the
+    largest id when there are too many states, is named at its line."""
     edges.setflags(write=False)
     try:
         return WeightedGraph(n=n, edges=edges, directed=directed)
     except TooLarge as exc:
-        lineno, (u, v, _) = source(int(edges[:, :2].max(axis=1).argmax()))
+        lineno, (u, v, _) = _row(raw, int(edges[:, :2].max(axis=1).argmax()))
         raise TooLarge(f"{path}:{lineno}: vertex id {max(u, v, key=int)}: {exc}") from None
     except InputError:
         row, reason = edge_fault(edges, n, directed)
-        lineno, (u, v, w) = source(row)
+        lineno, (u, v, w) = _row(raw, row)
         raise InputError(f"{path}:{lineno}: " + reason.format(u=u, v=v, w=repr(w), ids=f"1..{n}")) from None
 
 
@@ -211,10 +213,10 @@ def _parse_edge_tsv(path: str, raw: bytes, stamp: tuple | None) -> WeightedGraph
     if edges is None:
         edges = _line_rows(path, lines)
     directed = header == "directed"
-    return _graph(path, _shift(edges, directed), edges, directed, lambda row: _row(raw, row))
+    return _graph(path, _shift(edges, directed), edges, directed, raw)
 
 
-def _parse_dense(path: str, raw: bytes) -> WeightedGraph | MarkovChain:
+def _parse_dense(path: str, raw: bytes) -> MarkovChain:
     header, lines, _ = _body(path, raw, ("matrix-kind transition", "matrix-kind weight"))
     values, widths = array("d"), []
     for lineno, _, tokens in lines:
@@ -238,19 +240,18 @@ def _parse_dense(path: str, raw: bytes) -> WeightedGraph | MarkovChain:
     if header == "matrix-kind transition":
         M.setflags(write=False)
         return MarkovChain(M)
-    directed = not np.array_equal(M, M.T)
-    u, v = np.nonzero(M if directed else np.triu(M))
-    edges = np.column_stack([u, v, M[u, v]])
-
-    def source(r: int) -> tuple:
-        lineno, tokens = _row(raw, u[r])
-        return lineno, (u[r] + 1, v[r] + 1, tokens[v[r]])
-
-    return _graph(path, n, edges, directed, source)
+    first = int((M < 0).argmax())  # in row order, so on or above the diagonal of a symmetric M
+    if M.flat[first] < 0:
+        lineno, tokens = _row(raw, first // n)
+        raise InputError(f"{path}:{lineno}: negative weight {tokens[first % n]!r}")
+    M += 0.0  # a -0.0 entry becomes 0.0
+    return _walk(M, directed=not np.array_equal(M, M.T))
 
 
 def parse_graph(path: str, format: str) -> WeightedGraph | MarkovChain:
-    """Read an input file; returns a graph, or a chain for transition matrices."""
+    """Read an input file: the graph of an edge-tsv file, or the chain of a
+    dense matrix, a weight matrix read straight into the matrix of the walk
+    on it, undirected when symmetric."""
     if format not in FORMATS:
         raise InputError(f"unknown format {format!r}; expected one of {FORMATS}")
     with open(path, "rb") as fh:

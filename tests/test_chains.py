@@ -193,6 +193,9 @@ def test_graph_errors():
         chain_from_graph(WeightedGraph(n=3, edges=((0, 1, 1.0),)))
     with pytest.raises(InputError, match="zero out-weight"):
         chain_from_graph(WeightedGraph(n=2, edges=((0, 1, 1.0),), directed=True))
+    # vertex 2's degree 1e-300 is not zero, but P(1, 2) = 1e-300 is below the structural zero
+    with pytest.raises(InputError, match="not irreducible"):
+        chain_from_graph(WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1e-300))))
     with pytest.raises(InputError, match="not strongly connected"):
         chain_from_graph(
             WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0)), directed=True)
@@ -201,6 +204,30 @@ def test_graph_errors():
         WeightedGraph(n=2, edges=((0, 1, -1.0),))
     with pytest.raises(ValueError):
         WeightedGraph(n=2, edges=((1, 0, 1.0),))  # undirected stored u < v
+    # n is taken as vertex ids are: an integral value as an int, anything else refused
+    for n in (2.5, "3", None, math.inf, math.nan):
+        with pytest.raises(InputError) as info:
+            WeightedGraph(n=n, edges=((0, 1, 1.0),))
+        assert str(info.value) == f"vertex count {n} is not an integer"
+    for n in (3.0, np.float64(3.0), np.int64(3)):
+        g = WeightedGraph(n=n, edges=((0, 1, 1.0), (1, 2, 1.0)))
+        assert type(g.n) is int and g.n == 3 and chain_from_graph(g).n == 3
+
+
+_UNDIRECTED = ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (0, 3, 3.0), (1, 3, 1.5), (2, 2, 0.25))
+_DIRECTED = ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (2, 3, 3.0), (3, 1, 1.5), (1, 0, 0.25), (3, 3, 1.0))
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("scale", [2.0**-1000, 2.0**-60, 2.0**60], ids=["2^-1000", "2^-60", "2^60"])
+def test_scaled_weights_give_the_bits_of_the_unit_walk(directed, scale):
+    # a degree is refused only when it is exactly 0; a power of two scales
+    # every weight and degree exactly, so P and pi keep their bits
+    edges = np.array(_DIRECTED if directed else _UNDIRECTED)
+    unit = chain_from_graph(WeightedGraph(n=4, edges=edges, directed=directed))
+    edges[:, 2] *= scale
+    c = chain_from_graph(WeightedGraph(n=4, edges=edges, directed=directed))
+    assert c.P.tobytes() == unit.P.tobytes() and c.pi.tobytes() == unit.pi.tobytes()
 
 
 def test_chain_validation_rejects_bad_matrices():

@@ -92,17 +92,18 @@ def test_parse_dense_transition(tmp_path):
 def test_parse_dense_weight_symmetric(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("matrix-kind weight\n0 1\n1 0\n")
-    g = parse_graph(str(path), "dense-matrix")
-    assert isinstance(g, WeightedGraph) and not g.directed
-    c = as_chain(g)
-    assert np.array_equal(c.P, [[0.0, 1.0], [1.0, 0.0]])
+    c = parse_graph(str(path), "dense-matrix")
+    assert isinstance(c, MarkovChain) and c.origin == "undirected-graph"
+    assert c.P.tobytes() == np.array([[0.0, 1.0], [1.0, 0.0]]).tobytes()
 
 
 def test_parse_dense_weight_asymmetric_is_directed(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("matrix-kind weight\n0 2 1\n1 0 0\n1 0 0\n")
-    g = parse_graph(str(path), "dense-matrix")
-    assert isinstance(g, WeightedGraph) and g.directed
+    c = parse_graph(str(path), "dense-matrix")
+    assert isinstance(c, MarkovChain) and c.origin == "directed-graph"
+    W = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert c.P.tobytes() == (W / W.sum(axis=1, keepdims=True)).tobytes()
 
 
 def test_parse_dense_bad_header(tmp_path):
@@ -713,6 +714,15 @@ def _outcome(parse, path, fmt):
     return obj.n, obj.directed, obj.edges.tobytes()
 
 
+def _reads(fmt):
+    """The package's reading of a ``fmt`` file and the oracle's, for
+    ``_outcome``. The package reads a dense weight matrix straight into a
+    chain and the oracle into a graph, so dense files compare as chains."""
+    if fmt == "edge-tsv":
+        return parse_graph, naive_parse_graph
+    return load_chain, lambda path, fmt: as_chain(naive_parse_graph(path, fmt))
+
+
 def _write_raw(path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -757,7 +767,8 @@ def test_parse_matches_oracle(fuzz_dir, fmt, ascii_only, data):
     text = data.draw(_laid_out(lines, _ASCII_LINE_ENDS, _ASCII_SEPARATORS, _ASCII_ODD, _ASCII_LEADS) if ascii_only else _laid_out(lines))
     path = fuzz_dir / "oracle.txt"
     _write_raw(path, text)
-    assert _outcome(parse_graph, path, fmt) == _outcome(naive_parse_graph, path, fmt)
+    read, oracle = _reads(fmt)
+    assert _outcome(read, path, fmt) == _outcome(oracle, path, fmt)
 
 
 def _big_directed(lines):
@@ -800,6 +811,15 @@ def test_parse_line_faults_match_oracle(tmp_path, capsys):
         ("dense-matrix", "matrix-kind weight\n0 1 x\n1 0\n", ":2: could not convert"),
         ("dense-matrix", "matrix-kind weight\n0 inf\n1 x\n", ":2: entry 'inf'"),
         ("dense-matrix", "matrix-kind weight\n# c\n0 1\n\n1 -0.5\n", ":5: negative weight '-0.5'"),
+        # a symmetric negative pair is named at its upper entry, a negative
+        # entry of an asymmetric matrix wherever it is
+        ("dense-matrix", "matrix-kind weight\n0 -1.0 1\n-1 0 1\n1 1 0\n", ":2: negative weight '-1.0'"),
+        ("dense-matrix", "matrix-kind weight\n0 1 1\n-2 0 1\n1 1 0\n", ":3: negative weight '-2'"),
+        ("dense-matrix", "matrix-kind weight\n-3 1\n1 0\n", ":2: negative weight '-3'"),
+        ("dense-matrix", "matrix-kind weight\n5\n", "a chain needs at least 2 states, got 1"),
+        ("dense-matrix", "matrix-kind weight\n0\n", "vertex 0 has zero weighted degree"),
+        ("dense-matrix", "matrix-kind weight\n-0 1 -0\n1 -0 2\n-0 2 0\n", None),
+        ("dense-matrix", "matrix-kind weight\n-0 1 -0\n2 0 1\n1 -0 -0\n", None),
         ("dense-matrix", "matrix-kind  weight\r\n0\xa01\r\n# 1 2\r\n1\u30000\r\n", None),
         ("dense-matrix", "# c\nmatrix-kind transition\n0 1\n1 0\n", None),
         ("dense-matrix", "\n\nmatrix-kind foo\n0 1\n1 0\n", ":3: header must be"),
@@ -808,8 +828,9 @@ def test_parse_line_faults_match_oracle(tmp_path, capsys):
         warnings.simplefilter("error")  # a numpy warning would print above the error line
         for fmt, text, message in cases:
             _write_raw(path, text)
-            outcome = _outcome(parse_graph, path, fmt)
-            assert outcome == _outcome(naive_parse_graph, path, fmt), text[:60]
+            read, oracle = _reads(fmt)
+            outcome = _outcome(read, path, fmt)
+            assert outcome == _outcome(oracle, path, fmt), text[:60]
             assert outcome[0] in ("InputError", "TooLarge") if message else isinstance(outcome[0], int)
             if message:
                 assert message in outcome[1], (text[:60], outcome)
@@ -913,17 +934,27 @@ def _check_c_reader_against_int_and_float(path, by_path):
 
 
 def test_parsers_hand_their_edge_array_to_the_graph_uncopied(tmp_path, monkeypatch):
-    handed = []
+    # an edge-tsv file's edge array is the graph's edges; a weight matrix
+    # builds no graph, and the entries the reader converted are the chain's P
+    handed, converted = [], []
+    frombuffer = np.frombuffer
 
     def graph(**kwargs):
         handed.append(kwargs["edges"])
         return WeightedGraph(**kwargs)
 
+    def convert(*args, **kwargs):
+        converted.append(frombuffer(*args, **kwargs))
+        return converted[-1]
+
     monkeypatch.setattr(isoperim.io, "WeightedGraph", graph)
+    monkeypatch.setattr(isoperim.io.np, "frombuffer", convert)
     path = tmp_path / "in.txt"
-    for fmt, text in [("edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n"), ("dense-matrix", "matrix-kind weight\n0 1\n1 0\n")]:
-        path.write_text(text)
-        assert parse_graph(str(path), fmt).edges is handed[-1]
+    path.write_text("undirected\n1\t2\t1\n2\t3\t1\n")
+    assert parse_graph(str(path), "edge-tsv").edges is handed[-1]
+    path.write_text("matrix-kind weight\n0 1\n1 0\n")
+    c = parse_graph(str(path), "dense-matrix")
+    assert len(handed) == 1 and c.P.base is converted[-1]
 
 
 def _loadtxt_sources(monkeypatch, before=None):
@@ -1063,6 +1094,79 @@ def test_dense_rows_above_the_state_limit_are_refused_at_their_line(tmp_path, mo
     assert str(info.value) == f"{path}:3: 5 states exceed the limit of 4"
     with pytest.raises(TooLarge, match="5 states exceed the limit of 4"):
         MarkovChain(P=np.full((5, 5), 0.2), pi=None)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+def test_weight_matrix_load_peak_memory_in_n_squared_doubles(tmp_path, symmetric):
+    # a 256-state weight matrix at 17 digits, 2.5 n^2 doubles of text: its
+    # converted entries are divided into the chain's P in place, so the peak
+    # is the text, the matrix and, when directed, the stationary solve's copy
+    # of P (3.9 and 4.6 n^2 doubles)
+    n = 256
+    W = np.random.default_rng(256).random((n, n))
+    if symmetric:
+        W = np.triu(W) + np.triu(W, 1).T
+    path = tmp_path / "w.txt"
+    path.write_text("matrix-kind weight\n" + "\n".join(" ".join(f"{x:.17g}" for x in row) for row in W) + "\n")
+    tracemalloc.start()
+    try:
+        c = load_chain(str(path), "dense-matrix")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.origin == ("undirected-graph" if symmetric else "directed-graph")
+    assert c.P.tobytes() == (W / W.sum(axis=1, keepdims=True)).tobytes()
+    assert peak <= 5.0 * 8 * n * n, peak / (8 * n * n)
+
+
+_TRIANGLE_1E308 = "undirected\n1\t2\t1e308\n2\t3\t1e308\n1\t3\t1e308\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [
+        ("edge-tsv", _TRIANGLE_1E308, "vertex 0 has a weighted degree past the float range"),
+        ("dense-matrix", "matrix-kind weight\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n", "vertex 0 has a weighted degree past the float range"),
+        ("dense-matrix", "matrix-kind weight\n0 1 1\n1 0 1\n1e308 1e308 0\n", "vertex 2 has a weighted degree past the float range"),
+        ("edge-tsv", "undirected\n1\t2\t1e308\n", "the weighted degrees sum past the float range"),
+        ("dense-matrix", "matrix-kind weight\n1e308 1e308\n1e308 1e308\n", "vertex 0 has a weighted degree past the float range"),
+        ("dense-matrix", "matrix-kind weight\n0 1e308\n1e308 0\n", "the weighted degrees sum past the float range"),
+    ],
+    ids=["triangle-edge-tsv", "triangle-dense", "asymmetric-dense", "pair-edge-tsv", "full-dense", "pair-dense"],
+)
+def test_overflowing_degrees_are_one_typed_error(tmp_path, capsys, fmt, text, message):
+    # a degree, or on an undirected graph the degrees' total, past the float
+    # range is refused before numpy can warn
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as info:
+            load_chain(str(path), fmt)
+        assert str(info.value) == message
+        assert cli_main(["verify", "--input", str(path), "--format", fmt]) == 2
+    assert _one_error_line(capsys) == f"error: {message}\n"
+
+
+def test_directed_degrees_may_sum_past_the_float_range(tmp_path):
+    # pi of a directed graph is solved for, so only each degree must be finite
+    path = tmp_path / "in.txt"
+    for fmt, text in [("edge-tsv", "directed\n1\t2\t1e308\n2\t1\t1e308\n"), ("dense-matrix", "matrix-kind weight\n0 1e308\n1.5e308 0\n")]:
+        path.write_text(text)
+        c = load_chain(str(path), fmt)
+        assert c.origin == "directed-graph" and c.P.tolist() == [[0.0, 1.0], [1.0, 0.0]] and c.pi.tolist() == [0.5, 0.5]
+
+
+def test_analyze_of_a_path_with_weights_2_to_the_minus_60_is_the_unit_report(tmp_path, capsys):
+    # scaling every weight leaves the walk unchanged, and only an exact zero
+    # degree is refused, however small the weights
+    reports = []
+    for w in ("1", repr(2.0**-60)):
+        path = tmp_path / f"path-{w}.tsv"
+        path.write_text(f"undirected\n1\t2\t{w}\n2\t3\t{w}\n")
+        assert cli_main(["analyze", "--input", str(path), "--format", "edge-tsv"]) == 0
+        reports.append(capsys.readouterr().out.replace(str(path), "INPUT"))
+    assert reports[0] == reports[1] and '"origin": "undirected-graph"' in reports[0]
 
 
 def test_write_graph_tsv_formats_each_weight_bit_pattern(tmp_path):

@@ -63,6 +63,12 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``analyze --method exact`` at p = 0.6, 3/4 and 0.9 on a dense transition
   matrix on 18 states whose rows sum to 1 + 5e-13, where the bracket's top,
   the largest row sum, is above 1;
+- ``analyze`` and ``verify`` on dense weight matrices with a negative
+  symmetric pair, a negative entry below the diagonal of an asymmetric
+  matrix and one on the diagonal, on the 1 x 1 matrices ``5`` and ``0``, on
+  a symmetric and an asymmetric matrix with ``-0`` entries, and on a
+  triangle with weights 1e308, whose degrees overflow, as edge-tsv and as a
+  dense matrix;
 - ``scan`` on every n from 8 to 300, odd and even, and on 4095 and the cap
   65536, beyond the benchmark's five sizes;
 - ``analyze`` on valid files laid out in the ways the readers accept:
@@ -183,6 +189,21 @@ LAID_OUT = [
     ("laid-out-transition.txt", "dense-matrix", "matrix-kind transition\r0 1\r# note\r0.5 0.5\r"),
     ("underscore-weight.tsv", "edge-tsv", "directed\n1\t2\t1_0\n2\t1\t1\n"),
     ("blank-then-header.tsv", "edge-tsv", "\ndirected\n1\t2\t1\n2\t1\t1\n"),
+]
+
+
+# Dense weight matrices read straight into the walk, and degrees past the
+# float range: (name, format, text), each given to analyze and verify.
+WALKS = [
+    ("negative-pair.txt", "dense-matrix", "matrix-kind weight\n0 -1.0 1\n-1 0 1\n1 1 0\n"),
+    ("negative-below-diagonal.txt", "dense-matrix", "matrix-kind weight\n0 1 1\n-2 0 1\n1 1 0\n"),
+    ("negative-diagonal.txt", "dense-matrix", "matrix-kind weight\n0 1\n1 -0.5\n"),
+    ("one-by-one-5.txt", "dense-matrix", "matrix-kind weight\n5\n"),
+    ("one-by-one-0.txt", "dense-matrix", "matrix-kind weight\n0\n"),
+    ("triangle-1e308.tsv", "edge-tsv", "undirected\n1\t2\t1e308\n2\t3\t1e308\n1\t3\t1e308\n"),
+    ("triangle-1e308.txt", "dense-matrix", "matrix-kind weight\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n"),
+    ("minus-zero-sym.txt", "dense-matrix", "matrix-kind weight\n-0 1 -0\n1 -0 2\n-0 2 0\n"),
+    ("minus-zero-asym.txt", "dense-matrix", "matrix-kind weight\n-0 1 -0\n2 0 1\n1 -0 -0\n"),
 ]
 
 
@@ -404,6 +425,10 @@ def build_plan(work: str) -> list[dict]:
         path = os.path.join(work, name)
         _write_text(path, text)
         plan.append({"id": f"analyze-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--p", "0.5,1"]})
+    for name, fmt, text in WALKS:
+        path = os.path.join(work, name)
+        _write_text(path, text)
+        plan += [{"id": f"{command}-{name}", "argv": [command, "--input", path, "--format", fmt]} for command in ("analyze", "verify")]
     for kind, cases in (("faulty", FAULTY), ("not-utf8", NOT_UTF8)):
         for name, fmt, text in cases:
             path = os.path.join(work, name)
