@@ -14,8 +14,8 @@ from isoperim import (
     chain_from_graph,
     check_chung,
     check_phi_p_upper_bound,
-    gen_cycle,
-    gen_random_directed,
+    cycle_graph,
+    random_directed_graph,
 )
 
 
@@ -32,7 +32,7 @@ def main():
 
     print("\nrandom strongly connected chains:")
     for seed in range(4):
-        a = ChainAnalysis(gen_random_directed(7, density=0.4, seed=seed))
+        a = ChainAnalysis(chain_from_graph(random_directed_graph(7, density=0.4, seed=seed)))
         cert = a.cert(True)
         rep = check_phi_p_upper_bound(a, 0.75, use_directed=True)
         sw = a.sweep(0.75)  # the level sets of Chung's certificate
@@ -41,7 +41,7 @@ def main():
             f"  holds={rep.holds}  sweep set={sw.subset} phi={sw.phi:.4f}"
         )
 
-    a = ChainAnalysis(gen_cycle(5))
+    a = ChainAnalysis(chain_from_graph(cycle_graph(5)))
     rev, chung = a.cert(False), a.cert(True)
     print(
         f"\nreversible input: one eigenpair, lambda2 = {chung.lambda2:.12f}, serves both certificates;"

@@ -8,9 +8,10 @@ import math
 
 from isoperim import (
     ChainAnalysis,
-    gen_cycle,
-    gen_dumbbell,
-    gen_hypercube,
+    chain_from_graph,
+    cycle_graph,
+    dumbbell_graph,
+    hypercube_graph,
     lazy_transform,
     phi_p_of_set,
     phi_profile,
@@ -36,19 +37,19 @@ def show_chain(name, chain, ps=(0.0, 0.5, 1.0)):
 
 
 def main():
-    show_chain("6-cycle", gen_cycle(6))
-    show_chain("hypercube Q_3", gen_hypercube(3))
-    show_chain("dumbbell 2xK_4", gen_dumbbell(4))
+    show_chain("6-cycle", chain_from_graph(cycle_graph(6)))
+    show_chain("hypercube Q_3", chain_from_graph(hypercube_graph(3)))
+    show_chain("dumbbell 2xK_4", chain_from_graph(dumbbell_graph(4)))
 
     print("\nProfile of one set (phi_0 >= phi_half >= phi_1, Cauchy-Schwarz in between):")
-    q3 = gen_hypercube(3)
+    q3 = chain_from_graph(hypercube_graph(3))
     dictator = [0, 1, 2, 3]
     prof = phi_profile(q3, dictator)
     print(f"  dictator cut on Q_3: phi_0={prof.phi0:.4f}  phi_half={prof.phi_half:.4f}  phi_1={prof.phi1:.4f}")
     print(f"  phi_half^2 = {prof.phi_half**2:.4f} <= phi_0*phi_1 = {prof.phi0 * prof.phi1:.4f}")
 
     print("\nLazy transform scaling, P -> (1-d) I + d P:")
-    c = gen_cycle(6)
+    c = chain_from_graph(cycle_graph(6))
     base = phi_p_of_set(c, [0, 1, 2], 0.5).phi
     for delta in (0.9, 0.5, 0.1):
         lazy = lazy_transform(c, delta)

@@ -46,7 +46,6 @@ from .cuts import (
     sweep_cuts,
 )
 from .families import (
-    HypercubeQuantities,
     PartitionBlocks,
     ScanRow,
     arc_phi_half,
@@ -56,15 +55,9 @@ from .families import (
     circulant_lambda2,
     cycle_graph,
     dumbbell_graph,
-    gen_cycle,
-    gen_dumbbell,
     gen_ht_counterexample,
-    gen_hypercube,
-    gen_random_directed,
-    gen_random_reversible,
     ht_counterexample_graph,
     hypercube_graph,
-    hypercube_quantities,
     normalizer,
     random_directed_graph,
     random_reversible_graph,
@@ -72,9 +65,4 @@ from .families import (
     sqrt_crossweight,
 )
 from .io import AnalysisReport, as_chain, emit_report, load_chain, parse_graph, write_graph_tsv
-from .spectral import (
-    SpectralCertificate,
-    chung_laplacian,
-    truncated_eigenvector,
-    truncated_rayleigh,
-)
+from .spectral import SpectralCertificate, chung_laplacian, truncated_eigenvector

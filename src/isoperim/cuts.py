@@ -73,7 +73,7 @@ class PhiProfile(NamedTuple):
 
 
 def _validate_p(p: float) -> float:
-    p = float(p)
+    p = float(p) + 0.0  # -0.0 reads as 0.0
     if not 0.0 <= p <= 1.0:
         raise InputError(f"p must lie in [0, 1], got {p}")
     return p

@@ -28,15 +28,14 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import BoundReport
-from .chains import MASS_SLACK, MAX_STATES, MarkovChain, WeightedGraph, check_states, vertex_ids
-from .chains import chain_from_graph
+from .chains import MAX_STATES, MarkovChain, WeightedGraph, check_states, vertex_ids
 from .errors import InputError, TooLarge
 
 # Largest n of the scan. The arc minimum costs O(n) when its certificate rules
 # out every shorter arc, as it does on this family; each arc it cannot rule
 # out costs O(n) more, so the cap bounds that fallback at O(n^2).
 SCAN_MAX_N = 2**16
-# Largest hypercube dimension built or evaluated: 2^d <= MAX_STATES states.
+# Largest hypercube dimension built: 2^d <= MAX_STATES states.
 _HYPERCUBE_MAX_D = MAX_STATES.bit_length() - 1
 
 
@@ -330,69 +329,10 @@ def random_directed_graph(n: int, density: float = 0.5, seed: int = 0) -> Weight
     return _graph(n, np.column_stack([u, v, weights[u, v]]), directed=True)
 
 
-def gen_cycle(n: int) -> MarkovChain:
-    return chain_from_graph(cycle_graph(n))
-
-
-def gen_hypercube(d: int) -> MarkovChain:
-    return chain_from_graph(hypercube_graph(d))
-
-
-def gen_dumbbell(m: int) -> MarkovChain:
-    return chain_from_graph(dumbbell_graph(m))
-
-
-def gen_random_reversible(n: int, density: float = 0.5, seed: int = 0) -> MarkovChain:
-    return chain_from_graph(random_reversible_graph(n, density, seed))
-
-
-def gen_random_directed(n: int, density: float = 0.5, seed: int = 0) -> MarkovChain:
-    return chain_from_graph(random_directed_graph(n, density, seed))
-
-
 # --------------------------------------------------------------------------
-# hypercube boundary functionals
+# the cross weight f(A, B), block partitions of the cycle and the log lower
+# bound
 # --------------------------------------------------------------------------
-
-class HypercubeQuantities(NamedTuple):
-    poincare_num: float  # E_mu[h_S]
-    talagrand_num: float  # E_mu[sqrt(h_S)]
-    vertex_boundary: float  # mu(dS)
-
-
-def hypercube_quantities(d: int, subset: Iterable[int]) -> HypercubeQuantities:
-    """Exact boundary functionals of a subset of {0,1}^d under uniform mu.
-
-    h_S(x) counts the coordinates whose flip leaves S (0 off S). Then
-    phi_1(S) = E[h_S] / (d mu(S)), phi_{1/2}(S) = E[sqrt h_S] / (sqrt(d) mu(S))
-    and phi_0(S) = mu(dS) / mu(S) on the hypercube walk, matching
-    phi_p_of_set on gen_hypercube(d).
-    """
-    if d > _HYPERCUBE_MAX_D:
-        raise InputError(f"hypercube quantities support d <= {_HYPERCUBE_MAX_D}, got {d}")
-    if d < 1:
-        raise InputError(f"dimension must be >= 1, got {d}")
-    n = 1 << d
-    members = np.zeros(n, dtype=bool)
-    idx = vertex_ids(subset)
-    if idx.size == 0:
-        raise InputError("subset must be nonempty")
-    if idx.min() < 0 or idx.max() >= n:
-        raise InputError("subset contains points outside {0,1}^d")
-    members[idx] = True
-    mu_s = members.sum() / n
-    if mu_s > 0.5 + MASS_SLACK:
-        raise InputError(f"mu(S) = {mu_s} exceeds 1/2")
-    points = np.arange(n)
-    h = np.zeros(n, dtype=np.int64)
-    for i in range(d):
-        h += members & ~members[points ^ (1 << i)]
-    return HypercubeQuantities(
-        poincare_num=float(h.sum()) / n,
-        talagrand_num=float(np.sqrt(h).sum()) / n,
-        vertex_boundary=float((h > 0).sum()) / n,
-    )
-
 
 def sqrt_crossweight(c: MarkovChain, A: Iterable[int], B: Iterable[int]) -> float:
     """f(A, B) = sum_{u in A} sqrt(P(u, B)) for disjoint vertex sets.
@@ -411,10 +351,6 @@ def sqrt_crossweight(c: MarkovChain, A: Iterable[int], B: Iterable[int]) -> floa
     cross = c.P[np.ix_(a, b)].sum(axis=1)
     return math.fsum(np.sqrt(np.maximum(cross, 0.0)).tolist())
 
-
-# --------------------------------------------------------------------------
-# block partitions of the cycle and the log lower bound
-# --------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class PartitionBlocks:

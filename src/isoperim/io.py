@@ -216,7 +216,8 @@ def _parse_edge_tsv(path: str, raw: bytes, stamp: tuple | None) -> WeightedGraph
     return _graph(path, _shift(edges, directed), edges, directed, raw)
 
 
-def _parse_dense(path: str, raw: bytes) -> MarkovChain:
+def _parse_dense(path: str, raw: bytes) -> tuple[bool, np.ndarray]:
+    """The checked matrix of a dense file, and whether it holds weights."""
     header, lines, _ = _body(path, raw, ("matrix-kind transition", "matrix-kind weight"))
     values, widths = array("d"), []
     for lineno, _, tokens in lines:
@@ -239,13 +240,13 @@ def _parse_dense(path: str, raw: bytes) -> MarkovChain:
     M = np.frombuffer(values).reshape(n, n)
     if header == "matrix-kind transition":
         M.setflags(write=False)
-        return MarkovChain(M)
+        return False, M
     first = int((M < 0).argmax())  # in row order, so on or above the diagonal of a symmetric M
     if M.flat[first] < 0:
         lineno, tokens = _row(raw, first // n)
         raise InputError(f"{path}:{lineno}: negative weight {tokens[first % n]!r}")
     M += 0.0  # a -0.0 entry becomes 0.0
-    return _walk(M, directed=not np.array_equal(M, M.T))
+    return True, M
 
 
 def parse_graph(path: str, format: str) -> WeightedGraph | MarkovChain:
@@ -257,7 +258,13 @@ def parse_graph(path: str, format: str) -> WeightedGraph | MarkovChain:
     with open(path, "rb") as fh:
         stamp = _stamp(os.fstat(fh.fileno()))
         raw = fh.read()
-    return _parse_edge_tsv(path, raw, stamp) if format == "edge-tsv" else _parse_dense(path, raw)
+    if format == "edge-tsv":
+        return _parse_edge_tsv(path, raw, stamp)
+    weights, M = _parse_dense(path, raw)
+    del raw  # past the dense checks no message names a line: the bytes go before the chain is built
+    if not weights:
+        return MarkovChain(M)
+    return _walk(M, directed=not np.array_equal(M, M.T))
 
 
 def as_chain(obj: WeightedGraph | MarkovChain) -> MarkovChain:

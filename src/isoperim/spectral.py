@@ -165,29 +165,3 @@ def truncated_eigenvector(cert: SpectralCertificate, c: MarkovChain) -> np.ndarr
     f = np.maximum(sign * f2, 0.0)
     return f / f.max()
 
-
-def truncated_rayleigh(c: MarkovChain, f: np.ndarray) -> float:
-    """Rayleigh-type quotient of a nonnegative vector over ordered pairs,
-
-        ( sum_{u,v : f(u) >= f(v)} q(u,v) (f(u) - f(v))^2 ) / sum_v pi(v) f(v)^2
-
-    with the symmetrized flow q(u,v) = (pi(u)P(u,v) + pi(v)P(v,u)) / 2. For
-    reversible chains detailed balance gives q(u,v) = pi(u)P(u,v), the plain
-    one-sided quotient. The symmetrization matters for directed chains: the
-    raw one-sided sum can exceed lambda2 of the Chung Laplacian, while this
-    quotient never does (up to solver residual) when f is a truncated
-    certificate eigenvector.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (c.n,):
-        raise InputError("vector length does not match the chain")
-    if (f < -1e-12).any():
-        raise InputError("vector must be nonnegative")
-    if not (f > 0).any():
-        raise InputError("vector is identically zero")
-    flow = c.pi[:, None] * c.P
-    q = 0.5 * (flow + flow.T)
-    diff = f[:, None] - f[None, :]
-    num = float(np.sum(np.where(diff >= 0, q * diff**2, 0.0)))
-    den = float(np.sum(c.pi * f**2))
-    return num / den

@@ -3,8 +3,9 @@ import pytest
 from isoperim import (
     WeightedGraph,
     chain_from_graph,
-    gen_random_directed,
-    gen_random_reversible,
+    cycle_graph,
+    random_directed_graph,
+    random_reversible_graph,
 )
 
 
@@ -16,16 +17,12 @@ def two_state():
 
 @pytest.fixture
 def cycle4():
-    from isoperim import gen_cycle
-
-    return gen_cycle(4)
+    return chain_from_graph(cycle_graph(4))
 
 
 @pytest.fixture
 def cycle6():
-    from isoperim import gen_cycle
-
-    return gen_cycle(6)
+    return chain_from_graph(cycle_graph(6))
 
 
 @pytest.fixture
@@ -46,7 +43,7 @@ def reversible_suite(count=200, seed_base=1000):
     for i in range(count):
         n = 3 + (i % 10)
         density = 0.3 + 0.15 * ((i // 10) % 5)
-        chains.append(gen_random_reversible(n, density=density, seed=seed_base + i))
+        chains.append(chain_from_graph(random_reversible_graph(n, density=density, seed=seed_base + i)))
     return chains
 
 
@@ -56,5 +53,5 @@ def directed_suite(count=100, seed_base=5000):
     for i in range(count):
         n = 3 + (i % 8)
         density = 0.3 + 0.15 * ((i // 8) % 5)
-        chains.append(gen_random_directed(n, density=density, seed=seed_base + i))
+        chains.append(chain_from_graph(random_directed_graph(n, density=density, seed=seed_base + i)))
     return chains

@@ -26,7 +26,7 @@ bitmask tables, prefix sums, and FFTs). Five exceptions:
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -216,6 +216,28 @@ def hypercube_h(d, members):
     for x in members:
         h[x] = sum(1 for i in range(d) if (x ^ (1 << i)) not in members)
     return h
+
+
+class HypercubeQuantities(NamedTuple):
+    poincare_num: float  # E_mu[h_S]
+    talagrand_num: float  # E_mu[sqrt(h_S)]
+    vertex_boundary: float  # mu(dS)
+
+
+def hypercube_quantities(d, subset):
+    """Boundary functionals of a subset S of {0,1}^d under uniform mu.
+
+    h_S(x) counts the coordinates whose flip leaves S (0 off S). Then
+    phi_1(S) = E[h_S] / (d mu(S)), phi_{1/2}(S) = E[sqrt h_S] / (sqrt(d) mu(S))
+    and phi_0(S) = mu(dS) / mu(S) on the walk on ``hypercube_graph(d)``.
+    """
+    h = hypercube_h(d, set(subset))
+    n = 1 << d
+    return HypercubeQuantities(
+        poincare_num=math.fsum(h) / n,
+        talagrand_num=math.fsum(math.sqrt(x) for x in h) / n,
+        vertex_boundary=sum(1 for x in h if x) / n,
+    )
 
 
 def naive_edge_fault(edges, n, directed):

@@ -15,14 +15,15 @@ from isoperim import (
     arc_phi_half,
     block_log_sum,
     block_merge_residual,
+    chain_from_graph,
     check_block_lower_bound,
     check_chung,
     circulant_lambda2,
+    cycle_graph,
     exact_minima,
-    gen_cycle,
     gen_ht_counterexample,
-    gen_hypercube,
     geometric_chain_sum,
+    hypercube_graph,
     lazy_transform,
     phi_p_of_set,
     power_increment_supremum,
@@ -124,7 +125,7 @@ def test_criterion_4_exactness_cross_checks():
         details.append(f"n={n}: exact={exact:.6f} arc={arc_min:.6f} floor={floor:.6f}")
     worst_eig = 0.0
     for n in (4, 8, 16, 32, 64, 128, 256):
-        for chain in (gen_ht_counterexample(n), gen_cycle(n)):
+        for chain in (gen_ht_counterexample(n), chain_from_graph(cycle_graph(n))):
             first_row = np.concatenate([[1.0], -chain.P[0, 1:]])
             analytic = circulant_lambda2(first_row)
             w = np.linalg.eigh(np.eye(n) - chain.P)[0]
@@ -272,7 +273,7 @@ def test_criterion_10_hypercube():
     ok = True
     details = []
     for d in (2, 3, 4):
-        chain = gen_hypercube(d)
+        chain = chain_from_graph(hypercube_graph(d))
         n = 1 << d
         exact = exact_minima(chain, [1.0, 0.5])
         phi1, phi_half = exact[1.0].phi, exact[0.5].phi

@@ -12,21 +12,22 @@ from isoperim import (
     ChainAnalysis,
     MarkovChain,
     bound_suite,
+    chain_from_graph,
     check_cheeger,
     check_chung,
     check_morris_peres,
     check_phi_p_upper_bound,
     conjecture_ratio,
-    gen_cycle,
-    gen_dumbbell,
+    cycle_graph,
+    dumbbell_graph,
     gen_ht_counterexample,
-    gen_hypercube,
-    gen_random_directed,
-    gen_random_reversible,
     geometric_chain_sum,
+    hypercube_graph,
     is_reversible,
     lazy_transform,
     power_increment_supremum,
+    random_directed_graph,
+    random_reversible_graph,
 )
 from isoperim.errors import InputError, TooLarge
 
@@ -107,7 +108,7 @@ def test_conjecture_ratio_two_state(two_state):
 
 def test_conjecture_ratio_lazy_invariant():
     for seed in range(5):
-        c = gen_random_reversible(6, density=0.6, seed=400 + seed)
+        c = chain_from_graph(random_reversible_graph(6, density=0.6, seed=400 + seed))
         rho = conjecture_ratio(ChainAnalysis(c))
         for delta in (0.1, 0.5, 0.9):
             assert abs(conjecture_ratio(ChainAnalysis(lazy_transform(c, delta))) - rho) < 1e-9
@@ -116,7 +117,7 @@ def test_conjecture_ratio_lazy_invariant():
 def test_reversible_suite_bounds_hold():
     for seed in range(40):
         n = 3 + seed % 10
-        a = ChainAnalysis(gen_random_reversible(n, density=0.45, seed=7000 + seed))
+        a = ChainAnalysis(chain_from_graph(random_reversible_graph(n, density=0.45, seed=7000 + seed)))
         for p in (0.6, 0.75, 0.9, 1.0):
             assert check_phi_p_upper_bound(a, p).holds
         assert check_morris_peres(a).holds
@@ -127,7 +128,7 @@ def test_reversible_suite_bounds_hold():
 def test_directed_suite_bounds_hold():
     for seed in range(25):
         n = 3 + seed % 8
-        a = ChainAnalysis(gen_random_directed(n, density=0.45, seed=8000 + seed))
+        a = ChainAnalysis(chain_from_graph(random_directed_graph(n, density=0.45, seed=8000 + seed)))
         lower, upper = check_chung(a)
         assert lower.holds and upper.holds
         for p in (0.6, 1.0):
@@ -235,7 +236,7 @@ def test_bound_suite_matches_standalone_checks(monkeypatch, cap):
     # cap 24 puts the n=8 chains within the exact cap, cap 6 above it
     monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
     ps = [0.3, 0.5, 0.75, 1.0]
-    for c in (gen_random_reversible(8, density=0.5, seed=11), gen_random_directed(8, density=0.5, seed=12)):
+    for c in (chain_from_graph(random_reversible_graph(8, density=0.5, seed=11)), chain_from_graph(random_directed_graph(8, density=0.5, seed=12))):
         reversible = is_reversible(c)
         a = ChainAnalysis(c)
         suite = bound_suite(a, ps if reversible else None, ps)
@@ -266,7 +267,7 @@ def test_every_report_rederives_from_its_cut_and_certificate(monkeypatch, cap):
     # cap 24 puts the n=8 chains within the exact cap, cap 6 above it
     monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
     ps = [0.6, 0.75, 1.0]
-    for c in (gen_random_reversible(8, density=0.5, seed=11), gen_random_directed(8, density=0.5, seed=12)):
+    for c in (chain_from_graph(random_reversible_graph(8, density=0.5, seed=11)), chain_from_graph(random_directed_graph(8, density=0.5, seed=12))):
         a = ChainAnalysis(c)
         suite = bound_suite(a, ps if a.reversible else None, ps)
         assert suite
@@ -293,7 +294,7 @@ def test_expect_joins_the_pass_phi_reads(monkeypatch, cap):
             return _real(c, ps, *rest)
 
         monkeypatch.setattr(isoperim.bounds, name, counted)
-    a = ChainAnalysis(gen_random_reversible(7, density=0.5, seed=3))
+    a = ChainAnalysis(chain_from_graph(random_reversible_graph(7, density=0.5, seed=3)))
     a.expect([0.75, 1.0])
     a.expect([0.5, 0.75])
     for p in (1.0, 0.5, 0.75):
@@ -304,8 +305,8 @@ def test_expect_joins_the_pass_phi_reads(monkeypatch, cap):
 
 def test_own_is_the_certificate_of_the_chains_kind():
     chains = [
-        gen_random_reversible(6, density=0.5, seed=1),
-        gen_random_directed(6, density=0.5, seed=2),
+        chain_from_graph(random_reversible_graph(6, density=0.5, seed=1)),
+        chain_from_graph(random_directed_graph(6, density=0.5, seed=2)),
         MarkovChain(light_cycle_matrix()),
     ]
     for c, reversible in zip(chains, (True, False, False)):
@@ -339,7 +340,7 @@ def _check_derives_each_quantity_once(monkeypatch, directed):
         return real_exact(c, ps)
 
     monkeypatch.setattr(isoperim.bounds, "exact_minima", counted_exact)
-    c = (gen_random_directed if directed else gen_random_reversible)(7, density=0.5, seed=3)
+    c = chain_from_graph((random_directed_graph if directed else random_reversible_graph)(7, density=0.5, seed=3))
     a = ChainAnalysis(c, [0.3])
     assert a.reversible is not directed
     bound_suite(a, None if directed else [0.6, 0.75], [0.6])
@@ -390,10 +391,11 @@ def test_birth_death_certificates_agree_with_the_closed_form_pi(n, up):
 
 
 def _oracle_chains():
-    chains = [gen_random_reversible(n, density=0.5, seed=n) for n in (5, 9, 17, 28, 40)]
-    chains += [gen_cycle(12), gen_hypercube(4), gen_dumbbell(6), gen_ht_counterexample(64)]
-    chains.append(lazy_transform(gen_random_reversible(10, density=0.4, seed=2), 0.3))
-    chains += [gen_random_directed(n, density=0.5, seed=n) for n in (5, 12, 30)]
+    chains = [chain_from_graph(random_reversible_graph(n, density=0.5, seed=n)) for n in (5, 9, 17, 28, 40)]
+    chains += [chain_from_graph(g) for g in (cycle_graph(12), hypercube_graph(4), dumbbell_graph(6))]
+    chains.append(gen_ht_counterexample(64))
+    chains.append(lazy_transform(chain_from_graph(random_reversible_graph(10, density=0.4, seed=2)), 0.3))
+    chains += [chain_from_graph(random_directed_graph(n, density=0.5, seed=n)) for n in (5, 12, 30)]
     return chains
 
 
@@ -418,7 +420,7 @@ def _assert_matches_the_oracle(got, w, v2):
 
 
 def test_chain_analysis_reversible_cert_refuses_a_directed_chain():
-    c = gen_random_directed(6, density=0.5, seed=2)
+    c = chain_from_graph(random_directed_graph(6, density=0.5, seed=2))
     a = ChainAnalysis(c)
     assert not a.reversible
     with pytest.raises(InputError) as got:
@@ -428,7 +430,7 @@ def test_chain_analysis_reversible_cert_refuses_a_directed_chain():
 
 def test_chain_analysis_rejects_expected_exact_above_cap(monkeypatch):
     monkeypatch.setenv("ISO_MAX_EXACT_N", "4")
-    c = gen_random_reversible(6, density=0.5, seed=1)
+    c = chain_from_graph(random_reversible_graph(6, density=0.5, seed=1))
     with pytest.raises(TooLarge):
         ChainAnalysis(c, [0.5])
     a = ChainAnalysis(c)

@@ -11,12 +11,10 @@ from isoperim import (
     MarkovChain,
     WeightedGraph,
     chain_from_graph,
-    is_irreducible,
-    gen_cycle,
+    cycle_graph,
     gen_ht_counterexample,
-    gen_random_directed,
-    gen_random_reversible,
     ht_counterexample_graph,
+    is_irreducible,
     is_reversible,
     lazy_transform,
     random_directed_graph,
@@ -68,8 +66,8 @@ def test_is_reversible_tests_each_pair_of_flows():
     # the light cycle's 0.01 flows are below 1e-10 of the largest flow, but
     # the reverse flows are zero, so detailed balance fails pair by pair
     assert not is_reversible(MarkovChain(light_cycle_matrix()))
-    chains = [gen_cycle(64), gen_ht_counterexample(256)]
-    chains += [gen_random_reversible(40, density=0.3, seed=s) for s in range(3)]
+    chains = [chain_from_graph(cycle_graph(64)), gen_ht_counterexample(256)]
+    chains += [chain_from_graph(random_reversible_graph(40, density=0.3, seed=s)) for s in range(3)]
     # pi down to 1e-184, and pi solved by LU on dense reversible matrices
     chains += [MarkovChain(birth_death_matrix(24, up, down)) for up, down in ((1e-8, 0.99), (1e-2, 0.5))]
     assert chains[-2].pi.min() < 1e-180
@@ -93,8 +91,8 @@ def test_is_reversible_by_row_blocks_gives_the_full_matrix_verdict(monkeypatch, 
     W += W.T
     W[69, 0] *= 1.5
     chains = [MarkovChain(light_cycle_matrix()), MarkovChain(W / W.sum(axis=1, keepdims=True))]
-    chains += [gen_random_reversible(n, density=0.5, seed=n) for n in (3, 7, 65, 130)]
-    chains += [gen_random_directed(n, density=0.5, seed=n) for n in (7, 65)]
+    chains += [chain_from_graph(random_reversible_graph(n, density=0.5, seed=n)) for n in (3, 7, 65, 130)]
+    chains += [chain_from_graph(random_directed_graph(n, density=0.5, seed=n)) for n in (7, 65)]
     monkeypatch.setattr(isoperim.chains, "_REVERSIBLE_ROWS", rows)
     verdicts = [is_reversible(c) for c in chains]
     assert verdicts == [_full_matrix_reversible(c) for c in chains]
@@ -174,7 +172,7 @@ def test_lazy_identity_delta_one(two_state):
 
 @pytest.mark.parametrize("delta", [0.3, 1.0])
 def test_lazy_transform_keeps_the_bits_of_the_identity_formula(delta):
-    c = gen_random_directed(9, 0.4, seed=2)
+    c = chain_from_graph(random_directed_graph(9, 0.4, seed=2))
     lazy = lazy_transform(c, delta)
     assert lazy.P.tobytes() == ((1.0 - delta) * np.eye(c.n) + delta * c.P).tobytes()
     assert not lazy.P.flags.writeable and lazy.pi is c.pi
@@ -341,7 +339,7 @@ def _singular(*args, **kwargs):
 
 
 def test_stationary_fallback_matches_direct_solve(monkeypatch):
-    P = gen_random_directed(6, density=0.5, seed=11).P
+    P = chain_from_graph(random_directed_graph(6, density=0.5, seed=11)).P
     direct = MarkovChain(P).pi
     monkeypatch.setattr(isoperim.chains.np.linalg, "solve", _singular)
     fallback = MarkovChain(P).pi
@@ -361,7 +359,7 @@ def test_nan_transition_rejected_before_any_solve(monkeypatch):
 
 def test_lu_pi_is_kept_where_it_passes_the_per_entry_check(monkeypatch):
     monkeypatch.setattr(isoperim.chains, "_gth", lambda P: pytest.fail("GTH ran where LU passes"))
-    c = gen_random_directed(300, 0.5, 1)
+    c = chain_from_graph(random_directed_graph(300, 0.5, 1))
     assert c.pi.min() > 0
 
 
@@ -384,7 +382,7 @@ def test_one_irreducibility_check_per_chain_build(monkeypatch):
     calls = []
     real = isoperim.chains.is_irreducible
     monkeypatch.setattr(isoperim.chains, "is_irreducible", lambda P: calls.append(1) or real(P))
-    gen_random_directed(6, density=0.5, seed=11)
+    chain_from_graph(random_directed_graph(6, density=0.5, seed=11))
     assert len(calls) == 1
     chain_from_graph(WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))))
     assert len(calls) == 2

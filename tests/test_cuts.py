@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 from isoperim import (
     ChainAnalysis,
     MarkovChain,
+    chain_from_graph,
+    cycle_graph,
+    dumbbell_graph,
     exact_minima,
-    gen_cycle,
-    gen_dumbbell,
-    gen_hypercube,
     gen_ht_counterexample,
-    gen_random_directed,
-    gen_random_reversible,
-    hypercube_quantities,
+    hypercube_graph,
     lazy_transform,
     phi_p_of_set,
     phi_profile,
+    random_directed_graph,
+    random_reversible_graph,
     sqrt_crossweight,
     sweep_cuts,
 )
@@ -45,6 +45,13 @@ def test_cycle4_adjacent_pair(cycle4):
     assert phi_p_of_set(cycle4, [0, 1], 0.0).phi == 1.0
 
 
+def test_an_exponent_of_minus_zero_is_zero(cycle4):
+    # -0.0 == 0.0, but a cut that kept the sign would be reported as p = -0
+    a = ChainAnalysis(cycle4, [-0.0], [-0.0])
+    cuts = [phi_p_of_set(cycle4, [0, 1], -0.0), exact_minima(cycle4, [-0.0])[0.0], a.exact(-0.0), a.sweep(-0.0)]
+    assert not any(np.signbit(cut.p) for cut in cuts)
+
+
 def test_phi_p_of_set_errors(cycle4):
     with pytest.raises(InputError, match="nonempty"):
         phi_p_of_set(cycle4, [], 1.0)
@@ -56,7 +63,6 @@ def test_phi_p_of_set_errors(cycle4):
     callers = [
         lambda ids: phi_p_of_set(cycle4, ids, 0.5),
         lambda ids: phi_profile(cycle4, ids),
-        lambda ids: hypercube_quantities(2, ids),
         lambda ids: sqrt_crossweight(cycle4, [0], ids),
     ]
     for bad in (float("inf"), float("nan"), "a", None):
@@ -75,7 +81,7 @@ def test_phi_p_of_set_refuses_an_out_of_range_vertex(cycle4, subset):
 
 def test_phi_p_of_set_rejects_non_integral_vertices():
     # {0.7, 1.9} is not truncated to {0, 1}; an integral float is a vertex
-    c = gen_cycle(6)
+    c = chain_from_graph(cycle_graph(6))
     with pytest.raises(InputError, match="vertex id 0.7 is not an integer"):
         phi_p_of_set(c, [0.7, 1.9], 1.0)
     with pytest.raises(InputError, match="vertex id 1.9 is not an integer"):
@@ -98,7 +104,7 @@ def test_exact_cycle4(cycle4):
 
 
 def test_exact_hypercube_half(cycle4):
-    q3 = gen_hypercube(3)
+    q3 = chain_from_graph(hypercube_graph(3))
     cut = exact_minima(q3, [0.5])[0.5]
     assert cut.phi <= 1 / math.sqrt(3) + 1e-12
 
@@ -106,14 +112,14 @@ def test_exact_hypercube_half(cycle4):
 def test_exact_matches_bruteforce_oracle():
     for seed in range(8):
         n = 4 + seed % 4
-        c = gen_random_reversible(n, density=0.5, seed=40 + seed)
+        c = chain_from_graph(random_reversible_graph(n, density=0.5, seed=40 + seed))
         for p in (0.0, 0.4, 0.5, 0.75, 1.0):
             mine = exact_minima(c, [p])[p]
             expected, _ = naive_phi_exact(c.P, c.pi, p)
             assert abs(mine.phi - expected) < 1e-12
             assert abs(naive_phi_p(c.P, c.pi, mine.subset, p) - mine.phi) < 1e-12
     for seed in range(4):
-        c = gen_random_directed(5 + seed, density=0.5, seed=70 + seed)
+        c = chain_from_graph(random_directed_graph(5 + seed, density=0.5, seed=70 + seed))
         for p in (0.0, 0.5, 1.0):
             mine = exact_minima(c, [p])[p]
             expected, _ = naive_phi_exact(c.P, c.pi, p)
@@ -134,7 +140,7 @@ def _p0_chains():
     P = np.array([[0.5 - tiny, 0.5, 0.0, tiny], [0.5, 0.4, 0.1, 0.0], [0.0, 0.1, 0.4, 0.5], [tiny, 0.0, 0.5, 0.5 - tiny]])
     yield MarkovChain(P), False
     for seed in range(4):
-        yield gen_random_directed(6 + seed, density=0.4, seed=90 + seed), True
+        yield chain_from_graph(random_directed_graph(6 + seed, density=0.4, seed=90 + seed)), True
 
 
 def test_phi_0_of_exact_and_sweep_match_the_combinations_oracle():
@@ -154,7 +160,7 @@ def test_phi_0_of_exact_and_sweep_match_the_combinations_oracle():
 
 
 def test_exact_cap_enforced(monkeypatch):
-    c = gen_random_reversible(8, density=0.5, seed=1)
+    c = chain_from_graph(random_reversible_graph(8, density=0.5, seed=1))
     monkeypatch.setenv("ISO_MAX_EXACT_N", "6")
     with pytest.raises(TooLarge, match="n = 8 exceeds the exact enumeration cap 6"):
         ChainAnalysis(c).exact(1.0)
@@ -163,7 +169,7 @@ def test_exact_cap_enforced(monkeypatch):
 
 
 def test_exact_cap_env_override(monkeypatch):
-    c = gen_random_reversible(8, density=0.5, seed=1)
+    c = chain_from_graph(random_reversible_graph(8, density=0.5, seed=1))
     monkeypatch.setenv("ISO_MAX_EXACT_N", "5")
     with pytest.raises(TooLarge):
         exact_minima(c, [1.0])
@@ -172,7 +178,7 @@ def test_exact_cap_env_override(monkeypatch):
 
 
 def test_exact_minima_multi_p_consistent():
-    c = gen_random_reversible(7, density=0.6, seed=9)
+    c = chain_from_graph(random_reversible_graph(7, density=0.6, seed=9))
     ps = [0.0, 0.5, 0.8, 1.0]
     multi = exact_minima(c, ps)
     for p in ps:
@@ -188,7 +194,7 @@ def test_profile_values(two_state, cycle4):
 
 
 def test_profile_q3_dictator():
-    q3 = gen_hypercube(3)
+    q3 = chain_from_graph(hypercube_graph(3))
     prof = phi_profile(q3, [0, 1, 2, 3])  # x with top bit 0
     assert prof.phi0 == 1.0
     assert abs(prof.phi_half - 1 / math.sqrt(3)) < 1e-14
@@ -199,7 +205,7 @@ def test_profile_q3_dictator():
 @given(seed=st.integers(0, 10**6), data=st.data())
 def test_profile_ordering_and_cauchy_schwarz(seed, data):
     n = data.draw(st.integers(3, 8))
-    c = gen_random_reversible(n, density=0.6, seed=seed)
+    c = chain_from_graph(random_reversible_graph(n, density=0.6, seed=seed))
     size = data.draw(st.integers(1, max(1, n // 2)))
     subset = data.draw(st.sets(st.integers(0, n - 1), min_size=size, max_size=size))
     try:
@@ -216,7 +222,7 @@ def test_profile_ordering_and_cauchy_schwarz(seed, data):
 @given(seed=st.integers(0, 10**6), p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0))
 def test_phi_monotone_in_p(seed, p, q):
     p, q = min(p, q), max(p, q)
-    c = gen_random_reversible(6, density=0.5, seed=seed)
+    c = chain_from_graph(random_reversible_graph(6, density=0.5, seed=seed))
     cut_p = exact_minima(c, [p])[p]
     cut_q = exact_minima(c, [q])[q]
     # per-set monotonicity on the minimizer of q, and minimum-level consequence
@@ -233,16 +239,16 @@ def _chains_and_sets(draw):
     if kind == "cycle":
         n = draw(st.integers(6, 24))
         start, size = draw(st.integers(0, n - 1)), draw(st.integers(3, n // 2))
-        return gen_cycle(n), [(start + k) % n for k in range(size)]
+        return chain_from_graph(cycle_graph(n)), [(start + k) % n for k in range(size)]
     if kind == "hypercube":
         d = draw(st.integers(3, 6))
         centre = draw(st.integers(0, (1 << d) - 1))
         ball = {centre} | {centre ^ (1 << b) for b in range(d)}
         extra = draw(st.sets(st.integers(0, (1 << d) - 1), max_size=(1 << (d - 1)) - d - 1))
-        return gen_hypercube(d), sorted(ball | extra)
+        return chain_from_graph(hypercube_graph(d)), sorted(ball | extra)
     n = draw(st.integers(3, 20))
-    gen = gen_random_reversible if kind == "reversible" else gen_random_directed
-    c = gen(n, density=draw(st.sampled_from([0.2, 0.5, 1.0])), seed=draw(st.integers(0, 10**6)))
+    graph = random_reversible_graph if kind == "reversible" else random_directed_graph
+    c = chain_from_graph(graph(n, density=draw(st.sampled_from([0.2, 0.5, 1.0])), seed=draw(st.integers(0, 10**6))))
     v = draw(st.integers(0, n - 1))
     subset = set(np.flatnonzero(c.P[v] > 0)) | {v} if draw(st.booleans()) else {v}
     subset |= draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
@@ -274,7 +280,7 @@ def test_power_mean_bracket_holds_within_the_window(chain_and_set, p):
 
 
 def test_lazy_scaling_identity_per_set():
-    c = gen_random_reversible(6, density=0.7, seed=5)
+    c = chain_from_graph(random_reversible_graph(6, density=0.7, seed=5))
     for delta in (0.1, 0.5, 0.9):
         lazy = lazy_transform(c, delta)
         for mask in range(1, 1 << 6):
@@ -290,7 +296,7 @@ def test_lazy_scaling_identity_per_set():
 def test_exact_minima_multiblock_path_n18():
     # n = 18 crosses the 16-bit block boundary of the enumerator; check all
     # three exponents against a single-shot matmul enumeration
-    c = gen_random_reversible(18, density=0.25, seed=77)
+    c = chain_from_graph(random_reversible_graph(18, density=0.25, seed=77))
     n = c.n
     masks = np.arange(1, 1 << n, dtype=np.int64)
     member = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
@@ -319,19 +325,19 @@ def _exact_chains(draw):
     tied sets exercise the smallest-bitmask rule."""
     kind = draw(st.sampled_from(["reversible", "directed", "cycle", "hypercube", "dumbbell", "circulant"]))
     if kind == "cycle":
-        return gen_cycle(draw(st.integers(3, 18)))
+        return chain_from_graph(cycle_graph(draw(st.integers(3, 18))))
     if kind == "hypercube":
-        return gen_hypercube(draw(st.integers(1, 4)))
+        return chain_from_graph(hypercube_graph(draw(st.integers(1, 4))))
     if kind == "dumbbell":
-        return gen_dumbbell(draw(st.integers(3, 9)))
+        return chain_from_graph(dumbbell_graph(draw(st.integers(3, 9))))
     if kind == "circulant":
         return gen_ht_counterexample(draw(st.integers(3, 18)))
     n = draw(st.integers(2, 16) | st.integers(17, 18))
     if n == 2:
         a, b = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))
         return MarkovChain(np.array([[1.0 - a, a], [b, 1.0 - b]]))
-    gen = gen_random_reversible if kind == "reversible" else gen_random_directed
-    return gen(n, density=draw(st.sampled_from([0.2, 0.5, 1.0])), seed=draw(st.integers(0, 10**6)))
+    graph = random_reversible_graph if kind == "reversible" else random_directed_graph
+    return chain_from_graph(graph(n, density=draw(st.sampled_from([0.2, 0.5, 1.0])), seed=draw(st.integers(0, 10**6))))
 
 
 def _float_bits(results):
@@ -411,7 +417,7 @@ def _fast_phi_off_by_the_bound(monkeypatch, c, seed):
 
 _OFF_BY_THE_BOUND = pytest.mark.parametrize(
     "c",
-    [gen_cycle(12), gen_cycle(17), gen_hypercube(4), gen_dumbbell(5), gen_dumbbell(9)],
+    [chain_from_graph(g) for g in (cycle_graph(12), cycle_graph(17), hypercube_graph(4), dumbbell_graph(5), dumbbell_graph(9))],
     ids=["cycle12", "cycle17", "hypercube4", "dumbbell5", "dumbbell9"],
 )
 
@@ -498,7 +504,7 @@ def _split_every_block(c, cpus):
 def test_exact_minima_split_across_threads_match_blocked_enumerator(directed, n, density, seed, ps):
     # slices of one set upward: a slice boundary falls between every pair of
     # neighbouring admissible sets of a small block
-    c = (gen_random_directed if directed else gen_random_reversible)(n, density=density, seed=seed)
+    c = chain_from_graph((random_directed_graph if directed else random_reversible_graph)(n, density=density, seed=seed))
     with _split_every_block(c, 3):
         _assert_same_minima(c, ps)
     assert _CountingPool.made == 1
@@ -506,7 +512,7 @@ def test_exact_minima_split_across_threads_match_blocked_enumerator(directed, n,
 
 @pytest.mark.parametrize(
     "c",
-    [gen_cycle(12), gen_hypercube(4), gen_dumbbell(5), MarkovChain(np.array([[0.25, 0.75], [0.5, 0.5]]))],
+    [*(chain_from_graph(g) for g in (cycle_graph(12), hypercube_graph(4), dumbbell_graph(5))), MarkovChain(np.array([[0.25, 0.75], [0.5, 0.5]]))],
     ids=["cycle12", "hypercube4", "dumbbell5", "two-state"],
 )
 @pytest.mark.parametrize("cpus", [2, 3, 7])
@@ -527,7 +533,7 @@ def test_exact_minima_start_no_thread_without_a_split(monkeypatch, cpus, score_r
 
     _split(monkeypatch, cpus, score_rows)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    _assert_same_minima(gen_random_reversible(n, density=0.5, seed=5), [0.0, 0.5, 1.0])
+    _assert_same_minima(chain_from_graph(random_reversible_graph(n, density=0.5, seed=5)), [0.0, 0.5, 1.0])
 
 
 def _heavy_last_vertex():
@@ -541,7 +547,12 @@ def _heavy_last_vertex():
 
 @pytest.mark.parametrize(
     "c",
-    [gen_random_reversible(18, density=0.5, seed=3), gen_random_directed(17, density=0.5, seed=4), _heavy_last_vertex(), gen_cycle(12)],
+    [
+        chain_from_graph(random_reversible_graph(18, density=0.5, seed=3)),
+        chain_from_graph(random_directed_graph(17, density=0.5, seed=4)),
+        _heavy_last_vertex(),
+        chain_from_graph(cycle_graph(12)),
+    ],
     ids=["rev18", "dir17", "heavy18", "cycle12"],
 )
 @pytest.mark.parametrize(
@@ -610,7 +621,7 @@ def test_cauchy_schwarz_ten_thousand_random_sets():
     rng = np.random.default_rng(123)
     checked = 0
     for seed in range(10):
-        c = gen_random_reversible(8 + seed % 4, density=0.5, seed=600 + seed)
+        c = chain_from_graph(random_reversible_graph(8 + seed % 4, density=0.5, seed=600 + seed))
         n = c.n
         masks = rng.integers(1, 1 << n, size=1000)
         member = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
@@ -655,7 +666,7 @@ def test_sweep_cycle6(cycle6):
 def test_sweep_guarantee_and_dominates_exact():
     for seed in range(30):
         n = 4 + seed % 7
-        c = gen_random_reversible(n, density=0.5, seed=900 + seed)
+        c = chain_from_graph(random_reversible_graph(n, density=0.5, seed=900 + seed))
         cert = ChainAnalysis(c).cert(False)
         for p in (0.6, 0.75, 1.0):
             sw = sweep_cuts(c, [p], cert)[p]
@@ -669,7 +680,7 @@ def test_sweep_guarantee_and_dominates_exact():
 
 def test_sweep_small_n_set_is_among_enumerated():
     for seed in range(6):
-        c = gen_random_reversible(6, density=0.5, seed=2000 + seed)
+        c = chain_from_graph(random_reversible_graph(6, density=0.5, seed=2000 + seed))
         cert = ChainAnalysis(c).cert(False)
         for p in (0.0, 0.5, 1.0):
             sw = sweep_cuts(c, [p], cert)[p]
@@ -678,7 +689,7 @@ def test_sweep_small_n_set_is_among_enumerated():
 
 def test_sweep_directed_certificate():
     for seed in range(10):
-        c = gen_random_directed(6, density=0.5, seed=3000 + seed)
+        c = chain_from_graph(random_directed_graph(6, density=0.5, seed=3000 + seed))
         cert = ChainAnalysis(c).cert(True)
         for p in (0.6, 1.0):
             sw = sweep_cuts(c, [p], cert)[p]
@@ -719,7 +730,7 @@ def _assert_sweeps_match_naive(c, cert):
     steps=st.sampled_from([None, 1, 2, 3, 5]),
 )
 def test_sweep_cuts_match_naive_sweep(seed, n, directed, density, steps):
-    c = (gen_random_directed if directed else gen_random_reversible)(n, density=density, seed=seed)
+    c = chain_from_graph((random_directed_graph if directed else random_reversible_graph)(n, density=density, seed=seed))
     cert = ChainAnalysis(c).cert(directed)
     if steps is not None:
         # f2 rounded to a few values forces tied level sets; lambda2 = 2 puts
@@ -740,15 +751,15 @@ def test_sweep_cuts_match_naive_sweep_on_rounding_ties():
     # has phi_p = 1 in exact arithmetic: only rounding, which differs between
     # the pass and a direct evaluation, and the tie rule separate them
     for seed in range(150):
-        for gen in (gen_random_reversible, gen_random_directed):
-            c = gen(6 + seed % 7, density=0.5, seed=seed)
+        for graph in (random_reversible_graph, random_directed_graph):
+            c = chain_from_graph(graph(6 + seed % 7, density=0.5, seed=seed))
             chosen: list[int] = []
             for v in np.random.default_rng(seed).permutation(c.n).tolist():
                 if not c.P[v, chosen].any() and not c.P[chosen, v].any() and c.pi[chosen + [v]].sum() <= 0.5:
                     chosen.append(v)
             f2 = np.zeros(c.n)
             f2[chosen] = np.arange(len(chosen), 0, -1)
-            cert = ChainAnalysis(c).cert(gen is gen_random_directed)
+            cert = ChainAnalysis(c).cert(graph is random_directed_graph)
             _assert_sweeps_match_naive(c, dataclasses.replace(cert, f2=f2, lambda2=2.0))
 
 
@@ -758,7 +769,7 @@ def test_sweep_cuts_match_naive_sweep_with_tied_levels():
     i = np.arange(16)
     cos = np.cos(2 * np.pi * i / 16)
     coords = (1.0 - 2.0 * (i & 1)) + (1.0 - 2.0 * ((i >> 1) & 1))
-    for c, f2 in ((gen_cycle(16), (cos + cos[-i % 16]) / 2), (gen_hypercube(4), coords)):
+    for c, f2 in ((chain_from_graph(cycle_graph(16)), (cos + cos[-i % 16]) / 2), (chain_from_graph(hypercube_graph(4)), coords)):
         positive = f2[f2 > 0]
         assert len(set(positive.tolist())) < positive.size
         a = ChainAnalysis(c)

@@ -14,18 +14,15 @@ from isoperim import (
     arc_phi_half,
     block_log_sum,
     block_merge_residual,
+    chain_from_graph,
     check_block_lower_bound,
     circulant_lambda2,
     cycle_graph,
     dumbbell_graph,
     exact_minima,
-    gen_cycle,
-    gen_dumbbell,
     gen_ht_counterexample,
-    gen_hypercube,
     ht_counterexample_graph,
     hypercube_graph,
-    hypercube_quantities,
     is_reversible,
     normalizer,
     phi_p_of_set,
@@ -36,7 +33,7 @@ from isoperim import (
 )
 from isoperim import families
 from isoperim.errors import InputError, TooLarge
-from oracles import naive_arc_min_phi_half, naive_block_h, naive_circulant_eigs
+from oracles import hypercube_quantities, naive_arc_min_phi_half, naive_block_h, naive_circulant_eigs
 
 
 # --- counterexample family -------------------------------------------------
@@ -57,6 +54,43 @@ def test_counterexample_rows_and_reversibility():
         assert is_reversible(chain)
         assert np.max(np.abs(chain.pi - 1.0 / n)) < 1e-12
         assert abs(chain.P[0, 1] * normalizer(n) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 8, 64, 257, 1024, 4096])
+def test_counterexample_chain_is_the_walk_on_its_graph(n):
+    # gen_ht_counterexample divides the kernel by C = fsum(kernel), rounded
+    # once, and sets pi = 1/n; the walk on ht_counterexample_graph(n), the
+    # road of generate and then analyze, divides each row by its degree, a
+    # numpy row sum, and sets pi = degree / total. numpy sums a contiguous
+    # row pairwise: blocks of at most 128 entries through 8 partial sums (15
+    # additions each, 3 to combine them, 7 left-over entries), one addition
+    # per halving above that and one for the reduction's first entry. So a
+    # sum is rounded at most h = 26 + ceil(log2 n) times along any path and
+    # is off by at most h u relative (u = eps / 2, to first order). P then
+    # differs by at most (h + 3) u: the degree, C and the two divisions; pi
+    # by at most (3 h + 2) u: the degree, the total of the degrees and its
+    # own sum, the division and 1/n. The block bound's crossing masses carry
+    # P's gap and a row sum on either side, halved by the square root, which
+    # keeps its right side within (3 h + 2) u too.
+    u = np.finfo(float).eps / 2
+    h = 26 + math.ceil(math.log2(n))
+    direct = gen_ht_counterexample(n)
+    walk = chain_from_graph(ht_counterexample_graph(n))
+    assert np.array_equal(direct.P > 0, walk.P > 0)
+    off = direct.P > 0
+    assert np.max(np.abs(direct.P[off] - walk.P[off]) / direct.P[off]) <= (h + 3) * u
+    assert np.max(np.abs(direct.pi - walk.pi) / direct.pi) <= (3 * h + 2) * u
+    if n in (8, 64, 257):
+        rng = np.random.default_rng(n)
+        colorings = [PartitionBlocks((n // 2, n - n // 2))]
+        for _ in range(4):
+            in_a = rng.random(n) < 0.5
+            in_a[0], in_a[-1] = True, False
+            colorings.append(PartitionBlocks.from_membership(in_a))
+        for pb in colorings:
+            a, b = check_block_lower_bound(direct, pb), check_block_lower_bound(walk, pb)
+            assert (a.name, a.lhs, a.holds) == (b.name, b.lhs, b.holds)
+            assert abs(a.rhs - b.rhs) <= (3 * h + 2) * u * a.rhs
 
 
 def test_counterexample_too_small():
@@ -91,7 +125,7 @@ def test_circulant_matches_dense_eigensolver():
         dense = np.sort(naive_circulant_eigs(first_row))
         assert abs(analytic - dense[1]) < 1e-8
     for n in (3, 4, 6, 12):
-        c = gen_cycle(n)
+        c = chain_from_graph(cycle_graph(n))
         first_row = np.eye(n)[0] - c.P[0]
         assert abs(circulant_lambda2(first_row) - ChainAnalysis(c).cert(False).lambda2) < 1e-8
 
@@ -112,7 +146,7 @@ def test_circulant_matches_sin_closed_form():
 # --- standard families --------------------------------------------------------
 
 def test_hypercube_rows():
-    q3 = gen_hypercube(3)
+    q3 = chain_from_graph(hypercube_graph(3))
     assert q3.n == 8
     for row in q3.P:
         nz = row[row > 0]
@@ -121,17 +155,20 @@ def test_hypercube_rows():
 
 
 def test_cycle_equals_ring_chain(cycle4):
-    assert np.array_equal(gen_cycle(4).P, cycle4.P)
+    assert np.array_equal(chain_from_graph(cycle_graph(4)).P, cycle4.P)
 
 
 def test_dumbbell_phi1():
-    c = gen_dumbbell(4)
+    c = chain_from_graph(dumbbell_graph(4))
     cut = exact_minima(c, [1.0])[1.0]
     assert abs(cut.phi - 1 / 13) < 1e-12
     assert sorted(cut.subset) in ([0, 1, 2, 3], [4, 5, 6, 7])
 
 
-# --- hypercube quantities ------------------------------------------------------
+# --- hypercube closed form (the oracle of phi_p_of_set) --------------------
+
+# hand values of the oracle that test_hypercube_quantities_match_phi_of_chain
+# compares the chain with
 
 def test_hypercube_dictator():
     for d in (2, 3, 4):
@@ -147,20 +184,6 @@ def test_hypercube_singleton_d3():
     assert q.poincare_num == 3 / 8
     assert abs(q.talagrand_num - math.sqrt(3) / 8) < 1e-15
     assert q.vertex_boundary == 1 / 8
-
-
-def test_hypercube_rejects_whole_cube():
-    with pytest.raises(InputError, match="exceeds 1/2"):
-        hypercube_quantities(3, list(range(8)))
-    with pytest.raises(InputError, match="support d <= 14"):
-        hypercube_quantities(15, [0])
-
-
-def test_hypercube_rejects_a_non_integral_point():
-    # 0.5 is not truncated to the point 0
-    with pytest.raises(InputError, match="vertex id 0.5 is not an integer"):
-        hypercube_quantities(3, [0.5])
-    assert hypercube_quantities(3, [0.0]) == hypercube_quantities(3, [0])
 
 
 def test_hypercube_graph_edges_in_comprehension_order():
@@ -213,7 +236,7 @@ def test_dense_families_refuse_too_many_states_before_allocating():
 
 def test_hypercube_quantities_match_phi_of_chain():
     for d in (2, 3):
-        chain = gen_hypercube(d)
+        chain = chain_from_graph(hypercube_graph(d))
         n = 1 << d
         rng = np.random.default_rng(d)
         for _ in range(30):
@@ -361,9 +384,6 @@ def test_block_lower_bound_rejects_a_chain_that_matches_row_0_only():
         pytest.param(lambda: random_directed_graph(1), "random directed family needs n >= 2, got 1", id="random-directed"),
         pytest.param(lambda: arc_phi_half(2, 1), "family needs n >= 3, got 2", id="arc"),
         pytest.param(lambda: circulant_lambda2([1.0]), "first row must be a vector of length >= 2", id="circulant-row"),
-        pytest.param(lambda: hypercube_quantities(0, [0]), "dimension must be >= 1, got 0", id="quantities-d0"),
-        pytest.param(lambda: hypercube_quantities(3, []), "subset must be nonempty", id="quantities-empty"),
-        pytest.param(lambda: hypercube_quantities(3, [8]), "subset contains points outside {0,1}^d", id="quantities-range"),
         pytest.param(lambda: sqrt_crossweight(gen_ht_counterexample(8), [], [1]), "both sets must be nonempty", id="crossweight-empty"),
         pytest.param(lambda: sqrt_crossweight(gen_ht_counterexample(8), [0], [8]), "vertex out of range", id="crossweight-range"),
         pytest.param(lambda: PartitionBlocks((0, 0)), "total size must be positive", id="blocks-empty"),

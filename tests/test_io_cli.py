@@ -393,6 +393,21 @@ def test_cli_reads_a_repeated_exponent_once(tmp_path, capsys, command):
         assert sorted(c["method"] for c in doc["cuts"] if c["p"] == 0.75) == ["exact", "sweep"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--p=-0"], ["analyze", "--p=-0,1"], ["analyze", "--p=-0,1", "--report-format", "text"]],
+    ids=["sweep", "analyze-json", "analyze-text"],
+)
+def test_cli_reads_an_exponent_written_minus_zero_as_zero(random6, capsys, argv):
+    # the report is the one of --p=0 (--p=0,1): p is written 0, never -0
+    outs = []
+    for p in (argv[1], argv[1].replace("-0", "0")):
+        capsys.readouterr()
+        assert cli_main([argv[0], "--input", random6, p, *argv[2:]]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_cli_bad_exact_cap_setting_exit_2(random6, monkeypatch, capsys):
     monkeypatch.setenv("ISO_MAX_EXACT_N", "abc")
     with pytest.raises(InputError, match="ISO_MAX_EXACT_N"):
@@ -1099,9 +1114,10 @@ def test_dense_rows_above_the_state_limit_are_refused_at_their_line(tmp_path, mo
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
 def test_weight_matrix_load_peak_memory_in_n_squared_doubles(tmp_path, symmetric):
     # a 256-state weight matrix at 17 digits, 2.5 n^2 doubles of text: its
-    # converted entries are divided into the chain's P in place, so the peak
-    # is the text, the matrix and, when directed, the stationary solve's copy
-    # of P (3.9 and 4.6 n^2 doubles)
+    # converted entries are divided into the chain's P in place, and the text
+    # is dropped before the chain is built, so the peak comes while the text
+    # is converted, symmetric or not (3.7 n^2 doubles), and not during the
+    # directed chain's stationary solve
     n = 256
     W = np.random.default_rng(256).random((n, n))
     if symmetric:
@@ -1116,7 +1132,7 @@ def test_weight_matrix_load_peak_memory_in_n_squared_doubles(tmp_path, symmetric
         tracemalloc.stop()
     assert c.origin == ("undirected-graph" if symmetric else "directed-graph")
     assert c.P.tobytes() == (W / W.sum(axis=1, keepdims=True)).tobytes()
-    assert peak <= 5.0 * 8 * n * n, peak / (8 * n * n)
+    assert peak <= 4.0 * 8 * n * n, peak / (8 * n * n)
 
 
 _TRIANGLE_1E308 = "undirected\n1\t2\t1e308\n2\t3\t1e308\n1\t3\t1e308\n"

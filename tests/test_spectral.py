@@ -7,14 +7,14 @@ import isoperim.spectral
 from isoperim import (
     ChainAnalysis,
     MarkovChain,
+    chain_from_graph,
     chung_laplacian,
-    gen_cycle,
-    gen_hypercube,
-    gen_random_directed,
-    gen_random_reversible,
+    cycle_graph,
+    hypercube_graph,
     lazy_transform,
+    random_directed_graph,
+    random_reversible_graph,
     truncated_eigenvector,
-    truncated_rayleigh,
 )
 from isoperim.errors import InputError, NumericalFailure
 from oracles import eigh_certificate, naive_truncated_rayleigh
@@ -24,10 +24,10 @@ from oracles import eigh_certificate, naive_truncated_rayleigh
     "call, message",
     [
         pytest.param(
-            lambda: truncated_eigenvector(ChainAnalysis(gen_cycle(4)).cert(False), gen_cycle(6)), "certificate does not match the chain", id="cert-shape"
+            lambda: truncated_eigenvector(ChainAnalysis(chain_from_graph(cycle_graph(4))).cert(False), chain_from_graph(cycle_graph(6))),
+            "certificate does not match the chain",
+            id="cert-shape",
         ),
-        pytest.param(lambda: truncated_rayleigh(gen_cycle(4), np.ones(3)), "vector length does not match the chain", id="rayleigh-shape"),
-        pytest.param(lambda: truncated_rayleigh(gen_cycle(4), np.array([1.0, -0.5, 0.0, 0.0])), "vector must be nonnegative", id="rayleigh-sign"),
     ],
 )
 def test_spectral_public_refusals(call, message):
@@ -77,7 +77,7 @@ def test_chung_matches_reversible_on_reversible_chains():
     # I - S and Chung's L, each built and solved on its own by the oracle,
     # share lambda2 on a reversible chain, and both certificates match it
     for seed in range(12):
-        c = gen_random_reversible(3 + seed % 6, density=0.5, seed=seed)
+        c = chain_from_graph(random_reversible_graph(3 + seed % 6, density=0.5, seed=seed))
         a = ChainAnalysis(c)
         w_rev, _ = eigh_certificate(c.P, c.pi, False)
         w_chung, _ = eigh_certificate(c.P, c.pi, True)
@@ -88,7 +88,7 @@ def test_chung_matches_reversible_on_reversible_chains():
 
 def test_zero_eigenvalue_with_sqrt_pi_direction():
     for seed in range(6):
-        c = gen_random_directed(4 + seed, density=0.4, seed=seed)
+        c = chain_from_graph(random_directed_graph(4 + seed, density=0.4, seed=seed))
         L = chung_laplacian(c)
         v = np.sqrt(c.pi)
         assert np.linalg.norm(L @ v) <= 1e-8
@@ -106,7 +106,7 @@ def test_chung_laplacian_and_eigensolve_keep_the_bits_of_the_old_formulas(direct
     # L built in place gives the bits of eye - (S + S^T) / 2, signed zeros
     # included, and is symmetric bit for bit, so the certificate's
     # eigensolve, which reads one triangle, sees the whole matrix
-    c = (gen_random_directed if directed else gen_random_reversible)(n, density=density, seed=seed)
+    c = chain_from_graph((random_directed_graph if directed else random_reversible_graph)(n, density=density, seed=seed))
     S = (np.sqrt(c.pi)[:, None] * c.P) / np.sqrt(c.pi)[None, :]
     L_old = np.eye(n) - 0.5 * (S + S.T)
     L = chung_laplacian(c)
@@ -117,7 +117,7 @@ def test_chung_laplacian_and_eigensolve_keep_the_bits_of_the_old_formulas(direct
 @pytest.mark.parametrize("n, density, seed", [(3, 1.0, 0), (9, 0.3, 1), (60, 0.2, 3)])
 def test_reversible_certificate_builds_i_minus_s_with_the_bits_of_eye_minus_s(n, density, seed):
     # signed zeros included; the residual it reports is taken on that matrix
-    c = gen_random_reversible(n, density=density, seed=seed)
+    c = chain_from_graph(random_reversible_graph(n, density=density, seed=seed))
     S = (np.sqrt(c.pi)[:, None] * c.P) / np.sqrt(c.pi)[None, :]
     want = np.eye(n) - S
     assert np.array_equal(_bits(isoperim.spectral._identity_minus(S.copy())), _bits(want))
@@ -133,7 +133,7 @@ def test_truncated_eigenvector_two_state(two_state):
 
 def test_truncated_eigenvector_sign_flip():
     # force the heavy side positive: flip must land on the light side
-    c = gen_random_reversible(7, density=0.8, seed=11)
+    c = chain_from_graph(random_reversible_graph(7, density=0.8, seed=11))
     cert = ChainAnalysis(c).cert(False)
     f = truncated_eigenvector(cert, c)
     assert c.pi[f > 0].sum() <= 0.5 + 1e-12
@@ -152,40 +152,35 @@ def test_truncated_support_is_arc_on_cycle(cycle6):
     assert changes == 2
 
 
+# hand values of the quotient that test_truncated_rayleigh_stays_below_lambda2
+# reads from the oracle
+
 def test_truncated_rayleigh_two_state(two_state):
-    assert abs(truncated_rayleigh(two_state, np.array([1.0, 0.0])) - 1.0) < 1e-14
+    assert abs(naive_truncated_rayleigh(two_state.P, two_state.pi, np.array([1.0, 0.0])) - 1.0) < 1e-14
 
 
 def test_truncated_rayleigh_constant_vector_is_zero():
-    c = gen_random_reversible(6, density=0.6, seed=2)
-    assert truncated_rayleigh(c, np.ones(6)) == 0.0
+    c = chain_from_graph(random_reversible_graph(6, density=0.6, seed=2))
+    assert naive_truncated_rayleigh(c.P, c.pi, np.ones(6)) == 0.0
 
 
-def test_truncated_rayleigh_matches_oracle_and_lemma():
-    for seed in range(10):
-        c = gen_random_reversible(4 + seed % 5, density=0.5, seed=100 + seed)
-        cert = ChainAnalysis(c).cert(False)
-        f = truncated_eigenvector(cert, c)
-        q = truncated_rayleigh(c, f)
-        assert abs(q - naive_truncated_rayleigh(c.P, c.pi, f)) < 1e-12
-        assert q <= cert.lambda2 + 1e-8
-    for seed in range(10):
-        c = gen_random_directed(4 + seed % 5, density=0.5, seed=200 + seed)
-        cert = ChainAnalysis(c).cert(True)
-        f = truncated_eigenvector(cert, c)
-        q = truncated_rayleigh(c, f)
-        assert abs(q - naive_truncated_rayleigh(c.P, c.pi, f)) < 1e-12
-        assert q <= cert.lambda2 + 1e-8
-
-
-def test_truncated_rayleigh_zero_vector(two_state):
-    with pytest.raises(InputError, match="identically zero"):
-        truncated_rayleigh(two_state, np.zeros(2))
+def test_truncated_rayleigh_stays_below_lambda2():
+    # the lemma behind the sweep guarantee: the truncated certificate vector's
+    # quotient with the symmetrized flow is at most lambda2, up to the
+    # certificate's residual tolerance; for directed chains the one-sided
+    # flow pi(u) P(u, v) alone can exceed Chung's lambda2
+    for directed, seed_base in ((False, 100), (True, 200)):
+        graph = random_directed_graph if directed else random_reversible_graph
+        for seed in range(10):
+            c = chain_from_graph(graph(4 + seed % 5, density=0.5, seed=seed_base + seed))
+            cert = ChainAnalysis(c).cert(directed)
+            f = truncated_eigenvector(cert, c)
+            assert naive_truncated_rayleigh(c.P, c.pi, f) <= cert.lambda2 + 1e-8
 
 
 def test_certificate_invariants():
     for seed in range(8):
-        c = gen_random_reversible(5 + seed % 4, density=0.6, seed=300 + seed)
+        c = chain_from_graph(random_reversible_graph(5 + seed % 4, density=0.6, seed=300 + seed))
         cert = ChainAnalysis(c).cert(False)
         assert abs(np.linalg.norm(cert.v2) - 1.0) <= 1e-12
         assert abs(float(cert.v2 @ np.sqrt(c.pi))) <= 1e-8
@@ -196,7 +191,7 @@ def test_certificate_keeps_a_frozen_vector_and_copies_a_writable_one():
     # the reversible certificate holds Chung's frozen v2 itself; a writable f2
     # handed to dataclasses.replace is copied and frozen, and the caller's
     # array stays writable
-    a = ChainAnalysis(gen_random_reversible(7, density=0.6, seed=5))
+    a = ChainAnalysis(chain_from_graph(random_reversible_graph(7, density=0.6, seed=5)))
     chung, rev = a.cert(True), a.cert(False)
     assert rev.v2 is chung.v2 and not rev.v2.flags.writeable
     f2 = rev.f2.copy()
@@ -218,7 +213,7 @@ def test_eigvalsh_failure_is_numerical_failure(monkeypatch, cycle4):
 
 
 def test_eigenpair_residual_above_tolerance(monkeypatch):
-    c = gen_random_reversible(6, density=0.5, seed=2)
+    c = chain_from_graph(random_reversible_graph(6, density=0.5, seed=2))
     real = np.linalg.eigvalsh
 
     def shifted(M):
@@ -252,7 +247,8 @@ def _solves(monkeypatch, singular):
 
 def _exact_lambda2_chains():
     swap = MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return [swap, lazy_transform(swap, 0.25), gen_cycle(3), gen_cycle(4), gen_hypercube(2), gen_hypercube(3)]
+    graphs = (cycle_graph(3), cycle_graph(4), hypercube_graph(2), hypercube_graph(3))
+    return [swap, lazy_transform(swap, 0.25), *(chain_from_graph(g) for g in graphs)]
 
 
 @pytest.mark.parametrize("singular", [0, 1])

@@ -4,7 +4,9 @@
 
 Both DIRs are roots of an isoperim checkout (each with ``src/isoperim``).
 The script writes one set of input files, then runs a fixed command matrix
-through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
+through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout, and
+then each of the change's ``demos/*.py`` in an interpreter of its own, run
+from that checkout with ``PYTHONPATH=<root>/src``. The matrix holds:
 
 - every command of the three benchmark workloads for seeds 1 and 2, taken
   from ``perfbench/run.py`` with inputs from ``perfbench/inputs.py``;
@@ -15,6 +17,8 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
 - ``analyze``, ``verify`` and ``sweep`` on edge-tsv files (one of them a
   directed chain on 300 states) and on dense weight and transition matrices,
   self-loops included;
+- ``sweep --p=-0`` and ``analyze --p=-0,1`` (JSON and text) on a random
+  chain on 8 states, each with a twin that writes ``0`` for ``-0``;
 - ``sweep`` and ``analyze --method sweep`` at p = 0, 1/2 and 1 on cycles,
   hypercubes and dumbbells within and above the exact cap, whose symmetric
   eigenvectors give tied level sets;
@@ -82,15 +86,20 @@ through ``isoperim.cli.cli_main`` in one fresh interpreter per checkout:
   edge-tsv files that numpy's C reader converts or rejects before the line
   loop names the fault.
 
-It compares exit codes, standard output and every output file, checks that
-each command that exits 2 wrote exactly one ``error:`` line and nothing else
-to standard error, and prints the error messages that differ. It exits 1 when
-an exit code, a standard output or an output file differs, or when the
-change's checkout writes a traceback or a malformed error; otherwise 0.
+It compares exit codes, standard output and every output file, and a
+demo's standard error too, checks that each command that exits 2 wrote
+exactly one ``error:`` line and nothing else to standard error, and prints
+the error messages that differ. It exits 1 when an exit code, a standard
+output or an output file differs, when a demo's standard error differs, when
+a ``-0`` command's results differ from its ``0`` twin's in the change's
+checkout, or when that checkout writes a traceback or a malformed error;
+otherwise 0.
 
-One difference is expected and reported as ``EXPECTED``: on a file that is
+Two differences are expected and reported as ``EXPECTED``: on a file that is
 not UTF-8, checkouts before the UTF-8 check raise ``UnicodeDecodeError`` (a
-traceback), and later ones exit 2 with one ``error:`` line.
+traceback), and later ones exit 2 with one ``error:`` line; and checkouts
+before ``-0`` read as ``0`` report such an exponent as ``-0``, where later
+ones write what the ``0`` twin writes.
 
 Sizes above the state limit are left out: older checkouts try to allocate
 them. A run takes about a minute on two cores; BLAS uses two threads.
@@ -319,6 +328,12 @@ def build_plan(work: str) -> list[dict]:
         valid.append((name, path, "dense-matrix"))
     for name, path, fmt in valid:
         plan += _file_commands(name, path, fmt)
+    # an exponent written -0 is 0: each command has a --p 0 twin
+    base = ["--input", os.path.join(work, "rev8.tsv"), "--format", "edge-tsv"]
+    for zero in ("-0", "0"):
+        plan.append({"id": f"sweep-p{zero}-rev8", "argv": ["sweep", *base, f"--p={zero}", "--out", f"OUT/z{zero}.json"]})
+        plan.append({"id": f"analyze-p{zero},1-rev8", "argv": ["analyze", *base, f"--p={zero},1"]})
+        plan.append({"id": f"analyze-text-p{zero},1-rev8", "argv": ["analyze", *base, f"--p={zero},1", "--report-format", "text"]})
     path = os.path.join(work, "dense200.txt")
     _write_dense(path, "weight", np.random.default_rng(200).random((200, 200)))
     plan.append({"id": "analyze-dense200", "argv": ["analyze", "--input", path, "--format", "dense-matrix", "--p", "0.5,1"]})
@@ -485,7 +500,9 @@ def worker(root: str, plan_path: str, out_dir: str, result_path: str) -> int:
     return 0
 
 
-def run_checkout(root: str, plan_path: str, work: str, label: str) -> list[dict]:
+def run_checkout(root: str, plan_path: str, work: str, label: str, demos: list[str]) -> list[dict]:
+    """The plan's results, then one per demo, each demo run from ``root`` in
+    its own interpreter with ``PYTHONPATH=root/src``."""
     out_dir = os.path.join(work, f"out-{label}")
     os.makedirs(out_dir)
     result_path = os.path.join(work, f"result-{label}.json")
@@ -494,7 +511,12 @@ def run_checkout(root: str, plan_path: str, work: str, label: str) -> list[dict]
     args = [sys.executable, os.path.abspath(__file__), "--worker", root, plan_path, out_dir, result_path]
     subprocess.run(args, cwd=out_dir, env=env, check=True)
     with open(result_path, encoding="utf-8") as fh:
-        return json.load(fh)
+        results = json.load(fh)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    for demo in demos:
+        proc = subprocess.run([sys.executable, os.path.join(root, "demos", demo)], cwd=out_dir, env=env, capture_output=True, text=True)
+        results.append({"id": f"demo-{demo}", "rc": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": []})
+    return results
 
 
 def _error_ok(res: dict) -> bool:
@@ -503,22 +525,39 @@ def _error_ok(res: dict) -> bool:
     return res["rc"] != 2 or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
 
 
-def _expected(p: dict, c: dict) -> bool:
-    """The one expected difference: a file that is not UTF-8 turns a
-    traceback into a well-formed exit 2."""
-    return c["id"].startswith("not-utf8-") and p["rc"] is None and c["rc"] == 2 and _error_ok(c)
+def _same(a: dict, b: dict) -> bool:
+    return all(a[key] == b[key] for key in ("rc", "stdout", "stderr", "files"))
+
+
+def _expected(p: dict, c: dict, twin: dict | None) -> str | None:
+    """Why the change may differ from the parent on a command, or None: a
+    file that is not UTF-8 turns a traceback into a well-formed exit 2, and
+    an exponent written -0 reads as 0, so that a ``-0`` command writes what
+    its ``0`` twin writes."""
+    if c["id"].startswith("not-utf8-") and p["rc"] is None and c["rc"] == 2 and _error_ok(c):
+        return "traceback -> exit 2"
+    if twin is not None and _same(c, twin) and not _same(p, c):
+        return "-0 -> 0, as its --p 0 twin"
+    return None
 
 
 def compare(parent: list[dict], change: list[dict]) -> int:
     failures = 0
     same_messages = 0
     expected = 0
+    by_id = {c["id"]: c for c in change}
     for p, c in zip(parent, change):
-        if _expected(p, c):
+        twin = by_id[c["id"].replace("-p-0", "-p0")] if "-p-0" in c["id"] else None
+        why = _expected(p, c, twin)
+        if why is not None:
             expected += 1
-            print(f"EXPECTED {c['id']}: traceback -> exit 2\n    change stderr: {c['stderr'].rstrip()}")
+            print(f"EXPECTED {c['id']}: {why}\n    change stderr: {c['stderr'].rstrip()}")
             continue
         problems = []
+        if twin is not None and not _same(c, twin):
+            problems.append("differs from its --p 0 twin")
+        if c["id"].startswith("demo-") and p["stderr"] != c["stderr"]:
+            problems.append("stderr differs")
         if p["rc"] != c["rc"]:
             problems.append(f"exit code {p['rc']} -> {c['rc']}")
         if p["stdout"] != c["stdout"]:
@@ -564,7 +603,8 @@ def main(argv: list[str] | None = None) -> int:
         plan_path = os.path.join(work, "plan.json")
         with open(plan_path, "w", encoding="utf-8") as fh:
             json.dump(build_plan(inputs_dir), fh)
-        results = {label: run_checkout(root, plan_path, work, label) for label, root in roots.items()}
+        demos = sorted(name for name in os.listdir(os.path.join(roots["change"], "demos")) if name.endswith(".py"))
+        results = {label: run_checkout(root, plan_path, work, label, demos) for label, root in roots.items()}
     return compare(results["parent"], results["change"])
 
 
