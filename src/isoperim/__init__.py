@@ -32,7 +32,6 @@ from .chains import (
     MarkovChain,
     WeightedGraph,
     chain_from_graph,
-    exact_enumeration_cap,
     is_irreducible,
     is_reversible,
     lazy_transform,
@@ -64,5 +63,5 @@ from .families import (
     scaling_scan,
     sqrt_crossweight,
 )
-from .io import AnalysisReport, as_chain, emit_report, load_chain, parse_graph, write_graph_tsv
+from .io import as_chain, emit_report, load_chain, parse_graph, write_graph_tsv
 from .spectral import SpectralCertificate, chung_laplacian, truncated_eigenvector

@@ -27,8 +27,9 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .chains import MarkovChain, check_exact, exact_enumeration_cap, is_reversible
-from .cuts import CutResult, exact_minima, sweep_cuts
+from . import cuts
+from .chains import MarkovChain, is_reversible
+from .cuts import CutResult, check_exact, exact_minima, sweep_cuts
 from .errors import InputError
 from .spectral import SpectralCertificate, _certificate
 
@@ -77,7 +78,7 @@ class ChainAnalysis:
     expected exponent, and the first sweep read sweeps the level sets of
     :attr:`own` once for every expected exponent; a read of an exponent not
     expected costs one more pass. :meth:`phi` applies the one rule for the
-    value a bound uses: exact within :func:`exact_enumeration_cap`, otherwise
+    value a bound uses: exact within ``cuts.EXACT_MAX_N`` states, otherwise
     the sweep cut, and :meth:`expect` adds exponents to the pass it reads.
     The constructor expects ``ps`` of the exact pass and ``sweep_ps`` of the
     sweep pass whatever the cap; ``ps`` above the cap raises TooLarge at once.
@@ -86,7 +87,7 @@ class ChainAnalysis:
     def __init__(self, c: MarkovChain, ps: Iterable[float] = (), sweep_ps: Iterable[float] = ()) -> None:
         self.c = c
         self.reversible = is_reversible(c)
-        self.exact_ok = c.n <= exact_enumeration_cap()
+        self.exact_ok = c.n <= cuts.EXACT_MAX_N
         self._ps = dict.fromkeys(map(float, ps))  # the next exact pass's exponents, in order
         if self._ps:
             check_exact(c.n)

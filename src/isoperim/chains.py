@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 from typing import Iterable
 
 import numpy as np
@@ -343,18 +342,3 @@ def lazy_transform(c: MarkovChain, delta: float) -> MarkovChain:
     P2.setflags(write=False)
     return MarkovChain(P2, c.pi, c.origin)
 
-
-def exact_enumeration_cap() -> int:
-    """Current cap on exact subset enumeration (ISO_MAX_EXACT_N overrides)."""
-    text = os.environ.get("ISO_MAX_EXACT_N", "24")
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InputError(f"ISO_MAX_EXACT_N must be an integer, got {text!r}") from exc
-
-
-def check_exact(n: int) -> None:
-    """Raise TooLarge when n states exceed :func:`exact_enumeration_cap`."""
-    cap = exact_enumeration_cap()
-    if n > cap:
-        raise TooLarge(f"n = {n} exceeds the exact enumeration cap {cap}")

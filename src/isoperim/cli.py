@@ -8,8 +8,8 @@ Subcommands:
   scan      growth table of the inverse-cube counterexample family (CSV)
   gadgets   numeric suprema behind the sweep analysis
 
-Exit codes: 0 success, 1 failed bound in ``verify``, 2 usage, input or
-settings errors.
+Exit codes: 0 success, 1 failed bound in ``verify``, 2 usage or input
+errors.
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ from .families import (
 )
 from .io import (
     FORMATS,
-    AnalysisReport,
     bound_to_dict,
     cut_to_dict,
     emit_report,
     load_chain,
-    make_provenance,
     write_graph_tsv,
 )
 
@@ -75,13 +73,13 @@ def _parse_n_list(text: str) -> list[int]:
 
 def _emit(args: argparse.Namespace, a: ChainAnalysis, spectral: dict, cuts: list, bounds: list, format: str) -> int:
     """Write the report of an ``analyze`` or ``sweep`` run to ``--out``, or to stdout."""
-    report = AnalysisReport(
-        chain={"n": a.c.n, "origin": a.c.origin, "reversible": a.reversible},
-        spectral=spectral,
-        cuts=[cut_to_dict(cut) for cut in cuts],
-        bounds=[bound_to_dict(r) for r in bounds],
-        provenance=make_provenance(source=args.input),
-    )
+    report = {
+        "chain": {"n": a.c.n, "origin": a.c.origin, "reversible": a.reversible},
+        "spectral": spectral,
+        "cuts": [cut_to_dict(cut) for cut in cuts],
+        "bounds": [bound_to_dict(r) for r in bounds],
+        "provenance": {"source": args.input, "tool_version": __version__},
+    }
     text = emit_report(report, args.out, format=format)
     if args.out is None:
         sys.stdout.write(text)

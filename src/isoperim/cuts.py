@@ -36,11 +36,14 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .chains import MASS_SLACK, STRUCTURAL_ZERO, MarkovChain, check_exact, vertex_ids
-from .errors import InputError, NumericalFailure
+from .chains import MASS_SLACK, STRUCTURAL_ZERO, MarkovChain, vertex_ids
+from .errors import InputError, NumericalFailure, TooLarge
 from .spectral import SpectralCertificate, truncated_eigenvector
 
 GUARANTEE_TOL = 1e-8
+# Most states exact_minima enumerates: 2^24 sets. Readers look it up at call
+# time, so a test that lowers it lowers it for every reader.
+EXACT_MAX_N = 24
 _BLOCK_BITS = 16
 _SCORE_ROWS = 1 << 12  # sets in one slice; bounds each thread's temporaries
 _TILE_ROWS = 1 << 8  # sets whose crossing masses are built as one row; divides _SCORE_ROWS
@@ -137,6 +140,12 @@ def _subset_sums(rows: np.ndarray, inf_outside: bool = False) -> np.ndarray:
         if inf_outside:
             sums[: 1 << b, b] = np.inf
     return sums
+
+
+def check_exact(n: int) -> None:
+    """Raise TooLarge when n states exceed EXACT_MAX_N."""
+    if n > EXACT_MAX_N:
+        raise TooLarge(f"n = {n} exceeds the exact enumeration cap {EXACT_MAX_N}")
 
 
 def exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, CutResult]:

@@ -9,9 +9,11 @@ whitespace-separated reals; a transition matrix becomes a validated
 raw-matrix chain, and a nonnegative weight matrix is read straight into
 the transition matrix of the natural random walk on it, undirected when
 symmetric and directed otherwise; its first negative entry in row order is
-named at its line. Input is UTF-8, lines end at ``\n``, ``\r\n`` or
-``\r``, tokens are separated by whatever ``str.split`` splits at, and blank
-lines and lines whose first token starts with ``#`` are skipped.
+named at its line. In either kind, so is the first row whose width differs
+from the first row's, or that is past that width. Input is UTF-8, lines
+end at ``\n``, ``\r\n`` or ``\r``, tokens are separated by whatever
+``str.split`` splits at, and blank lines and lines whose first token starts
+with ``#`` are skipped.
 
 Each file's header and body lines are found once in its bytes, and its
 tokens are converted once. numpy's C reader converts the body of an ASCII
@@ -34,7 +36,6 @@ round-trips bit-identically and identical inputs give byte-identical files.
 from __future__ import annotations
 
 import codecs
-import dataclasses
 import itertools
 import json
 import math
@@ -47,7 +48,6 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from . import __version__ as _version
 from .bounds import BoundReport, verdict
 from .chains import MarkovChain, WeightedGraph, chain_from_graph
 from .chains import _walk, check_states, edge_fault
@@ -219,10 +219,16 @@ def _parse_edge_tsv(path: str, raw: bytes, stamp: tuple | None) -> WeightedGraph
 def _parse_dense(path: str, raw: bytes) -> tuple[bool, np.ndarray]:
     """The checked matrix of a dense file, and whether it holds weights."""
     header, lines, _ = _body(path, raw, ("matrix-kind transition", "matrix-kind weight"))
-    values, widths = array("d"), []
+    values, rows = array("d"), 0
     for lineno, _, tokens in lines:
+        if rows == 0:
+            n = len(tokens)
+        elif len(tokens) != n:
+            raise InputError(f"{path}:{lineno}: matrix must be square, got a row of {len(tokens)} entries after one of {n}")
+        elif rows == n:
+            raise InputError(f"{path}:{lineno}: matrix must be square, got more than {n} rows of {n} entries")
         try:
-            check_states(len(tokens))
+            check_states(n)
             row = [float(tok) for tok in tokens]
         except TooLarge as exc:
             raise TooLarge(f"{path}:{lineno}: {exc}") from None
@@ -233,10 +239,9 @@ def _parse_dense(path: str, raw: bytes) -> tuple[bool, np.ndarray]:
             if bad:
                 raise InputError(f"{path}:{lineno}: entry {bad[0]!r} is not a finite number")
         values.extend(row)
-        widths.append(len(row))
-    n = len(widths)
-    if any(width != n for width in widths):
-        raise InputError(f"{path}: matrix must be square, got row lengths {widths}")
+        rows += 1
+    if rows != n:
+        raise InputError(f"{path}: matrix must be square, got {rows} rows of {n} entries")
     M = np.frombuffer(values).reshape(n, n)
     if header == "matrix-kind transition":
         M.setflags(write=False)
@@ -327,29 +332,6 @@ def bound_to_dict(rep: BoundReport) -> dict:
     }
 
 
-@dataclasses.dataclass
-class AnalysisReport:
-    """Serializable summary of one analysis run.
-
-    All numeric fields survive a JSON round trip bit-identically (decimal,
-    17 significant digits) and the bounds verdicts are re-derivable from the
-    cuts and spectral sections they cite.
-    """
-
-    chain: dict
-    spectral: dict
-    cuts: list[dict]
-    bounds: list[dict]
-    provenance: dict
-
-    def to_dict(self) -> dict:
-        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
-
-
-def make_provenance(source: str) -> dict:
-    return {"source": source, "tool_version": _version}
-
-
 def _json_value(obj: Any, indent: int) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
@@ -375,37 +357,39 @@ def _json_value(obj: Any, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def report_json(report: AnalysisReport) -> str:
+def report_json(report: dict) -> str:
     """Deterministic JSON text: insertion order, 17-digit floats."""
-    return _json_value(report.to_dict(), 0) + "\n"
+    return _json_value(report, 0) + "\n"
 
 
-def report_text(report: AnalysisReport) -> str:
+def report_text(report: dict) -> str:
     """Human-readable report with an aligned inequality table."""
     lines = []
-    ch = report.chain
+    ch = report["chain"]
     lines.append(f"chain: n={ch['n']} origin={ch['origin']} reversible={ch['reversible']}")
-    for key, val in report.spectral.items():
+    for key, val in report["spectral"].items():
         lines.append(f"spectral.{key}: {_fmt(val) if isinstance(val, float) else val}")
-    for cut in report.cuts:
+    for cut in report["cuts"]:
         subset = ",".join(str(v) for v in cut["subset"])
         lines.append(
             f"cut p={_fmt(cut['p'])} method={cut['method']} phi={_fmt(cut['phi'])} "
             f"pi_mass={_fmt(cut['pi_mass'])} S={{{subset}}}"
         )
-    if report.bounds:
+    if report["bounds"]:
         rows = [("name", "lhs", "rhs", "slack", "verdict")]
-        for b in report.bounds:
+        for b in report["bounds"]:
             rows.append((b["name"], _fmt(b["lhs"]), _fmt(b["rhs"]), _fmt(b["slack"]), verdict(b["holds"])))
         widths = [max(len(r[i]) for r in rows) for i in range(5)]
         for r in rows:
             lines.append("  ".join(r[i].ljust(widths[i]) for i in range(5)).rstrip())
-    lines.append(f"provenance: {json.dumps(report.provenance, sort_keys=True)}")
+    lines.append(f"provenance: {json.dumps(report['provenance'], sort_keys=True)}")
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: AnalysisReport, path: str | None, format: str = "json") -> str:
-    """Serialize a report; writes to ``path`` when given, returns the text."""
+def emit_report(report: dict, path: str | None, format: str = "json") -> str:
+    """Serialize a report, a dict of the sections ``chain``, ``spectral``,
+    ``cuts``, ``bounds`` and ``provenance``; writes to ``path`` when given,
+    returns the text."""
     if format == "json":
         text = report_json(report)
     elif format == "text":

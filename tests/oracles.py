@@ -30,13 +30,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from isoperim import cuts
 from isoperim.chains import (
     MASS_SLACK,
     STRUCTURAL_ZERO,
     MarkovChain,
     WeightedGraph,
     edge_fault,
-    exact_enumeration_cap,
 )
 from isoperim.cuts import _BLOCK_BITS, CutResult, _evaluate_set, _validate_p
 from isoperim.errors import InputError, TooLarge
@@ -91,7 +91,7 @@ def blocked_exact_minima(c: MarkovChain, ps: Sequence[float]) -> dict[float, Cut
     vectorized in blocks over the low bits; ties go to the smallest bitmask.
     """
     ps = [_validate_p(p) for p in ps]
-    cap = exact_enumeration_cap()
+    cap = cuts.EXACT_MAX_N
     if c.n > cap:
         raise TooLarge(f"n = {c.n} exceeds the exact enumeration cap {cap}")
     n, P, pi = c.n, c.P, c.pi
@@ -347,7 +347,13 @@ def naive_parse_dense(path):
     """A dense-matrix file read line by line, the same way."""
     header, body = _header_and_body(path, ("matrix-kind transition", "matrix-kind weight"))
     rows = []
+    n = len(body[0][1].split())  # the first row's width, which every row must have
     for lineno, line in body:
+        # a line that makes a square matrix impossible is named before its tokens are read
+        if len(line.split()) != n:
+            raise InputError(f"{path}:{lineno}: matrix must be square, got a row of {len(line.split())} entries after one of {n}")
+        if len(rows) == n:
+            raise InputError(f"{path}:{lineno}: matrix must be square, got more than {n} rows of {n} entries")
         try:
             rows.append([float(tok) for tok in line.split()])
         except ValueError as exc:
@@ -355,9 +361,8 @@ def naive_parse_dense(path):
         bad = [tok for tok, x in zip(line.split(), rows[-1]) if not math.isfinite(x)]
         if bad:
             raise InputError(f"{path}:{lineno}: entry {bad[0]!r} is not a finite number")
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InputError(f"{path}: matrix must be square, got row lengths {[len(r) for r in rows]}")
+    if len(rows) != n:
+        raise InputError(f"{path}: matrix must be square, got {len(rows)} rows of {n} entries")
     M = np.array(rows, dtype=float)
     if header == "matrix-kind transition":
         return MarkovChain(M)

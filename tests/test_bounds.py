@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isoperim.bounds
+import isoperim.cuts
 import isoperim.spectral
 from isoperim import (
     ChainAnalysis,
@@ -231,16 +232,16 @@ def _standalone_suite(c, ps, reversible_side, directed_side, exact_ok):
     return reports
 
 
-@pytest.mark.parametrize("cap", ["24", "6"])
+@pytest.mark.parametrize("cap", [24, 6])
 def test_bound_suite_matches_standalone_checks(monkeypatch, cap):
     # cap 24 puts the n=8 chains within the exact cap, cap 6 above it
-    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    monkeypatch.setattr(isoperim.cuts, "EXACT_MAX_N", cap)
     ps = [0.3, 0.5, 0.75, 1.0]
     for c in (chain_from_graph(random_reversible_graph(8, density=0.5, seed=11)), chain_from_graph(random_directed_graph(8, density=0.5, seed=12))):
         reversible = is_reversible(c)
         a = ChainAnalysis(c)
         suite = bound_suite(a, ps if reversible else None, ps)
-        expected = _standalone_suite(c, ps, reversible, True, cap == "24")
+        expected = _standalone_suite(c, ps, reversible, True, cap == 24)
         assert [r.name for r in suite] == [r.name for r in expected]
         for got, want in zip(suite, expected):
             for field in ("name", "lhs", "rhs", "slack", "holds", "tol", "cut"):
@@ -248,7 +249,7 @@ def test_bound_suite_matches_standalone_checks(monkeypatch, cap):
             # certificates compare by identity, so compare what they hold
             assert (got.cert.lambda2, got.cert.kind) == (want.cert.lambda2, want.cert.kind), got.name
         methods = {r.cut.method for r in suite}
-        assert methods == ({"exact"} if cap == "24" else {"sweep"})
+        assert methods == ({"exact"} if cap == 24 else {"sweep"})
 
 
 # each checker's two sides as a function of the phi and lambda_2 it cites
@@ -262,10 +263,10 @@ _SIDES = {
 }
 
 
-@pytest.mark.parametrize("cap", ["24", "6"])
+@pytest.mark.parametrize("cap", [24, 6])
 def test_every_report_rederives_from_its_cut_and_certificate(monkeypatch, cap):
     # cap 24 puts the n=8 chains within the exact cap, cap 6 above it
-    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    monkeypatch.setattr(isoperim.cuts, "EXACT_MAX_N", cap)
     ps = [0.6, 0.75, 1.0]
     for c in (chain_from_graph(random_reversible_graph(8, density=0.5, seed=11)), chain_from_graph(random_directed_graph(8, density=0.5, seed=12))):
         a = ChainAnalysis(c)
@@ -274,17 +275,17 @@ def test_every_report_rederives_from_its_cut_and_certificate(monkeypatch, cap):
         for r in suite:
             directed = r.name.startswith("chung") or r.name.endswith(":directed")
             assert r.cert is a.cert(directed), r.name
-            assert r.cut.method == ("exact" if cap == "24" else "sweep"), r.name
+            assert r.cut.method == ("exact" if cap == 24 else "sweep"), r.name
             assert r.cut == a.phi(r.cut.p), r.name
             lhs, rhs = _SIDES[r.name.split("[")[0].removesuffix(":directed")](r.cut.phi, r.cert.lambda2, r.cut.p)
             assert (r.lhs, r.rhs) == (lhs, rhs), r.name
 
 
-@pytest.mark.parametrize("cap", ["24", "4"])
+@pytest.mark.parametrize("cap", [24, 4])
 def test_expect_joins_the_pass_phi_reads(monkeypatch, cap):
     # within the cap expected exponents join one exact pass, above it one
     # sweep pass, which puts the read exponent first
-    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    monkeypatch.setattr(isoperim.cuts, "EXACT_MAX_N", cap)
     passes = []
     for name in ("exact_minima", "sweep_cuts"):
         real = getattr(isoperim.bounds, name)
@@ -298,8 +299,8 @@ def test_expect_joins_the_pass_phi_reads(monkeypatch, cap):
     a.expect([0.75, 1.0])
     a.expect([0.5, 0.75])
     for p in (1.0, 0.5, 0.75):
-        assert a.phi(p).method == ("exact" if cap == "24" else "sweep")
-    want = ("exact_minima", [0.75, 1.0, 0.5]) if cap == "24" else ("sweep_cuts", [1.0, 0.75, 0.5])
+        assert a.phi(p).method == ("exact" if cap == 24 else "sweep")
+    want = ("exact_minima", [0.75, 1.0, 0.5]) if cap == 24 else ("sweep_cuts", [1.0, 0.75, 0.5])
     assert passes == [want]
 
 
@@ -429,7 +430,7 @@ def test_chain_analysis_reversible_cert_refuses_a_directed_chain():
 
 
 def test_chain_analysis_rejects_expected_exact_above_cap(monkeypatch):
-    monkeypatch.setenv("ISO_MAX_EXACT_N", "4")
+    monkeypatch.setattr(isoperim.cuts, "EXACT_MAX_N", 4)
     c = chain_from_graph(random_reversible_graph(6, density=0.5, seed=1))
     with pytest.raises(TooLarge):
         ChainAnalysis(c, [0.5])

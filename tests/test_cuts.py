@@ -161,7 +161,7 @@ def test_phi_0_of_exact_and_sweep_match_the_combinations_oracle():
 
 def test_exact_cap_enforced(monkeypatch):
     c = chain_from_graph(random_reversible_graph(8, density=0.5, seed=1))
-    monkeypatch.setenv("ISO_MAX_EXACT_N", "6")
+    monkeypatch.setattr(cuts, "EXACT_MAX_N", 6)
     with pytest.raises(TooLarge, match="n = 8 exceeds the exact enumeration cap 6"):
         ChainAnalysis(c).exact(1.0)
     with pytest.raises(TooLarge, match="cap 6"):
@@ -169,12 +169,19 @@ def test_exact_cap_enforced(monkeypatch):
 
 
 def test_exact_cap_env_override(monkeypatch):
+    # the cap is the constant cuts.EXACT_MAX_N, which no environment
+    # variable changes; lowering it moves both of its readers
     c = chain_from_graph(random_reversible_graph(8, density=0.5, seed=1))
     monkeypatch.setenv("ISO_MAX_EXACT_N", "5")
-    with pytest.raises(TooLarge):
+    assert ChainAnalysis(c).exact_ok
+    assert exact_minima(c, [1.0])[1.0].method == "exact"
+    monkeypatch.setattr(cuts, "EXACT_MAX_N", 7)
+    assert not ChainAnalysis(c).exact_ok
+    with pytest.raises(TooLarge, match="n = 8 exceeds the exact enumeration cap 7"):
         exact_minima(c, [1.0])
-    monkeypatch.setenv("ISO_MAX_EXACT_N", "12")
-    exact_minima(c, [1.0])
+    monkeypatch.setattr(cuts, "EXACT_MAX_N", 8)
+    assert ChainAnalysis(c).exact_ok
+    assert ChainAnalysis(c, [1.0]).exact(1.0) == exact_minima(c, [1.0])[1.0]
 
 
 def test_exact_minima_multi_p_consistent():

@@ -13,6 +13,7 @@ from unittest import mock
 import isoperim.bounds
 import isoperim.chains
 import isoperim.cli
+import isoperim.cuts
 import isoperim.io
 import isoperim.spectral
 import numpy as np
@@ -21,12 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoperim import (
-    AnalysisReport,
     MarkovChain,
     WeightedGraph,
     as_chain,
     emit_report,
-    exact_enumeration_cap,
     gen_ht_counterexample,
     load_chain,
     parse_graph,
@@ -35,7 +34,7 @@ from isoperim import (
 from isoperim.cli import cli_main
 from isoperim.errors import InputError, IsoperimError, NumericalFailure, TooLarge
 from isoperim.families import cycle_graph, ht_counterexample_graph, random_directed_graph, random_reversible_graph
-from isoperim.io import cut_to_dict, make_provenance
+from isoperim.io import cut_to_dict
 from oracles import birth_death_matrix, naive_parse_graph, naive_write_graph_tsv
 
 
@@ -124,24 +123,23 @@ def test_graph_roundtrip_families(tmp_path):
 
 
 def _tiny_report():
-    return AnalysisReport(
-        chain={"n": 2, "origin": "undirected-graph", "reversible": True},
-        spectral={"lambda2_reversible": 2.0, "residual_reversible": 1.2345678901234567e-16},
-        cuts=[{"p": 1.0, "method": "exact", "subset": [1], "numerator": 0.5, "pi_mass": 0.5, "phi": 1.0}],
-        bounds=[
+    return {
+        "chain": {"n": 2, "origin": "undirected-graph", "reversible": True},
+        "spectral": {"lambda2_reversible": 2.0, "residual_reversible": 1.2345678901234567e-16},
+        "cuts": [{"p": 1.0, "method": "exact", "subset": [1], "numerator": 0.5, "pi_mass": 0.5, "phi": 1.0}],
+        "bounds": [
             {"name": "cheeger:lower", "lhs": 1.0, "rhs": 1.0, "slack": 0.0, "holds": True, "tol": 1e-9},
             {"name": "cheeger:upper", "lhs": 1.0, "rhs": 2.0, "slack": 1.0, "holds": True, "tol": 1e-9},
         ],
-        provenance=make_provenance("test"),
-    )
+        "provenance": {"source": "test", "tool_version": "0.1.0"},
+    }
 
 
 def test_report_json_roundtrip_bit_identical():
     rep = _tiny_report()
     text1 = emit_report(rep, None, format="json")
     parsed = json.loads(text1)
-    rep2 = AnalysisReport(**parsed)
-    text2 = emit_report(rep2, None, format="json")
+    text2 = emit_report(parsed, None, format="json")
     assert text1 == text2
     assert parsed["spectral"]["residual_reversible"] == 1.2345678901234567e-16
 
@@ -171,7 +169,7 @@ def test_report_emit_deterministic(tmp_path):
         ),
         pytest.param(lambda path: emit_report(_tiny_report(), None, format="xml"), InputError, "unknown report format 'xml'", id="report-format"),
         pytest.param(
-            lambda path: emit_report(dataclasses.replace(_tiny_report(), spectral={"lambda2_reversible": float("nan")}), None),
+            lambda path: emit_report({**_tiny_report(), "spectral": {"lambda2_reversible": float("nan")}}, None),
             NumericalFailure,
             "cannot serialize non-finite value nan",
             id="non-finite",
@@ -277,13 +275,13 @@ def test_cli_analyze_bounds_rederivable_from_sections(tmp_path):
         assert b["holds"] == (b["rhs"] - b["lhs"] >= -b["tol"])
 
 
-@pytest.mark.parametrize("cap", ["24", "6"])
+@pytest.mark.parametrize("cap", [24, 6])
 @pytest.mark.parametrize("directed", [False, True])
 def test_cli_analyze_lists_the_cut_of_every_bound(tmp_path, monkeypatch, cap, directed):
     # within the cap the bounds cite exact cuts, which --method sweep does not
     # list; above it they cite the sweep phi_1, which --p 0.75 does not ask
     # for; analyze appends each
-    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    monkeypatch.setattr(isoperim.cuts, "EXACT_MAX_N", cap)
     g, out = tmp_path / "g.tsv", tmp_path / "r.json"
     write_graph_tsv((random_directed_graph if directed else random_reversible_graph)(8, 0.5, 3), str(g))
     reports = []
@@ -408,12 +406,23 @@ def test_cli_reads_an_exponent_written_minus_zero_as_zero(random6, capsys, argv)
     assert outs[0] == outs[1]
 
 
-def test_cli_bad_exact_cap_setting_exit_2(random6, monkeypatch, capsys):
-    monkeypatch.setenv("ISO_MAX_EXACT_N", "abc")
-    with pytest.raises(InputError, match="ISO_MAX_EXACT_N"):
-        exact_enumeration_cap()
-    assert cli_main(["verify", "--input", random6]) == 2
-    assert "ISO_MAX_EXACT_N" in capsys.readouterr().err
+def test_cli_output_ignores_the_exact_cap_variable(tmp_path, monkeypatch, capsys):
+    # which phi a report uses follows from the input alone: ISO_MAX_EXACT_N,
+    # which once set the exact cap, changes no exit code and no byte
+    g = tmp_path / "g.tsv"
+    write_graph_tsv(random_reversible_graph(20, 0.4, 20), str(g))
+    runs = {}
+    for value in (None, "6", "30", "abc"):
+        if value is None:
+            monkeypatch.delenv("ISO_MAX_EXACT_N", raising=False)
+        else:
+            monkeypatch.setenv("ISO_MAX_EXACT_N", value)
+        for argv in (["verify", "--suite", "all"], ["analyze"]):
+            code = cli_main([argv[0], "--input", str(g), *argv[1:]])
+            runs[value, argv[0]] = (code, *capsys.readouterr())
+    for (value, command), run in runs.items():
+        assert run == runs[None, command], (value, command)
+    assert runs[None, "verify"][0] == 0 and '"method": "exact"' in runs[None, "analyze"][1]
 
 
 def _derivation_counts(tmp_path, monkeypatch, directed, argv):
@@ -464,14 +473,14 @@ def _sweep_passes(monkeypatch):
     return passes
 
 
-@pytest.mark.parametrize("cap", ["24", "4"])
+@pytest.mark.parametrize("cap", [24, 4])
 @pytest.mark.parametrize("directed", [False, True])
 @pytest.mark.parametrize("extra", [[], ["--directed-spectral"]])
 def test_cli_analyze_sweeps_each_certificate_once(tmp_path, monkeypatch, cap, directed, extra):
     # within the cap only the cuts section sweeps; above it the bound suite
     # reads phi_1 and phi_0.75 of both sides by sweep as well, all from one
     # pass over the chain's own certificate
-    monkeypatch.setenv("ISO_MAX_EXACT_N", cap)
+    monkeypatch.setattr(isoperim.cuts, "EXACT_MAX_N", cap)
     g = tmp_path / "g.tsv"
     write_graph_tsv((random_directed_graph if directed else random_reversible_graph)(7, 0.5, 2), str(g))
     passes = _sweep_passes(monkeypatch)
@@ -485,7 +494,7 @@ def test_cli_analyze_sweeps_each_certificate_once(tmp_path, monkeypatch, cap, di
 def test_cli_verify_all_above_the_cap_sweeps_once(tmp_path, monkeypatch):
     # both sides of a reversible chain read their cuts from one pass over the
     # reversible certificate, which shares f2 with Chung's
-    monkeypatch.setenv("ISO_MAX_EXACT_N", "4")
+    monkeypatch.setattr(isoperim.cuts, "EXACT_MAX_N", 4)
     g = tmp_path / "g.tsv"
     write_graph_tsv(random_reversible_graph(7, 0.5, 2), str(g))
     passes = _sweep_passes(monkeypatch)
@@ -822,7 +831,10 @@ def test_parse_line_faults_match_oracle(tmp_path, capsys):
         ("edge-tsv", "directed\n1\t2\t1\n2\t9223372036854775808\t1\n", ":3: vertex id 9223372036854775808: "),
         ("edge-tsv", "directed\n1\t2\t1_0\n2\t1\t1\n", None),
         ("edge-tsv", "\ndirected\n1\t2\t1\n2\t1\t1\n", None),
-        ("dense-matrix", "matrix-kind weight\n0 1 1\n1 0\n", "row lengths [3, 2]"),
+        ("dense-matrix", "matrix-kind weight\n0 1 1\n1 0\n", ":3: matrix must be square, got a row of 2 entries after one of 3"),
+        ("dense-matrix", "matrix-kind weight\n0 1 1\n1 0 1 1\n0 x\n", ":3: matrix must be square, got a row of 4 entries after one of 3"),
+        ("dense-matrix", "matrix-kind weight\n0 1\n# c\n1 0\n1 1\n", ":5: matrix must be square, got more than 2 rows of 2 entries"),
+        ("dense-matrix", "matrix-kind weight\n0 1 1\n1 0 1\n", ": matrix must be square, got 2 rows of 3 entries"),
         ("dense-matrix", "matrix-kind weight\n0 1 x\n1 0\n", ":2: could not convert"),
         ("dense-matrix", "matrix-kind weight\n0 inf\n1 x\n", ":2: entry 'inf'"),
         ("dense-matrix", "matrix-kind weight\n# c\n0 1\n\n1 -0.5\n", ":5: negative weight '-0.5'"),
@@ -852,6 +864,17 @@ def test_parse_line_faults_match_oracle(tmp_path, capsys):
             if message == ": nothing after the header":
                 assert cli_main(["analyze", "--input", str(path), "--format", fmt]) == 2
                 assert f"{path}{message}" in _one_error_line(capsys)
+
+
+def test_cli_refuses_a_tall_dense_file_in_one_short_line(tmp_path, capsys):
+    # the refusal comes at the first row past the first row's width, so the
+    # error line does not grow with the file
+    path = tmp_path / "tall.txt"
+    path.write_text("matrix-kind weight\n" + "0 1 1\n" * 16384)
+    assert cli_main(["analyze", "--input", str(path), "--format", "dense-matrix"]) == 2
+    err = _one_error_line(capsys)
+    assert err == f"error: {path}:5: matrix must be square, got more than 3 rows of 3 entries\n"
+    assert len(err.encode()) < 200
 
 
 def test_parse_opens_each_file_once(tmp_path):

@@ -52,6 +52,10 @@ from that checkout with ``PYTHONPATH=<root>/src``. The matrix holds:
   and directed chains on 20 states, ``analyze --method exact`` at p = 0.55
   and 0.99 on them, and ``analyze --method exact`` at p = 0, 1/2 and 1 on a
   20-cycle, whose blocks the enumerator splits across threads;
+- the first two of those on the reversible chain again, with the
+  environment variable ``ISO_MAX_EXACT_N`` set to ``6`` and to ``abc``, each
+  with its run without the variable as its twin: checkouts before the exact
+  cap became a constant read the variable, and later ones ignore it;
 - ``analyze --method exact`` at p = 0, 1/2, 3/4 and 1 on random reversible
   and directed chains on 14 states, one block of two slices that the
   enumerator splits across threads, and on a dense transition matrix of two
@@ -82,24 +86,30 @@ from that checkout with ``PYTHONPATH=<root>/src``. The matrix holds:
   lines, one with comment lines (numpy's C reader) and one with a ``\xa0``
   separator (the line loop); and on a 200 x 200 dense weight matrix;
 - malformed or invalid files, which must exit 2, among them one per parse
-  error of both formats, a ``#`` after the tokens of a line, and plain ASCII
-  edge-tsv files that numpy's C reader converts or rejects before the line
-  loop names the fault.
+  error of both formats, a ``#`` after the tokens of a line, a dense matrix
+  of 16384 rows of 3 entries, and plain ASCII edge-tsv files that numpy's C
+  reader converts or rejects before the line loop names the fault.
+
+A plan entry may name environment variables, set for its command alone,
+and a twin: the id of another command whose results it must match in the
+change's checkout.
 
 It compares exit codes, standard output and every output file, and a
 demo's standard error too, checks that each command that exits 2 wrote
 exactly one ``error:`` line and nothing else to standard error, and prints
 the error messages that differ. It exits 1 when an exit code, a standard
 output or an output file differs, when a demo's standard error differs, when
-a ``-0`` command's results differ from its ``0`` twin's in the change's
-checkout, or when that checkout writes a traceback or a malformed error;
+a command's results differ from its twin's in the change's checkout, or
+when that checkout writes a traceback or a malformed error;
 otherwise 0.
 
-Two differences are expected and reported as ``EXPECTED``: on a file that is
-not UTF-8, checkouts before the UTF-8 check raise ``UnicodeDecodeError`` (a
-traceback), and later ones exit 2 with one ``error:`` line; and checkouts
-before ``-0`` read as ``0`` report such an exponent as ``-0``, where later
-ones write what the ``0`` twin writes.
+Two kinds of difference are expected and reported as ``EXPECTED``: on a
+file that is not UTF-8, checkouts before the UTF-8 check raise
+``UnicodeDecodeError`` (a traceback), and later ones exit 2 with one
+``error:`` line; and a command with a twin may differ from the parent's
+run when the change's run is the twin's: checkouts before ``-0`` read as
+``0`` report such an exponent as ``-0``, and checkouts before the exact cap
+became a constant follow ``ISO_MAX_EXACT_N``.
 
 Sizes above the state limit are left out: older checkouts try to allocate
 them. A run takes about a minute on two cores; BLAS uses two threads.
@@ -118,6 +128,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
+from unittest import mock
 
 import numpy as np
 
@@ -151,6 +162,7 @@ FAULTY = [
     ("negative-entry.txt", "dense-matrix", "matrix-kind weight\n0 1\n-1 0\n"),
     ("nan-entry.txt", "dense-matrix", "matrix-kind weight\n0 nan\n1 0\n"),
     ("not-square.txt", "dense-matrix", "matrix-kind weight\n0 1 1\n1 0 1\n"),
+    ("not-square-16384.txt", "dense-matrix", "matrix-kind weight\n" + "0 1 1\n" * 16384),
     ("not-stochastic.txt", "dense-matrix", "matrix-kind transition\n0.5 0.4\n0.5 0.5\n"),
     ("bad-kind.txt", "dense-matrix", "matrix-kind foo\n0 1\n1 0\n"),
     ("no-body.txt", "dense-matrix", "matrix-kind weight\n"),
@@ -331,9 +343,12 @@ def build_plan(work: str) -> list[dict]:
     # an exponent written -0 is 0: each command has a --p 0 twin
     base = ["--input", os.path.join(work, "rev8.tsv"), "--format", "edge-tsv"]
     for zero in ("-0", "0"):
-        plan.append({"id": f"sweep-p{zero}-rev8", "argv": ["sweep", *base, f"--p={zero}", "--out", f"OUT/z{zero}.json"]})
-        plan.append({"id": f"analyze-p{zero},1-rev8", "argv": ["analyze", *base, f"--p={zero},1"]})
-        plan.append({"id": f"analyze-text-p{zero},1-rev8", "argv": ["analyze", *base, f"--p={zero},1", "--report-format", "text"]})
+        cmds = [
+            {"id": f"sweep-p{zero}-rev8", "argv": ["sweep", *base, f"--p={zero}", "--out", f"OUT/z{zero}.json"]},
+            {"id": f"analyze-p{zero},1-rev8", "argv": ["analyze", *base, f"--p={zero},1"]},
+            {"id": f"analyze-text-p{zero},1-rev8", "argv": ["analyze", *base, f"--p={zero},1", "--report-format", "text"]},
+        ]
+        plan += [{**cmd, "twin": cmd["id"].replace("-p-0", "-p0")} if zero == "-0" else cmd for cmd in cmds]
     path = os.path.join(work, "dense200.txt")
     _write_dense(path, "weight", np.random.default_rng(200).random((200, 200)))
     plan.append({"id": "analyze-dense200", "argv": ["analyze", "--input", path, "--format", "dense-matrix", "--p", "0.5,1"]})
@@ -396,6 +411,10 @@ def build_plan(work: str) -> list[dict]:
         plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", *base, "--method", "both", "--p", "0,0.5,0.75,1"]})
         plan.append({"id": f"verify-{name}", "argv": ["verify", *base, "--suite", "all"]})
         plan.append({"id": f"analyze-exact-{name}-p0.55,0.99", "argv": ["analyze", *base, "--method", "exact", "--p", "0.55,0.99"]})
+    # ISO_MAX_EXACT_N, which once set the exact cap, changes nothing
+    twins = [cmd for cmd in plan if cmd["id"] in ("analyze-both-rev20", "verify-rev20")]
+    for value in ("6", "abc"):
+        plan += [{"id": f"{cmd['id']}-cap-env-{value}", "argv": cmd["argv"], "env": {"ISO_MAX_EXACT_N": value}, "twin": cmd["id"]} for cmd in twins]
     # 14 states: one block of two slices, which the enumerator splits across
     # threads; and a 0 <-> 3 entry of 5e-16, below the structural zero
     tiny = 5e-16
@@ -480,7 +499,7 @@ def worker(root: str, plan_path: str, out_dir: str, result_path: str) -> int:
             if os.path.exists(path):
                 os.remove(path)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.dict(os.environ, cmd.get("env", {})), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 rc = cli_main(argv)
             except Exception:
@@ -489,6 +508,7 @@ def worker(root: str, plan_path: str, out_dir: str, result_path: str) -> int:
         results.append(
             {
                 "id": cmd["id"],
+                "twin": cmd.get("twin"),
                 "rc": rc,
                 "stdout": out.getvalue(),
                 "stderr": err.getvalue(),
@@ -532,12 +552,12 @@ def _same(a: dict, b: dict) -> bool:
 def _expected(p: dict, c: dict, twin: dict | None) -> str | None:
     """Why the change may differ from the parent on a command, or None: a
     file that is not UTF-8 turns a traceback into a well-formed exit 2, and
-    an exponent written -0 reads as 0, so that a ``-0`` command writes what
-    its ``0`` twin writes."""
+    a command with a twin writes what its twin writes (an exponent written
+    -0 reads as 0; ISO_MAX_EXACT_N is ignored)."""
     if c["id"].startswith("not-utf8-") and p["rc"] is None and c["rc"] == 2 and _error_ok(c):
         return "traceback -> exit 2"
     if twin is not None and _same(c, twin) and not _same(p, c):
-        return "-0 -> 0, as its --p 0 twin"
+        return f"as its twin {twin['id']}"
     return None
 
 
@@ -547,7 +567,7 @@ def compare(parent: list[dict], change: list[dict]) -> int:
     expected = 0
     by_id = {c["id"]: c for c in change}
     for p, c in zip(parent, change):
-        twin = by_id[c["id"].replace("-p-0", "-p0")] if "-p-0" in c["id"] else None
+        twin = by_id[c["twin"]] if c.get("twin") else None
         why = _expected(p, c, twin)
         if why is not None:
             expected += 1
@@ -555,7 +575,7 @@ def compare(parent: list[dict], change: list[dict]) -> int:
             continue
         problems = []
         if twin is not None and not _same(c, twin):
-            problems.append("differs from its --p 0 twin")
+            problems.append(f"differs from its twin {c['twin']}")
         if c["id"].startswith("demo-") and p["stderr"] != c["stderr"]:
             problems.append("stderr differs")
         if p["rc"] != c["rc"]:
