@@ -11,9 +11,8 @@ small against I - S as against Chung's Laplacian.
 from isoperim import (
     ChainAnalysis,
     WeightedGraph,
+    bound_suite,
     chain_from_graph,
-    check_chung,
-    check_phi_p_upper_bound,
     cycle_graph,
     random_directed_graph,
 )
@@ -26,7 +25,8 @@ def main():
     a = ChainAnalysis(ring)
     cert = a.cert(True)
     print(f"directed 3-cycle: pi = {ring.pi.round(4)}, lambda2(Chung) = {cert.lambda2:.4f}")
-    lower, upper = check_chung(a)
+    lines = {r.name: r for r in bound_suite(a, None, [])}
+    lower, upper = lines["chung:lower"], lines["chung:upper"]
     print(f"  {lower.name}: {lower.lhs:.4f} <= {lower.rhs:.4f}  holds={lower.holds}")
     print(f"  {upper.name}: {upper.lhs:.4f} <= {upper.rhs:.4f}  holds={upper.holds}")
 
@@ -34,7 +34,7 @@ def main():
     for seed in range(4):
         a = ChainAnalysis(chain_from_graph(random_directed_graph(7, density=0.4, seed=seed)))
         cert = a.cert(True)
-        rep = check_phi_p_upper_bound(a, 0.75, use_directed=True)
+        rep = {r.name: r for r in bound_suite(a, None, [0.75])}["phi_p_squared[p=0.75]:directed"]
         sw = a.sweep(0.75)  # the level sets of Chung's certificate
         print(
             f"  seed={seed}: lambda2={cert.lambda2:.4f}  phi_.75^2={rep.lhs:.4f} <= {rep.rhs:.4f}"

@@ -20,10 +20,6 @@ from .bounds import (
     BoundReport,
     ChainAnalysis,
     bound_suite,
-    check_cheeger,
-    check_chung,
-    check_morris_peres,
-    check_phi_p_upper_bound,
     conjecture_ratio,
     geometric_chain_sum,
     power_increment_supremum,

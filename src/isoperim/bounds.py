@@ -1,18 +1,19 @@
 """Machine-checkable inequality reports and the two proof gadgets.
 
-Each checker evaluates one concrete inequality instance on a chain and
-returns a :class:`BoundReport` holding both sides, from which its slack and
-verdict are derived. The checkers take a :class:`ChainAnalysis`, the
-per-chain store that derives each quantity once and the one public way to a
-chain's certificates: one eigensolve of Chung's Laplacian for the
-certificates of both kinds (the residual taken per kind), every exact
-minimum from one enumeration pass over the exponents the run reads, and
-every sweep cut from one pass over the level sets of the chain's own
-certificate (:attr:`ChainAnalysis.own`). It also holds the one rule for the
-phi_p value a bound uses (exact within the enumeration cap, else the sweep
-cut), and :meth:`ChainAnalysis.expect` routes an exponent to the pass that
-rule reads. :func:`bound_suite` builds both sides' reports from one store;
-the CLI's ``analyze`` and ``verify`` select sides and exponents over it.
+:func:`bound_suite` evaluates every inequality instance on a chain (the
+Cheeger pair, Chung's directed pair, Morris-Peres at p = 1/2 and
+phi_p^2 <= 4 lambda_2 / (2p - 1)) and returns each as a :class:`BoundReport`
+holding both sides, from which its slack and verdict are derived. It reads
+a :class:`ChainAnalysis`, the per-chain store that derives each quantity
+once and the one public way to a chain's certificates: one eigensolve of
+Chung's Laplacian for the certificates of both kinds (the residual taken
+per kind), every exact minimum from one enumeration pass over the exponents
+the run reads, and every sweep cut from one pass over the level sets of the
+chain's own certificate (:attr:`ChainAnalysis.own`). The store also holds the
+one rule for the phi_p value a bound uses (exact within the enumeration cap,
+else the sweep cut), and :meth:`ChainAnalysis.expect` routes an exponent to
+the pass that rule reads. The CLI's ``analyze`` and ``verify`` select sides
+and exponents over one store.
 The gadgets expose the numeric suprema used in the sweep-cut analysis:
 the power-increment sum sup_a sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1})
 (bounded by 1/(2p-1) for p > 1/2) and the telescoping ratio-chain maximum
@@ -33,7 +34,6 @@ from .cuts import CutResult, check_exact, exact_minima, sweep_cuts
 from .errors import InputError
 from .spectral import SpectralCertificate, _certificate
 
-DEFAULT_TOL = 1e-9
 _IRREVERSIBLE = "chain fails detailed balance; use ChainAnalysis.cert(True) instead"
 
 
@@ -48,7 +48,7 @@ class BoundReport:
     enough to re-derive them: the cut's method says whether phi_p is exact.
     """
 
-    tol: ClassVar[float] = DEFAULT_TOL
+    tol: ClassVar[float] = 1e-9
     name: str
     lhs: float
     rhs: float
@@ -142,66 +142,9 @@ class ChainAnalysis:
         return self.exact(p) if self.exact_ok else self.sweep(p)
 
 
-def check_phi_p_upper_bound(a: ChainAnalysis, p: float, use_directed: bool = False) -> BoundReport:
-    """phi_p(P)^2 <= 4 lambda_2 / (2p - 1), for p in (1/2, 1].
-
-    lambda_2 is the reversible normalized-Laplacian eigenvalue by default, or
-    the Chung directed one with use_directed. phi_p comes from exact
-    enumeration when n is small enough, otherwise from the sweep cut, as the
-    report's cut.method records. The bound covers the sweep value of a
-    reversible certificate as well; that of a directed certificate is
-    guaranteed only phi_p^2 <= 8 lambda_2 / (2p - 1) (:func:`sweep_guarantee`).
-    """
-    if not (0.5 < p <= 1.0):
-        raise InputError(f"inequality requires p in (1/2, 1], got {p}")
-    cert = a.cert(use_directed)
-    cut = a.phi(p)
-    name = f"phi_p_squared[p={p:g}]" + (":directed" if use_directed else "")
-    return BoundReport(name, cut.phi**2, 4.0 * cert.lambda2 / (2.0 * p - 1.0), cut, cert)
-
-
-def check_morris_peres(a: ChainAnalysis, use_directed: bool = False) -> BoundReport:
-    """lambda_2 >= phi_{1/2}^2 / (8 log(2 / phi_{1/2})).
-
-    The constant 8 comes from rearranging the sweep-cut estimate
-    phi <= phi/2 + sqrt(2 log(2/phi) lambda_2); no lazy (self-loop)
-    hypothesis is needed. phi_{1/2} is computed exactly, so n must be within
-    the enumeration cap.
-    log(2/phi) is positive: phi_{1/2}(S) is a pi-weighted mean of
-    sqrt(P(v, S-bar)), and each crossing mass is at most its row sum, within
-    1e-12 of 1, so phi < 2.
-    """
-    cert = a.cert(use_directed)
-    cut = a.exact(0.5)
-    phi = cut.phi
-    lhs = phi**2 / (8.0 * math.log(2.0 / phi))
-    name = "morris_peres" + (":directed" if use_directed else "")
-    return BoundReport(name, lhs, cert.lambda2, cut, cert)
-
-
-def check_cheeger(a: ChainAnalysis) -> tuple[BoundReport, BoundReport]:
-    """Classical Cheeger pair for a reversible chain:
-    lambda_2 / 2 <= phi_1 and phi_1 <= sqrt(2 lambda_2)."""
-    cert = a.cert(False)
-    cut = a.phi(1.0)
-    easy = BoundReport("cheeger:lower", cert.lambda2 / 2.0, cut.phi, cut, cert)
-    hard = BoundReport("cheeger:upper", cut.phi, math.sqrt(2.0 * cert.lambda2), cut, cert)
-    return easy, hard
-
-
-def check_chung(a: ChainAnalysis) -> tuple[BoundReport, BoundReport]:
-    """Chung's directed Cheeger pair:
-    phi_1^2 / 2 <= lambda_2(L_directed) <= 2 phi_1.
-
-    With a sweep phi_1 (an upper bound on the true value) the lower direction
-    is conservative and can report a spurious violation; exact enumeration is
-    used whenever n is within the cap.
-    """
-    cert = a.cert(True)
-    cut = a.phi(1.0)
-    lower = BoundReport("chung:lower", cut.phi**2 / 2.0, cert.lambda2, cut, cert)
-    upper = BoundReport("chung:upper", cert.lambda2, 2.0 * cut.phi, cut, cert)
-    return lower, upper
+def _p_label(p: float) -> str:
+    """p as names print it: the shortest decimal that reads back as p; 1.0 is "1"."""
+    return repr(float(p)).removesuffix(".0")
 
 
 def bound_suite(
@@ -211,10 +154,11 @@ def bound_suite(
 
     A side (None skips it) is its Cheeger pair (Chung's for the directed
     side), Morris-Peres when n is within the exact cap, and the phi_p bound
-    for each listed p in (1/2, 1]. Every exponent the suite reads through
-    :meth:`ChainAnalysis.phi` (1 and the listed p, both sides) is expected
-    first, so it joins one exact pass within the cap and one sweep pass
-    above it; Morris-Peres's exact 1/2 joins the exact pass.
+    for each listed p in (1/2, 1]; other exponents are dropped. Every
+    exponent the suite reads through :meth:`ChainAnalysis.phi` (1 and the
+    listed p, both sides) is expected first, so it joins one exact pass within
+    the cap and one sweep pass above it; Morris-Peres's exact 1/2 joins the
+    exact pass. A side reads its cuts in the order of its lines.
     """
     sides = [(False, reversible_ps), (True, directed_ps)]
     sides = [(directed, [p for p in ps if 0.5 < p <= 1.0]) for directed, ps in sides if ps is not None]
@@ -223,10 +167,30 @@ def bound_suite(
         a.expect([1.0, *half, *ps])
     reports: list[BoundReport] = []
     for directed, ps in sides:
-        reports.extend(check_chung(a) if directed else check_cheeger(a))
+        cert = a.cert(directed)
+        lam = cert.lambda2
+        tag = ":directed" if directed else ""
+        cut = a.phi(1.0)
+        phi = cut.phi
+        if directed:  # a sweep phi_1 is an upper bound on phi_1, so chung:lower is then conservative
+            pair = [("chung:lower", phi**2 / 2.0, lam), ("chung:upper", lam, 2.0 * phi)]
+        else:
+            pair = [("cheeger:lower", lam / 2.0, phi), ("cheeger:upper", phi, math.sqrt(2.0 * lam))]
+        reports.extend(BoundReport(name, lhs, rhs, cut, cert) for name, lhs, rhs in pair)
         if a.exact_ok:
-            reports.append(check_morris_peres(a, use_directed=directed))
-        reports.extend(check_phi_p_upper_bound(a, p, use_directed=directed) for p in ps)
+            # the 8 comes from rearranging the sweep-cut estimate phi <= phi/2 +
+            # sqrt(2 log(2/phi) lambda_2), with no lazy hypothesis. log(2/phi) > 0:
+            # phi(S) is a pi-weighted mean of sqrt(P(v, S-bar)), and each crossing
+            # mass is at most its row sum, within 1e-12 of 1, so phi < 2
+            cut = a.exact(0.5)
+            lhs = cut.phi**2 / (8.0 * math.log(2.0 / cut.phi))
+            reports.append(BoundReport("morris_peres" + tag, lhs, lam, cut, cert))
+        for p in ps:
+            # a reversible certificate's sweep cut meets this too; a directed
+            # one's is guaranteed only 8 lambda_2 / (2p - 1) (cuts.sweep_guarantee)
+            cut = a.phi(p)
+            name = f"phi_p_squared[p={_p_label(p)}]" + tag
+            reports.append(BoundReport(name, cut.phi**2, 4.0 * lam / (2.0 * p - 1.0), cut, cert))
     return reports
 
 

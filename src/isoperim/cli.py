@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .bounds import (
     ChainAnalysis,
+    _p_label,
     bound_suite,
     geometric_chain_sum,
     power_increment_supremum,
@@ -170,7 +171,7 @@ def cmd_gadgets(args: argparse.Namespace) -> int:
     for p in ps:
         est = power_increment_supremum(p, trials=args.trials, seed=args.seed)
         bound = 1.0 / (2.0 * p - 1.0)
-        sys.stdout.write(f"power-increment p={p:g}: estimate={est:.12g} bound={bound:.12g}\n")
+        sys.stdout.write(f"power-increment p={_p_label(p)}: estimate={est:.12g} bound={bound:.12g}\n")
     for b0 in (0.01, 0.25, 0.9):
         limit = 0.5 * np.log(1.0 / b0)
         vals = ", ".join(f"m={m}: {geometric_chain_sum(b0, m):.12g}" for m in (0, 10, 1000, 10**6))

@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import BoundReport
-from .chains import MAX_STATES, MarkovChain, WeightedGraph, check_states, vertex_ids
+from .chains import MAX_STATES, MarkovChain, WeightedGraph, _integer, check_states, vertex_ids
 from .errors import InputError, TooLarge
 
 # Largest n of the scan. The arc minimum costs O(n) when its certificate rules
@@ -79,7 +79,7 @@ def _kernel(n: int) -> tuple[np.ndarray, np.ndarray, float]:
 
 def normalizer(n: int) -> float:
     """C = sum_{d=1}^{n-1} 1/min(d, n-d)^3, the row weight making P stochastic."""
-    return _kernel(n)[2]
+    return _kernel(_integer(n, "vertex count"))[2]
 
 
 def _circulant(n: int) -> np.ndarray:
@@ -98,6 +98,7 @@ def gen_ht_counterexample(n: int) -> MarkovChain:
     symmetric, doubly stochastic, reversible, and has uniform pi; C is
     ``normalizer(n)``.
     """
+    n = _integer(n, "vertex count")
     if n < 3:
         raise InputError(f"family needs n >= 3, got {n}")
     check_states(n)
@@ -130,6 +131,7 @@ def arc_phi_half(n: int, l: int) -> float:
 
         phi_{1/2} = (1/l) * sum_{v=1}^{l} sqrt(P(v, complement)).
     """
+    n, l = _integer(n, "vertex count"), _integer(l, "arc length")
     if n < 3:
         raise InputError(f"family needs n >= 3, got {n}")
     if not (1 <= l <= n // 2):
@@ -198,7 +200,7 @@ def scaling_scan(n_list: Iterable[int], output: str | None = None) -> list[ScanR
     with full-precision scientific notation when ``output`` is given. An n
     above SCAN_MAX_N raises TooLarge before any row is computed.
     """
-    ns = sorted({int(n) for n in n_list})
+    ns = sorted({_integer(n, "vertex count") for n in n_list})
     if not ns:
         raise InputError("n_list must be nonempty")
     if ns[0] < 8:
@@ -247,6 +249,7 @@ def _graph(n: int, edges: np.ndarray, directed: bool = False) -> WeightedGraph:
 
 def cycle_graph(n: int) -> WeightedGraph:
     """Unit-weight ring on n >= 3 vertices."""
+    n = _integer(n, "vertex count")
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
     check_states(n)
@@ -257,6 +260,7 @@ def cycle_graph(n: int) -> WeightedGraph:
 
 def hypercube_graph(d: int) -> WeightedGraph:
     """Unit-weight boolean hypercube Q_d; 2^d vertices, d-regular."""
+    d = _integer(d, "dimension")
     if d < 1:
         raise InputError(f"hypercube needs d >= 1, got {d}")
     if d > _HYPERCUBE_MAX_D:
@@ -269,6 +273,7 @@ def hypercube_graph(d: int) -> WeightedGraph:
 
 def dumbbell_graph(m: int) -> WeightedGraph:
     """Two complete graphs K_m joined by a single unit edge (vertices m-1, m)."""
+    m = _integer(m, "bell size")
     if m < 3:
         raise InputError(f"dumbbell needs m >= 3, got {m}")
     check_states(2 * m)
@@ -279,6 +284,7 @@ def dumbbell_graph(m: int) -> WeightedGraph:
 
 def ht_counterexample_graph(n: int) -> WeightedGraph:
     """The inverse-cube kernel as an explicit weighted edge list."""
+    n = _integer(n, "vertex count")
     if n < 3:
         raise InputError(f"family needs n >= 3, got {n}")
     check_states(n)
@@ -293,6 +299,7 @@ def _random_weights(n: int, density: float, seed: int) -> tuple[np.ndarray, np.n
     probability ``density``, both n x n."""
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must be a number in [0, 1], got {density}")
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
     check_states(n)
@@ -307,6 +314,7 @@ def random_reversible_graph(n: int, density: float = 0.5, seed: int = 0) -> Weig
     ``density``, plus a Hamiltonian cycle that is always kept, so the walk is
     irreducible for every draw.
     """
+    n = _integer(n, "vertex count")
     if n < 3:
         raise InputError(f"random family needs n >= 3, got {n}")
     weights, keep = _random_weights(n, density, seed)
@@ -319,6 +327,7 @@ def random_reversible_graph(n: int, density: float = 0.5, seed: int = 0) -> Weig
 def random_directed_graph(n: int, density: float = 0.5, seed: int = 0) -> WeightedGraph:
     """Seeded random strongly connected directed graph (directed uniform
     weights kept with probability ``density`` plus the directed ring)."""
+    n = _integer(n, "vertex count")
     if n < 2:
         raise InputError(f"random directed family needs n >= 2, got {n}")
     weights, keep = _random_weights(n, density, seed)
@@ -364,7 +373,7 @@ class PartitionBlocks:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_integer(s, "block size") for s in self.sizes)
         if len(sizes) < 2 or len(sizes) % 2 != 0:
             raise InputError("sizes must alternate (a1, b1, ..., ak, bk) with k >= 1")
         if any(s < 0 for s in sizes):

@@ -15,9 +15,9 @@ from isoperim import (
     arc_phi_half,
     block_log_sum,
     block_merge_residual,
+    bound_suite,
     chain_from_graph,
     check_block_lower_bound,
-    check_chung,
     circulant_lambda2,
     cycle_graph,
     exact_minima,
@@ -161,7 +161,8 @@ def test_criterion_6_directed_suite():
     worst = -math.inf
     for chain in directed_suite():
         a = ChainAnalysis(chain, [0.6, 1.0])
-        lower, upper = check_chung(a)
+        lines = {r.name: r for r in bound_suite(a, None, [])}
+        lower, upper = lines["chung:lower"], lines["chung:upper"]
         worst = max(worst, lower.lhs - lower.rhs, upper.lhs - upper.rhs)
         for p in (0.6, 1.0):
             worst = max(worst, a.exact(p).phi ** 2 - 4.0 * a.cert(True).lambda2 / (2 * p - 1))

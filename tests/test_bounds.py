@@ -14,10 +14,6 @@ from isoperim import (
     MarkovChain,
     bound_suite,
     chain_from_graph,
-    check_cheeger,
-    check_chung,
-    check_morris_peres,
-    check_phi_p_upper_bound,
     conjecture_ratio,
     cycle_graph,
     dumbbell_graph,
@@ -37,28 +33,47 @@ _IRREVERSIBLE = "chain fails detailed balance; use ChainAnalysis.cert(True) inst
 from oracles import birth_death_matrix, birth_death_pi, eigh_certificate, light_cycle_matrix
 
 
+def _lines(a, reversible_ps=None, directed_ps=None):
+    """bound_suite's reports by name."""
+    return {r.name: r for r in bound_suite(a, reversible_ps, directed_ps)}
+
+
 def test_main_bound_two_state(two_state):
-    rep = check_phi_p_upper_bound(ChainAnalysis(two_state), 1.0)
+    rep = _lines(ChainAnalysis(two_state), [1.0])["phi_p_squared[p=1]"]
     assert rep.holds
     assert abs(rep.lhs - 1.0) < 1e-12
     assert abs(rep.rhs - 8.0) < 1e-12
 
 
 def test_main_bound_cycle4(cycle4):
-    rep = check_phi_p_upper_bound(ChainAnalysis(cycle4), 0.75)
+    rep = _lines(ChainAnalysis(cycle4), [0.75])["phi_p_squared[p=0.75]"]
     assert rep.holds
     assert abs(rep.rhs - 8.0) < 1e-9  # 8 * lambda2 with lambda2 = 1
 
 
-def test_main_bound_rejects_half(two_state):
-    with pytest.raises(InputError, match=r"requires p in \(1/2, 1\]"):
-        check_phi_p_upper_bound(ChainAnalysis(two_state), 0.5)
-    with pytest.raises(InputError, match=r"requires p in \(1/2, 1\]"):
-        check_phi_p_upper_bound(ChainAnalysis(two_state), 1.2)
+def test_bound_suite_drops_exponents_outside_the_main_bound(cycle4):
+    # phi_p^2 <= 4 lambda_2 / (2p - 1) needs p in (1/2, 1]; other exponents get no line
+    a = ChainAnalysis(cycle4)
+    names = [r.name for r in bound_suite(a, [0.0, 0.3, 0.5, 0.75, 1.2], [0.5, 0.6, 1.5, -0.2])]
+    assert [n for n in names if n.startswith("phi_p_squared")] == ["phi_p_squared[p=0.75]", "phi_p_squared[p=0.6]:directed"]
+    assert names == [r.name for r in bound_suite(ChainAnalysis(cycle4), [0.75], [0.6])]
+
+
+def test_phi_p_names_read_back_as_their_exponents(cycle4):
+    # the name keeps the shortest decimal that reads back as p, so close
+    # exponents get distinct names; where :g reads back it is that form
+    ps = [0.6, 0.75, 0.9, 1.0, 0.7000001, 0.7000002, 2 / 3, 0.1 + 0.7]
+    suite = bound_suite(ChainAnalysis(cycle4), ps, ps)
+    for tag in ("", ":directed"):
+        names = [r.name for r in suite if r.name.startswith("phi_p_squared[") and r.name.endswith("]" + tag)]
+        labels = [name.removeprefix("phi_p_squared[p=").removesuffix("]" + tag) for name in names]
+        assert [float(label) for label in labels] == ps
+        assert labels[:4] == ["0.6", "0.75", "0.9", "1"]
+        assert len(set(names)) == len(ps)
 
 
 def test_morris_peres_two_state(two_state):
-    rep = check_morris_peres(ChainAnalysis(two_state))
+    rep = _lines(ChainAnalysis(two_state), [])["morris_peres"]
     assert rep.holds
     assert abs(rep.lhs - 1.0 / (8.0 * math.log(2.0))) < 1e-12
     assert abs(rep.rhs - 2.0) < 1e-12
@@ -67,7 +82,7 @@ def test_morris_peres_two_state(two_state):
 def test_morris_peres_lazy_scaling(two_state):
     for delta in (0.1, 0.5):
         lazy = lazy_transform(two_state, delta)
-        rep = check_morris_peres(ChainAnalysis(lazy))
+        rep = _lines(ChainAnalysis(lazy), [])["morris_peres"]
         assert rep.holds
         phi = math.sqrt(delta)
         assert abs(rep.lhs - phi**2 / (8 * math.log(2 / phi))) < 1e-12
@@ -75,28 +90,33 @@ def test_morris_peres_lazy_scaling(two_state):
 
 
 def test_cheeger_two_state_and_cycle(two_state, cycle4):
-    easy, hard = check_cheeger(ChainAnalysis(two_state))
+    lines = _lines(ChainAnalysis(two_state), [])
+    easy, hard = lines["cheeger:lower"], lines["cheeger:upper"]
     assert easy.holds and hard.holds
     assert abs(easy.lhs - 1.0) < 1e-12 and abs(easy.rhs - 1.0) < 1e-12
     assert abs(hard.rhs - 2.0) < 1e-12
-    easy, hard = check_cheeger(ChainAnalysis(cycle4))
+    lines = _lines(ChainAnalysis(cycle4), [])
+    easy, hard = lines["cheeger:lower"], lines["cheeger:upper"]
     assert abs(easy.lhs - 0.5) < 1e-10 and abs(easy.rhs - 0.5) < 1e-15
     assert abs(hard.rhs - math.sqrt(2)) < 1e-10
 
 
 def test_chung_directed_cycles(directed_3cycle, directed_4cycle):
-    lower, upper = check_chung(ChainAnalysis(directed_3cycle))
+    lines = _lines(ChainAnalysis(directed_3cycle), None, [])
+    lower, upper = lines["chung:lower"], lines["chung:upper"]
     assert lower.holds and upper.holds
     assert abs(lower.lhs - 0.5) < 1e-12  # phi_1 = 1 via singletons
     assert abs(lower.rhs - 1.5) < 1e-10
     assert abs(upper.rhs - 2.0) < 1e-12
-    lower, upper = check_chung(ChainAnalysis(directed_4cycle))
+    lines = _lines(ChainAnalysis(directed_4cycle), None, [])
+    lower, upper = lines["chung:lower"], lines["chung:upper"]
     assert lower.holds and upper.holds
     assert abs(upper.lhs - 1.0) < 1e-10
 
 
 def test_chung_reduces_to_classical_for_reversible(cycle4):
-    lower, upper = check_chung(ChainAnalysis(cycle4))
+    lines = _lines(ChainAnalysis(cycle4), None, [])
+    lower, upper = lines["chung:lower"], lines["chung:upper"]
     w, _ = eigh_certificate(cycle4.P, cycle4.pi, False)  # I - S, solved on its own
     assert abs(lower.rhs - w[1]) < 1e-8
     assert lower.holds and upper.holds
@@ -116,29 +136,28 @@ def test_conjecture_ratio_lazy_invariant():
 
 
 def test_reversible_suite_bounds_hold():
+    names = ["cheeger:lower", "cheeger:upper", "morris_peres"] + [f"phi_p_squared[p={p}]" for p in ("0.6", "0.75", "0.9", "1")]
     for seed in range(40):
         n = 3 + seed % 10
         a = ChainAnalysis(chain_from_graph(random_reversible_graph(n, density=0.45, seed=7000 + seed)))
-        for p in (0.6, 0.75, 0.9, 1.0):
-            assert check_phi_p_upper_bound(a, p).holds
-        assert check_morris_peres(a).holds
-        easy, hard = check_cheeger(a)
-        assert easy.holds and hard.holds
+        suite = bound_suite(a, (0.6, 0.75, 0.9, 1.0))
+        assert [r.name for r in suite] == names
+        assert all(r.holds for r in suite)
 
 
 def test_directed_suite_bounds_hold():
+    names = ["chung:lower", "chung:upper", "morris_peres:directed", "phi_p_squared[p=0.6]:directed", "phi_p_squared[p=1]:directed"]
     for seed in range(25):
         n = 3 + seed % 8
         a = ChainAnalysis(chain_from_graph(random_directed_graph(n, density=0.45, seed=8000 + seed)))
-        lower, upper = check_chung(a)
-        assert lower.holds and upper.holds
-        for p in (0.6, 1.0):
-            assert check_phi_p_upper_bound(a, p, use_directed=True).holds
+        suite = bound_suite(a, None, (0.6, 1.0))
+        assert [r.name for r in suite] == names
+        assert all(r.holds for r in suite)
 
 
 def test_replaced_report_derives_its_verdict(two_state):
     # slack and holds follow the sides, so a copy with a new lhs is judged anew
-    rep = check_phi_p_upper_bound(ChainAnalysis(two_state), 0.75)
+    rep = _lines(ChainAnalysis(two_state), [0.75])["phi_p_squared[p=0.75]"]
     assert rep.holds
     bad = dataclasses.replace(rep, lhs=rep.rhs + 1)
     assert bad.holds is False
@@ -146,7 +165,7 @@ def test_replaced_report_derives_its_verdict(two_state):
 
 
 def test_report_fields(two_state):
-    rep = check_phi_p_upper_bound(ChainAnalysis(two_state), 0.75)
+    rep = _lines(ChainAnalysis(two_state), [0.75])["phi_p_squared[p=0.75]"]
     assert rep.slack == rep.rhs - rep.lhs
     assert rep.holds == (rep.slack >= -rep.tol)
     assert rep.cut.method == "exact"
@@ -219,17 +238,9 @@ def test_ratio_chain_monotone_in_m():
             prev = val
 
 
-def _standalone_suite(c, ps, reversible_side, directed_side, exact_ok):
-    # each check reads a store of its own
-    reports = []
-    for directed, on in ((False, reversible_side), (True, directed_side)):
-        if not on:
-            continue
-        reports.extend(check_chung(ChainAnalysis(c)) if directed else check_cheeger(ChainAnalysis(c)))
-        if exact_ok:
-            reports.append(check_morris_peres(ChainAnalysis(c), use_directed=directed))
-        reports.extend(check_phi_p_upper_bound(ChainAnalysis(c), p, use_directed=directed) for p in ps if 0.5 < p <= 1.0)
-    return reports
+def _standalone_suite(c, reversible_ps, directed_ps):
+    # each side reads a store of its own
+    return bound_suite(ChainAnalysis(c), reversible_ps) + bound_suite(ChainAnalysis(c), None, directed_ps)
 
 
 @pytest.mark.parametrize("cap", [24, 6])
@@ -241,7 +252,7 @@ def test_bound_suite_matches_standalone_checks(monkeypatch, cap):
         reversible = is_reversible(c)
         a = ChainAnalysis(c)
         suite = bound_suite(a, ps if reversible else None, ps)
-        expected = _standalone_suite(c, ps, reversible, True, cap == 24)
+        expected = _standalone_suite(c, ps if reversible else None, ps)
         assert [r.name for r in suite] == [r.name for r in expected]
         for got, want in zip(suite, expected):
             for field in ("name", "lhs", "rhs", "slack", "holds", "tol", "cut"):
@@ -252,7 +263,7 @@ def test_bound_suite_matches_standalone_checks(monkeypatch, cap):
         assert methods == ({"exact"} if cap == 24 else {"sweep"})
 
 
-# each checker's two sides as a function of the phi and lambda_2 it cites
+# each line's two sides as a function of the phi and lambda_2 it cites
 _SIDES = {
     "cheeger:lower": lambda phi, lam, p: (lam / 2.0, phi),
     "cheeger:upper": lambda phi, lam, p: (phi, math.sqrt(2.0 * lam)),

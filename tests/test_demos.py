@@ -45,13 +45,14 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
 # One public name per quantity: a chain's certificates are read through
 # ChainAnalysis.cert, its exact minima through exact_minima or
 # ChainAnalysis.exact, its sweep cuts through sweep_cuts or
-# ChainAnalysis.sweep, and its stationary vector as MarkovChain(P).pi.
+# ChainAnalysis.sweep, its bound lines through bound_suite, and its
+# stationary vector as MarkovChain(P).pi.
 PUBLIC_NAMES = {
     # the modules the package imports
     "bounds", "chains", "cuts", "errors", "families", "io", "spectral",
     # bounds
-    "BoundReport", "ChainAnalysis", "bound_suite", "check_cheeger", "check_chung", "check_morris_peres",
-    "check_phi_p_upper_bound", "conjecture_ratio", "geometric_chain_sum", "power_increment_supremum",
+    "BoundReport", "ChainAnalysis", "bound_suite", "conjecture_ratio", "geometric_chain_sum",
+    "power_increment_supremum",
     # chains
     "MarkovChain", "WeightedGraph", "chain_from_graph", "is_irreducible", "is_reversible",
     "lazy_transform",
@@ -73,5 +74,5 @@ def test_public_names_are_pinned():
     # a second path to a quantity cannot come back unnoticed; isoperim.cli is
     # bound only once something imports it
     public = {name for name in vars(isoperim) if not name.startswith("_")} - {"cli"}
-    assert len(PUBLIC_NAMES) == 54
+    assert len(PUBLIC_NAMES) == 50
     assert public == PUBLIC_NAMES

@@ -405,6 +405,44 @@ def test_families_public_refusals(call, message):
     assert type(exc.value) is InputError and str(exc.value) == message
 
 
+def _value(x):
+    """What a builder returns, in a form that compares by value."""
+    if isinstance(x, WeightedGraph):
+        return x.n, x.directed, x.edges.tolist()
+    if isinstance(x, MarkovChain):
+        return x.P.tolist(), x.pi.tolist()
+    return x
+
+
+@pytest.mark.parametrize(
+    "build, size, what",
+    [
+        pytest.param(cycle_graph, 8, "vertex count", id="cycle"),
+        pytest.param(hypercube_graph, 3, "dimension", id="hypercube"),
+        pytest.param(dumbbell_graph, 4, "bell size", id="dumbbell"),
+        pytest.param(gen_ht_counterexample, 8, "vertex count", id="ht"),
+        pytest.param(ht_counterexample_graph, 8, "vertex count", id="ht-graph"),
+        pytest.param(random_reversible_graph, 8, "vertex count", id="random"),
+        pytest.param(lambda s: random_reversible_graph(8, seed=s), 3, "seed", id="random-seed"),
+        pytest.param(random_directed_graph, 8, "vertex count", id="random-directed"),
+        pytest.param(lambda s: random_directed_graph(8, seed=s), 3, "seed", id="random-directed-seed"),
+        pytest.param(lambda s: arc_phi_half(s, 2), 8, "vertex count", id="arc-n"),
+        pytest.param(lambda s: arc_phi_half(8, s), 2, "arc length", id="arc-l"),
+        pytest.param(normalizer, 8, "vertex count", id="normalizer"),
+        pytest.param(lambda s: scaling_scan([s]), 64, "vertex count", id="scan"),
+        pytest.param(lambda s: PartitionBlocks((s, 2)), 3, "block size", id="blocks"),
+    ],
+)
+def test_family_sizes_are_taken_as_integers(build, size, what):
+    # an integral float builds what the int builds; anything else is refused,
+    # never truncated (scaling_scan([64.5]) ran n = 64) or left to a TypeError
+    assert _value(build(float(size))) == _value(build(size))
+    for bad in (size + 0.5, str(size), None):
+        with pytest.raises(InputError) as exc:
+            build(bad)
+        assert type(exc.value) is InputError and str(exc.value) == f"{what} {bad} is not an integer"
+
+
 def test_partition_blocks_validation():
     with pytest.raises(InputError, match="sizes must alternate"):
         PartitionBlocks((1, 2, 3))  # odd length

@@ -335,9 +335,11 @@ def test_cli_scan_default_nlist_increasing_rho(tmp_path):
 
 
 def test_cli_gadgets(capsys):
-    assert cli_main(["gadgets", "--p", "0.6,1.0", "--trials", "500", "--seed", "1"]) == 0
+    assert cli_main(["gadgets", "--p", "0.6,1.0,0.7000001,0.7000002", "--trials", "500", "--seed", "1"]) == 0
     out = capsys.readouterr().out
-    assert "power-increment p=0.6" in out
+    # a label is the shortest decimal that reads back as p, so close exponents print apart
+    labels = [line.split(":")[0] for line in out.splitlines()[:4]]
+    assert labels == ["power-increment p=0.6", "power-increment p=1", "power-increment p=0.7000001", "power-increment p=0.7000002"]
     assert "ratio-chain b0=0.25" in out
 
 

@@ -52,6 +52,10 @@ from that checkout with ``PYTHONPATH=<root>/src``. The matrix holds:
   and directed chains on 20 states, ``analyze --method exact`` at p = 0.55
   and 0.99 on them, and ``analyze --method exact`` at p = 0, 1/2 and 1 on a
   20-cycle, whose blocks the enumerator splits across threads;
+- ``analyze --p 0.7000001,0.7000002``, JSON and ``--report-format text``,
+  on the reversible chain on 20 states and, with ``--method sweep``, on a
+  random reversible chain on 40 states, above the exact cap: two exponents
+  that agree to 6 significant digits;
 - the first two of those on the reversible chain again, with the
   environment variable ``ISO_MAX_EXACT_N`` set to ``6`` and to ``abc``, each
   with its run without the variable as its twin: checkouts before the exact
@@ -92,7 +96,8 @@ from that checkout with ``PYTHONPATH=<root>/src``. The matrix holds:
 
 A plan entry may name environment variables, set for its command alone,
 and a twin: the id of another command whose results it must match in the
-change's checkout.
+change's checkout. It may also be marked ``bound_names``: its bound names
+may differ from the parent's.
 
 It compares exit codes, standard output and every output file, and a
 demo's standard error too, checks that each command that exits 2 wrote
@@ -103,13 +108,17 @@ a command's results differ from its twin's in the change's checkout, or
 when that checkout writes a traceback or a malformed error;
 otherwise 0.
 
-Two kinds of difference are expected and reported as ``EXPECTED``: on a
-file that is not UTF-8, checkouts before the UTF-8 check raise
+Three kinds of difference are expected and reported as ``EXPECTED``: on
+a file that is not UTF-8, checkouts before the UTF-8 check raise
 ``UnicodeDecodeError`` (a traceback), and later ones exit 2 with one
-``error:`` line; and a command with a twin may differ from the parent's
-run when the change's run is the twin's: checkouts before ``-0`` read as
-``0`` report such an exponent as ``-0``, and checkouts before the exact cap
-became a constant follow ``ISO_MAX_EXACT_N``.
+``error:`` line; a command with a twin may differ from the parent's run
+when the change's run is the twin's: checkouts before ``-0`` read as ``0``
+report such an exponent as ``-0``, and checkouts before the exact cap
+became a constant follow ``ISO_MAX_EXACT_N``; and a ``bound_names`` command
+may differ in the ``p=`` of its ``phi_p_squared`` names (and the text
+table's padding) when the change's names are distinct: checkouts before
+names printed the shortest decimal that reads back as p wrote
+``phi_p_squared[p=0.7]`` for both exponents.
 
 Sizes above the state limit are left out: older checkouts try to allocate
 them. A run takes about a minute on two cores; BLAS uses two threads.
@@ -124,6 +133,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -133,6 +143,7 @@ from unittest import mock
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+_P_NAME = re.compile(r"phi_p_squared\[p=[^\]]*\](:directed)?")
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import inputs  # noqa: E402
@@ -411,6 +422,11 @@ def build_plan(work: str) -> list[dict]:
         plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", *base, "--method", "both", "--p", "0,0.5,0.75,1"]})
         plan.append({"id": f"verify-{name}", "argv": ["verify", *base, "--suite", "all"]})
         plan.append({"id": f"analyze-exact-{name}-p0.55,0.99", "argv": ["analyze", *base, "--method", "exact", "--p", "0.55,0.99"]})
+    # exponents that agree to 6 significant digits, within the cap and above it
+    for name, method in (("rev20", "both"), ("rev40", "sweep")):
+        argv = ["analyze", "--input", os.path.join(work, f"{name}.tsv"), "--format", "edge-tsv", "--method", method, "--p", "0.7000001,0.7000002"]
+        plan.append({"id": f"analyze-close-p-{name}", "argv": argv, "bound_names": True})
+        plan.append({"id": f"analyze-text-close-p-{name}", "argv": [*argv, "--report-format", "text"], "bound_names": True})
     # ISO_MAX_EXACT_N, which once set the exact cap, changes nothing
     twins = [cmd for cmd in plan if cmd["id"] in ("analyze-both-rev20", "verify-rev20")]
     for value in ("6", "abc"):
@@ -509,6 +525,7 @@ def worker(root: str, plan_path: str, out_dir: str, result_path: str) -> int:
             {
                 "id": cmd["id"],
                 "twin": cmd.get("twin"),
+                "bound_names": cmd.get("bound_names", False),
                 "rc": rc,
                 "stdout": out.getvalue(),
                 "stderr": err.getvalue(),
@@ -549,15 +566,27 @@ def _same(a: dict, b: dict) -> bool:
     return all(a[key] == b[key] for key in ("rc", "stdout", "stderr", "files"))
 
 
+def _unnamed(stdout: str) -> str:
+    """Standard output without the p of its phi_p_squared names or the
+    padding a name's length sets."""
+    return re.sub(r" +", " ", _P_NAME.sub(lambda m: "phi_p_squared[p=?]" + (m[1] or ""), stdout))
+
+
 def _expected(p: dict, c: dict, twin: dict | None) -> str | None:
     """Why the change may differ from the parent on a command, or None: a
-    file that is not UTF-8 turns a traceback into a well-formed exit 2, and
-    a command with a twin writes what its twin writes (an exponent written
-    -0 reads as 0; ISO_MAX_EXACT_N is ignored)."""
+    file that is not UTF-8 turns a traceback into a well-formed exit 2, a
+    command with a twin writes what its twin writes (an exponent written
+    -0 reads as 0; ISO_MAX_EXACT_N is ignored), and a ``bound_names``
+    command differs only in the p of its bound names, which are distinct."""
     if c["id"].startswith("not-utf8-") and p["rc"] is None and c["rc"] == 2 and _error_ok(c):
         return "traceback -> exit 2"
     if twin is not None and _same(c, twin) and not _same(p, c):
         return f"as its twin {twin['id']}"
+    if c.get("bound_names") and not _same(p, c):
+        names = [m[0] for m in _P_NAME.finditer(c["stdout"])]
+        same_rest = all(p[key] == c[key] for key in ("rc", "stderr", "files")) and _unnamed(p["stdout"]) == _unnamed(c["stdout"])
+        if same_rest and len(set(names)) == len(names):
+            return f"bound names {', '.join(names)}"
     return None
 
 
