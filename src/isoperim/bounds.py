@@ -29,7 +29,7 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 from . import cuts
-from .chains import MarkovChain, is_reversible
+from .chains import MarkovChain, _integer, is_reversible
 from .cuts import CutResult, check_exact, exact_minima, sweep_cuts
 from .errors import InputError
 from .spectral import SpectralCertificate, _certificate
@@ -216,6 +216,7 @@ def power_increment_supremum(p: float, trials: int = 100_000, seed: int = 0) -> 
     """
     if not (0.5 < p <= 1.0):
         raise InputError(f"gadget requires p in (1/2, 1], got {p}")
+    seed, trials = _integer(seed, "seed"), _integer(trials, "trials")
     if seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
     if trials < 0:
@@ -258,6 +259,7 @@ def geometric_chain_sum(b0: float, m: int) -> float:
     """
     if not (0.0 < b0 <= 1.0):
         raise InputError(f"b0 must lie in (0, 1], got {b0}")
+    m = _integer(m, "m")
     if m < 0:
         raise InputError("m must be nonnegative")
     y = math.log(b0) / (m + 1)

@@ -8,8 +8,8 @@ Subcommands:
   scan      growth table of the inverse-cube counterexample family (CSV)
   gadgets   numeric suprema behind the sweep analysis
 
-Exit codes: 0 success, 1 failed bound in ``verify``, 2 usage or input
-errors.
+An input file's header picks its reader (see :mod:`isoperim.io`). Exit
+codes: 0 success, 1 failed bound in ``verify``, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .families import (
     scaling_scan,
 )
 from .io import (
-    FORMATS,
     bound_to_dict,
     cut_to_dict,
     emit_report,
@@ -88,7 +87,7 @@ def _emit(args: argparse.Namespace, a: ChainAnalysis, spectral: dict, cuts: list
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    c = load_chain(args.input, args.format)
+    c = load_chain(args.input)
     ps = _parse_p_list(args.p)
     a = ChainAnalysis(c, ps if args.method != "sweep" else (), ps if args.method != "exact" else ())
     directed = args.directed_spectral or not a.reversible
@@ -123,7 +122,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    c = load_chain(args.input, args.format)
+    c = load_chain(args.input)
     ps = _parse_p_list(args.p)
     if len(ps) != 1:
         raise InputError(f"sweep takes one exponent, got --p {args.p!r}")
@@ -138,7 +137,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    c = load_chain(args.input, args.format)
+    c = load_chain(args.input)
     a = ChainAnalysis(c)
     if args.suite == "reversible" and not a.reversible:
         raise InputError("reversible suite requested on a non-reversible chain")
@@ -156,8 +155,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.family != "ht-counterexample":
-        raise InputError(f"scan supports only the ht-counterexample family, got {args.family!r}")
     rows = scaling_scan(_parse_n_list(args.n_list), output=args.out)
     for r in rows:
         sys.stdout.write(
@@ -186,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="full report for an input chain")
     pa.add_argument("--input", required=True)
-    pa.add_argument("--format", choices=FORMATS, default="edge-tsv")
     pa.add_argument("--p", default="0.5,1", help="comma-separated exponents in [0, 1]")
     pa.add_argument("--method", choices=["exact", "sweep", "both"], default="both")
     pa.add_argument("--directed-spectral", action="store_true")
@@ -204,19 +200,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     psw = sub.add_parser("sweep", help="sweep cut with its guarantee check")
     psw.add_argument("--input", required=True)
-    psw.add_argument("--format", choices=FORMATS, default="edge-tsv")
     psw.add_argument("--p", required=True, help="one exponent in [0, 1]")
     psw.add_argument("--out", default=None)
     psw.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="check all applicable bounds; exit 1 on failure")
     pv.add_argument("--input", required=True)
-    pv.add_argument("--format", choices=FORMATS, default="edge-tsv")
     pv.add_argument("--suite", choices=["reversible", "directed", "all"], default="all")
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("scan", help="counterexample growth table")
-    ps.add_argument("--family", default="ht-counterexample")
     ps.add_argument("--n-list", default="64,128,256,512,1024")
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_scan)

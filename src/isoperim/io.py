@@ -1,17 +1,17 @@
 """File formats and report serialization.
 
-Two input formats are supported. ``edge-tsv`` starts with a header line
-``undirected`` or ``directed`` followed by ``u<TAB>v<TAB>w`` lines with
-1-based vertex ids; undirected edges are stored once, so listing both (u, v)
-and (v, u) is a parse error. ``dense-matrix`` starts with
-``matrix-kind transition`` or ``matrix-kind weight`` followed by n rows of n
-whitespace-separated reals; a transition matrix becomes a validated
-raw-matrix chain, and a nonnegative weight matrix is read straight into
-the transition matrix of the natural random walk on it, undirected when
-symmetric and directed otherwise; its first negative entry in row order is
-named at its line. In either kind, so is the first row whose width differs
-from the first row's, or that is past that width. Input is UTF-8, lines
-end at ``\n``, ``\r\n`` or ``\r``, tokens are separated by whatever
+An input file's header, its first line that is neither blank nor a comment,
+picks its reader. ``undirected`` or ``directed`` starts an edge-tsv file:
+``u<TAB>v<TAB>w`` lines with 1-based vertex ids; undirected edges are stored
+once, so listing both (u, v) and (v, u) is a parse error.
+``matrix-kind transition`` or ``matrix-kind weight`` starts a dense matrix:
+n rows of n whitespace-separated reals; a transition matrix becomes a
+validated raw-matrix chain, and a nonnegative weight matrix is read straight
+into the transition matrix of the natural random walk on it, undirected
+when symmetric and directed otherwise; its first negative entry in row
+order is named at its line. In either kind, so is the first row whose width
+differs from the first row's, or that is past that width. Input is UTF-8,
+lines end at ``\n``, ``\r\n`` or ``\r``, tokens are separated by whatever
 ``str.split`` splits at, and blank lines and lines whose first token starts
 with ``#`` are skipped.
 
@@ -54,7 +54,7 @@ from .chains import _walk, check_states, edge_fault
 from .cuts import CutResult
 from .errors import InputError, NumericalFailure, TooLarge
 
-FORMATS = ("edge-tsv", "dense-matrix")
+_HEADERS = ("undirected", "directed", "matrix-kind transition", "matrix-kind weight")
 
 
 def _fmt(x: float) -> str:
@@ -84,8 +84,8 @@ def _row(raw: bytes, k: int) -> tuple[int, list[str]]:
     return lineno, tokens
 
 
-def _body(path: str, raw: bytes, headers: tuple[str, ...]) -> tuple[str, Iterator[tuple[int, str, list[str]]], bool]:
-    """The header of an input file's bytes, one of ``headers`` up to
+def _body(path: str, raw: bytes) -> tuple[str, Iterator[tuple[int, str, list[str]]], bool]:
+    """The header of an input file's bytes, one of ``_HEADERS`` up to
     whitespace, the lines after it, at least one, as ``_lines`` gives them,
     and whether the bytes are ASCII."""
     is_ascii = raw.isascii()
@@ -99,11 +99,11 @@ def _body(path: str, raw: bytes, headers: tuple[str, ...]) -> tuple[str, Iterato
             lineno = raw[:bad].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
             raise InputError(f"{path}:{lineno}: not UTF-8 text (byte {raw[bad]:#04x})") from None
     lines = _lines(raw)
-    expected = " or ".join(map(repr, headers))
+    expected = ", ".join(map(repr, _HEADERS[:-1])) + f" or {_HEADERS[-1]!r}"
     lineno, line, tokens = next(lines, (0, "", None))
     if tokens is None:
         raise InputError(f"{path}: empty file, expected header {expected}")
-    if " ".join(tokens) not in headers:
+    if " ".join(tokens) not in _HEADERS:
         raise InputError(f"{path}:{lineno}: header must be {expected}, got {line.strip()!r}")
     first = next(lines, None)
     if first is None:
@@ -207,8 +207,7 @@ def _line_rows(path: str, lines: Iterator[tuple[int, str, list[str]]]) -> np.nda
     return np.frombuffer(values).reshape(-1, 3)
 
 
-def _parse_edge_tsv(path: str, raw: bytes, stamp: tuple | None) -> WeightedGraph:
-    header, lines, is_ascii = _body(path, raw, ("undirected", "directed"))
+def _parse_edge_tsv(path: str, raw: bytes, header: str, lines: Iterator, is_ascii: bool, stamp: tuple | None) -> WeightedGraph:
     edges = _c_rows(path, raw, header, is_ascii, stamp)
     if edges is None:
         edges = _line_rows(path, lines)
@@ -216,9 +215,8 @@ def _parse_edge_tsv(path: str, raw: bytes, stamp: tuple | None) -> WeightedGraph
     return _graph(path, _shift(edges, directed), edges, directed, raw)
 
 
-def _parse_dense(path: str, raw: bytes) -> tuple[bool, np.ndarray]:
-    """The checked matrix of a dense file, and whether it holds weights."""
-    header, lines, _ = _body(path, raw, ("matrix-kind transition", "matrix-kind weight"))
+def _parse_dense(path: str, raw: bytes, header: str, lines: Iterator) -> np.ndarray:
+    """The checked matrix of a dense file."""
     values, rows = array("d"), 0
     for lineno, _, tokens in lines:
         if rows == 0:
@@ -245,29 +243,28 @@ def _parse_dense(path: str, raw: bytes) -> tuple[bool, np.ndarray]:
     M = np.frombuffer(values).reshape(n, n)
     if header == "matrix-kind transition":
         M.setflags(write=False)
-        return False, M
+        return M
     first = int((M < 0).argmax())  # in row order, so on or above the diagonal of a symmetric M
     if M.flat[first] < 0:
         lineno, tokens = _row(raw, first // n)
         raise InputError(f"{path}:{lineno}: negative weight {tokens[first % n]!r}")
     M += 0.0  # a -0.0 entry becomes 0.0
-    return True, M
+    return M
 
 
-def parse_graph(path: str, format: str) -> WeightedGraph | MarkovChain:
-    """Read an input file: the graph of an edge-tsv file, or the chain of a
-    dense matrix, a weight matrix read straight into the matrix of the walk
-    on it, undirected when symmetric."""
-    if format not in FORMATS:
-        raise InputError(f"unknown format {format!r}; expected one of {FORMATS}")
+def parse_graph(path: str) -> WeightedGraph | MarkovChain:
+    """Read an input file, whose header picks its reader: the graph of an
+    edge-tsv file, or the chain of a dense matrix, a weight matrix read
+    straight into the matrix of the walk on it, undirected when symmetric."""
     with open(path, "rb") as fh:
         stamp = _stamp(os.fstat(fh.fileno()))
         raw = fh.read()
-    if format == "edge-tsv":
-        return _parse_edge_tsv(path, raw, stamp)
-    weights, M = _parse_dense(path, raw)
-    del raw  # past the dense checks no message names a line: the bytes go before the chain is built
-    if not weights:
+    header, lines, is_ascii = _body(path, raw)
+    if header in ("undirected", "directed"):
+        return _parse_edge_tsv(path, raw, header, lines, is_ascii, stamp)
+    M = _parse_dense(path, raw, header, lines)
+    del raw, lines  # past the dense checks no message names a line: the bytes go before the chain is built
+    if header == "matrix-kind transition":
         return MarkovChain(M)
     return _walk(M, directed=not np.array_equal(M, M.T))
 
@@ -277,8 +274,8 @@ def as_chain(obj: WeightedGraph | MarkovChain) -> MarkovChain:
     return obj if isinstance(obj, MarkovChain) else chain_from_graph(obj)
 
 
-def load_chain(path: str, format: str) -> MarkovChain:
-    return as_chain(parse_graph(path, format))
+def load_chain(path: str) -> MarkovChain:
+    return as_chain(parse_graph(path))
 
 
 def _byte_table(texts: list[str]) -> np.ndarray:

@@ -285,12 +285,13 @@ def naive_sweep(c, p, cert):
     return best
 
 
-def _header_and_body(path, headers):
-    """The header line, one of ``headers`` up to whitespace, and the numbered
-    lines after it; blank lines and ``#`` comments are skipped."""
+def _header_and_body(path):
+    """The header line, one of the four headers up to whitespace, and the
+    numbered lines after it; blank lines and ``#`` comments are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(lineno, line) for lineno, raw in enumerate(fh, start=1) if (line := raw.strip()) and line[0] != "#"]
-    expected = " or ".join(map(repr, headers))
+    headers = ("undirected", "directed", "matrix-kind transition", "matrix-kind weight")
+    expected = "'undirected', 'directed', 'matrix-kind transition' or 'matrix-kind weight'"
     if not lines:
         raise InputError(f"{path}: empty file, expected header {expected}")
     lineno, header = lines[0]
@@ -324,10 +325,9 @@ def _zero_based(edges, directed):
     return max(int(edges[:, :2].max()) + 1, 1)
 
 
-def naive_parse_edge_tsv(path):
+def naive_parse_edge_tsv(path, header, body):
     """An edge-tsv file read line by line: the reference for its tokens, its
     accepted graphs and its error messages."""
-    header, body = _header_and_body(path, ("undirected", "directed"))
     directed = header == "directed"
     rows = []
     for lineno, line in body:
@@ -343,9 +343,8 @@ def naive_parse_edge_tsv(path):
     return _graph(path, n, edges, directed, lambda row: (body[row][0], *body[row][1].split()))
 
 
-def naive_parse_dense(path):
+def naive_parse_dense(path, header, body):
     """A dense-matrix file read line by line, the same way."""
-    header, body = _header_and_body(path, ("matrix-kind transition", "matrix-kind weight"))
     rows = []
     n = len(body[0][1].split())  # the first row's width, which every row must have
     for lineno, line in body:
@@ -372,9 +371,11 @@ def naive_parse_dense(path):
     return _graph(path, n, edges, directed, lambda r: (body[u[r]][0], u[r] + 1, v[r] + 1, body[u[r]][1].split()[v[r]]))
 
 
-def naive_parse_graph(path, format):
-    """The reference reading of an input file in either format."""
-    return naive_parse_edge_tsv(path) if format == "edge-tsv" else naive_parse_dense(path)
+def naive_parse_graph(path):
+    """The reference reading of an input file, whose header picks the reader."""
+    header, body = _header_and_body(path)
+    read = naive_parse_dense if header.startswith("matrix-kind") else naive_parse_edge_tsv
+    return read(path, header, body)
 
 
 def naive_write_graph_tsv(g, path):

@@ -207,6 +207,24 @@ def test_gadget_rejects_small_p():
         power_increment_supremum(0.5, trials=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "call, size, what",
+    [
+        pytest.param(lambda v: power_increment_supremum(0.75, trials=v, seed=1), 10, "trials", id="trials"),
+        pytest.param(lambda v: power_increment_supremum(0.75, trials=10, seed=v), 1, "seed", id="seed"),
+        pytest.param(lambda v: geometric_chain_sum(0.5, v), 2, "m", id="m"),
+    ],
+)
+def test_gadget_counts_are_taken_as_integers(call, size, what):
+    # an integral float gives what the int gives; anything else is refused,
+    # never left to a TypeError from numpy or read as a fractional chain length
+    assert call(float(size)) == call(size)
+    for bad in (size + 0.5, str(size), None):
+        with pytest.raises(InputError) as exc:
+            call(bad)
+        assert type(exc.value) is InputError and str(exc.value) == f"{what} {bad} is not an integer"
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     p=st.sampled_from([0.51, 0.6, 0.75, 0.9, 1.0]),

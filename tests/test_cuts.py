@@ -365,6 +365,15 @@ def test_exact_minima_match_blocked_enumerator(c, ps):
     _assert_same_minima(c, ps)
 
 
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    # where the platform has no sched_getaffinity: every CPU, or one when
+    # their number is unknown
+    monkeypatch.delattr(cuts.os, "sched_getaffinity", raising=False)
+    assert cuts._usable_cpus() == (cuts.os.cpu_count() or 1)
+    monkeypatch.setattr(cuts.os, "cpu_count", lambda: None)
+    assert cuts._usable_cpus() == 1
+
+
 _SPLITS = [(1, None), (1, 5), (2, 64), (3, 700)]  # (cpus, _SCORE_ROWS or the default)
 
 

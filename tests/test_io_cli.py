@@ -38,10 +38,14 @@ from isoperim.io import cut_to_dict
 from oracles import birth_death_matrix, naive_parse_graph, naive_write_graph_tsv
 
 
+# what an empty file or a bad header is told: the four headers, each picking its reader
+_KNOWN_HEADERS = "'undirected', 'directed', 'matrix-kind transition' or 'matrix-kind weight'"
+
+
 def test_parse_single_edge(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("# comment\nundirected\n1\t2\t1.0\n")
-    g = parse_graph(str(path), "edge-tsv")
+    g = parse_graph(str(path))
     assert isinstance(g, WeightedGraph)
     assert g.n == 2 and not g.directed
     assert g.edges.dtype == np.float64 and not g.edges.flags.writeable
@@ -52,28 +56,29 @@ def test_parse_duplicate_undirected_edge(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("undirected\n1\t2\t1.0\n2\t1\t0.5\n")
     with pytest.raises(InputError, match="duplicate edge"):
-        parse_graph(str(path), "edge-tsv")
+        parse_graph(str(path))
 
 
 def test_parse_header_required(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("1\t2\t1.0\n")
-    with pytest.raises(InputError, match="header must be 'undirected' or 'directed'"):
-        parse_graph(str(path), "edge-tsv")
+    with pytest.raises(InputError) as exc:
+        parse_graph(str(path))
+    assert str(exc.value) == f"{path}:1: header must be {_KNOWN_HEADERS}, got '1\\t2\\t1.0'"
 
 
 def test_parse_negative_weight(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("undirected\n1\t2\t-1\n")
     with pytest.raises(InputError, match="negative weight"):
-        parse_graph(str(path), "edge-tsv")
+        parse_graph(str(path))
 
 
 def test_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("undirected\n1\t2\t1.0\nbroken line\n")
     with pytest.raises(InputError, match="expected 'u<TAB>v<TAB>w'") as err:
-        parse_graph(str(path), "edge-tsv")
+        parse_graph(str(path))
     assert ":3:" in str(err.value)
 
 
@@ -82,7 +87,7 @@ def test_parse_dense_transition(tmp_path):
     P = np.array([[0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0]])
     body = "\n".join(" ".join(f"{x:.17g}" for x in row) for row in P)
     path.write_text("matrix-kind transition\n" + body + "\n")
-    c = parse_graph(str(path), "dense-matrix")
+    c = parse_graph(str(path))
     assert isinstance(c, MarkovChain)
     assert c.origin == "raw-matrix"
     assert np.array_equal(c.P, P)
@@ -91,7 +96,7 @@ def test_parse_dense_transition(tmp_path):
 def test_parse_dense_weight_symmetric(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("matrix-kind weight\n0 1\n1 0\n")
-    c = parse_graph(str(path), "dense-matrix")
+    c = parse_graph(str(path))
     assert isinstance(c, MarkovChain) and c.origin == "undirected-graph"
     assert c.P.tobytes() == np.array([[0.0, 1.0], [1.0, 0.0]]).tobytes()
 
@@ -99,7 +104,7 @@ def test_parse_dense_weight_symmetric(tmp_path):
 def test_parse_dense_weight_asymmetric_is_directed(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("matrix-kind weight\n0 2 1\n1 0 0\n1 0 0\n")
-    c = parse_graph(str(path), "dense-matrix")
+    c = parse_graph(str(path))
     assert isinstance(c, MarkovChain) and c.origin == "directed-graph"
     W = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     assert c.P.tobytes() == (W / W.sum(axis=1, keepdims=True)).tobytes()
@@ -108,15 +113,16 @@ def test_parse_dense_weight_asymmetric_is_directed(tmp_path):
 def test_parse_dense_bad_header(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("matrix-kind foo\n0 1\n1 0\n")
-    with pytest.raises(InputError, match="header must be 'matrix-kind transition' or 'matrix-kind weight'"):
-        parse_graph(str(path), "dense-matrix")
+    with pytest.raises(InputError) as exc:
+        parse_graph(str(path))
+    assert str(exc.value) == f"{path}:1: header must be {_KNOWN_HEADERS}, got 'matrix-kind foo'"
 
 
 def test_graph_roundtrip_families(tmp_path):
     for g in (cycle_graph(5), ht_counterexample_graph(9), random_reversible_graph(7, 0.5, 3)):
         path = tmp_path / "f.tsv"
         write_graph_tsv(g, str(path))
-        g2 = parse_graph(str(path), "edge-tsv")
+        g2 = parse_graph(str(path))
         c1, c2 = as_chain(g), as_chain(g2)
         assert np.max(np.abs(c1.P - c2.P)) <= 1e-15
         assert np.max(np.abs(c1.pi - c2.pi)) <= 1e-15
@@ -142,6 +148,10 @@ def test_report_json_roundtrip_bit_identical():
     text2 = emit_report(parsed, None, format="json")
     assert text1 == text2
     assert parsed["spectral"]["residual_reversible"] == 1.2345678901234567e-16
+    # an empty section and a None value round-trip too
+    sparse = {**rep, "spectral": {}, "provenance": {"source": None, "tool_version": "0.1.0"}}
+    text = emit_report(sparse, None)
+    assert '"spectral": {},' in text and '"source": null,' in text and json.loads(text) == sparse
 
 
 def test_report_emit_deterministic(tmp_path):
@@ -155,24 +165,16 @@ def test_report_emit_deterministic(tmp_path):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        pytest.param(
-            lambda path: parse_graph(path, "edge-tsv"), InputError, "{path}: empty file, expected header 'undirected' or 'directed'", id="empty-edge-tsv"
-        ),
-        pytest.param(
-            lambda path: parse_graph(path, "dense-matrix"),
-            InputError,
-            "{path}: empty file, expected header 'matrix-kind transition' or 'matrix-kind weight'",
-            id="empty-dense-matrix",
-        ),
-        pytest.param(
-            lambda path: parse_graph(path, "csv"), InputError, "unknown format 'csv'; expected one of ('edge-tsv', 'dense-matrix')", id="format"
-        ),
+        pytest.param(parse_graph, InputError, "{path}: empty file, expected header " + _KNOWN_HEADERS, id="empty"),
         pytest.param(lambda path: emit_report(_tiny_report(), None, format="xml"), InputError, "unknown report format 'xml'", id="report-format"),
         pytest.param(
             lambda path: emit_report({**_tiny_report(), "spectral": {"lambda2_reversible": float("nan")}}, None),
             NumericalFailure,
             "cannot serialize non-finite value nan",
             id="non-finite",
+        ),
+        pytest.param(
+            lambda path: emit_report({**_tiny_report(), "spectral": {"x": {1}}}, None), TypeError, "cannot serialize <class 'set'>", id="unknown-type"
         ),
     ],
 )
@@ -206,7 +208,7 @@ def test_cli_verify_all_on_a_birth_death_chain_with_tiny_pi(tmp_path, capsys):
     P = birth_death_matrix(8, 1e-6, 0.5)
     path = tmp_path / "bd8.txt"
     path.write_text("matrix-kind transition\n" + "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in P))
-    assert cli_main(["verify", "--input", str(path), "--format", "dense-matrix", "--suite", "all"]) == 0
+    assert cli_main(["verify", "--input", str(path), "--suite", "all"]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -216,7 +218,7 @@ def test_cli_on_a_matrix_with_a_negative_rounding_entry(tmp_path, capsys, argv):
     # phi_p or bound is NaN
     path = tmp_path / "negative.txt"
     path.write_text("matrix-kind transition\n0.5 0.500000000000001 -1e-15\n0.1 0.1 0.8\n0.05 0.05 0.9\n")
-    assert cli_main([*argv, "--input", str(path), "--format", "dense-matrix"]) == 0
+    assert cli_main([*argv, "--input", str(path)]) == 0
     out, err = capsys.readouterr()
     assert err == "" and not re.search(r"\bnan\b", out, re.IGNORECASE) and "VIOLATED" not in out
     if argv[0] == "analyze":
@@ -226,7 +228,7 @@ def test_cli_on_a_matrix_with_a_negative_rounding_entry(tmp_path, capsys, argv):
 def test_cli_generate_ht_family_roundtrip(tmp_path):
     out = tmp_path / "ht.tsv"
     assert cli_main(["generate", "--family", "ht-counterexample", "--n", "8", "--out", str(out)]) == 0
-    c = load_chain(str(out), "edge-tsv")
+    c = load_chain(str(out))
     chain = gen_ht_counterexample(8)
     assert np.max(np.abs(c.P - chain.P)) <= 1e-15
 
@@ -319,7 +321,7 @@ def test_cli_verify_exit_codes(tmp_path):
 
 def test_cli_scan(tmp_path):
     out = tmp_path / "scan.csv"
-    assert cli_main(["scan", "--family", "ht-counterexample", "--n-list", "16,32", "--out", str(out)]) == 0
+    assert cli_main(["scan", "--n-list", "16,32", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "n,lambda2,phi_half_arc,rho,lambda2_scaled,phi_scaled"
     assert len(lines) == 3
@@ -343,9 +345,22 @@ def test_cli_gadgets(capsys):
     assert "ratio-chain b0=0.25" in out
 
 
-def test_cli_usage_error_exit_2():
+def test_cli_usage_error_exit_2(tmp_path, capsys):
     assert cli_main(["analyze"]) == 2  # missing --input
     assert cli_main(["frobnicate"]) == 2
+    # a file's header picks its reader, and scan has one family: neither is an option
+    out = tmp_path / "out.txt"
+    for option, argv in (
+        ("--format", ["analyze", "--input", "g.tsv", "--format", "edge-tsv"]),
+        ("--format", ["sweep", "--input", "g.tsv", "--p", "1", "--format", "edge-tsv"]),
+        ("--format", ["verify", "--input", "g.tsv", "--format", "dense-matrix"]),
+        ("--family", ["scan", "--family", "ht-counterexample", "--n-list", "16", "--out", str(out)]),
+    ):
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {option}" in captured.err
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -560,9 +575,10 @@ def _one_error_line(capsys):
     ],
 )
 def test_cli_bad_input_values_exit_2(tmp_path, capsys, fmt, text, message):
-    path = tmp_path / "in.txt"
+    # the file is named as the other kind would be: only its header picks the reader
+    path = tmp_path / ("in.txt" if fmt == "edge-tsv" else "in.tsv")
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    assert cli_main(["analyze", "--input", str(path), "--format", fmt]) == 2
+    assert cli_main(["analyze", "--input", str(path)]) == 2
     err = _one_error_line(capsys)
     assert message in err
     if message.startswith(":"):
@@ -586,7 +602,6 @@ def test_cli_bad_input_values_exit_2(tmp_path, capsys, fmt, text, message):
         (["scan", "--n-list", "1048576", "--out", "OUT"], "scan supports n <= 65536, got 1048576"),
         # appended last: pytest names these cases by their position
         (["gadgets", "--trials", "-5"], "trials must be a nonnegative integer, got -5"),
-        (["scan", "--family", "cycle", "--out", "OUT"], "scan supports only the ht-counterexample family, got 'cycle'"),
     ],
 )
 def test_cli_bad_parameters_exit_2(tmp_path, capsys, argv, message):
@@ -712,7 +727,7 @@ def fuzz_dir(tmp_path_factory):
 def test_cli_fuzz_file_commands(fuzz_dir, fmt, data, command, p_text, option):
     path = fuzz_dir / "input.txt"
     path.write_text("\n".join(data.draw(_edge_tsv() if fmt == "edge-tsv" else _dense())) + "\n")
-    argv = [command, "--input", str(path), "--format", fmt]
+    argv = [command, "--input", str(path)]
     if command == "verify":
         argv += ["--suite", option if option in ("reversible", "directed", "all") else "all"]
     else:
@@ -730,9 +745,9 @@ def test_cli_fuzz_scan(fuzz_dir, n_list):
 
 # --- the reader against the line-by-line oracle --------------------------------
 
-def _outcome(parse, path, fmt):
+def _outcome(parse, path):
     try:
-        obj = parse(str(path), fmt)
+        obj = parse(str(path))
     except IsoperimError as exc:
         return type(exc).__name__, str(exc)
     if isinstance(obj, MarkovChain):
@@ -746,7 +761,7 @@ def _reads(fmt):
     chain and the oracle into a graph, so dense files compare as chains."""
     if fmt == "edge-tsv":
         return parse_graph, naive_parse_graph
-    return load_chain, lambda path, fmt: as_chain(naive_parse_graph(path, fmt))
+    return load_chain, lambda path: as_chain(naive_parse_graph(path))
 
 
 def _write_raw(path, text):
@@ -794,7 +809,7 @@ def test_parse_matches_oracle(fuzz_dir, fmt, ascii_only, data):
     path = fuzz_dir / "oracle.txt"
     _write_raw(path, text)
     read, oracle = _reads(fmt)
-    assert _outcome(read, path, fmt) == _outcome(oracle, path, fmt)
+    assert _outcome(read, path) == _outcome(oracle, path)
 
 
 def _big_directed(lines):
@@ -858,13 +873,13 @@ def test_parse_line_faults_match_oracle(tmp_path, capsys):
         for fmt, text, message in cases:
             _write_raw(path, text)
             read, oracle = _reads(fmt)
-            outcome = _outcome(read, path, fmt)
-            assert outcome == _outcome(oracle, path, fmt), text[:60]
+            outcome = _outcome(read, path)
+            assert outcome == _outcome(oracle, path), text[:60]
             assert outcome[0] in ("InputError", "TooLarge") if message else isinstance(outcome[0], int)
             if message:
                 assert message in outcome[1], (text[:60], outcome)
             if message == ": nothing after the header":
-                assert cli_main(["analyze", "--input", str(path), "--format", fmt]) == 2
+                assert cli_main(["analyze", "--input", str(path)]) == 2
                 assert f"{path}{message}" in _one_error_line(capsys)
 
 
@@ -873,7 +888,7 @@ def test_cli_refuses_a_tall_dense_file_in_one_short_line(tmp_path, capsys):
     # error line does not grow with the file
     path = tmp_path / "tall.txt"
     path.write_text("matrix-kind weight\n" + "0 1 1\n" * 16384)
-    assert cli_main(["analyze", "--input", str(path), "--format", "dense-matrix"]) == 2
+    assert cli_main(["analyze", "--input", str(path)]) == 2
     err = _one_error_line(capsys)
     assert err == f"error: {path}:5: matrix must be square, got more than 3 rows of 3 entries\n"
     assert len(err.encode()) < 200
@@ -881,20 +896,20 @@ def test_cli_refuses_a_tall_dense_file_in_one_short_line(tmp_path, capsys):
 
 def test_parse_opens_each_file_once(tmp_path):
     path = tmp_path / "in.txt"
-    for fmt, text in [
-        ("edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n"),
-        ("edge-tsv", "undirected\n1\t2\t1\n# note\n2\t3\t1\n"),
-        ("edge-tsv", "undirected\n1\t2\t1\n2\t3\n"),
-        ("edge-tsv", "undirected\n1\t2\t1\n2\t1\t1\n"),
-        ("edge-tsv", "directed\n\n  \n"),
-        ("edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n3\t2\t0.5\n"),
-        ("dense-matrix", "matrix-kind weight\n0 1\n# note\n1 0\n"),
-        ("dense-matrix", "matrix-kind weight\n0 1\n1 x\n"),
+    for text in [
+        "undirected\n1\t2\t1\n2\t3\t1\n",
+        "undirected\n1\t2\t1\n# note\n2\t3\t1\n",
+        "undirected\n1\t2\t1\n2\t3\n",
+        "undirected\n1\t2\t1\n2\t1\t1\n",
+        "directed\n\n  \n",
+        "undirected\n1\t2\t1\n2\t3\t1\n3\t2\t0.5\n",
+        "matrix-kind weight\n0 1\n# note\n1 0\n",
+        "matrix-kind weight\n0 1\n1 x\n",
     ]:
         path.write_text(text)
         with mock.patch("builtins.open", wraps=open) as opened:
             try:
-                parse_graph(str(path), fmt)
+                parse_graph(str(path))
             except InputError:
                 pass
         assert opened.call_count == 1, text
@@ -922,7 +937,7 @@ def test_plain_edge_tsv_never_reaches_the_line_reader(tmp_path, monkeypatch):
     wanted = []
     for text in texts:
         _write_raw(path, text)
-        wanted.append(_outcome(naive_parse_graph, path, "edge-tsv"))
+        wanted.append(_outcome(naive_parse_graph, path))
 
     assert [want[0] for want in wanted[-4:]] == ["InputError", "InputError", "InputError", "TooLarge"]
 
@@ -932,7 +947,7 @@ def test_plain_edge_tsv_never_reaches_the_line_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(isoperim.io, "_line_rows", refuse)
     for text, want in zip(texts, wanted):
         _write_raw(path, text)
-        assert _outcome(parse_graph, path, "edge-tsv") == want, text[:60]
+        assert _outcome(parse_graph, path) == want, text[:60]
 
 
 def test_c_reader_agrees_with_int_and_float_or_rejects(tmp_path):
@@ -957,7 +972,7 @@ def _check_c_reader_against_int_and_float(path, by_path):
                 raw = b"directed\n" + body + b"\n"
                 path.write_bytes(raw)
                 try:
-                    header, _, is_ascii = isoperim.io._body(str(path), raw, ("directed",))
+                    header, _, is_ascii = isoperim.io._body(str(path), raw)
                 except IsoperimError:  # no body line: refused before any conversion
                     continue
                 stamp = isoperim.io._stamp(os.stat(path)) if by_path else None
@@ -991,9 +1006,9 @@ def test_parsers_hand_their_edge_array_to_the_graph_uncopied(tmp_path, monkeypat
     monkeypatch.setattr(isoperim.io.np, "frombuffer", convert)
     path = tmp_path / "in.txt"
     path.write_text("undirected\n1\t2\t1\n2\t3\t1\n")
-    assert parse_graph(str(path), "edge-tsv").edges is handed[-1]
+    assert parse_graph(str(path)).edges is handed[-1]
     path.write_text("matrix-kind weight\n0 1\n1 0\n")
-    c = parse_graph(str(path), "dense-matrix")
+    c = parse_graph(str(path))
     assert len(handed) == 1 and c.P.base is converted[-1]
 
 
@@ -1067,11 +1082,11 @@ def test_plain_file_with_a_compressed_suffix_is_read_from_its_bytes(tmp_path, mo
     path = tmp_path / "g.tsv"
     write_graph_tsv(random_directed_graph(12, 0.5, 3), str(path))
     sources = _loadtxt_sources(monkeypatch)
-    want = _outcome(parse_graph, path, "edge-tsv")
+    want = _outcome(parse_graph, path)
     for suffix in (".gz", ".bz2", ".xz", ".lzma"):
         named = tmp_path / ("g.tsv" + suffix)
         named.write_bytes(path.read_bytes())
-        assert _outcome(parse_graph, named, "edge-tsv") == want
+        assert _outcome(parse_graph, named) == want
     assert sources[0] == os.path.abspath(path) and all(isinstance(s, io.BytesIO) for s in sources[1:])
     assert len(sources) == 5
 
@@ -1089,7 +1104,7 @@ def test_line_loop_peak_memory_is_the_bytes_and_the_edges(tmp_path):
         path.write_bytes(raw[:at] + new.encode() + raw[at + 1 :])
         tracemalloc.start()
         try:
-            parsed = parse_graph(str(path), "edge-tsv")
+            parsed = parse_graph(str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1115,12 +1130,12 @@ def test_utf8_check_in_pieces_names_the_byte_one_piece_names(tmp_path, monkeypat
     wanted = []
     for text in _UTF8_CASES:
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
-        wanted.append(_outcome(parse_graph, path, "dense-matrix" if text.startswith("matrix") else "edge-tsv"))
+        wanted.append(_outcome(parse_graph, path))
     assert sum("not UTF-8" in str(want[1]) for want in wanted) == 5
     monkeypatch.setattr(isoperim.io, "_UTF8_PIECE", piece)
     for text, want in zip(_UTF8_CASES, wanted):
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
-        assert _outcome(parse_graph, path, "dense-matrix" if text.startswith("matrix") else "edge-tsv") == want, text
+        assert _outcome(parse_graph, path) == want, text
 
 
 @pytest.mark.parametrize("kind", ["transition", "weight"])
@@ -1130,7 +1145,7 @@ def test_dense_rows_above_the_state_limit_are_refused_at_their_line(tmp_path, mo
     path = tmp_path / "m.txt"
     path.write_text(f"matrix-kind {kind}\n# 5 x 5\n" + "0.2 0.2 0.2 0.2 0.2\n" * 5)
     with pytest.raises(TooLarge) as info:
-        parse_graph(str(path), "dense-matrix")
+        parse_graph(str(path))
     assert str(info.value) == f"{path}:3: 5 states exceed the limit of 4"
     with pytest.raises(TooLarge, match="5 states exceed the limit of 4"):
         MarkovChain(P=np.full((5, 5), 0.2), pi=None)
@@ -1151,7 +1166,7 @@ def test_weight_matrix_load_peak_memory_in_n_squared_doubles(tmp_path, symmetric
     path.write_text("matrix-kind weight\n" + "\n".join(" ".join(f"{x:.17g}" for x in row) for row in W) + "\n")
     tracemalloc.start()
     try:
-        c = load_chain(str(path), "dense-matrix")
+        c = load_chain(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1164,18 +1179,18 @@ _TRIANGLE_1E308 = "undirected\n1\t2\t1e308\n2\t3\t1e308\n1\t3\t1e308\n"
 
 
 @pytest.mark.parametrize(
-    "fmt, text, message",
+    "text, message",
     [
-        ("edge-tsv", _TRIANGLE_1E308, "vertex 0 has a weighted degree past the float range"),
-        ("dense-matrix", "matrix-kind weight\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n", "vertex 0 has a weighted degree past the float range"),
-        ("dense-matrix", "matrix-kind weight\n0 1 1\n1 0 1\n1e308 1e308 0\n", "vertex 2 has a weighted degree past the float range"),
-        ("edge-tsv", "undirected\n1\t2\t1e308\n", "the weighted degrees sum past the float range"),
-        ("dense-matrix", "matrix-kind weight\n1e308 1e308\n1e308 1e308\n", "vertex 0 has a weighted degree past the float range"),
-        ("dense-matrix", "matrix-kind weight\n0 1e308\n1e308 0\n", "the weighted degrees sum past the float range"),
+        (_TRIANGLE_1E308, "vertex 0 has a weighted degree past the float range"),
+        ("matrix-kind weight\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n", "vertex 0 has a weighted degree past the float range"),
+        ("matrix-kind weight\n0 1 1\n1 0 1\n1e308 1e308 0\n", "vertex 2 has a weighted degree past the float range"),
+        ("undirected\n1\t2\t1e308\n", "the weighted degrees sum past the float range"),
+        ("matrix-kind weight\n1e308 1e308\n1e308 1e308\n", "vertex 0 has a weighted degree past the float range"),
+        ("matrix-kind weight\n0 1e308\n1e308 0\n", "the weighted degrees sum past the float range"),
     ],
     ids=["triangle-edge-tsv", "triangle-dense", "asymmetric-dense", "pair-edge-tsv", "full-dense", "pair-dense"],
 )
-def test_overflowing_degrees_are_one_typed_error(tmp_path, capsys, fmt, text, message):
+def test_overflowing_degrees_are_one_typed_error(tmp_path, capsys, text, message):
     # a degree, or on an undirected graph the degrees' total, past the float
     # range is refused before numpy can warn
     path = tmp_path / "in.txt"
@@ -1183,18 +1198,18 @@ def test_overflowing_degrees_are_one_typed_error(tmp_path, capsys, fmt, text, me
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError) as info:
-            load_chain(str(path), fmt)
+            load_chain(str(path))
         assert str(info.value) == message
-        assert cli_main(["verify", "--input", str(path), "--format", fmt]) == 2
+        assert cli_main(["verify", "--input", str(path)]) == 2
     assert _one_error_line(capsys) == f"error: {message}\n"
 
 
 def test_directed_degrees_may_sum_past_the_float_range(tmp_path):
     # pi of a directed graph is solved for, so only each degree must be finite
     path = tmp_path / "in.txt"
-    for fmt, text in [("edge-tsv", "directed\n1\t2\t1e308\n2\t1\t1e308\n"), ("dense-matrix", "matrix-kind weight\n0 1e308\n1.5e308 0\n")]:
+    for text in ["directed\n1\t2\t1e308\n2\t1\t1e308\n", "matrix-kind weight\n0 1e308\n1.5e308 0\n"]:
         path.write_text(text)
-        c = load_chain(str(path), fmt)
+        c = load_chain(str(path))
         assert c.origin == "directed-graph" and c.P.tolist() == [[0.0, 1.0], [1.0, 0.0]] and c.pi.tolist() == [0.5, 0.5]
 
 
@@ -1205,7 +1220,7 @@ def test_analyze_of_a_path_with_weights_2_to_the_minus_60_is_the_unit_report(tmp
     for w in ("1", repr(2.0**-60)):
         path = tmp_path / f"path-{w}.tsv"
         path.write_text(f"undirected\n1\t2\t{w}\n2\t3\t{w}\n")
-        assert cli_main(["analyze", "--input", str(path), "--format", "edge-tsv"]) == 0
+        assert cli_main(["analyze", "--input", str(path)]) == 0
         reports.append(capsys.readouterr().out.replace(str(path), "INPUT"))
     assert reports[0] == reports[1] and '"origin": "undirected-graph"' in reports[0]
 

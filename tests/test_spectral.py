@@ -269,6 +269,34 @@ def test_exactly_representable_lambda2_takes_the_step_and_keeps_the_residual(mon
     assert stepped[1] and stepped[3] if singular == 0 else all(stepped)
 
 
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        (1e-9, None),
+        (5e-8, "second eigenvector not orthogonal to the Perron direction"),
+        (1e-7, "eigenpair residual"),
+    ],
+)
+def test_eigenvector_tilted_toward_the_perron_direction(monkeypatch, eps, message):
+    # v2 + eps u, normalized: a tilt of 5e-8 keeps the residual within
+    # tolerance and is refused by the orthogonality check; 1e-9 passes both,
+    # and 1e-7 trips the residual check first
+    real = isoperim.spectral._deflated_solve
+
+    def tilted(L, u, sigma):
+        v = real(L, u, sigma) + eps * u
+        return v / np.linalg.norm(v)
+
+    monkeypatch.setattr(isoperim.spectral, "_deflated_solve", tilted)
+    c = chain_from_graph(random_directed_graph(40, 0.5, 1))
+    if message is None:
+        assert ChainAnalysis(c).cert(True).residual <= 1e-8 * np.linalg.norm(chung_laplacian(c))
+        return
+    with pytest.raises(NumericalFailure) as exc:
+        ChainAnalysis(c).cert(True)
+    assert str(exc.value).startswith(message)
+
+
 def test_two_singular_solves_are_numerical_failure(monkeypatch, cycle4):
     log = _solves(monkeypatch, 2)
     with pytest.raises(NumericalFailure, match="Singular matrix"):

@@ -94,6 +94,12 @@ from that checkout with ``PYTHONPATH=<root>/src``. The matrix holds:
   of 16384 rows of 3 entries, and plain ASCII edge-tsv files that numpy's C
   reader converts or rejects before the line loop names the fault.
 
+Each command built here names its input's format with ``--format``, which
+checkouts before the file's header picked its reader required for a dense
+matrix. In a checkout whose ``analyze`` has no ``--format``, each command
+runs with ``--format <value>`` dropped, so that the two checkouts read each
+file with the same reader.
+
 A plan entry may name environment variables, set for its command alone,
 and a twin: the id of another command whose results it must match in the
 change's checkout. It may also be marked ``bound_names``: its bound names
@@ -108,17 +114,20 @@ a command's results differ from its twin's in the change's checkout, or
 when that checkout writes a traceback or a malformed error;
 otherwise 0.
 
-Three kinds of difference are expected and reported as ``EXPECTED``: on
+Four kinds of difference are expected and reported as ``EXPECTED``: on
 a file that is not UTF-8, checkouts before the UTF-8 check raise
 ``UnicodeDecodeError`` (a traceback), and later ones exit 2 with one
 ``error:`` line; a command with a twin may differ from the parent's run
 when the change's run is the twin's: checkouts before ``-0`` read as ``0``
 report such an exponent as ``-0``, and checkouts before the exact cap
-became a constant follow ``ISO_MAX_EXACT_N``; and a ``bound_names`` command
+became a constant follow ``ISO_MAX_EXACT_N``; a ``bound_names`` command
 may differ in the ``p=`` of its ``phi_p_squared`` names (and the text
 table's padding) when the change's names are distinct: checkouts before
 names printed the shortest decimal that reads back as p wrote
-``phi_p_squared[p=0.7]`` for both exponents.
+``phi_p_squared[p=0.7]`` for both exponents; and on an empty file or a bad
+header, where both exit 2, the change's one error line may list the four
+headers where the parent's listed the two of the format it was given:
+checkouts before the header picked the reader named only that format's.
 
 Sizes above the state limit are left out: older checkouts try to allocate
 them. A run takes about a minute on two cores; BLAS uses two threads.
@@ -144,6 +153,9 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 _P_NAME = re.compile(r"phi_p_squared\[p=[^\]]*\](:directed)?")
+# the headers an error names, after "expected header " or "header must be "
+_HEADER_LIST = re.compile(r"(?<=expected header ).*|(?<=header must be ).*?(?=, got )")
+HEADERS = ("undirected", "directed", "matrix-kind transition", "matrix-kind weight")
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import inputs  # noqa: E402
@@ -495,6 +507,12 @@ def _digest(path: str) -> str | None:
         return None
 
 
+def _takes_format(cli) -> bool:
+    """Whether a checkout's ``analyze`` still has a ``--format`` option."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return any("--format" in a.option_strings for a in sub.choices["analyze"]._actions)
+
+
 def worker(root: str, plan_path: str, out_dir: str, result_path: str) -> int:
     """Run the plan in this interpreter with the package of ``root``."""
     src = os.path.join(root, "src")
@@ -504,12 +522,16 @@ def worker(root: str, plan_path: str, out_dir: str, result_path: str) -> int:
     if os.path.dirname(os.path.abspath(cli.__file__)) != os.path.join(src, "isoperim"):
         raise SystemExit(f"isoperim was imported from {cli.__file__}, not from {src}")
     cli_main = cli.cli_main
+    takes_format = _takes_format(cli)
 
     with open(plan_path, encoding="utf-8") as fh:
         plan = json.load(fh)
     results = []
     for cmd in plan:
         argv = [os.path.join(out_dir, a[4:]) if a.startswith("OUT/") else a for a in cmd["argv"]]
+        if not takes_format and "--format" in argv:
+            k = argv.index("--format")
+            del argv[k : k + 2]
         outputs = [a for a in argv if a.startswith(out_dir)]
         for path in outputs:
             if os.path.exists(path):
@@ -577,7 +599,8 @@ def _expected(p: dict, c: dict, twin: dict | None) -> str | None:
     file that is not UTF-8 turns a traceback into a well-formed exit 2, a
     command with a twin writes what its twin writes (an exponent written
     -0 reads as 0; ISO_MAX_EXACT_N is ignored), and a ``bound_names``
-    command differs only in the p of its bound names, which are distinct."""
+    command differs only in the p of its bound names, which are distinct;
+    and an empty file or a bad header is told all four headers."""
     if c["id"].startswith("not-utf8-") and p["rc"] is None and c["rc"] == 2 and _error_ok(c):
         return "traceback -> exit 2"
     if twin is not None and _same(c, twin) and not _same(p, c):
@@ -587,6 +610,10 @@ def _expected(p: dict, c: dict, twin: dict | None) -> str | None:
         same_rest = all(p[key] == c[key] for key in ("rc", "stderr", "files")) and _unnamed(p["stdout"]) == _unnamed(c["stdout"])
         if same_rest and len(set(names)) == len(names):
             return f"bound names {', '.join(names)}"
+    if p["rc"] == c["rc"] == 2 and _error_ok(c) and all(p[key] == c[key] for key in ("stdout", "files")):
+        same_rest = _HEADER_LIST.sub("?", p["stderr"]) == _HEADER_LIST.sub("?", c["stderr"])
+        if same_rest and p["stderr"] != c["stderr"] and all(repr(h) in c["stderr"] for h in HEADERS):
+            return "the four headers"
     return None
 
 
