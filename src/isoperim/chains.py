@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import numbers
 from typing import Iterable
 
 import numpy as np
@@ -56,11 +57,16 @@ def vertex_ids(vertices: Iterable[int]) -> np.ndarray:
     return np.array([_integer(v, "vertex id") for v in vertices], dtype=np.int64)
 
 
-def _kept(x) -> np.ndarray:
+def _kept(x, what: str) -> np.ndarray:
     """x itself when it is a frozen float64 ndarray, else a frozen float64
-    copy: how a value object holds an array it is handed."""
+    copy: how a value object holds an array it is handed. Anything numpy
+    cannot convert (a string, a ragged list) raises InputError naming
+    ``what``."""
     if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and not x.flags.writeable):
-        x = np.array(x, dtype=float)
+        try:
+            x = np.array(x, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{what} is not an array of numbers: {exc}") from None
         x.setflags(write=False)
     return x
 
@@ -119,9 +125,11 @@ class WeightedGraph:
             raise InputError("graph needs at least one vertex")
         check_states(n)
         object.__setattr__(self, "n", n)
-        edges = _kept(self.edges)
+        edges = _kept(self.edges, "edges")
         if edges.shape[1:] != (3,):
-            edges = edges.reshape(len(edges), 3)
+            if edges.size:
+                raise InputError(f"edges must be (u, v, w) triples, got shape {edges.shape}")
+            edges = edges.reshape(0, 3)
         fault = edge_fault(edges, self.n, self.directed)
         if fault is not None:
             row, reason = fault
@@ -174,7 +182,7 @@ class MarkovChain:
     def __post_init__(self) -> None:
         with contextlib.suppress(TypeError):  # a scalar has no len; it is refused below as not square
             check_states(len(self.P))
-        P = _kept(self.P)
+        P = _kept(self.P, "P")
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise InputError(f"P must be a square matrix, got shape {P.shape}")
         if P.shape[0] < 2:
@@ -192,7 +200,7 @@ class MarkovChain:
         if not is_irreducible(P):
             raise InputError("P is not irreducible: its support digraph is not strongly connected")
 
-        pi = _solve_stationary(P) if self.pi is None else _kept(self.pi)
+        pi = _solve_stationary(P) if self.pi is None else _kept(self.pi, "pi")
         if pi.shape != (len(P),):
             raise InputError("pi has wrong shape")
         if pi.min() <= 0:
@@ -222,9 +230,11 @@ def _reaches_all(adj: np.ndarray) -> bool:
 
 def is_irreducible(P: np.ndarray) -> bool:
     """Strong connectivity of {(i, j) : P(i, j) > 0}, by forward and reverse traversal."""
-    P = np.asarray(P, dtype=float)
+    P = _kept(P, "P")
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise InputError(f"P must be a square matrix, got shape {P.shape}")
+    if not P.size:
+        raise InputError("P has no states")
     support = P > STRUCTURAL_ZERO
     return _reaches_all(support) and _reaches_all(support.T)
 
@@ -335,6 +345,8 @@ def lazy_transform(c: MarkovChain, delta: float) -> MarkovChain:
     input); the spectrum of I - P and every phi_p scale by delta and delta^p
     respectively.
     """
+    if not isinstance(delta, numbers.Real):
+        raise InputError(f"delta must be a number, got {delta!r}")
     if not (0 < delta <= 1):
         raise InputError(f"delta must lie in (0, 1], got {delta}")
     P2 = delta * c.P

@@ -76,7 +76,10 @@ class PhiProfile(NamedTuple):
 
 
 def _validate_p(p: float) -> float:
-    p = float(p) + 0.0  # -0.0 reads as 0.0
+    try:
+        p = float(p) + 0.0  # -0.0 reads as 0.0
+    except (TypeError, ValueError, OverflowError) as exc:  # "x", None, 10**400: float's own message
+        raise InputError(str(exc)) from None
     if not 0.0 <= p <= 1.0:
         raise InputError(f"p must lie in [0, 1], got {p}")
     return p
@@ -86,7 +89,7 @@ def _subset_indices(c: MarkovChain, subset: Iterable[int]) -> np.ndarray:
     idx = np.unique(vertex_ids(subset))
     if idx.size == 0:
         raise InputError("subset must be nonempty")
-    if idx.size and (idx[0] < 0 or idx[-1] >= c.n):
+    if idx[0] < 0 or idx[-1] >= c.n:
         raise InputError(f"subset contains out-of-range vertices for n={c.n}")
     return idx
 

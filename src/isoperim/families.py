@@ -78,8 +78,11 @@ def _kernel(n: int) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def normalizer(n: int) -> float:
-    """C = sum_{d=1}^{n-1} 1/min(d, n-d)^3, the row weight making P stochastic."""
-    return _kernel(_integer(n, "vertex count"))[2]
+    """C = sum_{d=1}^{n-1} 1/min(d, n-d)^3, the row weight making P stochastic, for n >= 3."""
+    n = _integer(n, "vertex count")
+    if n < 3:
+        raise InputError(f"family needs n >= 3, got {n}")
+    return _kernel(n)[2]
 
 
 def _circulant(n: int) -> np.ndarray:
@@ -116,6 +119,8 @@ def circulant_lambda2(first_row: Sequence[float]) -> float:
     a = np.asarray(first_row, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise InputError("first row must be a vector of length >= 2")
+    if not np.all(np.isfinite(a)):
+        raise InputError("first row has non-finite entries")
     scale = max(float(np.abs(a).max()), 1e-300)
     if np.max(np.abs(a[1:] - a[1:][::-1])) > 1e-12 * scale:
         raise InputError("first row must satisfy a[d] == a[n-d]")
@@ -373,7 +378,11 @@ class PartitionBlocks:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(_integer(s, "block size") for s in self.sizes)
+        try:
+            sizes = tuple(self.sizes)
+        except TypeError:  # a scalar, such as 5
+            sizes = ()
+        sizes = tuple(_integer(s, "block size") for s in sizes)
         if len(sizes) < 2 or len(sizes) % 2 != 0:
             raise InputError("sizes must alternate (a1, b1, ..., ak, bk) with k >= 1")
         if any(s < 0 for s in sizes):

@@ -43,7 +43,7 @@ class SpectralCertificate:
 
     def __post_init__(self) -> None:
         for name in ("f2", "v2"):
-            object.__setattr__(self, name, _kept(getattr(self, name)))
+            object.__setattr__(self, name, _kept(getattr(self, name), name))
 
 
 def _similarity(c: MarkovChain) -> np.ndarray:

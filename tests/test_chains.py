@@ -248,6 +248,15 @@ _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
         pytest.param(lambda: MarkovChain(P=_SWAP, pi=[1.5, -0.5]), "pi must be strictly positive", id="pi-sign"),
         pytest.param(lambda: MarkovChain(P=_SWAP, pi=[0.5, 0.6]), "pi must sum to 1", id="pi-sum"),
         pytest.param(lambda: is_irreducible(np.ones((2, 3))), "P must be a square matrix, got shape (2, 3)", id="irreducible-not-square"),
+        pytest.param(lambda: WeightedGraph(n=3, edges=[(0, 1)]), "edges must be (u, v, w) triples, got shape (1, 2)", id="graph-edge-width"),
+        pytest.param(lambda: WeightedGraph(n=3, edges=5), "edges must be (u, v, w) triples, got shape ()", id="graph-edges-scalar"),
+        pytest.param(
+            lambda: MarkovChain([[0.5, 0.5], [0.5, "x"]]),
+            "P is not an array of numbers: could not convert string to float: 'x'",
+            id="P-not-numbers",
+        ),
+        pytest.param(lambda: is_irreducible(np.zeros((0, 0))), "P has no states", id="irreducible-empty"),
+        pytest.param(lambda: lazy_transform(MarkovChain(_SWAP), "0.5"), "delta must be a number, got '0.5'", id="lazy-delta-str"),
     ],
 )
 def test_chains_public_refusals(call, message):

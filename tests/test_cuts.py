@@ -59,6 +59,15 @@ def test_phi_p_of_set_errors(cycle4):
         phi_p_of_set(cycle4, [0, 1, 2], 1.0)
     with pytest.raises(ValueError):
         phi_p_of_set(cycle4, [0], 1.5)
+    # an exponent float() refuses is refused with float's own message
+    refusals = [
+        ("x", "could not convert string to float: 'x'"),
+        (None, "float() argument must be a string or a real number, not 'NoneType'"),
+    ]
+    for bad, message in refusals:
+        with pytest.raises(InputError) as exc:
+            phi_p_of_set(cycle4, [0], bad)
+        assert type(exc.value) is InputError and str(exc.value) == message
     # ids that int() refuses are refused as ids, by every caller of vertex_ids
     callers = [
         lambda ids: phi_p_of_set(cycle4, ids, 0.5),

@@ -384,9 +384,14 @@ def test_block_lower_bound_rejects_a_chain_that_matches_row_0_only():
         pytest.param(lambda: random_directed_graph(1), "random directed family needs n >= 2, got 1", id="random-directed"),
         pytest.param(lambda: arc_phi_half(2, 1), "family needs n >= 3, got 2", id="arc"),
         pytest.param(lambda: circulant_lambda2([1.0]), "first row must be a vector of length >= 2", id="circulant-row"),
+        pytest.param(lambda: circulant_lambda2([1.0, math.nan, math.nan]), "first row has non-finite entries", id="circulant-nan"),
+        pytest.param(lambda: normalizer(-1), "family needs n >= 3, got -1", id="normalizer-negative"),
+        pytest.param(lambda: normalizer(0), "family needs n >= 3, got 0", id="normalizer-0"),
+        pytest.param(lambda: normalizer(2), "family needs n >= 3, got 2", id="normalizer-2"),
         pytest.param(lambda: sqrt_crossweight(gen_ht_counterexample(8), [], [1]), "both sets must be nonempty", id="crossweight-empty"),
         pytest.param(lambda: sqrt_crossweight(gen_ht_counterexample(8), [0], [8]), "vertex out of range", id="crossweight-range"),
         pytest.param(lambda: PartitionBlocks((0, 0)), "total size must be positive", id="blocks-empty"),
+        pytest.param(lambda: PartitionBlocks(5), "sizes must alternate (a1, b1, ..., ak, bk) with k >= 1", id="blocks-scalar"),
         pytest.param(
             lambda: check_block_lower_bound(gen_ht_counterexample(8), PartitionBlocks((3, 4))),
             "blocks cover 7 vertices but the chain has 8",

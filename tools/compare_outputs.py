@@ -58,8 +58,8 @@ from that checkout with ``PYTHONPATH=<root>/src``. The matrix holds:
   that agree to 6 significant digits;
 - the first two of those on the reversible chain again, with the
   environment variable ``ISO_MAX_EXACT_N`` set to ``6`` and to ``abc``, each
-  with its run without the variable as its twin: checkouts before the exact
-  cap became a constant read the variable, and later ones ignore it;
+  with its run without the variable as its twin: the exact cap is a
+  constant, which the variable must not move;
 - ``analyze --method exact`` at p = 0, 1/2, 3/4 and 1 on random reversible
   and directed chains on 14 states, one block of two slices that the
   enumerator splits across threads, and on a dense transition matrix of two
@@ -94,43 +94,20 @@ from that checkout with ``PYTHONPATH=<root>/src``. The matrix holds:
   of 16384 rows of 3 entries, and plain ASCII edge-tsv files that numpy's C
   reader converts or rejects before the line loop names the fault.
 
-Each command built here names its input's format with ``--format``, which
-checkouts before the file's header picked its reader required for a dense
-matrix. In a checkout whose ``analyze`` has no ``--format``, each command
-runs with ``--format <value>`` dropped, so that the two checkouts read each
-file with the same reader.
-
 A plan entry may name environment variables, set for its command alone,
 and a twin: the id of another command whose results it must match in the
-change's checkout. It may also be marked ``bound_names``: its bound names
-may differ from the parent's.
+change's checkout. Each checkout runs with ``ISO_MAX_EXACT_N`` taken out
+of its environment, so that only a twin's own variable is set, and with
+BLAS on two threads.
 
-It compares exit codes, standard output and every output file, and a
-demo's standard error too, checks that each command that exits 2 wrote
-exactly one ``error:`` line and nothing else to standard error, and prints
-the error messages that differ. It exits 1 when an exit code, a standard
-output or an output file differs, when a demo's standard error differs, when
-a command's results differ from its twin's in the change's checkout, or
-when that checkout writes a traceback or a malformed error;
-otherwise 0.
-
-Four kinds of difference are expected and reported as ``EXPECTED``: on
-a file that is not UTF-8, checkouts before the UTF-8 check raise
-``UnicodeDecodeError`` (a traceback), and later ones exit 2 with one
-``error:`` line; a command with a twin may differ from the parent's run
-when the change's run is the twin's: checkouts before ``-0`` read as ``0``
-report such an exponent as ``-0``, and checkouts before the exact cap
-became a constant follow ``ISO_MAX_EXACT_N``; a ``bound_names`` command
-may differ in the ``p=`` of its ``phi_p_squared`` names (and the text
-table's padding) when the change's names are distinct: checkouts before
-names printed the shortest decimal that reads back as p wrote
-``phi_p_squared[p=0.7]`` for both exponents; and on an empty file or a bad
-header, where both exit 2, the change's one error line may list the four
-headers where the parent's listed the two of the format it was given:
-checkouts before the header picked the reader named only that format's.
-
-Sizes above the state limit are left out: older checkouts try to allocate
-them. A run takes about a minute on two cores; BLAS uses two threads.
+A command or demo passes when its exit code, standard output, standard
+error and every output file equal the parent's, when its results equal its
+twin's in the change's checkout, when it raised no exception, and when an
+exit code of 2 came with exactly one ``error:`` line and nothing else on
+standard error. Each one that fails gets a ``DIFF`` line that names what
+differs and shows both standard errors when they differ. The script exits
+1 when any command or demo fails, otherwise 0. A run takes about a minute
+on two cores.
 """
 
 from __future__ import annotations
@@ -142,7 +119,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -152,10 +128,6 @@ from unittest import mock
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-_P_NAME = re.compile(r"phi_p_squared\[p=[^\]]*\](:directed)?")
-# the headers an error names, after "expected header " or "header must be "
-_HEADER_LIST = re.compile(r"(?<=expected header ).*|(?<=header must be ).*?(?=, got )")
-HEADERS = ("undirected", "directed", "matrix-kind transition", "matrix-kind weight")
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import inputs  # noqa: E402
@@ -166,88 +138,88 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # 69999 distinct directed edges on ids 1..300, one per line.
 _PLAIN_BODY = "".join(f"{k // 299 + 1}\t{(k // 299 + 1 + k % 299) % 300 + 1}\t0.5\n" for k in range(69999))
 
-# Files that are not valid input, written as they are: (name, format, text).
+# Files that are not valid input, written as they are: (name, text).
 FAULTY = [
-    ("nan-weight.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\tnan\n"),
-    ("negative-weight.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\t-1\n"),
-    ("zero-id.tsv", "edge-tsv", "undirected\n1\t2\t1\n0\t2\t1\n"),
-    ("reversed-duplicate.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n2\t1\t0.5\n"),
-    ("directed-duplicate.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t1\t1\n1\t2\t1\n"),
-    ("bad-token.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\tx\t1\n"),
-    ("float-id.tsv", "edge-tsv", "undirected\n1\t2.5\t1\n"),
-    ("token-count.tsv", "edge-tsv", "undirected\n1\t2\t1\t4\n"),
-    ("bad-header.tsv", "edge-tsv", "graph\n1\t2\t1\n"),
-    ("no-edges.tsv", "edge-tsv", "undirected\n# nothing\n"),
-    ("empty.tsv", "edge-tsv", ""),
-    ("isolated.tsv", "edge-tsv", "undirected\n1\t2\t1\n3\t3\t0\n"),
-    ("one-state.tsv", "edge-tsv", "undirected\n1\t1\t2\n"),
-    ("disconnected.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t1\t1\n2\t3\t1\n"),
-    ("negative-entry.txt", "dense-matrix", "matrix-kind weight\n0 1\n-1 0\n"),
-    ("nan-entry.txt", "dense-matrix", "matrix-kind weight\n0 nan\n1 0\n"),
-    ("not-square.txt", "dense-matrix", "matrix-kind weight\n0 1 1\n1 0 1\n"),
-    ("not-square-16384.txt", "dense-matrix", "matrix-kind weight\n" + "0 1 1\n" * 16384),
-    ("not-stochastic.txt", "dense-matrix", "matrix-kind transition\n0.5 0.4\n0.5 0.5\n"),
-    ("bad-kind.txt", "dense-matrix", "matrix-kind foo\n0 1\n1 0\n"),
-    ("no-body.txt", "dense-matrix", "matrix-kind weight\n"),
-    ("crlf-bad-header.tsv", "edge-tsv", "# c\r\nundirected graph\r\n1\t2\t1\r\n"),
-    ("dense-bad-header.txt", "dense-matrix", "\n# c\nmatrix-kind\n0 1\n1 0\n"),
-    ("two-tokens.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t1\n"),
-    ("fault-then-misfit.tsv", "edge-tsv", "directed\n1\t2\tx\n2\t1\n"),
-    ("misfit-then-fault.tsv", "edge-tsv", "directed\n1\t2\n2\tx\t1\n"),
-    ("overflow-id.tsv", "edge-tsv", "undirected\n1\t99999999999999999999\t1\n"),
-    ("negative-overflow-id.tsv", "edge-tsv", "directed\n1\t2\t1\n-99999999999999999999\t1\t1\n"),
-    ("huge-id.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t" + "9" * 400 + "\t1\n"),
-    ("bad-weight.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\t1,5\n"),
-    ("inf-weight.tsv", "edge-tsv", "undirected\n1\t2\tinf\n2\t3\t1\n"),
-    ("comment-then-fault.tsv", "edge-tsv", "undirected\n1\t2\t1\n# note\n\n2\tx\t1\n"),
-    ("comment-then-duplicate.tsv", "edge-tsv", "undirected\r\n1\t2\t1\r\n  # note\r\n2\t1\t1\r\n"),
-    ("comment-then-entry.txt", "dense-matrix", "matrix-kind weight\n0 1\n# note\n1 x\n"),
-    ("inf-then-token.txt", "dense-matrix", "matrix-kind weight\n0 inf\n1 x\n"),
-    ("token-not-square.txt", "dense-matrix", "matrix-kind weight\n0 1 x\n1 0\n"),
-    ("overflow-entry.txt", "dense-matrix", "matrix-kind transition\n0 1e400\n1 0\n"),
-    ("hash-after-tokens.tsv", "edge-tsv", "directed\n# c\n1\t2\t1\n2\t1\t1\n1\t2\t3 # x\n"),
+    ("nan-weight.tsv", "undirected\n1\t2\t1\n2\t3\tnan\n"),
+    ("negative-weight.tsv", "undirected\n1\t2\t1\n2\t3\t-1\n"),
+    ("zero-id.tsv", "undirected\n1\t2\t1\n0\t2\t1\n"),
+    ("reversed-duplicate.tsv", "undirected\n1\t2\t1\n2\t3\t1\n2\t1\t0.5\n"),
+    ("directed-duplicate.tsv", "directed\n1\t2\t1\n2\t1\t1\n1\t2\t1\n"),
+    ("bad-token.tsv", "undirected\n1\t2\t1\n2\tx\t1\n"),
+    ("float-id.tsv", "undirected\n1\t2.5\t1\n"),
+    ("token-count.tsv", "undirected\n1\t2\t1\t4\n"),
+    ("bad-header.tsv", "graph\n1\t2\t1\n"),
+    ("no-edges.tsv", "undirected\n# nothing\n"),
+    ("empty.tsv", ""),
+    ("isolated.tsv", "undirected\n1\t2\t1\n3\t3\t0\n"),
+    ("one-state.tsv", "undirected\n1\t1\t2\n"),
+    ("disconnected.tsv", "directed\n1\t2\t1\n2\t1\t1\n2\t3\t1\n"),
+    ("negative-entry.txt", "matrix-kind weight\n0 1\n-1 0\n"),
+    ("nan-entry.txt", "matrix-kind weight\n0 nan\n1 0\n"),
+    ("not-square.txt", "matrix-kind weight\n0 1 1\n1 0 1\n"),
+    ("not-square-16384.txt", "matrix-kind weight\n" + "0 1 1\n" * 16384),
+    ("not-stochastic.txt", "matrix-kind transition\n0.5 0.4\n0.5 0.5\n"),
+    ("bad-kind.txt", "matrix-kind foo\n0 1\n1 0\n"),
+    ("no-body.txt", "matrix-kind weight\n"),
+    ("crlf-bad-header.tsv", "# c\r\nundirected graph\r\n1\t2\t1\r\n"),
+    ("dense-bad-header.txt", "\n# c\nmatrix-kind\n0 1\n1 0\n"),
+    ("two-tokens.tsv", "directed\n1\t2\t1\n2\t1\n"),
+    ("fault-then-misfit.tsv", "directed\n1\t2\tx\n2\t1\n"),
+    ("misfit-then-fault.tsv", "directed\n1\t2\n2\tx\t1\n"),
+    ("overflow-id.tsv", "undirected\n1\t99999999999999999999\t1\n"),
+    ("negative-overflow-id.tsv", "directed\n1\t2\t1\n-99999999999999999999\t1\t1\n"),
+    ("huge-id.tsv", "directed\n1\t2\t1\n2\t" + "9" * 400 + "\t1\n"),
+    ("bad-weight.tsv", "undirected\n1\t2\t1\n2\t3\t1,5\n"),
+    ("inf-weight.tsv", "undirected\n1\t2\tinf\n2\t3\t1\n"),
+    ("comment-then-fault.tsv", "undirected\n1\t2\t1\n# note\n\n2\tx\t1\n"),
+    ("comment-then-duplicate.tsv", "undirected\r\n1\t2\t1\r\n  # note\r\n2\t1\t1\r\n"),
+    ("comment-then-entry.txt", "matrix-kind weight\n0 1\n# note\n1 x\n"),
+    ("inf-then-token.txt", "matrix-kind weight\n0 inf\n1 x\n"),
+    ("token-not-square.txt", "matrix-kind weight\n0 1 x\n1 0\n"),
+    ("overflow-entry.txt", "matrix-kind transition\n0 1e400\n1 0\n"),
+    ("hash-after-tokens.tsv", "directed\n# c\n1\t2\t1\n2\t1\t1\n1\t2\t3 # x\n"),
     # plain ASCII files, which numpy's C reader sees before the line loop
-    ("plain-header-only.tsv", "edge-tsv", "directed\n"),
-    ("plain-blank-body.tsv", "edge-tsv", "directed\n\n  \n"),
-    ("plain-last-token.tsv", "edge-tsv", "directed\n" + _PLAIN_BODY + "1\tx\t1\n"),
-    ("plain-last-two-tokens.tsv", "edge-tsv", "directed\n" + _PLAIN_BODY + "1\t2\n"),
-    ("plain-duplicate.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\n3\t2\t0.5\n"),
-    ("plain-nan.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t1\tnan\n"),
-    ("plain-id-16385.tsv", "edge-tsv", "directed\n1\t2\t1\n16385\t1\t1\n"),
-    ("plain-id-past-int64.tsv", "edge-tsv", "directed\n1\t2\t1\n2\t9223372036854775808\t1\n"),
-    ("plain-blank-then-header.tsv", "edge-tsv", "\ndirected\n1\t2\t1\n2\t3\t1\n"),
+    ("plain-header-only.tsv", "directed\n"),
+    ("plain-blank-body.tsv", "directed\n\n  \n"),
+    ("plain-last-token.tsv", "directed\n" + _PLAIN_BODY + "1\tx\t1\n"),
+    ("plain-last-two-tokens.tsv", "directed\n" + _PLAIN_BODY + "1\t2\n"),
+    ("plain-duplicate.tsv", "undirected\n1\t2\t1\n2\t3\t1\n3\t2\t0.5\n"),
+    ("plain-nan.tsv", "directed\n1\t2\t1\n2\t1\tnan\n"),
+    ("plain-id-16385.tsv", "directed\n1\t2\t1\n16385\t1\t1\n"),
+    ("plain-id-past-int64.tsv", "directed\n1\t2\t1\n2\t9223372036854775808\t1\n"),
+    ("plain-blank-then-header.tsv", "\ndirected\n1\t2\t1\n2\t3\t1\n"),
 ]
 
 # Files that are not UTF-8: "\udcff" is written as the byte 0xff.
 NOT_UTF8 = [
-    ("not-utf8.tsv", "edge-tsv", "undirected\n1\t2\t1\n2\t3\t1\udcff\n"),
-    ("not-utf8-header.tsv", "edge-tsv", "undirected\udcff\n1\t2\t1\n"),
-    ("not-utf8.txt", "dense-matrix", "matrix-kind weight\r\n0 1\udcff\r\n1 0\r\n"),
+    ("not-utf8.tsv", "undirected\n1\t2\t1\n2\t3\t1\udcff\n"),
+    ("not-utf8-header.tsv", "undirected\udcff\n1\t2\t1\n"),
+    ("not-utf8.txt", "matrix-kind weight\r\n0 1\udcff\r\n1 0\r\n"),
 ]
 
-# Valid files laid out in the ways the readers accept: (name, format, text).
+# Valid files laid out in the ways the readers accept: (name, text).
 LAID_OUT = [
-    ("laid-out.tsv", "edge-tsv", "# a graph\nundirected\r\n1\t2\t1\r\n\r\n# note\r\n2 3  0.5\r3\x0b4\x1f0.25\n\n  # 1 2 3\n4\xa01\t2\n \t\n"),
-    ("laid-out-directed.tsv", "edge-tsv", "directed \n1\t2\t1\n# 2\t1\t1\n2\t3\t1\x0c\n3\t1\t1e-3\r\n3\t2\t2\n"),
-    ("laid-out-weight.txt", "dense-matrix", "\n# weights\nmatrix-kind   weight\r\n0 1\xa00.5\r\n# row 2\r\n1\t0\x0b2\r\n\r\n0.5 2\x1f0\r\n"),
-    ("laid-out-transition.txt", "dense-matrix", "matrix-kind transition\r0 1\r# note\r0.5 0.5\r"),
-    ("underscore-weight.tsv", "edge-tsv", "directed\n1\t2\t1_0\n2\t1\t1\n"),
-    ("blank-then-header.tsv", "edge-tsv", "\ndirected\n1\t2\t1\n2\t1\t1\n"),
+    ("laid-out.tsv", "# a graph\nundirected\r\n1\t2\t1\r\n\r\n# note\r\n2 3  0.5\r3\x0b4\x1f0.25\n\n  # 1 2 3\n4\xa01\t2\n \t\n"),
+    ("laid-out-directed.tsv", "directed \n1\t2\t1\n# 2\t1\t1\n2\t3\t1\x0c\n3\t1\t1e-3\r\n3\t2\t2\n"),
+    ("laid-out-weight.txt", "\n# weights\nmatrix-kind   weight\r\n0 1\xa00.5\r\n# row 2\r\n1\t0\x0b2\r\n\r\n0.5 2\x1f0\r\n"),
+    ("laid-out-transition.txt", "matrix-kind transition\r0 1\r# note\r0.5 0.5\r"),
+    ("underscore-weight.tsv", "directed\n1\t2\t1_0\n2\t1\t1\n"),
+    ("blank-then-header.tsv", "\ndirected\n1\t2\t1\n2\t1\t1\n"),
 ]
 
 
 # Dense weight matrices read straight into the walk, and degrees past the
-# float range: (name, format, text), each given to analyze and verify.
+# float range: (name, text), each given to analyze and verify.
 WALKS = [
-    ("negative-pair.txt", "dense-matrix", "matrix-kind weight\n0 -1.0 1\n-1 0 1\n1 1 0\n"),
-    ("negative-below-diagonal.txt", "dense-matrix", "matrix-kind weight\n0 1 1\n-2 0 1\n1 1 0\n"),
-    ("negative-diagonal.txt", "dense-matrix", "matrix-kind weight\n0 1\n1 -0.5\n"),
-    ("one-by-one-5.txt", "dense-matrix", "matrix-kind weight\n5\n"),
-    ("one-by-one-0.txt", "dense-matrix", "matrix-kind weight\n0\n"),
-    ("triangle-1e308.tsv", "edge-tsv", "undirected\n1\t2\t1e308\n2\t3\t1e308\n1\t3\t1e308\n"),
-    ("triangle-1e308.txt", "dense-matrix", "matrix-kind weight\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n"),
-    ("minus-zero-sym.txt", "dense-matrix", "matrix-kind weight\n-0 1 -0\n1 -0 2\n-0 2 0\n"),
-    ("minus-zero-asym.txt", "dense-matrix", "matrix-kind weight\n-0 1 -0\n2 0 1\n1 -0 -0\n"),
+    ("negative-pair.txt", "matrix-kind weight\n0 -1.0 1\n-1 0 1\n1 1 0\n"),
+    ("negative-below-diagonal.txt", "matrix-kind weight\n0 1 1\n-2 0 1\n1 1 0\n"),
+    ("negative-diagonal.txt", "matrix-kind weight\n0 1\n1 -0.5\n"),
+    ("one-by-one-5.txt", "matrix-kind weight\n5\n"),
+    ("one-by-one-0.txt", "matrix-kind weight\n0\n"),
+    ("triangle-1e308.tsv", "undirected\n1\t2\t1e308\n2\t3\t1e308\n1\t3\t1e308\n"),
+    ("triangle-1e308.txt", "matrix-kind weight\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n"),
+    ("minus-zero-sym.txt", "matrix-kind weight\n-0 1 -0\n1 -0 2\n-0 2 0\n"),
+    ("minus-zero-asym.txt", "matrix-kind weight\n-0 1 -0\n2 0 1\n1 -0 -0\n"),
 ]
 
 
@@ -270,9 +242,9 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _file_commands(name: str, path: str, fmt: str) -> list[dict]:
+def _file_commands(name: str, path: str) -> list[dict]:
     """analyze, verify and sweep on one valid input, to files and to stdout."""
-    base = ["--input", path, "--format", fmt]
+    base = ["--input", path]
     return [
         {"id": f"analyze-{name}", "argv": ["analyze", *base, "--p", "0,0.5,0.75,1", "--out", "OUT/a.json"]},
         {"id": f"analyze-text-{name}", "argv": ["analyze", *base, "--method", "sweep", "--report-format", "text", "--out", "OUT/a.txt"]},
@@ -298,7 +270,7 @@ def _write_tied(path: str, family: str, size: int) -> None:
 
 
 def _tied_commands(name: str, path: str) -> list[dict]:
-    base = ["--input", path, "--format", "edge-tsv"]
+    base = ["--input", path]
     plan = [{"id": f"sweep-p{p}-{name}", "argv": ["sweep", *base, "--p", p]} for p in ("0", "0.5", "1")]
     plan.append({"id": f"analyze-sweep-{name}", "argv": ["analyze", *base, "--p", "0,0.5,1", "--method", "sweep", "--out", "OUT/t.json"]})
     return plan
@@ -330,10 +302,10 @@ def build_plan(work: str) -> list[dict]:
     for name, write in (("rev8", inputs.write_random_reversible), ("dir8", inputs.write_random_directed)):
         path = os.path.join(work, f"{name}.tsv")
         write(path, 8, 0.4, rng)
-        valid.append((name, path, "edge-tsv"))
+        valid.append((name, path))
     path = os.path.join(work, "dir300.tsv")  # plain ASCII, past 65536 lines
     inputs.write_random_directed(path, 300, 0.8, np.random.default_rng(300))
-    valid.append(("dir300", path, "edge-tsv"))
+    valid.append(("dir300", path))
     with open(path, "rb") as fh:
         head, body = fh.read().split(b"\n", 1)
     middle = body.index(b"\n", len(body) // 2) + 1
@@ -344,12 +316,12 @@ def build_plan(work: str) -> list[dict]:
     for name, data in copies.items():
         with open(os.path.join(work, name), "wb") as fh:
             fh.write(data)
-        plan.append({"id": f"analyze-{name}", "argv": ["analyze", "--input", os.path.join(work, name), "--format", "edge-tsv", "--p", "0.5,1"]})
+        plan.append({"id": f"analyze-{name}", "argv": ["analyze", "--input", os.path.join(work, name), "--p", "0.5,1"]})
     loops = os.path.join(work, "loops.tsv")
     _write_text(loops, "undirected\n1\t1\t0.5\n1\t2\t1\n3\t2\t2\n3\t1\t0.25\n4\t4\t0\n4\t3\t1\n")
     dloops = os.path.join(work, "dloops.tsv")
     _write_text(dloops, "directed\n1\t2\t1\n2\t2\t3\n2\t3\t1\n3\t1\t0.5\n3\t3\t0\n1\t3\t2\n")
-    valid += [("loops", loops, "edge-tsv"), ("dloops", dloops, "edge-tsv")]
+    valid += [("loops", loops), ("dloops", dloops)]
 
     W = rng.random((7, 7)) * (rng.random((7, 7)) < 0.6)
     W[np.arange(7), (np.arange(7) + 1) % 7] = 1.0
@@ -360,11 +332,11 @@ def build_plan(work: str) -> list[dict]:
     ):
         path = os.path.join(work, f"{name}.txt")
         _write_dense(path, kind, M)
-        valid.append((name, path, "dense-matrix"))
-    for name, path, fmt in valid:
-        plan += _file_commands(name, path, fmt)
+        valid.append((name, path))
+    for name, path in valid:
+        plan += _file_commands(name, path)
     # an exponent written -0 is 0: each command has a --p 0 twin
-    base = ["--input", os.path.join(work, "rev8.tsv"), "--format", "edge-tsv"]
+    base = ["--input", os.path.join(work, "rev8.tsv")]
     for zero in ("-0", "0"):
         cmds = [
             {"id": f"sweep-p{zero}-rev8", "argv": ["sweep", *base, f"--p={zero}", "--out", f"OUT/z{zero}.json"]},
@@ -374,7 +346,7 @@ def build_plan(work: str) -> list[dict]:
         plan += [{**cmd, "twin": cmd["id"].replace("-p-0", "-p0")} if zero == "-0" else cmd for cmd in cmds]
     path = os.path.join(work, "dense200.txt")
     _write_dense(path, "weight", np.random.default_rng(200).random((200, 200)))
-    plan.append({"id": "analyze-dense200", "argv": ["analyze", "--input", path, "--format", "dense-matrix", "--p", "0.5,1"]})
+    plan.append({"id": "analyze-dense200", "argv": ["analyze", "--input", path, "--p", "0.5,1"]})
 
     # sizes on both sides of the default exact cap of 24 states
     for family, size in (("cycle", 12), ("cycle", 40), ("hypercube", 4), ("hypercube", 5), ("dumbbell", 5), ("dumbbell", 15)):
@@ -385,8 +357,8 @@ def build_plan(work: str) -> list[dict]:
     # with tiny pi, one of which the reversible certificate refuses
     path = os.path.join(work, "rev40.tsv")
     inputs.write_random_reversible(path, 40, 0.3, np.random.default_rng(40))
-    plan.append({"id": "analyze-default-method-rev40", "argv": ["analyze", "--input", path, "--format", "edge-tsv"]})
-    both = [("rev40", path, "edge-tsv")] + [(name, os.path.join(work, f"tied-{name}.tsv"), "edge-tsv") for name in ("cycle40", "hypercube5", "dumbbell15")]
+    plan.append({"id": "analyze-default-method-rev40", "argv": ["analyze", "--input", path]})
+    both = [("rev40", path)] + [(name, os.path.join(work, f"tied-{name}.tsv")) for name in ("cycle40", "hypercube5", "dumbbell15")]
     light_cycle = _birth_death(6, 1e-3, 0.5)
     for a, b in ((3, 4), (4, 5), (5, 3)):
         light_cycle[a, b] += 0.01
@@ -397,29 +369,30 @@ def build_plan(work: str) -> list[dict]:
     for name, P in chains:
         path = os.path.join(work, f"{name}.txt")
         _write_dense(path, "transition", P)
-        tiny_pi.append((name, path, "dense-matrix"))
-    for name, path, fmt in both + tiny_pi[:2]:
-        base = ["--input", path, "--format", fmt]
-        suites = ("all", "directed") if fmt == "edge-tsv" else ("all", "reversible", "directed")
-        plan += [{"id": f"verify-{suite}-{name}", "argv": ["verify", *base, "--suite", suite]} for suite in suites]
-        argv = ["analyze", *base, "--p", "0.5,0.75,1", "--directed-spectral", "--out", "OUT/b.json"]
-        plan.append({"id": f"analyze-directed-spectral-{name}", "argv": argv if fmt == "dense-matrix" else [*argv, "--method", "sweep"]})
-    name, path, fmt = tiny_pi[1]
-    plan.append({"id": f"sweep-{name}", "argv": ["sweep", "--input", path, "--format", fmt, "--p", "0.75"]})
-    plan.append({"id": f"analyze-sweep-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--method", "sweep", "--p", "0.5,0.75,1"]})
-    name, path, fmt = tiny_pi[2]
-    plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--method", "both", "--p", "0,0.5,0.75,1"]})
+        tiny_pi.append((name, path))
+    # above the exact cap, the sweep; with tiny pi, every suite and the default method
+    groups = [(both, ("all", "directed"), ["--method", "sweep"]), (tiny_pi[:2], ("all", "reversible", "directed"), [])]
+    for files, suites, method in groups:
+        for name, path in files:
+            plan += [{"id": f"verify-{suite}-{name}", "argv": ["verify", "--input", path, "--suite", suite]} for suite in suites]
+            argv = ["analyze", "--input", path, "--p", "0.5,0.75,1", "--directed-spectral", "--out", "OUT/b.json", *method]
+            plan.append({"id": f"analyze-directed-spectral-{name}", "argv": argv})
+    name, path = tiny_pi[1]
+    plan.append({"id": f"sweep-{name}", "argv": ["sweep", "--input", path, "--p", "0.75"]})
+    plan.append({"id": f"analyze-sweep-{name}", "argv": ["analyze", "--input", path, "--method", "sweep", "--p", "0.5,0.75,1"]})
+    name, path = tiny_pi[2]
+    plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", "--input", path, "--method", "both", "--p", "0,0.5,0.75,1"]})
     # pi falls below 2^-400: the exact pass scores every exponent term by term on every set
-    name, path, fmt = tiny_pi[3]
-    plan.append({"id": f"analyze-exact-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--method", "exact", "--p", "0,0.3,0.5,0.6,0.9,1"]})
-    plan.append({"id": f"verify-{name}", "argv": ["verify", "--input", path, "--format", fmt]})
+    name, path = tiny_pi[3]
+    plan.append({"id": f"analyze-exact-{name}", "argv": ["analyze", "--input", path, "--method", "exact", "--p", "0,0.3,0.5,0.6,0.9,1"]})
+    plan.append({"id": f"verify-{name}", "argv": ["verify", "--input", path]})
     exact = [(name, os.path.join(work, f"tied-{name}.tsv")) for name in ("cycle12", "hypercube4", "dumbbell5")]
     for name, write in (("rev18", inputs.write_random_reversible), ("dir18", inputs.write_random_directed)):
         path = os.path.join(work, f"{name}.tsv")
         write(path, 18, 0.4, np.random.default_rng(18))
         exact.append((name, path))
     for name, path in exact:
-        argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.3,0.5,0.75,1"]
+        argv = ["analyze", "--input", path, "--method", "exact", "--p", "0,0.3,0.5,0.75,1"]
         plan.append({"id": f"analyze-exact-{name}", "argv": argv})
         # exponents in (1/2, 1) without 1/2 and 1
         ps = "0.55,0.99" if name in ("rev18", "dir18") else "0.6,0.9"
@@ -430,15 +403,15 @@ def build_plan(work: str) -> list[dict]:
     for name, write in (("rev20", inputs.write_random_reversible), ("dir20", inputs.write_random_directed)):
         path = os.path.join(work, f"{name}.tsv")
         write(path, 20, 0.4, np.random.default_rng(20))
-        base = ["--input", path, "--format", "edge-tsv"]
+        base = ["--input", path]
         plan.append({"id": f"analyze-both-{name}", "argv": ["analyze", *base, "--method", "both", "--p", "0,0.5,0.75,1"]})
         plan.append({"id": f"verify-{name}", "argv": ["verify", *base, "--suite", "all"]})
         plan.append({"id": f"analyze-exact-{name}-p0.55,0.99", "argv": ["analyze", *base, "--method", "exact", "--p", "0.55,0.99"]})
     # exponents that agree to 6 significant digits, within the cap and above it
     for name, method in (("rev20", "both"), ("rev40", "sweep")):
-        argv = ["analyze", "--input", os.path.join(work, f"{name}.tsv"), "--format", "edge-tsv", "--method", method, "--p", "0.7000001,0.7000002"]
-        plan.append({"id": f"analyze-close-p-{name}", "argv": argv, "bound_names": True})
-        plan.append({"id": f"analyze-text-close-p-{name}", "argv": [*argv, "--report-format", "text"], "bound_names": True})
+        argv = ["analyze", "--input", os.path.join(work, f"{name}.tsv"), "--method", method, "--p", "0.7000001,0.7000002"]
+        plan.append({"id": f"analyze-close-p-{name}", "argv": argv})
+        plan.append({"id": f"analyze-text-close-p-{name}", "argv": [*argv, "--report-format", "text"]})
     # ISO_MAX_EXACT_N, which once set the exact cap, changes nothing
     twins = [cmd for cmd in plan if cmd["id"] in ("analyze-both-rev20", "verify-rev20")]
     for value in ("6", "abc"):
@@ -449,53 +422,53 @@ def build_plan(work: str) -> list[dict]:
     P = np.array([[0.5 - tiny, 0.5, 0.0, tiny], [0.5, 0.4, 0.1, 0.0], [0.0, 0.1, 0.4, 0.5], [tiny, 0.0, 0.5, 0.5 - tiny]])
     path = os.path.join(work, "tiny-entry.txt")
     _write_dense(path, "transition", P)
-    cases = [("tiny-entry", path, "dense-matrix")]
+    cases = [("tiny-entry", path)]
     for name, write in (("rev14", inputs.write_random_reversible), ("dir14", inputs.write_random_directed)):
         path = os.path.join(work, f"{name}.tsv")
         write(path, 14, 0.4, np.random.default_rng(14))
-        cases.append((name, path, "edge-tsv"))
-    for name, path, fmt in cases:
-        argv = ["analyze", "--input", path, "--format", fmt, "--method", "exact", "--p", "0,0.5,0.75,1"]
+        cases.append((name, path))
+    for name, path in cases:
+        argv = ["analyze", "--input", path, "--method", "exact", "--p", "0,0.5,0.75,1"]
         plan.append({"id": f"analyze-exact-{name}", "argv": argv})
     # a -1e-15 entry, which the chain sets to zero in a copy of the parsed matrix
     path = os.path.join(work, "negative-rounding.txt")
     _write_dense(path, "transition", np.array([[0.5, 0.500000000000001, -1e-15], [0.1, 0.1, 0.8], [0.05, 0.05, 0.9]]))
-    base = ["--input", path, "--format", "dense-matrix"]
+    base = ["--input", path]
     plan.append({"id": "analyze-negative-rounding", "argv": ["analyze", *base, "--p", "0,0.5,0.75,1"]})
     plan.append({"id": "verify-negative-rounding", "argv": ["verify", *base, "--suite", "all"]})
     path = os.path.join(work, "cycle20.tsv")
     _write_tied(path, "cycle", 20)
-    argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.5,1"]
+    argv = ["analyze", "--input", path, "--method", "exact", "--p", "0,0.5,1"]
     plan.append({"id": "analyze-exact-cycle20", "argv": argv})
     # 24 states, the default exact cap: 256 blocks of the high bits
     path = os.path.join(work, "rev24.tsv")
     inputs.write_random_reversible(path, 24, 0.4, np.random.default_rng(24))
-    argv = ["analyze", "--input", path, "--format", "edge-tsv", "--method", "exact", "--p", "0,0.3,0.5,0.75,1"]
+    argv = ["analyze", "--input", path, "--method", "exact", "--p", "0,0.3,0.5,0.75,1"]
     plan.append({"id": "analyze-exact-rev24", "argv": argv})
     plan.append({"id": "analyze-exact-rev24-p0.6,0.9", "argv": [*argv[:-1], "0.6,0.9"]})
     # 18 states whose rows sum to 1 + 5e-13, above 1
     W = np.random.default_rng(180).random((18, 18))
     path = os.path.join(work, "dense18-above-one.txt")
     _write_dense(path, "transition", W / W.sum(axis=1, keepdims=True) * (1.0 + 5e-13))
-    argv = ["analyze", "--input", path, "--format", "dense-matrix", "--method", "exact", "--p", "0.6,0.75,0.9"]
+    argv = ["analyze", "--input", path, "--method", "exact", "--p", "0.6,0.75,0.9"]
     plan.append({"id": "analyze-exact-dense18-above-one", "argv": argv})
 
     for name, ns in (("8-300", range(8, 301)), ("4095-65536", (4095, 65536))):
         plan.append({"id": f"scan-{name}", "argv": ["scan", "--n-list", ",".join(map(str, ns)), "--out", "OUT/scan.csv"]})
 
-    for name, fmt, text in LAID_OUT:
+    for name, text in LAID_OUT:
         path = os.path.join(work, name)
         _write_text(path, text)
-        plan.append({"id": f"analyze-{name}", "argv": ["analyze", "--input", path, "--format", fmt, "--p", "0.5,1"]})
-    for name, fmt, text in WALKS:
+        plan.append({"id": f"analyze-{name}", "argv": ["analyze", "--input", path, "--p", "0.5,1"]})
+    for name, text in WALKS:
         path = os.path.join(work, name)
         _write_text(path, text)
-        plan += [{"id": f"{command}-{name}", "argv": [command, "--input", path, "--format", fmt]} for command in ("analyze", "verify")]
+        plan += [{"id": f"{command}-{name}", "argv": [command, "--input", path]} for command in ("analyze", "verify")]
     for kind, cases in (("faulty", FAULTY), ("not-utf8", NOT_UTF8)):
-        for name, fmt, text in cases:
+        for name, text in cases:
             path = os.path.join(work, name)
             _write_text(path, text)
-            plan.append({"id": f"{kind}-{name}", "argv": ["analyze", "--input", path, "--format", fmt]})
+            plan.append({"id": f"{kind}-{name}", "argv": ["analyze", "--input", path]})
     return plan
 
 
@@ -507,12 +480,6 @@ def _digest(path: str) -> str | None:
         return None
 
 
-def _takes_format(cli) -> bool:
-    """Whether a checkout's ``analyze`` still has a ``--format`` option."""
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return any("--format" in a.option_strings for a in sub.choices["analyze"]._actions)
-
-
 def worker(root: str, plan_path: str, out_dir: str, result_path: str) -> int:
     """Run the plan in this interpreter with the package of ``root``."""
     src = os.path.join(root, "src")
@@ -522,16 +489,12 @@ def worker(root: str, plan_path: str, out_dir: str, result_path: str) -> int:
     if os.path.dirname(os.path.abspath(cli.__file__)) != os.path.join(src, "isoperim"):
         raise SystemExit(f"isoperim was imported from {cli.__file__}, not from {src}")
     cli_main = cli.cli_main
-    takes_format = _takes_format(cli)
 
     with open(plan_path, encoding="utf-8") as fh:
         plan = json.load(fh)
     results = []
     for cmd in plan:
         argv = [os.path.join(out_dir, a[4:]) if a.startswith("OUT/") else a for a in cmd["argv"]]
-        if not takes_format and "--format" in argv:
-            k = argv.index("--format")
-            del argv[k : k + 2]
         outputs = [a for a in argv if a.startswith(out_dir)]
         for path in outputs:
             if os.path.exists(path):
@@ -547,7 +510,6 @@ def worker(root: str, plan_path: str, out_dir: str, result_path: str) -> int:
             {
                 "id": cmd["id"],
                 "twin": cmd.get("twin"),
-                "bound_names": cmd.get("bound_names", False),
                 "rc": rc,
                 "stdout": out.getvalue(),
                 "stderr": err.getvalue(),
@@ -588,76 +550,39 @@ def _same(a: dict, b: dict) -> bool:
     return all(a[key] == b[key] for key in ("rc", "stdout", "stderr", "files"))
 
 
-def _unnamed(stdout: str) -> str:
-    """Standard output without the p of its phi_p_squared names or the
-    padding a name's length sets."""
-    return re.sub(r" +", " ", _P_NAME.sub(lambda m: "phi_p_squared[p=?]" + (m[1] or ""), stdout))
-
-
-def _expected(p: dict, c: dict, twin: dict | None) -> str | None:
-    """Why the change may differ from the parent on a command, or None: a
-    file that is not UTF-8 turns a traceback into a well-formed exit 2, a
-    command with a twin writes what its twin writes (an exponent written
-    -0 reads as 0; ISO_MAX_EXACT_N is ignored), and a ``bound_names``
-    command differs only in the p of its bound names, which are distinct;
-    and an empty file or a bad header is told all four headers."""
-    if c["id"].startswith("not-utf8-") and p["rc"] is None and c["rc"] == 2 and _error_ok(c):
-        return "traceback -> exit 2"
-    if twin is not None and _same(c, twin) and not _same(p, c):
-        return f"as its twin {twin['id']}"
-    if c.get("bound_names") and not _same(p, c):
-        names = [m[0] for m in _P_NAME.finditer(c["stdout"])]
-        same_rest = all(p[key] == c[key] for key in ("rc", "stderr", "files")) and _unnamed(p["stdout"]) == _unnamed(c["stdout"])
-        if same_rest and len(set(names)) == len(names):
-            return f"bound names {', '.join(names)}"
-    if p["rc"] == c["rc"] == 2 and _error_ok(c) and all(p[key] == c[key] for key in ("stdout", "files")):
-        same_rest = _HEADER_LIST.sub("?", p["stderr"]) == _HEADER_LIST.sub("?", c["stderr"])
-        if same_rest and p["stderr"] != c["stderr"] and all(repr(h) in c["stderr"] for h in HEADERS):
-            return "the four headers"
-    return None
-
-
 def compare(parent: list[dict], change: list[dict]) -> int:
+    """Print one ``DIFF`` line per command or demo whose results break the
+    rule of the module's docstring, then a summary; 1 if any did, else 0."""
     failures = 0
-    same_messages = 0
-    expected = 0
     by_id = {c["id"]: c for c in change}
     for p, c in zip(parent, change):
-        twin = by_id[c["twin"]] if c.get("twin") else None
-        why = _expected(p, c, twin)
-        if why is not None:
-            expected += 1
-            print(f"EXPECTED {c['id']}: {why}\n    change stderr: {c['stderr'].rstrip()}")
-            continue
         problems = []
-        if twin is not None and not _same(c, twin):
-            problems.append(f"differs from its twin {c['twin']}")
-        if c["id"].startswith("demo-") and p["stderr"] != c["stderr"]:
-            problems.append("stderr differs")
         if p["rc"] != c["rc"]:
             problems.append(f"exit code {p['rc']} -> {c['rc']}")
         if p["stdout"] != c["stdout"]:
             problems.append("stdout differs")
+        if p["stderr"] != c["stderr"]:
+            problems.append("stderr differs")
         if p["files"] != c["files"]:
             problems.append("output files differ")
+        if c.get("twin") and not _same(c, by_id[c["twin"]]):
+            problems.append(f"differs from its twin {c['twin']}")
         if c["rc"] is None:
             problems.append("traceback")
         if not _error_ok(c):
             problems.append("error output is not one 'error:' line")
-        if problems:
-            failures += 1
-            print(f"DIFF {c['id']}: {'; '.join(problems)}")
-            if c["stderr"]:
-                print(f"    change stderr: {c['stderr'].rstrip()}")
-        if p["stderr"] == c["stderr"]:
-            same_messages += 1
-        else:
-            print(f"MESSAGE {c['id']}:\n    parent: {p['stderr'].rstrip()}\n    change: {c['stderr'].rstrip()}")
+        if not problems:
+            continue
+        failures += 1
+        print(f"DIFF {c['id']}: {'; '.join(problems)}")
+        if p["stderr"] != c["stderr"]:
+            print(f"    parent stderr: {p['stderr'].rstrip()}\n    change stderr: {c['stderr'].rstrip()}")
+        elif c["stderr"]:
+            print(f"    stderr: {c['stderr'].rstrip()}")
     codes = collections.Counter(c["rc"] for c in change)
     print(
         f"{len(change)} commands (exit codes {dict(sorted(codes.items(), key=str))}): "
-        f"{len(change) - failures - expected} identical in exit code, stdout and files with well-formed errors, "
-        f"{same_messages} with identical stderr, {expected} expected differences"
+        f"{len(change) - failures} identical in exit code, stdout, stderr and files with well-formed errors"
     )
     return 1 if failures else 0
 
