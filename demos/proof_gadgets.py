@@ -1,10 +1,11 @@
-"""The two numeric suprema behind the sweep-cut analysis, plus the cyclic
-block function with its concavity and merge identity.
+"""The two suprema behind the sweep-cut analysis, both in closed form, plus
+the cyclic block function with its concavity and merge identity.
 
-The power-increment supremum controls the level-set telescoping for
-p > 1/2 and stays below 1/(2p-1); the telescoping ratio chain controls the
-p = 1/2 case and tops out at (1/2) log(1/b0), which is where the extra log
-factor in the p = 1/2 bound comes from.
+The power-increment supremum p^2/(2p-1) controls the level-set telescoping
+for p > 1/2 and is at most 1/(2p-1), the constant of the sweep guarantee;
+the telescoping ratio chain controls the p = 1/2 case and tops out at
+(1/2) log(1/b0), which is where the extra log factor in the p = 1/2 bound
+comes from.
 """
 
 import math
@@ -19,10 +20,10 @@ from isoperim import (
 
 
 def main():
-    print("power-increment supremum vs its bound 1/(2p-1):")
+    print("power-increment supremum p^2/(2p-1) vs its bound 1/(2p-1):")
     for p in (0.51, 0.6, 0.75, 0.9, 1.0):
-        est = power_increment_supremum(p, trials=20000, seed=7)
-        print(f"  p={p:<5} estimate={est:8.4f}   bound={1 / (2 * p - 1):8.4f}")
+        sup = power_increment_supremum(p)
+        print(f"  p={p:<5} supremum={sup:8.4f}   bound={1 / (2 * p - 1):8.4f}")
 
     print("\ntelescoping ratio chain -> (1/2) log(1/b0):")
     for b0 in (0.25, 0.01):

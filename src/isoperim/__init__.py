@@ -20,7 +20,6 @@ from .bounds import (
     BoundReport,
     ChainAnalysis,
     bound_suite,
-    conjecture_ratio,
     geometric_chain_sum,
     power_increment_supremum,
 )

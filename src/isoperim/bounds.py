@@ -14,9 +14,10 @@ one rule for the phi_p value a bound uses (exact within the enumeration cap,
 else the sweep cut), and :meth:`ChainAnalysis.expect` routes an exponent to
 the pass that rule reads. The CLI's ``analyze`` and ``verify`` select sides
 and exponents over one store.
-The gadgets expose the numeric suprema used in the sweep-cut analysis:
-the power-increment sum sup_a sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1})
-(bounded by 1/(2p-1) for p > 1/2) and the telescoping ratio-chain maximum
+The gadgets are the two suprema used in the sweep-cut analysis, each in
+closed form: the power-increment sum
+sup_a sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1}) = p^2 / (2p-1) <= 1/(2p-1)
+for p > 1/2, and the telescoping ratio-chain maximum
 (m+1)(1 - b0^{1/(m+1)}) / (1 + b0^{1/(m+1)}) -> (1/2) log(1/b0).
 """
 
@@ -25,8 +26,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from typing import ClassVar, Iterable, Sequence
-
-import numpy as np
 
 from . import cuts
 from .chains import MarkovChain, _integer, is_reversible
@@ -194,59 +193,22 @@ def bound_suite(
     return reports
 
 
-def conjecture_ratio(a: ChainAnalysis) -> float:
-    """rho = phi_{1/2} / sqrt(lambda_2), the quantity whose boundedness the
-    Houdre-Tetali conjecture asserted.
+def power_increment_supremum(p: float) -> float:
+    """sup sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1}) over monotone
+    sequences 0 = a_0 <= ... <= a_N <= 1 (zero steps add nothing), which is
+    p^2 / (2p - 1) for p in (1/2, 1].
 
-    rho is invariant under the lazy transform (p = 1/2 is the scale-free
-    exponent); unbounded growth of rho along a family refutes the conjectured
-    upper bound. phi_{1/2} is computed exactly within the cap, else by sweep.
-    """
-    return a.phi(0.5).phi / math.sqrt(a.own.lambda2)
-
-
-def power_increment_supremum(p: float, trials: int = 100_000, seed: int = 0) -> float:
-    """Numeric estimate of sup sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1})
-    over monotone sequences 0 = a_0 <= ... <= a_N <= 1.
-
-    Searches `trials` random monotone sequences of length 1..50 (sorted
-    uniforms, seeded) plus the adversarial geometric family a_j = r^{m-j},
-    which is extremal in the limit. For p > 1/2 the true supremum is at most
-    1/(2p - 1), so the estimate never exceeds that bound.
+    Write a^p - b^p = int_b^a p x^{p-1} dx. Cauchy-Schwarz gives
+    (a^p - b^p)^2 / (a - b) <= int_b^a p^2 x^{2p-2} dx. The intervals of a
+    monotone sequence in [0, 1] are disjoint, so the sum is at most
+    int_0^1 p^2 x^{2p-2} dx = p^2 / (2p - 1). Geometric meshes
+    a_j = r^{N-j}, with r -> 1 and r^N -> 0, approach that value, so it is
+    the supremum. It is at most 1/(2p - 1), the constant of the sweep
+    guarantee.
     """
     if not (0.5 < p <= 1.0):
         raise InputError(f"gadget requires p in (1/2, 1], got {p}")
-    seed, trials = _integer(seed, "seed"), _integer(trials, "trials")
-    if seed < 0:
-        raise InputError(f"seed must be a nonnegative integer, got {seed}")
-    if trials < 0:
-        raise InputError(f"trials must be a nonnegative integer, got {trials}")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    chunk = 20_000
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        lengths = rng.integers(1, 51, size=m)
-        u = rng.random((m, 50))
-        u[np.arange(50)[None, :] >= lengths[:, None]] = 0.0  # pad, sorts to the front
-        a = np.sort(u, axis=1)
-        a = np.concatenate([np.zeros((m, 1)), a], axis=1)
-        d = np.diff(a, axis=1)
-        dp = np.diff(a**p, axis=1)
-        terms = np.divide(dp**2, d, out=np.zeros_like(d), where=d > 0)
-        best = max(best, float(terms.sum(axis=1).max()))
-        done += m
-
-    # geometric family a_j = r^(m-j), extremal as r -> 1 with long chains
-    m_geo = 400
-    for r in np.linspace(1e-3, 1 - 1e-3, 999):
-        a = np.concatenate([[0.0], r ** np.arange(m_geo, -1.0, -1.0)])
-        d = np.diff(a)
-        dp = np.diff(a**p)
-        terms = np.divide(dp**2, d, out=np.zeros_like(d), where=d > 0)
-        best = max(best, float(terms.sum()))
-    return best
+    return p * p / (2.0 * p - 1.0)
 
 
 def geometric_chain_sum(b0: float, m: int) -> float:

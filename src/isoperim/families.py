@@ -23,12 +23,13 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import BoundReport
-from .chains import MAX_STATES, MarkovChain, WeightedGraph, _integer, check_states, vertex_ids
+from .chains import MAX_STATES, MarkovChain, WeightedGraph, _integer, _kept, check_states, vertex_ids
 from .errors import InputError, TooLarge
 
 # Largest n of the scan. The arc minimum costs O(n) when its certificate rules
@@ -116,7 +117,7 @@ def circulant_lambda2(first_row: Sequence[float]) -> float:
     min over k != 0 of sum_d a[d] cos(2 pi k d / n). Feed the first row of
     I - P to get lambda_2 of the chain.
     """
-    a = np.asarray(first_row, dtype=float)
+    a = _kept(first_row, "first row")
     if a.ndim != 1 or a.size < 2:
         raise InputError("first row must be a vector of length >= 2")
     if not np.all(np.isfinite(a)):
@@ -302,6 +303,8 @@ def ht_counterexample_graph(n: int) -> WeightedGraph:
 def _random_weights(n: int, density: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform(0,1) weights and a mask keeping each entry with
     probability ``density``, both n x n."""
+    if not isinstance(density, numbers.Real):
+        raise InputError(f"density must be a number, got {density!r}")
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must be a number in [0, 1], got {density}")
     seed = _integer(seed, "seed")

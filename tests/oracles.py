@@ -2,7 +2,7 @@
 
 Everything here is deliberately written with plain Python loops, fsum, and
 itertools so it shares no code path with the library (which vectorizes with
-bitmask tables, prefix sums, and FFTs). Five exceptions:
+bitmask tables, prefix sums, and FFTs). Six exceptions:
 
 - :func:`naive_sweep` walks the level sets on its own but evaluates each with
   the library's per-set evaluation, so that its winner can be compared bit
@@ -20,7 +20,14 @@ bitmask tables, prefix sums, and FFTs). Five exceptions:
 - :func:`naive_write_graph_tsv` is the edge-tsv writer the library used
   before its byte tables: one f-string per line, joined into one text, with
   the library's weight formatting, so that the two files can be compared
-  byte for byte.
+  byte for byte;
+- :func:`conjecture_ratio` is the Houdre-Tetali ratio read through the
+  library's :class:`ChainAnalysis`; no CLI path reads it, so the tests that
+  pin its lazy invariance keep it here.
+
+:func:`power_increment_search` is the random search the library used before
+it returned the power-increment supremum in closed form; the tests check
+that it stays below that value and comes close to it.
 """
 
 import math
@@ -31,6 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from isoperim import cuts
+from isoperim.bounds import ChainAnalysis
 from isoperim.chains import (
     MASS_SLACK,
     STRUCTURAL_ZERO,
@@ -455,3 +463,50 @@ def eigh_certificate(P, pi, directed):
     L = np.array([[(i == j) - ((S[i][j] + S[j][i]) / 2 if directed else S[i][j]) for j in range(n)] for i in range(n)])
     w, Q = np.linalg.eigh(L)
     return w, Q[:, 1]
+
+
+def conjecture_ratio(a: ChainAnalysis) -> float:
+    """rho = phi_{1/2} / sqrt(lambda_2), the quantity whose boundedness the
+    Houdre-Tetali conjecture asserted.
+
+    rho is invariant under the lazy transform (p = 1/2 is the scale-free
+    exponent); unbounded growth of rho along a family refutes the conjectured
+    upper bound. phi_{1/2} is computed exactly within the cap, else by sweep.
+    """
+    return a.phi(0.5).phi / math.sqrt(a.own.lambda2)
+
+
+def power_increment_search(p: float, trials: int = 100_000, seed: int = 0) -> float:
+    """Best sum_j (a_j^p - a_{j-1}^p)^2 / (a_j - a_{j-1}) found over monotone
+    sequences 0 = a_0 <= ... <= a_N <= 1, a value from below of the supremum.
+
+    Searches `trials` random monotone sequences of length 1..50 (sorted
+    uniforms, seeded) plus the adversarial geometric family a_j = r^{m-j},
+    which is extremal in the limit.
+    """
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    chunk = 20_000
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        lengths = rng.integers(1, 51, size=m)
+        u = rng.random((m, 50))
+        u[np.arange(50)[None, :] >= lengths[:, None]] = 0.0  # pad, sorts to the front
+        a = np.sort(u, axis=1)
+        a = np.concatenate([np.zeros((m, 1)), a], axis=1)
+        d = np.diff(a, axis=1)
+        dp = np.diff(a**p, axis=1)
+        terms = np.divide(dp**2, d, out=np.zeros_like(d), where=d > 0)
+        best = max(best, float(terms.sum(axis=1).max()))
+        done += m
+
+    # geometric family a_j = r^(m-j), extremal as r -> 1 with long chains
+    m_geo = 400
+    for r in np.linspace(1e-3, 1 - 1e-3, 999):
+        a = np.concatenate([[0.0], r ** np.arange(m_geo, -1.0, -1.0)])
+        d = np.diff(a)
+        dp = np.diff(a**p)
+        terms = np.divide(dp**2, d, out=np.zeros_like(d), where=d > 0)
+        best = max(best, float(terms.sum()))
+    return best

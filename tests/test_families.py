@@ -385,6 +385,13 @@ def test_block_lower_bound_rejects_a_chain_that_matches_row_0_only():
         pytest.param(lambda: arc_phi_half(2, 1), "family needs n >= 3, got 2", id="arc"),
         pytest.param(lambda: circulant_lambda2([1.0]), "first row must be a vector of length >= 2", id="circulant-row"),
         pytest.param(lambda: circulant_lambda2([1.0, math.nan, math.nan]), "first row has non-finite entries", id="circulant-nan"),
+        pytest.param(
+            lambda: circulant_lambda2(["a", "b"]),
+            "first row is not an array of numbers: could not convert string to float: 'a'",
+            id="circulant-str",
+        ),
+        pytest.param(lambda: random_reversible_graph(8, density="0.5"), "density must be a number, got '0.5'", id="random-density-str"),
+        pytest.param(lambda: random_directed_graph(8, density=None), "density must be a number, got None", id="random-directed-density-none"),
         pytest.param(lambda: normalizer(-1), "family needs n >= 3, got -1", id="normalizer-negative"),
         pytest.param(lambda: normalizer(0), "family needs n >= 3, got 0", id="normalizer-0"),
         pytest.param(lambda: normalizer(2), "family needs n >= 3, got 2", id="normalizer-2"),

@@ -337,24 +337,29 @@ def test_cli_scan_default_nlist_increasing_rho(tmp_path):
 
 
 def test_cli_gadgets(capsys):
-    assert cli_main(["gadgets", "--p", "0.6,1.0,0.7000001,0.7000002", "--trials", "500", "--seed", "1"]) == 0
+    assert cli_main(["gadgets", "--p", "0.6,1.0,0.7000001,0.7000002"]) == 0
     out = capsys.readouterr().out
     # a label is the shortest decimal that reads back as p, so close exponents print apart
     labels = [line.split(":")[0] for line in out.splitlines()[:4]]
     assert labels == ["power-increment p=0.6", "power-increment p=1", "power-increment p=0.7000001", "power-increment p=0.7000002"]
+    # each line prints the closed form p^2 / (2p - 1) next to 1 / (2p - 1)
+    assert out.splitlines()[0] == "power-increment p=0.6: supremum=1.8 bound=5"
     assert "ratio-chain b0=0.25" in out
 
 
 def test_cli_usage_error_exit_2(tmp_path, capsys):
     assert cli_main(["analyze"]) == 2  # missing --input
     assert cli_main(["frobnicate"]) == 2
-    # a file's header picks its reader, and scan has one family: neither is an option
+    # a file's header picks its reader, scan has one family, and gadgets prints
+    # closed forms with no search to size or seed: none of these is an option
     out = tmp_path / "out.txt"
     for option, argv in (
         ("--format", ["analyze", "--input", "g.tsv", "--format", "edge-tsv"]),
         ("--format", ["sweep", "--input", "g.tsv", "--p", "1", "--format", "edge-tsv"]),
         ("--format", ["verify", "--input", "g.tsv", "--format", "dense-matrix"]),
         ("--family", ["scan", "--family", "ht-counterexample", "--n-list", "16", "--out", str(out)]),
+        ("--trials", ["gadgets", "--trials", "10"]),
+        ("--seed", ["gadgets", "--seed", "0"]),
     ):
         capsys.readouterr()
         assert cli_main(argv) == 2
@@ -394,7 +399,7 @@ def test_cli_reads_a_repeated_exponent_once(tmp_path, capsys, command):
     argv = {
         "analyze": ["analyze", "--input", str(g), "--method", "both"],
         "sweep": ["sweep", "--input", str(g)],
-        "gadgets": ["gadgets", "--trials", "200", "--seed", "1"],
+        "gadgets": ["gadgets"],
     }[command]
     outs = []
     for p in ("0.75", "0.75,0.75"):
@@ -594,14 +599,14 @@ def test_cli_bad_input_values_exit_2(tmp_path, capsys, fmt, text, message):
         (["generate", "--family", "random", "--n", "6", "--density", "1.5", "--out", "OUT"], "density must be a number in [0, 1], got 1.5"),
         (["generate", "--family", "random", "--n", "6", "--seed", "-1", "--out", "OUT"], "seed must be a nonnegative integer, got -1"),
         (["generate", "--family", "hypercube", "--n", "70", "--out", "OUT"], "hypercube supports d <= 14, got 70"),
-        (["gadgets", "--seed", "-1", "--trials", "10"], "seed must be a nonnegative integer, got -1"),
+        # refused before the size check, which would also fail
+        (["generate", "--family", "random", "--n", "100000", "--seed", "-1", "--out", "OUT"], "seed must be a nonnegative integer, got -1"),
         (["generate", "--family", "random", "--n", "100000", "--out", "OUT"], "100000 states exceed the limit of 16384"),
         (["generate", "--family", "ht-counterexample", "--n", "100000", "--out", "OUT"], "100000 states exceed the limit"),
         (["generate", "--family", "dumbbell", "--n", "100000", "--out", "OUT"], "200000 states exceed the limit"),
         (["generate", "--family", "cycle", "--n", "1000000000", "--out", "OUT"], "1000000000 states exceed the limit"),
         (["scan", "--n-list", "1048576", "--out", "OUT"], "scan supports n <= 65536, got 1048576"),
-        # appended last: pytest names these cases by their position
-        (["gadgets", "--trials", "-5"], "trials must be a nonnegative integer, got -5"),
+        # append new cases last: pytest names these cases by their position
     ],
 )
 def test_cli_bad_parameters_exit_2(tmp_path, capsys, argv, message):

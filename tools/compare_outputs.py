@@ -83,6 +83,7 @@ from that checkout with ``PYTHONPATH=<root>/src``. The matrix holds:
   dense matrix;
 - ``scan`` on every n from 8 to 300, odd and even, and on 4095 and the cap
   65536, beyond the benchmark's five sizes;
+- ``gadgets`` with its defaults and at p = 0.51, 0.7000001 and 1;
 - ``analyze`` on valid files laid out in the ways the readers accept:
   comments between body lines, CRLF and CR line ends, blank lines and
   ``\x0b`` / ``\x1f`` / ``\xa0`` separators, a ``1_0`` weight and a blank line
@@ -455,6 +456,8 @@ def build_plan(work: str) -> list[dict]:
 
     for name, ns in (("8-300", range(8, 301)), ("4095-65536", (4095, 65536))):
         plan.append({"id": f"scan-{name}", "argv": ["scan", "--n-list", ",".join(map(str, ns)), "--out", "OUT/scan.csv"]})
+    plan.append({"id": "gadgets", "argv": ["gadgets"]})
+    plan.append({"id": "gadgets-p0.51,0.7000001,1", "argv": ["gadgets", "--p", "0.51,0.7000001,1"]})
 
     for name, text in LAID_OUT:
         path = os.path.join(work, name)
